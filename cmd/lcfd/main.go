@@ -95,7 +95,7 @@ func main() {
 		slot       = flag.Duration("slot", 200*time.Microsecond, "slot period of the arbiter loop")
 		voqCap     = flag.Int("voqcap", 256, "per-VOQ capacity (admission backpressure threshold)")
 		outCap     = flag.Int("outcap", 256, "per-output delivery buffer (frames)")
-		prealloc   = flag.Bool("prealloc", false, "size every VOQ ring for -voqcap at startup (no growth allocations on the admit path, n²·voqcap resident frame slots)")
+		prealloc   = flag.Bool("prealloc", false, "size every VOQ ring for -voqcap (and, with -classes, every PIFO for -classqcap) at startup: no growth allocations on the admit path, n²·cap resident frame slots")
 		iterations = flag.Int("iterations", 4, "iterations for the iterative schedulers")
 		seed       = flag.Uint64("seed", 1, "scheduler RNG seed")
 		traceRing  = flag.Int("trace-ring", 4096, "slot-event trace ring capacity (0 removes the tracer entirely)")
@@ -110,7 +110,7 @@ func main() {
 		flowIdle   = flag.Uint("flow-idle", 60, "epochs a flow may sit idle before eviction; 0 keeps flows forever (requires -flows)")
 		classSpec  = flag.String("classes", "", "service classes as name[:priority[:weight[:slo_slots]]],... — enables the PIFO ranking tier in front of the VOQs (empty disables)")
 		rankName   = flag.String("rank", "", "class rank function: "+strings.Join(pifo.Names(), ", ")+" (default fifo; requires -classes)")
-		classQCap  = flag.Int("classqcap", 0, "per-(input,output) PIFO capacity (default -voqcap; requires -classes)")
+		classQCap  = flag.Int("classqcap", 0, "per-(input,output) PIFO capacity bound (default -voqcap; requires -classes); PIFOs grow toward it on demand unless -prealloc")
 	)
 	flag.Parse()
 	if *n <= 0 || *n > clint.NumPorts {

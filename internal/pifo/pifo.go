@@ -10,12 +10,15 @@
 // abstraction of arXiv:1510.03551 — without the switch core knowing
 // which is active.
 //
-// The runtime instantiates one Queue plus one Ranker per (input, output)
-// pair, in front of the corresponding VOQ: frames wait in rank order in
-// the PIFO and trickle into the (depth-limited) VOQ head, so the rank
-// decision is taken as late as possible. Both Push and Pop are
-// allocation-free on a pre-sized queue; the decision benchmark pins
-// 0 allocs/op.
+// The runtime instantiates one Queue (in a Bank) plus one Ranker per
+// (input, output) pair, in front of the corresponding VOQ: frames wait
+// in rank order in the PIFO and trickle into the (depth-limited) VOQ
+// head, so the rank decision is taken as late as possible. A queue's
+// heap grows on demand toward its capacity bound and never shrinks, so
+// n² queues cost memory in proportion to the frames they have held, not
+// to n²·capacity; once a queue is at its working size (or its Bank
+// reserved it up front) Push and Pop are allocation-free, and the
+// decision benchmark pins 0 allocs/op.
 package pifo
 
 import "fmt"
@@ -30,21 +33,47 @@ type entry[T any] struct {
 
 // Queue is a bounded PIFO: Push inserts with a caller-supplied rank,
 // Pop removes the entry with the smallest rank (FIFO among equal
-// ranks). The backing heap is allocated once at construction; Push and
-// Pop never allocate. Not safe for concurrent use — the runtime guards
-// each queue with its input's shard lock, like the VOQs behind it.
+// ranks). The backing heap starts empty and doubles up to the capacity
+// bound as entries arrive (the switchcore.Ring policy); it never
+// shrinks, so a queue that has reached its working size — or one a
+// reserving Bank sized up front — pushes and pops without allocating.
+// Not safe for concurrent use — the runtime guards each queue with its
+// input's shard lock, like the VOQs behind it.
 type Queue[T any] struct {
 	heap []entry[T]
 	cap  int
 	seq  uint64
 }
 
+// initialHeap is the backing size of a queue's first allocation (then
+// 8, 16, … up to the bound).
+const initialHeap = 4
+
 // NewQueue returns an empty PIFO holding at most capacity entries.
 func NewQueue[T any](capacity int) *Queue[T] {
 	if capacity <= 0 {
 		panic(fmt.Sprintf("pifo: non-positive capacity %d", capacity))
 	}
-	return &Queue[T]{heap: make([]entry[T], 0, capacity), cap: capacity}
+	return &Queue[T]{cap: capacity}
+}
+
+// grow doubles the backing heap, from initialHeap and up to the bound.
+func (q *Queue[T]) grow() {
+	c := 2 * cap(q.heap)
+	if c < initialHeap {
+		c = initialHeap
+	}
+	if c > q.cap {
+		c = q.cap
+	}
+	q.resize(c)
+}
+
+// resize moves the heap to a backing array of c ≥ Len() entries.
+func (q *Queue[T]) resize(c int) {
+	nh := make([]entry[T], len(q.heap), c)
+	copy(nh, q.heap)
+	q.heap = nh
 }
 
 // Len returns the number of queued entries.
@@ -58,6 +87,9 @@ func (q *Queue[T]) Cap() int { return q.cap }
 func (q *Queue[T]) Push(v T, rank uint64) bool {
 	if len(q.heap) >= q.cap {
 		return false
+	}
+	if len(q.heap) == cap(q.heap) {
+		q.grow()
 	}
 	q.seq++
 	q.heap = append(q.heap, entry[T]{rank: rank, seq: q.seq, val: v})

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/datapath"
 	"repro/internal/obs"
+	"repro/internal/pifo"
 	rt "repro/internal/runtime"
 	"repro/internal/sched"
 	"repro/internal/sched/registry"
@@ -191,6 +192,85 @@ func benchmarkSlotCICQ(b *testing.B, n int, load float64) {
 
 func BenchmarkEngineSlotCICQN64(b *testing.B)  { benchmarkSlotCICQ(b, 64, 0.9) }
 func BenchmarkEngineSlotCICQN256(b *testing.B) { benchmarkSlotCICQ(b, 256, 0.9) }
+
+// benchmarkSlotClass is benchmarkSlot through the other admission door:
+// the same Bernoulli-uniform arrivals enter via AdmitClass with a
+// 1:2:5 rt:quick:bulk mix under the deadline ranker, so the slot also
+// pays the PIFO push, the fill phase and the per-class delivery
+// accounting. One lap of the arrival trace runs off the clock first:
+// the PIFO heaps and VOQ rings grow to their working size there, and
+// the timed loop must then report 0 allocs/op.
+func benchmarkSlotClass(b *testing.B, n int, load float64) {
+	s, err := registry.New("lcf_central_rr", n, sched.Options{Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	e, err := rt.New(rt.Config{
+		N: n, Scheduler: s, VOQCap: 256, OutCap: 256,
+		Classes: testClassList(), Rank: pifo.RankDeadline,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	type arrival struct{ dst, class int }
+	const traceLen = 4096
+	arrivals := make([][]arrival, traceLen)
+	gen := traffic.NewBernoulli(n, load, traffic.NewUniform(n), 3)
+	mix := [8]int{0, 1, 1, 2, 2, 2, 2, 2}
+	for t := range arrivals {
+		row := make([]arrival, n)
+		for i := 0; i < n; i++ {
+			row[i] = arrival{gen.Next(i), mix[(t+i)%len(mix)]}
+		}
+		gen.Advance()
+		arrivals[t] = row
+	}
+	step := func(k int) {
+		for i, a := range arrivals[k%traceLen] {
+			if a.dst == traffic.NoPacket {
+				continue
+			}
+			_ = e.AdmitClass(i, a.dst, a.class, 0, 0, 0)
+		}
+		e.Tick()
+		drainOutputs(e)
+	}
+	for k := 0; k < traceLen; k++ {
+		step(k)
+	}
+
+	b.ReportAllocs()
+	b.ResetTimer()
+	for k := 0; k < b.N; k++ {
+		step(k)
+	}
+	b.StopTimer()
+	e.Close()
+}
+
+func BenchmarkEngineSlotClassN64(b *testing.B)  { benchmarkSlotClass(b, 64, 0.9) }
+func BenchmarkEngineSlotClassN256(b *testing.B) { benchmarkSlotClass(b, 256, 0.9) }
+
+// BenchmarkClassTierConstruct measures building a class engine at n=64
+// with 256-entry PIFOs — the set-up cost and (B/op) the footprint the
+// tier adds before a frame arrives.
+func BenchmarkClassTierConstruct(b *testing.B) {
+	const n = 64
+	s, err := registry.New("lcf_central_rr", n, sched.Options{Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := rt.Config{
+		N: n, Scheduler: s, VOQCap: 256, OutCap: 256,
+		Classes: testClassList(), Rank: pifo.RankDeadline,
+	}
+	b.ReportAllocs()
+	for k := 0; k < b.N; k++ {
+		if _, err := rt.New(cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
 
 // The traced variants quantify the observability tax at n=64: attached-
 // but-disabled must be within noise of the baseline (the zero-overhead-

@@ -26,13 +26,24 @@ var ErrBadClass = errors.New("runtime: class index out of range")
 // degenerates to a depth-1 head register and the rank order decides
 // service as late as possible (arXiv:1602.06045's PIFO-in-front-of-
 // the-scheduler arrangement).
+//
+// The tier's footprint follows what is queued, not n²·ClassQCap: the
+// PIFO heaps grow on demand (unless Config.PreallocVOQs sizes them up
+// front), and the per-slot phases find their work through the bank's
+// occupancy rows — n-bit rows of non-empty PIFOs, the paper's
+// request-row representation — instead of probing n² queue headers.
 type classTier struct {
 	classes []pifo.Class
 	rank    string
-	// queues and rankers are n×n in row-major (i*n+j) order; entry
-	// (i, j) is guarded by inMu[i].
-	queues  []*pifo.Queue[Frame]
+	// queues holds the n×n PIFOs and their occupancy rows; rankers is
+	// n×n in row-major (i*n+j) order. Entry (i, j) of either is guarded
+	// by inMu[i].
+	queues  *pifo.Bank[Frame]
 	rankers []pifo.Ranker
+
+	// dropHook is the per-frame callback the stranded sweep hands
+	// FlushVOQ on a class engine (see newDropHook).
+	dropHook func(Frame)
 
 	// pending[i] counts frames resident in input i's PIFO row — the
 	// lock-free signal that lets classFill and the stranded sweep skip
@@ -50,14 +61,14 @@ type classTier struct {
 	latency    []*metrics.LiveHistogram // delivery latency in slots
 }
 
-// newClassTier builds the tier: n² queues and ranker instances. The
-// ranker name was validated by Config.normalize, so NewRanker cannot
+// newClassTier builds the tier: n² (empty) queues and ranker instances.
+// The ranker name was validated by Config.normalize, so NewRanker cannot
 // fail here except on a broken class list, which is a config error too.
 func newClassTier(n int, cfg *Config) (*classTier, error) {
 	ct := &classTier{
 		classes:    cfg.Classes,
 		rank:       cfg.Rank,
-		queues:     make([]*pifo.Queue[Frame], n*n),
+		queues:     pifo.NewBank[Frame](n, cfg.ClassQCap, cfg.PreallocVOQs),
 		rankers:    make([]pifo.Ranker, n*n),
 		pending:    make([]metrics.Gauge, n),
 		admitted:   make([]metrics.Counter, len(cfg.Classes)),
@@ -72,14 +83,14 @@ func newClassTier(n int, cfg *Config) (*classTier, error) {
 		// exceeds any drainable backlog (ClassQCap + VOQ wait).
 		ct.latency[c] = metrics.NewLiveHistogram(metrics.ExponentialBounds(1, 2, 16))
 	}
-	for k := range ct.queues {
+	for k := range ct.rankers {
 		rk, err := pifo.NewRanker(cfg.Rank, cfg.Classes)
 		if err != nil {
 			return nil, err
 		}
-		ct.queues[k] = pifo.NewQueue[Frame](cfg.ClassQCap)
 		ct.rankers[k] = rk
 	}
+	ct.dropHook = ct.newDropHook(cfg.OnDropped)
 	return ct, nil
 }
 
@@ -130,7 +141,6 @@ func (e *Engine) AdmitClass(src, dst, class int, seq, stamp uint64, budget int64
 		Admitted: now, Departed: -1,
 		Class: class, Deadline: deadline,
 	}
-	k := src*e.n + dst
 	mu := &e.inMu[src]
 	mu.Lock()
 	// Re-check under the lock, mirroring Admit: Close cycles every input
@@ -140,7 +150,7 @@ func (e *Engine) AdmitClass(src, dst, class int, seq, stamp uint64, budget int64
 		mu.Unlock()
 		return ErrClosed
 	}
-	ok := ct.queues[k].Push(f, ct.rankers[k].Rank(class, now, deadline))
+	ok := ct.queues.Push(src, dst, f, ct.rankers[src*e.n+dst].Rank(class, now, deadline))
 	if ok {
 		// PIFO-resident frames count in the same backlog gauges as VOQ
 		// frames: the drain, the conservation ledger and the flow tier's
@@ -171,6 +181,14 @@ func (e *Engine) AdmitClass(src, dst, class int, seq, stamp uint64, budget int64
 // urgent traffic overtakes everything still waiting in the PIFO.
 // Arbiter-only; runs before the snapshot so filled heads are visible to
 // this slot's matching.
+//
+// The pairs to serve in row i are the set bits of the PIFO occupancy row
+// &^ dp.OccupiedRow(i) — a non-empty PIFO in front of an empty VOQ —
+// computed a word at a time and walked in ascending j, which is the
+// order a 0..n-1 probe of every queue visits them in. Serving pair j
+// moves only bit j of either row, so the set fixed before the walk is
+// the set a per-pair re-check would find, and the work per slot is
+// proportional to the frames moved rather than to n².
 func (e *Engine) classFill() {
 	ct := e.classes
 	if ct == nil {
@@ -187,14 +205,13 @@ func (e *Engine) classFill() {
 			mu.Unlock()
 			continue
 		}
-		for j := 0; j < n; j++ {
-			k := i*n + j
-			q := ct.queues[k]
-			if q.Len() == 0 || e.dp.OutputDown(j) || e.dp.HasBacklog(i, j) {
+		ready := ct.queues.Ready(i, e.dp.OccupiedRow(i))
+		for j := ready.FirstSet(); j >= 0; j = ready.NextSet(j + 1) {
+			if e.dp.OutputDown(j) {
 				continue
 			}
-			f, rank, _ := q.Pop()
-			ct.rankers[k].OnPop(rank)
+			f, rank, _ := ct.queues.Pop(i, j)
+			ct.rankers[i*n+j].OnPop(rank)
 			// Enqueue cannot refuse: the VOQ is empty and VOQCap ≥ 1.
 			e.dp.Enqueue(i, j, f)
 			ct.pending[i].Add(-1)
@@ -212,65 +229,54 @@ func (e *Engine) classFill() {
 // caller's PerInputBacklog / Backlog / DroppedFault accounting.
 func (e *Engine) classSweepInput(i int, drop bool) (dropped, stranded int) {
 	ct := e.classes
-	n := e.n
-	if e.dp.InputDown(i) {
-		if !drop {
-			return 0, int(ct.pending[i].Value())
-		}
-		for j := 0; j < n; j++ {
-			dropped += e.classDrain(i, j)
-		}
-		return dropped, 0
+	inDown := e.dp.InputDown(i)
+	if inDown && !drop {
+		return 0, int(ct.pending[i].Value())
 	}
-	for j := 0; j < n; j++ {
-		k := i*n + j
-		if !e.dp.OutputDown(j) || ct.queues[k].Len() == 0 {
+	// Only non-empty PIFOs can hold stranded frames; classDrain clears
+	// the bit it is called for, which the NextSet walk has already passed.
+	row := ct.queues.Occupied(i)
+	for j := row.FirstSet(); j >= 0; j = row.NextSet(j + 1) {
+		if !inDown && !e.dp.OutputDown(j) {
 			continue
 		}
 		if drop {
 			dropped += e.classDrain(i, j)
 		} else {
-			stranded += ct.queues[k].Len()
+			stranded += ct.queues.Len(i, j)
 		}
 	}
 	return dropped, stranded
 }
 
-// classDropHook returns the per-frame callback the stranded sweep hands
-// FlushVOQ: on a class-tier engine it layers per-class drop accounting
-// over Config.OnDropped (a flushed VOQ head may be a class frame);
-// without the tier it is Config.OnDropped itself, so the classless
-// flush path is untouched.
-func (e *Engine) classDropHook() func(Frame) {
-	if e.classes == nil {
-		return e.cfg.OnDropped
-	}
-	ct := e.classes
+// newDropHook builds the per-frame callback the stranded sweep hands
+// FlushVOQ on a class engine — once, at construction: a closure built
+// per flush would put a heap allocation on the slot path in the fault
+// window. It layers per-class drop accounting over Config.OnDropped (a
+// flushed VOQ head may be a class frame).
+func (ct *classTier) newDropHook(onDropped func(Frame)) func(Frame) {
 	return func(f Frame) {
 		if f.Class >= 0 {
 			ct.dropped[f.Class].Inc()
 		}
-		if e.cfg.OnDropped != nil {
-			e.cfg.OnDropped(f)
+		if onDropped != nil {
+			onDropped(f)
 		}
 	}
 }
 
-// classDrain empties PIFO (i,j), running per-class drop accounting and
-// the OnDropped hook per frame. Caller holds inMu[i].
+// classDrain empties the non-empty PIFO (i,j), running per-class drop
+// accounting and the OnDropped hook per frame. Caller holds inMu[i].
 func (e *Engine) classDrain(i, j int) int {
 	ct := e.classes
-	k := i*e.n + j
-	drained := ct.queues[k].Drain(func(f Frame) {
+	drained := ct.queues.Drain(i, j, func(f Frame) {
 		ct.dropped[f.Class].Inc()
 		ct.queued[f.Class].Add(-1)
 		if e.cfg.OnDropped != nil {
 			e.cfg.OnDropped(f)
 		}
 	})
-	if drained > 0 {
-		ct.pending[i].Add(int64(-drained))
-	}
+	ct.pending[i].Add(int64(-drained))
 	return drained
 }
 

@@ -182,6 +182,12 @@ func (e *Engine) sweepStranded() {
 		return
 	}
 	drop := e.cfg.FaultPolicy == DropStranded
+	// Without the class tier the flush hook is Config.OnDropped itself,
+	// so the classless flush path is untouched.
+	hook := e.cfg.OnDropped
+	if e.classes != nil {
+		hook = e.classes.dropHook
+	}
 	dropped, stranded := 0, 0
 	for i := 0; i < e.n; i++ {
 		di := 0 // frames flushed from input i this sweep
@@ -191,7 +197,7 @@ func (e *Engine) sweepStranded() {
 			if drop {
 				row := e.dp.OccupiedRow(i)
 				for j := row.FirstSet(); j >= 0; j = row.NextSet(j + 1) {
-					di += e.dp.FlushVOQ(i, j, e.classDropHook())
+					di += e.dp.FlushVOQ(i, j, hook)
 				}
 			} else {
 				stranded += e.dp.InputBacklog(i)
@@ -202,7 +208,7 @@ func (e *Engine) sweepStranded() {
 					continue
 				}
 				if drop {
-					di += e.dp.FlushVOQ(i, j, e.classDropHook())
+					di += e.dp.FlushVOQ(i, j, hook)
 				} else {
 					stranded += e.dp.Len(i, j)
 				}

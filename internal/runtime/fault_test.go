@@ -2,10 +2,12 @@ package runtime_test
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/pifo"
 	rt "repro/internal/runtime"
 )
 
@@ -391,5 +393,71 @@ func TestOnDroppedCallback(t *testing.T) {
 		if !seen[want] {
 			t.Fatalf("OnDropped missed seq %d (saw %v)", want, dropped)
 		}
+	}
+}
+
+// TestFaultSweepAllocFree pins the zero-allocation slot contract inside
+// the fault window on a class engine under DropStranded. Two windows are
+// measured once every queue is at its working size: the slot that folds
+// an output failure in and flushes what was queued toward it (VOQ heads
+// through the drop hook, PIFOs through their drain) — where a hook
+// rebuilt per flushed VOQ used to cost one closure each — and the outage
+// that follows, admit + tick with the sweep scanning every slot.
+func TestFaultSweepAllocFree(t *testing.T) {
+	const n, down = 8, 1
+	e := newClassEngine(t, n, pifo.RankDeadline, rt.DropStranded, nil)
+	defer e.Close()
+
+	seq := uint64(0)
+	admit := func(src, dst int) {
+		seq++
+		if err := e.AdmitClass(src, dst, int(seq%3), seq, 0, 0); err != nil {
+			t.Fatalf("AdmitClass(%d,%d): %v", src, dst, err)
+		}
+	}
+	// Four frames on every pair: each input ends up with a VOQ head and a
+	// PIFO backlog toward the output about to fail.
+	for k := 0; k < 4; k++ {
+		for src := 0; src < n; src++ {
+			for dst := 0; dst < n; dst++ {
+				admit(src, dst)
+			}
+		}
+		e.Tick()
+		drainOutputs(e)
+	}
+
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	if err := e.FailOutput(down); err != nil {
+		t.Fatal(err)
+	}
+	dropped := e.Stats().DroppedFault.Value()
+	runtime.ReadMemStats(&before)
+	e.Tick()
+	runtime.ReadMemStats(&after)
+	if flushed := e.Stats().DroppedFault.Value() - dropped; flushed < 2*n {
+		t.Fatalf("flush slot dropped %d frames, want a VOQ head and a PIFO backlog on each of %d inputs", flushed, n)
+	}
+	if allocs := after.Mallocs - before.Mallocs; allocs != 0 {
+		t.Errorf("%d allocations in the slot that flushed the failed output, want 0", allocs)
+	}
+	drainOutputs(e)
+
+	// The outage: a rotating permutation of admissions around the failed
+	// output, a load the seven healthy outputs sustain.
+	shift := 0
+	allocs := testing.AllocsPerRun(200, func() {
+		shift++
+		for src := 0; src < n; src++ {
+			if dst := (src + shift) % n; dst != down {
+				admit(src, dst)
+			}
+		}
+		e.Tick()
+		drainOutputs(e)
+	})
+	if allocs != 0 {
+		t.Errorf("%v allocs per admit+tick while output %d is down, want 0", allocs, down)
 	}
 }

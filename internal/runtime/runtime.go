@@ -167,6 +167,9 @@ type Config struct {
 	// lazy deployments only pay for VOQs that actually fill. Enable it
 	// for latency-sensitive deployments where an allocation (and the GC
 	// pressure behind it) on the admit path is worse than the footprint.
+	// With Classes set it sizes the class tier's PIFOs the same way:
+	// n²·ClassQCap entries of 80 bytes up front (84 MB for n=64,
+	// ClassQCap=256; 1.3 GB at n=256) so AdmitClass never grows a heap.
 	PreallocVOQs bool
 
 	// Pipeline enables speculative pipelined arbitration (DESIGN.md §13):
@@ -219,7 +222,12 @@ type Config struct {
 	// Setting it without Classes is a config error.
 	Rank string
 	// ClassQCap bounds each per-pair PIFO (0 means VOQCap). AdmitClass
-	// returns ErrBackpressure when the target PIFO is full.
+	// returns ErrBackpressure when the target PIFO is full. It is a bound,
+	// not a reservation: a PIFO's heap starts empty and doubles toward
+	// the bound as frames queue (never shrinking), so the tier's memory
+	// follows the deepest backlog each pair has held — a few hundred
+	// bytes per active pair at sustainable load — unless PreallocVOQs
+	// asks for all of it up front.
 	ClassQCap int
 
 	// SlotPeriod > 0 selects live mode: Start runs the arbiter on a

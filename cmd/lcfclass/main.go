@@ -79,15 +79,13 @@ type run struct {
 // Bernoulli-uniform arrivals recorded into a dense table (replayed via
 // traffic.NewTrace), and a class label per arrival drawn from the mix
 // on an independent stream. Every rank replays these bit-identically.
-func buildTrace(cfg studyConfig) (arrivals, classTab [][]int) {
+func buildTrace(cfg studyConfig) (arrivals, classTab [][]int, err error) {
+	mix, err := traffic.NewWeighted(cfg.Mix)
+	if err != nil {
+		return nil, nil, err
+	}
 	gen := traffic.NewBernoulli(cfg.N, cfg.Load, traffic.NewUniform(cfg.N), cfg.Seed^0xE32)
 	classRng := rng.NewPCG32(cfg.Seed, 0xC1A55)
-	var cum []float64
-	var total float64
-	for _, w := range cfg.Mix {
-		total += w
-		cum = append(cum, total)
-	}
 	arrivals = make([][]int, cfg.Slots)
 	classTab = make([][]int, cfg.Slots)
 	for t := int64(0); t < cfg.Slots; t++ {
@@ -95,23 +93,15 @@ func buildTrace(cfg studyConfig) (arrivals, classTab [][]int) {
 		crow := make([]int, cfg.N)
 		for i := 0; i < cfg.N; i++ {
 			arow[i] = gen.Next(i)
-			crow[i] = len(cum) - 1
-			if arow[i] == traffic.NoPacket {
-				continue
-			}
-			r := classRng.Float64() * total
-			for c, b := range cum {
-				if r < b {
-					crow[i] = c
-					break
-				}
+			if arow[i] != traffic.NoPacket {
+				crow[i] = mix.Pick(classRng.Float64())
 			}
 		}
 		gen.Advance()
 		arrivals[t] = arow
 		classTab[t] = crow
 	}
-	return arrivals, classTab
+	return arrivals, classTab, nil
 }
 
 // runRank replays the shared trace against one rank function, with or
@@ -237,7 +227,10 @@ func quantile(sorted []int64, q float64) int64 {
 // runStudy sweeps every requested rank over the same trace, fault-free
 // and faulted.
 func runStudy(cfg studyConfig) ([]run, error) {
-	arrivals, classTab := buildTrace(cfg)
+	arrivals, classTab, err := buildTrace(cfg)
+	if err != nil {
+		return nil, err
+	}
 	runs := make([]run, 0, 2*len(cfg.Ranks))
 	for _, rank := range cfg.Ranks {
 		for _, faulted := range []bool{false, true} {
@@ -291,9 +284,12 @@ func main() {
 	if err != nil {
 		fatalUsage("-classes: %v", err)
 	}
-	mix, err := parseMix(*mixSpec, len(classes))
+	mix, err := traffic.ParseWeights(*mixSpec)
 	if err != nil {
 		fatalUsage("-mix: %v", err)
+	}
+	if len(mix) != len(classes) {
+		fatalUsage("-mix names %d classes, -classes has %d", len(mix), len(classes))
 	}
 	cfg := studyConfig{
 		N: *n, Slots: *slots, Load: *load,
@@ -338,31 +334,6 @@ func main() {
 				r.Rank, window, c.Class, c.Delivered, c.P50, c.P99, c.Violations)
 		}
 	}
-}
-
-// parseMix parses the -mix weights and checks them against the class
-// count (a light-weight sibling of lcfload's -class-mix parser; the
-// study knows its class count up front, so length is validated here).
-func parseMix(spec string, classes int) ([]float64, error) {
-	parts := strings.Split(spec, ",")
-	if len(parts) != classes {
-		return nil, fmt.Errorf("mix names %d classes, spec has %d", len(parts), classes)
-	}
-	ws := make([]float64, len(parts))
-	var sum float64
-	for i, p := range parts {
-		if _, err := fmt.Sscanf(strings.TrimSpace(p), "%g", &ws[i]); err != nil {
-			return nil, fmt.Errorf("mix entry %q: %v", p, err)
-		}
-		if ws[i] < 0 {
-			return nil, fmt.Errorf("mix entry %q: weight must be >= 0", p)
-		}
-		sum += ws[i]
-	}
-	if sum <= 0 {
-		return nil, fmt.Errorf("mix weights sum to zero")
-	}
-	return ws, nil
 }
 
 // fatalUsage exits with status 2, the conventional code for command-line

@@ -1,7 +1,9 @@
 package main
 
 import (
+	"bytes"
 	"errors"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"testing"
@@ -105,10 +107,7 @@ func TestStudyDeterminism(t *testing.T) {
 // TestUsageErrorsExitTwo pins the exit-code contract shared by every
 // command in this repo: invalid flags exit 2, not 1.
 func TestUsageErrorsExitTwo(t *testing.T) {
-	bin := filepath.Join(t.TempDir(), "lcfclass")
-	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
-		t.Fatalf("building lcfclass: %v\n%s", err, out)
-	}
+	bin := buildBin(t)
 	for _, args := range [][]string{
 		{"-n", "0"},
 		{"-slots", "0"},
@@ -123,6 +122,42 @@ func TestUsageErrorsExitTwo(t *testing.T) {
 		var ee *exec.ExitError
 		if !errors.As(err, &ee) || ee.ExitCode() != 2 {
 			t.Errorf("lcfclass %v: %v, want exit status 2", args, err)
+		}
+	}
+}
+
+func buildBin(t *testing.T) string {
+	t.Helper()
+	bin := filepath.Join(t.TempDir(), "lcfclass")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("building lcfclass: %v\n%s", err, out)
+	}
+	return bin
+}
+
+// TestRecordedResults reruns the parameter sets recorded in
+// results/README.md and compares stdout byte for byte with the committed
+// files: the study is a golden of the engine, the tier it measures and
+// every RNG stream it draws from, so a refactor that shifts any of them
+// fails here and not at the next hand regeneration.
+func TestRecordedResults(t *testing.T) {
+	bin := buildBin(t)
+	for _, tc := range []struct {
+		file string
+		args []string
+	}{
+		{"classes.txt", []string{"-ranks", "fifo,strict,wfq,deadline", "-load", "0.96", "-slots", "4000", "-fault-start", "2000", "-fault-len", "1200", "-fault-ports", "4"}},
+	} {
+		want, err := os.ReadFile(filepath.Join("..", "..", "results", tc.file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := exec.Command(bin, tc.args...).Output()
+		if err != nil {
+			t.Fatalf("lcfclass %v: %v", tc.args, err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("lcfclass %v no longer reproduces results/%s:\n--- got\n%s--- want\n%s", tc.args, tc.file, got, want)
 		}
 	}
 }

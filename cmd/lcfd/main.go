@@ -103,7 +103,7 @@ func main() {
 		debugAddr  = flag.String("debug-addr", "", "HTTP address for pprof and runtime execution traces (empty disables)")
 		faultPol   = flag.String("fault-policy", "drop", "disposition of frames stranded behind a failed port: drop (flush and count) or hold (keep until recovery)")
 		pipeline   = flag.Bool("pipeline", false, "overlap each slot's transmit with computing the next slot's matching from a speculative snapshot (voq datapath only; see DESIGN.md §13)")
-		shards     = flag.Int("shards", 0, "worker shards for the snapshot/dispatch loops: 0 auto-sizes from GOMAXPROCS at n>=256, 1 disables")
+		shards     = flag.Int("shards", 0, "worker shards for the snapshot/dispatch loops: 0 auto-sizes from GOMAXPROCS at n>=256, 1 disables (voq datapath only; cicq stays unsharded)")
 		flows      = flag.Int("flows", 0, "flow steering table capacity — enables the flow front tier and the /flows endpoint (0 disables; see DESIGN.md §14)")
 		flowPolicy = flag.String("flow-policy", "", "flow steering policy: "+strings.Join(flowtable.Names(), ", ")+" (default hash; requires -flows)")
 		flowEpoch  = flag.Duration("flow-epoch", time.Second, "period of the flow idle-eviction epoch clock (requires -flows)")
@@ -146,6 +146,11 @@ func main() {
 	}
 	if *shards < 0 {
 		fatalUsage("-shards must be >= 0 (got %d)", *shards)
+	}
+	if *shards > 1 && *dpName == datapath.CICQ {
+		// Same predicate, same reason: the per-input dispatch arbiter
+		// writes column state every row shares, so rows cannot be sharded.
+		fatalUsage("-shards %d requires the voq datapath: cicq dispatch arbitration shares column state across rows (use 0 or 1)", *shards)
 	}
 	if *flows < 0 {
 		fatalUsage("-flows must be >= 0 (got %d)", *flows)

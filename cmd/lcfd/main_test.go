@@ -4,11 +4,14 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"os/exec"
+	"path/filepath"
 	"regexp"
 	"sort"
 	"strings"
@@ -659,5 +662,42 @@ func TestMetricsDocumented(t *testing.T) {
 	sort.Strings(stale)
 	for _, name := range stale {
 		t.Errorf("OBSERVABILITY.md documents %s, which no longer exists in the registry", name)
+	}
+}
+
+// TestUsageErrorsExitTwo pins the exit-code contract shared by every
+// command in this repo: an invalid flag combination exits 2 with a
+// message naming the flag, before the daemon listens on anything. The
+// two CICQ rows are the flag-level twins of runtime.ErrUnsupported.
+func TestUsageErrorsExitTwo(t *testing.T) {
+	bin := filepath.Join(t.TempDir(), "lcfd")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("building lcfd: %v\n%s", err, out)
+	}
+	for _, tc := range []struct {
+		args []string
+		want string // substring of stderr
+	}{
+		{[]string{"-datapath", "cicq", "-shards", "4"}, "-shards 4 requires the voq datapath"},
+		{[]string{"-datapath", "cicq", "-pipeline"}, "-pipeline requires the voq datapath"},
+		{[]string{"-n", "0"}, "-n is 0"},
+		{[]string{"-slot", "0s"}, "-slot must be positive"},
+		{[]string{"-shards", "-1"}, "-shards must be >= 0"},
+		{[]string{"-datapath", "bogus"}, "-datapath must be one of"},
+		{[]string{"-fault-policy", "bogus"}, "-fault-policy must be drop or hold"},
+		{[]string{"-flow-policy", "po2"}, "-flow-policy requires -flows"},
+		{[]string{"-rank", "deadline"}, "-rank requires -classes"},
+	} {
+		var stderr bytes.Buffer
+		cmd := exec.Command(bin, tc.args...)
+		cmd.Stderr = &stderr
+		err := cmd.Run()
+		var ee *exec.ExitError
+		if !errors.As(err, &ee) || ee.ExitCode() != 2 {
+			t.Errorf("lcfd %v: %v, want exit status 2", tc.args, err)
+		}
+		if !strings.Contains(stderr.String(), tc.want) {
+			t.Errorf("lcfd %v: stderr %q does not mention %q", tc.args, stderr.String(), tc.want)
+		}
 	}
 }

@@ -1,7 +1,9 @@
 package main
 
 import (
+	"bytes"
 	"errors"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"testing"
@@ -73,10 +75,7 @@ func TestStudyDeterminism(t *testing.T) {
 // TestUsageErrorsExitTwo pins the exit-code contract shared by every
 // command in this repo: invalid flags exit 2, not 1.
 func TestUsageErrorsExitTwo(t *testing.T) {
-	bin := filepath.Join(t.TempDir(), "lcfflow")
-	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
-		t.Fatalf("building lcfflow: %v\n%s", err, out)
-	}
+	bin := buildBin(t)
 	for _, args := range [][]string{
 		{"-n", "0"},
 		{"-flows", "0"},
@@ -90,6 +89,43 @@ func TestUsageErrorsExitTwo(t *testing.T) {
 		var ee *exec.ExitError
 		if !errors.As(err, &ee) || ee.ExitCode() != 2 {
 			t.Errorf("lcfflow %v: %v, want exit status 2", args, err)
+		}
+	}
+}
+
+func buildBin(t *testing.T) string {
+	t.Helper()
+	bin := filepath.Join(t.TempDir(), "lcfflow")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("building lcfflow: %v\n%s", err, out)
+	}
+	return bin
+}
+
+// TestRecordedResults reruns the parameter sets recorded in
+// results/README.md and compares stdout byte for byte with the committed
+// files: the study is a golden of the engine, the tier it measures and
+// every RNG stream it draws from, so a refactor that shifts any of them
+// fails here and not at the next hand regeneration.
+func TestRecordedResults(t *testing.T) {
+	bin := buildBin(t)
+	for _, tc := range []struct {
+		file string
+		args []string
+	}{
+		{"flows.txt", []string{"-seed", "42"}},
+		{"flows_hot.txt", []string{"-n", "8", "-flows", "2048", "-skew", "1.2", "-load", "0.9", "-warmup", "500", "-measure", "2000", "-seed", "42"}},
+	} {
+		want, err := os.ReadFile(filepath.Join("..", "..", "results", tc.file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := exec.Command(bin, tc.args...).Output()
+		if err != nil {
+			t.Fatalf("lcfflow %v: %v", tc.args, err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("lcfflow %v no longer reproduces results/%s:\n--- got\n%s--- want\n%s", tc.args, tc.file, got, want)
 		}
 	}
 }

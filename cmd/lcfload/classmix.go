@@ -1,67 +1,42 @@
 package main
 
 import (
-	"errors"
 	"fmt"
-	"math"
-	"strconv"
 	"strings"
+
+	"repro/internal/traffic"
 )
 
 // parseClassMix parses the -class-mix spec "w0,w1,..." into per-class
-// traffic weights, indexed by class. The indexes must line up with the
-// daemon's -classes order — the wire frame carries an index, not a
-// name. Weights are relative (they need not sum to 1); at least one
-// must be positive.
+// traffic weights, indexed by class (traffic.ParseWeights: relative,
+// finite, >= 0, at least one positive). The indexes must line up with
+// the daemon's -classes order — the wire frame carries an index, not a
+// name — which is also why the list is capped here and not in the
+// parser: the wire class field is one byte.
 func parseClassMix(spec string) ([]float64, error) {
-	parts := strings.Split(spec, ",")
-	if len(parts) > 256 {
-		return nil, fmt.Errorf("class-mix names %d classes, the wire class field carries at most 256", len(parts))
+	if k := strings.Count(spec, ",") + 1; k > 256 {
+		return nil, fmt.Errorf("class-mix names %d classes, the wire class field carries at most 256", k)
 	}
-	ws := make([]float64, len(parts))
-	var sum float64
-	for i, p := range parts {
-		w, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
-		if err != nil {
-			return nil, fmt.Errorf("class-mix entry %q: %w", p, err)
-		}
-		if w < 0 || math.IsNaN(w) || math.IsInf(w, 0) {
-			return nil, fmt.Errorf("class-mix entry %q: weight must be finite and >= 0", p)
-		}
-		ws[i] = w
-		sum += w
-	}
-	if sum <= 0 {
-		return nil, errors.New("class-mix weights sum to zero")
-	}
-	return ws, nil
+	return traffic.ParseWeights(spec)
 }
 
 // classPicker draws class indexes with probability proportional to the
 // parsed weights, from its own seeded stream so adding a class mix does
 // not perturb the per-port arrival sequences or the retry jitter.
 type classPicker struct {
-	cum []float64 // cumulative weights; last entry is the total
+	mix *traffic.Weighted
 	rng *jitter
 }
 
-func newClassPicker(ws []float64, seed uint64) *classPicker {
-	p := &classPicker{cum: make([]float64, len(ws)), rng: newJitter(seed)}
-	var sum float64
-	for i, w := range ws {
-		sum += w
-		p.cum[i] = sum
+func newClassPicker(ws []float64, seed uint64) (*classPicker, error) {
+	mix, err := traffic.NewWeighted(ws)
+	if err != nil {
+		return nil, err
 	}
-	return p
+	return &classPicker{mix: mix, rng: newJitter(seed)}, nil
 }
 
 func (p *classPicker) pick() uint8 {
-	// 53 uniform bits → [0, total), the float64-exact construction.
-	r := float64(p.rng.next()>>11) / (1 << 53) * p.cum[len(p.cum)-1]
-	for i, c := range p.cum {
-		if r < c {
-			return uint8(i)
-		}
-	}
-	return uint8(len(p.cum) - 1)
+	// 53 uniform bits → [0, 1), the float64-exact construction.
+	return uint8(p.mix.Pick(float64(p.rng.next()>>11) / (1 << 53)))
 }

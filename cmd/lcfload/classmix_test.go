@@ -5,6 +5,15 @@ import (
 	"testing"
 )
 
+func mustPicker(t *testing.T, ws []float64, seed uint64) *classPicker {
+	t.Helper()
+	p, err := newClassPicker(ws, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
 func TestParseClassMix(t *testing.T) {
 	ws, err := parseClassMix("8, 1,1")
 	if err != nil {
@@ -50,7 +59,7 @@ func TestParseClassMixTooManyClasses(t *testing.T) {
 // TestClassPickerDistribution draws from an 8:1:1 mix and checks the
 // empirical frequencies land near the configured weights.
 func TestClassPickerDistribution(t *testing.T) {
-	p := newClassPicker([]float64{8, 1, 1}, 42)
+	p := mustPicker(t, []float64{8, 1, 1}, 42)
 	const draws = 100000
 	var counts [3]int
 	for i := 0; i < draws; i++ {
@@ -70,7 +79,7 @@ func TestClassPickerDistribution(t *testing.T) {
 
 // TestClassPickerZeroWeight: a zero-weight class must never be drawn.
 func TestClassPickerZeroWeight(t *testing.T) {
-	p := newClassPicker([]float64{1, 0, 1}, 7)
+	p := mustPicker(t, []float64{1, 0, 1}, 7)
 	for i := 0; i < 10000; i++ {
 		if p.pick() == 1 {
 			t.Fatal("picker drew a zero-weight class")
@@ -81,8 +90,8 @@ func TestClassPickerZeroWeight(t *testing.T) {
 // TestClassPickerDeterministic: two pickers with the same seed produce
 // the same class sequence, so seeded runs are reproducible.
 func TestClassPickerDeterministic(t *testing.T) {
-	a := newClassPicker([]float64{3, 2, 1}, 11)
-	b := newClassPicker([]float64{3, 2, 1}, 11)
+	a := mustPicker(t, []float64{3, 2, 1}, 11)
+	b := mustPicker(t, []float64{3, 2, 1}, 11)
 	for i := 0; i < 1000; i++ {
 		if ca, cb := a.pick(), b.pick(); ca != cb {
 			t.Fatalf("draw %d: %d != %d for identical seeds", i, ca, cb)

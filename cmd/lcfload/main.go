@@ -126,10 +126,12 @@ func main() {
 			fatalUsage("-class-mix and -flows are mutually exclusive (a frame carries a flow id or a class label, not both)")
 		}
 		ws, err := parseClassMix(*classMix)
-		if err != nil {
-			fatalUsage("%v", err)
+		if err == nil {
+			mix, err = newClassPicker(ws, *seed^0xc1a55)
 		}
-		mix = newClassPicker(ws, *seed^0xc1a55)
+		if err != nil {
+			fatalUsage("-class-mix: %v", err)
+		}
 	}
 	gen, err := buildGenerator(*pattern, *n, *load, *burst, *hotfrac, *seed)
 	if err != nil {

@@ -1,27 +1,45 @@
 // Package chaos drives deterministic, seeded fault schedules against the
-// live engine (internal/runtime) and the offline simulator
-// (internal/simswitch), checking the invariants that define graceful
-// degradation:
+// live engine (internal/runtime), the offline simulator
+// (internal/simswitch) and the Clos fabric (internal/closfabric),
+// checking the invariants that define graceful degradation:
 //
-//   - Conservation, every slot: admitted == delivered + dropped + resident.
-//     No fault sequence may lose or mint a frame.
-//   - Isolation: a failed link receives zero grants while down.
+//   - Conservation, every slot: admitted == delivered + dropped + resident,
+//     and delivered == consumed + in-flight on the output channels. No
+//     fault sequence may lose or mint a frame.
+//   - Isolation: a failed link receives zero grants while down, and no
+//     admission — steered or not — lands on a down input.
+//   - Flow tier, when on: resident == inserted − evicted every slot, and a
+//     resident flow never moves off a live port (the drop pairing may
+//     rehome it off a down one; hold never moves it). Eviction forgets
+//     steering state, never frames.
+//   - Class tier, when on: per class, admitted − delivered − dropped −
+//     queued (the frames past the PIFO but still in the switch) is
+//     nonnegative and their sum bounded by the engine backlog; when the
+//     class door is the only door its totals equal the engine's.
 //   - Liveness: the run completes — no deadlock, no panic — and shutdown
 //     accounts every frame the drain could not deliver.
 //
-// A run is fully determined by Config.Seed: the fault schedule (link
+// Run is the one engine storm: Config selects the datapath, the slot
+// loop (inline, pipelined, sharded) and the front tiers, and every
+// invariant above that applies to the selection is checked on every run
+// (DESIGN.md §16 tabulates the combinations). RunSim and RunFabric keep
+// their own loops — different systems, different fault models — around
+// the same schedule and defaults.
+//
+// A run is fully determined by its Config: the fault schedule (link
 // flaps, stuck consumers, client kills), their durations, and the offered
-// traffic all derive from independent PCG32 streams of that seed, so a
-// failing seed reported by CI replays exactly.
+// traffic all derive from independent PCG32 streams of Config.Seed, so a
+// failing Config reported by CI replays exactly.
 package chaos
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/conserve"
 	"repro/internal/datapath"
+	"repro/internal/flowtable"
 	"repro/internal/matching"
+	"repro/internal/pifo"
 	"repro/internal/rng"
 	rt "repro/internal/runtime"
 	"repro/internal/sched"
@@ -32,7 +50,9 @@ import (
 
 // Config parameterizes one chaos run. The zero value plus N, Slots and
 // Seed is a sensible storm: moderate load, small queues (so backpressure
-// actually fires), and every fault kind enabled.
+// actually fires), every fault kind enabled, the VOQ datapath with one
+// inline slot loop and no front tier. RunSim reads the first two groups
+// and the fault rates only.
 type Config struct {
 	N     int
 	Slots int64
@@ -45,18 +65,22 @@ type Config struct {
 	// VOQCap and OutCap are deliberately small by default (16 and 8) so
 	// the run exercises backpressure and output masking alongside faults.
 	VOQCap, OutCap int
-	// XPCap bounds each crosspoint buffer (RunCICQ only); default 4,
-	// small enough that dispatch regularly finds crosspoints full.
-	XPCap int
 	// Policy is the engine's disposition of stranded frames.
 	Policy rt.FaultPolicy
-	// Pipeline runs the engine in speculative pipelined mode (RunEngine
-	// only — the CICQ datapath refuses to pipeline). Faults landing
-	// between a matching's compute and its dispatch become speculation
-	// misses, so a chaotic pipelined run exercises the validate/repair
-	// path on every episode while the same per-slot conservation and
-	// grant-isolation checks hold.
+
+	// The tier selectors mirror runtime.Config and are passed through
+	// unchanged, so a combination runtime.New refuses comes back as its
+	// error (errors.Is(err, runtime.ErrUnsupported)). Datapath "" is voq.
+	// XPCap bounds each crosspoint buffer (cicq only); default 4, small
+	// enough that dispatch regularly finds crosspoints full. Pipeline
+	// turns every fault landing between a matching's compute and its
+	// dispatch into a speculation miss, so a pipelined storm exercises
+	// validate/repair on every episode. Shards > 1 forces the worker pool
+	// at any width.
+	Datapath string
+	XPCap    int
 	Pipeline bool
+	Shards   int
 
 	// Per-slot, per-healthy-port probabilities of each fault kind
 	// starting, and the mean duration of an episode in slots. A port is
@@ -67,44 +91,84 @@ type Config struct {
 	MeanFlap  int     // default 40
 	MeanStuck int     // default 60
 	MeanDead  int     // default 100
+
+	// Flows > 0 turns the flow tier on with a steering table of that
+	// capacity (the storms use 512 — small enough to cycle under churn)
+	// and routes admissions through AdmitFlow; the other flow fields need
+	// it. FlowShards overrides the table's shard count (0 = its default).
+	// Population is the distinct flow-id universe offered, default
+	// 4×Flows so eviction pressure is real; FlowPolicy the steering
+	// policy, default po2; Skew the Zipf popularity exponent, default 1.
+	// The eviction epoch advances every EpochEvery slots (default 64) and
+	// flows idle for FlowIdle epochs (default 3) are swept mid-storm.
+	Flows, FlowShards, Population int
+	FlowPolicy                    string
+	Skew                          float64
+	EpochEvery                    int64
+	FlowIdle                      uint32
+
+	// Classes, a pifo.ParseClasses spec, turns the class tier on and
+	// routes admissions through AdmitClass; the other class fields need
+	// it. Rank is the PIFO rank function, default deadline. ClassQCap
+	// bounds each (input, output) PIFO (0 = the runtime default). Mix is
+	// the admission weight by class index, default uniform. Every
+	// BudgetEvery-th class admission (default 7, negative for none)
+	// carries an explicit two-slot deadline budget, tighter than any
+	// storm class's SLO.
+	// With both tiers on, each frame draws its door — Admit, AdmitFlow
+	// or AdmitClass — from its own stream: all three on one engine, as
+	// lcfd -flows -classes exposes them.
+	Classes     string
+	Rank        string
+	ClassQCap   int
+	Mix         []float64
+	BudgetEvery int
+}
+
+// def sets *p to v when it still holds its zero value.
+func def[T comparable](p *T, v T) {
+	var zero T
+	if *p == zero {
+		*p = v
+	}
+}
+
+// stormDefaults fills the knobs every storm shares, engine or fabric.
+func stormDefaults(scheduler *string, load *float64, voqCap, outCap *int) {
+	def(scheduler, "lcf_central_rr")
+	def(load, 0.6)
+	def(voqCap, 16)
+	def(outCap, 8)
 }
 
 func (c *Config) normalize() error {
 	if c.N <= 0 || c.Slots <= 0 {
 		return fmt.Errorf("chaos: n %d slots %d", c.N, c.Slots)
 	}
-	if c.Scheduler == "" {
-		c.Scheduler = "lcf_central_rr"
+	stormDefaults(&c.Scheduler, &c.Load, &c.VOQCap, &c.OutCap)
+	if c.Datapath == datapath.CICQ {
+		def(&c.XPCap, 4)
 	}
-	if c.Load == 0 {
-		c.Load = 0.6
+	def(&c.FlapRate, 0.02)
+	def(&c.StuckRate, 0.01)
+	def(&c.KillRate, 0.005)
+	def(&c.MeanFlap, 40)
+	def(&c.MeanStuck, 60)
+	def(&c.MeanDead, 100)
+	if c.Flows > 0 {
+		def(&c.Population, 4*c.Flows)
+		def(&c.FlowPolicy, flowtable.PolicyPo2)
+		def(&c.Skew, 1)
+		def(&c.EpochEvery, 64)
+		def(&c.FlowIdle, 3)
+	} else if c.FlowShards != 0 || c.Population != 0 || c.FlowPolicy != "" || c.Skew != 0 || c.EpochEvery != 0 || c.FlowIdle != 0 {
+		return fmt.Errorf("chaos: flow fields set with Flows %d (the tier is off)", c.Flows)
 	}
-	if c.VOQCap == 0 {
-		c.VOQCap = 16
-	}
-	if c.OutCap == 0 {
-		c.OutCap = 8
-	}
-	if c.XPCap == 0 {
-		c.XPCap = 4
-	}
-	if c.FlapRate == 0 {
-		c.FlapRate = 0.02
-	}
-	if c.StuckRate == 0 {
-		c.StuckRate = 0.01
-	}
-	if c.KillRate == 0 {
-		c.KillRate = 0.005
-	}
-	if c.MeanFlap == 0 {
-		c.MeanFlap = 40
-	}
-	if c.MeanStuck == 0 {
-		c.MeanStuck = 60
-	}
-	if c.MeanDead == 0 {
-		c.MeanDead = 100
+	if c.Classes != "" {
+		def(&c.Rank, pifo.RankDeadline)
+		def(&c.BudgetEvery, 7)
+	} else if c.Rank != "" || c.ClassQCap != 0 || c.Mix != nil || c.BudgetEvery != 0 {
+		return fmt.Errorf("chaos: class fields set without Classes (the tier is off)")
 	}
 	return nil
 }
@@ -121,14 +185,14 @@ type Report struct {
 	Undrained     int64 // frames the shutdown drain could not deliver
 	MaxBacklog    int64
 
-	// Speculation accounting, nonzero only for pipelined engine runs:
+	// Speculation accounting, nonzero only with Config.Pipeline:
 	// grants validated/invalidated at the slot boundary and the misses
 	// whose frames survived for re-advertisement (see runtime.Stats).
 	SpecHits    int64
 	SpecMisses  int64
 	SpecRepairs int64
 
-	// Flow-tier accounting, nonzero only for RunFlows: steering-table
+	// Flow-tier accounting, nonzero only with Config.Flows: steering-table
 	// admissions, idle-epoch evictions, rehomes off down ports, and
 	// AdmitFlow calls refused because the table was full.
 	FlowsInserted   int64
@@ -136,7 +200,7 @@ type Report struct {
 	FlowsRebalanced int64
 	FlowRejections  int64
 
-	// Class-tier accounting, nonzero only for RunClasses: per-class
+	// Class-tier accounting, nonzero only with Config.Classes: per-class
 	// totals summed across classes (admissions through AdmitClass,
 	// frames dropped from PIFOs by fault sweeps, SLO violations).
 	ClassAdmitted   int64
@@ -157,7 +221,7 @@ const (
 	dead
 )
 
-// schedule is the online fault-schedule generator shared by both drivers:
+// schedule is the online fault-schedule generator Run and RunSim share:
 // one PCG32 stream decides, per slot and per healthy port, whether an
 // episode starts and how long it lasts.
 type schedule struct {
@@ -186,7 +250,8 @@ func (s *schedule) duration(mean int) int64 {
 	return int64(1 + s.rng.Intn(2*mean))
 }
 
-// faultSink is the subset of fault controls both systems expose.
+// faultSink is the subset of fault controls the engine and the simulator
+// both expose.
 type faultSink interface {
 	FailInput(int) error
 	FailOutput(int) error
@@ -265,35 +330,38 @@ func (s *schedule) advance(sink faultSink, rep *Report) error {
 	return nil
 }
 
-// checkMatch enforces grant isolation: no grant may touch a down link.
-func (s *schedule) checkMatch(slot int64, m *matching.Match) error {
-	for i := range m.InToOut {
-		j := m.InToOut[i]
-		if j == matching.Unmatched {
-			continue
-		}
-		if s.inDown[i] || s.outDown[j] {
-			return fmt.Errorf("chaos: slot %d: grant %d→%d touches a failed link (seed %d)",
-				slot, i, j, s.cfg.Seed)
+// violation formats an invariant failure the way every driver reports
+// one: the slot it surfaced in and the seed that replays it.
+func (s *schedule) violation(slot int64, format string, args ...any) error {
+	return fmt.Errorf("chaos: slot %d: %s (seed %d)", slot, fmt.Sprintf(format, args...), s.cfg.Seed)
+}
+
+// checkGrant enforces grant isolation: no grant may touch a down link.
+func (s *schedule) checkGrant(slot int64, i, j int) error {
+	if i != matching.Unmatched && j != matching.Unmatched && (s.inDown[i] || s.outDown[j]) {
+		return s.violation(slot, "grant %d→%d touches a failed link", i, j)
+	}
+	return nil
+}
+
+// checkGrants audits the per-output grant vector both engine datapaths
+// report — on a pipelined engine the validated one, so a grant computed
+// before a fault landed and never dispatched cannot false-positive.
+func (s *schedule) checkGrants(slot int64, g *sched.GrantSet) error {
+	for j, i := range g.Src {
+		if err := s.checkGrant(slot, i, j); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
-// checkGrants is checkMatch for the CICQ engine's per-output grant
-// vector: the pull arbiters must never grant a down output, nor pull
-// from a down input's crosspoints.
-func (s *schedule) checkGrants(slot int64, g *sched.GrantSet) error {
-	if g == nil {
-		return nil
-	}
-	for j, i := range g.Src {
-		if i == matching.Unmatched {
-			continue
-		}
-		if s.inDown[i] || s.outDown[j] {
-			return fmt.Errorf("chaos: slot %d: grant %d→%d touches a failed link (seed %d)",
-				slot, i, j, s.cfg.Seed)
+// checkMatch is checkGrants for RunSim, whose VOQ trace carries the
+// central matching instead.
+func (s *schedule) checkMatch(slot int64, m *matching.Match) error {
+	for i, j := range m.InToOut {
+		if err := s.checkGrant(slot, i, j); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -302,193 +370,6 @@ func (s *schedule) checkGrants(slot int64, g *sched.GrantSet) error {
 func newScheduler(name string, n int, seed uint64) (sched.Scheduler, error) {
 	return registry.New(name, n, sched.Options{Iterations: 4, Seed: seed})
 }
-
-// RunEngine drives a lockstep runtime.Engine through cfg.Slots slots of
-// seeded chaos, checking conservation and grant isolation after every
-// slot and full accounting after shutdown. It returns the first
-// invariant violation as an error, with the seed embedded for replay.
-func RunEngine(cfg Config) (*Report, error) {
-	if err := cfg.normalize(); err != nil {
-		return nil, err
-	}
-	sch, err := newScheduler(cfg.Scheduler, cfg.N, cfg.Seed)
-	if err != nil {
-		return nil, err
-	}
-	plan := newSchedule(&cfg)
-
-	var grantErr error
-	e, err := rt.New(rt.Config{
-		N:           cfg.N,
-		Scheduler:   sch,
-		VOQCap:      cfg.VOQCap,
-		OutCap:      cfg.OutCap,
-		FaultPolicy: cfg.Policy,
-		Pipeline:    cfg.Pipeline,
-		OnSlot: func(ev rt.SlotEvent) {
-			// On a pipelined engine ev.Match is the validated matching —
-			// grants invalidated at the boundary are already removed — so
-			// the isolation check cannot false-positive on a grant that
-			// was computed before the fault landed and never dispatched.
-			if grantErr == nil {
-				grantErr = plan.checkMatch(ev.Slot, ev.Match)
-			}
-		},
-	})
-	if err != nil {
-		return nil, err
-	}
-	return driveEngine(&cfg, "engine", e, plan, &grantErr)
-}
-
-// RunCICQ is RunEngine on the crosspoint-buffered datapath: the same
-// seeded fault schedule, offered load, conservation ledger and shutdown
-// accounting, with grant isolation checked against the per-output grant
-// vector the CICQ pull arbiters produce (SlotEvent.Match is nil — there
-// is no central matching to inspect).
-func RunCICQ(cfg Config) (*Report, error) {
-	if err := cfg.normalize(); err != nil {
-		return nil, err
-	}
-	plan := newSchedule(&cfg)
-
-	var grantErr error
-	e, err := rt.New(rt.Config{
-		N:           cfg.N,
-		Datapath:    datapath.CICQ,
-		VOQCap:      cfg.VOQCap,
-		OutCap:      cfg.OutCap,
-		XPCap:       cfg.XPCap,
-		FaultPolicy: cfg.Policy,
-		OnSlot: func(ev rt.SlotEvent) {
-			if grantErr == nil {
-				grantErr = plan.checkGrants(ev.Slot, ev.Grants)
-			}
-		},
-	})
-	if err != nil {
-		return nil, err
-	}
-	return driveEngine(&cfg, "cicq", e, plan, &grantErr)
-}
-
-// driveEngine is the shared slot loop of RunEngine and RunCICQ: offered
-// load, fault-schedule advancement, per-slot conservation and delivery
-// accounting, and the post-Close audit that every frame landed in
-// exactly one bucket.
-func driveEngine(cfg *Config, scope string, e *rt.Engine, plan *schedule, grantErr *error) (*Report, error) {
-	n := cfg.N
-	rep := &Report{Slots: cfg.Slots}
-	admitRng := rng.NewPCG32(cfg.Seed, 0xAD)
-	st := e.Stats()
-	var seq uint64
-	for slot := int64(0); slot < cfg.Slots; slot++ {
-		if err := plan.advance(e, rep); err != nil {
-			return rep, err
-		}
-
-		// Offered load: every live input tries one frame with prob Load.
-		// Admissions against down links are attempted anyway — ErrPortDown
-		// must be the only outcome.
-		for i := 0; i < n; i++ {
-			if !admitRng.Bool(cfg.Load) {
-				continue
-			}
-			dst := admitRng.Intn(n)
-			seq++
-			switch err := e.Admit(i, dst, seq, 0); {
-			case err == nil:
-			case errors.Is(err, rt.ErrBackpressure):
-				rep.Backpressured++
-			case errors.Is(err, rt.ErrPortDown) && (plan.inDown[i] || plan.outDown[dst]):
-				rep.Rejected++
-			default:
-				return rep, fmt.Errorf("chaos: slot %d: Admit(%d,%d) = %v on healthy links (seed %d)",
-					slot, i, dst, err, cfg.Seed)
-			}
-		}
-
-		e.Tick()
-		if *grantErr != nil {
-			return rep, *grantErr
-		}
-
-		// Consumers read everything currently deliverable, except stuck
-		// and dead ports.
-		for j := 0; j < n; j++ {
-			if plan.cond[j] == stuckOut || plan.cond[j] == dead {
-				continue
-			}
-			for {
-				select {
-				case <-e.Output(j):
-					rep.Consumed++
-					continue
-				default:
-				}
-				break
-			}
-		}
-
-		// Conservation, exact: the driver is single-threaded, so the
-		// counters are quiescent between slots.
-		terms := conserve.Terms{
-			Scope:     scope,
-			Slot:      slot,
-			Injected:  st.Admitted.Value(),
-			Delivered: st.Delivered.Value(),
-			Dropped:   st.DroppedFault.Value(),
-			Resident:  st.Backlog.Value(),
-		}
-		if err := terms.Check(); err != nil {
-			return rep, fmt.Errorf("chaos: %w (seed %d)", err, cfg.Seed)
-		}
-		inflight := int64(0)
-		for j := 0; j < n; j++ {
-			inflight += int64(len(e.Output(j)))
-		}
-		if terms.Delivered != rep.Consumed+inflight {
-			return rep, fmt.Errorf("chaos: slot %d: delivery accounting broken: delivered %d != consumed %d + in-flight %d (seed %d)",
-				slot, terms.Delivered, rep.Consumed, inflight, cfg.Seed)
-		}
-		if terms.Resident > rep.MaxBacklog {
-			rep.MaxBacklog = terms.Resident
-		}
-	}
-
-	// Shutdown under whatever faults are still active: Close must
-	// terminate (the drain's stall detector guarantees it even with dead
-	// consumers) and every frame must land in exactly one bucket.
-	e.Close()
-	for j := 0; j < n; j++ {
-		for range e.Output(j) {
-			rep.Consumed++
-		}
-	}
-	rep.Admitted = st.Admitted.Value()
-	rep.Delivered = st.Delivered.Value()
-	rep.Dropped = st.DroppedFault.Value()
-	rep.Undrained = st.Undrained.Value()
-	rep.SpecHits = st.SpecHits.Value()
-	rep.SpecMisses = st.SpecMisses.Value()
-	rep.SpecRepairs = st.SpecRepairs.Value()
-	shutdown := conserve.Terms{
-		Scope:     scope + " shutdown",
-		Slot:      cfg.Slots,
-		Injected:  rep.Admitted,
-		Delivered: rep.Consumed,
-		Dropped:   rep.Dropped,
-		Resident:  rep.Undrained,
-	}
-	if err := shutdown.Check(); err != nil {
-		return rep, fmt.Errorf("chaos: %w (seed %d)", err, cfg.Seed)
-	}
-	return rep, nil
-}
-
-// simSink adapts a Sim to the faultSink interface (method set matches,
-// but the named type keeps the adapters symmetric if either side grows).
-type simSink struct{ *simswitch.Sim }
 
 // RunSim drives the offline simulator through the same seeded fault
 // schedule (link flaps and kills; the simulator has no consumers to
@@ -528,9 +409,8 @@ func RunSim(cfg Config) (*Report, error) {
 		return nil, err
 	}
 
-	sink := simSink{sim}
 	for slot := int64(0); slot < cfg.Slots; slot++ {
-		if err := plan.advance(sink, rep); err != nil {
+		if err := plan.advance(sim, rep); err != nil {
 			return rep, err
 		}
 		if err := sim.Step(); err != nil {

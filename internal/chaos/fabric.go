@@ -45,24 +45,9 @@ func (c *FabricConfig) normalize() error {
 	if c.Slots <= 0 {
 		return fmt.Errorf("chaos: fabric slots %d", c.Slots)
 	}
-	if c.Scheduler == "" {
-		c.Scheduler = "lcf_central_rr"
-	}
-	if c.Load == 0 {
-		c.Load = 0.6
-	}
-	if c.VOQCap == 0 {
-		c.VOQCap = 16
-	}
-	if c.OutCap == 0 {
-		c.OutCap = 8
-	}
-	if c.KillRate == 0 {
-		c.KillRate = 0.005
-	}
-	if c.MeanDead == 0 {
-		c.MeanDead = 200
-	}
+	stormDefaults(&c.Scheduler, &c.Load, &c.VOQCap, &c.OutCap)
+	def(&c.KillRate, 0.005)
+	def(&c.MeanDead, 200)
 	return nil
 }
 

@@ -294,8 +294,8 @@ func (p *shardPool) init(e *Engine, shards int) {
 	case shards == 1:
 		return // explicitly disabled
 	case shards == 0:
-		if e.n < autoShardMinN {
-			return
+		if e.n < autoShardMinN || !e.dp.PipelineSafe() {
+			return // too narrow to pay off, or rows are not disjoint (CICQ)
 		}
 		k = goruntime.GOMAXPROCS(0)
 		if k > maxAutoShards {

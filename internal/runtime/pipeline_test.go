@@ -204,8 +204,61 @@ func TestPipelineMatchesSimswitchSpec(t *testing.T) {
 // crosspoint state (PipelineSafe false), so New must reject the combo.
 func TestPipelineRefusesCICQ(t *testing.T) {
 	_, err := rt.New(rt.Config{N: 4, Datapath: datapath.CICQ, Pipeline: true})
-	if err == nil {
-		t.Fatal("New accepted Pipeline on the CICQ datapath")
+	if !errors.Is(err, rt.ErrUnsupported) {
+		t.Fatalf("New(cicq, Pipeline) = %v, want ErrUnsupported", err)
+	}
+}
+
+// TestShardsRefuseCICQ: the sharding contract (rows are disjoint, a
+// grant set is a permutation) is the VOQ core's. CICQ's SnapshotRow is
+// its dispatch arbiter and writes column state every row shares, so a
+// forced pool is refused like Pipeline is, while 0 and 1 stay legal.
+func TestShardsRefuseCICQ(t *testing.T) {
+	for _, k := range []int{2, 4} {
+		if _, err := rt.New(rt.Config{N: 8, Datapath: datapath.CICQ, Shards: k}); !errors.Is(err, rt.ErrUnsupported) {
+			t.Errorf("New(cicq, Shards %d) = %v, want ErrUnsupported", k, err)
+		}
+	}
+	for _, k := range []int{0, 1} {
+		e, err := rt.New(rt.Config{N: 8, Datapath: datapath.CICQ, Shards: k})
+		if err != nil {
+			t.Fatalf("New(cicq, Shards %d): %v", k, err)
+		}
+		e.Close()
+	}
+}
+
+// TestCICQAutoShardsStayOff: Shards 0 auto-engages the pool at n ≥ 256
+// on any multi-core host, and on CICQ that ran SnapshotRow — which
+// reads and writes the shared colCnt/colOcc/scratch — from every
+// worker at once. The default CICQ engine at its benchmarked width must
+// stay on the arbiter goroutine: no pool worker may appear (and under
+// -race this is the run that used to trip the detector).
+func TestCICQAutoShardsStayOff(t *testing.T) {
+	const n = 256
+	base := goruntime.NumGoroutine()
+	e, err := rt.New(rt.Config{N: n, Datapath: datapath.CICQ})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	for slot := 0; slot < 50; slot++ {
+		for i := 0; i < n; i++ {
+			// Eight hot columns, so rows in different shards would read
+			// and bump the same colCnt entries.
+			if err := e.Admit(i, (i+slot)%8, uint64(slot), 0); err != nil {
+				t.Fatalf("slot %d: Admit(%d): %v", slot, i, err)
+			}
+		}
+		e.Tick()
+		for j := 0; j < n; j++ {
+			for len(e.Output(j)) > 0 {
+				<-e.Output(j)
+			}
+		}
+	}
+	if got := goruntime.NumGoroutine(); got > base {
+		t.Fatalf("lockstep CICQ engine grew %d goroutines at n=%d with default Shards: the shard pool engaged", got-base, n)
 	}
 }
 

@@ -87,6 +87,10 @@ var (
 	ErrClosed = errors.New("runtime: engine closed")
 	// ErrBadPort reports an out-of-range input or output port.
 	ErrBadPort = errors.New("runtime: port out of range")
+	// ErrUnsupported is wrapped by every error New returns for a tier
+	// combination the engine refuses (DESIGN.md §16), so callers can tell
+	// "this pairing is not offered" from a malformed field with errors.Is.
+	ErrUnsupported = errors.New("runtime: unsupported configuration")
 )
 
 // Frame is one fixed-size cell travelling through the live switch. Payload
@@ -182,8 +186,9 @@ type Config struct {
 	// transfer); the price is one slot of decision latency and the
 	// speculation accounting in Stats.SpecHits/SpecMisses/SpecRepairs.
 	// Requires a datapath whose PipelineSafe reports true (the VOQ core;
-	// CICQ refuses). A pipelined engine owns a compute goroutine: it must
-	// be Closed, even in lockstep mode, or the worker leaks.
+	// CICQ is refused with ErrUnsupported). A pipelined engine owns a
+	// compute goroutine: it must be Closed, even in lockstep mode, or the
+	// worker leaks.
 	Pipeline bool
 
 	// Shards sets the worker pool that shards the per-slot snapshot and
@@ -192,7 +197,9 @@ type Config struct {
 	// (below that the word-parallel kernels outrun the handoff cost).
 	// 1 disables sharding; k > 1 forces k shards at any width (tests use
 	// this to exercise the pool at small n). Like the pipeline worker,
-	// a sharded engine must be Closed to release its pool.
+	// a sharded engine must be Closed to release its pool. Like Pipeline
+	// it needs a PipelineSafe datapath: on CICQ 0 leaves the pool off and
+	// k > 1 is refused with ErrUnsupported.
 	Shards int
 
 	// Flows > 0 enables the flow-aware front tier (internal/flowtable):
@@ -467,8 +474,13 @@ func New(cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Pipeline && !dp.PipelineSafe() {
-		return nil, fmt.Errorf("runtime: datapath %q cannot be pipelined (its arbitration mutates live queue state; see switchcore.Datapath.PipelineSafe)", cfg.Datapath)
+	// Speculation and sharding both need arbitration to be a pure function
+	// of a snapshot whose rows are disjoint; a datapath that decides while
+	// it snapshots (CICQ's SnapshotRow is its dispatch arbiter, writing
+	// column state shared by every row) offers neither.
+	if !dp.PipelineSafe() && (cfg.Pipeline || cfg.Shards > 1) {
+		return nil, fmt.Errorf("%w: datapath %q cannot be pipelined or sharded (Pipeline %t, Shards %d): its arbitration mutates live queue state, see switchcore.Datapath.PipelineSafe",
+			ErrUnsupported, cfg.Datapath, cfg.Pipeline, cfg.Shards)
 	}
 	e := &Engine{
 		cfg:  cfg,

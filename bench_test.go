@@ -260,9 +260,7 @@ func decisionMatrix(n int) *RequestMatrix {
 // BenchmarkSchedulerDecisionN1024 is the n=1024 decision tier, run for
 // the word-parallel schedulers only: at this width the bit-at-a-time
 // schedulers are orders of magnitude slower and would drown a smoke run,
-// while the bitvec kernels are exactly what the tier is sizing. This is
-// the per-slot compute the pipelined engine overlaps with transmit
-// (DESIGN.md §13); results/bench_pr8.json records the trajectory.
+// while the bitvec kernels are exactly what the tier is sizing.
 func BenchmarkSchedulerDecisionN1024(b *testing.B) {
 	const n = 1024
 	for _, name := range []string{"lcf_central_rr", "islip"} {

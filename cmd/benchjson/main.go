@@ -28,9 +28,8 @@ type Result struct {
 	Name       string `json:"name"`
 	Iterations int64  `json:"iterations"`
 	// GoMaxProcs is the -N suffix go test appends to every benchmark name
-	// when GOMAXPROCS > 1. It matters for the pipelined/sharded engine
-	// tiers, whose numbers are only comparable at equal parallelism;
-	// omitted when absent (GOMAXPROCS=1 runs carry no suffix).
+	// when GOMAXPROCS > 1: records are only comparable at equal
+	// parallelism. Omitted when absent (GOMAXPROCS=1 runs carry no suffix).
 	GoMaxProcs  int     `json:"gomaxprocs,omitempty"`
 	NsPerOp     float64 `json:"ns_per_op"`
 	BytesPerOp  *int64  `json:"bytes_per_op,omitempty"`

@@ -3,11 +3,11 @@ package main
 import "testing"
 
 func TestParseLine(t *testing.T) {
-	r, ok := parseLine("BenchmarkEngineSlotPipelinedLCFRRN256-8  1000  123456 ns/op  0 B/op  0 allocs/op")
+	r, ok := parseLine("BenchmarkEngineSlotLCFRRN256-8  1000  123456 ns/op  0 B/op  0 allocs/op")
 	if !ok {
 		t.Fatal("line did not parse")
 	}
-	if r.Name != "BenchmarkEngineSlotPipelinedLCFRRN256" || r.GoMaxProcs != 8 {
+	if r.Name != "BenchmarkEngineSlotLCFRRN256" || r.GoMaxProcs != 8 {
 		t.Fatalf("name=%q gomaxprocs=%d", r.Name, r.GoMaxProcs)
 	}
 	if r.Iterations != 1000 || r.NsPerOp != 123456 || *r.BytesPerOp != 0 || *r.AllocsPerOp != 0 {

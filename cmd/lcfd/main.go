@@ -102,8 +102,6 @@ func main() {
 		traceOn    = flag.Bool("trace", false, "start with slot-event tracing enabled (toggle later with POST /trace)")
 		debugAddr  = flag.String("debug-addr", "", "HTTP address for pprof and runtime execution traces (empty disables)")
 		faultPol   = flag.String("fault-policy", "drop", "disposition of frames stranded behind a failed port: drop (flush and count) or hold (keep until recovery)")
-		pipeline   = flag.Bool("pipeline", false, "overlap each slot's transmit with computing the next slot's matching from a speculative snapshot (voq datapath only; see DESIGN.md §13)")
-		shards     = flag.Int("shards", 0, "worker shards for the snapshot/dispatch loops: 0 auto-sizes from GOMAXPROCS at n>=256, 1 disables (voq datapath only; cicq stays unsharded)")
 		flows      = flag.Int("flows", 0, "flow steering table capacity — enables the flow front tier and the /flows endpoint (0 disables; see DESIGN.md §14)")
 		flowPolicy = flag.String("flow-policy", "", "flow steering policy: "+strings.Join(flowtable.Names(), ", ")+" (default hash; requires -flows)")
 		flowEpoch  = flag.Duration("flow-epoch", time.Second, "period of the flow idle-eviction epoch clock (requires -flows)")
@@ -138,19 +136,14 @@ func main() {
 	if *xpCap <= 0 {
 		fatalUsage("-xpcap must be positive (got %d)", *xpCap)
 	}
-	if *pipeline && *dpName == datapath.CICQ {
-		// rt.New would refuse too, but say why at the flag level: the CICQ
-		// pull arbiters mutate live crosspoint state as they decide, so
-		// there is no pure matching to speculate and validate.
-		fatalUsage("-pipeline requires the voq datapath: cicq arbitration reads live crosspoint state and cannot be speculated")
-	}
-	if *shards < 0 {
-		fatalUsage("-shards must be >= 0 (got %d)", *shards)
-	}
-	if *shards > 1 && *dpName == datapath.CICQ {
-		// Same predicate, same reason: the per-input dispatch arbiter
-		// writes column state every row shares, so rows cannot be sharded.
-		fatalUsage("-shards %d requires the voq datapath: cicq dispatch arbitration shares column state across rows (use 0 or 1)", *shards)
+	if *dpName != datapath.CICQ {
+		// Crosspoint tuning without crosspoint buffers is a misconfiguration,
+		// not a silent no-op.
+		flag.Visit(func(f *flag.Flag) {
+			if f.Name == "xpcap" {
+				fatalUsage("-xpcap requires -datapath cicq")
+			}
+		})
 	}
 	if *flows < 0 {
 		fatalUsage("-flows must be >= 0 (got %d)", *flows)
@@ -212,7 +205,6 @@ func main() {
 		N: *n, Scheduler: s, Datapath: *dpName, XPCap: *xpCap,
 		VOQCap: *voqCap, OutCap: *outCap, SlotPeriod: *slot,
 		PreallocVOQs: *prealloc, Tracer: tracer, FaultPolicy: policy,
-		Pipeline: *pipeline, Shards: *shards,
 		Flows: *flows, FlowPolicy: *flowPolicy,
 		Classes: classes, Rank: *rankName, ClassQCap: *classQCap,
 	})
@@ -485,7 +477,7 @@ const maxWriteBatch = 64
 // writeLoop serializes c's outbox onto the connection. Frames that
 // accumulated while the previous flush was on the wire go out together
 // as one writev-style net.Buffers write — under bursty delivery (the
-// pipelined engine dispatches a whole matching per slot) this collapses
+// engine dispatches a whole matching per slot) this collapses
 // up to maxWriteBatch syscalls into one, instead of paying a write per
 // frame. The loop exits when the client is gone; buffered leftovers are
 // dropped with the outbox.

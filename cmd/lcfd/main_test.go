@@ -668,7 +668,8 @@ func TestMetricsDocumented(t *testing.T) {
 // TestUsageErrorsExitTwo pins the exit-code contract shared by every
 // command in this repo: an invalid flag combination exits 2 with a
 // message naming the flag, before the daemon listens on anything. The
-// two CICQ rows are the flag-level twins of runtime.ErrUnsupported.
+// two undefined-flag rows are knobs PR 18 removed (DESIGN.md §13): the
+// flag package's own exit 2 keeps a resurrected one from going unnoticed.
 func TestUsageErrorsExitTwo(t *testing.T) {
 	bin := filepath.Join(t.TempDir(), "lcfd")
 	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
@@ -678,11 +679,11 @@ func TestUsageErrorsExitTwo(t *testing.T) {
 		args []string
 		want string // substring of stderr
 	}{
-		{[]string{"-datapath", "cicq", "-shards", "4"}, "-shards 4 requires the voq datapath"},
-		{[]string{"-datapath", "cicq", "-pipeline"}, "-pipeline requires the voq datapath"},
+		{[]string{"-pipeline"}, "flag provided but not defined: -pipeline"},
+		{[]string{"-shards", "2"}, "flag provided but not defined: -shards"},
+		{[]string{"-xpcap", "4"}, "-xpcap requires -datapath cicq"},
 		{[]string{"-n", "0"}, "-n is 0"},
 		{[]string{"-slot", "0s"}, "-slot must be positive"},
-		{[]string{"-shards", "-1"}, "-shards must be >= 0"},
 		{[]string{"-datapath", "bogus"}, "-datapath must be one of"},
 		{[]string{"-fault-policy", "bogus"}, "-fault-policy must be drop or hold"},
 		{[]string{"-flow-policy", "po2"}, "-flow-policy requires -flows"},

@@ -191,46 +191,47 @@ func writeJSONL(dst string, evs []obs.Event) error {
 // decision rule and choice count: `2→0[lcf c1]` is input 2 granted output
 // 0 by the least-choice rule with one eligible output left, `0→3[diag
 // c2]` came from the rotating diagonal's priority level. Schedulers
-// without attribution render bare `in→out` pairs.
+// without attribution render bare `in→out` pairs. Fault, flow and class
+// events render as annotations between the slots they fall in; a kind
+// this build does not know (a trace recorded by another version) is named
+// rather than misread as an empty slot decision. The footer counts slot
+// decisions and other events separately.
 func renderTimeline(w io.Writer, evs []obs.Event) {
 	fmt.Fprintf(w, "%-8s %-9s %-7s %s\n", "slot", "requests", "matched", "grants (in→out[rule choices])")
+	slots := 0
 	for _, ev := range evs {
-		if ev.Kind == "fault" {
+		switch ev.Kind {
+		case "":
+			slots++
+			var pairs []string
+			for _, g := range ev.Grants {
+				switch {
+				case g.Rule == "" || g.Rule == "unattributed":
+					pairs = append(pairs, fmt.Sprintf("%d→%d", g.In, g.Out))
+				default:
+					rule := g.Rule
+					if rule == "diagonal" {
+						rule = "diag"
+					} else if rule == "prescheduled" {
+						rule = "presched"
+					}
+					pairs = append(pairs, fmt.Sprintf("%d→%d[%s c%d]", g.In, g.Out, rule, g.Choices))
+				}
+			}
+			fmt.Fprintf(w, "%-8d %-9d %-7d %s\n", ev.Slot, ev.Requested, ev.Matched, strings.Join(pairs, " "))
+		case "fault":
 			fmt.Fprintf(w, "%-8d fault: port %d %s link %s\n", ev.Slot, ev.Port, ev.Dir, ev.State)
-			continue
-		}
-		if ev.Kind == "spec" {
-			fmt.Fprintf(w, "%-8d spec: %d hit %d missed %d repaired\n", ev.Slot, ev.Hits, ev.Misses, ev.Repairs)
-			continue
-		}
-		if ev.Kind == "flow" {
+		case "flow":
 			if ev.Disp == "rejected" {
 				fmt.Fprintf(w, "%-8d flow: %#x rejected (table full)\n", ev.Slot, ev.Flow)
 			} else {
 				fmt.Fprintf(w, "%-8d flow: %#x %s → port %d\n", ev.Slot, ev.Flow, ev.Disp, ev.Port)
 			}
-			continue
-		}
-		if ev.Kind == "class" {
+		case "class":
 			fmt.Fprintf(w, "%-8d class: c%d → port %d SLO violated (latency %d slots)\n", ev.Slot, ev.Class, ev.Port, ev.Latency)
-			continue
+		default:
+			fmt.Fprintf(w, "%-8d %s: (unrecognised event)\n", ev.Slot, ev.Kind)
 		}
-		var pairs []string
-		for _, g := range ev.Grants {
-			switch {
-			case g.Rule == "" || g.Rule == "unattributed":
-				pairs = append(pairs, fmt.Sprintf("%d→%d", g.In, g.Out))
-			default:
-				rule := g.Rule
-				if rule == "diagonal" {
-					rule = "diag"
-				} else if rule == "prescheduled" {
-					rule = "presched"
-				}
-				pairs = append(pairs, fmt.Sprintf("%d→%d[%s c%d]", g.In, g.Out, rule, g.Choices))
-			}
-		}
-		fmt.Fprintf(w, "%-8d %-9d %-7d %s\n", ev.Slot, ev.Requested, ev.Matched, strings.Join(pairs, " "))
 	}
-	fmt.Fprintf(w, "%d slots drained\n", len(evs))
+	fmt.Fprintf(w, "%d slots drained, %d other events\n", slots, len(evs)-slots)
 }

@@ -19,12 +19,11 @@
 //   - Liveness: the run completes — no deadlock, no panic — and shutdown
 //     accounts every frame the drain could not deliver.
 //
-// Run is the one engine storm: Config selects the datapath, the slot
-// loop (inline, pipelined, sharded) and the front tiers, and every
-// invariant above that applies to the selection is checked on every run
-// (DESIGN.md §16 tabulates the combinations). RunSim and RunFabric keep
-// their own loops — different systems, different fault models — around
-// the same schedule and defaults.
+// Run is the one engine storm: Config selects the datapath and the front
+// tiers, and every invariant above that applies to the selection is
+// checked on every run (DESIGN.md §16 tabulates the combinations). RunSim
+// and RunFabric keep their own loops — different systems, different
+// fault models — around the same schedule and defaults.
 //
 // A run is fully determined by its Config: the fault schedule (link
 // flaps, stuck consumers, client kills), their durations, and the offered
@@ -50,9 +49,8 @@ import (
 
 // Config parameterizes one chaos run. The zero value plus N, Slots and
 // Seed is a sensible storm: moderate load, small queues (so backpressure
-// actually fires), every fault kind enabled, the VOQ datapath with one
-// inline slot loop and no front tier. RunSim reads the first two groups
-// and the fault rates only.
+// actually fires), every fault kind enabled, the VOQ datapath and no
+// front tier. RunSim reads the first two groups and the fault rates only.
 type Config struct {
 	N     int
 	Slots int64
@@ -69,18 +67,11 @@ type Config struct {
 	Policy rt.FaultPolicy
 
 	// The tier selectors mirror runtime.Config and are passed through
-	// unchanged, so a combination runtime.New refuses comes back as its
-	// error (errors.Is(err, runtime.ErrUnsupported)). Datapath "" is voq.
-	// XPCap bounds each crosspoint buffer (cicq only); default 4, small
-	// enough that dispatch regularly finds crosspoints full. Pipeline
-	// turns every fault landing between a matching's compute and its
-	// dispatch into a speculation miss, so a pipelined storm exercises
-	// validate/repair on every episode. Shards > 1 forces the worker pool
-	// at any width.
+	// unchanged. Datapath "" is voq. XPCap bounds each crosspoint buffer
+	// (cicq only); default 4, small enough that dispatch regularly finds
+	// crosspoints full.
 	Datapath string
 	XPCap    int
-	Pipeline bool
-	Shards   int
 
 	// Per-slot, per-healthy-port probabilities of each fault kind
 	// starting, and the mean duration of an episode in slots. A port is
@@ -184,13 +175,6 @@ type Report struct {
 	Backpressured int64 // Admit calls refused with ErrBackpressure
 	Undrained     int64 // frames the shutdown drain could not deliver
 	MaxBacklog    int64
-
-	// Speculation accounting, nonzero only with Config.Pipeline:
-	// grants validated/invalidated at the slot boundary and the misses
-	// whose frames survived for re-advertisement (see runtime.Stats).
-	SpecHits    int64
-	SpecMisses  int64
-	SpecRepairs int64
 
 	// Flow-tier accounting, nonzero only with Config.Flows: steering-table
 	// admissions, idle-epoch evictions, rehomes off down ports, and
@@ -345,8 +329,7 @@ func (s *schedule) checkGrant(slot int64, i, j int) error {
 }
 
 // checkGrants audits the per-output grant vector both engine datapaths
-// report — on a pipelined engine the validated one, so a grant computed
-// before a fault landed and never dispatched cannot false-positive.
+// report.
 func (s *schedule) checkGrants(slot int64, g *sched.GrantSet) error {
 	for j, i := range g.Src {
 		if err := s.checkGrant(slot, i, j); err != nil {

@@ -1,7 +1,6 @@
 package chaos
 
 import (
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -89,17 +88,6 @@ func exercised(t *testing.T, cfg Config, rep *Report) {
 	} else if !hold && rep.Dropped == 0 {
 		bad("drop policy dropped nothing")
 	}
-	if cfg.Pipeline {
-		if rep.SpecHits == 0 {
-			bad("pipelined run dispatched no speculative grant")
-		}
-		if rep.SpecMisses == 0 {
-			bad("no speculation miss — repair path not exercised")
-		}
-		if rep.SpecRepairs > rep.SpecMisses {
-			bad("repairs exceed misses")
-		}
-	}
 	if cfg.Flows > 0 {
 		if rep.FlowsInserted == 0 {
 			bad("no flow was ever admitted to the steering table")
@@ -125,7 +113,7 @@ func exercised(t *testing.T, cfg Config, rep *Report) {
 }
 
 // acceptance10k is the table of 10k-slot acceptance storms, one row per
-// engine configuration that shipped with its own driver or mode: link
+// engine configuration that shipped with its own driver: link
 // flaps, stuck consumers and client kills under both stranded-frame
 // policies. want is indexed by rt.FaultPolicy (hold, drop).
 var acceptance10k = map[string]struct {
@@ -135,13 +123,6 @@ var acceptance10k = map[string]struct {
 	"engine": {Config{N: 8, Slots: 10_000, Seed: 0xC0FFEE}, [2]Report{
 		{Slots: 10000, Admitted: 22693, Delivered: 22650, Consumed: 22650, Rejected: 25400, Backpressured: 22, Undrained: 43, MaxBacklog: 228, Flaps: 552, Stucks: 240, Kills: 126},
 		{Slots: 10000, Admitted: 22713, Delivered: 20226, Consumed: 20226, Dropped: 2483, Rejected: 25400, Backpressured: 2, Undrained: 4, MaxBacklog: 165, Flaps: 552, Stucks: 240, Kills: 126},
-	}},
-	// Every fault that lands between a matching's compute and its
-	// dispatch must surface as a speculation miss and be repaired without
-	// breaking the ledger (E30: hold 442 misses / 442 repairs, drop 367 / 0).
-	"pipelined": {Config{N: 8, Slots: 10_000, Seed: 0xC0FFEE, Pipeline: true}, [2]Report{
-		{Slots: 10000, Admitted: 22690, Delivered: 22638, Consumed: 22638, Rejected: 25400, Backpressured: 25, Undrained: 52, MaxBacklog: 236, SpecHits: 22638, SpecMisses: 442, SpecRepairs: 442, Flaps: 552, Stucks: 240, Kills: 126},
-		{Slots: 10000, Admitted: 22711, Delivered: 19801, Consumed: 19801, Dropped: 2905, Rejected: 25400, Backpressured: 4, Undrained: 5, MaxBacklog: 169, SpecHits: 19801, SpecMisses: 367, Flaps: 552, Stucks: 240, Kills: 126},
 	}},
 	// The crosspoint-buffered datapath: no central matching, grant
 	// isolation audited on the pull arbiters' per-output vector.
@@ -178,13 +159,12 @@ func acceptance(t *testing.T, row string) {
 	}
 }
 
-func TestEngineChaos10k(t *testing.T)          { acceptance(t, "engine") }
-func TestEngineChaosPipelined10k(t *testing.T) { acceptance(t, "pipelined") }
-func TestCICQChaos10k(t *testing.T)            { acceptance(t, "cicq") }
-func TestFlowChaos10k(t *testing.T)            { acceptance(t, "flows") }
-func TestClassChaos10k(t *testing.T)           { acceptance(t, "classes") }
+func TestEngineChaos10k(t *testing.T) { acceptance(t, "engine") }
+func TestCICQChaos10k(t *testing.T)   { acceptance(t, "cicq") }
+func TestFlowChaos10k(t *testing.T)   { acceptance(t, "flows") }
+func TestClassChaos10k(t *testing.T)  { acceptance(t, "classes") }
 
-// seedFans sends four more seeds at a shorter, hotter run per slot loop,
+// seedFans sends four more seeds at a shorter, hotter run per datapath,
 // so a seed-dependent schedule cannot hide a violation. The cicq row runs
 // crosspoint capacity 1, so dispatch regularly finds crosspoints full
 // mid-fault. want follows fanSeeds.
@@ -199,12 +179,6 @@ var seedFans = map[string]struct {
 		{Slots: 2000, Admitted: 4717, Delivered: 3997, Consumed: 3997, Dropped: 697, Rejected: 4860, Backpressured: 54, Undrained: 23, MaxBacklog: 131, Flaps: 91, Stucks: 42, Kills: 19},
 		{Slots: 2000, Admitted: 4332, Delivered: 3654, Consumed: 3654, Dropped: 599, Rejected: 5250, Backpressured: 35, Undrained: 79, MaxBacklog: 127, Flaps: 67, Stucks: 38, Kills: 25},
 		{Slots: 2000, Admitted: 4677, Delivered: 3678, Consumed: 3678, Dropped: 999, Rejected: 4922, Backpressured: 47, MaxBacklog: 151, Flaps: 77, Stucks: 47, Kills: 23},
-	}},
-	"pipelined": {Config{N: 6, Slots: 2_000, Policy: rt.DropStranded, Load: 0.8, Pipeline: true}, [4]Report{
-		{Slots: 2000, Admitted: 4488, Delivered: 3758, Consumed: 3758, Dropped: 730, Rejected: 4921, Backpressured: 82, MaxBacklog: 173, SpecHits: 3758, SpecMisses: 67, Flaps: 78, Stucks: 40, Kills: 19},
-		{Slots: 2000, Admitted: 4714, Delivered: 3914, Consumed: 3914, Dropped: 776, Rejected: 4860, Backpressured: 57, Undrained: 24, MaxBacklog: 135, SpecHits: 3914, SpecMisses: 71, Flaps: 91, Stucks: 42, Kills: 19},
-		{Slots: 2000, Admitted: 4324, Delivered: 3569, Consumed: 3569, Dropped: 674, Rejected: 5250, Backpressured: 43, Undrained: 81, MaxBacklog: 132, SpecHits: 3569, SpecMisses: 67, Flaps: 67, Stucks: 38, Kills: 25},
-		{Slots: 2000, Admitted: 4672, Delivered: 3575, Consumed: 3575, Dropped: 1095, Rejected: 4922, Backpressured: 52, Undrained: 2, MaxBacklog: 158, SpecHits: 3575, SpecMisses: 78, Flaps: 77, Stucks: 47, Kills: 23},
 	}},
 	"cicq": {Config{N: 6, Slots: 2_000, Policy: rt.DropStranded, Load: 0.8, Datapath: datapath.CICQ, XPCap: 1}, [4]Report{
 		{Slots: 2000, Admitted: 4511, Delivered: 3869, Consumed: 3869, Dropped: 642, Rejected: 4921, Backpressured: 59, MaxBacklog: 170, Flaps: 78, Stucks: 40, Kills: 19},
@@ -222,9 +196,8 @@ func seedFan(t *testing.T, row string) {
 	}
 }
 
-func TestEngineChaosSeeds(t *testing.T)          { seedFan(t, "engine") }
-func TestEngineChaosPipelinedSeeds(t *testing.T) { seedFan(t, "pipelined") }
-func TestCICQChaosSeeds(t *testing.T)            { seedFan(t, "cicq") }
+func TestEngineChaosSeeds(t *testing.T) { seedFan(t, "engine") }
+func TestCICQChaosSeeds(t *testing.T)   { seedFan(t, "cicq") }
 
 // variant is one row of a sweep over a single tier knob; the invariants
 // inside Run are agnostic to it and must hold for every value.
@@ -385,13 +358,13 @@ func TestSeedArtifactIsReplayable(t *testing.T) {
 	t.Setenv("CHAOS_SEED_DIR", filepath.Join(t.TempDir(), "seeds"))
 	cfg := Config{
 		N: 6, Slots: 500, Seed: 0xBAD5EED, Policy: rt.DropStranded, Load: 0.75,
-		Datapath: datapath.CICQ, XPCap: 1, Pipeline: true, Shards: 4,
+		Datapath: datapath.CICQ, XPCap: 1,
 		Flows: 64, FlowShards: 1, Population: 4096, FlowPolicy: "least", Skew: 1.2, EpochEvery: 512, FlowIdle: 8,
-		Classes: "gold:0:3:8,lead:1:1", Rank: "wfq", ClassQCap: 5, Mix: []float64{3, 1}, BudgetEvery: 11,
+		Classes: "gold:0:3:8,lead:1:1", Rank: "wfq", ClassQCap: 5, Mix: []float64{3, 1, 1}, BudgetEvery: 11,
 	}
-	_, err := Run(cfg) // refused: nothing pipelines or shards the CICQ datapath
-	if !errors.Is(err, rt.ErrUnsupported) {
-		t.Fatalf("Run = %v, want ErrUnsupported", err)
+	_, err := Run(cfg) // refused: the mix weighs three classes, the spec names two
+	if err == nil {
+		t.Fatal("Run accepted a mix longer than its class list")
 	}
 	path := writeSeedArtifact(t.Name(), cfg.Seed, cfg, err)
 	if want := fmt.Sprintf("seed-%s-%d.txt", t.Name(), cfg.Seed); filepath.Base(path) != want {
@@ -405,9 +378,9 @@ func TestSeedArtifactIsReplayable(t *testing.T) {
 	for _, want := range []string{
 		"test=" + t.Name(), "error: " + err.Error(),
 		"N:6", "Slots:500", "Seed:195911405", "Policy:drop", "Load:0.75",
-		"Datapath:cicq", "XPCap:1", "Pipeline:true", "Shards:4",
+		"Datapath:cicq", "XPCap:1",
 		"Flows:64", "FlowShards:1", "Population:4096", "FlowPolicy:least", "Skew:1.2", "EpochEvery:512", "FlowIdle:8",
-		"Classes:gold:0:3:8,lead:1:1", "Rank:wfq", "ClassQCap:5", "Mix:[3 1]", "BudgetEvery:11",
+		"Classes:gold:0:3:8,lead:1:1", "Rank:wfq", "ClassQCap:5", "Mix:[3 1 1]", "BudgetEvery:11",
 	} {
 		if !strings.Contains(artifact, want) {
 			t.Errorf("artifact does not name %q:\n%s", want, artifact)

@@ -94,8 +94,6 @@ func Run(cfg Config) (*Report, error) {
 		VOQCap:      cfg.VOQCap,
 		OutCap:      cfg.OutCap,
 		FaultPolicy: cfg.Policy,
-		Pipeline:    cfg.Pipeline,
-		Shards:      cfg.Shards,
 		Flows:       cfg.Flows,
 		FlowPolicy:  cfg.FlowPolicy,
 		FlowShards:  cfg.FlowShards,
@@ -112,10 +110,6 @@ func Run(cfg Config) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Close is idempotent: this one only matters when a violation returns
-	// mid-storm, so a failed pipelined or sharded run leaks no worker.
-	defer e.Close()
-
 	// Driver-side stickiness ledger: flow → last steered port. Cleared
 	// after every eviction sweep (an evicted flow may legitimately be
 	// re-steered anywhere on return).
@@ -275,9 +269,6 @@ func Run(cfg Config) (*Report, error) {
 	rep.Delivered = st.Delivered.Value()
 	rep.Dropped = st.DroppedFault.Value()
 	rep.Undrained = st.Undrained.Value()
-	rep.SpecHits = st.SpecHits.Value()
-	rep.SpecMisses = st.SpecMisses.Value()
-	rep.SpecRepairs = st.SpecRepairs.Value()
 	if flowsOn {
 		f := e.Flows().Stats()
 		rep.FlowsInserted, rep.FlowsEvicted, rep.FlowsRebalanced = f.Inserted, f.Evicted, f.Rebalanced

@@ -444,13 +444,6 @@ func (c *Core[T]) Arbitrate(_ sched.Scheduler) *sched.GrantSet {
 	return g
 }
 
-// PipelineSafe reports false: SnapshotRow is the dispatch arbiter (it
-// moves frames from VOQs into crosspoint buffers) and Arbitrate advances
-// the pull round-robins against live crosspoint state, so neither can run
-// concurrently with admissions nor have its grants validated a slot
-// later. A pipelined driver must refuse this datapath.
-func (c *Core[T]) PipelineSafe() bool { return false }
-
 // Take pops the frame granted to output j from crosspoint (Src[j], j).
 // Called under input Src[j]'s lock, on the arbiter goroutine.
 func (c *Core[T]) Take(j int) (v T, ok bool) {

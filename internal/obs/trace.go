@@ -35,16 +35,6 @@ type Grant struct {
 // decisions live on, so a trace shows exactly which matchings were
 // computed under which failures.
 //
-// Kind == "spec" marks a pipelined engine's speculation outcome for a
-// slot whose validation dropped at least one grant (runtime.Config
-// .Pipeline): Hits counts the grants that validated and dispatched,
-// Misses the grants invalidated at the slot boundary, Repairs the misses
-// whose backlog survived for re-advertisement. The event follows the
-// slot-decision record it annotates, so a drained timeline shows each
-// mis-speculation next to the validated matching it shrank. Slots with
-// zero misses emit no spec event — under healthy speculation the trace
-// stays pure slot decisions.
-//
 // Kind == "flow" marks a flow-tier steering decision (runtime.Config
 // .Flows): Flow is the 64-bit flow id, Port the input port it was
 // steered to (-1 when the table refused it), and Disp the disposition —
@@ -58,9 +48,9 @@ type Grant struct {
 // .Classes): a class-tier frame crossed the fabric after its deadline
 // slot. Class is the class index into the engine's class list, Port the
 // output it was delivered to, and Latency its admission-to-delivery
-// time in slots. On-time deliveries emit nothing — like spec events,
-// class events annotate only the slots where the tier failed its
-// contract, so the ring survives sustained healthy traffic.
+// time in slots. On-time deliveries emit nothing: class events annotate
+// only the slots where the tier failed its contract, so the ring
+// survives sustained healthy traffic.
 type Event struct {
 	Slot      int64   `json:"slot"`
 	Requested int     `json:"requested"`
@@ -71,10 +61,6 @@ type Event struct {
 	Port  int    `json:"port,omitempty"`
 	Dir   string `json:"dir,omitempty"`
 	State string `json:"state,omitempty"`
-
-	Hits    int `json:"hits,omitempty"`
-	Misses  int `json:"misses,omitempty"`
-	Repairs int `json:"repairs,omitempty"`
 
 	Flow uint64 `json:"flow,omitempty"`
 	Disp string `json:"disp,omitempty"`
@@ -120,17 +106,16 @@ type traceSlot struct {
 	seq    atomic.Uint64
 	slot   atomic.Int64
 	counts atomic.Uint64   // requested<<32 | ngrants (flow events: the 64-bit flow id)
-	aux    atomic.Uint64   // packed fault, spec or flow record, 0 for slot-decision entries
+	aux    atomic.Uint64   // packed fault, flow or class record, 0 for slot-decision entries
 	grants []atomic.Uint64 // packed Grant records, capacity n
 }
 
-// The aux word's kind flags: bit 63 marks a fault record, bit 62 a spec
-// record, bit 61 a flow-steering record, bit 60 a class SLO-violation
-// record; the zero word means "slot decision". The flags are disjoint
-// so a reader branches on one load.
+// The aux word's kind flags: bit 63 marks a fault record, bit 61 a
+// flow-steering record, bit 60 a class SLO-violation record; the zero
+// word means "slot decision". The flags are disjoint so a reader
+// branches on one load.
 const (
 	auxFault = uint64(1) << 63
-	auxSpec  = uint64(1) << 62
 	auxFlow  = uint64(1) << 61
 	auxClass = uint64(1) << 60
 )
@@ -146,15 +131,6 @@ func packFault(port int, dir string, up bool) uint64 {
 		w |= 1
 	}
 	return w
-}
-
-// packSpec packs a slot's speculation outcome into one word: the spec
-// flag and three 16-bit counts. A count cannot exceed the port bound
-// (one grant per output per slot), which the tracer caps at 16 bits
-// everywhere else too.
-func packSpec(hits, misses, repairs int) uint64 {
-	return auxSpec | uint64(uint16(hits))<<32 |
-		uint64(uint16(misses))<<16 | uint64(uint16(repairs))
 }
 
 // packFlow packs a steering decision's port and disposition into the
@@ -194,8 +170,8 @@ func unpackGrant(g uint64) Grant {
 // events. Any goroutine may emit, Drain or toggle concurrently: each
 // emitter claims a ring slot with one fetch-add on pos, and the
 // per-entry sequence lock makes a half-written entry detectable (a
-// drain skips it). The arbiter is still the only emitter of slot/fault/
-// spec records; the flow tier emits its steering events from whatever
+// drain skips it). The arbiter is still the only emitter of slot and
+// fault records; the flow tier emits its steering events from whatever
 // goroutine called AdmitFlow. Emit performs atomic stores into
 // preallocated entries only — zero heap allocations — and a disabled
 // tracer costs exactly one atomic load per Emit, which is why the emit
@@ -321,28 +297,9 @@ func (t *Tracer) EmitFault(slot int64, port int, dir string, up bool) {
 	e.seq.Store(2*w + 2)
 }
 
-// EmitSpec records a pipelined slot's speculation outcome — hits, misses
-// and repairs from validating a speculatively computed matching against
-// the live switch state. Drivers emit it only for slots with misses, so
-// spec events annotate exactly the slots where speculation diverged.
-// Same contract as Emit: single-writer, nil-safe, one atomic load when
-// disabled, and zero heap allocations.
-func (t *Tracer) EmitSpec(slot int64, hits, misses, repairs int) {
-	if t == nil || !t.enabled.Load() {
-		return
-	}
-	w := t.pos.Add(1) - 1
-	e := &t.ring[w%uint64(len(t.ring))]
-	e.seq.Store(2*w + 1)
-	e.slot.Store(slot)
-	e.counts.Store(0)
-	e.aux.Store(packSpec(hits, misses, repairs))
-	e.seq.Store(2*w + 2)
-}
-
 // EmitFlow records a flow-tier steering decision: flow id, chosen input
 // port (-1 for a rejected flow) and disposition (FlowNew,
-// FlowRebalanced, FlowRejected). Unlike the slot/fault/spec emitters it
+// FlowRebalanced, FlowRejected). Unlike the slot and fault emitters it
 // runs on admission goroutines, concurrently with the arbiter's own
 // emits — the fetch-add slot claim makes that safe. The flow id rides
 // in the entry's counts word; port and disposition pack into aux with
@@ -363,8 +320,8 @@ func (t *Tracer) EmitFlow(slot int64, flow uint64, port int, disp uint8) {
 
 // EmitClass records a service-class SLO violation: class index, output
 // port and the frame's admission-to-delivery latency in slots. Emitted
-// from the dispatch path — possibly a shard-pool worker — concurrently
-// with every other emitter, which the fetch-add slot claim makes safe.
+// from the dispatch path, concurrently with the flow tier's emitters,
+// which the fetch-add slot claim makes safe.
 // The latency rides in the entry's counts word; class and port pack
 // into aux with the class kind flag. Nil-safe, one atomic load when
 // disabled, zero heap allocations.
@@ -415,16 +372,6 @@ func (t *Tracer) Drain() []Event {
 			if f&1 != 0 {
 				ev.State = "up"
 			}
-			if e.seq.Load() != s1 {
-				continue
-			}
-			evs = append(evs, ev)
-			continue
-		} else if f&auxSpec != 0 {
-			ev.Kind = "spec"
-			ev.Hits = int(uint16(f >> 32))
-			ev.Misses = int(uint16(f >> 16))
-			ev.Repairs = int(uint16(f))
 			if e.seq.Load() != s1 {
 				continue
 			}

@@ -28,17 +28,6 @@ const (
 // work is on the clock (no ticker sleeps). Arrivals are pre-drawn outside
 // the timed region.
 func benchmarkSlot(b *testing.B, schedName string, n int, load float64, tm tracerMode) {
-	benchmarkSlotCfg(b, schedName, n, load, tm, false, 1)
-}
-
-// benchmarkSlotCfg is benchmarkSlot with the PR-8 knobs exposed:
-// pipeline overlaps slot t's dispatch with computing slot t+1's matching
-// (the admit/consume work between Ticks is what the spec worker overlaps
-// with, so the measured ns/slot shrinks toward max(transmit, compute)
-// on multi-core hosts); shards fans the snapshot and dispatch loops
-// across a worker pool (0 = auto: engaged at n≥256 when GOMAXPROCS
-// allows, 1 = single-threaded).
-func benchmarkSlotCfg(b *testing.B, schedName string, n int, load float64, tm tracerMode, pipeline bool, shards int) {
 	s, err := registry.New(schedName, n, sched.Options{Iterations: 4, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
@@ -50,7 +39,6 @@ func benchmarkSlotCfg(b *testing.B, schedName string, n int, load float64, tm tr
 	}
 	e, err := rt.New(rt.Config{
 		N: n, Scheduler: s, VOQCap: 256, OutCap: 256, Tracer: tr,
-		Pipeline: pipeline, Shards: shards,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -92,7 +80,7 @@ func benchmarkSlotCfg(b *testing.B, schedName string, n int, load float64, tm tr
 		}
 	}
 	b.StopTimer()
-	e.Close() // releases the spec worker and shard pool goroutines
+	e.Close()
 }
 
 func BenchmarkEngineSlotLCFRRN16(b *testing.B) {
@@ -108,42 +96,9 @@ func BenchmarkEngineSlotISLIPN16(b *testing.B)  { benchmarkSlot(b, "islip", 16, 
 func BenchmarkEngineSlotISLIPN64(b *testing.B)  { benchmarkSlot(b, "islip", 64, 0.9, tracerNone) }
 func BenchmarkEngineSlotISLIPN256(b *testing.B) { benchmarkSlot(b, "islip", 256, 0.9, tracerNone) }
 
-// The n=1024 tier is where the pipelined/sharded engine is sized: one
-// scheduling decision dominates the slot, so overlapping it with
-// transmit (and sharding the snapshot/dispatch loops) is the whole
-// budget. Inline first, as the baseline the pipelined tiers are read
-// against.
+// The widest engine slot on record (EXPERIMENTS.md E30).
 func BenchmarkEngineSlotLCFRRN1024(b *testing.B) {
 	benchmarkSlot(b, "lcf_central_rr", 1024, 0.9, tracerNone)
-}
-
-// Pipelined tiers: Tick dispatches the previously speculated matching
-// and kicks the next compute before returning, so the admit/consume
-// work between Ticks runs concurrently with the scheduler. On a
-// single-core host these degenerate to the inline numbers plus a small
-// handoff cost; the CI bench job records the multi-core trajectory.
-func BenchmarkEngineSlotPipelinedLCFRRN64(b *testing.B) {
-	benchmarkSlotCfg(b, "lcf_central_rr", 64, 0.9, tracerNone, true, 1)
-}
-func BenchmarkEngineSlotPipelinedLCFRRN256(b *testing.B) {
-	benchmarkSlotCfg(b, "lcf_central_rr", 256, 0.9, tracerNone, true, 1)
-}
-func BenchmarkEngineSlotPipelinedLCFRRN1024(b *testing.B) {
-	benchmarkSlotCfg(b, "lcf_central_rr", 1024, 0.9, tracerNone, true, 1)
-}
-
-// Sharded tiers fan the per-input snapshot and per-output dispatch
-// loops across the worker pool (auto sizing: min(GOMAXPROCS, 8),
-// engaged at n≥256). Combined with the pipeline this is the full PR-8
-// configuration.
-func BenchmarkEngineSlotShardedLCFRRN256(b *testing.B) {
-	benchmarkSlotCfg(b, "lcf_central_rr", 256, 0.9, tracerNone, false, 0)
-}
-func BenchmarkEngineSlotShardedLCFRRN1024(b *testing.B) {
-	benchmarkSlotCfg(b, "lcf_central_rr", 1024, 0.9, tracerNone, false, 0)
-}
-func BenchmarkEngineSlotPipelinedShardedLCFRRN1024(b *testing.B) {
-	benchmarkSlotCfg(b, "lcf_central_rr", 1024, 0.9, tracerNone, true, 0)
 }
 
 // benchmarkSlotCICQ is benchmarkSlot on the crosspoint-buffered

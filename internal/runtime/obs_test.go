@@ -52,16 +52,16 @@ func TestEngineRegisterScrape(t *testing.T) {
 	snap := e.Snapshot()
 
 	for key, want := range map[string]float64{
-		"lcf_engine_slots_total":              float64(slots),
-		"lcf_engine_admitted_total":           float64(snap.Admitted),
-		"lcf_engine_delivered_total":          float64(snap.Delivered),
-		"lcf_engine_requested_total":          float64(snap.Requested),
-		"lcf_engine_matched_total":            float64(snap.Matched),
-		"lcf_engine_backlog_frames":           float64(snap.Backlog),
-		"lcf_engine_occupied_voqs":            float64(snap.OccupiedVOQs),
-		"lcf_match_size_count":                float64(slots),
-		"lcf_slot_duration_nanoseconds_count": float64(slots),
-		`lcf_info{scheduler="lcf_central_rr",datapath="voq",n="4",mode="inline"}`: 1,
+		"lcf_engine_slots_total":                                    float64(slots),
+		"lcf_engine_admitted_total":                                 float64(snap.Admitted),
+		"lcf_engine_delivered_total":                                float64(snap.Delivered),
+		"lcf_engine_requested_total":                                float64(snap.Requested),
+		"lcf_engine_matched_total":                                  float64(snap.Matched),
+		"lcf_engine_backlog_frames":                                 float64(snap.Backlog),
+		"lcf_engine_occupied_voqs":                                  float64(snap.OccupiedVOQs),
+		"lcf_match_size_count":                                      float64(slots),
+		"lcf_slot_duration_nanoseconds_count":                       float64(slots),
+		`lcf_info{scheduler="lcf_central_rr",datapath="voq",n="4"}`: 1,
 	} {
 		got, ok := s.Value(key)
 		if !ok {

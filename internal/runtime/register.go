@@ -25,13 +25,9 @@ func (e *Engine) Register(r *obs.Registry) {
 	m := &e.met
 	n := e.n
 
-	r.GaugeVec("lcf_info", "Static engine info; value is always 1. Labels carry the scheduler name, datapath, port count and arbitration mode (inline|pipeline).", func() []obs.Sample {
-		mode := "inline"
-		if e.cfg.Pipeline {
-			mode = "pipeline"
-		}
+	r.GaugeVec("lcf_info", "Static engine info; value is always 1. Labels carry the scheduler name, datapath and port count.", func() []obs.Sample {
 		return []obs.Sample{{
-			Labels: obs.Labels("scheduler", e.SchedulerName(), "datapath", e.DatapathName(), "n", strconv.Itoa(n), "mode", mode),
+			Labels: obs.Labels("scheduler", e.SchedulerName(), "datapath", e.DatapathName(), "n", strconv.Itoa(n)),
 			Value:  1,
 		}}
 	})
@@ -51,10 +47,6 @@ func (e *Engine) Register(r *obs.Registry) {
 	r.Gauge("lcf_engine_occupied_voqs", "Non-empty VOQs at the last slot snapshot (before output masking).", func() float64 {
 		return float64(m.OccupiedVOQs.Value())
 	})
-
-	r.Counter("lcf_spec_hits_total", "Speculative grants that validated at the slot boundary and dispatched (pipelined mode).", m.SpecHits.Value)
-	r.Counter("lcf_spec_misses_total", "Speculative grants invalidated at the slot boundary (VOQ flushed, link failed, or output channel filled since the snapshot).", m.SpecMisses.Value)
-	r.Counter("lcf_spec_repairs_total", "Speculation misses whose backlog survived in its VOQ for re-advertisement next slot (a slot of service lost, no frame).", m.SpecRepairs.Value)
 
 	r.Counter("lcf_engine_fault_rejected_total", "Admit calls refused because the source input or destination output link was down.", m.RejectedPortDown.Value)
 	r.Counter("lcf_engine_fault_masked_total", "Request bits suppressed because a link was down, summed over slots.", m.FaultMasked.Value)

@@ -49,15 +49,6 @@
 // slot t is likewise first schedulable in slot t+1; driving the lockstep
 // engine with "Tick, then admit slot t's arrivals" reproduces simswitch's
 // matchings exactly (DESIGN.md §7).
-//
-// Config.Pipeline overlaps slot t's dispatch with computing slot t+1's
-// matching from a speculative snapshot, validating every grant against
-// live state at the next slot boundary and repairing misses by dropping
-// the stale grant (head-requeue makes that loss-free); Config.Shards
-// fans the snapshot and dispatch loops across a bounded worker pool for
-// wide switches. Both are engine-internal: the SlotEvent and metric
-// contracts are unchanged except for the lcf_spec_* counters. DESIGN.md
-// §13 gives the state machine and the proof obligations.
 package runtime
 
 import (
@@ -87,10 +78,6 @@ var (
 	ErrClosed = errors.New("runtime: engine closed")
 	// ErrBadPort reports an out-of-range input or output port.
 	ErrBadPort = errors.New("runtime: port out of range")
-	// ErrUnsupported is wrapped by every error New returns for a tier
-	// combination the engine refuses (DESIGN.md §16), so callers can tell
-	// "this pairing is not offered" from a malformed field with errors.Is.
-	ErrUnsupported = errors.New("runtime: unsupported configuration")
 )
 
 // Frame is one fixed-size cell travelling through the live switch. Payload
@@ -117,22 +104,12 @@ type Frame struct {
 // callback only. Grants is the per-output decision vector both datapaths
 // produce; Match is the central matching behind it, nil on a CICQ engine
 // (whose pull arbiters are not constrained to a permutation).
-//
-// On a pipelined engine (Config.Pipeline) the reported decision is the
-// validated one: Match and Grants describe the grants actually dispatched
-// this slot — speculative grants invalidated at the boundary have been
-// removed — and the Spec fields break the slot's speculation outcome
-// down. All three are zero on an inline engine.
 type SlotEvent struct {
 	Slot      int64
 	Match     *matching.Match
 	Grants    *sched.GrantSet
 	Requested int // request-matrix bits this slot
 	Matched   int // frames dispatched this slot
-
-	SpecHits    int // speculative grants that validated and dispatched
-	SpecMisses  int // speculative grants invalidated at the slot boundary
-	SpecRepairs int // misses whose backlog survives for re-advertisement
 }
 
 // Config parameterizes an Engine.
@@ -175,32 +152,6 @@ type Config struct {
 	// n²·ClassQCap entries of 80 bytes up front (84 MB for n=64,
 	// ClassQCap=256; 1.3 GB at n=256) so AdmitClass never grows a heap.
 	PreallocVOQs bool
-
-	// Pipeline enables speculative pipelined arbitration (DESIGN.md §13):
-	// each tick dispatches the matching computed during the previous slot
-	// — validating every grant against the live queues and link state,
-	// dropping the ones speculation got wrong — then snapshots the request
-	// matrix and hands it to a compute worker that runs the scheduler
-	// concurrently with the next slot's transmit. Scheduling leaves the
-	// slot's critical path (the paper's Clint overlap of schedule and
-	// transfer); the price is one slot of decision latency and the
-	// speculation accounting in Stats.SpecHits/SpecMisses/SpecRepairs.
-	// Requires a datapath whose PipelineSafe reports true (the VOQ core;
-	// CICQ is refused with ErrUnsupported). A pipelined engine owns a
-	// compute goroutine: it must be Closed, even in lockstep mode, or the
-	// worker leaks.
-	Pipeline bool
-
-	// Shards sets the worker pool that shards the per-slot snapshot and
-	// dispatch phases across cores by row range (DESIGN.md §13). 0 picks
-	// automatically: GOMAXPROCS capped at 8, engaged only for n ≥ 256
-	// (below that the word-parallel kernels outrun the handoff cost).
-	// 1 disables sharding; k > 1 forces k shards at any width (tests use
-	// this to exercise the pool at small n). Like the pipeline worker,
-	// a sharded engine must be Closed to release its pool. Like Pipeline
-	// it needs a PipelineSafe datapath: on CICQ 0 leaves the pool off and
-	// k > 1 is refused with ErrUnsupported.
-	Shards int
 
 	// Flows > 0 enables the flow-aware front tier (internal/flowtable):
 	// a consistent-hash table sized for this many concurrent flows that
@@ -312,9 +263,6 @@ func (c *Config) normalize() error {
 	if c.FaultPolicy != HoldStranded && c.FaultPolicy != DropStranded {
 		return fmt.Errorf("runtime: unknown fault policy %d", c.FaultPolicy)
 	}
-	if c.Shards < 0 {
-		return fmt.Errorf("runtime: negative shard count %d", c.Shards)
-	}
 	if c.Flows < 0 {
 		return fmt.Errorf("runtime: negative flow capacity %d", c.Flows)
 	}
@@ -367,12 +315,6 @@ type Engine struct {
 	// core's fault masks at each slot top.
 	fault faultState
 
-	// spec is the pipelined-arbitration state (see pipeline.go): the
-	// compute worker, the pending matching and the validation scratch.
-	// pool is the shard worker pool for the snapshot/dispatch phases.
-	spec specState
-	pool shardPool
-
 	// flows is the flow-aware front tier (see flow.go), nil unless
 	// Config.Flows > 0. Its steering policies read the engine's live
 	// per-input backlog gauges and link-state atomics through flowView.
@@ -415,19 +357,6 @@ type Stats struct {
 	DroppedFault     metrics.Counter
 	Stranded         metrics.Gauge
 	Undrained        metrics.Gauge
-
-	// Speculation accounting (pipelined engines only, Config.Pipeline).
-	// SpecHits counts speculative grants that validated at the slot
-	// boundary and dispatched; SpecMisses counts grants the validation
-	// dropped (their VOQ was flushed, their link failed, or their output
-	// channel filled between compute and dispatch); SpecRepairs counts
-	// the misses whose VOQ still held frames — backlog the next snapshot
-	// re-advertises, so the mis-speculation costs one slot of service,
-	// never a frame. Every miss is also a WastedGrants increment: the
-	// decision was made and not dispatched.
-	SpecHits    metrics.Counter
-	SpecMisses  metrics.Counter
-	SpecRepairs metrics.Counter
 
 	// GrantsByRule attributes every grant to the LCF decision rule that
 	// produced it (sched.GrantRule order: unattributed, lcf, diagonal,
@@ -474,14 +403,6 @@ func New(cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Speculation and sharding both need arbitration to be a pure function
-	// of a snapshot whose rows are disjoint; a datapath that decides while
-	// it snapshots (CICQ's SnapshotRow is its dispatch arbiter, writing
-	// column state shared by every row) offers neither.
-	if !dp.PipelineSafe() && (cfg.Pipeline || cfg.Shards > 1) {
-		return nil, fmt.Errorf("%w: datapath %q cannot be pipelined or sharded (Pipeline %t, Shards %d): its arbitration mutates live queue state, see switchcore.Datapath.PipelineSafe",
-			ErrUnsupported, cfg.Datapath, cfg.Pipeline, cfg.Shards)
-	}
 	e := &Engine{
 		cfg:  cfg,
 		n:    n,
@@ -492,8 +413,6 @@ func New(cfg Config) (*Engine, error) {
 		done: make(chan struct{}),
 	}
 	e.fault.init(n)
-	e.spec.init(n, cfg.Pipeline)
-	e.pool.init(e, cfg.Shards)
 	for j := range e.outs {
 		e.outs[j] = make(chan Frame, cfg.OutCap)
 	}
@@ -697,12 +616,6 @@ func (e *Engine) drain(wait func()) {
 			wait()
 		}
 	}
-	// The pipeline worker and shard pool (if any) are quiescent between
-	// ticks; release them before the channels close. Both paths — live
-	// (run's stop select) and lockstep (Close's inline drain) — end here,
-	// so a pipelined engine never leaks its goroutines past Close.
-	e.spec.stop()
-	e.pool.stop()
 	// Whatever is still queued — frames held behind failed links, or
 	// stuck behind an output nobody consumed — is accounted here before
 	// the channels close, so shutdown never loses frames silently.
@@ -738,15 +651,10 @@ func (e *Engine) Close() {
 	<-e.done
 }
 
-// tick is one slot of the arbiter. Inline mode (the default) runs
-// snapshot → schedule → dispatch on the slot clock; pipelined mode
-// (Config.Pipeline, pipeline.go) dispatches the previous slot's
-// speculative matching and overlaps the next schedule with transmit.
+// tick is one slot of the arbiter: apply faults → sweep stranded → class
+// fill → mask full outputs → snapshot → arbitrate → dispatch →
+// metrics/trace/OnSlot (DESIGN.md §7).
 func (e *Engine) tick() {
-	if e.cfg.Pipeline {
-		e.tickPipelined()
-		return
-	}
 	start := time.Now()
 	now := e.slot.Load()
 
@@ -763,7 +671,7 @@ func (e *Engine) tick() {
 	e.classFill()
 
 	e.maskFullOutputs()
-	requested, masked, faulted := e.snapshotAll()
+	requested, masked, faulted := e.snapshot()
 	e.recordSnapshot(requested, masked, faulted)
 
 	// Arbitrate every slot, requests or not: round-robin pointers and
@@ -773,7 +681,7 @@ func (e *Engine) tick() {
 	// pull arbiters and ignores the argument.
 	grants := e.dp.Arbitrate(e.cfg.Scheduler)
 
-	matched, _, _, _ := e.dispatchAll(grants, now, false)
+	matched := e.dispatch(grants, now)
 
 	e.met.Requested.Add(int64(requested))
 	e.met.Matched.Add(int64(matched))
@@ -801,23 +709,13 @@ func (e *Engine) maskFullOutputs() {
 	}
 }
 
-// snapshotAll snapshots every input row — sharded across the worker pool
-// when it is engaged, serially otherwise — and returns the summed
-// requested/masked/faulted counts.
-func (e *Engine) snapshotAll() (requested, masked, faulted int) {
-	if e.pool.engaged() {
-		return e.pool.snapshot()
-	}
-	return e.snapshotRows(0, e.n)
-}
-
-// snapshotRows snapshots input rows [lo,hi): each input's occupancy row
-// and queue lengths are copied into the datapath's slot scratch under
-// that input's lock, so the scheduler reads only the snapshot, never
-// state a concurrent Admit is writing. Rows are disjoint per shard, so
-// pool workers run this concurrently on disjoint ranges.
-func (e *Engine) snapshotRows(lo, hi int) (requested, masked, faulted int) {
-	for i := lo; i < hi; i++ {
+// snapshot snapshots every input row and returns the summed
+// requested/masked/faulted counts: each input's occupancy row and queue
+// lengths are copied into the datapath's slot scratch under that input's
+// lock, so the scheduler reads only the snapshot, never state a
+// concurrent Admit is writing.
+func (e *Engine) snapshot() (requested, masked, faulted int) {
+	for i := 0; i < e.n; i++ {
 		mu := &e.inMu[i]
 		mu.Lock()
 		row := e.dp.OccupiedRow(i)
@@ -847,36 +745,14 @@ func (e *Engine) recordSnapshot(requested, masked, faulted int) {
 	e.met.OccupiedVOQs.Set(int64(requested + masked + faulted))
 }
 
-// dispatchAll realizes the slot's grants — sharded across the worker
-// pool when engaged, serially otherwise. With spec true (the pipelined
-// tick) every grant is first validated against the live state and the
-// speculation outcome is counted; see dispatchRange.
-func (e *Engine) dispatchAll(g *sched.GrantSet, now int64, spec bool) (matched, hits, misses, repairs int) {
-	if e.pool.engaged() {
-		return e.pool.dispatch(g, now, spec)
-	}
-	return e.dispatchRange(g, 0, e.n, now, spec)
-}
-
-// dispatchRange pops and delivers the granted frames for outputs
-// [lo,hi). A valid grant set is a permutation, so distinct outputs touch
-// distinct inputs and pool workers can run disjoint output ranges
-// concurrently: each takes one input lock at a time and is the only
-// sender on its outputs' channels this slot.
-//
-// With spec false this is the inline dispatch: the failure legs are
+// dispatch pops and delivers the slot's granted frames, one input lock at
+// a time, and returns how many crossed. The three failure legs are
 // unreachable with a correct arbiter (fault masking removes the request
-// bits and the output mask guarantees channel room) but must not lose
-// accounting under a buggy one. With spec true the grants are one slot
-// old and the same legs become the speculation-validation path: a grant
-// whose link failed, whose VOQ was flushed, or whose channel filled
-// since the snapshot is a miss — dropped here, counted, and flagged in
-// e.spec.missed so the pipelined tick can repair the reported decision.
-// A missed grant's frames were never popped (head-requeue for the
-// channel-full leg), so the backlog survives for the next snapshot; a
-// miss with surviving backlog is additionally a repair.
-func (e *Engine) dispatchRange(g *sched.GrantSet, lo, hi int, now int64, spec bool) (matched, hits, misses, repairs int) {
-	for j := lo; j < hi; j++ {
+// bits, grants imply requests, and the output mask guarantees channel
+// room) but must not lose a frame or its accounting under a buggy one:
+// each counts a WastedGrant, and a frame that cannot cross stays queued.
+func (e *Engine) dispatch(g *sched.GrantSet, now int64) (matched int) {
+	for j := 0; j < e.n; j++ {
 		i := g.Src[j]
 		if i == matching.Unmatched {
 			continue
@@ -886,20 +762,9 @@ func (e *Engine) dispatchRange(g *sched.GrantSet, lo, hi int, now int64, spec bo
 		// on a drained VOQ or a full channel was still decided.
 		e.met.GrantsByRule[g.Rule[j]].Inc()
 		// A failed port must never receive a grant, even under a buggy
-		// arbiter; under speculation this leg fires whenever the link
-		// failed after the matching was computed.
+		// arbiter.
 		if e.dp.InputDown(i) || e.dp.OutputDown(j) {
 			e.met.WastedGrants.Inc()
-			if spec {
-				misses++
-				mu := &e.inMu[i]
-				mu.Lock()
-				if e.dp.HasBacklog(i, j) {
-					repairs++
-				}
-				mu.Unlock()
-				e.spec.missed[j] = true
-			}
 			continue
 		}
 		mu := &e.inMu[i]
@@ -907,23 +772,15 @@ func (e *Engine) dispatchRange(g *sched.GrantSet, lo, hi int, now int64, spec bo
 		f, ok := e.dp.Take(j)
 		mu.Unlock()
 		if !ok {
-			// Inline: cannot happen (grants imply requests and only the
-			// arbiter pops). Speculative: the VOQ was flushed since the
-			// snapshot (a stranded-frame sweep) — nothing left to repair.
+			// Cannot happen: grants imply requests and only the arbiter
+			// pops.
 			e.met.WastedGrants.Inc()
-			if spec {
-				misses++
-				e.spec.missed[j] = true
-			}
 			continue
 		}
 		f.Departed = now
 		select {
 		case e.outs[j] <- f:
 			matched++
-			if spec {
-				hits++
-			}
 			if f.Class >= 0 && e.classes != nil {
 				e.observeClassDelivery(f, now)
 			}
@@ -939,12 +796,7 @@ func (e *Engine) dispatchRange(g *sched.GrantSet, lo, hi int, now int64, spec bo
 			e.dp.Untake(j, f)
 			mu.Unlock()
 			e.met.WastedGrants.Inc()
-			if spec {
-				misses++
-				repairs++
-				e.spec.missed[j] = true
-			}
 		}
 	}
-	return matched, hits, misses, repairs
+	return matched
 }

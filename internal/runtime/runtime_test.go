@@ -2,10 +2,12 @@ package runtime_test
 
 import (
 	"errors"
+	goruntime "runtime"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/datapath"
 	rt "repro/internal/runtime"
 	"repro/internal/sched"
 	"repro/internal/sched/registry"
@@ -346,4 +348,47 @@ func TestLiveModeStartErrors(t *testing.T) {
 		t.Fatal("second Start did not error")
 	}
 	live.Close()
+}
+
+// TestLockstepEngineOwnsNoGoroutines: a lockstep engine runs entirely on
+// its caller — New, Admit, Tick and Close spawn nothing, on either
+// datapath, at a width (n = 256) where the slot loop sweeps multi-word
+// rows. Under -race it is also the wide default-config CICQ regression:
+// eight hot columns make every row's dispatch arbiter read and bump the
+// same column counters, which is only safe on one goroutine.
+func TestLockstepEngineOwnsNoGoroutines(t *testing.T) {
+	const n = 256
+	for _, dp := range datapath.Names() {
+		t.Run(dp, func(t *testing.T) {
+			base := goruntime.NumGoroutine()
+			// The cicq datapath arbitrates locally and ignores the scheduler.
+			e, err := rt.New(rt.Config{N: n, Datapath: dp, Scheduler: newScheduler(t, "lcf_central_rr", n)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			admitted, delivered := 0, 0
+			for slot := 0; slot < 50; slot++ {
+				for k := 0; k < 8; k++ {
+					i := (k*n/8 + slot) % n
+					if err := e.Admit(i, (i+slot)%8, uint64(slot), 0); err != nil {
+						t.Fatalf("slot %d: Admit(%d): %v", slot, i, err)
+					}
+					admitted++
+				}
+				e.Tick()
+				delivered += drainOutputs(e)
+			}
+			if got := goruntime.NumGoroutine(); got > base {
+				t.Errorf("%d goroutines after 50 Ticks, %d before New", got, base)
+			}
+			e.Close()
+			delivered += drainOutputs(e)
+			if got := goruntime.NumGoroutine(); got > base {
+				t.Errorf("%d goroutines after Close, %d before New", got, base)
+			}
+			if delivered != admitted {
+				t.Errorf("delivered %d of %d admitted frames", delivered, admitted)
+			}
+		})
+	}
 }

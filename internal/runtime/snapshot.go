@@ -40,13 +40,6 @@ type Snapshot struct {
 	FailedInputs  []int `json:"failed_inputs,omitempty"`
 	FailedOutputs []int `json:"failed_outputs,omitempty"`
 
-	// Speculation accounting (pipelined engines, Config.Pipeline);
-	// omitted on inline engines and on pipelined ones that have not yet
-	// mis-speculated (hits appear as soon as the pipeline dispatches).
-	SpecHits    int64 `json:"spec_hits,omitempty"`
-	SpecMisses  int64 `json:"spec_misses,omitempty"`
-	SpecRepairs int64 `json:"spec_repairs,omitempty"`
-
 	// GrantsByRule attributes cumulative grants to the LCF decision rule
 	// that produced them, keyed by sched.GrantRule.String(). Rules that
 	// never fired are omitted.
@@ -100,9 +93,6 @@ func (e *Engine) Snapshot() Snapshot {
 		FaultDropped:  m.DroppedFault.Value(),
 		Stranded:      m.Stranded.Value(),
 		Undrained:     m.Undrained.Value(),
-		SpecHits:      m.SpecHits.Value(),
-		SpecMisses:    m.SpecMisses.Value(),
-		SpecRepairs:   m.SpecRepairs.Value(),
 		VOQDepth:      m.VOQDepth.Snapshot(),
 		MatchSize:     m.MatchSize.Snapshot(),
 		SlotLatencyNs: m.SlotLatency.Snapshot(),

@@ -130,19 +130,6 @@ type Config struct {
 	// VOQ organization only.
 	PipelineDepth int
 
-	// SpecPipeline selects the speculative pipelined discipline the live
-	// engine implements as runtime.Config.Pipeline (DESIGN.md §13): each
-	// slot first applies the matching computed during the previous slot —
-	// validating every grant against the live VOQ backlog and link state,
-	// dropping (and counting) the ones speculation got wrong — then
-	// snapshots the queues and computes the matching the next slot will
-	// apply. Unlike PipelineDepth, which models a deeper in-flight window
-	// by pre-filtering requests, SpecPipeline reproduces the engine's
-	// dispatch-validate-then-snapshot state machine exactly; the lockstep
-	// pin tests compare the two slot for slot. VOQ organization only;
-	// incompatible with PipelineDepth and Speedup.
-	SpecPipeline bool
-
 	// Validate re-checks every schedule against the request matrix (the
 	// crossbar always enforces physical conflict-freedom; this adds the
 	// "grant implies request" check). Cheap; on by default in tests.
@@ -245,12 +232,6 @@ func (c *Config) Normalize() error {
 	if c.PipelineDepth > 1 && c.Speedup > 1 {
 		return fmt.Errorf("simswitch: pipeline depth and speedup cannot be combined")
 	}
-	if c.SpecPipeline && c.Mode != VOQ {
-		return fmt.Errorf("simswitch: speculative pipelining applies to the VOQ organization only")
-	}
-	if c.SpecPipeline && (c.PipelineDepth > 1 || c.Speedup > 1) {
-		return fmt.Errorf("simswitch: speculative pipelining cannot be combined with PipelineDepth or Speedup")
-	}
 	return nil
 }
 
@@ -267,15 +248,8 @@ type Result struct {
 	// observed during measurement.
 	MaxVOQLen int
 	// WastedGrants counts pipelined grants that found their VOQ already
-	// drained by an earlier stale grant (PipelineDepth > 1), or that
-	// failed speculation validation (SpecPipeline).
+	// drained by an earlier stale grant (PipelineDepth > 1).
 	WastedGrants int64
-	// Speculation accounting (SpecPipeline only), mirroring the live
-	// engine's counters: SpecHits validated and transferred, SpecMisses
-	// were dropped at the slot boundary, SpecRepairs are the misses whose
-	// backlog survives for the next snapshot. Every miss is also a
-	// WastedGrants increment.
-	SpecHits, SpecMisses, SpecRepairs int64
 	// DelayCI95 is the half-width of a batch-means 95% confidence
 	// interval for the mean queuing delay (Inf when the run completed
 	// fewer than two 2000-packet batches). Batch means, not the naive
@@ -320,12 +294,6 @@ type Sim struct {
 	pipeline []*matching.Match
 	stale    *matching.Match // scratch: the filtered stale match
 	inflight [][]int         // scratch: outstanding grants per (i,j)
-
-	// specPending is the SpecPipeline mode's one-slot window: the matching
-	// computed last slot, applied (after validation) at the top of this
-	// one. specHave is false only before the first schedule.
-	specPending *matching.Match
-	specHave    bool
 
 	now     packet.Slot
 	warmed  bool
@@ -382,9 +350,6 @@ func New(cfg Config) (*Sim, error) {
 		for i := 0; i < n; i++ {
 			s.obufs[i] = queue.NewFIFO(0)
 		}
-	}
-	if cfg.Mode == VOQ && cfg.SpecPipeline {
-		s.specPending = matching.NewMatch(n)
 	}
 	if cfg.Mode == VOQ && cfg.PipelineDepth > 1 {
 		s.inflight = make([][]int, n)
@@ -447,12 +412,6 @@ func (s *Sim) step() error {
 		s.cicqTransfer()
 	case OutputBuffered:
 	default:
-		if s.cfg.SpecPipeline {
-			if err := s.specScheduleAndTransfer(); err != nil {
-				return err
-			}
-			break
-		}
 		for pass := 0; pass < s.cfg.Speedup; pass++ {
 			if err := s.scheduleAndTransfer(); err != nil {
 				return err
@@ -638,79 +597,6 @@ func (s *Sim) scheduleAndTransfer() error {
 	if s.cfg.Trace != nil {
 		s.cfg.Trace(TraceEvent{
 			Slot: s.now, Requests: req, Match: applied, Moved: moved,
-			Departures: s.departed,
-		})
-	}
-	return nil
-}
-
-// specScheduleAndTransfer is one SpecPipeline slot: apply the matching
-// speculated during the previous slot — validating each grant against
-// the live queues and link state first — then snapshot and compute the
-// matching the next slot will apply. It is the offline twin of the live
-// engine's tickPipelined (runtime/pipeline.go): dispatch before
-// snapshot, so speculation adds one slot of decision latency and the
-// snapshot always sees the post-apply queues. The lockstep pin compares
-// the two applied-matching sequences one for one.
-func (s *Sim) specScheduleAndTransfer() error {
-	n := s.cfg.N
-
-	// 1. Validate and apply the pending matching. A grant goes stale when
-	// its link failed or its VOQ emptied since the snapshot behind it;
-	// stale grants are dropped (wasted), and the ones whose backlog
-	// survives are repairs — the next snapshot re-advertises them, so a
-	// mis-speculation costs a slot of service, never a packet.
-	s.stale.Reset()
-	if s.specHave {
-		for i := 0; i < n; i++ {
-			j := s.specPending.InToOut[i]
-			if j == matching.Unmatched {
-				continue
-			}
-			switch {
-			case s.core.InputDown(i) || s.core.OutputDown(j):
-				s.res.WastedGrants++
-				s.res.SpecMisses++
-				if s.core.HasBacklog(i, j) {
-					s.res.SpecRepairs++
-				}
-			case !s.core.HasBacklog(i, j):
-				s.res.WastedGrants++
-				s.res.SpecMisses++
-			default:
-				s.stale.Pair(i, j)
-				s.res.SpecHits++
-			}
-		}
-	}
-	moved, err := s.xbar.Transfer(s.stale, s.pop, s.depart)
-	if err != nil {
-		return err
-	}
-
-	// 2. Snapshot and schedule for the next slot.
-	requested := s.core.SnapshotAll()
-	computed := s.core.Schedule(s.cfg.Scheduler)
-	if s.cfg.Validate {
-		if err := s.core.Validate(); err != nil {
-			return fmt.Errorf("scheduler %s produced invalid schedule: %w", s.cfg.Scheduler.Name(), err)
-		}
-	}
-	// Same convention as the depth pipeline: the tracer records the fresh
-	// decision while the scheduler's Explain state still describes it.
-	if tr := s.cfg.Tracer; tr != nil && tr.Enabled() {
-		ex, _ := s.cfg.Scheduler.(sched.Explainer)
-		tr.Emit(int64(s.now), requested, computed, ex)
-	}
-	copy(s.specPending.InToOut, computed.InToOut)
-	copy(s.specPending.OutToIn, computed.OutToIn)
-	s.specHave = true
-
-	if s.cfg.Trace != nil {
-		// Match is the validated, applied matching; Requests is the
-		// post-apply snapshot feeding the next decision.
-		s.cfg.Trace(TraceEvent{
-			Slot: s.now, Requests: s.core.Requests(), Match: s.stale, Moved: moved,
 			Departures: s.departed,
 		})
 	}

@@ -73,16 +73,6 @@ type Datapath[T any] interface {
 	// per-slot mask suppressed, and how many the persistent fault state
 	// suppressed. A concurrent driver calls it under input i's lock.
 	SnapshotRow(i int) (requested, masked, faulted int)
-	// PipelineSafe reports whether Arbitrate is a pure function of the
-	// state SnapshotRow copied into the slot scratch — the property a
-	// pipelined driver needs to run Arbitrate concurrently with live
-	// admissions and validate the resulting grants one slot later
-	// (runtime.Config.Pipeline). The VOQ core qualifies: its snapshot is
-	// a copy and Schedule reads only that copy. CICQ does not — its
-	// SnapshotRow and Arbitrate move frames through the live crosspoint
-	// rings, so its decisions cannot be aged across a slot boundary.
-	// A driver must refuse to pipeline a datapath that returns false.
-	PipelineSafe() bool
 	// Arbitrate computes this slot's grants from the snapshotted state:
 	// the VOQ core runs s (the central matching) and bridges the result,
 	// CICQ runs its per-output pull arbiters and ignores s. The returned
@@ -117,12 +107,6 @@ func (c *Core[T]) Arbitrate(s sched.Scheduler) *sched.GrantSet {
 	c.grants.FromMatch(m, c.lastEx)
 	return c.grants
 }
-
-// PipelineSafe reports true: the core's snapshot is a copy of the
-// occupancy matrix and queue lengths, and Schedule reads only that copy,
-// so Arbitrate may run concurrently with admissions and its grants stay
-// meaningful (validated against the live queues) one slot later.
-func (c *Core[T]) PipelineSafe() bool { return true }
 
 // Take dequeues the frame granted to output j by the last Arbitrate.
 func (c *Core[T]) Take(j int) (v T, ok bool) {

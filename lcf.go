@@ -296,7 +296,7 @@ type (
 	RuntimeSlotEvent = switchruntime.SlotEvent
 )
 
-// Live-engine admission and construction errors.
+// Live-engine admission errors.
 var (
 	// ErrBackpressure reports a full VOQ: the frame was refused, the
 	// caller should slow down (the paper's finite-buffer model surfaced
@@ -304,10 +304,6 @@ var (
 	ErrBackpressure = switchruntime.ErrBackpressure
 	// ErrRuntimeClosed reports admission after Close.
 	ErrRuntimeClosed = switchruntime.ErrClosed
-	// ErrUnsupported is wrapped by NewRuntime's refusal of a tier
-	// combination the engine does not offer (pipelining or sharding the
-	// CICQ datapath; DESIGN.md §16) — match it with errors.Is.
-	ErrUnsupported = switchruntime.ErrUnsupported
 )
 
 // NewRuntime builds a live switch engine around any Scheduler.

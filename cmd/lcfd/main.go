@@ -58,6 +58,7 @@
 package main
 
 import (
+	"bufio"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -314,16 +315,37 @@ func fatalUsage(format string, args ...any) {
 	os.Exit(2)
 }
 
-// client is one connected host: a port, an outbox serialized by a writer
-// goroutine, and a gone signal that unblocks anyone queuing toward it.
-// The outbox is never closed — senders race with disconnection, and a
-// send on a closed channel would panic the daemon. Instead close(gone)
-// retires the writer; buffered leftovers go to the GC with the client.
+// client is one connected host. Its connection has one reader — the
+// goroutine serveConn runs on, which is the only goroutine a connection
+// owns — and two writers: the output pump of its port (data frames) and
+// that reader (nacks). wmu serializes them, so a frame is never split by
+// another, and guards the encode buffer, which is reused for every write
+// the connection ever sees.
 type client struct {
-	conn   net.Conn
-	port   int
-	outbox chan []byte
-	gone   chan struct{}
+	conn net.Conn
+	port int
+
+	wmu  sync.Mutex
+	wbuf [maxWriteBatch * clint.DataLen]byte
+}
+
+func newClient(conn net.Conn) *client { return &client{conn: conn} }
+
+// writeBatch encodes frames into c's buffer and puts them on the wire in
+// one write. A failed write closes the connection, which retires its read
+// loop; the caller accounts the batch.
+func (c *client) writeBatch(frames []rt.Frame) error {
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	buf := c.wbuf[:len(frames)*clint.DataLen]
+	for k, f := range frames {
+		clint.Data{Src: uint8(f.Src), Dst: uint8(f.Dst), Seq: f.Seq, Stamp: f.Stamp}.EncodeTo(buf[k*clint.DataLen:])
+	}
+	_, err := c.conn.Write(buf)
+	if err != nil {
+		c.conn.Close()
+	}
+	return err
 }
 
 type server struct {
@@ -340,7 +362,8 @@ type server struct {
 	accepted        metrics.Counter // connections granted a port
 	rejected        metrics.Counter // connections refused (no free port)
 	nacksSent       metrics.Counter
-	droppedNoClient metrics.Counter // deliveries with no connection on the output
+	framesWritten   metrics.Counter // deliveries a connection's Write accepted
+	droppedNoClient metrics.Counter // deliveries with no connection on the output, or whose Write failed
 	protocolErrors  metrics.Counter
 
 	started time.Time
@@ -403,30 +426,48 @@ func (s *server) closeConns() {
 	}
 }
 
-// outputPump forwards output port j's deliveries to whichever connection
-// owns port j at dequeue time. It exits when the engine closes its
-// outputs. A slow client fills its outbox; the pump then blocks, the
-// output channel fills, and the arbiter masks the column — backpressure
-// propagates all the way to the senders' VOQs instead of buffering
-// without bound. A frame whose owner vanished mid-queue is dropped and
-// counted, never forwarded to the port's next owner: a fresh connection
-// must not receive a previous session's Seq/Stamp values.
+// maxWriteBatch bounds one write. 64 frames is ~1.3 KB of data frames — far
+// below any socket buffer, so a write never splits a frame across kernel
+// writes in practice, and it is the size of a client's encode buffer.
+const maxWriteBatch = 64
+
+// outputPump is output port j's writer: it takes one delivery from the
+// engine, drains whatever else is already there without blocking (the
+// engine dispatches a whole matching per slot, and a busy port has many
+// slots' worth waiting), and hands the batch to whichever connection owns
+// port j at that moment as one write. It exits when the engine closes its
+// outputs. A slow client blocks the write; the pump then stops taking
+// deliveries, the output channel fills, and the arbiter masks the column —
+// backpressure propagates all the way to the senders' VOQs (and from
+// there as nacks) instead of buffering without bound. Every frame taken is
+// either inside a Write that returned nil (framesWritten) or counted in
+// droppedNoClient — its owner gone, or its write failed — so the
+// engine's delivered count always balances against the two. The owner is
+// looked up once per batch; if it goes mid-write the batch is dropped, not
+// re-sent to the port's next owner: a fresh connection must not receive a
+// previous session's Seq/Stamp values.
 func (s *server) outputPump(j int) {
 	defer s.wg.Done()
-	for f := range s.engine.Output(j) {
-		c := s.lookup(j)
-		if c == nil {
-			s.droppedNoClient.Inc()
-			continue
+	out := s.engine.Output(j)
+	batch := make([]rt.Frame, 0, maxWriteBatch)
+	for f := range out {
+		batch = append(batch[:0], f)
+	fill:
+		for len(batch) < maxWriteBatch {
+			select {
+			case f, ok := <-out:
+				if !ok {
+					break fill // closed: the range ends after this batch
+				}
+				batch = append(batch, f)
+			default:
+				break fill
+			}
 		}
-		buf := make([]byte, clint.DataLen)
-		clint.Data{Src: uint8(f.Src), Dst: uint8(f.Dst), Seq: f.Seq, Stamp: f.Stamp}.EncodeTo(buf)
-		select {
-		case c.outbox <- buf:
-			// A frame buffered just as the client dies is dropped with the
-			// outbox (the writer exits via gone and the channel is GC'd).
-		case <-c.gone:
-			s.droppedNoClient.Inc()
+		if c := s.lookup(j); c != nil && c.writeBatch(batch) == nil {
+			s.framesWritten.Add(int64(len(batch)))
+		} else {
+			s.droppedNoClient.Add(int64(len(batch)))
 		}
 	}
 }
@@ -435,9 +476,13 @@ func (s *server) serveConn(conn net.Conn) {
 	if tc, ok := conn.(*net.TCPConn); ok {
 		tc.SetNoDelay(true)
 	}
-	c := &client{conn: conn, outbox: make(chan []byte, 256), gone: make(chan struct{})}
+	c := newClient(conn)
+	// From assign on, port's pump may write to c; holding the write lock
+	// until the hello is out keeps it the first thing on the wire.
+	c.wmu.Lock()
 	port := s.assign(c)
 	if port < 0 {
+		c.wmu.Unlock()
 		s.rejected.Inc()
 		conn.Write(clint.Grant{GntVal: false}.Encode())
 		conn.Close()
@@ -446,86 +491,38 @@ func (s *server) serveConn(conn net.Conn) {
 	s.accepted.Inc()
 
 	// Hello: the Clint initialization grant carrying the port id.
-	if _, err := conn.Write(clint.Grant{NodeID: uint8(port), Gnt: uint8(port), GntVal: true}.Encode()); err != nil {
-		s.release(c)
-		close(c.gone)
-		conn.Close()
-		return
+	_, err := conn.Write(clint.Grant{NodeID: uint8(port), Gnt: uint8(port), GntVal: true}.Encode())
+	c.wmu.Unlock()
+	if err == nil {
+		s.readLoop(c)
 	}
-
-	var writerWG sync.WaitGroup
-	writerWG.Add(1)
-	go func() {
-		defer writerWG.Done()
-		writeLoop(c)
-	}()
-
-	s.readLoop(c)
-
 	s.release(c)
-	close(c.gone)
 	conn.Close()
-	writerWG.Wait()
 }
 
-// maxWriteBatch bounds one flush. 64 frames is ~4 KB of data frames —
-// far below any socket buffer, so a flush never splits a frame across
-// kernel writes in practice, and a pathological outbox cannot pin the
-// writer in a single writev forever.
-const maxWriteBatch = 64
-
-// writeLoop serializes c's outbox onto the connection. Frames that
-// accumulated while the previous flush was on the wire go out together
-// as one writev-style net.Buffers write — under bursty delivery (the
-// engine dispatches a whole matching per slot) this collapses
-// up to maxWriteBatch syscalls into one, instead of paying a write per
-// frame. The loop exits when the client is gone; buffered leftovers are
-// dropped with the outbox.
-func writeLoop(c *client) {
-	scratch := make(net.Buffers, 0, maxWriteBatch)
-	for {
-		select {
-		case b := <-c.outbox:
-			bufs := append(scratch[:0], b)
-		fill:
-			for len(bufs) < maxWriteBatch {
-				select {
-				case nb := <-c.outbox:
-					bufs = append(bufs, nb)
-				default:
-					break fill
-				}
-			}
-			if _, err := bufs.WriteTo(c.conn); err != nil {
-				// Close the conn so the read loop errors out promptly (it
-				// then closes c.gone); keep draining the outbox in the
-				// meantime so pumps never block on a corpse.
-				c.conn.Close()
-			}
-		case <-c.gone:
-			return
-		}
-	}
-}
-
+// readLoop admits c's frames until the connection ends or breaks
+// protocol. It reads through a buffer the size of a few windows, so a
+// client that writes a window in one go costs one read(2), not two per
+// frame.
 func (s *server) readLoop(c *client) {
-	var hdr [1]byte
+	br := bufio.NewReaderSize(c.conn, 4096)
 	buf := make([]byte, 64)
 	for {
-		if _, err := io.ReadFull(c.conn, hdr[:]); err != nil {
+		typ, err := br.ReadByte()
+		if err != nil {
 			return
 		}
-		flen := clint.FrameLen(hdr[0])
+		flen := clint.FrameLen(typ)
 		if flen == 0 {
 			s.protocolErrors.Inc()
 			return
 		}
 		frame := buf[:flen]
-		frame[0] = hdr[0]
-		if _, err := io.ReadFull(c.conn, frame[1:]); err != nil {
+		frame[0] = typ
+		if _, err := io.ReadFull(br, frame[1:]); err != nil {
 			return
 		}
-		switch hdr[0] {
+		switch typ {
 		case clint.TypeData:
 			d, err := clint.DecodeData(frame)
 			if err != nil {
@@ -618,13 +615,16 @@ func (s *server) readLoop(c *client) {
 	}
 }
 
+// nack tells c that frame seq was refused. It runs on c's read loop, so a
+// client that does not read its nacks stops being read from.
 func (s *server) nack(c *client, seq uint64) {
-	b := make([]byte, clint.NackLen)
-	clint.Nack{Seq: seq}.EncodeTo(b)
-	select {
-	case c.outbox <- b:
+	c.wmu.Lock()
+	buf := c.wbuf[:clint.NackLen]
+	clint.Nack{Seq: seq}.EncodeTo(buf)
+	_, err := c.conn.Write(buf)
+	c.wmu.Unlock()
+	if err == nil {
 		s.nacksSent.Inc()
-	case <-c.gone:
 	}
 }
 
@@ -639,6 +639,7 @@ type metricsPayload struct {
 		Accepted        int64 `json:"accepted"`
 		Rejected        int64 `json:"rejected"`
 		NacksSent       int64 `json:"nacks_sent"`
+		FramesWritten   int64 `json:"frames_written"`
 		DroppedNoClient int64 `json:"dropped_no_client"`
 		ProtocolErrors  int64 `json:"protocol_errors"`
 	} `json:"server"`
@@ -660,6 +661,7 @@ func (s *server) payload() metricsPayload {
 	p.Server.Accepted = s.accepted.Value()
 	p.Server.Rejected = s.rejected.Value()
 	p.Server.NacksSent = s.nacksSent.Value()
+	p.Server.FramesWritten = s.framesWritten.Value()
 	p.Server.DroppedNoClient = s.droppedNoClient.Value()
 	p.Server.ProtocolErrors = s.protocolErrors.Value()
 	return p

@@ -70,44 +70,45 @@ func newTestServerDP(t *testing.T, ringCap int, dpName string) *server {
 	return srv
 }
 
-// newTestServerFlows is newTestServer with the flow front tier enabled,
-// mirroring -flows/-flow-policy.
-func newTestServerFlows(t *testing.T, flows int, policy string) *server {
+// idlePorts is the width of every newIdleServer.
+const idlePorts = 4
+
+// newIdleServer builds a lockstep daemon front-end (no ticker, no
+// listener) on an idlePorts-wide engine that nothing has touched yet; cfg
+// carries what differs from the defaults — a tier, a capacity, or a
+// SlotPeriod, which makes the engine a live one for the caller to Start.
+func newIdleServer(t testing.TB, cfg rt.Config) *server {
 	t.Helper()
-	const n = 4
-	s, err := registry.New("lcf_central_rr", n, sched.Options{Iterations: 4, Seed: 1})
+	s, err := registry.New("lcf_central_rr", idlePorts, sched.Options{Iterations: 4, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	engine, err := rt.New(rt.Config{N: n, Scheduler: s, Flows: flows, FlowPolicy: policy})
+	cfg.N, cfg.Scheduler = idlePorts, s
+	engine, err := rt.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := newServer(engine, n)
+	srv := newServer(engine, idlePorts)
 	srv.registry = srv.buildRegistry()
 	return srv
 }
 
-// newTestServerClasses is newTestServer with the PIFO class tier
+// newTestServerFlows is an idle server with the flow front tier enabled,
+// mirroring -flows/-flow-policy.
+func newTestServerFlows(t *testing.T, flows int, policy string) *server {
+	t.Helper()
+	return newIdleServer(t, rt.Config{Flows: flows, FlowPolicy: policy})
+}
+
+// newTestServerClasses is an idle server with the PIFO class tier
 // enabled, mirroring -classes/-rank.
 func newTestServerClasses(t *testing.T, rank string) *server {
 	t.Helper()
-	const n = 4
-	s, err := registry.New("lcf_central_rr", n, sched.Options{Iterations: 4, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
 	classes, err := pifo.ParseClasses("rt:0:4:16,bulk:2:1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	engine, err := rt.New(rt.Config{N: n, Scheduler: s, Classes: classes, Rank: rank})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := newServer(engine, n)
-	srv.registry = srv.buildRegistry()
-	return srv
+	return newIdleServer(t, rt.Config{Classes: classes, Rank: rank})
 }
 
 func TestMetricsContentNegotiation(t *testing.T) {
@@ -370,7 +371,7 @@ func TestReadLoopFlowFrames(t *testing.T) {
 	srv := newTestServerFlows(t, 1024, "hash")
 	host, sw := net.Pipe()
 	defer host.Close()
-	c := &client{conn: sw, outbox: make(chan []byte, 16), gone: make(chan struct{})}
+	c := newClient(sw)
 	if p := srv.assign(c); p != 0 {
 		t.Fatalf("assign = %d", p)
 	}
@@ -402,7 +403,7 @@ func TestReadLoopFlowFrames(t *testing.T) {
 	plain := newTestServer(t, 0)
 	host2, sw2 := net.Pipe()
 	defer host2.Close()
-	c2 := &client{conn: sw2, outbox: make(chan []byte, 16), gone: make(chan struct{})}
+	c2 := newClient(sw2)
 	plain.assign(c2)
 	done2 := make(chan struct{})
 	go func() {
@@ -427,7 +428,7 @@ func TestReadLoopClassFrames(t *testing.T) {
 	srv := newTestServerClasses(t, "strict")
 	host, sw := net.Pipe()
 	defer host.Close()
-	c := &client{conn: sw, outbox: make(chan []byte, 16), gone: make(chan struct{})}
+	c := newClient(sw)
 	if p := srv.assign(c); p != 0 {
 		t.Fatalf("assign = %d", p)
 	}
@@ -465,7 +466,7 @@ func TestReadLoopClassFrames(t *testing.T) {
 	// An out-of-range class index on a class-enabled daemon: protocol error.
 	host2, sw2 := net.Pipe()
 	defer host2.Close()
-	c2 := &client{conn: sw2, outbox: make(chan []byte, 16), gone: make(chan struct{})}
+	c2 := newClient(sw2)
 	srv.release(c)
 	if p := srv.assign(c2); p != 0 {
 		t.Fatalf("reassign = %d", p)
@@ -487,7 +488,7 @@ func TestReadLoopClassFrames(t *testing.T) {
 	plain := newTestServer(t, 0)
 	host3, sw3 := net.Pipe()
 	defer host3.Close()
-	c3 := &client{conn: sw3, outbox: make(chan []byte, 16), gone: make(chan struct{})}
+	c3 := newClient(sw3)
 	plain.assign(c3)
 	done3 := make(chan struct{})
 	go func() {
@@ -541,56 +542,51 @@ func TestPortReclaim(t *testing.T) {
 	}
 }
 
-// TestWriteLoopBatches pins the batched writer's contract: frames
-// queued in a burst all reach the peer, intact and in order, through
-// coalesced net.Buffers flushes, and the loop retires promptly when the
-// client is gone even with frames still buffered.
+// TestWriteLoopBatches pins the batched writer's contract, which the
+// output pump now keeps: a burst larger than one batch, waiting on an
+// engine output before the pump starts, reaches the peer intact, in order
+// and decodable through coalesced writes; once the client is gone the pump
+// drops and counts what the engine still delivers instead of blocking on
+// it, and retires when the engine closes.
 func TestWriteLoopBatches(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
+	srv := newTestServer(t, 0)
+	for j := 0; j < srv.n; j++ {
+		for len(srv.engine.Output(j)) > 0 { // newTestServer's own traffic
+			<-srv.engine.Output(j)
+		}
 	}
-	defer ln.Close()
-	type accepted struct {
-		conn net.Conn
-		err  error
-	}
-	acceptc := make(chan accepted, 1)
-	go func() {
-		conn, err := ln.Accept()
-		acceptc <- accepted{conn, err}
-	}()
-	conn, err := net.Dial("tcp", ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	acc := <-acceptc
-	if acc.err != nil {
-		t.Fatal(acc.err)
-	}
-	defer acc.conn.Close()
+	delivered := srv.engine.Snapshot().Delivered
 
-	// Preload a burst larger than one batch before the writer starts, so
-	// the first flush coalesces maxWriteBatch frames and the remainder
-	// rides the next one.
+	// Preload a burst larger than one batch on output 0, so the first
+	// write coalesces maxWriteBatch frames and the remainder rides the
+	// next one.
 	const frames = maxWriteBatch + 17
-	c := &client{conn: acc.conn, outbox: make(chan []byte, frames), gone: make(chan struct{})}
-	var want []byte
-	for k := 0; k < frames; k++ {
-		buf := make([]byte, clint.DataLen)
-		clint.Data{Src: uint8(k % 16), Dst: uint8((k + 1) % 16), Seq: uint64(k), Stamp: uint64(k)}.EncodeTo(buf)
-		want = append(want, buf...)
-		c.outbox <- buf
+	preload := func(count int, seq0 uint64) (want []byte) {
+		for k := 0; k < count; k++ {
+			seq := seq0 + uint64(k)
+			if err := srv.engine.Admit(1, 0, seq, seq); err != nil {
+				t.Fatal(err)
+			}
+			srv.engine.Tick()
+			want = append(want, clint.Data{Src: 1, Dst: 0, Seq: seq, Stamp: seq}.Encode()...)
+		}
+		return want
 	}
-	done := make(chan struct{})
-	go func() {
-		writeLoop(c)
-		close(done)
-	}()
+	want := preload(frames, 0)
+	if got := len(srv.engine.Output(0)); got != frames {
+		t.Fatalf("%d frames waiting on output 0, want %d", got, frames)
+	}
+
+	host, sw := tcpPair(t)
+	c := newClient(sw)
+	if p := srv.assign(c); p != 0 {
+		t.Fatalf("assign = %d", p)
+	}
+	srv.wg.Add(1)
+	go srv.outputPump(0)
 
 	got := make([]byte, len(want))
-	if _, err := io.ReadFull(conn, got); err != nil {
+	if _, err := io.ReadFull(host, got); err != nil {
 		t.Fatalf("reading the burst back: %v", err)
 	}
 	if !bytes.Equal(got, want) {
@@ -602,11 +598,28 @@ func TestWriteLoopBatches(t *testing.T) {
 		}
 	}
 
-	close(c.gone)
+	// The client goes. Hold fault policy (rt.Config's default) keeps the
+	// port's queued frames, so detach it by hand and feed the pump more.
+	srv.release(c)
+	sw.Close()
+	srv.engine.Recover(0)
+	preload(5, frames)
+	retired := make(chan struct{})
+	go func() {
+		srv.engine.Close()
+		srv.wg.Wait()
+		close(retired)
+	}()
 	select {
-	case <-done:
+	case <-retired:
 	case <-time.After(5 * time.Second):
-		t.Fatal("writeLoop did not exit after gone")
+		t.Fatal("output pump did not retire after its client went and the engine closed")
+	}
+	if w, d := srv.framesWritten.Value(), srv.droppedNoClient.Value(); w != frames || d != 5 {
+		t.Fatalf("written %d dropped %d, want %d and 5", w, d, frames)
+	}
+	if got := srv.engine.Snapshot().Delivered - delivered; got != frames+5 {
+		t.Fatalf("engine delivered %d, want %d", got, frames+5)
 	}
 }
 

@@ -29,7 +29,8 @@ func (s *server) buildRegistry() *obs.Registry {
 	r.Counter("lcf_server_accepted_total", "Connections granted a port.", s.accepted.Value)
 	r.Counter("lcf_server_rejected_total", "Connections refused because every port was taken.", s.rejected.Value)
 	r.Counter("lcf_server_nacks_total", "Nack frames sent for backpressured admissions.", s.nacksSent.Value)
-	r.Counter("lcf_server_dropped_no_client_total", "Delivered frames dropped because no connection owned the output port.", s.droppedNoClient.Value)
+	r.Counter("lcf_server_frames_written_total", "Delivered frames a connection's socket write accepted.", s.framesWritten.Value)
+	r.Counter("lcf_server_dropped_no_client_total", "Delivered frames dropped because no connection owned the output port or its socket write failed.", s.droppedNoClient.Value)
 	r.Counter("lcf_server_protocol_errors_total", "Connections dropped for malformed or unexpected frames.", s.protocolErrors.Value)
 	r.Gauge("lcf_server_active_connections", "Connections currently holding a port.", func() float64 {
 		s.mu.Lock()

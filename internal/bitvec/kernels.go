@@ -141,11 +141,29 @@ func (v *Vector) NthSet(k int) int {
 	return -1
 }
 
+// transposeScatterMax is the block population at or below which
+// TransposeInto moves a 64×64 block bit by bit instead of through the
+// butterfly. BenchmarkTransposeN64 is the table it is read off
+// (results/bench_pr20.json, parent beside change): the butterfly costs
+// ~570 ns whatever the block holds; loading, clearing the destination
+// and scattering costs 130 ns at 2 bits, 300 at 96 and 390 at 192 —
+// about 1.4 ns a bit, which would draw level with the butterfly
+// somewhere past 300 bits. The constant sits well short of that, at
+// three bits per row: a block this sparse is scattered in at most 0.7 of
+// the butterfly's time on a host whose timings wander by 20 %, and a
+// 64-port request matrix under load (≈ 350 bits at load 0.9) stays on
+// the path it has always taken.
+const transposeScatterMax = 192
+
 // TransposeInto writes mᵀ into dst: dst bit (j,i) = m bit (i,j). Both
 // matrices must have the same dimension and must not alias. The
 // transpose runs 64×64 blocks through a word-parallel butterfly network
 // (6·64 word swaps per block) instead of n² bit probes — it is how the
-// grant phases obtain the per-resource requester columns.
+// grant phases obtain the per-resource requester columns. A block
+// holding at most transposeScatterMax bits, counted while it is loaded,
+// skips the network: its destination words are cleared and each set bit
+// is written where it belongs, so a nearly empty request matrix costs
+// what it holds.
 func (m *Matrix) TransposeInto(dst *Matrix) {
 	if m.n != dst.n {
 		panic("bitvec: transpose dimension mismatch")
@@ -163,15 +181,34 @@ func (m *Matrix) TransposeInto(dst *Matrix) {
 				clim = wordBits
 			}
 			idx := bi<<6*m.w + bj
+			pop := 0
 			for k := 0; k < rlim; k++ {
 				blk[k] = m.flat[idx]
+				pop += bits.OnesCount64(blk[k])
 				idx += m.w
+			}
+			out := bj<<6*dst.w + bi // dst word of the block's column 0
+			if pop <= transposeScatterMax {
+				idx = out
+				for k := 0; k < clim; k++ {
+					dst.flat[idx] = 0
+					idx += dst.w
+				}
+				// Source rows are trimmed, so every set bit's column is < clim.
+				// Stopping at the last set bit is a third of the cost at 2 bits.
+				for k := 0; pop > 0; k++ {
+					for w := blk[k]; w != 0; w &= w - 1 {
+						dst.flat[out+bits.TrailingZeros64(w)*dst.w] |= 1 << uint(k)
+						pop--
+					}
+				}
+				continue
 			}
 			for k := rlim; k < wordBits; k++ {
 				blk[k] = 0
 			}
 			transpose64(&blk)
-			idx = bj<<6*dst.w + bi
+			idx = out
 			for k := 0; k < clim; k++ {
 				dst.flat[idx] = blk[k]
 				idx += dst.w

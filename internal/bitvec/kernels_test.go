@@ -1,6 +1,7 @@
 package bitvec
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -158,6 +159,67 @@ func TestTransposeInto(t *testing.T) {
 	}
 }
 
+// fillBlocks sets, in every 64×64 block of m, the number of bits pops
+// says for that block (capped at what the block can hold — edge blocks of
+// a width that is not a multiple of 64 are smaller), at positions drawn
+// from r.
+func fillBlocks(m *Matrix, r *rand.Rand, pops func(bi, bj int) int) {
+	n := m.N()
+	nb := (n + wordBits - 1) / wordBits
+	for bi := 0; bi < nb; bi++ {
+		rows := min(wordBits, n-bi*wordBits)
+		for bj := 0; bj < nb; bj++ {
+			cols := min(wordBits, n-bj*wordBits)
+			k := min(pops(bi, bj), rows*cols)
+			for _, pos := range r.Perm(rows * cols)[:k] {
+				m.Set(bi*wordBits+pos/cols, bj*wordBits+pos%cols)
+			}
+		}
+	}
+}
+
+// TestTransposeIntoBlockPopulations pins both block paths of TransposeInto
+// and the seam between them against a bit-probe transpose: every block
+// empty, holding one bit, one bit either side of the scatter crossover and
+// exactly at it, and full — and a mix, so a scattered block sits beside a
+// butterflied one — at widths on both sides of every word boundary, into
+// a destination that starts with every bit set (the scatter path has to
+// clear what it does not write).
+func TestTransposeIntoBlockPopulations(t *testing.T) {
+	pops := []int{0, 1, transposeScatterMax - 1, transposeScatterMax, transposeScatterMax + 1, wordBits * wordBits}
+	r := rand.New(rand.NewSource(20))
+	for _, n := range []int{1, 15, 16, 17, 63, 64, 65, 129, 256} {
+		for c := 0; c <= len(pops); c++ {
+			name := "mixed"
+			pick := func(bi, bj int) int { return pops[(bi*3+bj+1)%len(pops)] }
+			if c < len(pops) {
+				pop := pops[c]
+				name = fmt.Sprint(pop)
+				pick = func(int, int) int { return pop }
+			}
+			m := NewMatrix(n)
+			fillBlocks(m, r, pick)
+			want := NewMatrix(n)
+			for i := 0; i < n; i++ {
+				for j := 0; j < n; j++ {
+					if m.Get(i, j) {
+						want.Set(j, i)
+					}
+				}
+			}
+			got := NewMatrix(n)
+			for i := 0; i < n; i++ {
+				got.Row(i).SetAll()
+			}
+			m.TransposeInto(got)
+			if !got.Equal(want) { // word equality: stray bits past the width fail too
+				t.Fatalf("n=%d blocks=%s (%d bits): transpose differs from the bit probe\ngot:\n%v\nwant:\n%v",
+					n, name, m.PopCount(), got, want)
+			}
+		}
+	}
+}
+
 func TestCounts(t *testing.T) {
 	r := rand.New(rand.NewSource(6))
 	for _, n := range kernelWidths {
@@ -292,3 +354,61 @@ func TestCountsSetRejectsOutOfRange(t *testing.T) {
 	}()
 	c.Set(0, 16)
 }
+
+// load09Density is the share of request-matrix bits set in a lockstep
+// runtime.Engine under uniform Bernoulli load 0.9 with lcf_central_rr —
+// mean occupied VOQs 71 of 256, 348 of 4 096 and 1 550 of 65 536 over
+// 15 000 slots — which is the matrix the engine workloads hand
+// TransposeInto every slot.
+var load09Density = map[int]float64{16: 0.276, 64: 0.085, 256: 0.024}
+
+// benchmarkTranspose times TransposeInto at width n over the fills a
+// switch produces — the two bits of an almost idle one, the occupancy of
+// one under load, a full matrix — and, where a block is a whole matrix
+// (n = 64), over exact populations around transposeScatterMax, which is
+// the table the constant is read off: beside the parent's butterfly-only
+// numbers for the same rows, scattering must still be ahead at the
+// constant and the row where it stops being ahead must lie well above it.
+func benchmarkTranspose(b *testing.B, n int) {
+	type fill struct {
+		name string
+		set  func(m *Matrix, r *rand.Rand)
+	}
+	exactly := func(bits int) fill {
+		return fill{fmt.Sprintf("bits=%d", bits), func(m *Matrix, r *rand.Rand) {
+			fillBlocks(m, r, func(int, int) int { return bits })
+		}}
+	}
+	fills := []fill{
+		{"bits=2", func(m *Matrix, _ *rand.Rand) { m.Set(0, 0); m.Set(1, 1) }},
+		{"load0.9", func(m *Matrix, r *rand.Rand) {
+			for i := 0; i < n; i++ {
+				m.Row(i).Copy(randVec(r, n, load09Density[n]))
+			}
+		}},
+		{"full", func(m *Matrix, _ *rand.Rand) {
+			for i := 0; i < n; i++ {
+				m.Row(i).SetAll()
+			}
+		}},
+	}
+	if n == wordBits {
+		for _, bits := range []int{transposeScatterMax / 2, transposeScatterMax, transposeScatterMax + 1, 2 * transposeScatterMax, 3 * transposeScatterMax} {
+			fills = append(fills, exactly(bits))
+		}
+	}
+	for _, f := range fills {
+		b.Run(f.name, func(b *testing.B) {
+			m, dst := NewMatrix(n), NewMatrix(n)
+			f.set(m, rand.New(rand.NewSource(9)))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				m.TransposeInto(dst)
+			}
+		})
+	}
+}
+
+func BenchmarkTransposeN16(b *testing.B)  { benchmarkTranspose(b, 16) }
+func BenchmarkTransposeN64(b *testing.B)  { benchmarkTranspose(b, 64) }
+func BenchmarkTransposeN256(b *testing.B) { benchmarkTranspose(b, 256) }

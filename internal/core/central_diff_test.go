@@ -9,12 +9,26 @@ import (
 	"repro/internal/sched"
 )
 
+// fillRandom draws a fresh density per slot and sets each bit with it.
+func fillRandom(r *rand.Rand, req *bitvec.Matrix) {
+	n := req.N()
+	density := r.Float64()
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			if r.Float64() < density {
+				req.Set(i, j)
+			}
+		}
+	}
+}
+
 // diffCentral drives a word-parallel Central and a reference Central in
-// lockstep over `slots` random request matrices and fails on the first
-// divergence in matching, Explain attribution, or internal offsets. Both
-// schedulers are stateful (the rotating diagonal advances every slot), so
-// multi-slot agreement pins the offset evolution too.
-func diffCentral(t *testing.T, n int, mode RRMode, seed int64, slots int) {
+// lockstep over `slots` request matrices drawn by fill (into a cleared
+// matrix) and fails on the first divergence in matching, Explain
+// attribution, or internal offsets. Both schedulers are stateful (the
+// rotating diagonal advances every slot), so multi-slot agreement pins
+// the offset evolution too.
+func diffCentral(t *testing.T, n int, mode RRMode, seed int64, slots int, fill func(*rand.Rand, *bitvec.Matrix)) {
 	t.Helper()
 	fast := NewCentralRR(n, mode)
 	ref := NewCentralRR(n, mode)
@@ -25,14 +39,7 @@ func diffCentral(t *testing.T, n int, mode RRMode, seed int64, slots int) {
 	mRef := matching.NewMatch(n)
 	for slot := 0; slot < slots; slot++ {
 		req.Reset()
-		density := r.Float64()
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				if r.Float64() < density {
-					req.Set(i, j)
-				}
-			}
-		}
+		fill(r, req)
 		fast.Schedule(ctx, mFast)
 		ref.scheduleRef(ctx, mRef)
 		for i := 0; i < n; i++ {
@@ -66,7 +73,7 @@ func TestCentralMatchesReference(t *testing.T) {
 			slots = 40
 		}
 		for _, mode := range []RRMode{RRNone, RRInterleaved, RRPrescheduled} {
-			diffCentral(t, n, mode, int64(n)*3+int64(mode), slots)
+			diffCentral(t, n, mode, int64(n)*3+int64(mode), slots, fillRandom)
 		}
 	}
 }
@@ -76,7 +83,52 @@ func TestCentralMatchesReference(t *testing.T) {
 func TestCentralMatchesReferenceWide(t *testing.T) {
 	for _, n := range []int{127, 128, 129, 256} {
 		for _, mode := range []RRMode{RRNone, RRInterleaved, RRPrescheduled} {
-			diffCentral(t, n, mode, int64(n), 4)
+			diffCentral(t, n, mode, int64(n), 4, fillRandom)
+		}
+	}
+}
+
+// TestCentralMatchesReferenceSparse aims the same differential at the
+// matrices the kernel's sparse shortcuts exist for — Schedule skipping a
+// resource nobody can be granted, TransposeInto scattering a nearly empty
+// block — which a random density almost never draws: no request at all,
+// one, two, one full column with the rest empty (one resource, every
+// requester), and one full row (one requester, every resource). Positions
+// are redrawn every slot, and up to n = 65 the run is long enough for the
+// rotating diagonal to cross them from every side.
+func TestCentralMatchesReferenceSparse(t *testing.T) {
+	requests := func(k int) func(*rand.Rand, *bitvec.Matrix) {
+		return func(r *rand.Rand, req *bitvec.Matrix) {
+			for c := 0; c < k; c++ {
+				req.Set(r.Intn(req.N()), r.Intn(req.N()))
+			}
+		}
+	}
+	fills := []func(*rand.Rand, *bitvec.Matrix){
+		requests(0), requests(1), requests(2),
+		func(r *rand.Rand, req *bitvec.Matrix) { // full column
+			j := r.Intn(req.N())
+			for i := 0; i < req.N(); i++ {
+				req.Set(i, j)
+			}
+		},
+		func(r *rand.Rand, req *bitvec.Matrix) { // full row
+			req.Row(r.Intn(req.N())).SetAll()
+		},
+	}
+	widths := []int{127, 128, 129, 256}
+	for n := 1; n <= 65; n++ {
+		widths = append(widths, n)
+	}
+	for _, n := range widths {
+		slots := 2*n + 3
+		if n > 65 {
+			slots = 24 // the reference is O(n²) a slot
+		}
+		for _, mode := range []RRMode{RRNone, RRInterleaved, RRPrescheduled} {
+			for f, fill := range fills {
+				diffCentral(t, n, mode, int64(n)*7+int64(f), slots, fill)
+			}
 		}
 	}
 }

@@ -225,6 +225,11 @@ func (c *Central) Schedule(ctx *sched.Context, m *matching.Match) {
 			continue // taken by the prescheduled diagonal
 		}
 		c.cand.AndNotInto(c.cols.Row(resource), c.granted)
+		if c.cand.None() {
+			// Nobody to grant: the min-select and the priority scan below
+			// would pick no one and change nothing, at full price.
+			continue
+		}
 
 		if c.rrMode == RRInterleaved && c.cand.Get(rrPos) {
 			c.grant(m, rrPos, resource, sched.RuleDiagonal, c.nrqBits.Get(rrPos))

@@ -439,3 +439,27 @@ func BenchmarkCentral64Dense(b *testing.B) {
 		c.Schedule(ctx, m)
 	}
 }
+
+// benchmarkCentralSparse times the decision an almost idle switch asks
+// for: two requests, (0,0) and (1,1) — two hosts each echoing to itself,
+// which is all the wire benchmark ever queues. The cost that matters is
+// what Schedule does for the n-2 resources nobody wants.
+func benchmarkCentralSparse(b *testing.B, n int) {
+	req := bitvec.NewMatrix(n)
+	req.Set(0, 0)
+	req.Set(1, 1)
+	c := NewCentral(n, true)
+	m := matching.NewMatch(n)
+	ctx := &sched.Context{Req: req}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.Schedule(ctx, m)
+	}
+	if m.Size() != 2 {
+		b.Fatalf("matched %d of 2 requests", m.Size())
+	}
+}
+
+func BenchmarkCentralSparseN16(b *testing.B)  { benchmarkCentralSparse(b, 16) }
+func BenchmarkCentralSparseN64(b *testing.B)  { benchmarkCentralSparse(b, 64) }
+func BenchmarkCentralSparseN256(b *testing.B) { benchmarkCentralSparse(b, 256) }

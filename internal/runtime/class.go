@@ -167,6 +167,7 @@ func (e *Engine) AdmitClass(src, dst, class int, seq, stamp uint64, budget int64
 		e.met.PerInputBackpressured[src].Inc()
 		return ErrBackpressure
 	}
+	e.wakeArbiter()
 	e.met.Admitted.Inc()
 	e.met.PerInputAdmitted[src].Inc()
 	ct.admitted[class].Inc()

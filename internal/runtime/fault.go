@@ -140,6 +140,7 @@ func (e *Engine) setLink(port int, output, down bool) error {
 	fs.anyDown.Store(any)
 	fs.pending = append(fs.pending, faultTransition{port: port, output: output, down: down})
 	fs.gen.Add(1)
+	e.wakeArbiter()
 	return nil
 }
 

@@ -327,6 +327,13 @@ type Engine struct {
 
 	met Stats
 
+	// parked and wake are the live arbiter's idle protocol (see park): the
+	// arbiter sets parked before it blocks on an empty switch, and whoever
+	// gives it work — an admission, a link transition — sends wake one
+	// token if it sees the flag. A lockstep engine never sets the flag.
+	parked atomic.Bool
+	wake   chan struct{}
+
 	stop     chan struct{}
 	done     chan struct{}
 	stopOnce sync.Once
@@ -344,6 +351,7 @@ type Stats struct {
 	MaskedOutputs metrics.Counter // request bits suppressed by a full output channel
 	Backlog       metrics.Gauge   // frames currently queued in VOQs
 	OccupiedVOQs  metrics.Gauge   // non-empty VOQs at the last snapshot (pre-mask)
+	Parks         metrics.Counter // times the live arbiter blocked on an empty switch
 
 	// Fault accounting (see fault.go). RejectedPortDown counts Admit
 	// calls refused with ErrPortDown; FaultMasked counts request bits
@@ -409,6 +417,7 @@ func New(cfg Config) (*Engine, error) {
 		dp:   dp,
 		inMu: make([]sync.Mutex, n),
 		outs: make([]chan Frame, n),
+		wake: make(chan struct{}, 1),
 		stop: make(chan struct{}),
 		done: make(chan struct{}),
 	}
@@ -547,6 +556,7 @@ func (e *Engine) Admit(src, dst int, seq, stamp uint64) error {
 		e.met.PerInputBackpressured[src].Inc()
 		return ErrBackpressure
 	}
+	e.wakeArbiter()
 	e.met.Admitted.Inc()
 	e.met.PerInputAdmitted[src].Inc()
 	return nil
@@ -576,6 +586,10 @@ func (e *Engine) Start() error {
 	return nil
 }
 
+// run is the live arbiter: one slot per tick while there is anything to
+// do, none at all while the switch is empty. The ticker already drops the
+// ticks a slow slot cannot serve; ticks with nothing queued join them, so
+// the slot counter and every per-slot instrument see only slots that ran.
 func (e *Engine) run() {
 	ticker := time.NewTicker(e.cfg.SlotPeriod)
 	defer ticker.Stop()
@@ -587,6 +601,59 @@ func (e *Engine) run() {
 			return
 		case <-ticker.C:
 			e.tick()
+			if e.idle() {
+				e.park(ticker)
+			}
+		}
+	}
+}
+
+// idle reports that a slot would find nothing to do: no frame anywhere in
+// the switch (Backlog covers VOQs, PIFOs and crosspoints) and no link
+// transition waiting to be applied. Frames held behind a failed link or a
+// full output keep Backlog above zero, so the loop keeps polling for them.
+// Arbiter-only (fault.applied).
+func (e *Engine) idle() bool {
+	return e.met.Backlog.Value() == 0 && e.fault.gen.Load() == e.fault.applied
+}
+
+// park stops the ticker and blocks the arbiter until wakeArbiter or Close.
+// A ticker left running keeps a processor awake every period — a whole
+// core at a microsecond slot — so it is stopped, not ignored. The flag is
+// published before the emptiness re-check and wakers publish their work
+// before reading the flag, both sequentially consistent: either the waker
+// sees parked and sends the token, or the re-check sees its work. The
+// first slot after a park runs at the next tick of the restarted ticker,
+// so slots are never closer together than SlotPeriod.
+func (e *Engine) park(ticker *time.Ticker) {
+	ticker.Stop()
+	e.parked.Store(true)
+	if e.idle() {
+		e.met.Parks.Inc()
+		select {
+		case <-e.wake:
+		case <-e.stop: // run's select sees it next
+		}
+	}
+	e.parked.Store(false)
+	ticker.Reset(e.cfg.SlotPeriod)
+	// go.mod's go 1.22 selects buffered timer channels: a tick sent just
+	// before Stop is still there, and would run a slot early.
+	select {
+	case <-ticker.C:
+	default:
+	}
+}
+
+// wakeArbiter is the waker's half of park: called after the caller's work
+// is visible (Backlog raised, fault generation bumped). One atomic load
+// unless the arbiter is parked; the one-token channel makes concurrent
+// wakers idempotent.
+func (e *Engine) wakeArbiter() {
+	if e.parked.Load() {
+		select {
+		case e.wake <- struct{}{}:
+		default:
 		}
 	}
 }

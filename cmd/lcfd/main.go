@@ -522,57 +522,19 @@ func (s *server) readLoop(c *client) {
 		if _, err := io.ReadFull(br, frame[1:]); err != nil {
 			return
 		}
+		// The three data frames decode into one Request and share one
+		// admission call; anything else is handled (or refused) here.
+		var req rt.Request
 		switch typ {
 		case clint.TypeData:
-			d, err := clint.DecodeData(frame)
-			if err != nil {
-				s.protocolErrors.Inc()
-				return
-			}
-			err = s.engine.Admit(c.port, int(d.Dst), d.Seq, d.Stamp)
-			switch {
-			case err == nil:
-			case errors.Is(err, rt.ErrBackpressure), errors.Is(err, rt.ErrBadPort),
-				errors.Is(err, rt.ErrPortDown):
-				// A frame toward a failed or unknown port is nacked like a
-				// full VOQ: the sender sees backpressure, not a dead
-				// connection, and can retry once the port recovers.
-				s.nack(c, d.Seq)
-			case errors.Is(err, rt.ErrClosed):
-				return
-			default:
-				return
-			}
+			d, derr := clint.DecodeData(frame)
+			req, err = rt.Request{Src: c.port, Dst: int(d.Dst), Seq: d.Seq, Stamp: d.Stamp}, derr
 		case clint.TypeFlowData:
-			d, err := clint.DecodeFlowData(frame)
-			if err != nil {
-				s.protocolErrors.Inc()
-				return
-			}
-			_, err = s.engine.AdmitFlow(d.Flow, int(d.Dst), d.Seq, d.Stamp)
-			switch {
-			case err == nil:
-			case errors.Is(err, rt.ErrNoFlowTable):
-				// Flow frames toward a flow-free daemon are a configuration
-				// mismatch, not load: nacking would invite an infinite retry.
-				s.protocolErrors.Inc()
-				return
-			case errors.Is(err, rt.ErrBackpressure), errors.Is(err, rt.ErrBadPort),
-				errors.Is(err, rt.ErrPortDown), errors.Is(err, flowtable.ErrTableFull):
-				// A full steering table reads exactly like a full VOQ from
-				// the host's side: backpressure on Seq, retry later.
-				s.nack(c, d.Seq)
-			case errors.Is(err, rt.ErrClosed):
-				return
-			default:
-				return
-			}
+			// The connection is transport only: the switch picks the input.
+			d, derr := clint.DecodeFlowData(frame)
+			req, err = rt.Request{Dst: int(d.Dst), Seq: d.Seq, Stamp: d.Stamp, Flow: d.Flow, Steered: true}, derr
 		case clint.TypeClassData:
-			d, err := clint.DecodeClassData(frame)
-			if err != nil {
-				s.protocolErrors.Inc()
-				return
-			}
+			d, derr := clint.DecodeClassData(frame)
 			// The wire deadline is a relative slot budget; a value that
 			// does not fit int64 cannot be compared against the slot
 			// counter, so it falls back to the class default like 0.
@@ -580,25 +542,7 @@ func (s *server) readLoop(c *client) {
 			if budget < 0 {
 				budget = 0
 			}
-			err = s.engine.AdmitClass(c.port, int(d.Dst), int(d.Class), d.Seq, d.Stamp, budget)
-			switch {
-			case err == nil:
-			case errors.Is(err, rt.ErrNoClasses), errors.Is(err, rt.ErrBadClass):
-				// Class frames toward a classless daemon — or naming a class
-				// the daemon was not configured with — are a configuration
-				// mismatch, not load: nacking would invite an infinite retry.
-				s.protocolErrors.Inc()
-				return
-			case errors.Is(err, rt.ErrBackpressure), errors.Is(err, rt.ErrBadPort),
-				errors.Is(err, rt.ErrPortDown):
-				// A full PIFO reads exactly like a full VOQ from the host's
-				// side: backpressure on Seq, retry later.
-				s.nack(c, d.Seq)
-			case errors.Is(err, rt.ErrClosed):
-				return
-			default:
-				return
-			}
+			req, err = rt.Request{Src: c.port, Dst: int(d.Dst), Seq: d.Seq, Stamp: d.Stamp, Class: int(d.Class), Classed: true, Budget: budget}, derr
 		case clint.TypeConfig:
 			// Control-plane configuration (request/enable masks) is not
 			// interpreted by the live switch — the request matrix is
@@ -607,9 +551,33 @@ func (s *server) readLoop(c *client) {
 				s.protocolErrors.Inc()
 				return
 			}
+			continue
 		default:
 			// Grant and nack frames only flow switch → host.
 			s.protocolErrors.Inc()
+			return
+		}
+		if err != nil {
+			s.protocolErrors.Inc()
+			return
+		}
+		_, err = s.engine.Offer(req)
+		switch {
+		case err == nil:
+		case errors.Is(err, rt.ErrBackpressure), errors.Is(err, rt.ErrBadPort),
+			errors.Is(err, rt.ErrPortDown), errors.Is(err, flowtable.ErrTableFull):
+			// A full PIFO or steering table, or a frame toward a failed or
+			// unknown port, reads exactly like a full VOQ from the host's
+			// side: the sender sees backpressure on Seq, not a dead
+			// connection, and can retry later.
+			s.nack(c, req.Seq)
+		case errors.Is(err, rt.ErrNoFlowTable), errors.Is(err, rt.ErrNoClasses), errors.Is(err, rt.ErrBadClass):
+			// A flow or class frame toward a daemon without that tier — or
+			// naming a class it was not configured with — is a configuration
+			// mismatch, not load: nacking would invite an infinite retry.
+			s.protocolErrors.Inc()
+			return
+		default: // ErrClosed: the daemon is shutting down
 			return
 		}
 	}

@@ -325,7 +325,7 @@ func TestFaultEndpoint(t *testing.T) {
 func TestFlowsEndpoint(t *testing.T) {
 	srv := newTestServerFlows(t, 1024, "po2")
 	for id := uint64(0); id < 16; id++ {
-		if _, err := srv.engine.AdmitFlow(id, int(id)%4, id, 0); err != nil {
+		if _, err := srv.engine.Offer(rt.Request{Dst: int(id) % 4, Seq: id, Flow: id, Steered: true}); err != nil {
 			t.Fatal(err)
 		}
 	}

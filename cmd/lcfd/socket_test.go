@@ -2,8 +2,11 @@ package main
 
 import (
 	"bufio"
+	"encoding/json"
 	"io"
 	"net"
+	"net/http"
+	"net/http/httptest"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -249,6 +252,53 @@ func TestReadLoopSplitDelivery(t *testing.T) {
 		if got := srv.protocolErrors.Value(); got != 0 {
 			t.Errorf("chunk %d: %d protocol errors", chunk, got)
 		}
+	}
+}
+
+// TestReadLoopMalformedFlowFrames: a flow frame whose destination is not a
+// port of this switch (Dst is a byte on the wire, -n is at most 16) is
+// nacked like any bad port — and leaves no flow behind. One client
+// sending such frames under fresh flow ids must not be able to fill the
+// steering table and have every well-formed new flow nacked as table-full
+// until idle eviction.
+func TestReadLoopMalformedFlowFrames(t *testing.T) {
+	srv := newIdleServer(t, rt.Config{Flows: 8, FlowShards: 1}) // as -n 4 -flows 8
+	resident := func() int64 {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		srv.handleFlows(rec, httptest.NewRequest(http.MethodGet, "/flows", nil))
+		var p flowsPayload
+		if err := json.Unmarshal(rec.Body.Bytes(), &p); err != nil || p.Flows == nil {
+			t.Fatalf("GET /flows: %v: %s", err, rec.Body.String())
+		}
+		return p.Flows.Resident
+	}
+	if got := resident(); got != 0 {
+		t.Fatalf("resident flows before any frame = %d", got)
+	}
+
+	// One malformed frame per bucket: twice what the table admits.
+	shards, buckets := srv.engine.Flows().Caps()
+	malformed := int64(shards * buckets)
+	var stream []byte
+	for k := uint64(0); k < uint64(malformed); k++ {
+		stream = append(stream, clint.FlowData{Flow: 1 + k, Dst: 200, Seq: k}.Encode()...)
+	}
+	stream = append(stream, clint.FlowData{Flow: 999, Dst: 1, Seq: uint64(malformed)}.Encode()...)
+	if nacks := runReadLoop(t, srv, stream, 0, malformed); nacks != malformed {
+		t.Errorf("%d nacks for %d frames toward port 200 and one well-formed frame", nacks, malformed)
+	}
+	if got := srv.protocolErrors.Value(); got != 0 {
+		t.Errorf("%d protocol errors: a bad port is backpressure, not a protocol violation", got)
+	}
+	if got := srv.engine.Snapshot().Admitted; got != 1 {
+		t.Errorf("admitted %d frames, want the one well-formed frame", got)
+	}
+	if got := resident(); got != 1 {
+		t.Errorf("resident flows = %d, want only the well-formed frame's flow", got)
+	}
+	if st := srv.engine.Flows().Stats(); st.Rejected != 0 || st.Inserted != 1 {
+		t.Errorf("flow table after the stream: %+v", st)
 	}
 }
 

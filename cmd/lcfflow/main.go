@@ -63,7 +63,7 @@ type row struct {
 	MaxBacklog int64   // peak single-input VOQ backlog
 	PortJain   float64 // Jain index over per-port resident-flow counts
 	Resident   int64   // flows resident at shutdown
-	Rejected   int64   // AdmitFlow refusals (table full)
+	Rejected   int64   // steer-stage refusals (table full)
 }
 
 // runPolicy drives one policy through warmup+measure lockstep slots.
@@ -104,13 +104,13 @@ func runPolicy(cfg studyConfig, policy string) (row, error) {
 			id := uint64(zipf.Next())
 			dst := admit.Intn(cfg.N)
 			seq++
-			switch _, aerr := e.AdmitFlow(id, dst, seq, 0); {
+			switch _, aerr := e.Offer(rt.Request{Dst: dst, Seq: seq, Flow: id, Steered: true}); {
 			case aerr == nil:
 			case errors.Is(aerr, rt.ErrBackpressure):
 			case errors.Is(aerr, flowtable.ErrTableFull):
 				r.Rejected++
 			default:
-				return r, fmt.Errorf("policy %s: slot %d: AdmitFlow: %v", policy, slot, aerr)
+				return r, fmt.Errorf("policy %s: slot %d: Offer: %v", policy, slot, aerr)
 			}
 		}
 		e.Tick()

@@ -198,16 +198,7 @@ func main() {
 			if shuttingDown.Load() {
 				return
 			}
-			var buf []byte
-			switch {
-			case fl.isFlow:
-				buf = clint.FlowData{Flow: fl.flow, Dst: fl.dst, Seq: seq, Stamp: fl.stamp}.Encode()
-			case fl.isClass:
-				buf = clint.ClassData{Class: fl.class, Dst: fl.dst, Seq: seq, Stamp: fl.stamp}.Encode()
-			default:
-				buf = clint.Data{Dst: fl.dst, Seq: seq, Stamp: fl.stamp}.Encode()
-			}
-			if err := c.send(buf); err != nil {
+			if err := c.send(fl.wire[:fl.n]); err != nil {
 				retryOrDrop(c, seq) // conn mid-reconnect: burn another attempt
 				return
 			}
@@ -278,9 +269,7 @@ func main() {
 	// redialing — so the frame takes the retry path like a NACK.
 	var sent int64
 	var seq uint64
-	frame := make([]byte, clint.DataLen)
-	flowFrame := make([]byte, clint.FlowDataLen)
-	classFrame := make([]byte, clint.ClassDataLen)
+	var frame [maxDataLen]byte
 	start := time.Now()
 	ticker := time.NewTicker(*slot)
 	for t := 0; t < *slots; t++ {
@@ -292,26 +281,23 @@ func main() {
 			}
 			seq++
 			stamp := uint64(time.Now().UnixNano())
-			wire := frame
+			var wire []byte
 			switch {
 			case zipf != nil:
 				// Flow mode: the connection is transport only — the switch
 				// steers the frame to an input port by its flow id.
-				id := uint64(zipf.Next())
-				clint.FlowData{Flow: id, Dst: uint8(dst), Seq: seq, Stamp: stamp}.EncodeTo(flowFrame)
-				flights.trackFlow(seq, id, uint8(dst), stamp)
-				wire = flowFrame
+				wire = frame[:clint.FlowDataLen]
+				clint.FlowData{Flow: uint64(zipf.Next()), Dst: uint8(dst), Seq: seq, Stamp: stamp}.EncodeTo(wire)
 			case mix != nil:
 				// Class mode: label the frame; the switch ranks it in its
 				// (input, output) PIFO. Deadline 0 = the class's own budget.
-				class := mix.pick()
-				clint.ClassData{Class: class, Dst: uint8(dst), Seq: seq, Stamp: stamp}.EncodeTo(classFrame)
-				flights.trackClass(seq, class, uint8(dst), stamp)
-				wire = classFrame
+				wire = frame[:clint.ClassDataLen]
+				clint.ClassData{Class: mix.pick(), Dst: uint8(dst), Seq: seq, Stamp: stamp}.EncodeTo(wire)
 			default:
-				clint.Data{Dst: uint8(dst), Seq: seq, Stamp: stamp}.EncodeTo(frame)
-				flights.track(seq, uint8(dst), stamp)
+				wire = frame[:clint.DataLen]
+				clint.Data{Dst: uint8(dst), Seq: seq, Stamp: stamp}.EncodeTo(wire)
 			}
+			flights.track(seq, wire)
 			sent++
 			if err := conns[in].write(wire); err != nil {
 				writeErrs.Add(1)
@@ -511,16 +497,15 @@ const (
 	flightGone             // already settled: delivery won the race
 )
 
-// flight is one unacknowledged frame. The switch's NACK carries only
-// the sequence number, so dst and the original timestamp must be kept
-// client-side for the retransmit to be reconstructable.
+// maxDataLen is the longest host → switch data frame (the class frame).
+const maxDataLen = clint.ClassDataLen
+
+// flight is one unacknowledged frame. The switch's NACK carries only the
+// sequence number, so the frame's bytes are kept client-side: a
+// retransmit is the first transmission again, original Stamp included.
 type flight struct {
-	dst      uint8
-	stamp    uint64
-	flow     uint64 // flow id; meaningful only when isFlow
-	isFlow   bool   // retransmit as a flow data frame
-	class    uint8  // class index; meaningful only when isClass
-	isClass  bool   // retransmit as a class data frame
+	wire     [maxDataLen]byte
+	n        int
 	attempts int
 }
 
@@ -533,25 +518,12 @@ type flightTable struct {
 	pending map[uint64]*flight
 }
 
-func (ft *flightTable) track(seq uint64, dst uint8, stamp uint64) {
+// track records the encoded frame wire as in flight under seq.
+func (ft *flightTable) track(seq uint64, wire []byte) {
+	fl := &flight{n: len(wire)}
+	copy(fl.wire[:], wire)
 	ft.mu.Lock()
-	ft.pending[seq] = &flight{dst: dst, stamp: stamp}
-	ft.mu.Unlock()
-}
-
-// trackFlow is track for flow mode: the retransmit must rebuild the
-// flow data frame, so the flow id rides in the flight.
-func (ft *flightTable) trackFlow(seq, flow uint64, dst uint8, stamp uint64) {
-	ft.mu.Lock()
-	ft.pending[seq] = &flight{dst: dst, stamp: stamp, flow: flow, isFlow: true}
-	ft.mu.Unlock()
-}
-
-// trackClass is track for class mode: the class label rides in the
-// flight so the retransmit rebuilds the same class data frame.
-func (ft *flightTable) trackClass(seq uint64, class, dst uint8, stamp uint64) {
-	ft.mu.Lock()
-	ft.pending[seq] = &flight{dst: dst, stamp: stamp, class: class, isClass: true}
+	ft.pending[seq] = fl
 	ft.mu.Unlock()
 }
 

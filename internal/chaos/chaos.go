@@ -14,8 +14,8 @@
 //     steering state, never frames.
 //   - Class tier, when on: per class, admitted − delivered − dropped −
 //     queued (the frames past the PIFO but still in the switch) is
-//     nonnegative and their sum bounded by the engine backlog; when the
-//     class door is the only door its totals equal the engine's.
+//     nonnegative and their sum bounded by the engine backlog; when every
+//     request is classified its totals equal the engine's.
 //   - Liveness: the run completes — no deadlock, no panic — and shutdown
 //     accounts every frame the drain could not deliver.
 //
@@ -85,8 +85,8 @@ type Config struct {
 
 	// Flows > 0 turns the flow tier on with a steering table of that
 	// capacity (the storms use 512 — small enough to cycle under churn)
-	// and routes admissions through AdmitFlow; the other flow fields need
-	// it. FlowShards overrides the table's shard count (0 = its default).
+	// and makes every request steered; the other flow fields need it.
+	// FlowShards overrides the table's shard count (0 = its default).
 	// Population is the distinct flow-id universe offered, default
 	// 4×Flows so eviction pressure is real; FlowPolicy the steering
 	// policy, default po2; Skew the Zipf popularity exponent, default 1.
@@ -99,21 +99,26 @@ type Config struct {
 	FlowIdle                      uint32
 
 	// Classes, a pifo.ParseClasses spec, turns the class tier on and
-	// routes admissions through AdmitClass; the other class fields need
-	// it. Rank is the PIFO rank function, default deadline. ClassQCap
+	// makes every request classified; the other class fields need it.
+	// Rank is the PIFO rank function, default deadline. ClassQCap
 	// bounds each (input, output) PIFO (0 = the runtime default). Mix is
 	// the admission weight by class index, default uniform. Every
 	// BudgetEvery-th class admission (default 7, negative for none)
 	// carries an explicit two-slot deadline budget, tighter than any
 	// storm class's SLO.
-	// With both tiers on, each frame draws its door — Admit, AdmitFlow
-	// or AdmitClass — from its own stream: all three on one engine, as
-	// lcfd -flows -classes exposes them.
 	Classes     string
 	Rank        string
 	ClassQCap   int
 	Mix         []float64
 	BudgetEvery int
+
+	// With both tiers on, each frame draws its request shape — plain,
+	// steered, classified, or steered and classified — from its own
+	// stream: every composition of Offer's optional stages on one engine.
+	// ComposedOnly (both tiers required) makes every frame steered and
+	// classified instead, so the class tier's totals must equal the
+	// engine's.
+	ComposedOnly bool
 }
 
 // def sets *p to v when it still holds its zero value.
@@ -161,6 +166,9 @@ func (c *Config) normalize() error {
 	} else if c.Rank != "" || c.ClassQCap != 0 || c.Mix != nil || c.BudgetEvery != 0 {
 		return fmt.Errorf("chaos: class fields set without Classes (the tier is off)")
 	}
+	if c.ComposedOnly && (c.Flows == 0 || c.Classes == "") {
+		return fmt.Errorf("chaos: ComposedOnly needs both Flows and Classes")
+	}
 	return nil
 }
 
@@ -178,18 +186,24 @@ type Report struct {
 
 	// Flow-tier accounting, nonzero only with Config.Flows: steering-table
 	// admissions, idle-epoch evictions, rehomes off down ports, and
-	// AdmitFlow calls refused because the table was full.
+	// steered requests refused because the table was full.
 	FlowsInserted   int64
 	FlowsEvicted    int64
 	FlowsRebalanced int64
 	FlowRejections  int64
 
 	// Class-tier accounting, nonzero only with Config.Classes: per-class
-	// totals summed across classes (admissions through AdmitClass,
-	// frames dropped from PIFOs by fault sweeps, SLO violations).
+	// totals summed across classes (classified admissions, frames
+	// dropped from PIFOs by fault sweeps, SLO violations).
 	ClassAdmitted   int64
 	ClassDropped    int64
 	ClassViolations int64
+
+	// Shapes counts admitted frames per request shape — plain, steered,
+	// classified, steered+classified — on runs that draw the shape per
+	// frame (both tiers on, not ComposedOnly); zero on every other run,
+	// where there is one shape and Admitted is its count.
+	Shapes [4]int64
 
 	Flaps, Stucks, Kills int // fault episodes injected
 }

@@ -130,7 +130,7 @@ var acceptance10k = map[string]struct {
 		{Slots: 10000, Admitted: 23701, Delivered: 23637, Consumed: 23637, Rejected: 24379, Backpressured: 50, Undrained: 64, MaxBacklog: 233, Flaps: 541, Stucks: 283, Kills: 147},
 		{Slots: 10000, Admitted: 23747, Delivered: 21105, Consumed: 21105, Dropped: 2642, Rejected: 24379, Backpressured: 4, MaxBacklog: 175, Flaps: 541, Stucks: 283, Kills: 147},
 	}},
-	// Every frame through AdmitFlow, a Zipf population four times the
+	// Every frame steered, a Zipf population four times the
 	// table, idle-eviction sweeps every 64 slots: po2 never picks a down
 	// port, sticky flows survive flaps under hold, eviction never strands
 	// a frame.
@@ -138,7 +138,7 @@ var acceptance10k = map[string]struct {
 		{Slots: 10000, Admitted: 25453, Delivered: 25394, Consumed: 25394, Rejected: 22597, Backpressured: 62, Undrained: 59, MaxBacklog: 236, FlowsInserted: 13154, FlowsEvicted: 12740, FlowRejections: 3, Flaps: 552, Stucks: 240, Kills: 126},
 		{Slots: 10000, Admitted: 31786, Delivered: 26554, Consumed: 26554, Dropped: 5204, Rejected: 15626, Backpressured: 700, Undrained: 28, MaxBacklog: 200, FlowsInserted: 13154, FlowsEvicted: 12740, FlowsRebalanced: 3813, FlowRejections: 3, Flaps: 552, Stucks: 240, Kills: 126},
 	}},
-	// Every frame through AdmitClass with per-frame budgets in play; the
+	// Every frame classified, with per-frame budgets in play; the
 	// real-time-heavy mix makes SLO misses inevitable under stuck
 	// consumers.
 	"classes": {Config{N: 8, Slots: 10_000, Seed: 0xC1A55ED, Classes: stormClasses, Mix: []float64{4, 2, 1}}, [2]Report{
@@ -334,6 +334,8 @@ func TestConfigValidation(t *testing.T) {
 		"mix length":                func(c *Config) { c.Classes, c.Mix = stormClasses, []float64{1, 2} },
 		"mix sums to zero":          func(c *Config) { c.Classes, c.Mix = stormClasses, []float64{0, 0, 0} },
 		"negative mix weight":       func(c *Config) { c.Classes, c.Mix = stormClasses, []float64{2, -1, 1} },
+		"composed without classes":  func(c *Config) { c.Flows, c.ComposedOnly = 64, true },
+		"composed without flows":    func(c *Config) { c.Classes, c.ComposedOnly = stormClasses, true },
 	} {
 		cfg := ok
 		mutate(&cfg)
@@ -361,6 +363,7 @@ func TestSeedArtifactIsReplayable(t *testing.T) {
 		Datapath: datapath.CICQ, XPCap: 1,
 		Flows: 64, FlowShards: 1, Population: 4096, FlowPolicy: "least", Skew: 1.2, EpochEvery: 512, FlowIdle: 8,
 		Classes: "gold:0:3:8,lead:1:1", Rank: "wfq", ClassQCap: 5, Mix: []float64{3, 1, 1}, BudgetEvery: 11,
+		ComposedOnly: true,
 	}
 	_, err := Run(cfg) // refused: the mix weighs three classes, the spec names two
 	if err == nil {
@@ -381,6 +384,7 @@ func TestSeedArtifactIsReplayable(t *testing.T) {
 		"Datapath:cicq", "XPCap:1",
 		"Flows:64", "FlowShards:1", "Population:4096", "FlowPolicy:least", "Skew:1.2", "EpochEvery:512", "FlowIdle:8",
 		"Classes:gold:0:3:8,lead:1:1", "Rank:wfq", "ClassQCap:5", "Mix:[3 1 1]", "BudgetEvery:11",
+		"ComposedOnly:true",
 	} {
 		if !strings.Contains(artifact, want) {
 			t.Errorf("artifact does not name %q:\n%s", want, artifact)

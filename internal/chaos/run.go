@@ -12,25 +12,28 @@ import (
 	"repro/internal/traffic"
 )
 
-// door is one of the engine's three admission entry points.
-type door int
+// shape is which of Offer's optional stages a request asks for, as a bit
+// set; its value indexes Report.Shapes. With steered the switch, not the
+// driver, picks the input.
+type shape int
 
 const (
-	doorPlain door = iota // Admit
-	doorFlow              // AdmitFlow: the switch, not the driver, picks the input
-	doorClass             // AdmitClass
+	steered shape = 1 << iota
+	classed
 )
 
-var doorNames = [...]string{"Admit", "AdmitFlow", "AdmitClass"}
+func (s shape) String() string {
+	return [...]string{"plain", "steered", "classified", "steered+classified"}[s]
+}
 
 // Run drives a lockstep runtime.Engine, built from cfg's tier selectors,
 // through cfg.Slots slots of seeded chaos: advance the fault plan, offer
-// load through the enabled doors, Tick, consume, audit. Every invariant
-// in the package comment that applies to the selection is checked after
-// every slot, and full accounting after shutdown. It returns the first
-// violation as an error with the seed embedded for replay; an error with
-// a nil Report means the engine was never built (a bad Config, or a
-// combination runtime.New refuses).
+// load in the request shapes the tiers allow, Tick, consume, audit. Every
+// invariant in the package comment that applies to the selection is
+// checked after every slot, and full accounting after shutdown. It
+// returns the first violation as an error with the seed embedded for
+// replay; an error with a nil Report means the engine was never built (a
+// bad Config, or a combination runtime.New refuses).
 func Run(cfg Config) (*Report, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, err
@@ -43,20 +46,22 @@ func Run(cfg Config) (*Report, error) {
 	plan := newSchedule(&cfg)
 	rep := &Report{Slots: cfg.Slots}
 
-	// The doors follow the tiers. Each tier's traffic model draws from its
-	// own stream — flow ids from a Zipf population, class labels from the
-	// mix — so the arrival pattern (admitRng) is the same for one seed
-	// whatever is enabled, and a storm recorded through one door replays
+	// The request shapes follow the tiers. Each tier's traffic model draws
+	// from its own stream — flow ids from a Zipf population, class labels
+	// from the mix — so the arrival pattern (admitRng) is the same for one
+	// seed whatever is enabled, and a storm recorded with one shape replays
 	// unchanged.
 	flowsOn, classesOn := cfg.Flows > 0, cfg.Classes != ""
-	doors := []door{doorPlain}
+	shapes := []shape{0}
 	switch {
+	case cfg.ComposedOnly:
+		shapes = []shape{steered | classed}
 	case flowsOn && classesOn:
-		doors = []door{doorPlain, doorFlow, doorClass}
+		shapes = []shape{0, steered, classed, steered | classed}
 	case flowsOn:
-		doors = []door{doorFlow}
+		shapes = []shape{steered}
 	case classesOn:
-		doors = []door{doorClass}
+		shapes = []shape{classed}
 	}
 	var zipf *traffic.Zipf
 	if flowsOn {
@@ -83,7 +88,7 @@ func Run(cfg Config) (*Report, error) {
 	}
 	admitRng := rng.NewPCG32(cfg.Seed, 0xAD)
 	classRng := rng.NewPCG32(cfg.Seed, 0xC1A55)
-	doorRng := rng.NewPCG32(cfg.Seed, 0xD008)
+	shapeRng := rng.NewPCG32(cfg.Seed, 0xD008)
 
 	var grantErr error
 	e, err := rt.New(rt.Config{
@@ -130,43 +135,42 @@ func Run(cfg Config) (*Report, error) {
 			if !admitRng.Bool(cfg.Load) {
 				continue
 			}
-			d := doors[0]
-			if len(doors) > 1 {
-				d = doors[doorRng.Intn(len(doors))]
+			sh := shapes[0]
+			if len(shapes) > 1 {
+				sh = shapes[shapeRng.Intn(len(shapes))]
 			}
-			dst := admitRng.Intn(n)
 			seq++
-			port, aerr := i, error(nil)
-			switch d {
-			case doorPlain:
-				aerr = e.Admit(i, dst, seq, 0)
-			case doorFlow:
-				id := uint64(zipf.Next())
-				port, aerr = e.AdmitFlow(id, dst, seq, 0)
-				if port >= 0 {
-					// Steering resolved (even if the admission itself then
-					// failed — Steer's rehome is a side effect that sticks).
-					// A move off the previous port is legal only under the
-					// rehome pairing and only while that port is down right
-					// now: the lazy rehome happens inside this very call, and
-					// the engine's fault state mirrors the plan between slots.
-					if prev, ok := stick[id]; ok && prev != port && !(rehome && plan.inDown[prev]) {
-						return rep, plan.violation(slot, "flow %d moved %d→%d with input %d up", id, prev, port, prev)
-					}
-					stick[id] = port
-				}
-			case doorClass:
+			req := rt.Request{Src: i, Dst: admitRng.Intn(n), Seq: seq}
+			if sh&steered != 0 {
+				req.Flow, req.Steered = uint64(zipf.Next()), true
+			}
+			if sh&classed != 0 {
 				classAdmits++
-				var budget int64
 				if cfg.BudgetEvery > 0 && classAdmits%cfg.BudgetEvery == 0 {
-					budget = 2
+					req.Budget = 2
 				}
-				aerr = e.AdmitClass(i, dst, mix.Pick(classRng.Float64()), seq, 0, budget)
+				req.Class, req.Classed = mix.Pick(classRng.Float64()), true
+			}
+			port, aerr := e.Offer(req)
+			if sh&steered != 0 && port >= 0 {
+				// Steering resolved (even if the admission itself then
+				// failed — Steer's rehome is a side effect that sticks).
+				// A move off the previous port is legal only under the
+				// rehome pairing and only while that port is down right
+				// now: the lazy rehome happens inside this very call, and
+				// the engine's fault state mirrors the plan between slots.
+				if prev, ok := stick[req.Flow]; ok && prev != port && !(rehome && plan.inDown[prev]) {
+					return rep, plan.violation(slot, "flow %d moved %d→%d with input %d up", req.Flow, prev, port, prev)
+				}
+				stick[req.Flow] = port
 			}
 			switch {
 			case aerr == nil:
 				if plan.inDown[port] {
-					return rep, plan.violation(slot, "%s(dst %d) admitted at down input %d", doorNames[d], dst, port)
+					return rep, plan.violation(slot, "%s frame (dst %d) admitted at down input %d", sh, req.Dst, port)
+				}
+				if len(shapes) > 1 {
+					rep.Shapes[sh]++
 				}
 			case errors.Is(aerr, rt.ErrBackpressure):
 				rep.Backpressured++
@@ -175,12 +179,12 @@ func Run(cfg Config) (*Report, error) {
 					return rep, plan.violation(slot, "table-full rejection resolved port %d, want -1", port)
 				}
 				rep.FlowRejections++
-			case errors.Is(aerr, rt.ErrPortDown) && (plan.outDown[dst] || (port >= 0 && plan.inDown[port])):
+			case errors.Is(aerr, rt.ErrPortDown) && (plan.outDown[req.Dst] || (port >= 0 && plan.inDown[port])):
 				// Legal only when the input (the flow's sticky one, if
 				// steered) or the destination output is actually down.
 				rep.Rejected++
 			default:
-				return rep, plan.violation(slot, "%s(dst %d) at input %d = %v on healthy links", doorNames[d], dst, port, aerr)
+				return rep, plan.violation(slot, "%s frame (dst %d) at input %d = %v on healthy links", sh, req.Dst, port, aerr)
 			}
 		}
 
@@ -291,9 +295,9 @@ func Run(cfg Config) (*Report, error) {
 	if err := shutdown.Check(); err != nil {
 		return rep, fmt.Errorf("chaos: %w (seed %d)", err, cfg.Seed)
 	}
-	// With the class door the only door, every engine admission went
-	// through it, so the tier's per-class totals must sum to the engine's.
-	if classesOn && !flowsOn && rep.ClassAdmitted != rep.Admitted {
+	// With every shape classified, every engine admission passed the rank
+	// stage, so the tier's per-class totals must sum to the engine's.
+	if classesOn && (!flowsOn || cfg.ComposedOnly) && rep.ClassAdmitted != rep.Admitted {
 		return rep, plan.violation(cfg.Slots, "class tier admitted %d, engine %d", rep.ClassAdmitted, rep.Admitted)
 	}
 	return rep, nil

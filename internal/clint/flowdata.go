@@ -1,7 +1,7 @@
 // Flow framing for the flow-aware front tier (internal/flowtable, wired
-// through runtime.AdmitFlow). A host that speaks flows does not pick its
-// own input port: it names the flow, and the switch's steering table
-// resolves (and pins) the port. The frame is therefore the data frame
+// through runtime.Offer's steer stage). A host that speaks flows does not
+// pick its own input port: it names the flow, and the switch's steering
+// table resolves (and pins) the port. The frame is therefore the data frame
 // of data.go with the implicit "this connection's port" source replaced
 // by an explicit 64-bit flow id, in the same Section 4.1 style: a type
 // byte, big-endian fields in field order, CRC-16/CCITT-FALSE over

@@ -172,7 +172,7 @@ func unpackGrant(g uint64) Grant {
 // per-entry sequence lock makes a half-written entry detectable (a
 // drain skips it). The arbiter is still the only emitter of slot and
 // fault records; the flow tier emits its steering events from whatever
-// goroutine called AdmitFlow. Emit performs atomic stores into
+// goroutine offered the steered frame. Emit performs atomic stores into
 // preallocated entries only — zero heap allocations — and a disabled
 // tracer costs exactly one atomic load per Emit, which is why the emit
 // hooks can stay compiled into the slot loop unconditionally.

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/datapath"
+	"repro/internal/flowtable"
 	"repro/internal/obs"
 	"repro/internal/pifo"
 	rt "repro/internal/runtime"
@@ -238,27 +239,31 @@ func BenchmarkEngineSlotLCFRRN64TraceOn(b *testing.B) {
 	benchmarkSlot(b, "lcf_central_rr", 64, 0.9, tracerEnabled)
 }
 
-// benchmarkAdmit isolates the admission path: one uncontended bounded-VOQ
-// push plus counter updates. The engine is swapped out (off the clock)
-// whenever every VOQ is full, so the measured path is always a successful
-// bounded admit. With prealloc false the measurement includes the rings'
-// amortized doubling toward their working size; with prealloc true the
-// path must be strictly allocation-free (0 B/op), the PreallocVOQs
-// contract.
-func benchmarkAdmit(b *testing.B, prealloc bool) {
+// benchmarkAdmit isolates the admission path: one uncontended bounded
+// push plus counter updates, through whichever door offer uses (it is
+// handed the k-th of n·n·voqCap distinct (input, output) visits; tiers
+// switches on the tiers the door needs). The engine is swapped out (off
+// the clock) whenever every queue is full, so the measured path is always
+// a successful bounded admit. With prealloc false the measurement
+// includes the rings' amortized doubling toward their working size; with
+// prealloc true the path must be strictly allocation-free (0 B/op), the
+// PreallocVOQs contract.
+func benchmarkAdmit(b *testing.B, prealloc bool, tiers rt.Config, offer func(e *rt.Engine, src, dst int, seq uint64) error) {
 	const n, voqCap = 16, 256
 	newEngine := func() *rt.Engine {
 		s, err := registry.New("lcf_central_rr", n, sched.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		e, err := rt.New(rt.Config{N: n, Scheduler: s, VOQCap: voqCap, PreallocVOQs: prealloc})
+		cfg := tiers
+		cfg.N, cfg.Scheduler, cfg.VOQCap, cfg.PreallocVOQs = n, s, voqCap, prealloc
+		e, err := rt.New(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
 		return e
 	}
-	const batch = n * n * voqCap // admissions until every VOQ is full
+	const batch = n * n * voqCap // admissions until every queue is full
 	e := newEngine()
 	filled := 0
 	b.ReportAllocs()
@@ -270,12 +275,42 @@ func benchmarkAdmit(b *testing.B, prealloc bool) {
 			filled = 0
 			b.StartTimer()
 		}
-		if err := e.Admit(filled%n, (filled/n)%n, uint64(k), 0); err != nil {
+		if err := offer(e, filled%n, (filled/n)%n, uint64(k)); err != nil {
 			b.Fatal(err)
 		}
 		filled++
 	}
 }
 
-func BenchmarkAdmit(b *testing.B)         { benchmarkAdmit(b, false) }
-func BenchmarkAdmitPrealloc(b *testing.B) { benchmarkAdmit(b, true) }
+func admitPlain(e *rt.Engine, src, dst int, seq uint64) error { return e.Admit(src, dst, seq, 0) }
+
+func BenchmarkAdmit(b *testing.B)         { benchmarkAdmit(b, false, rt.Config{}, admitPlain) }
+func BenchmarkAdmitPrealloc(b *testing.B) { benchmarkAdmit(b, true, rt.Config{}, admitPlain) }
+
+// The class door and Offer's two steered shapes on the same harness, so a
+// change to the shared stages shows per door. Each runs preallocated and
+// must report 0 allocs/op. The steered shapes offer flow id = src under
+// the "least" policy: the first n frames insert n flows onto n distinct
+// ports (each lands on a still-empty one), every later frame is a sticky
+// hit, and the queues fill evenly, full exactly when the harness swaps.
+
+func BenchmarkAdmitClass(b *testing.B) {
+	benchmarkAdmit(b, true, rt.Config{Classes: testClassList(), Rank: pifo.RankDeadline}, func(e *rt.Engine, src, dst int, seq uint64) error {
+		return e.AdmitClass(src, dst, src%3, seq, 0, 0)
+	})
+}
+
+func BenchmarkOfferSteered(b *testing.B) {
+	benchmarkAdmit(b, true, rt.Config{Flows: 64, FlowPolicy: flowtable.PolicyLeast}, func(e *rt.Engine, src, dst int, seq uint64) error {
+		_, err := e.Offer(rt.Request{Dst: dst, Seq: seq, Flow: uint64(src), Steered: true})
+		return err
+	})
+}
+
+func BenchmarkOfferComposed(b *testing.B) {
+	tiers := rt.Config{Flows: 64, FlowPolicy: flowtable.PolicyLeast, Classes: testClassList(), Rank: pifo.RankDeadline}
+	benchmarkAdmit(b, true, tiers, func(e *rt.Engine, src, dst int, seq uint64) error {
+		_, err := e.Offer(rt.Request{Dst: dst, Seq: seq, Flow: uint64(src), Steered: true, Class: src % 3, Classed: true})
+		return err
+	})
+}

@@ -9,23 +9,23 @@ import (
 	"repro/internal/pifo"
 )
 
-// ErrNoClasses reports AdmitClass on an engine whose class tier is
-// disabled (Config.Classes empty).
+// ErrNoClasses reports a classed request on an engine whose class tier
+// is disabled (Config.Classes empty).
 var ErrNoClasses = errors.New("runtime: class tier not enabled (set Config.Classes)")
 
-// ErrBadClass reports an AdmitClass with a class index outside the
-// configured class list.
+// ErrBadClass reports a classed request whose class index is outside
+// the configured class list.
 var ErrBadClass = errors.New("runtime: class index out of range")
 
 // classTier is the programmable service-class layer in front of the
 // VOQs: one bounded PIFO queue plus one rank-function instance per
 // (input, output) pair, all guarded by the input's shard lock exactly
-// like the VOQ row behind them. AdmitClass pushes into the PIFO with a
-// rank computed at admission; classFill (a tick phase) moves the
-// minimum-rank frame of each pair into the empty VOQ head, so the VOQ
-// degenerates to a depth-1 head register and the rank order decides
-// service as late as possible (arXiv:1602.06045's PIFO-in-front-of-
-// the-scheduler arrangement).
+// like the VOQ row behind them. Admission's enqueue stage pushes a classed
+// frame into the PIFO with a rank computed at admission; classFill (a tick
+// phase) moves the minimum-rank frame of each pair into the empty VOQ
+// head, so the VOQ degenerates to a depth-1 head register and the rank
+// order decides service as late as possible (arXiv:1602.06045's
+// PIFO-in-front-of-the-scheduler arrangement).
 //
 // The tier's footprint follows what is queued, not n²·ClassQCap: the
 // PIFO heaps grow on demand (unless Config.PreallocVOQs sizes them up
@@ -94,13 +94,11 @@ func newClassTier(n int, cfg *Config) (*classTier, error) {
 	return ct, nil
 }
 
-// AdmitClass offers a frame of the given class from input src to output
-// dst. The frame waits in the (src,dst) PIFO in rank order and trickles
-// into the VOQ head from the next tick on; if the class carries an SLO
-// budget the frame is stamped with deadline slot admit+SLOSlots and a
-// delivery past it counts as an SLO violation. budget > 0 overrides the
-// class's SLO budget for this frame (the per-frame deadline stamp of
-// the clint ClassData frame); budget ≤ 0 uses the class default.
+// AdmitClass is Offer for a classed frame from input src to output dst,
+// without the Request. The frame waits in the (src,dst) PIFO in rank
+// order and trickles into the VOQ head from the next tick on; budget > 0
+// overrides the class's SLO budget for this frame (the per-frame deadline
+// stamp of the clint ClassData frame), budget ≤ 0 uses the class default.
 //
 // Errors: ErrNoClasses when the tier is disabled, ErrBadClass for an
 // out-of-range class index, and everything Admit can return —
@@ -117,61 +115,22 @@ func (e *Engine) AdmitClass(src, dst, class int, seq, stamp uint64, budget int64
 	if class < 0 || class >= len(ct.classes) {
 		return fmt.Errorf("%w: class %d (have %d)", ErrBadClass, class, len(ct.classes))
 	}
-	if e.closed.Load() {
-		return ErrClosed
-	}
-	// Same link-state gate as Admit: one atomic load while healthy, and a
-	// transition racing the check only strands the frame where the next
-	// sweep accounts it.
-	if e.fault.anyDown.Load() && (e.fault.inDown[src].Load() || e.fault.outDown[dst].Load()) {
-		e.met.RejectedPortDown.Inc()
-		return fmt.Errorf("%w: src %d dst %d", ErrPortDown, src, dst)
-	}
-	now := e.slot.Load()
+	return e.admit(src, dst, seq, stamp, class, budget)
+}
+
+// deadline is the rank stage's SLO binding: the absolute slot a frame of
+// class admitted at slot now expires at — now plus the per-frame budget
+// when one is given, else plus the class's SLO budget — or -1 when
+// neither sets one. A delivery past it counts as an SLO violation.
+func (ct *classTier) deadline(class int, budget, now int64) int64 {
 	slo := ct.classes[class].SLOSlots
 	if budget > 0 {
 		slo = budget
 	}
-	deadline := int64(-1)
 	if slo > 0 {
-		deadline = now + slo
+		return now + slo
 	}
-	f := Frame{
-		Src: src, Dst: dst, Seq: seq, Stamp: stamp,
-		Admitted: now, Departed: -1,
-		Class: class, Deadline: deadline,
-	}
-	mu := &e.inMu[src]
-	mu.Lock()
-	// Re-check under the lock, mirroring Admit: Close cycles every input
-	// lock after setting the flag, so a frame pushed here is visible to
-	// the drain's backlog read.
-	if e.closed.Load() {
-		mu.Unlock()
-		return ErrClosed
-	}
-	ok := ct.queues.Push(src, dst, f, ct.rankers[src*e.n+dst].Rank(class, now, deadline))
-	if ok {
-		// PIFO-resident frames count in the same backlog gauges as VOQ
-		// frames: the drain, the conservation ledger and the flow tier's
-		// steering policies all see one consistent "queued in the switch"
-		// quantity.
-		e.met.Backlog.Add(1)
-		e.met.PerInputBacklog[src].Add(1)
-		ct.pending[src].Add(1)
-		ct.queued[class].Add(1)
-	}
-	mu.Unlock()
-	if !ok {
-		e.met.Backpressured.Inc()
-		e.met.PerInputBackpressured[src].Inc()
-		return ErrBackpressure
-	}
-	e.wakeArbiter()
-	e.met.Admitted.Inc()
-	e.met.PerInputAdmitted[src].Inc()
-	ct.admitted[class].Inc()
-	return nil
+	return -1
 }
 
 // classFill is the tick phase that feeds the VOQs from the PIFOs: for
@@ -284,7 +243,7 @@ func (e *Engine) classDrain(i, j int) int {
 // observeClassDelivery records per-class latency and SLO outcome for a
 // frame crossing the fabric at slot now. Runs on the dispatch path
 // (possibly on pool workers — everything it touches is atomic), only
-// for frames that entered through AdmitClass.
+// for frames that entered with a class.
 func (e *Engine) observeClassDelivery(f Frame, now int64) {
 	ct := e.classes
 	lat := now - f.Admitted
@@ -412,7 +371,7 @@ func (e *Engine) registerClasses(r *obs.Registry) {
 			return s
 		})
 	}
-	counterVec("lcf_class_admitted_total", "Frames accepted by AdmitClass, per class.", ct.admitted)
+	counterVec("lcf_class_admitted_total", "Classed frames accepted by the enqueue stage into a PIFO, per class.", ct.admitted)
 	counterVec("lcf_class_delivered_total", "Class-tier frames delivered across the fabric, per class.", ct.delivered)
 	counterVec("lcf_class_dropped_total", "Class-tier frames flushed from PIFOs or VOQs stranded behind failed links (FaultPolicy drop), per class.", ct.dropped)
 	counterVec("lcf_class_slo_violations_total", "Frames delivered after their deadline slot, per class (classes with an SLO budget only).", ct.violations)

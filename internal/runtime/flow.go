@@ -8,8 +8,8 @@ import (
 	"repro/internal/obs"
 )
 
-// ErrNoFlowTable reports AdmitFlow on an engine whose flow tier is
-// disabled (Config.Flows == 0).
+// ErrNoFlowTable reports a steered request on an engine whose flow tier
+// is disabled (Config.Flows == 0).
 var ErrNoFlowTable = errors.New("runtime: flow tier not enabled (set Config.Flows)")
 
 // flowView adapts the engine's live state to flowtable.PortView: the
@@ -23,22 +23,12 @@ func (v flowView) N() int              { return v.e.n }
 func (v flowView) Backlog(p int) int64 { return v.e.met.PerInputBacklog[p].Value() }
 func (v flowView) Up(p int) bool       { return !v.e.fault.inDown[p].Load() }
 
-// AdmitFlow is the flow tier's front door: it resolves the input port
-// for flow id through the steering table (admitting the flow if new),
-// then offers the frame to that port's VOQ exactly like Admit. The
-// chosen port is returned even when the admission itself fails, so a
-// caller can attribute backpressure to the port the flow lives on.
-//
-// Errors: flowtable.ErrTableFull when the flow is new and the table is
-// at capacity (port is then -1; treat it as backpressure), plus
-// everything Admit can return — ErrBackpressure, ErrPortDown (a sticky
-// flow whose port is down under the hold pairing keeps bouncing until
-// recovery, preserving order), ErrClosed, ErrBadPort. Safe for
-// concurrent use from any goroutine.
-func (e *Engine) AdmitFlow(id uint64, dst int, seq, stamp uint64) (port int, err error) {
-	if e.flows == nil {
-		return -1, ErrNoFlowTable
-	}
+// steer is Offer's steer stage: it resolves the input port for flow id
+// through the steering table, admitting the flow if it is new. A new
+// flow on a full table is refused with flowtable.ErrTableFull. A sticky
+// flow whose port is down under the hold pairing keeps its port — the
+// gate then bounces its frames until recovery, preserving order.
+func (e *Engine) steer(id uint64) (port int, err error) {
 	port, disp, err := e.flows.Steer(id)
 	if err != nil {
 		e.cfg.Tracer.EmitFlow(e.slot.Load(), id, -1, obs.FlowRejected)
@@ -52,12 +42,12 @@ func (e *Engine) AdmitFlow(id uint64, dst int, seq, stamp uint64) (port int, err
 	case flowtable.Rebalanced:
 		e.cfg.Tracer.EmitFlow(e.slot.Load(), id, port, obs.FlowRebalanced)
 	}
-	return port, e.Admit(port, dst, seq, stamp)
+	return port, nil
 }
 
 // Flows returns the engine's steering table, nil when the flow tier is
 // disabled. Callers use it for scrape-path queries (fairness summaries,
-// Lookup) — the admission path is AdmitFlow.
+// Lookup) — the admission path is Offer with Request.Steered.
 func (e *Engine) Flows() *flowtable.Table { return e.flows }
 
 // AdvanceFlowEpoch bumps the flow table's eviction epoch (no-op without
@@ -144,7 +134,7 @@ func (e *Engine) registerFlow(r *obs.Registry) {
 	r.Gauge("lcf_flow_resident", "Flows currently resident in the steering table.", func() float64 {
 		return float64(tbl.Resident())
 	})
-	r.Counter("lcf_flow_steered_total", "AdmitFlow steering resolutions (sticky hits plus new admissions).", func() int64 {
+	r.Counter("lcf_flow_steered_total", "Steer-stage resolutions: steered requests that reached the flow table (sticky hits plus new admissions).", func() int64 {
 		return tbl.Stats().Steered
 	})
 	r.Counter("lcf_flow_admitted_total", "New flows admitted to the table (steering decisions made by the policy).", func() int64 {
@@ -156,7 +146,7 @@ func (e *Engine) registerFlow(r *obs.Registry) {
 	r.Counter("lcf_flow_rebalanced_total", "Resident flows re-steered off a down port (RehomeOnDown pairing only).", func() int64 {
 		return tbl.Stats().Rebalanced
 	})
-	r.Counter("lcf_flow_rejected_total", "AdmitFlow calls refused because the steering table was full.", func() int64 {
+	r.Counter("lcf_flow_rejected_total", "Steered requests refused by the steer stage because the steering table was full.", func() int64 {
 		return tbl.Stats().Rejected
 	})
 	r.Gauge("lcf_flow_epoch", "Current flow-eviction epoch (advanced on the daemon's flow-epoch clock).", func() float64 {

@@ -28,6 +28,12 @@ func newFlowEngine(t *testing.T, n, flows int, policy string, fp rt.FaultPolicy)
 	return e
 }
 
+// offerFlow offers one steered, unclassed frame: the shape lcfd builds
+// from a clint FlowData frame.
+func offerFlow(e *rt.Engine, id uint64, dst int, seq uint64) (int, error) {
+	return e.Offer(rt.Request{Dst: dst, Seq: seq, Flow: id, Steered: true})
+}
+
 // TestAdmitFlowEndToEnd drives frames from many flows through the flow
 // front door and the slot loop, and checks delivery, flow accounting
 // and the per-flow stickiness of the chosen ports.
@@ -40,12 +46,12 @@ func TestAdmitFlowEndToEnd(t *testing.T) {
 	injected := 0
 	for round := 0; round < 8; round++ {
 		for id := uint64(0); id < flows; id++ {
-			port, err := e.AdmitFlow(id, int(id)%n, uint64(injected), 0)
+			port, err := offerFlow(e, id, int(id)%n, uint64(injected))
 			if errors.Is(err, rt.ErrBackpressure) {
 				continue // fine under load; the VOQ said no, the flow table said yes
 			}
 			if err != nil {
-				t.Fatalf("AdmitFlow(%d): %v", id, err)
+				t.Fatalf("steered Offer(flow %d): %v", id, err)
 			}
 			if prev, seen := ports[id]; seen && prev != port {
 				t.Fatalf("flow %d moved from port %d to %d", id, prev, port)
@@ -92,8 +98,8 @@ func TestAdmitFlowDisabled(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e.Close()
-	if _, err := e.AdmitFlow(1, 0, 0, 0); !errors.Is(err, rt.ErrNoFlowTable) {
-		t.Fatalf("AdmitFlow on flow-free engine: %v, want ErrNoFlowTable", err)
+	if _, err := offerFlow(e, 1, 0, 0); !errors.Is(err, rt.ErrNoFlowTable) {
+		t.Fatalf("steered Offer on flow-free engine: %v, want ErrNoFlowTable", err)
 	}
 	if e.Flows() != nil {
 		t.Fatal("Flows() non-nil on a flow-free engine")
@@ -171,7 +177,7 @@ func TestAdmitFlowRehomeFollowsFaultPolicy(t *testing.T) {
 	t.Run("hold", func(t *testing.T) {
 		e := newFlowEngine(t, 4, 32, "hash", rt.HoldStranded)
 		defer e.Close()
-		port, err := e.AdmitFlow(9, 1, 0, 0)
+		port, err := offerFlow(e, 9, 1, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -179,7 +185,7 @@ func TestAdmitFlowRehomeFollowsFaultPolicy(t *testing.T) {
 			t.Fatal(err)
 		}
 		e.Tick()
-		p2, err := e.AdmitFlow(9, 1, 1, 0)
+		p2, err := offerFlow(e, 9, 1, 1)
 		if p2 != port || !errors.Is(err, rt.ErrPortDown) {
 			t.Fatalf("hold pairing: port %d err %v, want sticky port %d with ErrPortDown", p2, err, port)
 		}
@@ -187,14 +193,14 @@ func TestAdmitFlowRehomeFollowsFaultPolicy(t *testing.T) {
 			t.Fatal(err)
 		}
 		e.Tick()
-		if p3, err := e.AdmitFlow(9, 1, 2, 0); err != nil || p3 != port {
+		if p3, err := offerFlow(e, 9, 1, 2); err != nil || p3 != port {
 			t.Fatalf("post-recovery: port %d err %v, want %d", p3, err, port)
 		}
 	})
 	t.Run("drop", func(t *testing.T) {
 		e := newFlowEngine(t, 4, 32, "least", rt.DropStranded)
 		defer e.Close()
-		port, err := e.AdmitFlow(9, 1, 0, 0)
+		port, err := offerFlow(e, 9, 1, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -202,7 +208,7 @@ func TestAdmitFlowRehomeFollowsFaultPolicy(t *testing.T) {
 			t.Fatal(err)
 		}
 		e.Tick()
-		p2, err := e.AdmitFlow(9, 1, 1, 0)
+		p2, err := offerFlow(e, 9, 1, 1)
 		if err != nil {
 			t.Fatalf("drop pairing should rehome and admit: %v", err)
 		}
@@ -231,7 +237,7 @@ func TestAdmitFlowTableFull(t *testing.T) {
 	defer e.Close()
 	var full bool
 	for id := uint64(0); id < 128; id++ {
-		port, err := e.AdmitFlow(id, 0, id, 0)
+		port, err := offerFlow(e, id, 0, id)
 		if errors.Is(err, flowtable.ErrTableFull) {
 			if port != -1 {
 				t.Fatalf("rejected flow got port %d, want -1", port)
@@ -282,7 +288,7 @@ func TestFlowTraceEvents(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for k := 0; k < 4; k++ {
-				e.AdmitFlow(uint64(4*w+k), 0, 0, 0) //nolint:errcheck // backpressure is fine here
+				offerFlow(e, uint64(4*w+k), 0, 0) //nolint:errcheck // backpressure is fine here
 			}
 		}(w)
 	}
@@ -312,7 +318,7 @@ func TestFlowTraceEvents(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.Tick()
-	if _, err := e.AdmitFlow(0, 0, 1, 0); err != nil && !errors.Is(err, rt.ErrBackpressure) {
+	if _, err := offerFlow(e, 0, 0, 1); err != nil && !errors.Is(err, rt.ErrBackpressure) {
 		t.Fatal(err)
 	}
 	found := false
@@ -327,4 +333,69 @@ func TestFlowTraceEvents(t *testing.T) {
 	if !found {
 		t.Fatal("no rebalanced flow event drained")
 	}
+}
+
+// TestRefusedSteeredRequestLeavesNoFlow pins the stage order around the
+// steer stage: everything that can be refused from the request alone, or
+// from a closed engine, is refused before the flow table is touched — no
+// flow inserted, no steering counted, no trace event — so malformed
+// frames cannot fill the table and starve well-formed new flows. The link
+// gate is the deliberate exception: a frame toward a down output still
+// steers and inserts, which is what keeps the flow sticky across the
+// outage.
+func TestRefusedSteeredRequestLeavesNoFlow(t *testing.T) {
+	const n = 4
+	tr := obs.NewTracer(n, 64)
+	tr.Enable()
+	e, err := rt.New(rt.Config{
+		N: n, Scheduler: newScheduler(t, "lcf_central_rr", n),
+		Flows: 32, Classes: testClassList(), Tracer: tr,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+
+	base, traced := e.Flows().Stats(), 0 // Drain does not consume: compare ring lengths
+	refused := func(name string, r rt.Request, want error) {
+		t.Helper()
+		r.Steered = true
+		port, err := e.Offer(r)
+		if !errors.Is(err, want) || port != -1 {
+			t.Errorf("%s: Offer = port %d, %v; want -1, %v", name, port, err, want)
+		}
+		if got := e.Flows().Stats(); got != base {
+			t.Errorf("%s: the refused request moved the flow table: %+v → %+v", name, base, got)
+		}
+		if evs := tr.Drain(); len(evs) != traced {
+			t.Errorf("%s: the refused request left a trace event: %+v", name, evs)
+		}
+	}
+	refused("dst = n", rt.Request{Flow: 1, Dst: n}, rt.ErrBadPort)
+	refused("dst = -1", rt.Request{Flow: 2, Dst: -1}, rt.ErrBadPort)
+	refused("class out of range", rt.Request{Flow: 3, Dst: 1, Class: 9, Classed: true}, rt.ErrBadClass)
+	refused("class = -1", rt.Request{Flow: 4, Dst: 1, Class: -1, Classed: true}, rt.ErrBadClass)
+
+	// Toward a down output: refused by the gate, after the steer stage.
+	if err := e.FailOutput(1); err != nil {
+		t.Fatal(err)
+	}
+	port, err := offerFlow(e, 5, 1, 0)
+	if !errors.Is(err, rt.ErrPortDown) || port < 0 {
+		t.Fatalf("toward a down output: port %d, %v; want the flow's port and ErrPortDown", port, err)
+	}
+	base.Inserted, base.Resident, base.Steered = base.Inserted+1, base.Resident+1, base.Steered+1
+	if got := e.Flows().Stats(); got != base {
+		t.Fatalf("toward a down output the flow must still steer and insert: %+v, want %+v", got, base)
+	}
+	if p, _, ok := e.Flows().Lookup(5); !ok || p != port {
+		t.Fatalf("flow 5 resident = %t at port %d, want port %d", ok, p, port)
+	}
+	if traced = len(tr.Drain()); traced != 1 {
+		t.Fatalf("%d trace events after one new flow, want its FlowNew", traced)
+	}
+
+	e.Close()
+	refused("after Close, new flow", rt.Request{Flow: 6, Dst: 2}, rt.ErrClosed)
+	refused("after Close, resident flow", rt.Request{Flow: 5, Dst: 2}, rt.ErrClosed)
 }

@@ -112,12 +112,18 @@ func TestParkWakeStress(t *testing.T) {
 		{"Admit", rt.Config{}, func(e *rt.Engine, p int, seq uint64) error {
 			return e.Admit(p, p, seq, 0)
 		}},
+		// The steered shape of Offer; the leg keeps the name of the door it
+		// replaced.
 		{"AdmitFlow", rt.Config{Flows: 64}, func(e *rt.Engine, p int, seq uint64) error {
-			_, err := e.AdmitFlow(uint64(p), p, seq, 0)
+			_, err := offerFlow(e, uint64(p), p, seq)
 			return err
 		}},
 		{"AdmitClass", rt.Config{Classes: testClassList()}, func(e *rt.Engine, p int, seq uint64) error {
 			return e.AdmitClass(p, p, p%3, seq, 0, 0)
+		}},
+		{"OfferComposed", rt.Config{Flows: 64, Classes: testClassList()}, func(e *rt.Engine, p int, seq uint64) error {
+			_, err := e.Offer(rt.Request{Dst: p, Seq: seq, Flow: uint64(p), Steered: true, Class: p % 3, Classed: true})
+			return err
 		}},
 	}
 	legs := []struct{ producers, rounds int }{{n, 2000}, {1, 4000}}

@@ -13,8 +13,10 @@
 // The moving parts mirror the paper's Figure 11 model, mapped onto
 // goroutines:
 //
-//   - Admission (any goroutine): Engine.Admit enqueues a frame on the
-//     bounded VOQ of its (input, output) pair. A full VOQ returns
+//   - Admission (any goroutine): Engine.Offer enqueues a frame on the
+//     bounded VOQ of its (input, output) pair — one path of optional
+//     stages, validate → steer → gate → rank → enqueue, of which Admit
+//     and AdmitClass are the fixed-shape forms. A full VOQ returns
 //     ErrBackpressure — the finite-buffer behaviour of the paper's model,
 //     surfaced to the caller instead of silently dropped, so a network
 //     front-end can push the signal back to the sender.
@@ -92,7 +94,7 @@ type Frame struct {
 	// and crossed the fabric.
 	Admitted, Departed int64
 	// Class indexes Config.Classes for frames admitted through the class
-	// tier (AdmitClass); -1 for classless frames. Deadline is the
+	// tier (a classed request); -1 for classless frames. Deadline is the
 	// absolute slot the frame's SLO expires at, -1 when none — delivery
 	// past it counts in the class's SLO-violation counter.
 	Class    int
@@ -155,9 +157,10 @@ type Config struct {
 
 	// Flows > 0 enables the flow-aware front tier (internal/flowtable):
 	// a consistent-hash table sized for this many concurrent flows that
-	// AdmitFlow uses to steer 64-bit flow ids onto input ports, so
-	// millions of client flows can share the n-port device. 0 (the
-	// default) disables the tier; AdmitFlow then returns ErrNoFlowTable.
+	// Offer's steer stage uses to steer 64-bit flow ids onto input ports,
+	// so millions of client flows can share the n-port device. 0 (the
+	// default) disables the tier; a steered request then returns
+	// ErrNoFlowTable.
 	Flows int
 	// FlowPolicy names the steering policy for new flows — "hash",
 	// "least" or "po2" (see flowtable.Names). "" means hash. Setting it
@@ -171,9 +174,10 @@ type Config struct {
 
 	// Classes, when non-empty, enables the programmable service-class
 	// tier (internal/pifo): a bounded PIFO priority queue per
-	// (input, output) pair in front of the VOQs, fed by AdmitClass and
-	// drained into the VOQ heads in rank order each tick. Empty (the
-	// default) disables the tier; AdmitClass then returns ErrNoClasses.
+	// (input, output) pair in front of the VOQs, fed by classed requests
+	// (Offer, AdmitClass) and drained into the VOQ heads in rank order
+	// each tick. Empty (the default) disables the tier; a classed request
+	// then returns ErrNoClasses.
 	Classes []pifo.Class
 	// Rank names the rank function programming the PIFOs — "fifo",
 	// "strict", "wfq" or "deadline" (see pifo.Names). "" means fifo.
@@ -515,40 +519,146 @@ func (e *Engine) Output(j int) <-chan Frame {
 	return e.outs[j]
 }
 
-// Admit offers a frame from input src destined to output dst. It returns
-// nil on acceptance, ErrBackpressure when the (src,dst) VOQ is full,
-// ErrClosed after Close, and ErrBadPort for out-of-range ports. Safe for
-// concurrent use from any goroutine.
+// Request is one frame offered to the engine through Offer. The zero
+// value plus Src, Dst, Seq and Stamp is a plain frame; the presence flags
+// switch the optional admission stages on. With Steered the flow tier
+// resolves the input port from Flow and Src is ignored; with Classed the
+// frame is ranked in its (input, output) PIFO under Class, Budget > 0
+// overriding the class's SLO budget for this frame. Both may be set: the
+// frame is steered to its flow's port and ranked in that port's PIFO.
+type Request struct {
+	Src, Dst   int
+	Seq, Stamp uint64
+	Flow       uint64
+	Steered    bool
+	Class      int
+	Classed    bool
+	Budget     int64
+}
+
+// Offer is the engine's admission path: validate → steer → gate → rank →
+// enqueue, the steer and rank stages running only when the request asks
+// for them. Everything that can be refused from the request alone — a
+// tier that is off, a port or class out of range — and a closed engine is
+// refused before the steer stage, so a refused request leaves no flow
+// behind in the steering table. The link gate runs after it: a frame
+// toward a down port still resolves (and, under the drop pairing,
+// rehomes) its flow, which is what keeps a flow sticky across an outage.
+//
+// port is the input the frame was offered on — r.Src, or the flow's port
+// for a steered request, also when the gate or a full queue then refuses
+// the frame, so backpressure can be attributed to the port the flow lives
+// on — and -1 when the request was refused before that was known.
+//
+// Errors, in the order they win: ErrNoClasses / ErrNoFlowTable,
+// ErrBadPort, ErrBadClass, ErrClosed, flowtable.ErrTableFull (a new flow,
+// table at capacity; treat it as backpressure), ErrPortDown,
+// ErrBackpressure (the PIFO of a classed request, else the VOQ, is
+// full). Safe for concurrent use from any goroutine.
+func (e *Engine) Offer(r Request) (port int, err error) {
+	switch {
+	case r.Classed && e.classes == nil:
+		return -1, ErrNoClasses
+	case r.Steered && e.flows == nil:
+		return -1, ErrNoFlowTable
+	case r.Dst < 0 || r.Dst >= e.n || !r.Steered && (r.Src < 0 || r.Src >= e.n):
+		return -1, fmt.Errorf("%w: src %d dst %d (n=%d)", ErrBadPort, r.Src, r.Dst, e.n)
+	case r.Classed && (r.Class < 0 || r.Class >= len(e.classes.classes)):
+		return -1, fmt.Errorf("%w: class %d (have %d)", ErrBadClass, r.Class, len(e.classes.classes))
+	}
+	src, class := r.Src, -1
+	if r.Steered {
+		if err := e.open(); err != nil {
+			return -1, err
+		}
+		if src, err = e.steer(r.Flow); err != nil {
+			return -1, err
+		}
+	}
+	if r.Classed {
+		class = r.Class
+	}
+	return src, e.admit(src, r.Dst, r.Seq, r.Stamp, class, r.Budget)
+}
+
+// Admit is Offer for a plain frame from input src to output dst, without
+// the Request: ErrBadPort, ErrClosed, ErrPortDown or ErrBackpressure
+// when the (src,dst) VOQ is full. Safe for concurrent use from any
+// goroutine.
 func (e *Engine) Admit(src, dst int, seq, stamp uint64) error {
 	if src < 0 || src >= e.n || dst < 0 || dst >= e.n {
 		return fmt.Errorf("%w: src %d dst %d (n=%d)", ErrBadPort, src, dst, e.n)
 	}
+	return e.admit(src, dst, seq, stamp, -1, 0)
+}
+
+// open is the closed flag, the first thing the gate checks. Offer reads
+// it ahead of the steer stage as well, so a closed engine's steering
+// table stays as Close found it.
+func (e *Engine) open() error {
 	if e.closed.Load() {
 		return ErrClosed
 	}
-	// Link-state gate: one atomic load in the healthy case. A transition
-	// racing this check is benign — a frame slipping past lands in a VOQ
-	// the fault mask strands (and, under DropStranded, the next sweep
-	// flushes), so conservation accounting still sees it.
+	return nil
+}
+
+// admit is where every door ends once its request is validated and, if
+// steered, resolved to an input: gate → rank → enqueue, each written here
+// and nowhere else. class < 0 is an unclassed frame. It is one function
+// rather than one per stage because the whole path is two atomic loads,
+// a lock and four counters: a non-inlined call per stage, with a Frame
+// or a Request crossing it, is a measurable share of that (EXPERIMENTS.md
+// E35 has the shapes side by side).
+func (e *Engine) admit(src, dst int, seq, stamp uint64, class int, budget int64) error {
+	// Gate: the closed flag, then the link state — one atomic load in the
+	// healthy case. A transition racing this check is benign — a frame
+	// slipping past lands in a queue the fault mask strands (and, under
+	// DropStranded, the next sweep flushes), so conservation accounting
+	// still sees it.
+	if err := e.open(); err != nil {
+		return err
+	}
 	if e.fault.anyDown.Load() && (e.fault.inDown[src].Load() || e.fault.outDown[dst].Load()) {
 		e.met.RejectedPortDown.Inc()
 		return fmt.Errorf("%w: src %d dst %d", ErrPortDown, src, dst)
 	}
-	f := Frame{Src: src, Dst: dst, Seq: seq, Stamp: stamp, Admitted: e.slot.Load(), Departed: -1, Class: -1, Deadline: -1}
+
+	// Rank: a classed frame is bound to its deadline here and ranked under
+	// the lock below, because the rank functions keep per-pair state.
+	ct := e.classes
+	f := Frame{Src: src, Dst: dst, Seq: seq, Stamp: stamp, Admitted: e.slot.Load(), Departed: -1, Class: class, Deadline: -1}
+	if class >= 0 {
+		f.Deadline = ct.deadline(class, budget, f.Admitted)
+	}
+
+	// Enqueue: into the pair's PIFO when the frame carries a class, into
+	// the VOQ otherwise. PIFO-resident frames count in the same backlog
+	// gauges as VOQ frames: the drain, the conservation ledger and the
+	// flow tier's steering policies all see one consistent "queued in the
+	// switch" quantity.
 	mu := &e.inMu[src]
 	mu.Lock()
 	// Re-check under the lock: Close sets the flag and then takes each
-	// input lock once, so a frame pushed here is guaranteed visible (VOQ
+	// input lock once, so a frame pushed here is guaranteed visible (queue
 	// and Backlog gauge both) before the drain decides the engine is
-	// empty — Admit never strands a frame behind a nil return.
+	// empty — admission never strands a frame behind a nil return.
 	if e.closed.Load() {
 		mu.Unlock()
 		return ErrClosed
 	}
-	ok := e.dp.Enqueue(src, dst, f)
+	var ok bool
+	if class >= 0 {
+		ok = ct.queues.Push(src, dst, f, ct.rankers[src*e.n+dst].Rank(class, f.Admitted, f.Deadline))
+	} else {
+		ok = e.dp.Enqueue(src, dst, f)
+	}
 	if ok {
 		e.met.Backlog.Add(1)
 		e.met.PerInputBacklog[src].Add(1)
+		if class >= 0 {
+			ct.pending[src].Add(1)
+			ct.queued[class].Add(1)
+		}
 	}
 	mu.Unlock()
 	if !ok {
@@ -559,6 +669,9 @@ func (e *Engine) Admit(src, dst int, seq, stamp uint64) error {
 	e.wakeArbiter()
 	e.met.Admitted.Inc()
 	e.met.PerInputAdmitted[src].Inc()
+	if class >= 0 {
+		ct.admitted[class].Inc()
+	}
 	return nil
 }
 

@@ -242,17 +242,29 @@ func TestCloseDrains(t *testing.T) {
 // TestAdmitCloseRace checks the Admit/Close atomicity contract: a frame
 // admitted with a nil return concurrently with Close must still come out
 // of an output channel — never accepted and then stranded in a VOQ the
-// drain already decided was empty. Iterated to widen the race window.
+// drain already decided was empty. Iterated to widen the race window,
+// alternating Admit with Offer's fullest shape (steered and classified, so
+// the frame it must not strand sits in a PIFO): the contract lives in the
+// enqueue stage every door shares.
 func TestAdmitCloseRace(t *testing.T) {
 	const n = 4
 	for round := 0; round < 20; round++ {
-		e, err := rt.New(rt.Config{
+		cfg := rt.Config{
 			N:          n,
 			Scheduler:  newScheduler(t, "lcf_central_rr", n),
 			VOQCap:     64,
 			OutCap:     64,
 			SlotPeriod: 50 * time.Microsecond,
-		})
+		}
+		admit := func(e *rt.Engine, i, k int) error { return e.Admit(i, k%n, uint64(k), 0) }
+		if round%2 == 1 {
+			cfg.Flows, cfg.Classes = 16, testClassList()
+			admit = func(e *rt.Engine, i, k int) error {
+				_, err := e.Offer(rt.Request{Dst: k % n, Seq: uint64(k), Flow: uint64(i), Steered: true, Class: k % 3, Classed: true})
+				return err
+			}
+		}
+		e, err := rt.New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -286,7 +298,7 @@ func TestAdmitCloseRace(t *testing.T) {
 				defer producers.Done()
 				local := int64(0)
 				for k := 0; ; k++ {
-					err := e.Admit(i, k%n, uint64(k), 0)
+					err := admit(e, i, k)
 					if errors.Is(err, rt.ErrClosed) {
 						break
 					}
@@ -306,7 +318,7 @@ func TestAdmitCloseRace(t *testing.T) {
 		consumers.Wait()
 
 		if received != accepted {
-			t.Fatalf("round %d: %d frames accepted by Admit but %d delivered (%d stranded)",
+			t.Fatalf("round %d: %d frames accepted but %d delivered (%d stranded)",
 				round, accepted, received, accepted-received)
 		}
 	}

@@ -281,12 +281,20 @@ func Simulate(cfg SimConfig) (*SimResult, error) {
 // cmd/lcfd that serves traffic through a real-time slot loop instead of
 // replaying a trace. See the runtime package documentation for the
 // admission/arbitration/delivery model and the backpressure contract.
+// A frame enters through RuntimeEngine.Offer(RuntimeRequest): one path
+// whose optional steer (flow tier) and rank (class tier) stages a request
+// switches on by its presence flags; Admit and AdmitClass are its
+// fixed-shape forms.
 type (
 	// RuntimeConfig parameterizes a live engine; SlotPeriod > 0 selects
 	// the free-running arbiter, 0 the test-oriented lockstep mode.
 	RuntimeConfig = switchruntime.Config
 	// RuntimeEngine is one live switch instance.
 	RuntimeEngine = switchruntime.Engine
+	// RuntimeRequest is one frame offered to RuntimeEngine.Offer; its zero
+	// value plus ports is a plain frame, Steered and Classed switch the
+	// flow and class stages on.
+	RuntimeRequest = switchruntime.Request
 	// RuntimeFrame is one cell travelling through the live switch.
 	RuntimeFrame = switchruntime.Frame
 	// RuntimeSnapshot is the JSON-serializable counter view served by

@@ -42,7 +42,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/clint"
 	cf "repro/internal/closfabric"
 	"repro/internal/obs"
 	"repro/internal/rng"
@@ -174,12 +173,8 @@ func newDaemon(cfg cf.Config, load float64, traceRing int, traceOn bool) (*daemo
 		tracerAt: make(map[enginePos]*obs.Tracer),
 	}
 	if traceRing > 0 {
-		cfg.TracerFor = func(stage uint8, idx int) *obs.Tracer {
-			size := cfg.R
-			if stage != clint.StageMiddle {
-				size = maxInt(cfg.K, cfg.M)
-			}
-			tr := obs.NewTracer(size, traceRing)
+		cfg.TracerFor = func(stage uint8, idx, ports int) *obs.Tracer {
+			tr := obs.NewTracer(ports, traceRing)
 			tr.SetEnabled(traceOn)
 			d.tracerAt[enginePos{stage, idx}] = tr
 			d.positions = append(d.positions, enginePos{stage, idx})
@@ -344,12 +339,12 @@ func (d *daemon) handleFabric(w http.ResponseWriter, r *http.Request) {
 	}
 	m, _, rr := d.fab.Dims()
 	var rows []stageSummary
-	add := func(stage uint8, name string, count int) {
+	add := func(stage uint8, count int) {
 		for i := 0; i < count; i++ {
 			e := d.fab.Engine(stage, i)
 			st := e.Stats()
 			rows = append(rows, stageSummary{
-				Stage: name, Index: i,
+				Stage: cf.StageName(stage), Index: i,
 				Slots:     e.Slot(),
 				Admitted:  st.Admitted.Value(),
 				Delivered: st.Delivered.Value(),
@@ -359,9 +354,9 @@ func (d *daemon) handleFabric(w http.ResponseWriter, r *http.Request) {
 			})
 		}
 	}
-	add(clint.StageIngress, "ingress", rr)
-	add(clint.StageMiddle, "middle", m)
-	add(clint.StageEgress, "egress", rr)
+	add(cf.StageIngress, rr)
+	add(cf.StageMiddle, m)
+	add(cf.StageEgress, rr)
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
@@ -444,17 +439,6 @@ type stageEvent struct {
 	obs.Event
 }
 
-func stageLabel(stage uint8) string {
-	switch stage {
-	case clint.StageIngress:
-		return "ingress"
-	case clint.StageMiddle:
-		return "middle"
-	default:
-		return "egress"
-	}
-}
-
 // handleTrace drains every engine's slot-event ring as JSONL, each line
 // carrying the engine's stage and index; POST ?enabled=true|false toggles
 // recording on every tracer at once.
@@ -469,7 +453,7 @@ func (d *daemon) handleTrace(w http.ResponseWriter, r *http.Request) {
 		enc := json.NewEncoder(w)
 		for _, pos := range d.positions {
 			for _, ev := range d.tracerAt[pos].Drain() {
-				if err := enc.Encode(stageEvent{Stage: stageLabel(pos.stage), Index: pos.idx, Event: ev}); err != nil {
+				if err := enc.Encode(stageEvent{Stage: cf.StageName(pos.stage), Index: pos.idx, Event: ev}); err != nil {
 					return
 				}
 			}
@@ -498,11 +482,4 @@ func fatal(format string, args ...any) {
 func fatalUsage(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "lcffab: "+format+"\n", args...)
 	os.Exit(2)
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	cf "repro/internal/closfabric"
 	"repro/internal/datapath"
 	rt "repro/internal/runtime"
 )
@@ -351,43 +352,69 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
-// TestSeedArtifactIsReplayable forces a failing run into a scratch
-// CHAOS_SEED_DIR and requires the artifact to name every field that
-// defines it. The old artifact printed seed/n/slots/policy/load of the
-// base config only, so a red flow, class or CICQ storm could not be
+// TestSeedArtifactIsReplayable forces a failing run of each storm driver
+// into a scratch CHAOS_SEED_DIR and requires the artifact to name every
+// field that defines it. The old artifacts printed a handful of fields
+// (seed/n/slots/policy/load for the engine, no KillRate, MeanDead,
+// Scheduler or capacities for the fabric), so a red storm could not be
 // replayed "byte for byte" as the CI step promises.
 func TestSeedArtifactIsReplayable(t *testing.T) {
 	t.Setenv("CHAOS_SEED_DIR", filepath.Join(t.TempDir(), "seeds"))
-	cfg := Config{
+	engine := Config{
 		N: 6, Slots: 500, Seed: 0xBAD5EED, Policy: rt.DropStranded, Load: 0.75,
 		Datapath: datapath.CICQ, XPCap: 1,
 		Flows: 64, FlowShards: 1, Population: 4096, FlowPolicy: "least", Skew: 1.2, EpochEvery: 512, FlowIdle: 8,
 		Classes: "gold:0:3:8,lead:1:1", Rank: "wfq", ClassQCap: 5, Mix: []float64{3, 1, 1}, BudgetEvery: 11,
 		ComposedOnly: true,
 	}
-	_, err := Run(cfg) // refused: the mix weighs three classes, the spec names two
-	if err == nil {
-		t.Fatal("Run accepted a mix longer than its class list")
+	fabric := FabricConfig{
+		M: 1, K: 2, R: 3, Slots: 700, Seed: 0xFAB5EED, Scheduler: "islip", Load: 0.65,
+		VOQCap: 9, OutCap: 4, Policy: rt.DropStranded, Select: cf.SelectLeastBacklogged,
+		KillRate: 0.03, MeanDead: 150,
 	}
-	path := writeSeedArtifact(t.Name(), cfg.Seed, cfg, err)
-	if want := fmt.Sprintf("seed-%s-%d.txt", t.Name(), cfg.Seed); filepath.Base(path) != want {
-		t.Errorf("artifact is %q, want %q", filepath.Base(path), want)
-	}
-	raw, rerr := os.ReadFile(path)
-	if rerr != nil {
-		t.Fatal(rerr)
-	}
-	artifact := string(raw)
-	for _, want := range []string{
-		"test=" + t.Name(), "error: " + err.Error(),
-		"N:6", "Slots:500", "Seed:195911405", "Policy:drop", "Load:0.75",
-		"Datapath:cicq", "XPCap:1",
-		"Flows:64", "FlowShards:1", "Population:4096", "FlowPolicy:least", "Skew:1.2", "EpochEvery:512", "FlowIdle:8",
-		"Classes:gold:0:3:8,lead:1:1", "Rank:wfq", "ClassQCap:5", "Mix:[3 1 1]", "BudgetEvery:11",
-		"ComposedOnly:true",
+	for _, row := range []struct {
+		name string
+		seed uint64
+		cfg  any
+		run  func() error
+		why  string
+		want []string
+	}{
+		{"engine", engine.Seed, engine, func() error { _, err := Run(engine); return err },
+			"a mix longer than its class list", []string{
+				"N:6", "Slots:500", "Seed:195911405", "Policy:drop", "Load:0.75",
+				"Datapath:cicq", "XPCap:1",
+				"Flows:64", "FlowShards:1", "Population:4096", "FlowPolicy:least", "Skew:1.2", "EpochEvery:512", "FlowIdle:8",
+				"Classes:gold:0:3:8,lead:1:1", "Rank:wfq", "ClassQCap:5", "Mix:[3 1 1]", "BudgetEvery:11",
+				"ComposedOnly:true",
+			}},
+		{"fabric", fabric.Seed, fabric, func() error { _, err := RunFabric(fabric); return err },
+			"a blocking topology (m < k)", []string{
+				"M:1", "K:2", "R:3", "Slots:700", "Seed:262889197", "Scheduler:islip", "Load:0.65",
+				"VOQCap:9", "OutCap:4", "Policy:drop", "Select:backlog",
+				"KillRate:0.03", "MeanDead:150",
+			}},
 	} {
-		if !strings.Contains(artifact, want) {
-			t.Errorf("artifact does not name %q:\n%s", want, artifact)
-		}
+		t.Run(row.name, func(t *testing.T) {
+			err := row.run()
+			if err == nil {
+				t.Fatalf("run accepted %s", row.why)
+			}
+			path := writeSeedArtifact(t.Name(), row.seed, row.cfg, err)
+			name := strings.ReplaceAll(t.Name(), "/", "-")
+			if want := fmt.Sprintf("seed-%s-%d.txt", name, row.seed); filepath.Base(path) != want {
+				t.Errorf("artifact is %q, want %q", filepath.Base(path), want)
+			}
+			raw, rerr := os.ReadFile(path)
+			if rerr != nil {
+				t.Fatal(rerr)
+			}
+			artifact := string(raw)
+			for _, want := range append([]string{"test=" + t.Name(), "error: " + err.Error()}, row.want...) {
+				if !strings.Contains(artifact, want) {
+					t.Errorf("artifact does not name %q:\n%s", want, artifact)
+				}
+			}
+		})
 	}
 }

@@ -28,9 +28,9 @@ type FabricConfig struct {
 	VOQCap, OutCap int
 	// Policy is every engine's disposition of stranded frames.
 	Policy rt.FaultPolicy
-	// Select is the middle-stage routing policy. Least-backlogged is the
-	// default here: rerouting around a dead middle is the behaviour under
-	// test.
+	// Select is the middle-stage routing policy. There is no default: the
+	// zero value is SelectRoundRobin, so a storm that leaves Select unset
+	// routes round-robin.
 	Select cf.MiddleSelect
 
 	// KillRate is the per-slot probability that a middle-switch kill

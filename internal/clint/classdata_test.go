@@ -55,8 +55,7 @@ func TestClassDataFrameLen(t *testing.T) {
 	}
 	taken := map[byte]string{
 		TypeConfig: "config", TypeGrant: "grant", TypeData: "data",
-		TypeNack: "nack", TypeBulkData: "bulk", TypeFabricData: "fabric",
-		TypeFlowData: "flow",
+		TypeNack: "nack", TypeBulkData: "bulk", TypeFlowData: "flow",
 	}
 	if name, clash := taken[TypeClassData]; clash {
 		t.Fatalf("TypeClassData %#02x collides with the %s frame", TypeClassData, name)

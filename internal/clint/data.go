@@ -130,8 +130,6 @@ func FrameLen(typ byte) int {
 		return DataLen
 	case TypeNack:
 		return NackLen
-	case TypeFabricData:
-		return FabricDataLen
 	case TypeFlowData:
 		return FlowDataLen
 	case TypeClassData:

@@ -54,7 +54,7 @@ func TestFlowDataFrameLen(t *testing.T) {
 	}
 	taken := map[byte]string{
 		TypeConfig: "config", TypeGrant: "grant", TypeData: "data",
-		TypeNack: "nack", TypeBulkData: "bulk", TypeFabricData: "fabric",
+		TypeNack: "nack", TypeBulkData: "bulk",
 	}
 	if name, clash := taken[TypeFlowData]; clash {
 		t.Fatalf("TypeFlowData %#02x collides with the %s frame", TypeFlowData, name)

@@ -96,61 +96,6 @@ func FuzzDataRoundTrip(f *testing.F) {
 	})
 }
 
-// FuzzFabricDataRoundTrip fuzzes the encode direction of the inter-switch
-// fabric frame: every field value must either encode to a frame that
-// decodes back bit-exactly, or be rejected loudly at Encode time. Like
-// FuzzGrantRoundTrip's 4-bit targets, this is the shape that catches a
-// silent truncation: the stage field is narrower than its uint8 carrier,
-// so a masked `stage & 0x3` would survive decode-only fuzzing but fail
-// the decoded == original comparison the moment the fuzzer feeds a value
-// above the pipeline range.
-func FuzzFabricDataRoundTrip(f *testing.F) {
-	f.Add(uint8(0), uint8(0), uint16(0), uint16(0), uint64(0), uint64(0))
-	f.Add(StageEgress, uint8(255), uint16(65535), uint16(65535), ^uint64(0), uint64(1)<<63)
-	f.Add(StageMiddle, uint8(3), uint16(300), uint16(17), uint64(123456789), uint64(42))
-	f.Add(uint8(3), uint8(0), uint16(1), uint16(2), uint64(3), uint64(4)) // first out-of-range stage
-	f.Add(uint8(16), uint8(9), uint16(5), uint16(6), uint64(7), uint64(8))
-	f.Fuzz(func(t *testing.T, stage, mid uint8, src, dst uint16, seq, stamp uint64) {
-		d := FabricData{Stage: stage, Mid: mid, Src: src, Dst: dst, Seq: seq, Stamp: stamp}
-		defer func() {
-			if r := recover(); r != nil && stage <= MaxStage {
-				t.Fatalf("Encode panicked on in-range fabric frame %+v: %v", d, r)
-			}
-		}()
-		frame := d.Encode()
-		if stage > MaxStage {
-			t.Fatalf("Encode accepted %+v, whose stage does not fit the pipeline", d)
-		}
-		back, err := DecodeFabricData(frame)
-		if err != nil {
-			t.Fatalf("encoded fabric frame %+v does not decode: %v", d, err)
-		}
-		if back != d {
-			t.Fatalf("fabric frame round trip mutated the packet: sent %+v, got %+v", d, back)
-		}
-	})
-}
-
-// FuzzDecodeFabricData is the decode direction: arbitrary bytes must be
-// rejected with an error or round-trip bit-exactly — never panic, never
-// mis-accept (the same contract as FuzzDecodeConfig).
-func FuzzDecodeFabricData(f *testing.F) {
-	f.Add(FabricData{Stage: StageMiddle, Mid: 2, Src: 11, Dst: 4, Seq: 9, Stamp: 7}.Encode())
-	f.Add([]byte{})
-	f.Add([]byte{TypeFabricData})
-	f.Add(bytes.Repeat([]byte{0xFF}, FabricDataLen))
-	f.Fuzz(func(t *testing.T, frame []byte) {
-		d, err := DecodeFabricData(frame)
-		if err != nil {
-			return
-		}
-		re := d.Encode()
-		if !bytes.Equal(re, frame) {
-			t.Fatalf("accepted frame %x re-encodes to %x", frame, re)
-		}
-	})
-}
-
 func FuzzFlowDataRoundTrip(f *testing.F) {
 	f.Add(uint64(0), uint8(0), uint64(0), uint64(0))
 	f.Add(^uint64(0), uint8(255), uint64(1)<<63, ^uint64(0))

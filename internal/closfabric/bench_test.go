@@ -8,15 +8,14 @@ import (
 )
 
 // benchmarkFabricSlot measures one full fabric slot — admissions, the two
-// link-transfer passes, every engine's tick, delivery collection and the
+// link passes, every engine's tick, delivery collection and the
 // conservation audit — in lockstep, so only fabric work is on the clock.
 // Arrivals are pre-drawn outside the timed region.
-func benchmarkFabricSlot(b *testing.B, m, k, r int, load float64, audit bool) {
+func benchmarkFabricSlot(b *testing.B, m, k, r int, load float64) {
 	f, err := cf.New(cf.Config{
 		M: m, K: k, R: r,
-		Seed:                1,
-		Select:              cf.SelectLeastBacklogged,
-		DisableConservation: !audit,
+		Seed:   1,
+		Select: cf.SelectLeastBacklogged,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -56,10 +55,6 @@ func benchmarkFabricSlot(b *testing.B, m, k, r int, load float64, audit bool) {
 // The slot-rate tiers: total switch count grows m + 2r, external ports
 // k·r, so the three configs span 6 switches / 4 ports up to 24 switches /
 // 64 ports.
-func BenchmarkFabricSlotC2x2x2(b *testing.B) { benchmarkFabricSlot(b, 2, 2, 2, 0.7, true) }
-func BenchmarkFabricSlotC4x4x4(b *testing.B) { benchmarkFabricSlot(b, 4, 4, 4, 0.7, true) }
-func BenchmarkFabricSlotC8x8x8(b *testing.B) { benchmarkFabricSlot(b, 8, 8, 8, 0.7, true) }
-
-// BenchmarkFabricSlotC4x4x4NoAudit isolates the cost of the per-slot
-// conservation audit against the C4x4x4 tier.
-func BenchmarkFabricSlotC4x4x4NoAudit(b *testing.B) { benchmarkFabricSlot(b, 4, 4, 4, 0.7, false) }
+func BenchmarkFabricSlotC2x2x2(b *testing.B) { benchmarkFabricSlot(b, 2, 2, 2, 0.7) }
+func BenchmarkFabricSlotC4x4x4(b *testing.B) { benchmarkFabricSlot(b, 4, 4, 4, 0.7) }
+func BenchmarkFabricSlotC8x8x8(b *testing.B) { benchmarkFabricSlot(b, 8, 8, 8, 0.7) }

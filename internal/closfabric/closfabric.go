@@ -1,8 +1,8 @@
 // Package closfabric is the live three-stage Clos fabric: N independent
 // internal/runtime engines — one per ingress, middle and egress switch of
 // a C(m,k,r) Clos network — wired together with inter-switch links that
-// carry clint fabric frames, all driven in lockstep on one shared fabric
-// clock.
+// carry the engines' own frames, all driven in lockstep on one shared
+// fabric clock.
 //
 // Where internal/clos computes offline rearrangements of a single
 // matching, this package actually *runs* the datacenter-shaped topology:
@@ -27,9 +27,9 @@
 //
 // Each inter-switch link is a one-frame hold register on top of the
 // upstream engine's bounded output channel. Per fabric slot a link pops at
-// most one frame, encodes it as a clint.FabricData wire frame (the hop and
-// stage route travel on the wire, round-tripped through the real codec),
-// and offers it to the downstream engine. A full downstream VOQ NACKs the
+// most one runtime.Frame into its register and offers it to the downstream
+// engine; the frame's Seq is its slab index, and the slab holds the route
+// (external destination, chosen middle). A full downstream VOQ NACKs the
 // link (ErrBackpressure): the frame stays in the hold register and retries
 // next slot, the stalled register stops the link popping, the upstream
 // output channel fills, the upstream engine masks that output, frames pile
@@ -68,7 +68,6 @@ import (
 	"fmt"
 	"sync/atomic"
 
-	"repro/internal/clint"
 	"repro/internal/clos"
 	"repro/internal/conserve"
 	"repro/internal/metrics"
@@ -165,11 +164,6 @@ type Config struct {
 	// Select picks the middle-stage routing policy.
 	Select MiddleSelect
 
-	// DisableConservation skips the per-slot fabric-wide audit (it is
-	// O(switches + links) per slot; benchmarks measuring raw slot rate
-	// may want it off). Tests leave it on.
-	DisableConservation bool
-
 	// OnDeliver, when non-nil, receives every frame leaving the fabric.
 	// It runs on the Tick caller's goroutine.
 	OnDeliver func(Delivery)
@@ -179,10 +173,11 @@ type Config struct {
 	// runtime.Config.OnSlot.
 	OnStageSlot func(stage uint8, idx int, ev rt.SlotEvent)
 
-	// TracerFor, when non-nil, supplies a per-engine obs tracer (stage,
-	// index), letting a daemon tag trace events by position in the
-	// fabric. Return nil for engines that should not trace.
-	TracerFor func(stage uint8, idx int) *obs.Tracer
+	// TracerFor, when non-nil, supplies a per-engine obs tracer for the
+	// engine at (stage, index) with the given port count, letting a
+	// daemon tag trace events by position in the fabric. Return nil for
+	// engines that should not trace.
+	TracerFor func(stage uint8, idx, ports int) *obs.Tracer
 }
 
 func (c *Config) normalize() error {
@@ -192,12 +187,22 @@ func (c *Config) normalize() error {
 	if c.Select != SelectRoundRobin && c.Select != SelectLeastBacklogged {
 		return fmt.Errorf("closfabric: unknown middle selection %d", int(c.Select))
 	}
-	n := c.K * c.R
-	if n > 1<<16 {
-		return fmt.Errorf("closfabric: %d external ports exceed the 16-bit wire address space", n)
-	}
 	return nil
 }
+
+// Fabric pipeline stages, in traversal order. The values are load-bearing:
+// SchedulerSeed mixes the stage into every engine's seed.
+const (
+	StageIngress uint8 = 0
+	StageMiddle  uint8 = 1
+	StageEgress  uint8 = 2
+)
+
+var stageNames = [...]string{StageIngress: "ingress", StageMiddle: "middle", StageEgress: "egress"}
+
+// StageName spells a pipeline stage as metric labels and trace lines do:
+// "ingress", "middle" or "egress".
+func StageName(stage uint8) string { return stageNames[stage] }
 
 // SchedulerSeed derives the deterministic per-engine scheduler seed from
 // the fabric's base seed, the engine's stage and its index within the
@@ -219,11 +224,11 @@ type meta struct {
 	inUse    bool
 }
 
-// hold is a one-frame link register: the decoded wire frame waiting for
-// the downstream switch to accept it.
+// hold is a one-frame link register: the frame popped from the upstream
+// output channel, waiting for the downstream switch to accept it.
 type hold struct {
 	full bool
-	fd   clint.FabricData
+	fr   rt.Frame
 }
 
 // Stats holds the fabric-level counters, safe to scrape concurrently with
@@ -269,8 +274,7 @@ type Fabric struct {
 	slot   atomic.Int64 // completed fabric slots; atomic only for scrapers
 	closed bool
 
-	met     Stats
-	scratch [clint.FabricDataLen]byte
+	met Stats
 }
 
 // New builds a fabric. The Clos dimensions are validated through
@@ -309,15 +313,15 @@ func New(cfg Config) (*Fabric, error) {
 		f.midLive[c] = true
 	}
 	for g := 0; g < r; g++ {
-		if f.ingress[g], err = f.newEngine(clint.StageIngress, g, f.sq); err != nil {
+		if f.ingress[g], err = f.newEngine(StageIngress, g, f.sq); err != nil {
 			return nil, err
 		}
-		if f.egress[g], err = f.newEngine(clint.StageEgress, g, f.sq); err != nil {
+		if f.egress[g], err = f.newEngine(StageEgress, g, f.sq); err != nil {
 			return nil, err
 		}
 	}
 	for c := 0; c < m; c++ {
-		if f.middle[c], err = f.newEngine(clint.StageMiddle, c, r); err != nil {
+		if f.middle[c], err = f.newEngine(StageMiddle, c, r); err != nil {
 			return nil, err
 		}
 	}
@@ -349,7 +353,7 @@ func (f *Fabric) newEngine(stage uint8, idx, size int) (*rt.Engine, error) {
 		OnDropped:   f.onEngineDrop,
 	}
 	if f.cfg.TracerFor != nil {
-		ecfg.Tracer = f.cfg.TracerFor(stage, idx)
+		ecfg.Tracer = f.cfg.TracerFor(stage, idx, size)
 	}
 	if cb := f.cfg.OnStageSlot; cb != nil {
 		st, ix := stage, idx
@@ -387,11 +391,11 @@ func (f *Fabric) Stats() *Stats { return &f.met }
 // metrics registration and tests. It panics on an out-of-range position.
 func (f *Fabric) Engine(stage uint8, idx int) *rt.Engine {
 	switch stage {
-	case clint.StageIngress:
+	case StageIngress:
 		return f.ingress[idx]
-	case clint.StageMiddle:
+	case StageMiddle:
 		return f.middle[idx]
-	case clint.StageEgress:
+	case StageEgress:
 		return f.egress[idx]
 	}
 	panic(fmt.Sprintf("closfabric: stage %d out of range", stage))
@@ -507,111 +511,42 @@ func popFrame(ch <-chan rt.Frame) (rt.Frame, bool) {
 	}
 }
 
-// encodeHop runs one frame through the real clint wire codec — the link
-// carries the stage/hop route on the wire, and a codec regression (or a
-// slab/route mismatch) surfaces here instead of as silent misdelivery.
-func (f *Fabric) encodeHop(stage uint8, mid int, fr rt.Frame) (clint.FabricData, error) {
-	idx := int(fr.Seq)
-	if idx < 0 || idx >= len(f.slab) || !f.slab[idx].inUse {
-		return clint.FabricData{}, fmt.Errorf("closfabric: frame with dead slab index %d on a link", idx)
+// moveLink advances one inter-switch link by at most one frame: an empty
+// hold register takes the next frame from the upstream output channel up,
+// then the held frame is offered downstream through admit, which receives
+// the frame's external destination from the slab. A downstream NACK
+// (ErrBackpressure, ErrPortDown) keeps the frame held for a retry next
+// slot, unless DropStranded says frames do not wait for a dead switch.
+// A frame whose Seq names no live slab entry has escaped the fabric's
+// books and is returned as an error.
+func (f *Fabric) moveLink(h *hold, up <-chan rt.Frame, admit func(fr rt.Frame, dst int) error) error {
+	if !h.full {
+		fr, ok := popFrame(up)
+		if !ok {
+			return nil
+		}
+		if idx := int(fr.Seq); idx < 0 || idx >= len(f.slab) || !f.slab[idx].inUse {
+			return fmt.Errorf("closfabric: frame with dead slab index %d on a link", idx)
+		}
+		h.fr, h.full = fr, true
 	}
-	mt := &f.slab[idx]
-	fd := clint.FabricData{
-		Stage: stage,
-		Mid:   uint8(mid),
-		Src:   uint16(mt.src),
-		Dst:   uint16(mt.dst),
-		Seq:   fr.Seq,
-		Stamp: mt.stamp,
-	}
-	fd.EncodeTo(f.scratch[:])
-	back, err := clint.DecodeFabricData(f.scratch[:])
-	if err != nil {
-		return clint.FabricData{}, fmt.Errorf("closfabric: link codec round trip: %w", err)
-	}
-	if back != fd {
-		return clint.FabricData{}, fmt.Errorf("closfabric: link codec mutated frame: sent %+v got %+v", fd, back)
-	}
-	return back, nil
-}
-
-// offerLink tries to move the held frame into the downstream engine,
-// applying the link NACK/hold/drop discipline. Reports whether the hold
-// register is now free.
-func (f *Fabric) offerLink(h *hold, admit func(fd clint.FabricData) error) {
-	err := admit(h.fd)
+	err := admit(h.fr, f.slab[h.fr.Seq].dst)
 	switch {
 	case err == nil:
 		h.full = false
 	case errors.Is(err, rt.ErrBackpressure), errors.Is(err, rt.ErrPortDown):
 		f.met.LinkNacks.Inc()
 		if errors.Is(err, rt.ErrPortDown) && f.cfg.Policy == rt.DropStranded {
-			// The downstream switch is dead and the policy says frames do
-			// not wait for it: the link drops the frame like the engines
-			// drop their stranded VOQs.
-			f.freeSlab(int(h.fd.Seq))
+			// The link drops the frame like the engines drop their
+			// stranded VOQs.
+			f.freeSlab(int(h.fr.Seq))
 			f.met.Dropped.Inc()
 			h.full = false
 		}
-		// Otherwise the frame stays in the register and retries next slot.
 	default:
 		// ErrClosed/ErrBadPort here mean fabric wiring is broken; surface
 		// loudly rather than leak the frame.
 		panic(fmt.Sprintf("closfabric: link admit: %v", err))
-	}
-}
-
-// transferIngressMiddle advances every ingress→middle link by at most one
-// frame: fill an empty hold register from the upstream output channel
-// (through the wire codec), then offer the held frame downstream.
-func (f *Fabric) transferIngressMiddle() error {
-	for g := 0; g < f.r; g++ {
-		for c := 0; c < f.m; c++ {
-			h := &f.imHold[g][c]
-			if !h.full {
-				fr, ok := popFrame(f.ingress[g].Output(c))
-				if ok {
-					fd, err := f.encodeHop(clint.StageMiddle, c, fr)
-					if err != nil {
-						return err
-					}
-					h.fd, h.full = fd, true
-				}
-			}
-			if h.full {
-				gi, mid := g, c
-				f.offerLink(h, func(fd clint.FabricData) error {
-					return f.middle[mid].Admit(gi, int(fd.Dst)/f.k, fd.Seq, fd.Stamp)
-				})
-			}
-		}
-	}
-	return nil
-}
-
-// transferMiddleEgress advances every middle→egress link by at most one
-// frame, symmetrically to transferIngressMiddle.
-func (f *Fabric) transferMiddleEgress() error {
-	for c := 0; c < f.m; c++ {
-		for ge := 0; ge < f.r; ge++ {
-			h := &f.meHold[c][ge]
-			if !h.full {
-				fr, ok := popFrame(f.middle[c].Output(ge))
-				if ok {
-					fd, err := f.encodeHop(clint.StageEgress, c, fr)
-					if err != nil {
-						return err
-					}
-					h.fd, h.full = fd, true
-				}
-			}
-			if h.full {
-				mid, eg := c, ge
-				f.offerLink(h, func(fd clint.FabricData) error {
-					return f.egress[eg].Admit(mid, int(fd.Dst)%f.k, fd.Seq, fd.Stamp)
-				})
-			}
-		}
 	}
 	return nil
 }
@@ -648,15 +583,27 @@ func (f *Fabric) collectDeliveries() {
 // middle→egress and ingress→middle links, tick every switch engine, and
 // collect external deliveries. Admissions made before Tick are visible to
 // this slot's ingress schedule — the same convention as runtime.Engine.
-// Unless disabled, the slot ends with the fabric-wide conservation audit;
-// a violation (or a wire codec failure) returns an error and the fabric
-// should be considered corrupt.
+// The slot ends with the fabric-wide conservation audit; a violation (or
+// a link frame with no slab entry) returns an error and the fabric should
+// be considered corrupt.
 func (f *Fabric) Tick() error {
-	if err := f.transferMiddleEgress(); err != nil {
-		return err
+	for c := 0; c < f.m; c++ {
+		for ge := 0; ge < f.r; ge++ {
+			if err := f.moveLink(&f.meHold[c][ge], f.middle[c].Output(ge), func(fr rt.Frame, dst int) error {
+				return f.egress[ge].Admit(c, dst%f.k, fr.Seq, fr.Stamp)
+			}); err != nil {
+				return err
+			}
+		}
 	}
-	if err := f.transferIngressMiddle(); err != nil {
-		return err
+	for g := 0; g < f.r; g++ {
+		for c := 0; c < f.m; c++ {
+			if err := f.moveLink(&f.imHold[g][c], f.ingress[g].Output(c), func(fr rt.Frame, dst int) error {
+				return f.middle[c].Admit(g, dst/f.k, fr.Seq, fr.Stamp)
+			}); err != nil {
+				return err
+			}
+		}
 	}
 	for _, e := range f.ingress {
 		e.Tick()
@@ -669,9 +616,6 @@ func (f *Fabric) Tick() error {
 	}
 	f.collectDeliveries()
 	f.slot.Add(1)
-	if f.cfg.DisableConservation {
-		return nil
-	}
 	return f.checkConservation()
 }
 
@@ -731,54 +675,35 @@ func (f *Fabric) checkConservation() error {
 // ingress masks the link feeding it, and routing stops choosing it. The
 // transition takes effect at the next slot, like the engine-level fault
 // setters. Idempotent.
-func (f *Fabric) FailMiddle(c int) error {
-	if c < 0 || c >= f.m {
-		return fmt.Errorf("%w: middle %d (m=%d)", ErrBadPort, c, f.m)
-	}
-	if !f.midLive[c] {
-		return nil
-	}
-	f.midLive[c] = false
-	f.live--
-	f.met.MiddleLive[c].Set(0)
-	for g := 0; g < f.r; g++ {
-		if err := f.ingress[g].FailOutput(c); err != nil {
-			return err
-		}
-	}
-	for p := 0; p < f.r; p++ {
-		if err := f.middle[c].FailInput(p); err != nil {
-			return err
-		}
-		if err := f.middle[c].FailOutput(p); err != nil {
-			return err
-		}
-	}
-	return nil
-}
+func (f *Fabric) FailMiddle(c int) error { return f.setMiddle(c, false) }
 
 // RecoverMiddle restores middle switch c. Held frames resume within a
 // slot; routing starts choosing it again immediately. Idempotent.
-func (f *Fabric) RecoverMiddle(c int) error {
+func (f *Fabric) RecoverMiddle(c int) error { return f.setMiddle(c, true) }
+
+// setMiddle brings middle switch c up or down: its liveness, the ingress
+// outputs feeding it and both directions of each of its own ports.
+func (f *Fabric) setMiddle(c int, live bool) error {
 	if c < 0 || c >= f.m {
 		return fmt.Errorf("%w: middle %d (m=%d)", ErrBadPort, c, f.m)
 	}
-	if f.midLive[c] {
+	if f.midLive[c] == live {
 		return nil
 	}
-	f.midLive[c] = true
-	f.live++
-	f.met.MiddleLive[c].Set(1)
+	out, port, gauge, delta := (*rt.Engine).FailOutput, (*rt.Engine).FailPort, int64(0), -1
+	if live {
+		out, port, gauge, delta = (*rt.Engine).RecoverOutput, (*rt.Engine).Recover, 1, 1
+	}
+	f.midLive[c] = live
+	f.live += delta
+	f.met.MiddleLive[c].Set(gauge)
 	for g := 0; g < f.r; g++ {
-		if err := f.ingress[g].RecoverOutput(c); err != nil {
+		if err := out(f.ingress[g], c); err != nil {
 			return err
 		}
 	}
 	for p := 0; p < f.r; p++ {
-		if err := f.middle[c].RecoverInput(p); err != nil {
-			return err
-		}
-		if err := f.middle[c].RecoverOutput(p); err != nil {
+		if err := port(f.middle[c], p); err != nil {
 			return err
 		}
 	}
@@ -801,10 +726,3 @@ func (f *Fabric) Drain(maxSlots int) (int64, error) {
 // goroutines), so there is nothing else to stop; callers wanting an empty
 // fabric call Drain first.
 func (f *Fabric) Close() { f.closed = true }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

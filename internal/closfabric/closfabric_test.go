@@ -10,7 +10,7 @@ import (
 )
 
 // tickOK advances the fabric one slot and fails the test on any
-// conservation or codec violation.
+// conservation violation or link frame without a slab entry.
 func tickOK(t *testing.T, f *cf.Fabric) {
 	t.Helper()
 	if err := f.Tick(); err != nil {

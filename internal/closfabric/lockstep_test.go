@@ -4,7 +4,6 @@ import (
 	"errors"
 	"testing"
 
-	"repro/internal/clint"
 	cf "repro/internal/closfabric"
 	"repro/internal/matching"
 	"repro/internal/rng"
@@ -58,7 +57,7 @@ func lockstepDegenerate(t *testing.T, schedName string) {
 		Iterations: 4,
 		Seed:       seed,
 		OnStageSlot: func(stage uint8, idx int, ev rt.SlotEvent) {
-			if stage == clint.StageMiddle {
+			if stage == cf.StageMiddle {
 				fabMatches = append(fabMatches, ev.Match.Clone())
 			}
 		},
@@ -78,7 +77,7 @@ func lockstepDegenerate(t *testing.T, schedName string) {
 	// SchedulerSeed is exported precisely for this construction.
 	refSched, err := registry.New(schedName, n, sched.Options{
 		Iterations: 4,
-		Seed:       cf.SchedulerSeed(seed, clint.StageMiddle, 0),
+		Seed:       cf.SchedulerSeed(seed, cf.StageMiddle, 0),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -3,24 +3,9 @@ package closfabric
 import (
 	"strconv"
 
-	"repro/internal/clint"
 	"repro/internal/obs"
 	rt "repro/internal/runtime"
 )
-
-// stageName maps the wire stage tags to metric label values.
-func stageName(stage uint8) string {
-	switch stage {
-	case clint.StageIngress:
-		return "ingress"
-	case clint.StageMiddle:
-		return "middle"
-	case clint.StageEgress:
-		return "egress"
-	default:
-		return "unknown"
-	}
-}
 
 // Register publishes the fabric's counters into r under the fab_*
 // namespace: fabric-wide totals, per-middle routing and liveness, and a
@@ -90,18 +75,18 @@ func (f *Fabric) Register(r *obs.Registry) {
 	var positions []pos
 	add := func(stage uint8, idx int, e *rt.Engine) {
 		positions = append(positions, pos{
-			labels: obs.Labels("stage", stageName(stage), "index", strconv.Itoa(idx)),
+			labels: obs.Labels("stage", StageName(stage), "index", strconv.Itoa(idx)),
 			eng:    e,
 		})
 	}
 	for g := 0; g < f.r; g++ {
-		add(clint.StageIngress, g, f.ingress[g])
+		add(StageIngress, g, f.ingress[g])
 	}
 	for c := 0; c < f.m; c++ {
-		add(clint.StageMiddle, c, f.middle[c])
+		add(StageMiddle, c, f.middle[c])
 	}
 	for g := 0; g < f.r; g++ {
-		add(clint.StageEgress, g, f.egress[g])
+		add(StageEgress, g, f.egress[g])
 	}
 	stageVec := func(read func(*rt.Engine) float64) func() []obs.Sample {
 		return func() []obs.Sample {

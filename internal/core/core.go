@@ -74,7 +74,7 @@ type Central struct {
 	// position once per n² cycles.
 	i, j int
 
-	// Scratch for the reference transcription (central_ref.go).
+	// Scratch for the reference transcription (central_ref_test.go).
 	r   *bitvec.Matrix // working copy of the request matrix
 	nrq []int          // outstanding request count per requester
 
@@ -166,7 +166,7 @@ func (c *Central) SetOffsets(i, j int) {
 }
 
 // Schedule implements sched.Scheduler. It computes exactly the Figure 2
-// matching (the transcription survives as scheduleRef in central_ref.go,
+// matching (the transcription survives as scheduleRef in central_ref_test.go,
 // pinned bit-exact by the differential tests) but runs the three hot
 // decisions word-parallel (DESIGN.md §10):
 //

@@ -37,7 +37,7 @@ type Dist struct {
 	grantPtr  []int // per target: where the grant search starts
 	acceptPtr []int // per initiator: where the accept search starts
 
-	// Scratch for the reference transcription (dist_ref.go).
+	// Scratch for the reference transcription (dist_ref_test.go).
 	nrq []int // per initiator: requests sent this iteration
 	ngt []int // per target: requests received this iteration
 
@@ -146,7 +146,7 @@ func (d *Dist) SetPosition(i, j int) {
 }
 
 // Schedule implements sched.Scheduler. It computes exactly the Section 5
-// protocol of scheduleRef (dist_ref.go), pinned bit-exact — including
+// protocol of scheduleRef (dist_ref_test.go), pinned bit-exact — including
 // pointer evolution and MessageStats — by the differential tests, but
 // runs the three steps word-parallel (DESIGN.md §10): choice counts are
 // masked popcounts over unmatched-target words, the per-target grant

@@ -274,7 +274,7 @@ func TestFaultErrorsAndIdempotence(t *testing.T) {
 }
 
 // TestCloseStuckConsumer pins the shutdown bound from PR 1: Close against
-// a consumer that never reads must terminate within DrainSlots (here cut
+// a consumer that never reads must terminate within the drain bound (here cut
 // short by the stall detector), and every frame the drain could not
 // deliver must be accounted in the Undrained gauge — nothing is lost
 // silently.

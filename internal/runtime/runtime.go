@@ -197,12 +197,6 @@ type Config struct {
 	// slots via Tick.
 	SlotPeriod time.Duration
 
-	// DrainSlots bounds the graceful-shutdown drain: Close ticks until
-	// every VOQ is empty or this many extra slots have elapsed, whichever
-	// comes first. Default 4·n·VOQCap (enough to drain full VOQs even
-	// under total output contention).
-	DrainSlots int
-
 	// FaultPolicy selects the disposition of frames stranded in VOQs
 	// behind a failed link (see FailInput/FailOutput): HoldStranded (the
 	// default) keeps them queued until recovery, DropStranded flushes and
@@ -257,12 +251,6 @@ func (c *Config) normalize() error {
 	}
 	if c.SlotPeriod < 0 {
 		return fmt.Errorf("runtime: negative slot period %v", c.SlotPeriod)
-	}
-	if c.DrainSlots == 0 {
-		c.DrainSlots = 4 * c.N * c.VOQCap
-	}
-	if c.DrainSlots < 0 {
-		return fmt.Errorf("runtime: negative drain bound %d", c.DrainSlots)
 	}
 	if c.FaultPolicy != HoldStranded && c.FaultPolicy != DropStranded {
 		return fmt.Errorf("runtime: unknown fault policy %d", c.FaultPolicy)
@@ -771,13 +759,13 @@ func (e *Engine) wakeArbiter() {
 	}
 }
 
-// drain keeps ticking until every VOQ is empty or the drain bound or a
-// stall (no backlog progress with nothing deliverable, i.e. consumers
-// gone) cuts it short. wait paces the drain ticks in live mode.
+// drain keeps ticking until every VOQ is empty or the drain bound (see
+// Close) or a stall (no backlog progress with nothing deliverable, i.e.
+// consumers gone) cuts it short. wait paces the drain ticks in live mode.
 func (e *Engine) drain(wait func()) {
 	stalled := 0
 	last := e.met.Backlog.Value()
-	for s := 0; s < e.cfg.DrainSlots && last > 0; s++ {
+	for s := 0; s < 4*e.n*e.cfg.VOQCap && last > 0; s++ {
 		e.tick()
 		cur := e.met.Backlog.Value()
 		if cur >= last {
@@ -808,6 +796,10 @@ func (e *Engine) drain(wait func()) {
 // Close stops admission, drains queued frames through the slot loop, then
 // closes the output channels. It blocks until the drain completes. Safe to
 // call more than once.
+//
+// The drain ticks until every VOQ is empty or 4·n·VOQCap extra slots have
+// elapsed, whichever comes first — enough to drain full VOQs even under
+// total output contention.
 func (e *Engine) Close() {
 	e.stopOnce.Do(func() {
 		e.closed.Store(true)

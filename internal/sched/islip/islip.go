@@ -93,7 +93,7 @@ func (s *ISLIP) Pointers() (grant, accept []int) {
 // made in the first iteration, the rule iSLIP uses to preserve its
 // starvation-freedom and desynchronization properties.
 // The implementation is word-parallel (DESIGN.md §10; the bit-at-a-time
-// sweep survives as scheduleRef in ref.go, pinned bit-exact by the
+// sweep survives as scheduleRef in ref_test.go, pinned bit-exact by the
 // differential tests): each output's grant is one circular masked
 // first-set scan of its requester column against the unmatched-input
 // set — the programmable priority encoder of McKeown's hardware, run in

@@ -18,9 +18,7 @@ type PIM struct {
 	iterations int
 	r          *rng.PCG32
 
-	grants   *bitvec.Matrix
-	scratch  []int // candidate buffer for random selection (scheduleRef)
-	scratch2 []int
+	grants *bitvec.Matrix
 
 	// Word-parallel kernel scratch (DESIGN.md §10).
 	cols         *bitvec.Matrix
@@ -47,8 +45,6 @@ func New(n, iterations int, seed uint64) *PIM {
 		iterations:   iterations,
 		r:            rng.New(seed),
 		grants:       bitvec.NewMatrix(n),
-		scratch:      make([]int, 0, n),
-		scratch2:     make([]int, 0, n),
 		cols:         bitvec.NewMatrix(n),
 		unmatchedIn:  bitvec.New(n),
 		unmatchedOut: bitvec.New(n),
@@ -68,7 +64,7 @@ func (p *PIM) N() int { return p.n }
 // input with grants accepts one uniformly at random.
 //
 // Word-parallel (DESIGN.md §10; the candidate-slice version survives as
-// scheduleRef in ref.go): the uniform pick over a candidate set is
+// scheduleRef in ref_test.go): the uniform pick over a candidate set is
 // NthSet(Intn(popcount)) — the k-th set bit of the candidate words —
 // which consumes the PCG stream in exactly the reference's order, so the
 // two implementations agree bit for bit from any seed.

@@ -16,6 +16,7 @@ func (p *PIM) scheduleRef(ctx *sched.Context, m *matching.Match) {
 	m.Reset()
 	n := p.n
 	req := ctx.Req
+	grantCand, acceptCand := make([]int, 0, n), make([]int, 0, n)
 
 	for it := 0; it < p.iterations; it++ {
 		p.grants.Reset()
@@ -24,7 +25,7 @@ func (p *PIM) scheduleRef(ctx *sched.Context, m *matching.Match) {
 			if m.OutputMatched(j) {
 				continue
 			}
-			cand := p.scratch[:0]
+			cand := grantCand[:0]
 			for i := 0; i < n; i++ {
 				if !m.InputMatched(i) && req.Get(i, j) {
 					cand = append(cand, i)
@@ -44,7 +45,7 @@ func (p *PIM) scheduleRef(ctx *sched.Context, m *matching.Match) {
 			if row.None() {
 				continue
 			}
-			cand := p.scratch2[:0]
+			cand := acceptCand[:0]
 			for j := row.FirstSet(); j >= 0; j = row.NextSet(j + 1) {
 				cand = append(cand, j)
 			}

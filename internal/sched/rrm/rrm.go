@@ -68,7 +68,7 @@ func (s *RRM) N() int { return s.n }
 // Schedule implements sched.Scheduler: iSLIP's grant/accept sweep, but
 // with pointers advanced one position every slot regardless of outcome.
 // Word-parallel (DESIGN.md §10); the bit-at-a-time sweep survives as
-// scheduleRef in ref.go, pinned bit-exact by the differential tests.
+// scheduleRef in ref_test.go, pinned bit-exact by the differential tests.
 func (s *RRM) Schedule(ctx *sched.Context, m *matching.Match) {
 	sched.CheckDims(s, ctx, m)
 	m.Reset()

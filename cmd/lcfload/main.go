@@ -76,8 +76,8 @@ func main() {
 		slots        = flag.Int("slots", 5000, "generator slots to run")
 		slot         = flag.Duration("slot", time.Millisecond, "generator slot period")
 		seed         = flag.Uint64("seed", 1, "arrival RNG seed")
-		burst        = flag.Float64("burst", 16, "mean burst length (bursty pattern)")
-		hotfrac      = flag.Float64("hotfrac", 0.5, "traffic fraction to the hot port (hotspot pattern)")
+		burst        = flag.Float64("burst", traffic.DefaultMeanBurst, "mean burst length, >= 1 (bursty pattern)")
+		hotfrac      = flag.Float64("hotfrac", traffic.DefaultHotspotFrac, "traffic fraction to the hot port, in (0,1] (hotspot pattern)")
 		drain        = flag.Duration("drain", 3*time.Second, "give up on in-flight frames this long after the last delivery progress")
 		retries      = flag.Int("retries", 3, "retransmit attempts per frame after a NACK before counting it dropped")
 		retryBackoff = flag.Duration("retry-backoff", 2*time.Millisecond, "first retransmit backoff, doubling per attempt (jittered; see -retry-backoff-max)")
@@ -95,6 +95,9 @@ func main() {
 	}
 	if *load < 0 || *load > 1 {
 		fatalUsage("-load %g out of [0,1]", *load)
+	}
+	if *burst < 1 || *hotfrac <= 0 || *hotfrac > 1 {
+		fatalUsage("-burst must be >= 1 and -hotfrac in (0,1] (got %g, %g)", *burst, *hotfrac)
 	}
 	if *slots <= 0 || *slot <= 0 {
 		fatalUsage("-slots and -slot must be positive")
@@ -133,9 +136,10 @@ func main() {
 			fatalUsage("-class-mix: %v", err)
 		}
 	}
-	gen, err := buildGenerator(*pattern, *n, *load, *burst, *hotfrac, *seed)
+	gen, err := traffic.NewPattern(*pattern, *n, *load,
+		traffic.Params{HotspotFrac: *hotfrac, MeanBurst: *burst}, *seed)
 	if err != nil {
-		fatalUsage("%v", err)
+		fatalUsage("-pattern: %v", err)
 	}
 	var zipf *traffic.Zipf
 	if *flows > 0 {
@@ -647,23 +651,4 @@ func dialPort(addr string) (*portConn, error) {
 		return nil, fmt.Errorf("switch refused the connection (all ports taken)")
 	}
 	return &portConn{conn: conn, port: int(g.NodeID), r: r, w: bufio.NewWriter(conn)}, nil
-}
-
-// buildGenerator maps a pattern name to the repository's traffic
-// generators (the same set cmd/lcfsim sweeps offline).
-func buildGenerator(pattern string, n int, load, burst, hotfrac float64, seed uint64) (traffic.Generator, error) {
-	switch pattern {
-	case "uniform":
-		return traffic.NewBernoulli(n, load, traffic.NewUniform(n), seed), nil
-	case "hotspot":
-		return traffic.NewBernoulli(n, load, traffic.NewHotspot(n, 0, hotfrac), seed), nil
-	case "diagonal":
-		return traffic.NewBernoulli(n, load, traffic.NewDiagonal(n), seed), nil
-	case "logdiagonal":
-		return traffic.NewBernoulli(n, load, traffic.NewLogDiagonal(n), seed), nil
-	case "bursty":
-		return traffic.NewBursty(n, load, burst, traffic.NewUniform(n), seed), nil
-	default:
-		return nil, fmt.Errorf("unknown traffic pattern %q (known: uniform, hotspot, diagonal, logdiagonal, bursty)", pattern)
-	}
 }

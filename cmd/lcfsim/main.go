@@ -1,7 +1,9 @@
-// Command lcfsim regenerates the simulation side of the paper's
-// evaluation: Figure 12a (mean queuing delay vs load), Figure 12b (delay
-// relative to the output-buffered switch), and the extension experiments
-// (saturation throughput, iteration ablation, traffic-pattern sweeps).
+// Command lcfsim regenerates the offline side of the paper's evaluation
+// and of every extension study: Figure 12a (mean queuing delay vs load),
+// Figure 12b (delay relative to the output-buffered switch), the
+// simulator experiments (saturation throughput, iteration ablation,
+// traffic-pattern sweeps), and the two studies that drive the live
+// engine in lockstep (flow steering, service classes).
 //
 // Usage:
 //
@@ -12,7 +14,11 @@
 //	lcfsim -figure rrdensity          # Section 3 fairness/latency ablation
 //	lcfsim -figure bursty|hotspot|diagonal
 //	lcfsim -schedulers lcf_central,outbuf -loads 0.5,0.9,0.99
+//	lcfsim -figure flows -seed 42 -warmup 3000 -measure 10000      # E31
+//	lcfsim -figure classes -n 8 -seed 42 -loads 0.96 -measure 4000 # E32
 //
+// Each figure reads a declared set of flags; setting any other flag is a
+// usage error (exit 2) naming it, so a flag never silently does nothing.
 // All runs are deterministic for a given -seed. -measure trades accuracy
 // for time; the defaults reproduce stable curves in roughly a minute on a
 // laptop.
@@ -22,36 +28,113 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 
 	lcf "repro"
 	"repro/internal/asciiplot"
+	"repro/internal/flowtable"
 	"repro/internal/metrics"
+	"repro/internal/pifo"
+	rt "repro/internal/runtime"
+	"repro/internal/sched"
+	"repro/internal/sched/registry"
+	"repro/internal/traffic"
 )
+
+// options carries the flags a figure reads beyond lcf.SweepConfig.
+type options struct {
+	csv, json, plot bool
+	flows           int
+	skew            float64
+	policies, ranks []string
+}
+
+// figure is one -figure value: the flags it reads besides -figure
+// (space-separated) and how it runs.
+type figure struct {
+	reads string
+	run   func(lcf.SweepConfig, options)
+}
+
+// Flag groups the figures share. Every figure reads base; a figure that
+// calls lcf.Sweep reads what the sweep harness reads, less what it fixes.
+const (
+	base  = "n seed warmup measure"
+	sweep = base + " iterations repeat workers speedup pattern loads schedulers datapath"
+)
+
+var figures = map[string]figure{
+	"12a":        {sweep + " csv json plot", func(c lcf.SweepConfig, o options) { runDelay(c, o, false) }},
+	"12b":        {sweep + " csv json plot", func(c lcf.SweepConfig, o options) { runDelay(c, o, true) }},
+	"throughput": {base + " iterations repeat workers speedup pattern schedulers datapath csv", runThroughput},
+	"iters":      {base + " repeat workers speedup pattern loads schedulers datapath", runIterAblation},
+	"rrdensity":  {base + " iterations repeat workers speedup pattern loads csv", runRRDensity},
+	"fairness":   {base + " iterations speedup pattern loads schedulers datapath", runFairness},
+	"speedup":    {base + " iterations repeat workers pattern loads schedulers datapath", runSpeedupAblation},
+	"hist":       {base + " iterations loads schedulers", runHistogram},
+	"mcast":      {base, runMulticast},
+	"pipeline":   {base + " iterations loads schedulers", runPipelineAblation},
+	"choice":     {base + " loads", runChoiceHypothesis},
+	"pointer": {base + " iterations repeat workers speedup pattern loads csv json", func(c lcf.SweepConfig, o options) {
+		c.Schedulers = []string{"rrm", "islip", "firm"}
+		runDelaySweep(c, o, false)
+	}},
+	"unbalanced": {base + " iterations repeat workers speedup schedulers datapath", runUnbalanced},
+	"crossover":  {sweep, runCrossovers},
+	"bursty":     patternSweep("bursty"),
+	"hotspot":    patternSweep("hotspot"),
+	"diagonal":   patternSweep("diagonal"),
+	"flows":      {base + " loads schedulers csv flows skew policies", runFlows},
+	"classes":    {"n seed measure loads schedulers csv ranks", runClasses},
+}
+
+// patternSweep is Figure 12a's grid under the named traffic pattern.
+func patternSweep(pattern string) figure {
+	return figure{base + " iterations repeat workers speedup loads schedulers datapath csv json",
+		func(c lcf.SweepConfig, o options) {
+			c.Pattern = pattern
+			runDelaySweep(c, o, false)
+		}}
+}
 
 func main() {
 	var (
-		figure     = flag.String("figure", "12a", "what to regenerate: 12a, 12b, throughput, iters, rrdensity, bursty, hotspot, diagonal")
+		figName    = flag.String("figure", "12a", "what to regenerate: "+strings.Join(figureNames(), ", "))
 		n          = flag.Int("n", 16, "switch port count")
-		schedulers = flag.String("schedulers", "", "comma-separated scheduler list (default: the Figure 12 set); the pseudo-schedulers outbuf and lcf_cicq select switch organizations")
+		schedulers = flag.String("schedulers", "", "comma-separated scheduler list (default: the Figure 12 set); the pseudo-schedulers outbuf and lcf_cicq select switch organizations; flows and classes take one (default lcf_central_rr)")
 		dp         = flag.String("datapath", lcf.DatapathVOQ, "switch datapath organization: "+strings.Join(lcf.DatapathNames(), " or ")+"; cicq sweeps the crosspoint-buffered switch (shorthand for -schedulers lcf_cicq)")
-		loads      = flag.String("loads", "", "comma-separated load list (default: the Figure 12 grid)")
+		loads      = flag.String("loads", "", "comma-separated load list (default: the Figure 12 grid); flows and classes take one (default 0.7 and 0.92)")
 		iterations = flag.Int("iterations", 4, "iterations for the iterative schedulers")
 		seed       = flag.Uint64("seed", 1, "base RNG seed")
 		repeats    = flag.Int("repeat", 1, "independent replications per point")
 		warmup     = flag.Int64("warmup", 10000, "warmup slots (not measured)")
-		measure    = flag.Int64("measure", 50000, "measured slots")
+		measure    = flag.Int64("measure", 50000, "measured slots (classes: trace length, the run drains past it)")
 		workers    = flag.Int("workers", 0, "parallel simulations (0 = all CPUs)")
 		csv        = flag.Bool("csv", false, "emit CSV instead of an aligned table")
 		speedup    = flag.Int("speedup", 1, "fabric speedup (CIOQ extension)")
-		pattern    = flag.String("pattern", "", "traffic pattern: uniform, hotspot, diagonal, logdiagonal, bursty")
+		pattern    = flag.String("pattern", "", "traffic pattern: "+strings.Join(traffic.PatternNames(), ", "))
 		plot       = flag.Bool("plot", false, "render 12a/12b as an ASCII chart instead of a table")
-		jsonOut    = flag.Bool("json", false, "emit JSON for figures 12a/12b")
+		jsonOut    = flag.Bool("json", false, "emit JSON for the delay sweeps (12a, 12b, pointer, pattern figures)")
+		flows      = flag.Int("flows", 100_000, "flows: flow-id population (steering table is sized 2x)")
+		skew       = flag.Float64("skew", 0.8, "flows: Zipf popularity exponent (0 = uniform)")
+		policies   = flag.String("policies", strings.Join(flowtable.Names(), ","), "flows: comma-separated steering policies to compare")
+		ranks      = flag.String("ranks", strings.Join(pifo.Names(), ","), "classes: comma-separated rank functions to compare")
 	)
 	flag.Parse()
 
+	fig, ok := figures[*figName]
+	if !ok {
+		usage("unknown -figure %q (known: %s)", *figName, strings.Join(figureNames(), ", "))
+	}
+	reads := strings.Fields(fig.reads)
+	flag.Visit(func(f *flag.Flag) {
+		if f.Name != "figure" && !slices.Contains(reads, f.Name) {
+			usage("-figure %s does not read -%s", *figName, f.Name)
+		}
+	})
 	// Validate flags up front with usage exit code 2: these used to be
 	// accepted silently (negative -workers ran serially, bad -pattern
 	// failed deep inside the sweep) instead of failing fast.
@@ -60,10 +143,6 @@ func main() {
 	}
 	if *dp == lcf.DatapathCICQ && *schedulers != "" {
 		usage("-datapath=cicq is shorthand for -schedulers %s; to compare organizations, list %s alongside the schedulers instead", lcf.CICQName, lcf.CICQName)
-	}
-
-	if *jsonOut {
-		*csv = false
 	}
 
 	cfg := lcf.SweepConfig{
@@ -89,81 +168,30 @@ func main() {
 		for _, f := range strings.Split(*loads, ",") {
 			v, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
 			if err != nil {
-				fatal("bad load %q: %v", f, err)
+				usage("bad -loads value %q: %v", f, err)
 			}
 			cfg.Loads = append(cfg.Loads, v)
 		}
 	}
+	fig.run(cfg, options{
+		csv: *csv && !*jsonOut, json: *jsonOut, plot: *plot,
+		flows: *flows, skew: *skew,
+		policies: strings.Split(*policies, ","), ranks: strings.Split(*ranks, ","),
+	})
+}
 
-	if *plot {
-		switch *figure {
-		case "12a", "12b":
-			runDelayPlot(cfg, *figure == "12b")
-			return
-		default:
-			fatal("-plot supports figures 12a and 12b")
-		}
+func figureNames() []string {
+	names := make([]string, 0, len(figures))
+	for name := range figures {
+		names = append(names, name)
 	}
-
-	emitJSON = *jsonOut
-
-	switch *figure {
-	case "12a":
-		runDelaySweep(cfg, *csv, false)
-	case "12b":
-		runDelaySweep(cfg, *csv, true)
-	case "throughput":
-		runThroughput(cfg, *csv)
-	case "iters":
-		runIterAblation(cfg, *csv)
-	case "rrdensity":
-		runRRDensity(cfg, *csv)
-	case "fairness":
-		runFairness(cfg)
-	case "speedup":
-		runSpeedupAblation(cfg)
-	case "hist":
-		runHistogram(cfg)
-	case "mcast":
-		runMulticast(cfg)
-	case "pipeline":
-		runPipelineAblation(cfg)
-	case "choice":
-		runChoiceHypothesis(cfg)
-	case "pointer":
-		cfg.Schedulers = []string{"rrm", "islip", "firm"}
-		runDelaySweep(cfg, *csv, false)
-	case "unbalanced":
-		runUnbalanced(cfg)
-	case "crossover":
-		runCrossovers(cfg)
-	case "bursty", "hotspot", "diagonal":
-		cfg.Pattern = *figure
-		runDelaySweep(cfg, *csv, false)
-	default:
-		fatal("unknown -figure %q", *figure)
-	}
+	sort.Strings(names)
+	return names
 }
 
 func fatal(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "lcfsim: "+format+"\n", args...)
 	os.Exit(1)
-}
-
-// knownPatterns mirrors the patterns internal/experiment accepts; keep the
-// two in sync (TestCheckFlags pins the rejection behaviour).
-var knownPatterns = map[string]bool{
-	"uniform": true, "hotspot": true, "diagonal": true,
-	"logdiagonal": true, "bursty": true, "unbalanced": true,
-}
-
-func patternList() string {
-	names := make([]string, 0, len(knownPatterns))
-	for p := range knownPatterns {
-		names = append(names, p)
-	}
-	sort.Strings(names)
-	return strings.Join(names, ", ")
 }
 
 // checkFlags rejects flag combinations that would otherwise be accepted
@@ -172,14 +200,14 @@ func checkFlags(workers, speedup, n, iterations, repeats int, pattern, dp string
 	if workers < 0 {
 		return fmt.Errorf("-workers must be ≥ 0 (0 = all CPUs), got %d", workers)
 	}
-	if known := lcf.DatapathNames(); !slicesContains(known, dp) {
+	if known := lcf.DatapathNames(); !slices.Contains(known, dp) {
 		return fmt.Errorf("unknown -datapath %q (known: %s)", dp, strings.Join(known, ", "))
 	}
 	if speedup < 1 {
 		return fmt.Errorf("-speedup must be ≥ 1 (1 = no speedup), got %d", speedup)
 	}
-	if pattern != "" && !knownPatterns[pattern] {
-		return fmt.Errorf("unknown -pattern %q (known: %s)", pattern, patternList())
+	if known := traffic.PatternNames(); pattern != "" && !slices.Contains(known, pattern) {
+		return fmt.Errorf("unknown -pattern %q (known: %s)", pattern, strings.Join(known, ", "))
 	}
 	if n <= 0 {
 		return fmt.Errorf("-n must be positive, got %d", n)
@@ -193,23 +221,11 @@ func checkFlags(workers, speedup, n, iterations, repeats int, pattern, dp string
 	return nil
 }
 
-func slicesContains(xs []string, want string) bool {
-	for _, x := range xs {
-		if x == want {
-			return true
-		}
-	}
-	return false
-}
-
 // usage reports a flag error and exits with the conventional usage status 2.
 func usage(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "lcfsim: "+format+"\n", args...)
 	os.Exit(2)
 }
-
-// emitJSON switches the 12a/12b emitters to JSON output.
-var emitJSON bool
 
 func emit(cfg lcf.SweepConfig, grid map[string][]lcf.SweepPoint, csv bool, value func(lcf.SweepPoint) float64) {
 	if csv {
@@ -258,7 +274,17 @@ func runDelayPlot(cfg lcf.SweepConfig, relative bool) {
 	fmt.Print(out)
 }
 
-func runDelaySweep(cfg lcf.SweepConfig, csv, relative bool) {
+// runDelay is figures 12a and 12b: a table, CSV, JSON or ASCII chart of
+// mean delay (12b: relative to output buffering) vs load.
+func runDelay(cfg lcf.SweepConfig, o options, relative bool) {
+	if o.plot {
+		runDelayPlot(cfg, relative)
+		return
+	}
+	runDelaySweep(cfg, o, relative)
+}
+
+func runDelaySweep(cfg lcf.SweepConfig, o options, relative bool) {
 	res, err := lcf.Sweep(cfg)
 	if err != nil {
 		fatal("%v", err)
@@ -275,7 +301,7 @@ func runDelaySweep(cfg lcf.SweepConfig, csv, relative bool) {
 		}
 		title = "Figure 12b — latency relative to output buffering"
 	}
-	if emitJSON {
+	if o.json {
 		out, err := lcf.FormatSweepJSON(res.Cfg, grid)
 		if err != nil {
 			fatal("%v", err)
@@ -283,28 +309,28 @@ func runDelaySweep(cfg lcf.SweepConfig, csv, relative bool) {
 		fmt.Print(out)
 		return
 	}
-	if !csv {
+	if !o.csv {
 		fmt.Printf("%s\n(n=%d, %s traffic, %d iterations, warmup %d, measured %d slots, seed %d, repeats %d)\n\n",
 			title, res.Cfg.N, res.Cfg.Pattern, res.Cfg.Iterations, res.Cfg.WarmupSlots,
 			res.Cfg.MeasureSlots, res.Cfg.Seed, res.Cfg.Repeats)
 	}
-	emit(res.Cfg, grid, csv, func(p lcf.SweepPoint) float64 { return p.MeanDelay })
+	emit(res.Cfg, grid, o.csv, func(p lcf.SweepPoint) float64 { return p.MeanDelay })
 }
 
-func runThroughput(cfg lcf.SweepConfig, csv bool) {
+func runThroughput(cfg lcf.SweepConfig, o options) {
 	cfg.Loads = []float64{1.0}
 	res, err := lcf.Sweep(cfg)
 	if err != nil {
 		fatal("%v", err)
 	}
-	if !csv {
+	if !o.csv {
 		fmt.Printf("Extension — saturation throughput (offered load 1.0, n=%d, %s traffic)\n\n",
 			res.Cfg.N, res.Cfg.Pattern)
 	}
-	emit(res.Cfg, res.Points, csv, func(p lcf.SweepPoint) float64 { return p.Throughput })
+	emit(res.Cfg, res.Points, o.csv, func(p lcf.SweepPoint) float64 { return p.Throughput })
 }
 
-func runIterAblation(cfg lcf.SweepConfig, csv bool) {
+func runIterAblation(cfg lcf.SweepConfig, _ options) {
 	if len(cfg.Loads) == 0 {
 		cfg.Loads = []float64{0.95}
 	}
@@ -330,10 +356,9 @@ func runIterAblation(cfg lcf.SweepConfig, csv bool) {
 		}
 		fmt.Println()
 	}
-	_ = csv
 }
 
-func runFairness(cfg lcf.SweepConfig) {
+func runFairness(cfg lcf.SweepConfig, _ options) {
 	load := 1.0
 	if len(cfg.Loads) > 0 {
 		load = cfg.Loads[0]
@@ -347,7 +372,7 @@ func runFairness(cfg lcf.SweepConfig) {
 	fmt.Print(lcf.FormatFairness(cfg, pts))
 }
 
-func runSpeedupAblation(cfg lcf.SweepConfig) {
+func runSpeedupAblation(cfg lcf.SweepConfig, _ options) {
 	if len(cfg.Schedulers) == 0 {
 		cfg.Schedulers = []string{"lcf_central_rr", "islip", "outbuf"}
 	}
@@ -379,7 +404,7 @@ func runSpeedupAblation(cfg lcf.SweepConfig) {
 	}
 }
 
-func runHistogram(cfg lcf.SweepConfig) {
+func runHistogram(cfg lcf.SweepConfig, _ options) {
 	load := 0.9
 	if len(cfg.Loads) > 0 {
 		load = cfg.Loads[0]
@@ -426,7 +451,7 @@ func histQuantile(h *metrics.Histogram, q float64) string {
 	return fmt.Sprintf("%d", v)
 }
 
-func runUnbalanced(cfg lcf.SweepConfig) {
+func runUnbalanced(cfg lcf.SweepConfig, _ options) {
 	// Sweep the unbalance factor at full load and report throughput —
 	// the benchmark where round-robin schedulers dip in the middle.
 	if len(cfg.Schedulers) == 0 {
@@ -455,7 +480,7 @@ func runUnbalanced(cfg lcf.SweepConfig) {
 	}
 }
 
-func runCrossovers(cfg lcf.SweepConfig) {
+func runCrossovers(cfg lcf.SweepConfig, _ options) {
 	res, err := lcf.Sweep(cfg)
 	if err != nil {
 		fatal("%v", err)
@@ -476,7 +501,7 @@ func runCrossovers(cfg lcf.SweepConfig) {
 	}
 }
 
-func runChoiceHypothesis(cfg lcf.SweepConfig) {
+func runChoiceHypothesis(cfg lcf.SweepConfig, _ options) {
 	if len(cfg.Loads) == 0 {
 		cfg.Loads = []float64{0.8, 0.9, 0.95, 0.97, 0.99}
 	}
@@ -511,7 +536,7 @@ func runChoiceHypothesis(cfg lcf.SweepConfig) {
 	}
 }
 
-func runPipelineAblation(cfg lcf.SweepConfig) {
+func runPipelineAblation(cfg lcf.SweepConfig, _ options) {
 	if len(cfg.Loads) == 0 {
 		cfg.Loads = []float64{0.5, 0.8, 0.95}
 	}
@@ -548,7 +573,7 @@ func runPipelineAblation(cfg lcf.SweepConfig) {
 	}
 }
 
-func runMulticast(cfg lcf.SweepConfig) {
+func runMulticast(cfg lcf.SweepConfig, _ options) {
 	fmt.Printf("Extension — multicast scheduling policies (n=%d, Section 4.3 / ref [11])\n", cfg.N)
 	fmt.Printf("cell load per input × fanout = offered copies per output\n\n")
 	fmt.Printf("%-14s %8s %8s %16s %12s %10s\n",
@@ -569,7 +594,7 @@ func runMulticast(cfg lcf.SweepConfig) {
 	}
 }
 
-func runRRDensity(cfg lcf.SweepConfig, csv bool) {
+func runRRDensity(cfg lcf.SweepConfig, o options) {
 	cfg.Schedulers = []string{"lcf_central", "lcf_central_rr", "lcf_central_rrpre"}
 	if len(cfg.Loads) == 0 {
 		cfg.Loads = []float64{0.5, 0.8, 0.9, 0.95, 0.99, 1.0}
@@ -578,9 +603,68 @@ func runRRDensity(cfg lcf.SweepConfig, csv bool) {
 	if err != nil {
 		fatal("%v", err)
 	}
-	if !csv {
+	if !o.csv {
 		fmt.Printf("Extension — round-robin density ablation (Section 3: fairness range 0..b/n)\n")
 		fmt.Printf("mean delay [slots]; guarantee per pair: none / b/n² / ≈b/n\n\n")
 	}
-	emit(res.Cfg, res.Points, csv, func(p lcf.SweepPoint) float64 { return p.MeanDelay })
+	emit(res.Cfg, res.Points, o.csv, func(p lcf.SweepPoint) float64 { return p.MeanDelay })
+}
+
+// study is what the two live-engine figures share: one lockstep engine
+// under one scheduler at one offered load.
+type study struct {
+	N         int
+	Load      float64
+	Warmup    int64 // slots run before measuring (flows)
+	Measure   int64 // measured slots (flows), trace length (classes)
+	Scheduler string
+	Seed      uint64
+}
+
+// studyOf takes a live-engine figure's parameters from the sweep flags:
+// -loads and -schedulers name at most one value each, defaulting to load
+// and lcf_central_rr.
+func studyOf(cfg lcf.SweepConfig, load float64) study {
+	s := study{
+		N: cfg.N, Load: load, Warmup: cfg.WarmupSlots, Measure: cfg.MeasureSlots,
+		Scheduler: "lcf_central_rr", Seed: cfg.Seed,
+	}
+	if len(cfg.Loads) > 1 || len(cfg.Schedulers) > 1 {
+		usage("this figure takes one -loads value and one -schedulers name")
+	}
+	if len(cfg.Loads) == 1 {
+		s.Load = cfg.Loads[0]
+	}
+	if len(cfg.Schedulers) == 1 {
+		s.Scheduler = cfg.Schedulers[0]
+	}
+	if s.Load <= 0 || s.Load > 1 {
+		usage("-loads must be in (0,1] (got %g)", s.Load)
+	}
+	if s.Warmup < 0 || s.Measure <= 0 {
+		usage("-warmup must be >= 0 and -measure positive (got %d, %d)", s.Warmup, s.Measure)
+	}
+	return s
+}
+
+// engine builds the study's lockstep engine over the tier configuration
+// c: the study's scheduler at four iterations, seeded with its seed.
+func (s study) engine(c rt.Config) (*rt.Engine, error) {
+	sch, err := registry.New(s.Scheduler, s.N, sched.Options{Iterations: 4, Seed: s.Seed})
+	if err != nil {
+		return nil, err
+	}
+	c.N, c.Scheduler = s.N, sch
+	return rt.New(c)
+}
+
+// tick runs one lockstep slot, then drains every output, handing each
+// delivered frame to sink.
+func tick(e *rt.Engine, sink func(rt.Frame)) {
+	e.Tick()
+	for j := 0; j < e.N(); j++ {
+		for out := e.Output(j); len(out) > 0; {
+			sink(<-out)
+		}
+	}
 }

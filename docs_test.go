@@ -151,6 +151,37 @@ func TestPackageDocs(t *testing.T) {
 	}
 }
 
+// cmdRef matches a command path in prose, code spans or shell lines:
+// cmd/<x> or ./cmd/<x>, not a longer path that merely ends in one.
+var cmdRef = regexp.MustCompile(`(?:^|[^\w/.])(?:\./)?cmd/([a-z][a-z0-9_]*)`)
+
+// TestDocsNameLiveCommands fails when a document a reader follows to run
+// something names a cmd/<x> that has no directory — a binary deleted or
+// folded into another must take its mentions with it. ROADMAP.md and
+// CHANGES.md are history and may name commands that are gone.
+func TestDocsNameLiveCommands(t *testing.T) {
+	for _, doc := range []string{
+		"README.md", "DESIGN.md", "EXPERIMENTS.md", "OBSERVABILITY.md",
+		filepath.Join("results", "README.md"),
+		filepath.Join(".claude", "skills", "verify", "SKILL.md"),
+	} {
+		raw, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen := map[string]bool{}
+		for _, m := range cmdRef.FindAllStringSubmatch(string(raw), -1) {
+			if seen[m[1]] {
+				continue
+			}
+			seen[m[1]] = true
+			if fi, err := os.Stat(filepath.Join("cmd", m[1])); err != nil || !fi.IsDir() {
+				t.Errorf("%s names cmd/%s, which has no directory", doc, m[1])
+			}
+		}
+	}
+}
+
 // linkTargets extracts link targets outside fenced code blocks (YAML and
 // shell examples legitimately contain [x](y)-shaped text).
 func linkTargets(doc string) []string {

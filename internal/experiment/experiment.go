@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -64,8 +65,8 @@ type Config struct {
 	OutBufCap    int
 
 	Pattern     string
-	HotspotFrac float64 // PatternHotspot only
-	MeanBurst   float64 // PatternBursty only
+	HotspotFrac float64 // PatternHotspot only; 0 = traffic.DefaultHotspotFrac
+	MeanBurst   float64 // PatternBursty only; 0 = traffic.DefaultMeanBurst
 	Unbalance   float64 // PatternUnbalanced only (w factor)
 	Speedup     int     // fabric speedup (CIOQ extension); 0/1 = none
 
@@ -106,21 +107,13 @@ func (c *Config) Normalize() error {
 	if c.Pattern == "" {
 		c.Pattern = PatternUniform
 	}
-	if c.HotspotFrac == 0 {
-		c.HotspotFrac = 0.5
-	}
-	if c.MeanBurst == 0 {
-		c.MeanBurst = 16
-	}
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
 	}
 	if c.Unbalance < 0 || c.Unbalance > 1 {
 		return fmt.Errorf("experiment: unbalance %g out of [0,1]", c.Unbalance)
 	}
-	switch c.Pattern {
-	case PatternUniform, PatternHotspot, PatternDiagonal, PatternLogDiagonal, PatternBursty, PatternUnbalanced:
-	default:
+	if !slices.Contains(traffic.PatternNames(), c.Pattern) {
 		return fmt.Errorf("experiment: unknown traffic pattern %q", c.Pattern)
 	}
 	return nil
@@ -177,33 +170,18 @@ func runSeed(base uint64, schedName string, load float64, repeat int) uint64 {
 	return h.Sum64()
 }
 
-// buildGenerator constructs the configured traffic pattern.
-func (c *Config) buildGenerator(load float64, seed uint64) traffic.Generator {
-	var dst traffic.DestPicker
-	switch c.Pattern {
-	case PatternHotspot:
-		dst = traffic.NewHotspot(c.N, 0, c.HotspotFrac)
-	case PatternDiagonal:
-		dst = traffic.NewDiagonal(c.N)
-	case PatternLogDiagonal:
-		dst = traffic.NewLogDiagonal(c.N)
-	case PatternUnbalanced:
-		dst = traffic.NewUnbalanced(c.N, c.Unbalance)
-	default:
-		dst = traffic.NewUniform(c.N)
-	}
-	if c.Pattern == PatternBursty {
-		return traffic.NewBursty(c.N, load, c.MeanBurst, traffic.NewUniform(c.N), seed)
-	}
-	return traffic.NewBernoulli(c.N, load, dst, seed)
-}
-
 // runOne executes a single simulation run.
 func (c *Config) runOne(schedName string, load float64, repeat int) (*simswitch.Result, error) {
 	seed := runSeed(c.Seed, schedName, load, repeat)
+	gen, err := traffic.NewPattern(c.Pattern, c.N, load, traffic.Params{
+		HotspotFrac: c.HotspotFrac, MeanBurst: c.MeanBurst, Unbalance: &c.Unbalance,
+	}, seed)
+	if err != nil {
+		return nil, err
+	}
 	simCfg := simswitch.Config{
 		N:            c.N,
-		Gen:          c.buildGenerator(load, seed),
+		Gen:          gen,
 		VOQCap:       c.VOQCap,
 		PQCap:        c.PQCap,
 		OutBufCap:    c.OutBufCap,

@@ -173,8 +173,8 @@ type SimConfig struct {
 	XPCap int
 
 	Pattern     TrafficPattern
-	MeanBurst   float64 // Bursty only; default 16
-	HotspotFrac float64 // Hotspot only; default 0.5
+	MeanBurst   float64 // Bursty only; default traffic.DefaultMeanBurst (16)
+	HotspotFrac float64 // Hotspot only; default traffic.DefaultHotspotFrac (0.5)
 
 	VOQCap       int
 	PQCap        int
@@ -219,27 +219,10 @@ func Simulate(cfg SimConfig) (*SimResult, error) {
 	if cfg.Pattern == "" {
 		cfg.Pattern = Uniform
 	}
-	if cfg.MeanBurst == 0 {
-		cfg.MeanBurst = 16
-	}
-	if cfg.HotspotFrac == 0 {
-		cfg.HotspotFrac = 0.5
-	}
-
-	var gen traffic.Generator
-	switch cfg.Pattern {
-	case Uniform:
-		gen = traffic.NewBernoulli(cfg.N, cfg.Load, traffic.NewUniform(cfg.N), cfg.Seed)
-	case Hotspot:
-		gen = traffic.NewBernoulli(cfg.N, cfg.Load, traffic.NewHotspot(cfg.N, 0, cfg.HotspotFrac), cfg.Seed)
-	case Diagonal:
-		gen = traffic.NewBernoulli(cfg.N, cfg.Load, traffic.NewDiagonal(cfg.N), cfg.Seed)
-	case LogDiagonal:
-		gen = traffic.NewBernoulli(cfg.N, cfg.Load, traffic.NewLogDiagonal(cfg.N), cfg.Seed)
-	case Bursty:
-		gen = traffic.NewBursty(cfg.N, cfg.Load, cfg.MeanBurst, traffic.NewUniform(cfg.N), cfg.Seed)
-	default:
-		return nil, fmt.Errorf("lcf: unknown traffic pattern %q", cfg.Pattern)
+	gen, err := traffic.NewPattern(string(cfg.Pattern), cfg.N, cfg.Load,
+		traffic.Params{HotspotFrac: cfg.HotspotFrac, MeanBurst: cfg.MeanBurst}, cfg.Seed)
+	if err != nil {
+		return nil, fmt.Errorf("lcf: %w", err)
 	}
 
 	simCfg := simswitch.Config{

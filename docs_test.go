@@ -155,16 +155,19 @@ func TestPackageDocs(t *testing.T) {
 // cmd/<x> or ./cmd/<x>, not a longer path that merely ends in one.
 var cmdRef = regexp.MustCompile(`(?:^|[^\w/.])(?:\./)?cmd/([a-z][a-z0-9_]*)`)
 
+// runDocs are the documents a reader follows to run or find something.
+// ROADMAP.md and CHANGES.md are history and may name what is gone.
+var runDocs = []string{
+	"README.md", "DESIGN.md", "EXPERIMENTS.md", "OBSERVABILITY.md",
+	filepath.Join("results", "README.md"),
+	filepath.Join(".claude", "skills", "verify", "SKILL.md"),
+}
+
 // TestDocsNameLiveCommands fails when a document a reader follows to run
 // something names a cmd/<x> that has no directory — a binary deleted or
-// folded into another must take its mentions with it. ROADMAP.md and
-// CHANGES.md are history and may name commands that are gone.
+// folded into another must take its mentions with it.
 func TestDocsNameLiveCommands(t *testing.T) {
-	for _, doc := range []string{
-		"README.md", "DESIGN.md", "EXPERIMENTS.md", "OBSERVABILITY.md",
-		filepath.Join("results", "README.md"),
-		filepath.Join(".claude", "skills", "verify", "SKILL.md"),
-	} {
+	for _, doc := range runDocs {
 		raw, err := os.ReadFile(doc)
 		if err != nil {
 			t.Fatal(err)
@@ -177,6 +180,35 @@ func TestDocsNameLiveCommands(t *testing.T) {
 			seen[m[1]] = true
 			if fi, err := os.Stat(filepath.Join("cmd", m[1])); err != nil || !fi.IsDir() {
 				t.Errorf("%s names cmd/%s, which has no directory", doc, m[1])
+			}
+		}
+	}
+}
+
+// pkgRef matches a package path in prose, code spans or shell lines:
+// internal/<x>[/<y>...], ./internal/<x> or repro/internal/<x>, with a
+// trailing ".go" captured so file references can be told apart.
+var pkgRef = regexp.MustCompile(`(?:^|[^\w/.])(?:\./|repro/)?internal/([a-z][a-z0-9_]*(?:/[a-z][a-z0-9_]*)*)(\.go\b)?`)
+
+// TestDocsNameLivePackages fails when one of the same documents names an
+// internal/<path> package that has no directory — a package deleted,
+// renamed or folded into another must take its mentions with it. File
+// references (internal/<path>.go) are exempt: DESIGN.md points at deleted
+// files on purpose, as history.
+func TestDocsNameLivePackages(t *testing.T) {
+	for _, doc := range runDocs {
+		raw, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen := map[string]bool{}
+		for _, m := range pkgRef.FindAllStringSubmatch(string(raw), -1) {
+			if m[2] != "" || seen[m[1]] {
+				continue
+			}
+			seen[m[1]] = true
+			if fi, err := os.Stat(filepath.Join("internal", m[1])); err != nil || !fi.IsDir() {
+				t.Errorf("%s names internal/%s, which has no directory", doc, m[1])
 			}
 		}
 	}

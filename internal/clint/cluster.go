@@ -15,7 +15,7 @@ import (
 // when the corresponding grant arrives.
 type Host struct {
 	id   int
-	voqs *queue.VOQBank
+	voqs [NumPorts]queue.Ring[*packet.Packet] // one per destination
 	pool *packet.Pool
 
 	// pre is the precalculated-schedule row the host will announce in its
@@ -35,13 +35,11 @@ func NewHost(id, voqCap int, pool *packet.Pool) *Host {
 	if id < 0 || id >= NumPorts {
 		panic(fmt.Sprintf("clint: host id %d out of range", id))
 	}
-	return &Host{
-		id:   id,
-		voqs: queue.NewVOQBank(NumPorts, voqCap),
-		pool: pool,
-		ben:  0xFFFF,
-		qen:  0xFFFF,
+	h := &Host{id: id, pool: pool, ben: 0xFFFF, qen: 0xFFFF}
+	for j := range h.voqs {
+		h.voqs[j] = queue.NewRing[*packet.Packet](voqCap)
 	}
+	return h
 }
 
 // ID returns the host's port number.
@@ -49,10 +47,16 @@ func (h *Host) ID() int { return h.id }
 
 // Enqueue buffers a packet for transmission on the bulk channel; it
 // reports false (and recycles nothing) when the destination VOQ is full.
-func (h *Host) Enqueue(p *packet.Packet) bool { return h.voqs.Push(p) }
+func (h *Host) Enqueue(p *packet.Packet) bool { return h.voqs[p.Dst].Push(p) }
 
 // Backlog returns the number of queued packets.
-func (h *Host) Backlog() int { return h.voqs.TotalLen() }
+func (h *Host) Backlog() int {
+	total := 0
+	for j := range h.voqs {
+		total += h.voqs[j].Len()
+	}
+	return total
+}
 
 // SetPrecalc announces a precalculated-schedule row (bit j = target j)
 // for the next scheduling cycle.
@@ -72,7 +76,7 @@ func (h *Host) Disable(k int) {
 func (h *Host) BuildConfig() []byte {
 	var req uint16
 	for j := 0; j < NumPorts; j++ {
-		if h.voqs.HasPacket(j) {
+		if h.voqs[j].Len() > 0 {
 			req |= 1 << uint(j)
 		}
 	}
@@ -100,7 +104,22 @@ func (h *Host) ProcessGrant(frame []byte) (int, error) {
 
 // PopFor removes the head packet of the VOQ for target j, for the
 // transfer stage of a granted connection.
-func (h *Host) PopFor(j int) *packet.Packet { return h.voqs.Pop(j) }
+func (h *Host) PopFor(j int) *packet.Packet {
+	p, _ := h.voqs[j].Pop()
+	return p
+}
+
+// requeue returns a NACKed cell to the head of its VOQ, preserving flow
+// order, and reports false when the VOQ has no room for it. The ring's
+// PushFront grows rather than refuses, so the bound is checked here.
+func (h *Host) requeue(p *packet.Packet) bool {
+	q := &h.voqs[p.Dst]
+	if q.Full() {
+		return false
+	}
+	q.PushFront(p)
+	return true
+}
 
 // Cluster wires sixteen hosts, the bulk scheduler and the three-stage
 // pipeline into a slot-stepped simulation of Clint's bulk channel —
@@ -216,9 +235,12 @@ func (c *Cluster) Step() error {
 			// will be re-requested in the next configuration packet.
 			c.NACKs++
 			c.Retransmissions++
-			if !h.voqs.Queue(j).PushFront(p) {
+			if !h.requeue(p) {
 				// VOQ refilled behind the in-flight cell; dropping is the
-				// only option left and is accounted.
+				// only option left and is accounted. Here the NACK resolves
+				// in the step that popped the cell, before any arrival, so
+				// the place it left is still free; the check keeps the VOQ
+				// bound should an arrival ever land in between.
 				c.DroppedFull++
 				c.pool.Put(p)
 			}

@@ -175,3 +175,51 @@ func TestClusterBackpressureDrops(t *testing.T) {
 		t.Fatalf("backlog %d exceeds total VOQ capacity", c.Backlog())
 	}
 }
+
+// TestClusterNackRequeue covers the NACK requeue on 1-deep VOQs at full
+// load with corrupted data frames. In the cluster the NACK resolves in
+// the slot its cell left, so every NACKed cell goes back into the place
+// it vacated: no cell is lost or duplicated and the backlog never exceeds
+// the sixteen hosts' 16·16 VOQ slots. The host half builds the case the
+// cluster cannot reach — an arrival refilling the VOQ behind the
+// in-flight cell — where the requeue must refuse instead of growing the
+// ring past its bound.
+func TestClusterNackRequeue(t *testing.T) {
+	const slots = 2000
+	c := NewCluster(1.0, 1, 13)
+	c.DataCorruptRate = 0.2
+	for s := 0; s < slots; s++ {
+		if err := c.Step(); err != nil {
+			t.Fatalf("slot %d: %v", s, err)
+		}
+		if b := c.Backlog(); b > NumPorts*NumPorts {
+			t.Fatalf("slot %d: backlog %d exceeds total VOQ capacity", s, b)
+		}
+	}
+	if c.Retransmissions == 0 || c.Retransmissions != c.NACKs {
+		t.Fatalf("%d NACKs, %d requeued", c.NACKs, c.Retransmissions)
+	}
+	// Load 1.0 generates one cell per host per slot.
+	if got := c.Delivered + c.DroppedFull + int64(c.Backlog()); got != slots*NumPorts {
+		t.Fatalf("delivered %d + dropped %d + queued %d = %d, generated %d",
+			c.Delivered, c.DroppedFull, c.Backlog(), got, slots*NumPorts)
+	}
+
+	pool := packet.NewPool()
+	h := NewHost(0, 1, pool)
+	first, second := pool.Get(0, 3, 0), pool.Get(0, 3, 1)
+	h.Enqueue(first)
+	if h.PopFor(3) != first {
+		t.Fatal("PopFor did not return the queued cell")
+	}
+	h.Enqueue(second)
+	if h.requeue(first) {
+		t.Fatal("requeue into a refilled 1-deep VOQ succeeded")
+	}
+	if h.Backlog() != 1 || h.PopFor(3) != second {
+		t.Fatal("refused requeue disturbed the VOQ")
+	}
+	if !h.requeue(first) || h.PopFor(3) != first {
+		t.Fatal("requeue into an empty VOQ failed")
+	}
+}

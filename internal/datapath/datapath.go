@@ -3,9 +3,9 @@
 // name→builder role internal/sched/registry plays for schedulers:
 //
 //   - "voq":  the VOQ core with one central matching per slot
-//     (internal/switchcore), the paper's organization.
+//     (switchcore.Core), the paper's organization.
 //   - "cicq": the crosspoint-buffered variant with independent
-//     per-input dispatch and per-output pull arbiters (internal/cicq).
+//     per-input dispatch and per-output pull arbiters (switchcore.CICQ).
 //
 // The name list is pinned by a golden test exactly like the scheduler
 // registry's, because these names are public API: CLI flags, engine
@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/cicq"
 	"repro/internal/switchcore"
 )
 
@@ -63,7 +62,7 @@ func New[T any](name string, cfg Config) (switchcore.Datapath[T], error) {
 		if xp <= 0 {
 			xp = DefaultXPCap
 		}
-		return cicq.NewPrealloc[T](cfg.N, cfg.VOQCap, xp, cfg.Prealloc), nil
+		return switchcore.NewCICQ[T](cfg.N, cfg.VOQCap, xp, cfg.Prealloc), nil
 	}
 	return nil, fmt.Errorf("datapath: unknown datapath %q (known: %v)", name, Names())
 }

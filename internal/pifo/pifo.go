@@ -34,7 +34,7 @@ type entry[T any] struct {
 // Queue is a bounded PIFO: Push inserts with a caller-supplied rank,
 // Pop removes the entry with the smallest rank (FIFO among equal
 // ranks). The backing heap starts empty and doubles up to the capacity
-// bound as entries arrive (the switchcore.Ring policy); it never
+// bound as entries arrive (the queue.Ring policy); it never
 // shrinks, so a queue that has reached its working size — or one a
 // reserving Bank sized up front — pushes and pops without allocating.
 // Not safe for concurrent use — the runtime guards each queue with its

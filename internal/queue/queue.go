@@ -1,30 +1,32 @@
-// Package queue provides the fixed-capacity FIFO queues of the simulation
-// model (Figure 11 of the paper): packet queues (PQ), virtual output queues
-// (VOQ), and output buffers are all bounded FIFOs of packets.
+// Package queue provides the bounded FIFO of the simulation model (Figure
+// 11 of the paper): packet queues (PQ), virtual output queues (VOQ),
+// output buffers and crosspoint buffers are all bounded FIFOs, and every
+// one of them in the repository is a Ring.
 //
 // The hot path of a simulation is enqueue/dequeue at every slot on up to n²
-// queues, so the FIFO is a power-of-two ring buffer with no per-operation
+// queues, so the ring is a power-of-two buffer with no per-operation
 // allocation once it has grown to its working size.
 package queue
 
-import (
-	"fmt"
+import "fmt"
 
-	"repro/internal/packet"
-)
-
-// FIFO is a bounded first-in first-out queue of packets. The zero value is
-// not usable; construct with NewFIFO.
-type FIFO struct {
-	buf      []*packet.Packet
-	head     int // index of the oldest element
+// Ring is a bounded power-of-two ring buffer. Items are held by value of
+// T, so a by-value driver (the live engine's Frame) enqueues without
+// allocating and a pointer driver (the simulator's *packet.Packet) pays
+// only for the pointer slot. The buffer starts small and doubles up to
+// the capacity bound; once at its working size the ring never allocates
+// again. The zero value is not usable: construct with NewRing or
+// NewRingFull.
+type Ring[T any] struct {
+	buf      []T
+	head     int // index of the oldest item
 	len      int
-	capLimit int // maximum number of queued packets; 0 = unbounded
+	capLimit int // 0 = unbounded
 }
 
-// NewFIFO returns a FIFO holding at most capLimit packets. capLimit of 0
-// means unbounded (used by measurement-only sinks); negative panics.
-func NewFIFO(capLimit int) *FIFO {
+// NewRing returns a ring bounded at capLimit items (0 = unbounded) whose
+// buffer starts small and grows on demand. A negative capLimit panics.
+func NewRing[T any](capLimit int) Ring[T] {
 	if capLimit < 0 {
 		panic(fmt.Sprintf("queue: negative capacity %d", capLimit))
 	}
@@ -32,7 +34,15 @@ func NewFIFO(capLimit int) *FIFO {
 	if capLimit > 0 && capLimit < initial {
 		initial = ceilPow2(capLimit)
 	}
-	return &FIFO{buf: make([]*packet.Packet, initial), capLimit: capLimit}
+	return Ring[T]{buf: make([]T, initial), capLimit: capLimit}
+}
+
+// NewRingFull returns a ring whose buffer is sized for capLimit up front,
+// so Push never grows (and therefore never allocates): the trade behind
+// the engine's PreallocVOQs option. capLimit must be positive — an
+// unbounded ring has no full size to allocate.
+func NewRingFull[T any](capLimit int) Ring[T] {
+	return Ring[T]{buf: make([]T, ceilPow2(capLimit)), capLimit: capLimit}
 }
 
 func ceilPow2(n int) int {
@@ -43,146 +53,72 @@ func ceilPow2(n int) int {
 	return p
 }
 
-// Len returns the number of queued packets.
-func (q *FIFO) Len() int { return q.len }
+// Len returns the number of buffered items.
+func (r *Ring[T]) Len() int { return r.len }
 
-// Cap returns the capacity limit (0 = unbounded).
-func (q *FIFO) Cap() int { return q.capLimit }
+// Full reports whether the ring is at its capacity bound.
+func (r *Ring[T]) Full() bool { return r.capLimit > 0 && r.len >= r.capLimit }
 
-// Full reports whether the queue is at its capacity limit.
-func (q *FIFO) Full() bool { return q.capLimit > 0 && q.len >= q.capLimit }
+// at returns the buffer index k items past the head.
+func (r *Ring[T]) at(k int) int { return (r.head + k) & (len(r.buf) - 1) }
 
-// Empty reports whether the queue has no packets.
-func (q *FIFO) Empty() bool { return q.len == 0 }
+func (r *Ring[T]) grow() {
+	nb := make([]T, len(r.buf)*2)
+	for k := 0; k < r.len; k++ {
+		nb[k] = r.buf[r.at(k)]
+	}
+	r.buf = nb
+	r.head = 0
+}
 
-// Push appends p and reports whether it was accepted; a full queue rejects
-// the packet (the caller decides whether that is a drop or back-pressure).
-func (q *FIFO) Push(p *packet.Packet) bool {
-	if q.Full() {
+// Push appends v and reports acceptance; a full ring rejects (the caller
+// decides whether that is a drop or backpressure).
+func (r *Ring[T]) Push(v T) bool {
+	if r.Full() {
 		return false
 	}
-	if q.len == len(q.buf) {
-		q.grow()
+	if r.len == len(r.buf) {
+		r.grow()
 	}
-	q.buf[(q.head+q.len)&(len(q.buf)-1)] = p
-	q.len++
+	r.buf[r.at(r.len)] = v
+	r.len++
 	return true
 }
 
-func (q *FIFO) grow() {
-	nb := make([]*packet.Packet, len(q.buf)*2)
-	for i := 0; i < q.len; i++ {
-		nb[i] = q.buf[(q.head+i)&(len(q.buf)-1)]
+// Pop removes and returns the oldest item; ok is false on an empty ring.
+// The vacated slot is zeroed, so a pointer ring releases what it held.
+func (r *Ring[T]) Pop() (v T, ok bool) {
+	if r.len == 0 {
+		return v, false
 	}
-	q.buf = nb
-	q.head = 0
+	var zero T
+	v = r.buf[r.head]
+	r.buf[r.head] = zero
+	r.head = r.at(1)
+	r.len--
+	return v, true
 }
 
-// PushFront prepends p, making it the next packet to Pop — the
-// retransmission path: a NACKed head-of-line packet goes back to the head
-// so delivery order within the flow is preserved. Returns false if the
-// queue is at capacity.
-func (q *FIFO) PushFront(p *packet.Packet) bool {
-	if q.Full() {
-		return false
+// Peek returns the oldest item without removing it; ok is false on an
+// empty ring.
+func (r *Ring[T]) Peek() (v T, ok bool) {
+	if r.len == 0 {
+		return v, false
 	}
-	if q.len == len(q.buf) {
-		q.grow()
-	}
-	q.head = (q.head - 1 + len(q.buf)) & (len(q.buf) - 1)
-	q.buf[q.head] = p
-	q.len++
-	return true
+	return r.buf[r.head], true
 }
 
-// Pop removes and returns the oldest packet, or nil if empty.
-func (q *FIFO) Pop() *packet.Packet {
-	if q.len == 0 {
-		return nil
+// PushFront prepends v, making it the next Pop — the path that returns a
+// just-popped item (a delivery that could not complete, a NACKed cell) to
+// the head so order is preserved. It grows rather than rejects: a caller
+// returning the item it just popped cannot exceed the bound the ring
+// satisfied before the Pop, and a caller that may have refilled the ring
+// since checks Full first.
+func (r *Ring[T]) PushFront(v T) {
+	if r.len == len(r.buf) {
+		r.grow()
 	}
-	p := q.buf[q.head]
-	q.buf[q.head] = nil
-	q.head = (q.head + 1) & (len(q.buf) - 1)
-	q.len--
-	return p
-}
-
-// Peek returns the oldest packet without removing it, or nil if empty.
-func (q *FIFO) Peek() *packet.Packet {
-	if q.len == 0 {
-		return nil
-	}
-	return q.buf[q.head]
-}
-
-// Drain removes all packets, calling fn (if non-nil) on each in FIFO order.
-func (q *FIFO) Drain(fn func(*packet.Packet)) {
-	for q.len > 0 {
-		p := q.Pop()
-		if fn != nil {
-			fn(p)
-		}
-	}
-}
-
-// VOQBank is one input port's set of n virtual output queues plus the
-// occupancy bookkeeping the schedulers need: the request vector ("which
-// VOQs are non-empty") is derivable in O(1) per query.
-type VOQBank struct {
-	queues []*FIFO
-}
-
-// NewVOQBank returns n virtual output queues, each with capacity capLimit.
-func NewVOQBank(n, capLimit int) *VOQBank {
-	b := &VOQBank{queues: make([]*FIFO, n)}
-	for i := range b.queues {
-		b.queues[i] = NewFIFO(capLimit)
-	}
-	return b
-}
-
-// N returns the number of VOQs in the bank.
-func (b *VOQBank) N() int { return len(b.queues) }
-
-// Queue returns the VOQ for destination dst.
-func (b *VOQBank) Queue(dst int) *FIFO { return b.queues[dst] }
-
-// Push enqueues p on the VOQ of its destination and reports acceptance.
-func (b *VOQBank) Push(p *packet.Packet) bool { return b.queues[p.Dst].Push(p) }
-
-// Pop dequeues the oldest packet destined for dst, or nil.
-func (b *VOQBank) Pop(dst int) *packet.Packet { return b.queues[dst].Pop() }
-
-// HasPacket reports whether the VOQ for dst is non-empty (one bit of the
-// paper's request vector).
-func (b *VOQBank) HasPacket(dst int) bool { return !b.queues[dst].Empty() }
-
-// TotalLen returns the total number of packets across all VOQs.
-func (b *VOQBank) TotalLen() int {
-	t := 0
-	for _, q := range b.queues {
-		t += q.Len()
-	}
-	return t
-}
-
-// Occupied returns the number of non-empty VOQs (the paper's NRQ for this
-// input when every backlogged VOQ is requested).
-func (b *VOQBank) Occupied() int {
-	c := 0
-	for _, q := range b.queues {
-		if !q.Empty() {
-			c++
-		}
-	}
-	return c
-}
-
-// Lengths appends the per-destination queue lengths to dst and returns it,
-// for trace output and the queue-leveling analysis of Section 6.3.
-func (b *VOQBank) Lengths(dst []int) []int {
-	for _, q := range b.queues {
-		dst = append(dst, q.Len())
-	}
-	return dst
+	r.head = r.at(len(r.buf) - 1)
+	r.buf[r.head] = v
+	r.len++
 }

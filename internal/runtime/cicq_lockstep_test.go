@@ -14,7 +14,7 @@ import (
 // deterministic lockstep against the offline CICQ simulator on the same
 // arrival trace, asserting identical per-slot, per-output grant vectors
 // (SlotEvent.Match is nil for CICQ; the grant vector is the decision
-// record). Both machines instantiate their own cicq.Core, so this pins
+// record). Both machines instantiate their own switchcore.CICQ, so this pins
 // the two time-domain drivers to the same dispatch/pull arbiter
 // sequencing — the CICQ analogue of TestRuntimeMatchesSimswitch,
 // including the same "Tick, then admit slot t's arrivals" alignment.

@@ -27,7 +27,7 @@
 // contributes only the synchronous time domain: the trace-driven slot
 // loop, the PQ/FIFO/output-buffer stages around the core, and the
 // measurement plumbing. The FIFO and OutputBuffered organizations have no
-// VOQs and keep their plain queue.FIFO stages.
+// VOQs and keep plain queue.Ring stages.
 package simswitch
 
 import (
@@ -35,7 +35,6 @@ import (
 	"math"
 
 	"repro/internal/bitvec"
-	"repro/internal/cicq"
 	"repro/internal/datapath"
 	"repro/internal/fabric"
 	"repro/internal/matching"
@@ -61,7 +60,7 @@ const (
 	// OutputBuffered is the outbuf reference switch (no input contention;
 	// all queuing at the outputs).
 	OutputBuffered
-	// CICQ is the crosspoint-buffered organization (internal/cicq):
+	// CICQ is the crosspoint-buffered organization (switchcore.CICQ):
 	// independent per-input dispatch and per-output pull arbiters
 	// applying the least-choice rule locally, no central matching.
 	CICQ
@@ -275,15 +274,15 @@ type Sim struct {
 	xbar *fabric.Crossbar
 	pool *packet.Pool
 
-	pqs   []*queue.FIFO // per-input packet queues
-	ififo []*queue.FIFO // FIFO organization: single input queue
-	obufs []*queue.FIFO // OutputBuffered organization (also unused for others)
+	pqs   []queue.Ring[*packet.Packet] // per-input packet queues
+	ififo []queue.Ring[*packet.Packet] // FIFO organization: single input queue
+	obufs []queue.Ring[*packet.Packet] // OutputBuffered organization, and CIOQ's output buffers
 
 	// core is the shared VOQ datapath (VOQ organization only): queues,
 	// incremental request matrix, backlogs, per-slot scratch.
 	core *switchcore.Core[*packet.Packet]
 	// xq is the crosspoint-buffered datapath (CICQ organization only).
-	xq *cicq.Core[*packet.Packet]
+	xq *switchcore.CICQ[*packet.Packet]
 
 	req      *bitvec.Matrix  // FIFO organization's HOL request matrix
 	match    *matching.Match // FIFO organization's match scratch
@@ -311,13 +310,10 @@ func New(cfg Config) (*Sim, error) {
 		cfg:   cfg,
 		xbar:  fabric.New(n),
 		pool:  packet.NewPool(),
-		pqs:   make([]*queue.FIFO, n),
+		pqs:   rings(n, cfg.PQCap),
 		req:   bitvec.NewMatrix(n),
 		match: matching.NewMatch(n),
 		stale: matching.NewMatch(n),
-	}
-	for i := 0; i < n; i++ {
-		s.pqs[i] = queue.NewFIFO(cfg.PQCap)
 	}
 	switch cfg.Mode {
 	case VOQ:
@@ -327,17 +323,11 @@ func New(cfg Config) (*Sim, error) {
 		if xp <= 0 {
 			xp = datapath.DefaultXPCap
 		}
-		s.xq = cicq.New[*packet.Packet](n, cfg.VOQCap, xp)
+		s.xq = switchcore.NewCICQ[*packet.Packet](n, cfg.VOQCap, xp, false)
 	case FIFO:
-		s.ififo = make([]*queue.FIFO, n)
-		for i := 0; i < n; i++ {
-			s.ififo[i] = queue.NewFIFO(cfg.VOQCap)
-		}
+		s.ififo = rings(n, cfg.VOQCap)
 	case OutputBuffered:
-		s.obufs = make([]*queue.FIFO, n)
-		for i := 0; i < n; i++ {
-			s.obufs[i] = queue.NewFIFO(cfg.OutBufCap)
-		}
+		s.obufs = rings(n, cfg.OutBufCap)
 	default:
 		return nil, fmt.Errorf("simswitch: unknown mode %v", cfg.Mode)
 	}
@@ -346,10 +336,7 @@ func New(cfg Config) (*Sim, error) {
 		// that drain one packet per slot. Unbounded, because with
 		// speedup s the buffer can only grow by s−1 per slot and the
 		// interesting measurements are delays, not drops.
-		s.obufs = make([]*queue.FIFO, n)
-		for i := 0; i < n; i++ {
-			s.obufs[i] = queue.NewFIFO(0)
-		}
+		s.obufs = rings(n, 0)
 	}
 	if cfg.Mode == VOQ && cfg.PipelineDepth > 1 {
 		s.inflight = make([][]int, n)
@@ -376,6 +363,15 @@ func New(cfg Config) (*Sim, error) {
 	s.res.Counters.N = n
 	s.delayBM = metrics.NewBatchMeans(2000)
 	return s, nil
+}
+
+// rings returns n packet rings bounded at capLimit (0 = unbounded).
+func rings(n, capLimit int) []queue.Ring[*packet.Packet] {
+	qs := make([]queue.Ring[*packet.Packet], n)
+	for i := range qs {
+		qs[i] = queue.NewRing[*packet.Packet](capLimit)
+	}
+	return qs
 }
 
 // Run simulates warmup+measure slots and returns the measurements.
@@ -422,8 +418,8 @@ func (s *Sim) step() error {
 	// 3. Drain output buffers: one departure per output per slot
 	// (the OutputBuffered organization, and CIOQ when Speedup > 1).
 	if s.obufs != nil {
-		for j, q := range s.obufs {
-			if p := q.Pop(); p != nil {
+		for j := range s.obufs {
+			if p, ok := s.obufs[j].Pop(); ok {
 				s.depart(j, p)
 			}
 		}
@@ -459,10 +455,10 @@ func (s *Sim) step() error {
 // buffer until the PQ empties or its head is blocked.
 func (s *Sim) promote() {
 	for in := 0; in < s.cfg.N; in++ {
-		pq := s.pqs[in]
+		pq := &s.pqs[in]
 		for {
-			head := pq.Peek()
-			if head == nil {
+			head, ok := pq.Peek()
+			if !ok {
 				break
 			}
 			var accepted bool
@@ -531,7 +527,7 @@ func (s *Sim) scheduleAndTransfer() error {
 	case FIFO:
 		s.req.Reset()
 		for i := 0; i < n; i++ {
-			if head := s.ififo[i].Peek(); head != nil {
+			if head, ok := s.ififo[i].Peek(); ok {
 				s.req.Set(i, head.Dst)
 			}
 		}
@@ -641,11 +637,12 @@ func (s *Sim) pop(in, out int) *packet.Packet {
 		p, _ := s.core.Dequeue(in, out)
 		return p
 	case FIFO:
-		head := s.ififo[in].Peek()
-		if head == nil || head.Dst != out {
+		head, ok := s.ififo[in].Peek()
+		if !ok || head.Dst != out {
 			return nil
 		}
-		return s.ififo[in].Pop()
+		s.ififo[in].Pop()
+		return head
 	}
 	return nil
 }
@@ -724,14 +721,14 @@ func (s *Sim) trackOccupancy() {
 			s.res.Choice.Add(float64(occupied) / float64(s.cfg.N))
 		}
 	case FIFO:
-		for _, q := range s.ififo {
-			if l := q.Len(); l > max {
+		for i := range s.ififo {
+			if l := s.ififo[i].Len(); l > max {
 				max = l
 			}
 		}
 	case OutputBuffered:
-		for _, q := range s.obufs {
-			if l := q.Len(); l > max {
+		for j := range s.obufs {
+			if l := s.obufs[j].Len(); l > max {
 				max = l
 			}
 		}

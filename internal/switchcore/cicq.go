@@ -1,6 +1,6 @@
-// Package cicq is the crosspoint-buffered (combined input/crosspoint
-// queued) switch datapath: the second implementation of
-// switchcore.Datapath, after the VOQ core with central matching.
+// The crosspoint-buffered (combined input/crosspoint queued) switch
+// datapath: the second implementation of Datapath, after the VOQ core
+// with central matching.
 //
 // Instead of a bufferless crossbar reconfigured by one central matching
 // per slot, every crosspoint (i,j) holds a small bounded ring. The slot
@@ -33,15 +33,17 @@
 // link faults suppress both banks: a down input neither dispatches nor
 // is pulled from, a down output neither receives dispatches nor pulls.
 //
-// The accessors a driver audits through (Len, OccupiedRow, InputBacklog,
-// FlushVOQ, ...) cover VOQ and crosspoint residents combined, so the
-// engine's stranded-frame sweep and the chaos conservation audits hold
-// unchanged: a frame is resident for pair (i,j) until the pull arbiter
-// hands it to the driver. Concurrency contract is the switchcore one:
-// per-input methods under the driver's per-input lock, everything
-// touching crosspoint or arbiter state on the single arbiter goroutine.
-// A slot costs zero heap allocations once rings reach working size.
-package cicq
+// The VOQ store's ledger counts VOQ and crosspoint residents combined, so
+// the accessors a driver audits through (Len, OccupiedRow, InputBacklog,
+// FlushVOQ, ...) and the engine's stranded-frame sweep and the chaos
+// conservation audits hold unchanged: a frame is resident for pair (i,j)
+// until the pull arbiter hands it to the driver. Concurrency contract is
+// the Core's: per-input methods under the driver's per-input lock,
+// everything touching crosspoint or arbiter state on the single arbiter
+// goroutine. A slot costs zero heap allocations once rings reach working
+// size.
+
+package switchcore
 
 import (
 	"fmt"
@@ -50,51 +52,35 @@ import (
 	"repro/internal/matching"
 	"repro/internal/metrics"
 	"repro/internal/obs"
+	"repro/internal/queue"
 	"repro/internal/sched"
-	"repro/internal/switchcore"
 )
 
-// Core is the CICQ datapath for one n-port switch, generic over the
-// queued item type exactly like switchcore.Core.
-type Core[T any] struct {
-	n      int
-	voqCap int
-	xpCap  int
-
-	// Per-input state (driver's per-input lock): the VOQ store plus the
-	// combined VOQ+crosspoint residency the audit accessors expose.
-	voqs    []switchcore.Ring[T] // flattened n×n, index i*n+j
-	voqOcc  *bitvec.Matrix       // bit (i,j) ⇔ VOQ (i,j) non-empty
-	occ     *bitvec.Matrix       // combined: VOQ or crosspoint non-empty
-	lens    [][]int              // combined per-pair backlog
-	backlog []int                // combined per-input totals
+// CICQ is the crosspoint-buffered datapath for one n-port switch, generic
+// over the queued item type exactly like Core.
+type CICQ[T any] struct {
+	// The VOQ store; its ledger counts VOQ plus crosspoint residents.
+	voqStore[T]
+	voqOcc *bitvec.Matrix // bit (i,j) ⇔ VOQ (i,j) non-empty (dispatch's candidates)
 
 	// Crosspoint state (arbiter goroutine only: dispatch, pull, flush).
-	xps    []switchcore.Ring[T] // crosspoint buffers, bounded at xpCap
-	colOcc *bitvec.Matrix       // transposed: bit (j,i) ⇔ crosspoint (i,j) non-empty
-	rowCnt []int                // occupied crosspoints in row i (pull's choice count)
-	colCnt []int                // occupied crosspoints in column j (dispatch's target load)
-	inRR   []int                // dispatch round-robin pointer per input
-	outRR  []int                // pull round-robin pointer per output
+	xps    []queue.Ring[T] // crosspoint buffers, bounded at the crosspoint capacity
+	colOcc *bitvec.Matrix  // transposed: bit (j,i) ⇔ crosspoint (i,j) non-empty
+	rowCnt []int           // occupied crosspoints in row i (pull's choice count)
+	colCnt []int           // occupied crosspoints in column j (dispatch's target load)
+	inRR   []int           // dispatch round-robin pointer per input
+	outRR  []int           // pull round-robin pointer per output
 
 	// Slot scratch (arbiter-only).
-	mask    *bitvec.Vector // outputs backpressured this slot (pull only)
-	maskAny bool
 	scratch *bitvec.Vector
 	grants  *sched.GrantSet
 
-	// Link state (arbiter-only), same semantics as the VOQ core.
-	downIn     *bitvec.Vector
-	downOut    *bitvec.Vector
-	anyDownIn  bool
-	anyDownOut bool
-
-	met stats
+	met cicqStats
 }
 
-// stats are the cicq_* instrument backings: atomic so a metrics scrape
+// cicqStats are the cicq_* instrument backings: atomic so a metrics scrape
 // never races the arbiter.
-type stats struct {
+type cicqStats struct {
 	dispatched      metrics.Counter // frames moved VOQ → crosspoint
 	pulled          metrics.Counter // frames pulled crosspoint → driver
 	dispatchBlocked metrics.Counter // slots an input had frames but every target crosspoint was full
@@ -102,83 +88,40 @@ type stats struct {
 	xpOccupied      metrics.Gauge   // crosspoint buffers currently non-empty
 }
 
-var _ switchcore.Datapath[int] = (*Core[int])(nil)
-
-// New returns a CICQ datapath whose n² VOQs hold at most voqCap items
-// (0 = unbounded) and whose n² crosspoint buffers hold at most xpCap
-// each. xpCap must be positive: an unbounded crosspoint buffer is a
-// contradiction — the whole organization rests on the buffers being
+// NewCICQ returns a CICQ datapath whose n² VOQs hold at most voqCap
+// items (0 = unbounded; built at full size up front when prealloc is set,
+// as for NewPrealloc) and whose n² crosspoint buffers hold at most xpCap
+// each. Crosspoint rings are always built at full size — they are tiny by
+// construction. xpCap must be positive: an unbounded crosspoint buffer is
+// a contradiction — the whole organization rests on the buffers being
 // small and bounded.
-func New[T any](n, voqCap, xpCap int) *Core[T] {
-	return NewPrealloc[T](n, voqCap, xpCap, false)
-}
-
-// NewPrealloc is New with the VOQ ring-sizing policy of
-// switchcore.NewPrealloc: prealloc true builds every VOQ at full voqCap
-// up front for a strictly allocation-free admit path. Crosspoint rings
-// are always built at full size — they are tiny by construction.
-func NewPrealloc[T any](n, voqCap, xpCap int, prealloc bool) *Core[T] {
-	if n <= 0 {
-		panic(fmt.Sprintf("cicq: port count %d", n))
-	}
-	if voqCap < 0 {
-		panic(fmt.Sprintf("cicq: negative VOQ capacity %d", voqCap))
-	}
-	if prealloc && voqCap == 0 {
-		panic("cicq: prealloc requires a bounded VOQ capacity")
-	}
+func NewCICQ[T any](n, voqCap, xpCap int, prealloc bool) *CICQ[T] {
+	store := newVOQStore[T](n, voqCap, prealloc)
 	if xpCap <= 0 {
-		panic(fmt.Sprintf("cicq: crosspoint capacity %d (must be bounded and positive)", xpCap))
+		panic(fmt.Sprintf("switchcore: crosspoint capacity %d (must be bounded and positive)", xpCap))
 	}
-	c := &Core[T]{
-		n:       n,
-		voqCap:  voqCap,
-		xpCap:   xpCap,
-		voqs:    make([]switchcore.Ring[T], n*n),
-		xps:     make([]switchcore.Ring[T], n*n),
-		voqOcc:  bitvec.NewMatrix(n),
-		occ:     bitvec.NewMatrix(n),
-		backlog: make([]int, n),
-		colOcc:  bitvec.NewMatrix(n),
-		rowCnt:  make([]int, n),
-		colCnt:  make([]int, n),
-		inRR:    make([]int, n),
-		outRR:   make([]int, n),
-		mask:    bitvec.New(n),
-		scratch: bitvec.New(n),
-		grants:  sched.NewGrantSet(n),
-		downIn:  bitvec.New(n),
-		downOut: bitvec.New(n),
+	c := &CICQ[T]{
+		voqStore: store,
+		voqOcc:   bitvec.NewMatrix(n),
+		xps:      make([]queue.Ring[T], n*n),
+		colOcc:   bitvec.NewMatrix(n),
+		rowCnt:   make([]int, n),
+		colCnt:   make([]int, n),
+		inRR:     make([]int, n),
+		outRR:    make([]int, n),
+		scratch:  bitvec.New(n),
+		grants:   sched.NewGrantSet(n),
 	}
-	for k := range c.voqs {
-		if prealloc {
-			c.voqs[k] = switchcore.NewRingFull[T](voqCap)
-		} else {
-			c.voqs[k] = switchcore.NewRing[T](voqCap)
-		}
-		c.xps[k] = switchcore.NewRingFull[T](xpCap)
-	}
-	flat := make([]int, n*n)
-	c.lens = make([][]int, n)
-	for i := range c.lens {
-		c.lens[i] = flat[i*n : (i+1)*n : (i+1)*n]
+	for k := range c.xps {
+		c.xps[k] = queue.NewRingFull[T](xpCap)
 	}
 	return c
 }
 
-// N returns the port count.
-func (c *Core[T]) N() int { return c.n }
-
-// VOQCap returns the per-VOQ capacity bound (0 = unbounded).
-func (c *Core[T]) VOQCap() int { return c.voqCap }
-
-// XPCap returns the per-crosspoint capacity bound.
-func (c *Core[T]) XPCap() int { return c.xpCap }
-
 // Enqueue admits v to VOQ (i,j); a full VOQ rejects. Crosspoint
 // occupancy is untouched — frames enter crosspoints only through the
 // dispatch arbiter.
-func (c *Core[T]) Enqueue(i, j int, v T) bool {
+func (c *CICQ[T]) Enqueue(i, j int, v T) bool {
 	q := &c.voqs[i*c.n+j]
 	if !q.Push(v) {
 		return false
@@ -186,135 +129,49 @@ func (c *Core[T]) Enqueue(i, j int, v T) bool {
 	if q.Len() == 1 {
 		c.voqOcc.Set(i, j)
 	}
-	if c.lens[i][j] == 0 {
-		c.occ.Set(i, j)
-	}
-	c.lens[i][j]++
-	c.backlog[i]++
+	c.added(i, j)
 	return true
-}
-
-// Len returns the combined VOQ+crosspoint backlog for pair (i,j).
-func (c *Core[T]) Len(i, j int) int { return c.lens[i][j] }
-
-// HasBacklog reports whether pair (i,j) holds any frame, in the VOQ or
-// the crosspoint buffer.
-func (c *Core[T]) HasBacklog(i, j int) bool { return c.occ.Get(i, j) }
-
-// OccupiedRow returns input i's combined occupancy bits (read-only; a
-// concurrent driver holds input i's lock while reading).
-func (c *Core[T]) OccupiedRow(i int) *bitvec.Vector { return c.occ.Row(i) }
-
-// InputBacklog returns input i's total resident frames, VOQ plus
-// crosspoints.
-func (c *Core[T]) InputBacklog(i int) int { return c.backlog[i] }
-
-// TotalBacklog sums InputBacklog over all inputs (monitoring only).
-func (c *Core[T]) TotalBacklog() int {
-	t := 0
-	for _, b := range c.backlog {
-		t += b
-	}
-	return t
 }
 
 // CrosspointFrames returns the frames currently resident in crosspoint
 // buffers (atomic; safe to read from any goroutine).
-func (c *Core[T]) CrosspointFrames() int { return int(c.met.xpFrames.Value()) }
+func (c *CICQ[T]) CrosspointFrames() int { return int(c.met.xpFrames.Value()) }
 
 // CrosspointsOccupied returns how many crosspoint buffers are non-empty
 // (atomic; safe to read from any goroutine).
-func (c *Core[T]) CrosspointsOccupied() int { return int(c.met.xpOccupied.Value()) }
-
-// ResetOutputMask clears the per-slot output backpressure mask.
-func (c *Core[T]) ResetOutputMask() {
-	if c.maskAny {
-		c.mask.Reset()
-		c.maskAny = false
-	}
-}
-
-// MaskOutput suppresses output j's pull arbiter this slot (full delivery
-// channel). Dispatch toward j continues until its crosspoints fill —
-// that decoupling is the point of the crosspoint buffers.
-func (c *Core[T]) MaskOutput(j int) {
-	c.mask.Set(j)
-	c.maskAny = true
-}
-
-// SetInputDown marks input i's link failed (or recovered): while down,
-// input i neither dispatches nor is pulled from.
-func (c *Core[T]) SetInputDown(i int, down bool) {
-	c.downIn.SetTo(i, down)
-	c.anyDownIn = c.downIn.Any()
-}
-
-// SetOutputDown marks output j's link failed (or recovered): while down,
-// output j neither receives dispatches nor pulls.
-func (c *Core[T]) SetOutputDown(j int, down bool) {
-	c.downOut.SetTo(j, down)
-	c.anyDownOut = c.downOut.Any()
-}
-
-// InputDown reports whether input i's link is failed.
-func (c *Core[T]) InputDown(i int) bool { return c.anyDownIn && c.downIn.Get(i) }
-
-// OutputDown reports whether output j's link is failed.
-func (c *Core[T]) OutputDown(j int) bool { return c.anyDownOut && c.downOut.Get(j) }
-
-// AnyLinkDown reports whether any input or output link is failed.
-func (c *Core[T]) AnyLinkDown() bool { return c.anyDownIn || c.anyDownOut }
+func (c *CICQ[T]) CrosspointsOccupied() int { return int(c.met.xpOccupied.Value()) }
 
 // FlushVOQ empties pair (i,j) — VOQ first, then the crosspoint buffer —
 // invoking fn (when non-nil) per removed frame, and returns the count.
 // The disposal path for frames stranded behind a failed link under a
 // drop policy. Called under input i's lock, on the arbiter goroutine
 // (it touches crosspoint state).
-func (c *Core[T]) FlushVOQ(i, j int, fn func(v T)) int {
-	flushed := 0
-	q := &c.voqs[i*c.n+j]
-	for {
-		v, ok := q.Pop()
-		if !ok {
-			break
-		}
-		if fn != nil {
-			fn(v)
-		}
-		flushed++
-	}
+func (c *CICQ[T]) FlushVOQ(i, j int, fn func(v T)) int {
+	flushed := drain(&c.voqs[i*c.n+j], fn)
 	if flushed > 0 {
 		c.voqOcc.Clear(i, j)
 	}
-	x := &c.xps[i*c.n+j]
-	if x.Len() > 0 {
-		drained := 0
-		for {
-			v, ok := x.Pop()
-			if !ok {
-				break
-			}
-			if fn != nil {
-				fn(v)
-			}
-			drained++
-		}
+	if drained := drain(&c.xps[i*c.n+j], fn); drained > 0 {
 		c.xpCleared(i, j, drained)
 		flushed += drained
 	}
 	if flushed > 0 {
-		c.lens[i][j] -= flushed
-		c.backlog[i] -= flushed
-		if c.lens[i][j] == 0 {
-			c.occ.Clear(i, j)
-		}
+		c.removed(i, j, flushed)
 	}
 	return flushed
 }
 
+// xpFilled records crosspoint (i,j) going empty → occupied.
+func (c *CICQ[T]) xpFilled(i, j int) {
+	c.colOcc.Set(j, i)
+	c.rowCnt[i]++
+	c.colCnt[j]++
+	c.met.xpOccupied.Add(1)
+}
+
 // xpCleared records crosspoint (i,j) going occupied → empty after
 // removing drained frames.
-func (c *Core[T]) xpCleared(i, j, drained int) {
+func (c *CICQ[T]) xpCleared(i, j, drained int) {
 	c.colOcc.Clear(j, i)
 	c.rowCnt[i]--
 	c.colCnt[j]--
@@ -331,7 +188,7 @@ func (c *Core[T]) xpCleared(i, j, drained int) {
 // per-slot mask), and the fault-suppressed count — same metric meaning
 // as the VOQ core's snapshot. Called under input i's lock, on the
 // arbiter goroutine.
-func (c *Core[T]) SnapshotRow(i int) (requested, masked, faulted int) {
+func (c *CICQ[T]) SnapshotRow(i int) (requested, masked, faulted int) {
 	row := c.voqOcc.Row(i)
 	if c.anyDownIn && c.downIn.Get(i) {
 		return 0, 0, row.PopCount()
@@ -376,7 +233,7 @@ func (c *Core[T]) SnapshotRow(i int) (requested, masked, faulted int) {
 }
 
 // dispatch moves the head of VOQ (i,j) into crosspoint (i,j).
-func (c *Core[T]) dispatch(i, j int) {
+func (c *CICQ[T]) dispatch(i, j int) {
 	q := &c.voqs[i*c.n+j]
 	v, _ := q.Pop()
 	if q.Len() == 0 {
@@ -384,10 +241,7 @@ func (c *Core[T]) dispatch(i, j int) {
 	}
 	x := &c.xps[i*c.n+j]
 	if x.Len() == 0 {
-		c.colOcc.Set(j, i)
-		c.rowCnt[i]++
-		c.colCnt[j]++
-		c.met.xpOccupied.Add(1)
+		c.xpFilled(i, j)
 	}
 	x.Push(v)
 	c.inRR[i] = j + 1
@@ -405,7 +259,7 @@ func (c *Core[T]) dispatch(i, j int) {
 // scheduler. Grants are computed against pre-pull state; the driver
 // realizes them through Take. The returned GrantSet is datapath scratch,
 // valid until the next Arbitrate.
-func (c *Core[T]) Arbitrate(_ sched.Scheduler) *sched.GrantSet {
+func (c *CICQ[T]) Arbitrate(_ sched.Scheduler) *sched.GrantSet {
 	g := c.grants
 	g.Reset()
 	for j := 0; j < c.n; j++ {
@@ -446,7 +300,7 @@ func (c *Core[T]) Arbitrate(_ sched.Scheduler) *sched.GrantSet {
 
 // Take pops the frame granted to output j from crosspoint (Src[j], j).
 // Called under input Src[j]'s lock, on the arbiter goroutine.
-func (c *Core[T]) Take(j int) (v T, ok bool) {
+func (c *CICQ[T]) Take(j int) (v T, ok bool) {
 	i := c.grants.Src[j]
 	if i == matching.Unmatched {
 		var zero T
@@ -463,40 +317,29 @@ func (c *Core[T]) Take(j int) (v T, ok bool) {
 		c.met.xpFrames.Add(-1)
 	}
 	c.met.pulled.Inc()
-	c.lens[i][j]--
-	c.backlog[i]--
-	if c.lens[i][j] == 0 {
-		c.occ.Clear(i, j)
-	}
+	c.removed(i, j, 1)
 	return v, true
 }
 
 // Untake undoes a Take whose delivery could not complete, restoring v to
 // the head of its crosspoint buffer.
-func (c *Core[T]) Untake(j int, v T) {
+func (c *CICQ[T]) Untake(j int, v T) {
 	i := c.grants.Src[j]
 	x := &c.xps[i*c.n+j]
 	if x.Len() == 0 {
-		c.colOcc.Set(j, i)
-		c.rowCnt[i]++
-		c.colCnt[j]++
-		c.met.xpOccupied.Add(1)
+		c.xpFilled(i, j)
 	}
 	x.PushFront(v)
 	c.met.xpFrames.Add(1)
-	if c.lens[i][j] == 0 {
-		c.occ.Set(i, j)
-	}
-	c.lens[i][j]++
-	c.backlog[i]++
+	c.added(i, j)
 }
 
 // Match returns nil: the CICQ datapath computes no central matching.
-func (c *Core[T]) Match() *matching.Match { return nil }
+func (c *CICQ[T]) Match() *matching.Match { return nil }
 
 // EmitSlotTrace records the last Arbitrate's grant vector (nil-safe, one
 // atomic load when disabled).
-func (c *Core[T]) EmitSlotTrace(tr *obs.Tracer, slot int64, requested int) {
+func (c *CICQ[T]) EmitSlotTrace(tr *obs.Tracer, slot int64, requested int) {
 	if tr == nil || !tr.Enabled() {
 		return
 	}
@@ -506,7 +349,7 @@ func (c *Core[T]) EmitSlotTrace(tr *obs.Tracer, slot int64, requested int) {
 // Register adds the cicq_* instruments to a registry: crosspoint
 // occupancy gauges plus per-arbiter grant attribution (how many frames
 // each arbiter bank moved).
-func (c *Core[T]) Register(r *obs.Registry) {
+func (c *CICQ[T]) Register(r *obs.Registry) {
 	r.Gauge("cicq_crosspoint_frames",
 		"Frames currently resident in crosspoint buffers (dispatched by an input arbiter, not yet pulled by an output arbiter).",
 		func() float64 { return float64(c.met.xpFrames.Value()) })

@@ -1,4 +1,4 @@
-package cicq
+package switchcore
 
 import (
 	"testing"
@@ -15,16 +15,17 @@ type frame struct {
 	src, dst, seq int
 }
 
-// driver exercises a cicq.Core through seeded slots — admissions,
+// driver exercises a CICQ datapath through seeded slots — admissions,
 // dispatch, pull, faults, flushes — asserting the conservation identity
 // and the grant/fault invariants after every slot.
 type driver struct {
-	t    *testing.T
-	c    *Core[frame]
-	rng  *rng.PCG32
-	n    int
-	seq  int
-	load float64
+	t     *testing.T
+	c     *CICQ[frame]
+	rng   *rng.PCG32
+	n     int
+	xpCap int
+	seq   int
+	load  float64
 
 	inDown, outDown []bool
 
@@ -35,9 +36,10 @@ func newDriver(t *testing.T, n, voqCap, xpCap int, seed uint64) *driver {
 	t.Helper()
 	return &driver{
 		t:       t,
-		c:       New[frame](n, voqCap, xpCap),
+		c:       NewCICQ[frame](n, voqCap, xpCap, false),
 		rng:     rng.NewPCG32(seed, 0x21C0),
 		n:       n,
+		xpCap:   xpCap,
 		load:    0.7,
 		inDown:  make([]bool, n),
 		outDown: make([]bool, n),
@@ -143,8 +145,8 @@ func (d *driver) audit(slot int64) {
 	if err := terms.Check(); err != nil {
 		d.t.Fatal(err)
 	}
-	if xp := d.c.CrosspointFrames(); xp < 0 || xp > d.n*d.n*d.c.XPCap() {
-		d.t.Fatalf("slot %d: %d crosspoint frames outside [0, %d]", slot, xp, d.n*d.n*d.c.XPCap())
+	if xp := d.c.CrosspointFrames(); xp < 0 || xp > d.n*d.n*d.xpCap {
+		d.t.Fatalf("slot %d: %d crosspoint frames outside [0, %d]", slot, xp, d.n*d.n*d.xpCap)
 	}
 	if occ := d.c.CrosspointsOccupied(); occ < 0 || occ > d.n*d.n {
 		d.t.Fatalf("slot %d: %d occupied crosspoints outside [0, %d]", slot, occ, d.n*d.n)
@@ -178,10 +180,10 @@ func (d *driver) drain(from int64) {
 	d.load = load
 }
 
-// TestConservationWidths sweeps odd and word-boundary widths, with and
+// TestCICQConservationWidths sweeps odd and word-boundary widths, with and
 // without fault schedules, checking the conservation identity after
 // every slot and full drainage at the end.
-func TestConservationWidths(t *testing.T) {
+func TestCICQConservationWidths(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 9, 17, 31, 33, 63, 64, 65, 127, 129} {
 		slots := 400
 		if n > 65 {
@@ -208,7 +210,7 @@ func TestConservationWidths(t *testing.T) {
 // exist and dispatch must regularly find the column full.
 func TestCrosspointCapacityBound(t *testing.T) {
 	const n = 8
-	c := New[frame](n, 64, 1)
+	c := NewCICQ[frame](n, 64, 1, false)
 	injected, delivered := 0, 0
 	for s := 0; s < 200; s++ {
 		for i := 0; i < n; i++ {
@@ -241,12 +243,12 @@ func TestCrosspointCapacityBound(t *testing.T) {
 	}
 }
 
-// TestUntakeRestores verifies Untake is Take's exact inverse: state
+// TestCICQUntakeRestores verifies Untake is Take's exact inverse: state
 // after Take+Untake equals state before, and the frame is re-pulled
 // first on the next slot (PushFront ordering).
-func TestUntakeRestores(t *testing.T) {
+func TestCICQUntakeRestores(t *testing.T) {
 	const n = 4
-	c := New[frame](n, 8, 2)
+	c := NewCICQ[frame](n, 8, 2, false)
 	c.Enqueue(1, 2, frame{src: 1, dst: 2, seq: 1})
 	c.Enqueue(1, 2, frame{src: 1, dst: 2, seq: 2})
 	for i := 0; i < n; i++ {
@@ -281,7 +283,7 @@ func TestUntakeRestores(t *testing.T) {
 // its crosspoints; only the pull arbiter honors the mask.
 func TestDispatchIgnoresOutputMask(t *testing.T) {
 	const n = 4
-	c := New[frame](n, 8, 2)
+	c := NewCICQ[frame](n, 8, 2, false)
 	c.Enqueue(0, 1, frame{src: 0, dst: 1, seq: 1})
 	c.ResetOutputMask()
 	c.MaskOutput(1)
@@ -311,7 +313,7 @@ func TestDispatchIgnoresOutputMask(t *testing.T) {
 // and an uncontested one, dispatch must pick the uncontested column.
 func TestLeastChoiceDispatch(t *testing.T) {
 	const n = 4
-	c := New[frame](n, 8, 4)
+	c := NewCICQ[frame](n, 8, 4, false)
 	// Fill column 0 with frames from inputs 1..3 so colCnt[0] = 3.
 	for i := 1; i < n; i++ {
 		c.Enqueue(i, 0, frame{src: i, dst: 0, seq: i})
@@ -353,3 +355,51 @@ func FuzzCICQSlots(f *testing.F) {
 		d.drain(int64(slots))
 	})
 }
+
+// benchmarkCICQDecision measures one full CICQ arbitration cycle — n
+// dispatch decisions (SnapshotRow) plus the n pull decisions
+// (Arbitrate) and pulls (Take) — against a core held at a steady ~0.9
+// occupancy, the CICQ counterpart of the scheduler-decision benchmarks.
+// The hot path must not allocate.
+func benchmarkCICQDecision(b *testing.B, n int) {
+	c := NewCICQ[int](n, 64, 4, true)
+	r := rng.NewPCG32(uint64(n), 0xBE)
+	// Prime to a steady working set.
+	for s := 0; s < 4*n; s++ {
+		for i := 0; i < n; i++ {
+			if r.Bool(0.9) {
+				c.Enqueue(i, r.Intn(n), s)
+			}
+		}
+		for i := 0; i < n; i++ {
+			c.SnapshotRow(i)
+		}
+		g := c.Arbitrate(nil)
+		for j := 0; j < n; j++ {
+			if g.Src[j] != matching.Unmatched {
+				c.Take(j)
+			}
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for k := 0; k < b.N; k++ {
+		for i := 0; i < n; i++ {
+			if r.Bool(0.9) {
+				c.Enqueue(i, r.Intn(n), k)
+			}
+		}
+		for i := 0; i < n; i++ {
+			c.SnapshotRow(i)
+		}
+		g := c.Arbitrate(nil)
+		for j := 0; j < n; j++ {
+			if g.Src[j] != matching.Unmatched {
+				c.Take(j)
+			}
+		}
+	}
+}
+
+func BenchmarkCICQDecisionN64(b *testing.B)  { benchmarkCICQDecision(b, 64) }
+func BenchmarkCICQDecisionN256(b *testing.B) { benchmarkCICQDecision(b, 256) }

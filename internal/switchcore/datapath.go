@@ -7,19 +7,21 @@ import (
 	"repro/internal/sched"
 )
 
-// Core is the first Datapath implementation.
-var _ Datapath[int] = (*Core[int])(nil)
+// The two Datapath implementations.
+var (
+	_ Datapath[int] = (*Core[int])(nil)
+	_ Datapath[int] = (*CICQ[int])(nil)
+)
 
 // Datapath is the switch-datapath contract shared by the drivers
 // (internal/simswitch, internal/runtime) and implemented by two
-// organizations: the VOQ core in this package (bufferless crossbar, one
-// central matching per slot) and the crosspoint-buffered variant in
-// internal/cicq (per-crosspoint rings with independent per-input dispatch
-// and per-output pull arbiters). The contract covers the five concerns a
-// driver touches — admit, per-slot advance, snapshot/arbitrate, fault
-// masking, and flush — so the engine's fault sweep, the conservation
-// audits and the observability hooks run unchanged against either
-// datapath.
+// organizations: the VOQ core Core (bufferless crossbar, one central
+// matching per slot) and the crosspoint-buffered CICQ (per-crosspoint
+// rings with independent per-input dispatch and per-output pull
+// arbiters). The contract covers the five concerns a driver touches —
+// admit, per-slot advance, snapshot/arbitrate, fault masking, and flush —
+// so the engine's fault sweep, the conservation audits and the
+// observability hooks run unchanged against either datapath.
 //
 // The concurrency contract is the Core's, generalized: the admit-side
 // methods (Enqueue, Len, HasBacklog, OccupiedRow, InputBacklog, FlushVOQ,
@@ -32,9 +34,6 @@ var _ Datapath[int] = (*Core[int])(nil)
 // engine's stranded-frame sweep and the chaos conservation audits hold
 // bit-for-bit across datapaths.
 type Datapath[T any] interface {
-	// N returns the port count.
-	N() int
-
 	// Enqueue admits v to VOQ (i,j) and reports acceptance; a full VOQ
 	// rejects (the driver decides whether that is a drop or
 	// backpressure).
@@ -49,8 +48,6 @@ type Datapath[T any] interface {
 	OccupiedRow(i int) *bitvec.Vector
 	// InputBacklog returns the total frames resident for input i.
 	InputBacklog(i int) int
-	// TotalBacklog sums InputBacklog over all inputs (monitoring only).
-	TotalBacklog() int
 	// FlushVOQ disposes every frame resident for pair (i,j), invoking fn
 	// (when non-nil) per frame, and returns the count removed.
 	FlushVOQ(i, j int, fn func(v T)) int

@@ -1,6 +1,10 @@
-// Package switchcore is the canonical VOQ switch datapath shared by the
-// offline simulator (internal/simswitch) and the live engine
-// (internal/runtime). Both machines run the same per-slot pipeline —
+// Package switchcore holds the switch datapaths shared by the offline
+// simulator (internal/simswitch) and the live engine (internal/runtime):
+// the VOQ core with one central matching per slot (Core, the paper's
+// organization) and the crosspoint-buffered variant (CICQ, cicq.go). Both
+// implement Datapath and embed one VOQ store (store.go): the n² VOQ
+// rings, the per-pair residency ledger, the output mask and the link
+// masks. The two drivers run the same per-slot pipeline —
 //
 //	enqueue → snapshot requests → schedule → dequeue grants
 //
@@ -47,8 +51,6 @@
 package switchcore
 
 import (
-	"fmt"
-
 	"repro/internal/bitvec"
 	"repro/internal/matching"
 	"repro/internal/obs"
@@ -59,18 +61,13 @@ import (
 // item type: the simulator stores *packet.Packet, the live engine stores
 // its Frame by value.
 type Core[T any] struct {
-	n      int
-	voqCap int
-
-	// Per-input state (see the package comment's concurrency contract).
-	voqs    []Ring[T]      // flattened n×n, index i*n+j
-	occ     *bitvec.Matrix // bit (i,j) ⇔ VOQ (i,j) non-empty
-	lens    [][]int        // live per-VOQ backlog, rows into one flat array
-	backlog []int          // per-input totals
+	// The VOQ store: rings and residency ledger are per-input state (see
+	// the package comment's concurrency contract), the output and link
+	// masks arbiter-only. A down input suppresses its whole request row;
+	// a down output is AndNot'ed out of every row.
+	voqStore[T]
 
 	// Slot scratch (arbiter-only).
-	mask     *bitvec.Vector // output columns suppressed this slot
-	maskAny  bool
 	req      *bitvec.Matrix // request snapshot handed to the scheduler
 	lensSnap [][]int        // queue-length snapshot handed to the scheduler
 	match    *matching.Match
@@ -83,15 +80,6 @@ type Core[T any] struct {
 	grants    *sched.GrantSet
 	lastEx    sched.Explainer
 	lastSched sched.Scheduler
-
-	// Link state (arbiter-only, like the slot scratch): persistent fault
-	// masks, as opposed to the per-slot backpressure mask above. A down
-	// input suppresses its whole request row; a down output is AndNot'ed
-	// out of every row, extending the output-masking path to faults.
-	downIn     *bitvec.Vector
-	downOut    *bitvec.Vector
-	anyDownIn  bool
-	anyDownOut bool
 }
 
 // New returns a core for an n-port switch whose n² VOQs each hold at most
@@ -112,69 +100,23 @@ func New[T any](n, voqCap int) *Core[T] {
 // once, in exchange for a strictly allocation-free admit path. Prealloc
 // requires a positive voqCap — an unbounded ring has no full size.
 func NewPrealloc[T any](n, voqCap int, prealloc bool) *Core[T] {
-	if n <= 0 {
-		panic(fmt.Sprintf("switchcore: port count %d", n))
+	return &Core[T]{
+		voqStore: newVOQStore[T](n, voqCap, prealloc),
+		req:      bitvec.NewMatrix(n),
+		lensSnap: flatRows(n),
+		match:    matching.NewMatch(n),
+		grants:   sched.NewGrantSet(n),
 	}
-	if voqCap < 0 {
-		panic(fmt.Sprintf("switchcore: negative VOQ capacity %d", voqCap))
-	}
-	if prealloc && voqCap == 0 {
-		panic("switchcore: prealloc requires a bounded VOQ capacity")
-	}
-	c := &Core[T]{
-		n:       n,
-		voqCap:  voqCap,
-		voqs:    make([]Ring[T], n*n),
-		occ:     bitvec.NewMatrix(n),
-		backlog: make([]int, n),
-		mask:    bitvec.New(n),
-		downIn:  bitvec.New(n),
-		downOut: bitvec.New(n),
-		req:     bitvec.NewMatrix(n),
-		match:   matching.NewMatch(n),
-		grants:  sched.NewGrantSet(n),
-	}
-	for k := range c.voqs {
-		if prealloc {
-			c.voqs[k] = NewRingFull[T](voqCap)
-		} else {
-			c.voqs[k] = NewRing[T](voqCap)
-		}
-	}
-	c.lens = flatRows(n)
-	c.lensSnap = flatRows(n)
-	return c
 }
-
-// flatRows carves an n×n int matrix out of one allocation.
-func flatRows(n int) [][]int {
-	flat := make([]int, n*n)
-	rows := make([][]int, n)
-	for i := range rows {
-		rows[i] = flat[i*n : (i+1)*n : (i+1)*n]
-	}
-	return rows
-}
-
-// N returns the port count.
-func (c *Core[T]) N() int { return c.n }
-
-// VOQCap returns the per-VOQ capacity bound (0 = unbounded).
-func (c *Core[T]) VOQCap() int { return c.voqCap }
 
 // Enqueue appends v to VOQ (i,j) and reports acceptance; a full VOQ
 // rejects (the driver decides whether that is a drop or backpressure).
 // The occupancy bit, queue length and input backlog update incrementally.
 func (c *Core[T]) Enqueue(i, j int, v T) bool {
-	q := &c.voqs[i*c.n+j]
-	if !q.Push(v) {
+	if !c.voqs[i*c.n+j].Push(v) {
 		return false
 	}
-	if q.Len() == 1 {
-		c.occ.Set(i, j)
-	}
-	c.lens[i][j]++
-	c.backlog[i]++
+	c.added(i, j)
 	return true
 }
 
@@ -182,17 +124,11 @@ func (c *Core[T]) Enqueue(i, j int, v T) bool {
 // empty VOQ (a granted pair whose queue drained — the driver accounts it
 // as a wasted grant).
 func (c *Core[T]) Dequeue(i, j int) (v T, ok bool) {
-	q := &c.voqs[i*c.n+j]
-	v, ok = q.Pop()
-	if !ok {
-		return v, false
+	v, ok = c.voqs[i*c.n+j].Pop()
+	if ok {
+		c.removed(i, j, 1)
 	}
-	c.lens[i][j]--
-	c.backlog[i]--
-	if q.Len() == 0 {
-		c.occ.Clear(i, j)
-	}
-	return v, true
+	return v, ok
 }
 
 // Requeue prepends v to VOQ (i,j), undoing a Dequeue whose delivery could
@@ -200,106 +136,27 @@ func (c *Core[T]) Dequeue(i, j int) (v T, ok bool) {
 // capacity bound: the item just vacated its slot, so the queue cannot
 // exceed the bound it satisfied before the Dequeue.
 func (c *Core[T]) Requeue(i, j int, v T) {
-	q := &c.voqs[i*c.n+j]
-	if q.Len() == 0 {
-		c.occ.Set(i, j)
-	}
-	q.PushFront(v)
-	c.lens[i][j]++
-	c.backlog[i]++
+	c.voqs[i*c.n+j].PushFront(v)
+	c.added(i, j)
 }
-
-// Len returns the backlog of VOQ (i,j).
-func (c *Core[T]) Len(i, j int) int { return c.lens[i][j] }
 
 // LenRow returns input i's live per-output backlogs. The slice aliases
 // core state: callers must treat it as read-only and, in a concurrent
 // driver, hold input i's lock while reading.
 func (c *Core[T]) LenRow(i int) []int { return c.lens[i] }
 
-// HasBacklog reports whether VOQ (i,j) is non-empty.
-func (c *Core[T]) HasBacklog(i, j int) bool { return c.occ.Get(i, j) }
-
-// OccupiedRow returns input i's live occupancy bits (set ⇔ that VOQ is
-// non-empty). Read-only; same aliasing caveat as LenRow.
-func (c *Core[T]) OccupiedRow(i int) *bitvec.Vector { return c.occ.Row(i) }
-
-// InputBacklog returns the total backlog across input i's VOQs.
-func (c *Core[T]) InputBacklog(i int) int { return c.backlog[i] }
-
-// TotalBacklog returns the backlog summed over all inputs. In a
-// concurrent driver the per-input reads are not one transaction; the
-// result may be off by items in flight, which is fine for monitoring.
-func (c *Core[T]) TotalBacklog() int {
-	t := 0
-	for _, b := range c.backlog {
-		t += b
-	}
-	return t
-}
-
-// ResetOutputMask clears the per-slot output backpressure mask. Call at
-// the top of a slot, before MaskOutput/SnapshotRow.
-func (c *Core[T]) ResetOutputMask() {
-	if c.maskAny {
-		c.mask.Reset()
-		c.maskAny = false
-	}
-}
-
-// MaskOutput suppresses output j's column in this slot's request
-// snapshot: a backpressured output (full delivery channel) must not
-// attract grants it cannot accept.
-func (c *Core[T]) MaskOutput(j int) {
-	c.mask.Set(j)
-	c.maskAny = true
-}
-
-// SetInputDown marks input i's link failed (or recovered): while down,
-// its whole occupancy row is suppressed from every request snapshot, so
-// the scheduler cannot grant a failed input. Link state is persistent
-// across slots, unlike the per-slot output mask, and belongs to the
-// arbiter domain: drivers mutate it only from the goroutine that runs the
-// snapshot/schedule sequence.
-func (c *Core[T]) SetInputDown(i int, down bool) {
-	c.downIn.SetTo(i, down)
-	c.anyDownIn = c.downIn.Any()
-}
-
-// SetOutputDown marks output j's link failed (or recovered): while down,
-// column j is removed from every request snapshot exactly like a
-// backpressured output, so a failed output attracts zero grants.
-func (c *Core[T]) SetOutputDown(j int, down bool) {
-	c.downOut.SetTo(j, down)
-	c.anyDownOut = c.downOut.Any()
-}
-
-// InputDown reports whether input i's link is failed.
-func (c *Core[T]) InputDown(i int) bool { return c.anyDownIn && c.downIn.Get(i) }
-
-// OutputDown reports whether output j's link is failed.
-func (c *Core[T]) OutputDown(j int) bool { return c.anyDownOut && c.downOut.Get(j) }
-
-// AnyLinkDown reports whether any input or output link is failed.
-func (c *Core[T]) AnyLinkDown() bool { return c.anyDownIn || c.anyDownOut }
-
 // FlushVOQ empties VOQ (i,j), invoking fn (when non-nil) on every removed
 // item in queue order, and returns how many items it removed. It is the
 // disposal path for frames stranded behind a failed link under a drop
-// policy; the occupancy bit, queue length and backlog update exactly as
-// for Dequeue. Concurrent drivers call it under input i's lock.
+// policy; the occupancy bit, queue length and backlog end exactly as
+// after that many Dequeues. Concurrent drivers call it under input i's
+// lock.
 func (c *Core[T]) FlushVOQ(i, j int, fn func(v T)) int {
-	flushed := 0
-	for {
-		v, ok := c.Dequeue(i, j)
-		if !ok {
-			return flushed
-		}
-		if fn != nil {
-			fn(v)
-		}
-		flushed++
+	k := drain(&c.voqs[i*c.n+j], fn)
+	if k > 0 {
+		c.removed(i, j, k)
 	}
+	return k
 }
 
 // SnapshotRow copies input i's occupancy row (minus failed links and

@@ -9,44 +9,53 @@ import (
 	"repro/internal/sched"
 )
 
+// TestRingBasics checks the ring semantics a VOQ inherits from
+// queue.Ring: an empty VOQ yields nothing, a bounded one refuses the
+// item past its capacity, items leave in arrival order, and a requeued
+// item is the next to leave.
 func TestRingBasics(t *testing.T) {
-	r := NewRing[int](4)
-	if _, ok := r.Pop(); ok {
-		t.Fatal("pop from empty ring succeeded")
+	c := New[int](2, 4)
+	if _, ok := c.Dequeue(0, 1); ok {
+		t.Fatal("dequeue from empty VOQ succeeded")
 	}
 	for k := 0; k < 4; k++ {
-		if !r.Push(k) {
-			t.Fatalf("push %d rejected below capacity", k)
+		if !c.Enqueue(0, 1, k) {
+			t.Fatalf("enqueue %d rejected below capacity", k)
 		}
 	}
-	if r.Push(99) {
-		t.Fatal("push beyond capacity accepted")
+	if c.Enqueue(0, 1, 99) {
+		t.Fatal("enqueue beyond capacity accepted")
+	}
+	if got := c.Len(0, 1); got != 4 {
+		t.Fatalf("Len %d after refused enqueue, want 4", got)
 	}
 	for k := 0; k < 4; k++ {
-		v, ok := r.Pop()
+		v, ok := c.Dequeue(0, 1)
 		if !ok || v != k {
-			t.Fatalf("pop %d: got %d,%v", k, v, ok)
+			t.Fatalf("dequeue %d: got %d,%v", k, v, ok)
 		}
 	}
-	// pushFront makes the item the next pop.
-	r.Push(1)
-	r.PushFront(0)
-	if v, _ := r.Pop(); v != 0 {
-		t.Fatalf("pushFront not popped first: %d", v)
+	// Requeue makes the item the next dequeue.
+	c.Enqueue(0, 1, 1)
+	c.Requeue(0, 1, 0)
+	if v, _ := c.Dequeue(0, 1); v != 0 {
+		t.Fatalf("requeued item not dequeued first: %d", v)
 	}
 }
 
+// TestRingGrowsUnbounded checks that a VOQ with capacity 0 accepts
+// without bound and keeps arrival order.
 func TestRingGrowsUnbounded(t *testing.T) {
-	r := NewRing[int](0)
+	c := New[int](2, 0)
 	const total = 1000
 	for k := 0; k < total; k++ {
-		if !r.Push(k) {
-			t.Fatalf("unbounded ring rejected push %d", k)
+		if !c.Enqueue(1, 0, k) {
+			t.Fatalf("unbounded VOQ rejected enqueue %d", k)
 		}
 	}
 	for k := 0; k < total; k++ {
-		if v, ok := r.Pop(); !ok || v != k {
-			t.Fatalf("pop %d: got %d,%v", k, v, ok)
+		if v, ok := c.Dequeue(1, 0); !ok || v != k {
+			t.Fatalf("dequeue %d: got %d,%v", k, v, ok)
 		}
 	}
 }

@@ -196,10 +196,13 @@ func main() {
 		}
 	}
 	var tracer *obs.Tracer
-	if *traceRing > 0 {
+	switch {
+	case *traceRing < 0:
+		fatalUsage("-trace-ring must be >= 0 (got %d)", *traceRing)
+	case *traceRing > 0:
 		tracer = obs.NewTracer(*n, *traceRing)
 		tracer.SetEnabled(*traceOn)
-	} else if *traceOn {
+	case *traceOn:
 		fatalUsage("-trace needs a ring: set -trace-ring > 0")
 	}
 	engine, err := rt.New(rt.Config{

@@ -701,11 +701,15 @@ func TestUsageErrorsExitTwo(t *testing.T) {
 		{[]string{"-fault-policy", "bogus"}, "-fault-policy must be drop or hold"},
 		{[]string{"-flow-policy", "po2"}, "-flow-policy requires -flows"},
 		{[]string{"-rank", "deadline"}, "-rank requires -classes"},
+		{[]string{"-trace-ring", "-1"}, "-trace-ring must be >= 0"},
 	} {
+		// A daemon that wrongly accepts its flags serves until killed.
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		var stderr bytes.Buffer
-		cmd := exec.Command(bin, tc.args...)
+		cmd := exec.CommandContext(ctx, bin, tc.args...)
 		cmd.Stderr = &stderr
 		err := cmd.Run()
+		cancel()
 		var ee *exec.ExitError
 		if !errors.As(err, &ee) || ee.ExitCode() != 2 {
 			t.Errorf("lcfd %v: %v, want exit status 2", tc.args, err)

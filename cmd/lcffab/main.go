@@ -71,7 +71,7 @@ func main() {
 
 	sel, err := cf.ParseMiddleSelect(*selName)
 	if err != nil {
-		fatalUsage("%v", err)
+		fatalUsage("-select: %v", err)
 	}
 	var policy rt.FaultPolicy
 	switch *faultPol {
@@ -87,6 +87,12 @@ func main() {
 	}
 	if *load < 0 || *load > 1 {
 		fatalUsage("-load must be in [0,1] (got %g)", *load)
+	}
+	if *traceRing < 0 {
+		fatalUsage("-trace-ring must be >= 0 (got %d)", *traceRing)
+	}
+	if *traceOn && *traceRing == 0 {
+		fatalUsage("-trace needs a ring: set -trace-ring > 0")
 	}
 
 	d, err := newDaemon(cf.Config{

@@ -2,10 +2,14 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"os/exec"
+	"path/filepath"
 	"regexp"
 	"sort"
 	"strings"
@@ -235,5 +239,39 @@ func TestDaemonEndToEnd(t *testing.T) {
 	if st.Injected.Value() != st.Delivered.Value()+st.Dropped.Value()+d.fab.Resident() {
 		t.Fatalf("final accounting broken: injected %d, delivered %d, dropped %d, resident %d",
 			st.Injected.Value(), st.Delivered.Value(), st.Dropped.Value(), d.fab.Resident())
+	}
+}
+
+// TestUsageErrorsExitTwo spawns the daemon with each bad flag and checks
+// it exits 2 naming the flag. Every row also runs with -slots 1 and no
+// HTTP listener, so a daemon that wrongly accepts its flags stops after
+// one slot with status 0 instead of serving forever.
+func TestUsageErrorsExitTwo(t *testing.T) {
+	bin := filepath.Join(t.TempDir(), "lcffab")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("building lcffab: %v\n%s", err, out)
+	}
+	for _, tc := range []struct {
+		args []string
+		want string // substring of stderr
+	}{
+		{[]string{"-trace", "-trace-ring", "0"}, "-trace needs a ring"},
+		{[]string{"-trace-ring", "-1"}, "-trace-ring must be >= 0"},
+		{[]string{"-fault-policy", "x"}, "-fault-policy must be hold or drop"},
+		{[]string{"-select", "x"}, "-select"},
+		{[]string{"-slot", "0"}, "-slot must be positive"},
+		{[]string{"-load", "2"}, "-load must be in [0,1]"},
+	} {
+		var stderr bytes.Buffer
+		cmd := exec.Command(bin, append(tc.args, "-slots", "1", "-http", "")...)
+		cmd.Stderr = &stderr
+		err := cmd.Run()
+		var ee *exec.ExitError
+		if !errors.As(err, &ee) || ee.ExitCode() != 2 {
+			t.Errorf("lcffab %v: %v, want exit status 2", tc.args, err)
+		}
+		if !strings.Contains(stderr.String(), tc.want) {
+			t.Errorf("lcffab %v: stderr %q does not mention %q", tc.args, stderr.String(), tc.want)
+		}
 	}
 }

@@ -86,8 +86,9 @@ func main() {
 	}
 	fmt.Printf("%-6s %-9s %-28s %s\n", "slot", "requests", "matching (in→out)", "moved")
 
-	// With -jsonl the run also records the obs ring (sized to keep every
-	// slot) and saves it afterwards — the offline twin of lcfd's /trace.
+	// With -jsonl the run also records each slot's decision into an obs
+	// ring (sized to keep every slot) and saves it afterwards — the
+	// offline twin of lcfd's /trace. A nil tracer records nothing.
 	var tracer *obs.Tracer
 	if *jsonlOut != "" {
 		tracer = obs.NewTracer(*n, int(*slots)+1)
@@ -102,8 +103,8 @@ func main() {
 		WarmupSlots:  0,
 		MeasureSlots: *slots,
 		Validate:     true,
-		Tracer:       tracer,
 		Trace: func(ev simswitch.TraceEvent) {
+			tracer.EmitGrants(int64(ev.Slot), ev.Requests.PopCount(), ev.Grants)
 			var pairs []string
 			for i, j := range ev.Match.InToOut {
 				if j != matching.Unmatched {

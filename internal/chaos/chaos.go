@@ -334,31 +334,13 @@ func (s *schedule) violation(slot int64, format string, args ...any) error {
 	return fmt.Errorf("chaos: slot %d: %s (seed %d)", slot, fmt.Sprintf(format, args...), s.cfg.Seed)
 }
 
-// checkGrant enforces grant isolation: no grant may touch a down link.
-func (s *schedule) checkGrant(slot int64, i, j int) error {
-	if i != matching.Unmatched && j != matching.Unmatched && (s.inDown[i] || s.outDown[j]) {
-		return s.violation(slot, "grant %d→%d touches a failed link", i, j)
-	}
-	return nil
-}
-
-// checkGrants audits the per-output grant vector both engine datapaths
-// report.
+// checkGrants enforces grant isolation on the per-output grant vector
+// both engine datapaths and the simulator report: no grant may touch a
+// down link.
 func (s *schedule) checkGrants(slot int64, g *sched.GrantSet) error {
 	for j, i := range g.Src {
-		if err := s.checkGrant(slot, i, j); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// checkMatch is checkGrants for RunSim, whose VOQ trace carries the
-// central matching instead.
-func (s *schedule) checkMatch(slot int64, m *matching.Match) error {
-	for i, j := range m.InToOut {
-		if err := s.checkGrant(slot, i, j); err != nil {
-			return err
+		if i != matching.Unmatched && (s.inDown[i] || s.outDown[j]) {
+			return s.violation(slot, "grant %d→%d touches a failed link", i, j)
 		}
 	}
 	return nil
@@ -398,7 +380,7 @@ func RunSim(cfg Config) (*Report, error) {
 		Validate:     true,
 		Trace: func(ev simswitch.TraceEvent) {
 			if grantErr == nil {
-				grantErr = plan.checkMatch(int64(ev.Slot), ev.Match)
+				grantErr = plan.checkGrants(int64(ev.Slot), ev.Grants)
 			}
 		},
 	})

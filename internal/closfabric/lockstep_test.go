@@ -2,10 +2,10 @@ package closfabric_test
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	cf "repro/internal/closfabric"
-	"repro/internal/matching"
 	"repro/internal/rng"
 	rt "repro/internal/runtime"
 	"repro/internal/sched"
@@ -20,8 +20,8 @@ import (
 // reference engine fed the fabric's admissions delayed by exactly one
 // slot:
 //
-//   - the middle engine's matching at fabric slot s equals the reference
-//     engine's matching at its slot s, for every slot;
+//   - the middle engine's grant vector at fabric slot s equals the
+//     reference engine's at its slot s, for every slot;
 //   - every output delivers the identical frame sequence, each fabric
 //     delivery landing exactly one slot after its reference delivery.
 //
@@ -49,7 +49,7 @@ func lockstepDegenerate(t *testing.T, schedName string) {
 		load  = 0.7
 	)
 
-	var fabMatches []*matching.Match
+	var fabGrants [][]int
 	fabDel := make([][]del, n)
 	f, err := cf.New(cf.Config{
 		M: 1, K: 1, R: n,
@@ -58,7 +58,7 @@ func lockstepDegenerate(t *testing.T, schedName string) {
 		Seed:       seed,
 		OnStageSlot: func(stage uint8, idx int, ev rt.SlotEvent) {
 			if stage == cf.StageMiddle {
-				fabMatches = append(fabMatches, ev.Match.Clone())
+				fabGrants = append(fabGrants, slices.Clone(ev.Grants.Src))
 			}
 		},
 		OnDeliver: func(d cf.Delivery) {
@@ -82,11 +82,11 @@ func lockstepDegenerate(t *testing.T, schedName string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var refMatches []*matching.Match
+	var refGrants [][]int
 	ref, err := rt.New(rt.Config{
 		N:         n,
 		Scheduler: refSched,
-		OnSlot:    func(ev rt.SlotEvent) { refMatches = append(refMatches, ev.Match.Clone()) },
+		OnSlot:    func(ev rt.SlotEvent) { refGrants = append(refGrants, slices.Clone(ev.Grants.Src)) },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -157,14 +157,14 @@ func lockstepDegenerate(t *testing.T, schedName string) {
 	}
 
 	fabSlots := int(f.Slot())
-	if len(fabMatches) != fabSlots || len(refMatches) != fabSlots {
-		t.Fatalf("recorded %d fabric / %d reference matches over %d slots",
-			len(fabMatches), len(refMatches), fabSlots)
+	if len(fabGrants) != fabSlots || len(refGrants) != fabSlots {
+		t.Fatalf("recorded %d fabric / %d reference grant vectors over %d slots",
+			len(fabGrants), len(refGrants), fabSlots)
 	}
-	for s := range fabMatches {
-		if !fabMatches[s].Equal(refMatches[s]) {
-			t.Fatalf("%s: matchings diverge at slot %d:\nfabric:    %v\nreference: %v",
-				schedName, s, fabMatches[s].InToOut, refMatches[s].InToOut)
+	for s := range fabGrants {
+		if !slices.Equal(fabGrants[s], refGrants[s]) {
+			t.Fatalf("%s: grant vectors diverge at slot %d:\nfabric:    %v\nreference: %v",
+				schedName, s, fabGrants[s], refGrants[s])
 		}
 	}
 

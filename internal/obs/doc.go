@@ -18,12 +18,13 @@
 //     exposition back (cmd/lcfload uses it to report switch-side
 //     counters next to its client-side measurements).
 //   - Tracer is a preallocated, lock-free ring of per-slot trace events:
-//     request-matrix cardinality, the chosen matching, and — for
-//     schedulers implementing sched.Explainer, i.e. the LCF variants —
-//     the decision rule and LCF priority level behind every grant. The
-//     arbiter emits with atomic stores only (zero heap allocations); a
-//     disabled tracer costs exactly one atomic load per slot, so the
-//     hooks can stay compiled into the hot path permanently. cmd/lcftrace
+//     request-matrix cardinality and the slot's sched.GrantSet — for
+//     schedulers implementing sched.Explainer, i.e. the LCF variants,
+//     with the decision rule and LCF priority level behind every grant —
+//     plus fault, flow and class events. Every emitter writes through one
+//     path with atomic stores only (zero heap allocations); a disabled
+//     tracer costs exactly one atomic load per event, so the hooks can
+//     stay compiled into the hot path permanently. cmd/lcftrace
 //     drains the ring (directly or over lcfd's /trace endpoint) into
 //     JSONL or a human-readable timeline.
 //

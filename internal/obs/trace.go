@@ -25,9 +25,9 @@ type Grant struct {
 
 // Event is one drained ring record. The common case (Kind == "") is a
 // slot decision: the slot number, the request-matrix cardinality
-// advertised to the scheduler, and the chosen matching with per-grant
-// attribution. Matched always equals len(Grants); it is serialized anyway
-// so JSONL consumers can aggregate without scanning.
+// advertised to the scheduler, and the grants in ascending output order
+// with per-grant attribution. Matched always equals len(Grants); it is
+// serialized anyway so JSONL consumers can aggregate without scanning.
 //
 // Kind == "fault" marks a link-state transition instead: Port and Dir
 // name the link ("input" or "output") and State is "down" or "up". Fault
@@ -99,9 +99,11 @@ func flowDispString(d uint8) string {
 
 // traceSlot is one preallocated ring entry. Every field is accessed
 // atomically so a concurrent drain is race-free; the seq field is a
-// per-entry sequence lock: 2w+1 while entry w is being written, 2w+2
-// once complete. A reader that observes any other value (an older
-// generation, or mid-write) discards the entry.
+// per-entry sequence lock: 2w+1 while record w is being written, 2w+2
+// once complete. A writer takes the entry by compare-and-swap from an
+// even value, so at most one writer stores into it at a time. A reader
+// that observes any other value (an older generation, or mid-write)
+// discards the entry.
 type traceSlot struct {
 	seq    atomic.Uint64
 	slot   atomic.Int64
@@ -167,15 +169,18 @@ func unpackGrant(g uint64) Grant {
 }
 
 // Tracer is a bounded, preallocated, lock-free ring of slot-decision
-// events. Any goroutine may emit, Drain or toggle concurrently: each
-// emitter claims a ring slot with one fetch-add on pos, and the
-// per-entry sequence lock makes a half-written entry detectable (a
-// drain skips it). The arbiter is still the only emitter of slot and
-// fault records; the flow tier emits its steering events from whatever
-// goroutine offered the steered frame. Emit performs atomic stores into
-// preallocated entries only — zero heap allocations — and a disabled
-// tracer costs exactly one atomic load per Emit, which is why the emit
-// hooks can stay compiled into the slot loop unconditionally.
+// events. Any goroutine may emit, Drain or toggle concurrently: the
+// arbiter emits slot decisions, fault transitions and class SLO
+// violations, the flow tier emits steering events from whatever
+// goroutine offered the steered frame. Every emitter goes through one
+// write path (record): a fetch-add on pos numbers the record, a
+// compare-and-swap on the entry's sequence lock takes the entry, and a
+// record whose entry is still held by another writer is dropped, as if
+// it had been overwritten. A drain skips half-written entries. Emitting
+// performs atomic stores into preallocated entries only — zero heap
+// allocations — and a disabled tracer costs exactly one atomic load per
+// call, which is why the emit hooks can stay compiled into the slot loop
+// unconditionally.
 type Tracer struct {
 	n       int
 	enabled atomic.Bool
@@ -213,135 +218,86 @@ func (t *Tracer) Enabled() bool { return t.enabled.Load() }
 func (t *Tracer) Capacity() int { return len(t.ring) }
 
 // Emitted returns the number of events recorded since construction
-// (including events since overwritten by ring wraparound).
+// (including events since overwritten by ring wraparound or dropped on
+// contention).
 func (t *Tracer) Emitted() int64 { return int64(t.pos.Load()) }
 
-// Emit records one slot decision: the request cardinality, the matching,
-// and — when ex is non-nil — the rule and choice count behind each grant.
-// Nil-safe and cheap when disabled (one atomic load). Safe for
-// concurrent use with every other emitter, Drain and the enable toggles:
-// the fetch-add on pos gives each emitter a private ring slot.
-func (t *Tracer) Emit(slot int64, requested int, m *matching.Match, ex sched.Explainer) {
-	if t == nil || !t.enabled.Load() {
-		return
-	}
-	w := t.pos.Add(1) - 1
-	e := &t.ring[w%uint64(len(t.ring))]
-	e.seq.Store(2*w + 1)
-	e.slot.Store(slot)
-	e.aux.Store(0)
-	ngrants := 0
-	for i, j := range m.InToOut {
-		if j == matching.Unmatched {
-			continue
-		}
-		rule, choices := sched.RuleUnattributed, -1
-		if ex != nil {
-			rule, choices = ex.Explain(i)
-		}
-		if ngrants < len(e.grants) { // cannot overflow with a valid match; belt and braces
-			e.grants[ngrants].Store(packGrant(i, j, rule, choices))
-			ngrants++
-		}
-	}
-	e.counts.Store(uint64(uint32(requested))<<32 | uint64(uint16(ngrants)))
-	e.seq.Store(2*w + 2)
-}
-
-// EmitGrants records one slot decision from a per-output grant vector —
-// the CICQ datapath's native decision shape, where the pull arbiters are
-// not constrained to a permutation and matching.Match cannot represent
-// the result. Ring records are identical in schema to Emit's (grants
-// carry in/out/rule/choices), just enumerated in output order. Same
-// contract as Emit: single-writer, nil-safe, one atomic load when
-// disabled, zero heap allocations.
+// EmitGrants records one slot decision: the request cardinality and the
+// per-output grant vector with each grant's rule and choice count.
+// Grants are recorded in ascending output order.
 func (t *Tracer) EmitGrants(slot int64, requested int, g *sched.GrantSet) {
-	if t == nil || !t.enabled.Load() {
-		return
-	}
-	w := t.pos.Add(1) - 1
-	e := &t.ring[w%uint64(len(t.ring))]
-	e.seq.Store(2*w + 1)
-	e.slot.Store(slot)
-	e.aux.Store(0)
-	ngrants := 0
-	for j, i := range g.Src {
-		if i == matching.Unmatched {
-			continue
-		}
-		if ngrants < len(e.grants) { // cannot overflow with a valid grant set; belt and braces
-			e.grants[ngrants].Store(packGrant(i, j, g.Rule[j], g.Choices[j]))
-			ngrants++
-		}
-	}
-	e.counts.Store(uint64(uint32(requested))<<32 | uint64(uint16(ngrants)))
-	e.seq.Store(2*w + 2)
+	t.record(slot, uint64(uint32(requested))<<32, 0, g)
 }
 
 // EmitFault records a link-state transition (port's input or output link
-// going down or recovering) as a ring event, so drained timelines show
-// degradation windows inline with the slot decisions they shaped. Same
-// contract as Emit: single-writer (the arbiter applies fault transitions
-// at the top of a slot), nil-safe, one atomic load when disabled, and
-// zero heap allocations.
+// going down or recovering), so drained timelines show degradation
+// windows inline with the slot decisions they shaped.
 func (t *Tracer) EmitFault(slot int64, port int, dir string, up bool) {
-	if t == nil || !t.enabled.Load() {
-		return
-	}
-	w := t.pos.Add(1) - 1
-	e := &t.ring[w%uint64(len(t.ring))]
-	e.seq.Store(2*w + 1)
-	e.slot.Store(slot)
-	e.counts.Store(0)
-	e.aux.Store(packFault(port, dir, up))
-	e.seq.Store(2*w + 2)
+	t.record(slot, 0, packFault(port, dir, up), nil)
 }
 
 // EmitFlow records a flow-tier steering decision: flow id, chosen input
 // port (-1 for a rejected flow) and disposition (FlowNew,
-// FlowRebalanced, FlowRejected). Unlike the slot and fault emitters it
-// runs on admission goroutines, concurrently with the arbiter's own
-// emits — the fetch-add slot claim makes that safe. The flow id rides
-// in the entry's counts word; port and disposition pack into aux with
-// the flow kind flag. Nil-safe, one atomic load when disabled, zero
-// heap allocations.
+// FlowRebalanced, FlowRejected). The flow id rides in the counts word.
 func (t *Tracer) EmitFlow(slot int64, flow uint64, port int, disp uint8) {
-	if t == nil || !t.enabled.Load() {
-		return
-	}
-	w := t.pos.Add(1) - 1
-	e := &t.ring[w%uint64(len(t.ring))]
-	e.seq.Store(2*w + 1)
-	e.slot.Store(slot)
-	e.counts.Store(flow)
-	e.aux.Store(packFlow(port, disp))
-	e.seq.Store(2*w + 2)
+	t.record(slot, flow, packFlow(port, disp), nil)
 }
 
 // EmitClass records a service-class SLO violation: class index, output
-// port and the frame's admission-to-delivery latency in slots. Emitted
-// from the dispatch path, concurrently with the flow tier's emitters,
-// which the fetch-add slot claim makes safe.
-// The latency rides in the entry's counts word; class and port pack
-// into aux with the class kind flag. Nil-safe, one atomic load when
-// disabled, zero heap allocations.
+// port and the frame's admission-to-delivery latency in slots, which
+// rides in the counts word.
 func (t *Tracer) EmitClass(slot int64, class, port int, latency int64) {
+	t.record(slot, uint64(latency), packClass(class, port), nil)
+}
+
+// record is the ring's one write path, behind every emitter: nil-safe,
+// one atomic load when disabled, zero heap allocations, safe from any
+// goroutine. The fetch-add on pos numbers the record w; the
+// compare-and-swap takes entry w%capacity only from a published record
+// older than w. An entry still being written (odd sequence) or already
+// taken by a newer record means two writers lapped each other on it:
+// this record is dropped, as if it had been overwritten, rather than
+// interleaving its stores with the other writer's. For a slot decision
+// (g non-nil) counts carries the request cardinality and record adds the
+// grant count.
+func (t *Tracer) record(slot int64, counts, aux uint64, g *sched.GrantSet) {
 	if t == nil || !t.enabled.Load() {
 		return
 	}
 	w := t.pos.Add(1) - 1
 	e := &t.ring[w%uint64(len(t.ring))]
-	e.seq.Store(2*w + 1)
+	for {
+		s := e.seq.Load()
+		if s&1 != 0 || s > 2*w {
+			return
+		}
+		if e.seq.CompareAndSwap(s, 2*w+1) {
+			break
+		}
+	}
 	e.slot.Store(slot)
-	e.counts.Store(uint64(latency))
-	e.aux.Store(packClass(class, port))
+	e.aux.Store(aux)
+	if g != nil {
+		ngrants := 0
+		for j, i := range g.Src {
+			if i == matching.Unmatched {
+				continue
+			}
+			if ngrants < len(e.grants) { // cannot overflow with a valid grant set; belt and braces
+				e.grants[ngrants].Store(packGrant(i, j, g.Rule[j], g.Choices[j]))
+				ngrants++
+			}
+		}
+		counts |= uint64(uint16(ngrants))
+	}
+	e.counts.Store(counts)
 	e.seq.Store(2*w + 2)
 }
 
 // Drain returns the ring's current window of events, oldest first. It
 // does not consume: two immediate drains return the same window. Entries
-// being overwritten by a concurrent Emit are skipped (the window then has
-// a hole at its oldest end, never a torn record).
+// being overwritten by a concurrent emitter are skipped (the window then
+// has a hole, never a torn record).
 func (t *Tracer) Drain() []Event {
 	pos := t.pos.Load()
 	capacity := uint64(len(t.ring))
@@ -354,15 +310,12 @@ func (t *Tracer) Drain() []Event {
 		e := &t.ring[w%capacity]
 		s1 := e.seq.Load()
 		if s1 != 2*w+2 {
-			continue // mid-write, or already overwritten by a newer generation
+			continue // mid-write, dropped, or already overwritten by a newer generation
 		}
 		counts := e.counts.Load()
-		ev := Event{
-			Slot:      e.slot.Load(),
-			Requested: int(counts >> 32),
-			Matched:   int(counts & 0xffff),
-		}
-		if f := e.aux.Load(); f&auxFault != 0 {
+		ev := Event{Slot: e.slot.Load()}
+		switch f := e.aux.Load(); {
+		case f&auxFault != 0:
 			ev.Kind = "fault"
 			ev.Port = int(uint16(f >> 16))
 			ev.Dir, ev.State = DirInput, "down"
@@ -372,42 +325,25 @@ func (t *Tracer) Drain() []Event {
 			if f&1 != 0 {
 				ev.State = "up"
 			}
-			if e.seq.Load() != s1 {
-				continue
-			}
-			evs = append(evs, ev)
-			continue
-		} else if f&auxFlow != 0 {
-			// The counts word carries the flow id, not requested/matched.
+		case f&auxFlow != 0:
 			ev.Kind = "flow"
-			ev.Requested, ev.Matched = 0, 0
 			ev.Flow = counts
 			ev.Port = int(int16(uint16(f >> 16)))
 			ev.Disp = flowDispString(uint8(f))
-			if e.seq.Load() != s1 {
-				continue
-			}
-			evs = append(evs, ev)
-			continue
-		} else if f&auxClass != 0 {
-			// The counts word carries the latency in slots.
+		case f&auxClass != 0:
 			ev.Kind = "class"
-			ev.Requested, ev.Matched = 0, 0
 			ev.Class = int(uint8(f))
 			ev.Port = int(uint16(f >> 16))
 			ev.Latency = int64(counts)
-			if e.seq.Load() != s1 {
-				continue
+		default:
+			ev.Requested, ev.Matched = int(counts>>32), int(counts&0xffff)
+			if ev.Matched > len(e.grants) {
+				continue // torn counts (the seq re-check below would reject it anyway)
 			}
-			evs = append(evs, ev)
-			continue
-		}
-		if ev.Matched > len(e.grants) {
-			continue // torn counts (the seq re-check below would reject it anyway)
-		}
-		ev.Grants = make([]Grant, ev.Matched)
-		for k := range ev.Grants {
-			ev.Grants[k] = unpackGrant(e.grants[k].Load())
+			ev.Grants = make([]Grant, ev.Matched)
+			for k := range ev.Grants {
+				ev.Grants[k] = unpackGrant(e.grants[k].Load())
+			}
 		}
 		if e.seq.Load() != s1 {
 			continue // overwritten mid-copy: discard the torn record

@@ -2,39 +2,31 @@ package obs
 
 import (
 	"bytes"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
-	"repro/internal/matching"
 	"repro/internal/sched"
 )
 
-// fixedExplainer attributes every matched input the same way.
-type fixedExplainer struct {
-	n       int
-	m       *matching.Match
-	rule    sched.GrantRule
-	choices int
-}
-
-func (f *fixedExplainer) Explain(i int) (sched.GrantRule, int) {
-	if f.m.InToOut[i] == matching.Unmatched {
-		return sched.RuleUnattributed, -1
-	}
-	return f.rule, f.choices
-}
-
-func diagonalMatch(n int) *matching.Match {
-	m := matching.NewMatch(n)
+// diagonalGrants returns the grant set pairing input i with output
+// (i+1)%n, every grant attributed to rule with the given choice count.
+func diagonalGrants(n int, rule sched.GrantRule, choices int) *sched.GrantSet {
+	g := sched.NewGrantSet(n)
 	for i := 0; i < n; i++ {
-		m.Pair(i, (i+1)%n)
+		g.Set((i+1)%n, i, rule, choices)
 	}
-	return m
+	return g
 }
+
+// unattributed is diagonalGrants without attribution.
+func unattributed(n int) *sched.GrantSet { return diagonalGrants(n, sched.RuleUnattributed, -1) }
 
 func TestTracerDisabledRecordsNothing(t *testing.T) {
 	tr := NewTracer(4, 8)
-	tr.Emit(1, 4, diagonalMatch(4), nil)
+	tr.EmitGrants(1, 4, unattributed(4))
 	if got := tr.Emitted(); got != 0 {
 		t.Fatalf("disabled tracer emitted %d events", got)
 	}
@@ -42,15 +34,13 @@ func TestTracerDisabledRecordsNothing(t *testing.T) {
 		t.Fatalf("disabled tracer drained %d events", len(evs))
 	}
 	var nilTracer *Tracer
-	nilTracer.Emit(1, 4, diagonalMatch(4), nil) // nil-safe: must not panic
+	nilTracer.EmitGrants(1, 4, unattributed(4)) // nil-safe: must not panic
 }
 
 func TestTracerRecordsGrantsAndAttribution(t *testing.T) {
 	tr := NewTracer(4, 8)
 	tr.Enable()
-	m := diagonalMatch(4)
-	ex := &fixedExplainer{n: 4, m: m, rule: sched.RuleDiagonal, choices: 2}
-	tr.Emit(7, 9, m, ex)
+	tr.EmitGrants(7, 9, diagonalGrants(4, sched.RuleDiagonal, 2))
 	evs := tr.Drain()
 	if len(evs) != 1 {
 		t.Fatalf("drained %d events, want 1", len(evs))
@@ -60,7 +50,7 @@ func TestTracerRecordsGrantsAndAttribution(t *testing.T) {
 		t.Fatalf("event %+v", ev)
 	}
 	for k, g := range ev.Grants {
-		if g.In != k || g.Out != (k+1)%4 {
+		if g.Out != k || g.In != (k+3)%4 { // ascending output order
 			t.Errorf("grant %d: %d→%d", k, g.In, g.Out)
 		}
 		if g.Rule != "diagonal" || g.Choices != 2 {
@@ -72,7 +62,7 @@ func TestTracerRecordsGrantsAndAttribution(t *testing.T) {
 func TestTracerNoExplainer(t *testing.T) {
 	tr := NewTracer(4, 8)
 	tr.Enable()
-	tr.Emit(0, 4, diagonalMatch(4), nil)
+	tr.EmitGrants(0, 4, unattributed(4))
 	ev := tr.Drain()[0]
 	if ev.Grants[0].Rule != "unattributed" || ev.Grants[0].Choices != -1 {
 		t.Fatalf("grant without explainer: %+v", ev.Grants[0])
@@ -85,9 +75,9 @@ func TestTracerWraparound(t *testing.T) {
 	const capacity = 16
 	tr := NewTracer(4, capacity)
 	tr.Enable()
-	m := diagonalMatch(4)
+	g := unattributed(4)
 	for s := int64(0); s < 3*capacity+5; s++ {
-		tr.Emit(s, int(s%5), m, nil)
+		tr.EmitGrants(s, int(s%5), g)
 	}
 	evs := tr.Drain()
 	if len(evs) != capacity {
@@ -114,7 +104,7 @@ func TestTracerConcurrentEmitDrain(t *testing.T) {
 	const n, capacity, slots = 8, 32, 20000
 	tr := NewTracer(n, capacity)
 	tr.Enable()
-	m := diagonalMatch(n)
+	g := unattributed(n)
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -122,7 +112,7 @@ func TestTracerConcurrentEmitDrain(t *testing.T) {
 	go func() { // the single emitter (the arbiter role)
 		defer wg.Done()
 		for s := int64(0); s < slots; s++ {
-			tr.Emit(s, n, m, nil)
+			tr.EmitGrants(s, n, g)
 		}
 		close(stop)
 	}()
@@ -138,9 +128,9 @@ func TestTracerConcurrentEmitDrain(t *testing.T) {
 						t.Errorf("torn event surfaced: %+v", ev)
 						return
 					}
-					for k, g := range ev.Grants {
-						if g.In != k || g.Out != (k+1)%n {
-							t.Errorf("torn grant surfaced in slot %d: %+v", ev.Slot, g)
+					for k, gr := range ev.Grants {
+						if gr.Out != k || gr.In != (k+n-1)%n {
+							t.Errorf("torn grant surfaced in slot %d: %+v", ev.Slot, gr)
 							return
 						}
 					}
@@ -159,6 +149,76 @@ func TestTracerConcurrentEmitDrain(t *testing.T) {
 	}
 }
 
+// TestTracerLappedWritersNeverTear races four flow and four class
+// emitters on a one-entry ring, so every pair of concurrent writers
+// claims the same entry, and drains after each round. Every record
+// checks itself (slot = id, port = id%7, class = id%5, flow and latency
+// = id): a record published with another writer's fields is torn. The
+// writers start each round together, which makes the overlap likely
+// within milliseconds even on two cores; the run stops after a fixed
+// number of rounds or a second, whichever comes first.
+func TestTracerLappedWritersNeverTear(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	const writers, rounds = 8, 20000
+	tr := NewTracer(1, 1)
+	tr.Enable()
+	var next, round, done atomic.Int64
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := int64(1); ; r++ {
+				for round.Load() < r {
+					if stop.Load() {
+						return
+					}
+					runtime.Gosched()
+				}
+				id := next.Add(1)
+				if w%2 == 0 {
+					tr.EmitFlow(id, uint64(id), int(id%7), FlowNew)
+				} else {
+					tr.EmitClass(id, int(id%5), int(id%7), id)
+				}
+				done.Add(1)
+			}
+		}()
+	}
+	defer func() {
+		stop.Store(true)
+		wg.Wait()
+	}()
+	deadline := time.Now().Add(time.Second)
+	drained := 0
+	for r := int64(1); r <= rounds && time.Now().Before(deadline); r++ {
+		round.Store(r)
+		for done.Load() < r*writers {
+			runtime.Gosched()
+		}
+		for _, ev := range tr.Drain() {
+			drained++
+			id := ev.Slot
+			ok := ev.Port == int(id%7)
+			switch ev.Kind {
+			case "flow":
+				ok = ok && ev.Flow == uint64(id) && ev.Disp == "new"
+			case "class":
+				ok = ok && ev.Class == int(id%5) && ev.Latency == id
+			default:
+				ok = false
+			}
+			if !ok {
+				t.Fatalf("round %d: torn record surfaced: %+v", r, ev)
+			}
+		}
+	}
+	if drained == 0 {
+		t.Fatal("no record survived the race")
+	}
+}
+
 // TestTracerFaultEvents interleaves fault transitions with slot
 // decisions and checks the drained window keeps them apart: fault
 // entries carry Kind/Port/Dir/State, decision entries keep Kind == ""
@@ -166,9 +226,9 @@ func TestTracerConcurrentEmitDrain(t *testing.T) {
 func TestTracerFaultEvents(t *testing.T) {
 	tr := NewTracer(4, 4) // small ring: force reuse across kinds
 	tr.Enable()
-	m := diagonalMatch(4)
+	g := unattributed(4)
 	tr.EmitFault(0, 2, DirOutput, false)
-	tr.Emit(1, 4, m, nil)
+	tr.EmitGrants(1, 4, g)
 	tr.EmitFault(2, 2, DirOutput, true)
 	tr.EmitFault(3, 1, DirInput, false)
 	evs := tr.Drain()
@@ -197,7 +257,7 @@ func TestTracerFaultEvents(t *testing.T) {
 
 	// Wrap the ring fully with decisions: no stale fault bit survives.
 	for s := int64(4); s < 9; s++ {
-		tr.Emit(s, 4, m, nil)
+		tr.EmitGrants(s, 4, g)
 	}
 	for _, ev := range tr.Drain() {
 		if ev.Kind != "" {
@@ -215,7 +275,7 @@ func TestTracerFaultJSONLRoundTrip(t *testing.T) {
 	tr := NewTracer(4, 8)
 	tr.Enable()
 	tr.EmitFault(5, 3, DirInput, false)
-	tr.Emit(6, 2, diagonalMatch(4), nil)
+	tr.EmitGrants(6, 2, unattributed(4))
 	var buf bytes.Buffer
 	if err := WriteJSONL(&buf, tr.Drain()); err != nil {
 		t.Fatal(err)
@@ -236,7 +296,7 @@ func TestTracerFaultJSONLRoundTrip(t *testing.T) {
 }
 
 // TestTracerEmitFaultZeroAlloc pins EmitFault to the same zero-alloc
-// contract as Emit.
+// contract as EmitGrants.
 func TestTracerEmitFaultZeroAlloc(t *testing.T) {
 	tr := NewTracer(16, 64)
 	for name, enabled := range map[string]bool{"disabled": false, "enabled": true} {
@@ -252,20 +312,20 @@ func TestTracerEmitFaultZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestTracerEmitZeroAlloc pins the hot-path contract: Emit allocates
-// nothing, enabled or disabled.
+// TestTracerEmitZeroAlloc pins the hot-path contract: EmitGrants
+// allocates nothing, enabled or disabled.
 func TestTracerEmitZeroAlloc(t *testing.T) {
 	tr := NewTracer(16, 64)
-	m := diagonalMatch(16)
+	g := unattributed(16)
 	for name, enabled := range map[string]bool{"disabled": false, "enabled": true} {
 		tr.SetEnabled(enabled)
 		slot := int64(0)
 		allocs := testing.AllocsPerRun(500, func() {
-			tr.Emit(slot, 16, m, nil)
+			tr.EmitGrants(slot, 16, g)
 			slot++
 		})
 		if allocs != 0 {
-			t.Errorf("%s Emit allocates %.1f times, want 0", name, allocs)
+			t.Errorf("%s EmitGrants allocates %.1f times, want 0", name, allocs)
 		}
 	}
 }
@@ -273,10 +333,9 @@ func TestTracerEmitZeroAlloc(t *testing.T) {
 func TestJSONLRoundTrip(t *testing.T) {
 	tr := NewTracer(4, 8)
 	tr.Enable()
-	m := diagonalMatch(4)
-	ex := &fixedExplainer{n: 4, m: m, rule: sched.RuleLCF, choices: 1}
+	g := diagonalGrants(4, sched.RuleLCF, 1)
 	for s := int64(0); s < 5; s++ {
-		tr.Emit(s, 7, m, ex)
+		tr.EmitGrants(s, 7, g)
 	}
 	evs := tr.Drain()
 	var buf bytes.Buffer
@@ -314,7 +373,7 @@ func TestTracerRegisterMetrics(t *testing.T) {
 		t.Errorf("lcf_trace_enabled = %g, want 0", v)
 	}
 	tr.Enable()
-	tr.Emit(0, 4, diagonalMatch(4), nil)
+	tr.EmitGrants(0, 4, unattributed(4))
 	buf.Reset()
 	if err := r.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)

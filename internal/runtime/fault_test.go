@@ -49,8 +49,8 @@ func TestFaultMaskingAndRecovery(t *testing.T) {
 		Scheduler: newScheduler(t, "lcf_central_rr", n),
 		VOQCap:    8,
 		OnSlot: func(ev rt.SlotEvent) {
-			for i := 0; i < n; i++ {
-				if j := ev.Match.InToOut[i]; j >= 0 {
+			for j, i := range ev.Grants.Src {
+				if i >= 0 {
 					granted[j] = ev.Slot
 				}
 			}

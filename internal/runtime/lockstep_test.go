@@ -29,7 +29,8 @@ func genArrivals(n int, load float64, seed uint64, slots int) [][]int {
 
 // TestRuntimeMatchesSimswitch drives the live engine in deterministic
 // lockstep against the offline simulator with the same scheduler, seed and
-// arrival trace, and asserts the two produce identical per-slot matchings.
+// arrival trace, and asserts the two produce identical per-slot grant
+// vectors.
 // It covers every registered scheduler (registry.Names()), so a new
 // registration is cross-checked automatically; both machines now share the
 // switchcore datapath, making this a check on the two time-domain drivers,
@@ -79,8 +80,8 @@ func TestRuntimeMatchesSimswitchOddWidths(t *testing.T) {
 
 // lockstepCompare drives the live engine in deterministic lockstep against
 // the offline simulator with the same scheduler, seed and arrival trace,
-// asserting identical per-slot matchings (see TestRuntimeMatchesSimswitch
-// for the slot-alignment argument).
+// asserting identical per-slot grant vectors (see
+// TestRuntimeMatchesSimswitch for the slot-alignment argument).
 func lockstepCompare(t *testing.T, name string, n, slots int) {
 	const (
 		load = 0.85
@@ -90,12 +91,12 @@ func lockstepCompare(t *testing.T, name string, n, slots int) {
 	arrivals := genArrivals(n, load, seed, slots)
 	opts := sched.Options{Iterations: 4, Seed: 99}
 
-	// Offline reference: record each slot's matching.
+	// Offline reference: record each slot's grant vector.
 	simSched, err := registry.New(name, n, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var simMatches [][]int
+	var simGrants [][]int
 	_, err = simswitch.Run(simswitch.Config{
 		N:            n,
 		Mode:         simswitch.VOQ,
@@ -106,7 +107,7 @@ func lockstepCompare(t *testing.T, name string, n, slots int) {
 		MeasureSlots: int64(slots),
 		Validate:     true,
 		Trace: func(ev simswitch.TraceEvent) {
-			simMatches = append(simMatches, append([]int(nil), ev.Match.InToOut...))
+			simGrants = append(simGrants, append([]int(nil), ev.Grants.Src...))
 		},
 	})
 	if err != nil {
@@ -118,14 +119,14 @@ func lockstepCompare(t *testing.T, name string, n, slots int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var rtMatches [][]int
+	var rtGrants [][]int
 	e, err := rt.New(rt.Config{
 		N:         n,
 		Scheduler: rtSched,
 		VOQCap:    cap,
 		OutCap:    4,
 		OnSlot: func(ev rt.SlotEvent) {
-			rtMatches = append(rtMatches, append([]int(nil), ev.Match.InToOut...))
+			rtGrants = append(rtGrants, append([]int(nil), ev.Grants.Src...))
 		},
 	})
 	if err != nil {
@@ -155,12 +156,12 @@ func lockstepCompare(t *testing.T, name string, n, slots int) {
 		}
 	}
 
-	if len(simMatches) != slots || len(rtMatches) != slots {
-		t.Fatalf("recorded %d sim / %d runtime matches, want %d", len(simMatches), len(rtMatches), slots)
+	if len(simGrants) != slots || len(rtGrants) != slots {
+		t.Fatalf("recorded %d sim / %d runtime grant vectors, want %d", len(simGrants), len(rtGrants), slots)
 	}
 	for tt := 0; tt < slots; tt++ {
-		if err := equalMatch(simMatches[tt], rtMatches[tt]); err != nil {
-			t.Fatalf("slot %d: %v\n  sim: %v\n  rt:  %v", tt, err, simMatches[tt], rtMatches[tt])
+		if err := equalGrants(simGrants[tt], rtGrants[tt]); err != nil {
+			t.Fatalf("slot %d: %v\n  sim: %v\n  rt:  %v", tt, err, simGrants[tt], rtGrants[tt])
 		}
 	}
 	if d := e.Snapshot().Delivered; d != deliveredRT {
@@ -168,10 +169,11 @@ func lockstepCompare(t *testing.T, name string, n, slots int) {
 	}
 }
 
-func equalMatch(a, b []int) error {
-	for i := range a {
-		if a[i] != b[i] {
-			return fmt.Errorf("input %d granted %d vs %d", i, a[i], b[i])
+// equalGrants compares two per-output grant vectors (GrantSet.Src).
+func equalGrants(a, b []int) error {
+	for j := range a {
+		if a[j] != b[j] {
+			return fmt.Errorf("output %d granted to input %d vs %d", j, a[j], b[j])
 		}
 	}
 	return nil

@@ -24,7 +24,9 @@
 //     request matrix (non-empty VOQs whose output channel has room), runs
 //     the scheduler, pops the matched head-of-VOQ frames and sends them to
 //     the per-output delivery channels. One frame per input and per output
-//     per slot — the crossbar constraint.
+//     per slot — the crossbar constraint. The slot's decision leaves the
+//     datapath as one sched.GrantSet on either datapath; the tracer
+//     (Config.Tracer) and Config.OnSlot both read that.
 //   - Delivery (any goroutine): consumers receive from Engine.Output(j).
 //     A slow consumer fills its bounded channel; the arbiter then masks
 //     that output's column in the request matrix, so backpressure
@@ -50,7 +52,7 @@
 // orders its slot promote → schedule → drain → arrivals, so an arrival in
 // slot t is likewise first schedulable in slot t+1; driving the lockstep
 // engine with "Tick, then admit slot t's arrivals" reproduces simswitch's
-// matchings exactly (DESIGN.md §7).
+// grant vectors exactly (DESIGN.md §7).
 package runtime
 
 import (
@@ -102,13 +104,11 @@ type Frame struct {
 }
 
 // SlotEvent is the per-slot view handed to Config.OnSlot (lockstep
-// observation and tracing). Match and Grants are valid during the
-// callback only. Grants is the per-output decision vector both datapaths
-// produce; Match is the central matching behind it, nil on a CICQ engine
-// (whose pull arbiters are not constrained to a permutation).
+// observation and tracing). Grants is the slot's decision — the
+// per-output grant vector both datapaths produce, with each grant's rule
+// and choice count — valid during the callback only.
 type SlotEvent struct {
 	Slot      int64
-	Match     *matching.Match
 	Grants    *sched.GrantSet
 	Requested int // request-matrix bits this slot
 	Matched   int // frames dispatched this slot
@@ -216,8 +216,9 @@ type Config struct {
 	OnDropped func(Frame)
 
 	// Tracer, when non-nil, receives one obs slot event per tick: the
-	// request cardinality, the matching, and per-grant attribution when
-	// the scheduler implements sched.Explainer. A disabled tracer costs
+	// request cardinality and the slot's GrantSet, with per-grant
+	// attribution when the scheduler implements sched.Explainer, plus the
+	// fault, flow and class events of the tiers. A disabled tracer costs
 	// one atomic load per slot; an enabled one performs atomic stores
 	// into preallocated ring entries only (zero heap allocations either
 	// way — see the traced BenchmarkEngineSlot variants).
@@ -759,13 +760,23 @@ func (e *Engine) wakeArbiter() {
 	}
 }
 
-// drain keeps ticking until every VOQ is empty or the drain bound (see
+// drain keeps ticking until the switch is empty or the drain bound (see
 // Close) or a stall (no backlog progress with nothing deliverable, i.e.
 // consumers gone) cuts it short. wait paces the drain ticks in live mode.
 func (e *Engine) drain(wait func()) {
+	// A pair holds at most its VOQ, its PIFO (class engines) and its
+	// crosspoint buffer (CICQ engines).
+	pairCap := e.cfg.VOQCap + e.cfg.ClassQCap
+	if e.cfg.Datapath == datapath.CICQ {
+		xp := e.cfg.XPCap
+		if xp == 0 {
+			xp = datapath.DefaultXPCap
+		}
+		pairCap += xp
+	}
 	stalled := 0
 	last := e.met.Backlog.Value()
-	for s := 0; s < 4*e.n*e.cfg.VOQCap && last > 0; s++ {
+	for s := 0; s < 4*e.n*pairCap && last > 0; s++ {
 		e.tick()
 		cur := e.met.Backlog.Value()
 		if cur >= last {
@@ -797,9 +808,10 @@ func (e *Engine) drain(wait func()) {
 // closes the output channels. It blocks until the drain completes. Safe to
 // call more than once.
 //
-// The drain ticks until every VOQ is empty or 4·n·VOQCap extra slots have
-// elapsed, whichever comes first — enough to drain full VOQs even under
-// total output contention.
+// The drain ticks until the switch is empty or 4·n·(VOQCap + ClassQCap +
+// the crosspoint capacity) extra slots have elapsed, whichever comes
+// first — enough to drain every pair's VOQ, PIFO and crosspoint buffer
+// even under total output contention.
 func (e *Engine) Close() {
 	e.stopOnce.Do(func() {
 		e.closed.Store(true)
@@ -860,10 +872,10 @@ func (e *Engine) tick() {
 	e.met.MatchSize.Observe(float64(grants.Size()))
 	e.met.SlotLatency.Observe(float64(time.Since(start).Nanoseconds()))
 
-	e.dp.EmitSlotTrace(e.cfg.Tracer, now, requested)
+	e.cfg.Tracer.EmitGrants(now, requested, grants)
 
 	if e.cfg.OnSlot != nil {
-		e.cfg.OnSlot(SlotEvent{Slot: now, Match: e.dp.Match(), Grants: grants, Requested: requested, Matched: matched})
+		e.cfg.OnSlot(SlotEvent{Slot: now, Grants: grants, Requested: requested, Matched: matched})
 	}
 	e.slot.Add(1)
 }

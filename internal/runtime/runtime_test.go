@@ -239,6 +239,71 @@ func TestCloseDrains(t *testing.T) {
 	}
 }
 
+// TestCloseDrainsPastTheVOQ fills a pair beyond its VOQ — into its PIFO on
+// a class engine, into its crosspoint on a CICQ engine — with output
+// channels that have room, and checks Close delivers every frame: the
+// drain bound covers a pair's whole capacity, not the VOQ alone.
+func TestCloseDrainsPastTheVOQ(t *testing.T) {
+	const n = 2
+	for _, tc := range []struct {
+		name  string
+		cfg   rt.Config
+		admit func(e *rt.Engine) (admitted int)
+	}{
+		{
+			name: "voq/classes",
+			cfg: rt.Config{N: n, Scheduler: newScheduler(t, "lcf_central_rr", n),
+				VOQCap: 1, Classes: testClassList(), ClassQCap: 16},
+			admit: func(e *rt.Engine) (admitted int) {
+				for i := 0; i < n; i++ {
+					for j := 0; j < n; j++ {
+						for k := 0; k < 16; k++ {
+							if _, err := e.Offer(rt.Request{Src: i, Dst: j, Classed: true, Class: k % 3}); err != nil {
+								t.Fatalf("Offer: %v", err)
+							}
+							admitted++
+						}
+					}
+				}
+				return admitted
+			},
+		},
+		{
+			name: "cicq",
+			cfg:  rt.Config{N: n, Datapath: datapath.CICQ, VOQCap: 1},
+			admit: func(e *rt.Engine) (admitted int) {
+				for s := 0; s < 40; s++ {
+					for i := 0; i < n; i++ {
+						if e.Admit(i, 0, uint64(s), 0) == nil {
+							admitted++
+						}
+					}
+					e.Tick()
+				}
+				return admitted
+			},
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e, err := rt.New(tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			admitted := tc.admit(e)
+			e.Close()
+			delivered := 0
+			for j := 0; j < n; j++ {
+				for range e.Output(j) {
+					delivered++
+				}
+			}
+			if s := e.Snapshot(); s.Undrained != 0 || delivered != admitted {
+				t.Fatalf("Close left %d undrained; delivered %d of %d", s.Undrained, delivered, admitted)
+			}
+		})
+	}
+}
+
 // TestAdmitCloseRace checks the Admit/Close atomicity contract: a frame
 // admitted with a nil return concurrently with Close must still come out
 // of an output channel — never accepted and then stranded in a VOQ the

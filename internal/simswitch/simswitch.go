@@ -28,6 +28,10 @@
 // loop, the PQ/FIFO/output-buffer stages around the core, and the
 // measurement plumbing. The FIFO and OutputBuffered organizations have no
 // VOQs and keep plain queue.Ring stages.
+//
+// The simulator does not trace by itself: Config.Trace receives every
+// slot's decision as the same sched.GrantSet the live engine traces, and
+// cmd/lcftrace records it into an obs ring from there.
 package simswitch
 
 import (
@@ -39,7 +43,6 @@ import (
 	"repro/internal/fabric"
 	"repro/internal/matching"
 	"repro/internal/metrics"
-	"repro/internal/obs"
 	"repro/internal/packet"
 	"repro/internal/queue"
 	"repro/internal/sched"
@@ -135,17 +138,9 @@ type Config struct {
 	Validate bool
 	// HistogramBuckets sizes the delay histogram; 0 disables it.
 	HistogramBuckets int
-	// Trace, when non-nil, is invoked once per slot after transfer with a
-	// read-only view of the slot's activity.
+	// Trace, when non-nil, is invoked once per slot after transfer (once
+	// per pass with Speedup) with a read-only view of the slot's activity.
 	Trace func(TraceEvent)
-
-	// Tracer, when non-nil, records each slot's scheduling decision (the
-	// freshly computed match, not the pipeline-aged one that transfers)
-	// into the shared obs ring, with per-grant rule attribution when the
-	// scheduler implements sched.Explainer. This is the offline twin of
-	// runtime.Config.Tracer: cmd/lcftrace uses it to produce timelines
-	// from deterministic replays.
-	Tracer *obs.Tracer
 }
 
 // DepartInfo is a by-value record of one departure, safe to retain after
@@ -161,10 +156,14 @@ type DepartInfo struct {
 type TraceEvent struct {
 	Slot     packet.Slot
 	Requests *bitvec.Matrix // valid during the callback only
-	Match    *matching.Match
-	// Grants is the per-output grant vector of the CICQ organization
-	// (nil elsewhere; Match is nil on CICQ — there is no central
-	// matching). Valid during the callback only.
+	// Match is the crossbar configuration applied this slot (nil on CICQ,
+	// which has no crossbar). It differs from Grants only when
+	// PipelineDepth > 1, where an aged decision transfers.
+	Match *matching.Match
+	// Grants is the decision computed this slot, per output and with each
+	// grant's rule and choice count when the scheduler implements
+	// sched.Explainer — the record cmd/lcftrace writes to its obs ring.
+	// Valid during the callback only.
 	Grants *sched.GrantSet
 	Moved  int
 	// Departures lists the packets that left the system this slot, in
@@ -288,6 +287,11 @@ type Sim struct {
 	match    *matching.Match // FIFO organization's match scratch
 	departed []DepartInfo    // per-slot scratch for Config.Trace
 
+	// grants is the computed decision handed to Config.Trace (VOQ and
+	// FIFO organizations, only when Trace is set), attributed by ex.
+	grants *sched.GrantSet
+	ex     sched.Explainer
+
 	// pipeline holds matches computed but not yet applied (depth−1 of
 	// them at steady state), oldest first.
 	pipeline []*matching.Match
@@ -314,6 +318,10 @@ func New(cfg Config) (*Sim, error) {
 		req:   bitvec.NewMatrix(n),
 		match: matching.NewMatch(n),
 		stale: matching.NewMatch(n),
+	}
+	if cfg.Trace != nil {
+		s.grants = sched.NewGrantSet(n)
+		s.ex, _ = cfg.Scheduler.(sched.Explainer)
 	}
 	switch cfg.Mode {
 	case VOQ:
@@ -490,10 +498,9 @@ func (s *Sim) scheduleAndTransfer() error {
 	n := s.cfg.N
 	var req *bitvec.Matrix
 	var computed *matching.Match
-	requested := 0
 	switch s.cfg.Mode {
 	case VOQ:
-		requested = s.core.SnapshotAll()
+		s.core.SnapshotAll()
 		req = s.core.Requests()
 		if s.cfg.PipelineDepth > 1 {
 			// A pipelined requester knows its own outstanding grants (in
@@ -536,7 +543,6 @@ func (s *Sim) scheduleAndTransfer() error {
 		s.match.Reset()
 		s.cfg.Scheduler.Schedule(ctx, s.match)
 		computed = s.match
-		requested = s.req.PopCount()
 		if s.cfg.Validate {
 			if err := matching.Validate(s.match, ctx.Requests()); err != nil {
 				return fmt.Errorf("scheduler %s produced invalid schedule: %w", s.cfg.Scheduler.Name(), err)
@@ -544,12 +550,11 @@ func (s *Sim) scheduleAndTransfer() error {
 		}
 	}
 
-	// Record the decision while the scheduler's Explain state still
+	// Attribute the decision while the scheduler's Explain state still
 	// describes it (the pipeline below ages a clone; attribution for the
 	// aged match is long gone).
-	if tr := s.cfg.Tracer; tr != nil && tr.Enabled() {
-		ex, _ := s.cfg.Scheduler.(sched.Explainer)
-		tr.Emit(int64(s.now), requested, computed, ex)
+	if s.cfg.Trace != nil {
+		s.grants.FromMatch(computed, s.ex)
 	}
 
 	applied := computed
@@ -560,7 +565,7 @@ func (s *Sim) scheduleAndTransfer() error {
 		s.pipeline = append(s.pipeline, computed.Clone())
 		if len(s.pipeline) < s.cfg.PipelineDepth {
 			if s.cfg.Trace != nil {
-				s.cfg.Trace(TraceEvent{Slot: s.now, Requests: req, Match: s.stale, Moved: 0, Departures: s.departed})
+				s.cfg.Trace(TraceEvent{Slot: s.now, Requests: req, Match: s.stale, Grants: s.grants, Moved: 0, Departures: s.departed})
 			}
 			return nil // pipeline still filling: nothing transfers yet
 		}
@@ -592,7 +597,7 @@ func (s *Sim) scheduleAndTransfer() error {
 	}
 	if s.cfg.Trace != nil {
 		s.cfg.Trace(TraceEvent{
-			Slot: s.now, Requests: req, Match: applied, Moved: moved,
+			Slot: s.now, Requests: req, Match: applied, Grants: s.grants, Moved: moved,
 			Departures: s.departed,
 		})
 	}
@@ -607,15 +612,10 @@ func (s *Sim) scheduleAndTransfer() error {
 // cut-through, so an uncontended packet still sees a 1-slot latency
 // exactly like the centralized organizations.
 func (s *Sim) cicqTransfer() {
-	requested := 0
 	for i := 0; i < s.cfg.N; i++ {
-		r, _, _ := s.xq.SnapshotRow(i)
-		requested += r
+		s.xq.SnapshotRow(i)
 	}
 	grants := s.xq.Arbitrate(nil)
-	if tr := s.cfg.Tracer; tr != nil && tr.Enabled() {
-		tr.EmitGrants(int64(s.now), requested, grants)
-	}
 	moved := 0
 	for j := 0; j < s.cfg.N; j++ {
 		p, ok := s.xq.Take(j)

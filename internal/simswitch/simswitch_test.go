@@ -296,7 +296,7 @@ func TestTraceCallback(t *testing.T) {
 	cfg.Trace = func(ev TraceEvent) {
 		slots++
 		moved += ev.Moved
-		if ev.Requests == nil || ev.Match == nil {
+		if ev.Requests == nil || ev.Match == nil || ev.Grants == nil {
 			t.Fatal("trace event missing views")
 		}
 	}

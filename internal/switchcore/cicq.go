@@ -334,18 +334,6 @@ func (c *CICQ[T]) Untake(j int, v T) {
 	c.added(i, j)
 }
 
-// Match returns nil: the CICQ datapath computes no central matching.
-func (c *CICQ[T]) Match() *matching.Match { return nil }
-
-// EmitSlotTrace records the last Arbitrate's grant vector (nil-safe, one
-// atomic load when disabled).
-func (c *CICQ[T]) EmitSlotTrace(tr *obs.Tracer, slot int64, requested int) {
-	if tr == nil || !tr.Enabled() {
-		return
-	}
-	tr.EmitGrants(slot, requested, c.grants)
-}
-
 // Register adds the cicq_* instruments to a registry: crosspoint
 // occupancy gauges plus per-arbiter grant attribution (how many frames
 // each arbiter bank moved).

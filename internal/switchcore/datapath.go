@@ -3,7 +3,6 @@ package switchcore
 import (
 	"repro/internal/bitvec"
 	"repro/internal/matching"
-	"repro/internal/obs"
 	"repro/internal/sched"
 )
 
@@ -27,7 +26,7 @@ var (
 // methods (Enqueue, Len, HasBacklog, OccupiedRow, InputBacklog, FlushVOQ,
 // SnapshotRow, Take, Untake) on input i are guarded by the driver's
 // per-input lock; everything else (the per-slot mask, fault state,
-// Arbitrate, EmitSlotTrace) belongs to the single arbiter goroutine. For
+// Arbitrate) belongs to the single arbiter goroutine. For
 // a CICQ datapath the accessors cover crosspoint-resident frames too:
 // Len(i,j) is VOQ plus crosspoint backlog, OccupiedRow(i) is the union
 // occupancy, and FlushVOQ empties both — which is exactly what lets the
@@ -83,18 +82,12 @@ type Datapath[T any] interface {
 	// Untake undoes a Take whose delivery could not complete, re-queuing
 	// v at the head so ordering is preserved. Same locking as Take.
 	Untake(j int, v T)
-	// Match returns the central matching behind the last Arbitrate, or
-	// nil for datapaths that do not compute one (CICQ).
-	Match() *matching.Match
-	// EmitSlotTrace records the last Arbitrate's decision into tr
-	// (nil-safe, one atomic load when disabled).
-	EmitSlotTrace(tr *obs.Tracer, slot int64, requested int)
 }
 
 // Arbitrate runs s on the current snapshot (Schedule) and bridges the
 // matching to the per-output GrantSet shared with the CICQ datapath,
-// caching s's Explainer for EmitSlotTrace. Allocation-free after
-// construction.
+// attributed by s's Explainer (cached, so the slot asserts no interface).
+// Allocation-free after construction.
 func (c *Core[T]) Arbitrate(s sched.Scheduler) *sched.GrantSet {
 	m := c.Schedule(s)
 	if s != c.lastSched {
@@ -118,14 +111,4 @@ func (c *Core[T]) Take(j int) (v T, ok bool) {
 // Untake re-queues a taken frame at the head of its VOQ.
 func (c *Core[T]) Untake(j int, v T) {
 	c.Requeue(c.grants.Src[j], j, v)
-}
-
-// EmitSlotTrace records the last Arbitrate's matching with per-grant
-// attribution from the cached Explainer — byte-identical ring records to
-// the explicit EmitTrace path the simulator drives.
-func (c *Core[T]) EmitSlotTrace(tr *obs.Tracer, slot int64, requested int) {
-	if tr == nil || !tr.Enabled() {
-		return
-	}
-	tr.Emit(slot, requested, c.match, c.lastEx)
 }

@@ -13,6 +13,9 @@
 // package existed each carried its own copy of the VOQ store, request
 // matrix and backlog accounting, kept consistent only by lockstep tests;
 // now there is exactly one implementation and the drivers are thin.
+// Datapath.Arbitrate hands both drivers the slot's decision as a
+// sched.GrantSet, the one decision shape past the datapath, which the
+// drivers trace, audit and compare.
 //
 // # Incremental request-matrix maintenance
 //
@@ -53,7 +56,6 @@ package switchcore
 import (
 	"repro/internal/bitvec"
 	"repro/internal/matching"
-	"repro/internal/obs"
 	"repro/internal/sched"
 )
 
@@ -75,8 +77,8 @@ type Core[T any] struct {
 
 	// GrantSet bridge (arbiter-only): the per-output view of the last
 	// matching, plus the scheduler whose Explainer attributed it. Cached
-	// so Arbitrate/EmitSlotTrace stay free of per-slot interface
-	// assertions (the zero-allocation slot contract).
+	// so Arbitrate stays free of per-slot interface assertions (the
+	// zero-allocation slot contract).
 	grants    *sched.GrantSet
 	lastEx    sched.Explainer
 	lastSched sched.Scheduler
@@ -228,31 +230,8 @@ func (c *Core[T]) Schedule(s sched.Scheduler) *matching.Match {
 	return c.match
 }
 
-// Match returns the last computed match (core scratch).
-func (c *Core[T]) Match() *matching.Match { return c.match }
-
 // Validate re-checks the last match against the request snapshot it was
 // computed from: conflict-freedom plus grant-implies-request.
 func (c *Core[T]) Validate() error {
 	return matching.Validate(c.match, sched.AsRequests(c.req))
-}
-
-// EmitTrace is the per-slot trace emit point shared by both drivers: it
-// records slot's decision — the request cardinality, the matching m, and
-// (when s implements sched.Explainer, i.e. the LCF schedulers) the
-// decision rule and choice count behind every grant — into tr. m is
-// passed explicitly rather than taken from the core scratch because a
-// pipelined driver applies an aged clone of an earlier decision.
-//
-// Nil-safe on tr, and effectively free when tracing is disabled: the only
-// work before the enabled check inside Tracer.Emit is one interface
-// assertion, so the hook stays in the hot path unconditionally (the
-// zero-overhead-when-disabled contract pinned by TestSlotPathAllocFree
-// and the traced BenchmarkEngineSlot variants).
-func (c *Core[T]) EmitTrace(tr *obs.Tracer, slot int64, requested int, m *matching.Match, s sched.Scheduler) {
-	if tr == nil || !tr.Enabled() {
-		return
-	}
-	ex, _ := s.(sched.Explainer)
-	tr.Emit(slot, requested, m, ex)
 }

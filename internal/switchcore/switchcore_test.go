@@ -215,9 +215,6 @@ func TestScheduleProvidesQueueLens(t *testing.T) {
 	if m.InToOut[2] != 1 {
 		t.Fatalf("match not returned: %v", m.InToOut)
 	}
-	if c.Match() != m {
-		t.Fatal("Match() does not return the scheduled match")
-	}
 
 	// A stale-state grant is caught by Validate.
 	rec.schedule = func(ctx *sched.Context, m *matching.Match) { m.Pair(0, 3) }
@@ -253,7 +250,7 @@ func TestTotalBacklog(t *testing.T) {
 
 // TestSlotPathAllocFree pins the hot-path property the drivers rely on:
 // once the rings have grown to their working size, a full slot (snapshot
-// + schedule + dequeue + re-enqueue) performs zero heap allocations —
+// + arbitrate + dequeue + re-enqueue) performs zero heap allocations —
 // with the trace emit point compiled in, whether the tracer is absent,
 // attached but disabled, or actively recording.
 func TestSlotPathAllocFree(t *testing.T) {
@@ -289,17 +286,16 @@ func TestSlotPathAllocFree(t *testing.T) {
 				c.ResetOutputMask()
 				c.MaskOutput(3)
 				requested := c.SnapshotAll()
-				m := c.Schedule(rec)
-				for i := 0; i < n; i++ {
-					j := m.InToOut[i]
-					if j == matching.Unmatched {
+				grants := c.Arbitrate(rec)
+				for j, i := range grants.Src {
+					if i == matching.Unmatched {
 						continue
 					}
 					if v, ok := c.Dequeue(i, j); ok {
 						c.Enqueue(i, j, v)
 					}
 				}
-				c.EmitTrace(tr, slot, requested, m, rec)
+				tr.EmitGrants(slot, requested, grants)
 				slot++
 			})
 			if allocs != 0 {

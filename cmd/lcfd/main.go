@@ -64,6 +64,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"os"
@@ -81,142 +82,91 @@ import (
 	"repro/internal/obs"
 	"repro/internal/pifo"
 	rt "repro/internal/runtime"
-	"repro/internal/sched"
-	"repro/internal/sched/registry"
 )
 
 func main() {
+	// The engine flags write into one spec; runtime resolves its names and
+	// checks its rules. The rest belong to the daemon.
+	var spec rt.Spec
+	flag.StringVar(&spec.Scheduler, "sched", rt.DefaultScheduler, "scheduler (see lcfsim for the list; ignored with -datapath=cicq)")
+	flag.StringVar(&spec.Datapath, "datapath", datapath.VOQ, "switch datapath organization: "+strings.Join(datapath.Names(), " or ")+" (cicq buffers frames at the crosspoints and embeds the least-choice rule in per-port arbiters)")
+	flag.IntVar(&spec.XPCap, "xpcap", 0, "per-crosspoint buffer capacity (-datapath=cicq only)")
+	flag.IntVar(&spec.N, "n", 16, "switch port count (max 16: the grant frame's NodeID field is 4 bits)")
+	flag.IntVar(&spec.VOQCap, "voqcap", 256, "per-VOQ capacity (admission backpressure threshold)")
+	flag.IntVar(&spec.OutCap, "outcap", 256, "per-output delivery buffer (frames)")
+	flag.BoolVar(&spec.PreallocVOQs, "prealloc", false, "size every VOQ ring for -voqcap (and, with -classes, every PIFO for -classqcap) at startup: no growth allocations on the admit path, n²·cap resident frame slots")
+	flag.IntVar(&spec.Iterations, "iterations", 4, "iterations for the iterative schedulers")
+	flag.Uint64Var(&spec.Seed, "seed", 1, "scheduler RNG seed")
+	flag.IntVar(&spec.Flows, "flows", 0, "flow steering table capacity — enables the flow front tier and the /flows endpoint (0 disables; see DESIGN.md §14)")
+	flag.StringVar(&spec.FlowPolicy, "flow-policy", "", "flow steering policy: "+strings.Join(flowtable.Names(), ", ")+" (default hash; requires -flows)")
+	flag.StringVar(&spec.Classes, "classes", "", "service classes as name[:priority[:weight[:slo_slots]]],... — enables the PIFO ranking tier in front of the VOQs (empty disables)")
+	flag.StringVar(&spec.Rank, "rank", "", "class rank function: "+strings.Join(pifo.Names(), ", ")+" (default fifo; requires -classes)")
+	flag.IntVar(&spec.ClassQCap, "classqcap", 0, "per-(input,output) PIFO capacity bound (default -voqcap; requires -classes); PIFOs grow toward it on demand unless -prealloc")
 	var (
-		listen     = flag.String("listen", "127.0.0.1:9416", "TCP address for the data plane")
-		httpAddr   = flag.String("http", "127.0.0.1:9417", "HTTP address for the metrics endpoint (empty disables)")
-		schedName  = flag.String("sched", "lcf_central_rr", "scheduler (see lcfsim for the list; ignored with -datapath=cicq)")
-		dpName     = flag.String("datapath", datapath.VOQ, "switch datapath organization: "+strings.Join(datapath.Names(), " or ")+" (cicq buffers frames at the crosspoints and embeds the least-choice rule in per-port arbiters)")
-		xpCap      = flag.Int("xpcap", datapath.DefaultXPCap, "per-crosspoint buffer capacity (-datapath=cicq only)")
-		n          = flag.Int("n", 16, "switch port count (max 16: the grant frame's NodeID field is 4 bits)")
-		slot       = flag.Duration("slot", 200*time.Microsecond, "slot period of the arbiter loop")
-		voqCap     = flag.Int("voqcap", 256, "per-VOQ capacity (admission backpressure threshold)")
-		outCap     = flag.Int("outcap", 256, "per-output delivery buffer (frames)")
-		prealloc   = flag.Bool("prealloc", false, "size every VOQ ring for -voqcap (and, with -classes, every PIFO for -classqcap) at startup: no growth allocations on the admit path, n²·cap resident frame slots")
-		iterations = flag.Int("iterations", 4, "iterations for the iterative schedulers")
-		seed       = flag.Uint64("seed", 1, "scheduler RNG seed")
-		traceRing  = flag.Int("trace-ring", 4096, "slot-event trace ring capacity (0 removes the tracer entirely)")
-		traceOn    = flag.Bool("trace", false, "start with slot-event tracing enabled (toggle later with POST /trace)")
-		debugAddr  = flag.String("debug-addr", "", "HTTP address for pprof and runtime execution traces (empty disables)")
-		faultPol   = flag.String("fault-policy", "drop", "disposition of frames stranded behind a failed port: drop (flush and count) or hold (keep until recovery)")
-		flows      = flag.Int("flows", 0, "flow steering table capacity — enables the flow front tier and the /flows endpoint (0 disables; see DESIGN.md §14)")
-		flowPolicy = flag.String("flow-policy", "", "flow steering policy: "+strings.Join(flowtable.Names(), ", ")+" (default hash; requires -flows)")
-		flowEpoch  = flag.Duration("flow-epoch", time.Second, "period of the flow idle-eviction epoch clock (requires -flows)")
-		flowIdle   = flag.Uint("flow-idle", 60, "epochs a flow may sit idle before eviction; 0 keeps flows forever (requires -flows)")
-		classSpec  = flag.String("classes", "", "service classes as name[:priority[:weight[:slo_slots]]],... — enables the PIFO ranking tier in front of the VOQs (empty disables)")
-		rankName   = flag.String("rank", "", "class rank function: "+strings.Join(pifo.Names(), ", ")+" (default fifo; requires -classes)")
-		classQCap  = flag.Int("classqcap", 0, "per-(input,output) PIFO capacity bound (default -voqcap; requires -classes); PIFOs grow toward it on demand unless -prealloc")
+		listen    = flag.String("listen", "127.0.0.1:9416", "TCP address for the data plane")
+		httpAddr  = flag.String("http", "127.0.0.1:9417", "HTTP address for the metrics endpoint (empty disables)")
+		slot      = flag.Duration("slot", 200*time.Microsecond, "slot period of the arbiter loop")
+		traceRing = flag.Int("trace-ring", 4096, "slot-event trace ring capacity (0 removes the tracer entirely)")
+		traceOn   = flag.Bool("trace", false, "start with slot-event tracing enabled (toggle later with POST /trace)")
+		debugAddr = flag.String("debug-addr", "", "HTTP address for pprof and runtime execution traces (empty disables)")
+		faultPol  = flag.String("fault-policy", "drop", "disposition of frames stranded behind a failed port: drop (flush and count) or hold (keep until recovery)")
+		flowEpoch = flag.Duration("flow-epoch", time.Second, "period of the flow idle-eviction epoch clock (requires -flows)")
+		flowIdle  = flag.Uint("flow-idle", 60, "epochs a flow may sit idle before eviction; 0 keeps flows forever (requires -flows)")
 	)
 	flag.Parse()
-	if *n <= 0 || *n > clint.NumPorts {
+	n := spec.N
+	if n <= 0 || n > clint.NumPorts {
 		// Ports ≥ 16 cannot be represented in the grant frame's 4-bit
 		// NodeID field; accepting them here would corrupt the handshake of
 		// every client on a high port.
-		fatalUsage("-n is %d, must be in [1,%d]: Clint's grant frame carries a 4-bit port id, so a switch with more ports cannot complete its handshake", *n, clint.NumPorts)
+		fatalUsage("-n is %d, must be in [1,%d]: Clint's grant frame carries a 4-bit port id, so a switch with more ports cannot complete its handshake", n, clint.NumPorts)
 	}
 	if *slot <= 0 {
 		fatalUsage("-slot must be positive (got %v)", *slot)
 	}
-	var policy rt.FaultPolicy
-	switch *faultPol {
-	case "drop":
-		policy = rt.DropStranded
-	case "hold":
-		policy = rt.HoldStranded
-	default:
-		fatalUsage("-fault-policy must be drop or hold (got %q)", *faultPol)
-	}
-
-	if !datapath.Known(*dpName) {
-		fatalUsage("-datapath must be one of %s (got %q)", strings.Join(datapath.Names(), ", "), *dpName)
-	}
-	if *xpCap <= 0 {
-		fatalUsage("-xpcap must be positive (got %d)", *xpCap)
-	}
-	if *dpName != datapath.CICQ {
-		// Crosspoint tuning without crosspoint buffers is a misconfiguration,
-		// not a silent no-op.
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "xpcap" {
-				fatalUsage("-xpcap requires -datapath cicq")
-			}
-		})
-	}
-	if *flows < 0 {
-		fatalUsage("-flows must be >= 0 (got %d)", *flows)
-	}
-	if *flows > 0 {
-		if _, err := flowtable.NewPolicy(*flowPolicy); err != nil {
-			fatalUsage("-flow-policy: %v", err)
-		}
+	if spec.Flows > 0 {
 		if *flowEpoch <= 0 {
 			fatalUsage("-flow-epoch must be positive (got %v)", *flowEpoch)
 		}
+		if *flowIdle > math.MaxUint32 {
+			// The table counts idle epochs in 32 bits; a larger bound
+			// would wrap to a small one, evicting flows meant to stay.
+			fatalUsage("-flow-idle must be <= %d (got %d)", uint32(math.MaxUint32), *flowIdle)
+		}
 	} else {
-		// Flow-tier tuning without the tier is a misconfiguration, not a
-		// silent no-op: say so instead of ignoring the flag.
+		// The epoch clock is the daemon's, so its tuning is checked here.
 		flag.Visit(func(f *flag.Flag) {
 			switch f.Name {
-			case "flow-policy", "flow-epoch", "flow-idle":
+			case "flow-epoch", "flow-idle":
 				fatalUsage("-%s requires -flows > 0", f.Name)
 			}
 		})
-	}
-	var classes []pifo.Class
-	if *classSpec != "" {
-		var err error
-		if classes, err = pifo.ParseClasses(*classSpec); err != nil {
-			fatalUsage("-classes: %v", err)
-		}
-		if *classQCap < 0 {
-			fatalUsage("-classqcap must be >= 0 (got %d)", *classQCap)
-		}
-	} else {
-		// Class-tier tuning without the tier is a misconfiguration too.
-		flag.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "rank", "classqcap":
-				fatalUsage("-%s requires -classes", f.Name)
-			}
-		})
-	}
-
-	// The CICQ datapath runs its own distributed least-choice arbiters;
-	// a central scheduler has nothing to schedule there.
-	var s sched.Scheduler
-	if *dpName != datapath.CICQ {
-		var err error
-		s, err = registry.New(*schedName, *n, sched.Options{Iterations: *iterations, Seed: *seed})
-		if err != nil {
-			fatal("%v", err)
-		}
 	}
 	var tracer *obs.Tracer
 	switch {
 	case *traceRing < 0:
 		fatalUsage("-trace-ring must be >= 0 (got %d)", *traceRing)
 	case *traceRing > 0:
-		tracer = obs.NewTracer(*n, *traceRing)
+		tracer = obs.NewTracer(n, *traceRing)
 		tracer.SetEnabled(*traceOn)
 	case *traceOn:
 		fatalUsage("-trace needs a ring: set -trace-ring > 0")
 	}
-	engine, err := rt.New(rt.Config{
-		N: *n, Scheduler: s, Datapath: *dpName, XPCap: *xpCap,
-		VOQCap: *voqCap, OutCap: *outCap, SlotPeriod: *slot,
-		PreallocVOQs: *prealloc, Tracer: tracer, FaultPolicy: policy,
-		Flows: *flows, FlowPolicy: *flowPolicy,
-		Classes: classes, Rank: *rankName, ClassQCap: *classQCap,
-	})
+	var err error
+	if spec.FaultPolicy, err = rt.ParseFaultPolicy(*faultPol); err != nil {
+		fatalUsage("%v", err)
+	}
+	cfg, err := spec.Build()
 	if err != nil {
-		fatal("%v", err)
+		fatalUsage("%v", err)
+	}
+	cfg.SlotPeriod, cfg.Tracer = *slot, tracer
+	engine, err := rt.New(cfg)
+	if err != nil {
+		fatalUsage("%v", err)
 	}
 
-	srv := newServer(engine, *n)
+	srv := newServer(engine, n)
 	srv.tracer = tracer
 	srv.registry = srv.buildRegistry()
 	ln, err := net.Listen("tcp", *listen)
@@ -226,7 +176,7 @@ func main() {
 	if err := engine.Start(); err != nil {
 		fatal("%v", err)
 	}
-	for j := 0; j < *n; j++ {
+	for j := 0; j < n; j++ {
 		srv.wg.Add(1)
 		go srv.outputPump(j)
 	}
@@ -235,7 +185,7 @@ func main() {
 	// and sweep out flows idle longer than -flow-idle epochs. Steering
 	// state only — frames already queued are never touched by eviction.
 	var epochStop chan struct{}
-	if *flows > 0 && *flowIdle > 0 {
+	if spec.Flows > 0 && *flowIdle > 0 {
 		epochStop = make(chan struct{})
 		go func() {
 			tick := time.NewTicker(*flowEpoch)
@@ -273,7 +223,7 @@ func main() {
 		}()
 	}
 
-	fmt.Printf("lcfd: %s on %s (n=%d, slot %v", engine.SchedulerName(), ln.Addr(), *n, *slot)
+	fmt.Printf("lcfd: %s on %s (n=%d, slot %v", engine.SchedulerName(), ln.Addr(), n, *slot)
 	if *httpAddr != "" {
 		fmt.Printf(", metrics on http://%s/metrics", *httpAddr)
 	}

@@ -698,10 +698,14 @@ func TestUsageErrorsExitTwo(t *testing.T) {
 		{[]string{"-n", "0"}, "-n is 0"},
 		{[]string{"-slot", "0s"}, "-slot must be positive"},
 		{[]string{"-datapath", "bogus"}, "-datapath must be one of"},
-		{[]string{"-fault-policy", "bogus"}, "-fault-policy must be drop or hold"},
+		{[]string{"-fault-policy", "bogus"}, "-fault-policy must be hold or drop"},
 		{[]string{"-flow-policy", "po2"}, "-flow-policy requires -flows"},
 		{[]string{"-rank", "deadline"}, "-rank requires -classes"},
 		{[]string{"-trace-ring", "-1"}, "-trace-ring must be >= 0"},
+		{[]string{"-sched", "nope"}, `unknown scheduler "nope"`},
+		{[]string{"-voqcap", "-1"}, "negative capacity"},
+		{[]string{"-iterations", "-1"}, "-iterations must be >= 0"},
+		{[]string{"-flows", "8", "-flow-idle", "4294967296"}, "-flow-idle must be <= 4294967295"},
 	} {
 		// A daemon that wrongly accepts its flags serves until killed.
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)

@@ -49,23 +49,26 @@ import (
 )
 
 func main() {
+	// The engine flags write into the spec every switch engine is built
+	// from; the rest belong to the fabric and the daemon.
+	var spec rt.Spec
+	flag.StringVar(&spec.Scheduler, "sched", rt.DefaultScheduler, "scheduler for every switch engine (see lcfsim for the list)")
+	flag.IntVar(&spec.Iterations, "iterations", 4, "iterations for the iterative schedulers")
+	flag.Uint64Var(&spec.Seed, "seed", 1, "base seed; every engine derives its own via closfabric.SchedulerSeed")
+	flag.IntVar(&spec.VOQCap, "voqcap", 256, "per-VOQ capacity in every engine")
+	flag.IntVar(&spec.OutCap, "outcap", 256, "per-output delivery buffer in every engine")
 	var (
-		m          = flag.Int("m", 4, "middle-stage switches")
-		k          = flag.Int("k", 4, "external ports per ingress/egress switch")
-		r          = flag.Int("r", 4, "ingress (= egress) switches")
-		schedName  = flag.String("sched", "lcf_central_rr", "scheduler for every switch engine (see lcfsim for the list)")
-		iterations = flag.Int("iterations", 4, "iterations for the iterative schedulers")
-		seed       = flag.Uint64("seed", 1, "base seed; every engine derives its own via closfabric.SchedulerSeed")
-		slot       = flag.Duration("slot", 200*time.Microsecond, "fabric slot period")
-		slots      = flag.Int64("slots", 0, "stop after this many slots (0 runs until SIGINT/SIGTERM)")
-		voqCap     = flag.Int("voqcap", 256, "per-VOQ capacity in every engine")
-		outCap     = flag.Int("outcap", 256, "per-output delivery buffer in every engine")
-		selName    = flag.String("select", "backlog", "middle-stage routing: rr (round-robin) or backlog (least-backlogged)")
-		faultPol   = flag.String("fault-policy", "hold", "disposition of frames stranded in a failed middle switch: hold or drop")
-		load       = flag.Float64("load", 0.7, "per-external-port Bernoulli offered load of the built-in generator (0 disables)")
-		httpAddr   = flag.String("http", "127.0.0.1:9427", "HTTP address for metrics and fault injection (empty disables)")
-		traceRing  = flag.Int("trace-ring", 1024, "per-engine slot-event trace ring capacity (0 removes tracing)")
-		traceOn    = flag.Bool("trace", false, "start with slot-event tracing enabled")
+		m         = flag.Int("m", 4, "middle-stage switches")
+		k         = flag.Int("k", 4, "external ports per ingress/egress switch")
+		r         = flag.Int("r", 4, "ingress (= egress) switches")
+		slot      = flag.Duration("slot", 200*time.Microsecond, "fabric slot period")
+		slots     = flag.Int64("slots", 0, "stop after this many slots (0 runs until SIGINT/SIGTERM)")
+		selName   = flag.String("select", "backlog", "middle-stage routing: rr (round-robin) or backlog (least-backlogged)")
+		faultPol  = flag.String("fault-policy", "hold", "disposition of frames stranded in a failed middle switch: hold or drop")
+		load      = flag.Float64("load", 0.7, "per-external-port Bernoulli offered load of the built-in generator (0 disables)")
+		httpAddr  = flag.String("http", "127.0.0.1:9427", "HTTP address for metrics and fault injection (empty disables)")
+		traceRing = flag.Int("trace-ring", 1024, "per-engine slot-event trace ring capacity (0 removes tracing)")
+		traceOn   = flag.Bool("trace", false, "start with slot-event tracing enabled")
 	)
 	flag.Parse()
 
@@ -73,14 +76,8 @@ func main() {
 	if err != nil {
 		fatalUsage("-select: %v", err)
 	}
-	var policy rt.FaultPolicy
-	switch *faultPol {
-	case "hold":
-		policy = rt.HoldStranded
-	case "drop":
-		policy = rt.DropStranded
-	default:
-		fatalUsage("-fault-policy must be hold or drop (got %q)", *faultPol)
+	if spec.FaultPolicy, err = rt.ParseFaultPolicy(*faultPol); err != nil {
+		fatalUsage("%v", err)
 	}
 	if *slot <= 0 {
 		fatalUsage("-slot must be positive (got %v)", *slot)
@@ -95,18 +92,11 @@ func main() {
 		fatalUsage("-trace needs a ring: set -trace-ring > 0")
 	}
 
-	d, err := newDaemon(cf.Config{
-		M: *m, K: *k, R: *r,
-		Scheduler:  *schedName,
-		Iterations: *iterations,
-		Seed:       *seed,
-		VOQCap:     *voqCap,
-		OutCap:     *outCap,
-		Policy:     policy,
-		Select:     sel,
-	}, *load, *traceRing, *traceOn)
+	// Every construction error — the spec, the topology — is a usage
+	// error: nothing has run yet.
+	d, err := newDaemon(cf.Config{M: *m, K: *k, R: *r, Engine: spec, Select: sel}, *load, *traceRing, *traceOn)
 	if err != nil {
-		fatal("%v", err)
+		fatalUsage("%v", err)
 	}
 
 	if *httpAddr != "" {
@@ -126,7 +116,7 @@ func main() {
 	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
 
 	fmt.Printf("lcffab: C(%d,%d,%d) — %d switches, %d external ports, %s/%s, slot %v",
-		*m, *k, *r, *m+2**r, d.fab.N(), *schedName, sel, *slot)
+		*m, *k, *r, *m+2**r, d.fab.N(), d.fab.Engine(cf.StageIngress, 0).SchedulerName(), sel, *slot)
 	if *httpAddr != "" {
 		fmt.Printf(", metrics on http://%s/metrics", *httpAddr)
 	}
@@ -173,7 +163,7 @@ func newDaemon(cfg cf.Config, load float64, traceRing int, traceOn bool) (*daemo
 	d := &daemon{
 		cfg:      cfg,
 		load:     load,
-		gen:      rng.NewPCG32(cfg.Seed, 0x10AD),
+		gen:      rng.NewPCG32(cfg.Engine.Seed, 0x10AD),
 		ops:      make(chan faultOp, 16),
 		started:  time.Now(),
 		tracerAt: make(map[enginePos]*obs.Tracer),
@@ -283,7 +273,7 @@ func (d *daemon) snapshot() snapshot {
 	m, k, r := d.fab.Dims()
 	s := snapshot{
 		Slot: d.fab.Slot(), M: m, K: k, R: r, N: d.fab.N(),
-		Scheduler: d.cfg.Scheduler, Select: d.cfg.Select.String(), Policy: d.cfg.Policy.String(),
+		Scheduler: d.fab.Engine(cf.StageIngress, 0).SchedulerName(), Select: d.cfg.Select.String(), Policy: d.cfg.Engine.FaultPolicy.String(),
 		Injected:      st.Injected.Value(),
 		Delivered:     st.Delivered.Value(),
 		Dropped:       st.Dropped.Value(),

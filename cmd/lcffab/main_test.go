@@ -26,8 +26,7 @@ func newTestDaemon(t *testing.T, ringCap int) *daemon {
 	t.Helper()
 	d, err := newDaemon(cf.Config{
 		M: 2, K: 2, R: 2,
-		Seed:   1,
-		Policy: rt.HoldStranded,
+		Engine: rt.Spec{Seed: 1, FaultPolicy: rt.HoldStranded},
 		Select: cf.SelectLeastBacklogged,
 	}, 0.6, ringCap, ringCap > 0)
 	if err != nil {
@@ -135,8 +134,7 @@ func TestDaemonMetricsHandlers(t *testing.T) {
 func TestDaemonEndToEnd(t *testing.T) {
 	d, err := newDaemon(cf.Config{
 		M: 2, K: 2, R: 2,
-		Seed:   7,
-		Policy: rt.HoldStranded,
+		Engine: rt.Spec{Seed: 7, FaultPolicy: rt.HoldStranded},
 		Select: cf.SelectRoundRobin,
 	}, 0.6, 64, true)
 	if err != nil {
@@ -261,6 +259,10 @@ func TestUsageErrorsExitTwo(t *testing.T) {
 		{[]string{"-select", "x"}, "-select"},
 		{[]string{"-slot", "0"}, "-slot must be positive"},
 		{[]string{"-load", "2"}, "-load must be in [0,1]"},
+		{[]string{"-sched", "nope"}, `unknown scheduler "nope"`},
+		{[]string{"-voqcap", "-1"}, "negative capacity"},
+		{[]string{"-iterations", "-1"}, "-iterations must be >= 0"},
+		{[]string{"-m", "2"}, "m=2 < k=4"},
 	} {
 		var stderr bytes.Buffer
 		cmd := exec.Command(bin, append(tc.args, "-slots", "1", "-http", "")...)

@@ -95,9 +95,9 @@ func runRank(s classStudy, rank string, faulted bool, arrivals, classTab [][]int
 	if err != nil {
 		return r, err
 	}
-	e, err := s.engine(rt.Config{
+	e, err := s.engine(rt.Spec{
 		FaultPolicy: rt.HoldStranded,
-		Classes:     classes,
+		Classes:     classSpec,
 		Rank:        rank,
 	})
 	if err != nil {

@@ -52,7 +52,7 @@ type flowRow struct {
 // seed is fixed, so the only degree of freedom is the steering decision.
 func runPolicy(s flowStudy, policy string) (flowRow, error) {
 	r := flowRow{Policy: policy}
-	e, err := s.engine(rt.Config{
+	e, err := s.engine(rt.Spec{
 		// 2× headroom: the study measures steering quality, not table
 		// sizing, so the population must fit without rejections.
 		Flows:      2 * s.Flows,

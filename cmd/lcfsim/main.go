@@ -39,8 +39,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/pifo"
 	rt "repro/internal/runtime"
-	"repro/internal/sched"
-	"repro/internal/sched/registry"
 	"repro/internal/traffic"
 )
 
@@ -623,11 +621,11 @@ type study struct {
 
 // studyOf takes a live-engine figure's parameters from the sweep flags:
 // -loads and -schedulers name at most one value each, defaulting to load
-// and lcf_central_rr.
+// and rt.DefaultScheduler.
 func studyOf(cfg lcf.SweepConfig, load float64) study {
 	s := study{
 		N: cfg.N, Load: load, Warmup: cfg.WarmupSlots, Measure: cfg.MeasureSlots,
-		Scheduler: "lcf_central_rr", Seed: cfg.Seed,
+		Scheduler: rt.DefaultScheduler, Seed: cfg.Seed,
 	}
 	if len(cfg.Loads) > 1 || len(cfg.Schedulers) > 1 {
 		usage("this figure takes one -loads value and one -schedulers name")
@@ -647,14 +645,14 @@ func studyOf(cfg lcf.SweepConfig, load float64) study {
 	return s
 }
 
-// engine builds the study's lockstep engine over the tier configuration
-// c: the study's scheduler at four iterations, seeded with its seed.
-func (s study) engine(c rt.Config) (*rt.Engine, error) {
-	sch, err := registry.New(s.Scheduler, s.N, sched.Options{Iterations: 4, Seed: s.Seed})
+// engine builds the study's lockstep engine from the tier spec sp: the
+// study's scheduler at the default four iterations, seeded with its seed.
+func (s study) engine(sp rt.Spec) (*rt.Engine, error) {
+	sp.N, sp.Scheduler, sp.Seed = s.N, s.Scheduler, s.Seed
+	c, err := sp.Build()
 	if err != nil {
 		return nil, err
 	}
-	c.N, c.Scheduler = s.N, sch
 	return rt.New(c)
 }
 

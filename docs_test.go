@@ -5,6 +5,7 @@ import (
 	"go/token"
 	"io/fs"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"regexp"
 	"sort"
@@ -209,6 +210,49 @@ func TestDocsNameLivePackages(t *testing.T) {
 			seen[m[1]] = true
 			if fi, err := os.Stat(filepath.Join("internal", m[1])); err != nil || !fi.IsDir() {
 				t.Errorf("%s names internal/%s, which has no directory", doc, m[1])
+			}
+		}
+	}
+}
+
+// helpFlag matches one flag of a command's -h listing: "  -name type".
+var helpFlag = regexp.MustCompile(`(?m)^  (-[a-z][a-z0-9-]*)`)
+
+// codeSpan matches an inline code span; codeFlag a flag named inside one,
+// alone (`-slot`) or as part of a command line (`lcfd -flows 8`).
+var (
+	codeSpan = regexp.MustCompile("`([^`\n]+)`")
+	codeFlag = regexp.MustCompile(`(?:^|[\s\[(/=])(-[a-z][a-z0-9-]*)`)
+)
+
+// TestFlagsDocumented builds both daemons and fails on any flag their -h
+// output lists that README.md does not name in backticks, so a flag a
+// refactor loses, renames or adds cannot go unnoticed.
+func TestFlagsDocumented(t *testing.T) {
+	raw, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	documented := map[string]bool{}
+	for _, span := range codeSpan.FindAllStringSubmatch(string(raw), -1) {
+		for _, m := range codeFlag.FindAllStringSubmatch(span[1], -1) {
+			documented[m[1]] = true
+		}
+	}
+	dir := t.TempDir()
+	for _, cmd := range []string{"lcfd", "lcffab"} {
+		bin := filepath.Join(dir, cmd)
+		if out, err := exec.Command("go", "build", "-o", bin, "./cmd/"+cmd).CombinedOutput(); err != nil {
+			t.Fatalf("building %s: %v\n%s", cmd, err, out)
+		}
+		help, _ := exec.Command(bin, "-h").CombinedOutput() // the flag package's usage, on stderr
+		flags := helpFlag.FindAllStringSubmatch(string(help), -1)
+		if len(flags) == 0 {
+			t.Fatalf("%s -h lists no flags:\n%s", cmd, help)
+		}
+		for _, f := range flags {
+			if !documented[f[1]] {
+				t.Errorf("%s registers %s, which README.md does not name in backticks", cmd, f[1])
 			}
 		}
 	}

@@ -42,36 +42,28 @@ import (
 	"repro/internal/rng"
 	rt "repro/internal/runtime"
 	"repro/internal/sched"
-	"repro/internal/sched/registry"
 	"repro/internal/simswitch"
 	"repro/internal/traffic"
 )
 
-// Config parameterizes one chaos run. The zero value plus N, Slots and
+// Config parameterizes one chaos run: the engine under test as an
+// rt.Spec, plus the storm around it. The zero value plus N, Slots and
 // Seed is a sensible storm: moderate load, small queues (so backpressure
 // actually fires), every fault kind enabled, the VOQ datapath and no
-// front tier. RunSim reads the first two groups and the fault rates only.
+// front tier. Seed seeds the scheduler and every storm stream. RunSim
+// reads N, Slots, Seed, Scheduler, Load, VOQCap and the fault rates only.
+//
+// The storm's engine defaults differ from runtime's: VOQCap 16 and
+// OutCap 8, so the run exercises backpressure and output masking
+// alongside faults; on cicq XPCap 4, small enough that dispatch
+// regularly finds crosspoints full; with Flows, FlowPolicy po2 and
+// FlowSeed = Seed; with Classes, Rank deadline.
 type Config struct {
-	N     int
+	rt.Spec
 	Slots int64
-	Seed  uint64
 
-	// Scheduler is a sched registry name; default lcf_central_rr.
-	Scheduler string
 	// Load is the per-input Bernoulli admission probability. Default 0.6.
 	Load float64
-	// VOQCap and OutCap are deliberately small by default (16 and 8) so
-	// the run exercises backpressure and output masking alongside faults.
-	VOQCap, OutCap int
-	// Policy is the engine's disposition of stranded frames.
-	Policy rt.FaultPolicy
-
-	// The tier selectors mirror runtime.Config and are passed through
-	// unchanged. Datapath "" is voq. XPCap bounds each crosspoint buffer
-	// (cicq only); default 4, small enough that dispatch regularly finds
-	// crosspoints full.
-	Datapath string
-	XPCap    int
 
 	// Per-slot, per-healthy-port probabilities of each fault kind
 	// starting, and the mean duration of an episode in slots. A port is
@@ -83,32 +75,23 @@ type Config struct {
 	MeanStuck int     // default 60
 	MeanDead  int     // default 100
 
-	// Flows > 0 turns the flow tier on with a steering table of that
-	// capacity (the storms use 512 — small enough to cycle under churn)
-	// and makes every request steered; the other flow fields need it.
-	// FlowShards overrides the table's shard count (0 = its default).
+	// With Flows > 0 (the storms use 512 — small enough to cycle under
+	// churn) every request is steered; the other flow fields need it.
 	// Population is the distinct flow-id universe offered, default
-	// 4×Flows so eviction pressure is real; FlowPolicy the steering
-	// policy, default po2; Skew the Zipf popularity exponent, default 1.
-	// The eviction epoch advances every EpochEvery slots (default 64) and
-	// flows idle for FlowIdle epochs (default 3) are swept mid-storm.
-	Flows, FlowShards, Population int
-	FlowPolicy                    string
-	Skew                          float64
-	EpochEvery                    int64
-	FlowIdle                      uint32
+	// 4×Flows so eviction pressure is real; Skew the Zipf popularity
+	// exponent, default 1. The eviction epoch advances every EpochEvery
+	// slots (default 64) and flows idle for FlowIdle epochs (default 3)
+	// are swept mid-storm.
+	Population int
+	Skew       float64
+	EpochEvery int64
+	FlowIdle   uint32
 
-	// Classes, a pifo.ParseClasses spec, turns the class tier on and
-	// makes every request classified; the other class fields need it.
-	// Rank is the PIFO rank function, default deadline. ClassQCap
-	// bounds each (input, output) PIFO (0 = the runtime default). Mix is
-	// the admission weight by class index, default uniform. Every
-	// BudgetEvery-th class admission (default 7, negative for none)
-	// carries an explicit two-slot deadline budget, tighter than any
-	// storm class's SLO.
-	Classes     string
-	Rank        string
-	ClassQCap   int
+	// With Classes set every request is classified; the other class
+	// fields need it. Mix is the admission weight by class index, default
+	// uniform. Every BudgetEvery-th class admission (default 7, negative
+	// for none) carries an explicit two-slot deadline budget, tighter
+	// than any storm class's SLO.
 	Mix         []float64
 	BudgetEvery int
 
@@ -130,18 +113,17 @@ func def[T comparable](p *T, v T) {
 }
 
 // stormDefaults fills the knobs every storm shares, engine or fabric.
-func stormDefaults(scheduler *string, load *float64, voqCap, outCap *int) {
-	def(scheduler, "lcf_central_rr")
+func stormDefaults(engine *rt.Spec, load *float64) {
 	def(load, 0.6)
-	def(voqCap, 16)
-	def(outCap, 8)
+	def(&engine.VOQCap, 16)
+	def(&engine.OutCap, 8)
 }
 
 func (c *Config) normalize() error {
 	if c.N <= 0 || c.Slots <= 0 {
 		return fmt.Errorf("chaos: n %d slots %d", c.N, c.Slots)
 	}
-	stormDefaults(&c.Scheduler, &c.Load, &c.VOQCap, &c.OutCap)
+	stormDefaults(&c.Spec, &c.Load)
 	if c.Datapath == datapath.CICQ {
 		def(&c.XPCap, 4)
 	}
@@ -154,16 +136,17 @@ func (c *Config) normalize() error {
 	if c.Flows > 0 {
 		def(&c.Population, 4*c.Flows)
 		def(&c.FlowPolicy, flowtable.PolicyPo2)
+		def(&c.FlowSeed, c.Seed)
 		def(&c.Skew, 1)
 		def(&c.EpochEvery, 64)
 		def(&c.FlowIdle, 3)
-	} else if c.FlowShards != 0 || c.Population != 0 || c.FlowPolicy != "" || c.Skew != 0 || c.EpochEvery != 0 || c.FlowIdle != 0 {
+	} else if c.FlowShards != 0 || c.Population != 0 || c.Skew != 0 || c.EpochEvery != 0 || c.FlowIdle != 0 {
 		return fmt.Errorf("chaos: flow fields set with Flows %d (the tier is off)", c.Flows)
 	}
 	if c.Classes != "" {
 		def(&c.Rank, pifo.RankDeadline)
 		def(&c.BudgetEvery, 7)
-	} else if c.Rank != "" || c.ClassQCap != 0 || c.Mix != nil || c.BudgetEvery != 0 {
+	} else if c.Mix != nil || c.BudgetEvery != 0 {
 		return fmt.Errorf("chaos: class fields set without Classes (the tier is off)")
 	}
 	if c.ComposedOnly && (c.Flows == 0 || c.Classes == "") {
@@ -346,10 +329,6 @@ func (s *schedule) checkGrants(slot int64, g *sched.GrantSet) error {
 	return nil
 }
 
-func newScheduler(name string, n int, seed uint64) (sched.Scheduler, error) {
-	return registry.New(name, n, sched.Options{Iterations: 4, Seed: seed})
-}
-
 // RunSim drives the offline simulator through the same seeded fault
 // schedule (link flaps and kills; the simulator has no consumers to
 // stick, so stuck episodes only pause that port's fault dice). The
@@ -361,7 +340,7 @@ func RunSim(cfg Config) (*Report, error) {
 		return nil, err
 	}
 	n := cfg.N
-	sch, err := newScheduler(cfg.Scheduler, n, cfg.Seed)
+	ecfg, err := cfg.Build()
 	if err != nil {
 		return nil, err
 	}
@@ -372,7 +351,7 @@ func RunSim(cfg Config) (*Report, error) {
 	sim, err := simswitch.New(simswitch.Config{
 		N:            n,
 		Mode:         simswitch.VOQ,
-		Scheduler:    sch,
+		Scheduler:    ecfg.Scheduler,
 		Gen:          traffic.NewBernoulli(n, cfg.Load, traffic.NewUniform(n), cfg.Seed),
 		VOQCap:       cfg.VOQCap,
 		PQCap:        4 * cfg.VOQCap,

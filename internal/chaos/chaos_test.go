@@ -84,7 +84,7 @@ func exercised(t *testing.T, cfg Config, rep *Report) {
 	if rep.Admitted == 0 || rep.Consumed == 0 {
 		bad("no traffic flowed")
 	}
-	if hold := cfg.Policy == rt.HoldStranded; hold && (rep.Dropped != 0 || rep.ClassDropped != 0) {
+	if hold := cfg.FaultPolicy == rt.HoldStranded; hold && (rep.Dropped != 0 || rep.ClassDropped != 0) {
 		bad("hold policy dropped frames")
 	} else if !hold && rep.Dropped == 0 {
 		bad("drop policy dropped nothing")
@@ -99,15 +99,15 @@ func exercised(t *testing.T, cfg Config, rep *Report) {
 		// hold pins a sticky flow to its down port (it bounces with
 		// ErrPortDown until the flap clears, which is what keeps per-flow
 		// order); drop rehomes it.
-		if rehomes := rep.FlowsRebalanced != 0; rehomes != (cfg.Policy == rt.DropStranded) {
-			bad("flows rehomed = %t under policy %v", rehomes, cfg.Policy)
+		if rehomes := rep.FlowsRebalanced != 0; rehomes != (cfg.FaultPolicy == rt.DropStranded) {
+			bad("flows rehomed = %t under policy %v", rehomes, cfg.FaultPolicy)
 		}
 	}
 	if cfg.Classes != "" {
 		if rep.ClassViolations == 0 {
 			bad("a 16-slot SLO under faults never missed — deadlines not exercised")
 		}
-		if cfg.Policy == rt.DropStranded && rep.ClassDropped == 0 {
+		if cfg.FaultPolicy == rt.DropStranded && rep.ClassDropped == 0 {
 			bad("no PIFO-resident frame was ever swept by a fault — class drop path not exercised")
 		}
 	}
@@ -121,13 +121,13 @@ var acceptance10k = map[string]struct {
 	cfg  Config
 	want [2]Report
 }{
-	"engine": {Config{N: 8, Slots: 10_000, Seed: 0xC0FFEE}, [2]Report{
+	"engine": {Config{Spec: rt.Spec{N: 8, Seed: 0xC0FFEE}, Slots: 10_000}, [2]Report{
 		{Slots: 10000, Admitted: 22693, Delivered: 22650, Consumed: 22650, Rejected: 25400, Backpressured: 22, Undrained: 43, MaxBacklog: 228, Flaps: 552, Stucks: 240, Kills: 126},
 		{Slots: 10000, Admitted: 22713, Delivered: 20226, Consumed: 20226, Dropped: 2483, Rejected: 25400, Backpressured: 2, Undrained: 4, MaxBacklog: 165, Flaps: 552, Stucks: 240, Kills: 126},
 	}},
 	// The crosspoint-buffered datapath: no central matching, grant
 	// isolation audited on the pull arbiters' per-output vector.
-	"cicq": {Config{N: 8, Slots: 10_000, Seed: 0xC1C0, Datapath: datapath.CICQ}, [2]Report{
+	"cicq": {Config{Spec: rt.Spec{N: 8, Seed: 0xC1C0, Datapath: datapath.CICQ}, Slots: 10_000}, [2]Report{
 		{Slots: 10000, Admitted: 23701, Delivered: 23637, Consumed: 23637, Rejected: 24379, Backpressured: 50, Undrained: 64, MaxBacklog: 233, Flaps: 541, Stucks: 283, Kills: 147},
 		{Slots: 10000, Admitted: 23747, Delivered: 21105, Consumed: 21105, Dropped: 2642, Rejected: 24379, Backpressured: 4, MaxBacklog: 175, Flaps: 541, Stucks: 283, Kills: 147},
 	}},
@@ -135,14 +135,14 @@ var acceptance10k = map[string]struct {
 	// table, idle-eviction sweeps every 64 slots: po2 never picks a down
 	// port, sticky flows survive flaps under hold, eviction never strands
 	// a frame.
-	"flows": {Config{N: 8, Slots: 10_000, Seed: 0xC0FFEE, Flows: 512}, [2]Report{
+	"flows": {Config{Spec: rt.Spec{N: 8, Seed: 0xC0FFEE, Flows: 512}, Slots: 10_000}, [2]Report{
 		{Slots: 10000, Admitted: 25453, Delivered: 25394, Consumed: 25394, Rejected: 22597, Backpressured: 62, Undrained: 59, MaxBacklog: 236, FlowsInserted: 13154, FlowsEvicted: 12740, FlowRejections: 3, Flaps: 552, Stucks: 240, Kills: 126},
 		{Slots: 10000, Admitted: 31786, Delivered: 26554, Consumed: 26554, Dropped: 5204, Rejected: 15626, Backpressured: 700, Undrained: 28, MaxBacklog: 200, FlowsInserted: 13154, FlowsEvicted: 12740, FlowsRebalanced: 3813, FlowRejections: 3, Flaps: 552, Stucks: 240, Kills: 126},
 	}},
 	// Every frame classified, with per-frame budgets in play; the
 	// real-time-heavy mix makes SLO misses inevitable under stuck
 	// consumers.
-	"classes": {Config{N: 8, Slots: 10_000, Seed: 0xC1A55ED, Classes: stormClasses, Mix: []float64{4, 2, 1}}, [2]Report{
+	"classes": {Config{Spec: rt.Spec{N: 8, Seed: 0xC1A55ED, Classes: stormClasses}, Slots: 10_000, Mix: []float64{4, 2, 1}}, [2]Report{
 		{Slots: 10000, Admitted: 22538, Delivered: 22529, Consumed: 22529, Rejected: 25557, Backpressured: 34, Undrained: 9, MaxBacklog: 301, ClassAdmitted: 22538, ClassViolations: 5364, Flaps: 567, Stucks: 256, Kills: 152},
 		{Slots: 10000, Admitted: 22560, Delivered: 19902, Consumed: 19902, Dropped: 2658, Rejected: 25557, Backpressured: 12, MaxBacklog: 230, ClassAdmitted: 22560, ClassDropped: 2658, ClassViolations: 2412, Flaps: 567, Stucks: 256, Kills: 152},
 	}},
@@ -152,7 +152,7 @@ func acceptance(t *testing.T, row string) {
 	for _, policy := range []rt.FaultPolicy{rt.HoldStranded, rt.DropStranded} {
 		t.Run(policy.String(), func(t *testing.T) {
 			r := acceptance10k[row]
-			r.cfg.Policy = policy
+			r.cfg.FaultPolicy = policy
 			rep := pinned(t, r.cfg, r.want[policy])
 			exercised(t, r.cfg, rep)
 			t.Logf("report: %+v", rep)
@@ -175,13 +175,13 @@ var seedFans = map[string]struct {
 	cfg  Config
 	want [4]Report
 }{
-	"engine": {Config{N: 6, Slots: 2_000, Policy: rt.DropStranded, Load: 0.8}, [4]Report{
+	"engine": {Config{Spec: rt.Spec{N: 6, FaultPolicy: rt.DropStranded}, Slots: 2_000, Load: 0.8}, [4]Report{
 		{Slots: 2000, Admitted: 4493, Delivered: 3838, Consumed: 3838, Dropped: 655, Rejected: 4921, Backpressured: 77, MaxBacklog: 169, Flaps: 78, Stucks: 40, Kills: 19},
 		{Slots: 2000, Admitted: 4717, Delivered: 3997, Consumed: 3997, Dropped: 697, Rejected: 4860, Backpressured: 54, Undrained: 23, MaxBacklog: 131, Flaps: 91, Stucks: 42, Kills: 19},
 		{Slots: 2000, Admitted: 4332, Delivered: 3654, Consumed: 3654, Dropped: 599, Rejected: 5250, Backpressured: 35, Undrained: 79, MaxBacklog: 127, Flaps: 67, Stucks: 38, Kills: 25},
 		{Slots: 2000, Admitted: 4677, Delivered: 3678, Consumed: 3678, Dropped: 999, Rejected: 4922, Backpressured: 47, MaxBacklog: 151, Flaps: 77, Stucks: 47, Kills: 23},
 	}},
-	"cicq": {Config{N: 6, Slots: 2_000, Policy: rt.DropStranded, Load: 0.8, Datapath: datapath.CICQ, XPCap: 1}, [4]Report{
+	"cicq": {Config{Spec: rt.Spec{N: 6, FaultPolicy: rt.DropStranded, Datapath: datapath.CICQ, XPCap: 1}, Slots: 2_000, Load: 0.8}, [4]Report{
 		{Slots: 2000, Admitted: 4511, Delivered: 3869, Consumed: 3869, Dropped: 642, Rejected: 4921, Backpressured: 59, MaxBacklog: 170, Flaps: 78, Stucks: 40, Kills: 19},
 		{Slots: 2000, Admitted: 4720, Delivered: 4033, Consumed: 4033, Dropped: 664, Rejected: 4860, Backpressured: 51, Undrained: 23, MaxBacklog: 131, Flaps: 91, Stucks: 42, Kills: 19},
 		{Slots: 2000, Admitted: 4331, Delivered: 3675, Consumed: 3675, Dropped: 576, Rejected: 5250, Backpressured: 36, Undrained: 80, MaxBacklog: 126, Flaps: 67, Stucks: 38, Kills: 25},
@@ -216,7 +216,7 @@ func sweep(t *testing.T, rows []variant, check func(*testing.T, *Report)) {
 
 // TestFlowChaosPolicies sweeps every registered steering policy.
 func TestFlowChaosPolicies(t *testing.T) {
-	base := Config{N: 8, Slots: 3_000, Seed: 0xBEEF, Policy: rt.DropStranded, Flows: 512}
+	base := Config{Spec: rt.Spec{N: 8, Seed: 0xBEEF, FaultPolicy: rt.DropStranded, Flows: 512}, Slots: 3_000}
 	with := func(policy string) Config { c := base; c.FlowPolicy = policy; return c }
 	sweep(t, []variant{
 		{"hash", with("hash"), Report{Slots: 3000, Admitted: 9829, Delivered: 7888, Consumed: 7888, Dropped: 1864, Rejected: 4201, Backpressured: 426, Undrained: 77, MaxBacklog: 178, FlowsInserted: 4050, FlowsEvicted: 3609, FlowsRebalanced: 1094, FlowRejections: 3, Flaps: 178, Stucks: 78, Kills: 37}},
@@ -233,7 +233,7 @@ func TestFlowChaosPolicies(t *testing.T) {
 // frames are admitted and dropped whatever the rank; only who misses its
 // SLO moves.
 func TestClassChaosRanks(t *testing.T) {
-	base := Config{N: 8, Slots: 3_000, Seed: 0xBADC1A5, Policy: rt.DropStranded, Classes: stormClasses}
+	base := Config{Spec: rt.Spec{N: 8, Seed: 0xBADC1A5, FaultPolicy: rt.DropStranded, Classes: stormClasses}, Slots: 3_000}
 	with := func(rank string, violations int64) variant {
 		c := base
 		c.Rank = rank
@@ -253,8 +253,8 @@ func TestClassChaosRanks(t *testing.T) {
 // Run), and never disturb frame conservation.
 func TestFlowChaosTableFull(t *testing.T) {
 	rep := pinned(t, Config{
-		N: 8, Slots: 3_000, Seed: 0xF00D, Policy: rt.HoldStranded,
-		Flows: 64, FlowShards: 1, Population: 4096, EpochEvery: 512, FlowIdle: 8,
+		Spec:  rt.Spec{N: 8, Seed: 0xF00D, FaultPolicy: rt.HoldStranded, Flows: 64, FlowShards: 1},
+		Slots: 3_000, Population: 4096, EpochEvery: 512, FlowIdle: 8,
 	}, Report{Slots: 3000, Admitted: 3380, Delivered: 3380, Consumed: 3380, Rejected: 3611, Backpressured: 1, MaxBacklog: 63, FlowsInserted: 128, FlowRejections: 7410, Flaps: 153, Stucks: 79, Kills: 49})
 	if rep.FlowRejections == 0 {
 		t.Fatalf("a 64-flow table under a 4096-flow population never filled: %+v", rep)
@@ -281,22 +281,22 @@ func replays(t *testing.T, cfg Config, want Report) {
 }
 
 func TestChaosDeterminism(t *testing.T) {
-	replays(t, Config{N: 5, Slots: 1_500, Seed: 99, Policy: rt.DropStranded},
+	replays(t, Config{Spec: rt.Spec{N: 5, Seed: 99, FaultPolicy: rt.DropStranded}, Slots: 1_500},
 		Report{Slots: 1500, Admitted: 2420, Delivered: 2160, Consumed: 2160, Dropped: 260, Rejected: 2129, Backpressured: 23, MaxBacklog: 76, Flaps: 61, Stucks: 28, Kills: 9})
 }
 
 func TestCICQChaosDeterminism(t *testing.T) {
-	replays(t, Config{N: 5, Slots: 1_500, Seed: 99, Policy: rt.DropStranded, Datapath: datapath.CICQ},
+	replays(t, Config{Spec: rt.Spec{N: 5, Seed: 99, FaultPolicy: rt.DropStranded, Datapath: datapath.CICQ}, Slots: 1_500},
 		Report{Slots: 1500, Admitted: 2440, Delivered: 2175, Consumed: 2175, Dropped: 265, Rejected: 2129, Backpressured: 3, MaxBacklog: 76, Flaps: 61, Stucks: 28, Kills: 9})
 }
 
 func TestFlowChaosDeterminism(t *testing.T) {
-	replays(t, Config{N: 8, Slots: 2_000, Seed: 0xD0E, Policy: rt.DropStranded, Flows: 512},
+	replays(t, Config{Spec: rt.Spec{N: 8, Seed: 0xD0E, FaultPolicy: rt.DropStranded, Flows: 512}, Slots: 2_000},
 		Report{Slots: 2000, Admitted: 6305, Delivered: 5369, Consumed: 5369, Dropped: 924, Rejected: 3138, Backpressured: 174, Undrained: 12, MaxBacklog: 160, FlowsInserted: 2766, FlowsEvicted: 2389, FlowsRebalanced: 691, FlowRejections: 2, Flaps: 109, Stucks: 57, Kills: 30})
 }
 
 func TestClassChaosDeterminism(t *testing.T) {
-	replays(t, Config{N: 8, Slots: 2_000, Seed: 0xD1CE, Policy: rt.DropStranded, Classes: stormClasses},
+	replays(t, Config{Spec: rt.Spec{N: 8, Seed: 0xD1CE, FaultPolicy: rt.DropStranded, Classes: stormClasses}, Slots: 2_000},
 		Report{Slots: 2000, Admitted: 4537, Delivered: 3964, Consumed: 3964, Dropped: 553, Rejected: 5067, Undrained: 20, MaxBacklog: 103, ClassAdmitted: 4537, ClassDropped: 553, ClassViolations: 346, Flaps: 101, Stucks: 58, Kills: 30})
 }
 
@@ -305,7 +305,7 @@ func TestClassChaosDeterminism(t *testing.T) {
 // recover, and Generated == Forwarded + DroppedPQ + Live must hold every
 // slot.
 func TestSimChaos10k(t *testing.T) {
-	cfg := Config{N: 8, Slots: 10_000, Seed: 0xC0FFEE}
+	cfg := Config{Spec: rt.Spec{N: 8, Seed: 0xC0FFEE}, Slots: 10_000}
 	rep, err := RunSim(cfg)
 	if err != nil {
 		reportSeed(t, cfg.Seed, cfg, err)
@@ -320,7 +320,7 @@ func TestSimChaos10k(t *testing.T) {
 // malformed Config, and a field of a tier that is off is an error, not a
 // silently ignored knob.
 func TestConfigValidation(t *testing.T) {
-	ok := Config{N: 4, Slots: 10, Seed: 1}
+	ok := Config{Spec: rt.Spec{N: 4, Seed: 1}, Slots: 10}
 	for name, mutate := range map[string]func(*Config){
 		"n=0":                       func(c *Config) { c.N = 0 },
 		"slots=0":                   func(c *Config) { c.Slots = 0 },
@@ -344,7 +344,7 @@ func TestConfigValidation(t *testing.T) {
 			t.Errorf("%s: Run = %+v, %v; want a nil report and an error", name, rep, err)
 		}
 	}
-	if _, err := RunSim(Config{N: 4, Slots: 0, Seed: 1}); err == nil {
+	if _, err := RunSim(Config{Spec: rt.Spec{N: 4, Seed: 1}, Slots: 0}); err == nil {
 		t.Error("RunSim accepted slots=0")
 	}
 	if _, err := Run(ok); err != nil {
@@ -361,15 +361,23 @@ func TestConfigValidation(t *testing.T) {
 func TestSeedArtifactIsReplayable(t *testing.T) {
 	t.Setenv("CHAOS_SEED_DIR", filepath.Join(t.TempDir(), "seeds"))
 	engine := Config{
-		N: 6, Slots: 500, Seed: 0xBAD5EED, Policy: rt.DropStranded, Load: 0.75,
-		Datapath: datapath.CICQ, XPCap: 1,
-		Flows: 64, FlowShards: 1, Population: 4096, FlowPolicy: "least", Skew: 1.2, EpochEvery: 512, FlowIdle: 8,
-		Classes: "gold:0:3:8,lead:1:1", Rank: "wfq", ClassQCap: 5, Mix: []float64{3, 1, 1}, BudgetEvery: 11,
+		Spec: rt.Spec{
+			N: 6, Seed: 0xBAD5EED, FaultPolicy: rt.DropStranded,
+			Datapath: datapath.CICQ, XPCap: 1,
+			Flows: 64, FlowShards: 1, FlowPolicy: "least",
+			Classes: "gold:0:3:8,lead:1:1", Rank: "wfq", ClassQCap: 5,
+		},
+		Slots: 500, Load: 0.75,
+		Population: 4096, Skew: 1.2, EpochEvery: 512, FlowIdle: 8,
+		Mix: []float64{3, 1, 1}, BudgetEvery: 11,
 		ComposedOnly: true,
 	}
 	fabric := FabricConfig{
-		M: 1, K: 2, R: 3, Slots: 700, Seed: 0xFAB5EED, Scheduler: "islip", Load: 0.65,
-		VOQCap: 9, OutCap: 4, Policy: rt.DropStranded, Select: cf.SelectLeastBacklogged,
+		Config: cf.Config{
+			M: 1, K: 2, R: 3, Select: cf.SelectLeastBacklogged,
+			Engine: rt.Spec{Seed: 0xFAB5EED, Scheduler: "islip", VOQCap: 9, OutCap: 4, FaultPolicy: rt.DropStranded},
+		},
+		Slots: 700, Load: 0.65,
 		KillRate: 0.03, MeanDead: 150,
 	}
 	for _, row := range []struct {
@@ -388,7 +396,7 @@ func TestSeedArtifactIsReplayable(t *testing.T) {
 				"Classes:gold:0:3:8,lead:1:1", "Rank:wfq", "ClassQCap:5", "Mix:[3 1 1]", "BudgetEvery:11",
 				"ComposedOnly:true",
 			}},
-		{"fabric", fabric.Seed, fabric, func() error { _, err := RunFabric(fabric); return err },
+		{"fabric", fabric.Engine.Seed, fabric, func() error { _, err := RunFabric(fabric); return err },
 			"a blocking topology (m < k)", []string{
 				"M:1", "K:2", "R:3", "Slots:700", "Seed:262889197", "Scheduler:islip", "Load:0.65",
 				"VOQCap:9", "OutCap:4", "Policy:drop", "Select:backlog",

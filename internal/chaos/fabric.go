@@ -11,27 +11,17 @@ import (
 
 // FabricConfig parameterizes a seeded chaos run against a live Clos
 // fabric: uniform Bernoulli traffic over the external ports while a fault
-// schedule kills and revives entire middle-stage switches.
+// schedule kills and revives entire middle-stage switches. The embedded
+// closfabric.Config is the fabric under test; Engine.Seed also seeds the
+// storm, and the engines take Config's storm defaults (VOQCap 16, OutCap
+// 8), so backpressure and link NACKs happen alongside faults. Select has
+// no default: the zero value routes round-robin.
 type FabricConfig struct {
-	// M, K, R are the Clos dimensions (see closfabric.Config).
-	M, K, R int
-	Slots   int64
-	Seed    uint64
-
-	// Scheduler is a sched registry name; default lcf_central_rr.
-	Scheduler string
+	cf.Config
+	Slots int64
 	// Load is the per-external-port Bernoulli admission probability.
 	// Default 0.6.
 	Load float64
-	// VOQCap and OutCap are deliberately small by default (16 and 8), as
-	// in Config, so backpressure and link NACKs happen alongside faults.
-	VOQCap, OutCap int
-	// Policy is every engine's disposition of stranded frames.
-	Policy rt.FaultPolicy
-	// Select is the middle-stage routing policy. There is no default: the
-	// zero value is SelectRoundRobin, so a storm that leaves Select unset
-	// routes round-robin.
-	Select cf.MiddleSelect
 
 	// KillRate is the per-slot probability that a middle-switch kill
 	// episode starts while every middle is healthy enough to lose one
@@ -45,7 +35,7 @@ func (c *FabricConfig) normalize() error {
 	if c.Slots <= 0 {
 		return fmt.Errorf("chaos: fabric slots %d", c.Slots)
 	}
-	stormDefaults(&c.Scheduler, &c.Load, &c.VOQCap, &c.OutCap)
+	stormDefaults(&c.Engine, &c.Load)
 	def(&c.KillRate, 0.005)
 	def(&c.MeanDead, 200)
 	return nil
@@ -78,24 +68,17 @@ func RunFabric(cfg FabricConfig) (*FabricReport, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, err
 	}
-	f, err := cf.New(cf.Config{
-		M: cfg.M, K: cfg.K, R: cfg.R,
-		Scheduler: cfg.Scheduler,
-		Seed:      cfg.Seed,
-		VOQCap:    cfg.VOQCap,
-		OutCap:    cfg.OutCap,
-		Policy:    cfg.Policy,
-		Select:    cfg.Select,
-	})
+	f, err := cf.New(cfg.Config)
 	if err != nil {
 		return nil, err
 	}
 	m, _, _ := f.Dims()
 	n := f.N()
+	seed := cfg.Engine.Seed
 	rep := &FabricReport{Slots: cfg.Slots}
 
-	faultRng := rng.NewPCG32(cfg.Seed, 0xFA)
-	admitRng := rng.NewPCG32(cfg.Seed, 0xAD)
+	faultRng := rng.NewPCG32(seed, 0xFA)
+	admitRng := rng.NewPCG32(seed, 0xAD)
 	deadFor := make([]int64, m) // remaining slots of each middle's kill episode
 	st := f.Stats()
 
@@ -145,13 +128,13 @@ func RunFabric(cfg FabricConfig) (*FabricReport, error) {
 			case errors.Is(err, rt.ErrPortDown), errors.Is(err, cf.ErrNoMiddle):
 				rep.Rejected++
 			default:
-				return rep, fmt.Errorf("chaos: fabric slot %d: Admit = %v (seed %d)", slot, err, cfg.Seed)
+				return rep, fmt.Errorf("chaos: fabric slot %d: Admit = %v (seed %d)", slot, err, seed)
 			}
 		}
 
 		// Tick runs the fabric-wide conservation audit itself.
 		if err := f.Tick(); err != nil {
-			return rep, fmt.Errorf("%w (seed %d)", err, cfg.Seed)
+			return rep, fmt.Errorf("%w (seed %d)", err, seed)
 		}
 		if r := f.Resident(); r > rep.MaxResident {
 			rep.MaxResident = r
@@ -165,9 +148,9 @@ func RunFabric(cfg FabricConfig) (*FabricReport, error) {
 		}
 	}
 	f.Close()
-	left, err := f.Drain(20 * n * cfg.VOQCap)
+	left, err := f.Drain(20 * n * cfg.Engine.VOQCap)
 	if err != nil {
-		return rep, fmt.Errorf("%w (seed %d)", err, cfg.Seed)
+		return rep, fmt.Errorf("%w (seed %d)", err, seed)
 	}
 	rep.Undrained = left
 	rep.Injected = st.Injected.Value()
@@ -176,14 +159,14 @@ func RunFabric(cfg FabricConfig) (*FabricReport, error) {
 	rep.LinkNacks = st.LinkNacks.Value()
 	if rep.Injected != rep.Delivered+rep.Dropped+rep.Undrained {
 		return rep, fmt.Errorf("chaos: fabric shutdown accounting broken: injected %d != delivered %d + dropped %d + undrained %d (seed %d)",
-			rep.Injected, rep.Delivered, rep.Dropped, rep.Undrained, cfg.Seed)
+			rep.Injected, rep.Delivered, rep.Dropped, rep.Undrained, seed)
 	}
 	if rep.Undrained != 0 {
 		return rep, fmt.Errorf("chaos: fabric failed to drain after recovery: %d frames resident (seed %d)",
-			rep.Undrained, cfg.Seed)
+			rep.Undrained, seed)
 	}
-	if cfg.Policy == rt.HoldStranded && rep.Dropped != 0 {
-		return rep, fmt.Errorf("chaos: hold policy dropped %d frames (seed %d)", rep.Dropped, cfg.Seed)
+	if cfg.Engine.FaultPolicy == rt.HoldStranded && rep.Dropped != 0 {
+		return rep, fmt.Errorf("chaos: hold policy dropped %d frames (seed %d)", rep.Dropped, seed)
 	}
 	return rep, nil
 }

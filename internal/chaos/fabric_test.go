@@ -17,7 +17,7 @@ func pinnedFabric(t *testing.T, cfg FabricConfig, want FabricReport) *FabricRepo
 	t.Helper()
 	rep, err := RunFabric(cfg)
 	if err != nil {
-		reportSeed(t, cfg.Seed, cfg, err)
+		reportSeed(t, cfg.Engine.Seed, cfg, err)
 	}
 	if *rep != want {
 		t.Fatalf("%+v\nreport moved:\n got  %+v\n want %+v", cfg, *rep, want)
@@ -54,11 +54,8 @@ func TestFabricChaosMiddleKill10k(t *testing.T) {
 			for s, sel := range selects {
 				t.Run(sel.String(), func(t *testing.T) {
 					cfg := FabricConfig{
-						M: 4, K: 2, R: 4,
+						Config:   cf.Config{M: 4, K: 2, R: 4, Engine: rt.Spec{Seed: 0xFAB, FaultPolicy: policy}, Select: sel},
 						Slots:    10_000,
-						Seed:     0xFAB,
-						Policy:   policy,
-						Select:   sel,
 						KillRate: 0.01,
 						MeanDead: 150,
 					}
@@ -104,11 +101,8 @@ func TestFabricChaosSeeds(t *testing.T) {
 		seed := uint64(k + 1)
 		for s, sel := range selects {
 			pinnedFabric(t, FabricConfig{
-				M: 3, K: 2, R: 3,
+				Config:   cf.Config{M: 3, K: 2, R: 3, Engine: rt.Spec{Seed: seed, FaultPolicy: rt.FaultPolicy(seed % 2)}, Select: sel},
 				Slots:    2_000,
-				Seed:     seed,
-				Policy:   rt.FaultPolicy(seed % 2),
-				Select:   sel,
 				KillRate: 0.02,
 				MeanDead: 80,
 			}, want[s])
@@ -119,7 +113,7 @@ func TestFabricChaosSeeds(t *testing.T) {
 // TestFabricChaosDeterminism replays one seed twice against its golden —
 // the property that makes a persisted failing seed replayable.
 func TestFabricChaosDeterminism(t *testing.T) {
-	cfg := FabricConfig{M: 3, K: 2, R: 3, Slots: 3_000, Seed: 7, KillRate: 0.02}
+	cfg := FabricConfig{Config: cf.Config{M: 3, K: 2, R: 3, Engine: rt.Spec{Seed: 7}}, Slots: 3_000, KillRate: 0.02}
 	want := FabricReport{Slots: 3000, Injected: 10474, Delivered: 10474, Backpressured: 271, LinkNacks: 6662, MaxResident: 114, Kills: 29}
 	pinnedFabric(t, cfg, want)
 	pinnedFabric(t, cfg, want)
@@ -127,10 +121,10 @@ func TestFabricChaosDeterminism(t *testing.T) {
 
 // TestFabricConfigValidation checks RunFabric refuses nonsense.
 func TestFabricConfigValidation(t *testing.T) {
-	if _, err := RunFabric(FabricConfig{M: 2, K: 2, R: 2, Slots: 0}); err == nil {
+	if _, err := RunFabric(FabricConfig{Config: cf.Config{M: 2, K: 2, R: 2}, Slots: 0}); err == nil {
 		t.Error("zero slots accepted")
 	}
-	if _, err := RunFabric(FabricConfig{M: 1, K: 2, R: 2, Slots: 10}); err == nil {
+	if _, err := RunFabric(FabricConfig{Config: cf.Config{M: 1, K: 2, R: 2}, Slots: 10}); err == nil {
 		t.Error("blocking topology accepted")
 	}
 }

@@ -31,15 +31,15 @@ func TestChaosMatrix(t *testing.T) {
 		{"flows+classes", func(c *Config) { flows(c); classes(c) }}, // four request shapes, one door
 	}
 	policies := []axis{
-		{"hold", func(c *Config) { c.Policy = rt.HoldStranded }},
-		{"drop", func(c *Config) { c.Policy = rt.DropStranded }},
+		{"hold", func(c *Config) { c.FaultPolicy = rt.HoldStranded }},
+		{"drop", func(c *Config) { c.FaultPolicy = rt.DropStranded }},
 	}
 
 	cells := 0
 	for _, dp := range datapaths {
 		for _, tier := range tiers {
 			for _, policy := range policies {
-				cfg := Config{N: 8, Slots: 2_500, Seed: 0x17}
+				cfg := Config{Spec: rt.Spec{N: 8, Seed: 0x17}, Slots: 2_500}
 				name := make([]string, 0, 3)
 				for _, a := range []axis{dp, tier, policy} {
 					a.set(&cfg)
@@ -95,8 +95,8 @@ func TestComposedChaos10k(t *testing.T) {
 	for _, policy := range []rt.FaultPolicy{rt.HoldStranded, rt.DropStranded} {
 		t.Run(policy.String(), func(t *testing.T) {
 			cfg := Config{
-				N: 8, Slots: 10_000, Seed: 0xC0FFEE, Policy: policy,
-				Flows: 512, Classes: stormClasses, Mix: []float64{4, 2, 1}, ComposedOnly: true,
+				Spec:  rt.Spec{N: 8, Seed: 0xC0FFEE, FaultPolicy: policy, Flows: 512, Classes: stormClasses},
+				Slots: 10_000, Mix: []float64{4, 2, 1}, ComposedOnly: true,
 			}
 			rep := pinned(t, cfg, want[policy])
 			exercised(t, cfg, rep)

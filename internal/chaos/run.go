@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/conserve"
 	"repro/internal/flowtable"
-	"repro/internal/pifo"
 	"repro/internal/rng"
 	rt "repro/internal/runtime"
 	"repro/internal/traffic"
@@ -39,7 +38,7 @@ func Run(cfg Config) (*Report, error) {
 		return nil, err
 	}
 	n := cfg.N
-	sch, err := newScheduler(cfg.Scheduler, n, cfg.Seed)
+	ecfg, err := cfg.Build()
 	if err != nil {
 		return nil, err
 	}
@@ -67,20 +66,16 @@ func Run(cfg Config) (*Report, error) {
 	if flowsOn {
 		zipf = traffic.NewZipf(cfg.Population, cfg.Skew, cfg.Seed^0xF10F)
 	}
-	var classes []pifo.Class
 	var mix *traffic.Weighted
 	if classesOn {
-		if classes, err = pifo.ParseClasses(cfg.Classes); err != nil {
-			return nil, err
-		}
 		if cfg.Mix == nil {
-			cfg.Mix = make([]float64, len(classes))
+			cfg.Mix = make([]float64, len(ecfg.Classes))
 			for c := range cfg.Mix {
 				cfg.Mix[c] = 1
 			}
 		}
-		if len(cfg.Mix) != len(classes) {
-			return nil, fmt.Errorf("chaos: mix names %d classes, spec has %d", len(cfg.Mix), len(classes))
+		if len(cfg.Mix) != len(ecfg.Classes) {
+			return nil, fmt.Errorf("chaos: mix names %d classes, spec has %d", len(cfg.Mix), len(ecfg.Classes))
 		}
 		if mix, err = traffic.NewWeighted(cfg.Mix); err != nil {
 			return nil, err
@@ -91,27 +86,12 @@ func Run(cfg Config) (*Report, error) {
 	shapeRng := rng.NewPCG32(cfg.Seed, 0xD008)
 
 	var grantErr error
-	e, err := rt.New(rt.Config{
-		N:           n,
-		Scheduler:   sch, // the cicq datapath arbitrates locally and ignores it
-		Datapath:    cfg.Datapath,
-		XPCap:       cfg.XPCap,
-		VOQCap:      cfg.VOQCap,
-		OutCap:      cfg.OutCap,
-		FaultPolicy: cfg.Policy,
-		Flows:       cfg.Flows,
-		FlowPolicy:  cfg.FlowPolicy,
-		FlowShards:  cfg.FlowShards,
-		FlowSeed:    cfg.Seed,
-		Classes:     classes,
-		Rank:        cfg.Rank,
-		ClassQCap:   cfg.ClassQCap,
-		OnSlot: func(ev rt.SlotEvent) {
-			if grantErr == nil {
-				grantErr = plan.checkGrants(ev.Slot, ev.Grants)
-			}
-		},
-	})
+	ecfg.OnSlot = func(ev rt.SlotEvent) {
+		if grantErr == nil {
+			grantErr = plan.checkGrants(ev.Slot, ev.Grants)
+		}
+	}
+	e, err := rt.New(ecfg)
 	if err != nil {
 		return nil, err
 	}
@@ -119,7 +99,7 @@ func Run(cfg Config) (*Report, error) {
 	// after every eviction sweep (an evicted flow may legitimately be
 	// re-steered anywhere on return).
 	stick := make(map[uint64]int)
-	rehome := cfg.Policy == rt.DropStranded
+	rehome := cfg.FaultPolicy == rt.DropStranded
 	st := e.Stats()
 	var seq uint64
 	var classAdmits int

@@ -3,6 +3,8 @@ package closfabric
 import (
 	"strings"
 	"testing"
+
+	rt "repro/internal/runtime"
 )
 
 // newLoaded builds a C(2,2,2) fabric with one frame admitted and carried
@@ -10,7 +12,7 @@ import (
 // over the books.
 func newLoaded(t *testing.T) *Fabric {
 	t.Helper()
-	f, err := New(Config{M: 2, K: 2, R: 2, Seed: 1})
+	f, err := New(Config{M: 2, K: 2, R: 2, Engine: rt.Spec{Seed: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}

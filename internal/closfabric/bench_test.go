@@ -5,6 +5,7 @@ import (
 
 	cf "repro/internal/closfabric"
 	"repro/internal/rng"
+	rt "repro/internal/runtime"
 )
 
 // benchmarkFabricSlot measures one full fabric slot — admissions, the two
@@ -14,7 +15,7 @@ import (
 func benchmarkFabricSlot(b *testing.B, m, k, r int, load float64) {
 	f, err := cf.New(cf.Config{
 		M: m, K: k, R: r,
-		Seed:   1,
+		Engine: rt.Spec{Seed: 1},
 		Select: cf.SelectLeastBacklogged,
 	})
 	if err != nil {

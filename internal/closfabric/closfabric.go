@@ -70,11 +70,10 @@ import (
 
 	"repro/internal/clos"
 	"repro/internal/conserve"
+	"repro/internal/datapath"
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	rt "repro/internal/runtime"
-	"repro/internal/sched"
-	"repro/internal/sched/registry"
 )
 
 // Fabric-level admission errors. ErrBackpressure and ErrBadPort are the
@@ -87,6 +86,9 @@ var (
 	// ErrNoMiddle reports that every middle-stage switch is down: there is
 	// no path from any ingress to any egress.
 	ErrNoMiddle = errors.New("closfabric: no live middle-stage switch")
+	// ErrNotComposed reports an engine setting the fabric does not
+	// compose: its engines are plain VOQ switches it sizes itself.
+	ErrNotComposed = errors.New("closfabric: engine setting the fabric does not compose")
 )
 
 // MiddleSelect chooses how admission routes frames over the middle stage.
@@ -144,22 +146,14 @@ type Config struct {
 	// The topology must at least be rearrangeable (clos.Rearrangeable).
 	M, K, R int
 
-	// Scheduler is a sched registry name instantiated once per switch
-	// engine; every engine gets a distinct deterministic seed derived via
-	// SchedulerSeed. Default lcf_central_rr.
-	Scheduler  string
-	Iterations int
-	Seed       uint64
-
-	// VOQCap and OutCap are handed to every engine (runtime defaults
-	// apply when zero).
-	VOQCap, OutCap int
-
-	// Policy is every engine's disposition of frames stranded behind a
-	// failed link: HoldStranded parks them until recovery, DropStranded
-	// flushes them (the fabric counts the drops and frees their slab
-	// entries via the OnDropped hook).
-	Policy rt.FaultPolicy
+	// Engine is every switch engine's spec. The fabric sets each
+	// engine's N and derives its scheduler seed from Engine.Seed via
+	// SchedulerSeed; the rest applies to every engine as written. The
+	// fabric composes plain VOQ engines, so New rejects a spec that sets
+	// N, the cicq datapath, Flows or Classes (ErrNotComposed). Under
+	// FaultPolicy DropStranded the fabric counts the engines' drops and
+	// frees their slab entries via the OnDropped hook.
+	Engine rt.Spec
 
 	// Select picks the middle-stage routing policy.
 	Select MiddleSelect
@@ -181,8 +175,15 @@ type Config struct {
 }
 
 func (c *Config) normalize() error {
-	if c.Scheduler == "" {
-		c.Scheduler = "lcf_central_rr"
+	switch e := c.Engine; {
+	case e.N != 0:
+		return fmt.Errorf("%w: N %d (the fabric sizes each engine)", ErrNotComposed, e.N)
+	case e.Datapath == datapath.CICQ:
+		return fmt.Errorf("%w: datapath %s", ErrNotComposed, e.Datapath)
+	case e.Flows != 0:
+		return fmt.Errorf("%w: Flows %d", ErrNotComposed, e.Flows)
+	case e.Classes != "":
+		return fmt.Errorf("%w: Classes %q", ErrNotComposed, e.Classes)
 	}
 	if c.Select != SelectRoundRobin && c.Select != SelectLeastBacklogged {
 		return fmt.Errorf("closfabric: unknown middle selection %d", int(c.Select))
@@ -337,21 +338,13 @@ func New(cfg Config) (*Fabric, error) {
 }
 
 func (f *Fabric) newEngine(stage uint8, idx, size int) (*rt.Engine, error) {
-	s, err := registry.New(f.cfg.Scheduler, size, sched.Options{
-		Iterations: f.cfg.Iterations,
-		Seed:       SchedulerSeed(f.cfg.Seed, stage, idx),
-	})
+	spec := f.cfg.Engine
+	spec.N, spec.Seed = size, SchedulerSeed(spec.Seed, stage, idx)
+	ecfg, err := spec.Build()
 	if err != nil {
 		return nil, fmt.Errorf("closfabric: stage %d switch %d: %w", stage, idx, err)
 	}
-	ecfg := rt.Config{
-		N:           size,
-		Scheduler:   s,
-		VOQCap:      f.cfg.VOQCap,
-		OutCap:      f.cfg.OutCap,
-		FaultPolicy: f.cfg.Policy,
-		OnDropped:   f.onEngineDrop,
-	}
+	ecfg.OnDropped = f.onEngineDrop
 	if f.cfg.TracerFor != nil {
 		ecfg.Tracer = f.cfg.TracerFor(stage, idx, size)
 	}
@@ -536,7 +529,7 @@ func (f *Fabric) moveLink(h *hold, up <-chan rt.Frame, admit func(fr rt.Frame, d
 		h.full = false
 	case errors.Is(err, rt.ErrBackpressure), errors.Is(err, rt.ErrPortDown):
 		f.met.LinkNacks.Inc()
-		if errors.Is(err, rt.ErrPortDown) && f.cfg.Policy == rt.DropStranded {
+		if errors.Is(err, rt.ErrPortDown) && f.cfg.Engine.FaultPolicy == rt.DropStranded {
 			// The link drops the frame like the engines drop their
 			// stranded VOQs.
 			f.freeSlab(int(h.fr.Seq))

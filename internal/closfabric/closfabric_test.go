@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	cf "repro/internal/closfabric"
+	"repro/internal/datapath"
 	"repro/internal/rng"
 	rt "repro/internal/runtime"
 )
@@ -41,7 +42,7 @@ func TestFabricDeliversEndToEnd(t *testing.T) {
 	}
 	deliveries := make(map[int]got)
 	f, err := cf.New(cf.Config{
-		M: 2, K: 2, R: 2, Seed: 1,
+		M: 2, K: 2, R: 2, Engine: rt.Spec{Seed: 1},
 		OnDeliver: func(d cf.Delivery) {
 			if _, dup := deliveries[d.Dst]; dup {
 				t.Fatalf("output %d delivered twice", d.Dst)
@@ -89,9 +90,8 @@ func TestFabricSustainsLoad09Uniform(t *testing.T) {
 	)
 	f, err := cf.New(cf.Config{
 		M: 4, K: 4, R: 4,
-		Seed:   42,
+		Engine: rt.Spec{Seed: 42, FaultPolicy: rt.HoldStranded},
 		Select: cf.SelectLeastBacklogged,
-		Policy: rt.HoldStranded,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -132,7 +132,7 @@ func TestFabricSustainsLoad09Uniform(t *testing.T) {
 // TestFabricRoundRobinSpreadsMiddles checks the oblivious routing policy:
 // a steady single-source flow must spread across every live middle switch.
 func TestFabricRoundRobinSpreadsMiddles(t *testing.T) {
-	f, err := cf.New(cf.Config{M: 4, K: 2, R: 2, Seed: 3, Select: cf.SelectRoundRobin})
+	f, err := cf.New(cf.Config{M: 4, K: 2, R: 2, Engine: rt.Spec{Seed: 3}, Select: cf.SelectRoundRobin})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestFabricRoundRobinSpreadsMiddles(t *testing.T) {
 // with one middle switch artificially congested, new admissions choose
 // the others.
 func TestFabricLeastBackloggedAvoidsLoadedMiddle(t *testing.T) {
-	f, err := cf.New(cf.Config{M: 2, K: 2, R: 2, Seed: 5, Select: cf.SelectLeastBacklogged})
+	f, err := cf.New(cf.Config{M: 2, K: 2, R: 2, Engine: rt.Spec{Seed: 5}, Select: cf.SelectLeastBacklogged})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func TestFabricLeastBackloggedAvoidsLoadedMiddle(t *testing.T) {
 // TestFabricAllMiddlesDown checks the no-path refusal: with every middle
 // switch failed, Admit returns ErrNoMiddle and counts a rejection.
 func TestFabricAllMiddlesDown(t *testing.T) {
-	f, err := cf.New(cf.Config{M: 2, K: 2, R: 2, Seed: 9})
+	f, err := cf.New(cf.Config{M: 2, K: 2, R: 2, Engine: rt.Spec{Seed: 9}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,9 +218,9 @@ func TestFabricAllMiddlesDown(t *testing.T) {
 // through recovery — zero loss end to end, conservation every slot.
 func TestFabricHoldSurvivesMiddleFailure(t *testing.T) {
 	f, err := cf.New(cf.Config{
-		M: 2, K: 2, R: 2, Seed: 11,
+		M: 2, K: 2, R: 2,
+		Engine: rt.Spec{Seed: 11, FaultPolicy: rt.HoldStranded},
 		Select: cf.SelectRoundRobin,
-		Policy: rt.HoldStranded,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -267,9 +267,9 @@ func TestFabricHoldSurvivesMiddleFailure(t *testing.T) {
 // contract).
 func TestFabricDropPolicyAccountsMiddleFailure(t *testing.T) {
 	f, err := cf.New(cf.Config{
-		M: 2, K: 2, R: 2, Seed: 13,
+		M: 2, K: 2, R: 2,
+		Engine: rt.Spec{Seed: 13, FaultPolicy: rt.DropStranded},
 		Select: cf.SelectRoundRobin,
-		Policy: rt.DropStranded,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -303,17 +303,31 @@ func TestFabricDropPolicyAccountsMiddleFailure(t *testing.T) {
 
 // TestFabricConfigValidation checks constructor refusals: blocking
 // topologies (clos.Rearrangeable false), unknown schedulers and oversized
-// port spaces never produce a half-built fabric.
+// port spaces never produce a half-built fabric, and an engine spec the
+// fabric does not compose is refused with ErrNotComposed.
 func TestFabricConfigValidation(t *testing.T) {
-	cases := []cf.Config{
-		{M: 1, K: 2, R: 2},                        // m < k: not rearrangeable
-		{M: 2, K: 2, R: 2, Scheduler: "no_such"},  // unknown scheduler
-		{M: 2, K: 0, R: 2},                        // degenerate k
-		{M: 2, K: 2, R: 2, Select: MiddleSelect3}, // unknown selection
+	cases := []struct {
+		cfg         cf.Config
+		notComposed bool
+	}{
+		{cf.Config{M: 1, K: 2, R: 2}, false},                                        // m < k: not rearrangeable
+		{cf.Config{M: 2, K: 2, R: 2, Engine: rt.Spec{Scheduler: "no_such"}}, false}, // unknown scheduler
+		{cf.Config{M: 2, K: 0, R: 2}, false},                                        // degenerate k
+		{cf.Config{M: 2, K: 2, R: 2, Select: MiddleSelect3}, false},                 // unknown selection
+		{cf.Config{M: 2, K: 2, R: 2, Engine: rt.Spec{Iterations: -1}}, false},       // negative iterations
+		{cf.Config{M: 2, K: 2, R: 2, Engine: rt.Spec{N: 4}}, true},                  // the fabric sizes its engines
+		{cf.Config{M: 2, K: 2, R: 2, Engine: rt.Spec{Datapath: datapath.CICQ}}, true},
+		{cf.Config{M: 2, K: 2, R: 2, Engine: rt.Spec{Flows: 64}}, true},
+		{cf.Config{M: 2, K: 2, R: 2, Engine: rt.Spec{Classes: "rt:0,bulk:1"}}, true},
 	}
-	for i, cfg := range cases {
-		if _, err := cf.New(cfg); err == nil {
-			t.Errorf("case %d: New(%+v) accepted an invalid config", i, cfg)
+	for i, tc := range cases {
+		_, err := cf.New(tc.cfg)
+		if err == nil {
+			t.Errorf("case %d: New(%+v) accepted an invalid config", i, tc.cfg)
+			continue
+		}
+		if got := errors.Is(err, cf.ErrNotComposed); got != tc.notComposed {
+			t.Errorf("case %d: New(%+v) = %v; errors.Is(ErrNotComposed) = %t, want %t", i, tc.cfg, err, got, tc.notComposed)
 		}
 	}
 }

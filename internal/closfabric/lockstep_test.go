@@ -53,9 +53,7 @@ func lockstepDegenerate(t *testing.T, schedName string) {
 	fabDel := make([][]del, n)
 	f, err := cf.New(cf.Config{
 		M: 1, K: 1, R: n,
-		Scheduler:  schedName,
-		Iterations: 4,
-		Seed:       seed,
+		Engine: rt.Spec{Scheduler: schedName, Iterations: 4, Seed: seed},
 		OnStageSlot: func(stage uint8, idx int, ev rt.SlotEvent) {
 			if stage == cf.StageMiddle {
 				fabGrants = append(fabGrants, slices.Clone(ev.Grants.Src))

@@ -22,13 +22,13 @@ func (f *Fabric) Register(r *obs.Registry) {
 	r.GaugeVec("fab_info", "Static fabric info; value is always 1. Labels carry the Clos dimensions, scheduler, middle-selection policy and fault policy.", func() []obs.Sample {
 		return []obs.Sample{{
 			Labels: obs.Labels(
-				"scheduler", f.cfg.Scheduler,
+				"scheduler", f.ingress[0].SchedulerName(),
 				"m", strconv.Itoa(f.m),
 				"k", strconv.Itoa(f.k),
 				"r", strconv.Itoa(f.r),
 				"n", strconv.Itoa(f.n),
 				"select", f.cfg.Select.String(),
-				"policy", f.cfg.Policy.String(),
+				"policy", f.cfg.Engine.FaultPolicy.String(),
 			),
 			Value: 1,
 		}}

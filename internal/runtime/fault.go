@@ -44,6 +44,16 @@ func (p FaultPolicy) String() string {
 	}
 }
 
+// ParseFaultPolicy is String's inverse: "hold" or "drop".
+func ParseFaultPolicy(s string) (FaultPolicy, error) {
+	for _, p := range []FaultPolicy{HoldStranded, DropStranded} {
+		if s == p.String() {
+			return p, nil
+		}
+	}
+	return 0, fmt.Errorf("runtime: -fault-policy must be hold or drop (got %q)", s)
+}
+
 // faultTransition is one pending link-state change, recorded by the
 // Fail*/Recover* setters and applied by the arbiter at the next slot top.
 type faultTransition struct {

@@ -58,6 +58,7 @@ package runtime
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -127,8 +128,8 @@ type Config struct {
 	// independent per-input dispatch and per-output pull arbiters). See
 	// internal/datapath.Names.
 	Datapath string
-	// XPCap bounds each crosspoint buffer ("cicq" only; 0 means
-	// datapath.DefaultXPCap).
+	// XPCap bounds each crosspoint buffer ("cicq" only, an error on
+	// "voq"; 0 means datapath.DefaultXPCap).
 	XPCap int
 
 	// VOQCap bounds each of the n² VOQs; Admit returns ErrBackpressure
@@ -230,13 +231,18 @@ func (c *Config) normalize() error {
 		return fmt.Errorf("runtime: port count %d", c.N)
 	}
 	if !datapath.Known(c.Datapath) {
-		return fmt.Errorf("runtime: unknown datapath %q (known: %v)", c.Datapath, datapath.Names())
+		return fmt.Errorf("runtime: -datapath must be one of %s (got %q)", strings.Join(datapath.Names(), ", "), c.Datapath)
 	}
 	if c.Scheduler == nil && c.Datapath != datapath.CICQ {
 		return fmt.Errorf("runtime: no scheduler")
 	}
 	if c.Scheduler != nil && c.Scheduler.N() != c.N {
 		return fmt.Errorf("runtime: scheduler for %d ports, engine has %d", c.Scheduler.N(), c.N)
+	}
+	if c.XPCap != 0 && c.Datapath != datapath.CICQ {
+		// Crosspoint tuning without crosspoint buffers is a
+		// misconfiguration, not a silent no-op.
+		return fmt.Errorf("runtime: -xpcap requires -datapath cicq (XPCap %d)", c.XPCap)
 	}
 	if c.XPCap < 0 {
 		return fmt.Errorf("runtime: negative crosspoint capacity %d", c.XPCap)
@@ -259,15 +265,19 @@ func (c *Config) normalize() error {
 	if c.Flows < 0 {
 		return fmt.Errorf("runtime: negative flow capacity %d", c.Flows)
 	}
+	// Tuning a tier that is off is a misconfiguration too.
 	if c.Flows == 0 && c.FlowPolicy != "" {
-		return fmt.Errorf("runtime: FlowPolicy %q set without Flows (enable the flow tier with Flows > 0)", c.FlowPolicy)
+		return fmt.Errorf("runtime: -flow-policy requires -flows > 0 (FlowPolicy %q set without Flows)", c.FlowPolicy)
+	}
+	if _, err := flowtable.NewPolicy(c.FlowPolicy); err != nil {
+		return fmt.Errorf("runtime: -flow-policy: %w", err)
 	}
 	if len(c.Classes) == 0 {
 		if c.Rank != "" {
-			return fmt.Errorf("runtime: Rank %q set without Classes (enable the class tier with a class list)", c.Rank)
+			return fmt.Errorf("runtime: -rank requires -classes (Rank %q set without Classes)", c.Rank)
 		}
 		if c.ClassQCap != 0 {
-			return fmt.Errorf("runtime: ClassQCap %d set without Classes", c.ClassQCap)
+			return fmt.Errorf("runtime: -classqcap requires -classes (ClassQCap %d set without Classes)", c.ClassQCap)
 		}
 	} else {
 		if err := pifo.ValidateClasses(c.Classes); err != nil {

@@ -24,15 +24,13 @@ func TestParkProtocol(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ticker := time.NewTicker(time.Hour)
-	defer ticker.Stop()
 
 	// park runs on its own goroutine so a wrong block is a test failure,
 	// not a hang; returned reports whether it came back.
 	park := func() (returned chan struct{}) {
 		returned = make(chan struct{})
 		go func() {
-			e.park(ticker)
+			e.park()
 			close(returned)
 		}()
 		return returned

@@ -40,11 +40,11 @@
 // The slot scratch inside the core is arbiter-only.
 //
 // Two clocking modes share all of that machinery. With Config.SlotPeriod >
-// 0, Start launches the arbiter on a time.Ticker (the live mode cmd/lcfd
-// uses). With SlotPeriod == 0 the engine is in lockstep mode: the caller
-// advances slots one Tick at a time, which is what makes the engine
-// testable against the offline simulator slot for slot (see
-// TestRuntimeMatchesSimswitch).
+// 0, Start launches the arbiter on a deadline clock (the live mode
+// cmd/lcfd uses; see slotClock). With SlotPeriod == 0 the engine is in
+// lockstep mode: the caller advances slots one Tick at a time, which is
+// what makes the engine testable against the offline simulator slot for
+// slot (see TestRuntimeMatchesSimswitch).
 //
 // Timing convention (vs simswitch): a slot runs snapshot → schedule →
 // dispatch. Admissions are linearized at the snapshot — a frame admitted
@@ -58,6 +58,7 @@ package runtime
 import (
 	"errors"
 	"fmt"
+	goruntime "runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -193,9 +194,9 @@ type Config struct {
 	// asks for all of it up front.
 	ClassQCap int
 
-	// SlotPeriod > 0 selects live mode: Start runs the arbiter on a
-	// ticker with this period. 0 selects lockstep mode: the caller drives
-	// slots via Tick.
+	// SlotPeriod > 0 selects live mode: Start runs the arbiter one slot
+	// per period. 0 selects lockstep mode: the caller drives slots via
+	// Tick.
 	SlotPeriod time.Duration
 
 	// FaultPolicy selects the disposition of frames stranded in VOQs
@@ -307,6 +308,11 @@ type Engine struct {
 	dp   switchcore.Datapath[Frame]
 	inMu []sync.Mutex
 
+	// snapped[i] reports that input i's last SnapshotRow found a
+	// non-empty row, so its slot scratch may hold requests (see snapshot).
+	// Arbiter-only.
+	snapped []bool
+
 	outs []chan Frame
 
 	slot    atomic.Int64
@@ -415,14 +421,15 @@ func New(cfg Config) (*Engine, error) {
 		return nil, err
 	}
 	e := &Engine{
-		cfg:  cfg,
-		n:    n,
-		dp:   dp,
-		inMu: make([]sync.Mutex, n),
-		outs: make([]chan Frame, n),
-		wake: make(chan struct{}, 1),
-		stop: make(chan struct{}),
-		done: make(chan struct{}),
+		cfg:     cfg,
+		n:       n,
+		dp:      dp,
+		inMu:    make([]sync.Mutex, n),
+		snapped: make([]bool, n),
+		outs:    make([]chan Frame, n),
+		wake:    make(chan struct{}, 1),
+		stop:    make(chan struct{}),
+		done:    make(chan struct{}),
 	}
 	e.fault.init(n)
 	for j := range e.outs {
@@ -434,10 +441,11 @@ func New(cfg Config) (*Engine, error) {
 		PerOutputDelivered:    make([]metrics.Counter, n),
 		PerInputBacklog:       make([]metrics.Gauge, n),
 		// Depth buckets 1,2,4,…,VOQCap; match-size buckets 0..n (one per
-		// possible cardinality); latency buckets 1µs…~4ms.
+		// possible cardinality); latency buckets 125ns…~4ms, fine enough
+		// at the low end to resolve a 1–2 µs slot.
 		VOQDepth:    metrics.NewLiveHistogram(metrics.ExponentialBounds(1, 2, depthBuckets(cfg.VOQCap))),
 		MatchSize:   metrics.NewLiveHistogram(metrics.LinearBounds(0, 1, n+1)),
-		SlotLatency: metrics.NewLiveHistogram(metrics.ExponentialBounds(1000, 2, 13)),
+		SlotLatency: metrics.NewLiveHistogram(metrics.ExponentialBounds(125, 2, 16)),
 	}
 	if cfg.Flows > 0 {
 		// Rehome follows the fault policy: under hold, stranded frames
@@ -698,26 +706,26 @@ func (e *Engine) Start() error {
 	return nil
 }
 
-// run is the live arbiter: one slot per tick while there is anything to
-// do, none at all while the switch is empty. The ticker already drops the
-// ticks a slow slot cannot serve; ticks with nothing queued join them, so
-// the slot counter and every per-slot instrument see only slots that ran.
+// run is the live arbiter: one slot per period while there is anything to
+// do, none at all while the switch is empty. The clock drops the periods
+// a slow slot overruns, and a parked arbiter runs none, so the slot
+// counter and every per-slot instrument see only slots that ran. The
+// first slot is due one period after Start; the first after a park runs
+// at once if a period has passed since the last one started, and waits
+// out the rest of it otherwise, so slots are never closer together than
+// SlotPeriod across a park.
 func (e *Engine) run() {
-	ticker := time.NewTicker(e.cfg.SlotPeriod)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-e.stop:
-			e.drain(func() { time.Sleep(e.cfg.SlotPeriod) })
-			close(e.done)
-			return
-		case <-ticker.C:
-			e.tick()
-			if e.idle() {
-				e.park(ticker)
-			}
+	clk := slotClock{period: e.cfg.SlotPeriod, next: time.Now().Add(e.cfg.SlotPeriod)}
+	for clk.wait(e.stop) {
+		matched := e.tick()
+		idle := e.idle()
+		clk.advance(matched == 0 && !idle)
+		if idle {
+			e.park()
 		}
 	}
+	e.drain(&clk)
+	close(e.done)
 }
 
 // idle reports that a slot would find nothing to do: no frame anywhere in
@@ -729,32 +737,22 @@ func (e *Engine) idle() bool {
 	return e.met.Backlog.Value() == 0 && e.fault.gen.Load() == e.fault.applied
 }
 
-// park stops the ticker and blocks the arbiter until wakeArbiter or Close.
-// A ticker left running keeps a processor awake every period — a whole
-// core at a microsecond slot — so it is stopped, not ignored. The flag is
+// park blocks the arbiter until wakeArbiter or Close. An arbiter that
+// polled an empty switch would keep a processor awake every period — a
+// whole core at a microsecond slot — so it blocks instead. The flag is
 // published before the emptiness re-check and wakers publish their work
 // before reading the flag, both sequentially consistent: either the waker
-// sees parked and sends the token, or the re-check sees its work. The
-// first slot after a park runs at the next tick of the restarted ticker,
-// so slots are never closer together than SlotPeriod.
-func (e *Engine) park(ticker *time.Ticker) {
-	ticker.Stop()
+// sees parked and sends the token, or the re-check sees its work.
+func (e *Engine) park() {
 	e.parked.Store(true)
 	if e.idle() {
 		e.met.Parks.Inc()
 		select {
 		case <-e.wake:
-		case <-e.stop: // run's select sees it next
+		case <-e.stop: // run's clock sees it next
 		}
 	}
 	e.parked.Store(false)
-	ticker.Reset(e.cfg.SlotPeriod)
-	// go.mod's go 1.22 selects buffered timer channels: a tick sent just
-	// before Stop is still there, and would run a slot early.
-	select {
-	case <-ticker.C:
-	default:
-	}
 }
 
 // wakeArbiter is the waker's half of park: called after the caller's work
@@ -770,39 +768,45 @@ func (e *Engine) wakeArbiter() {
 	}
 }
 
-// drain keeps ticking until the switch is empty or the drain bound (see
-// Close) or a stall (no backlog progress with nothing deliverable, i.e.
-// consumers gone) cuts it short. wait paces the drain ticks in live mode.
-func (e *Engine) drain(wait func()) {
-	// A pair holds at most its VOQ, its PIFO (class engines) and its
-	// crosspoint buffer (CICQ engines).
-	pairCap := e.cfg.VOQCap + e.cfg.ClassQCap
-	if e.cfg.Datapath == datapath.CICQ {
-		xp := e.cfg.XPCap
-		if xp == 0 {
-			xp = datapath.DefaultXPCap
-		}
-		pairCap += xp
-	}
-	stalled := 0
+// stallFloor is the wall time a drain waits without progress before it
+// gives up on the frames left: long enough that a consumer which is
+// behind — descheduled, collecting garbage — is not taken for one that
+// is gone.
+const stallFloor = 10 * time.Millisecond
+
+// drain keeps ticking until the switch is empty or stalls. Backlog can
+// only fall during a drain (admission is closed), so a stall — no frame
+// delivered or dropped for more than 2n slots and at least stallFloor —
+// means every remaining frame is stuck behind a failed link or an output
+// channel nobody reads. A live drain (clk non-nil) is paced by the
+// arbiter's clock, exactly as run paces its slots; a lockstep drain ticks
+// at full speed and yields after a slot that moved nothing, so a consumer
+// sharing the processor gets to run.
+func (e *Engine) drain(clk *slotClock) {
+	stalled, since := 0, time.Time{}
 	last := e.met.Backlog.Value()
-	for s := 0; s < 4*e.n*pairCap && last > 0; s++ {
+	for last > 0 {
+		if clk != nil {
+			clk.wait(nil)
+		}
 		e.tick()
 		cur := e.met.Backlog.Value()
-		if cur >= last {
-			stalled++
-			// Backlog can only fall during drain (admission is closed).
-			// 2n no-progress slots means every remaining frame is stuck
-			// behind a full output channel nobody is reading.
-			if stalled > 2*e.n {
+		moved := cur < last
+		last = cur
+		if moved {
+			stalled = 0
+		} else {
+			if stalled == 0 {
+				since = time.Now()
+			}
+			if stalled++; stalled > 2*e.n && time.Since(since) >= stallFloor {
 				break
 			}
-		} else {
-			stalled = 0
 		}
-		last = cur
-		if wait != nil {
-			wait()
+		if clk != nil {
+			clk.advance(!moved)
+		} else if !moved {
+			goruntime.Gosched()
 		}
 	}
 	// Whatever is still queued — frames held behind failed links, or
@@ -818,10 +822,11 @@ func (e *Engine) drain(wait func()) {
 // closes the output channels. It blocks until the drain completes. Safe to
 // call more than once.
 //
-// The drain ticks until the switch is empty or 4·n·(VOQCap + ClassQCap +
-// the crosspoint capacity) extra slots have elapsed, whichever comes
-// first — enough to drain every pair's VOQ, PIFO and crosspoint buffer
-// even under total output contention.
+// The drain ticks until the switch is empty or no frame has left it for
+// 2n slots and 10 ms, whichever comes first: a consumer that keeps reading
+// is waited for, however slowly it reads, and frames stuck behind an
+// output nobody reads or a failed link are counted in Stats.Undrained.
+// A live engine drains on its slot clock, a lockstep one at full speed.
 func (e *Engine) Close() {
 	e.stopOnce.Do(func() {
 		e.closed.Store(true)
@@ -847,8 +852,9 @@ func (e *Engine) Close() {
 
 // tick is one slot of the arbiter: apply faults → sweep stranded → class
 // fill → mask full outputs → snapshot → arbitrate → dispatch →
-// metrics/trace/OnSlot (DESIGN.md §7).
-func (e *Engine) tick() {
+// metrics/trace/OnSlot (DESIGN.md §7). It returns the frames dispatched,
+// which the live clock reads.
+func (e *Engine) tick() (matched int) {
 	start := time.Now()
 	now := e.slot.Load()
 
@@ -875,7 +881,7 @@ func (e *Engine) tick() {
 	// pull arbiters and ignores the argument.
 	grants := e.dp.Arbitrate(e.cfg.Scheduler)
 
-	matched := e.dispatch(grants, now)
+	matched = e.dispatch(grants, now)
 
 	e.met.Requested.Add(int64(requested))
 	e.met.Matched.Add(int64(matched))
@@ -888,6 +894,7 @@ func (e *Engine) tick() {
 		e.cfg.OnSlot(SlotEvent{Slot: now, Grants: grants, Requested: requested, Matched: matched})
 	}
 	e.slot.Add(1)
+	return matched
 }
 
 // maskFullOutputs resets the per-slot output mask and masks every full
@@ -903,13 +910,24 @@ func (e *Engine) maskFullOutputs() {
 	}
 }
 
-// snapshot snapshots every input row and returns the summed
-// requested/masked/faulted counts: each input's occupancy row and queue
-// lengths are copied into the datapath's slot scratch under that input's
-// lock, so the scheduler reads only the snapshot, never state a
+// snapshot snapshots every input row that holds frames and returns the
+// summed requested/masked/faulted counts: each input's occupancy row and
+// queue lengths are copied into the datapath's slot scratch under that
+// input's lock, so the scheduler reads only the snapshot, never state a
 // concurrent Admit is writing.
+//
+// An input whose PerInputBacklog reads 0 (one atomic load, no lock) and
+// whose row was already empty at its last snapshot is skipped: its
+// scratch is still the clear row that snapshot left, which is what
+// SnapshotRow would write again, so the slot's work follows what is
+// queued rather than n. A row that emptied since gets one more
+// SnapshotRow, which clears it. An admission racing the load is
+// schedulable next slot, as one racing the lock always was.
 func (e *Engine) snapshot() (requested, masked, faulted int) {
 	for i := 0; i < e.n; i++ {
+		if !e.snapped[i] && e.met.PerInputBacklog[i].Value() == 0 {
+			continue
+		}
 		mu := &e.inMu[i]
 		mu.Lock()
 		row := e.dp.OccupiedRow(i)
@@ -917,6 +935,7 @@ func (e *Engine) snapshot() (requested, masked, faulted int) {
 			e.met.VOQDepth.Observe(float64(e.dp.Len(i, j)))
 		}
 		r, m, f := e.dp.SnapshotRow(i)
+		e.snapped[i] = r+m+f > 0
 		requested += r
 		masked += m
 		faulted += f

@@ -76,12 +76,12 @@ import (
 	"time"
 
 	"repro/internal/clint"
-	"repro/internal/datapath"
 	"repro/internal/flowtable"
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/pifo"
 	rt "repro/internal/runtime"
+	"repro/internal/switchcore"
 )
 
 func main() {
@@ -89,19 +89,18 @@ func main() {
 	// checks its rules. The rest belong to the daemon.
 	var spec rt.Spec
 	flag.StringVar(&spec.Scheduler, "sched", rt.DefaultScheduler, "scheduler (see lcfsim for the list; ignored with -datapath=cicq)")
-	flag.StringVar(&spec.Datapath, "datapath", datapath.VOQ, "switch datapath organization: "+strings.Join(datapath.Names(), " or ")+" (cicq buffers frames at the crosspoints and embeds the least-choice rule in per-port arbiters)")
+	flag.StringVar(&spec.Datapath, "datapath", switchcore.DatapathVOQ, "switch datapath organization: "+strings.Join(switchcore.Names(), " or ")+" (cicq buffers frames at the crosspoints and embeds the least-choice rule in per-port arbiters)")
 	flag.IntVar(&spec.XPCap, "xpcap", 0, "per-crosspoint buffer capacity (-datapath=cicq only)")
 	flag.IntVar(&spec.N, "n", 16, "switch port count (max 16: the grant frame's NodeID field is 4 bits)")
 	flag.IntVar(&spec.VOQCap, "voqcap", 256, "per-VOQ capacity (admission backpressure threshold)")
 	flag.IntVar(&spec.OutCap, "outcap", 256, "per-output delivery buffer (frames)")
-	flag.BoolVar(&spec.PreallocVOQs, "prealloc", false, "size every VOQ ring for -voqcap (and, with -classes, every PIFO for -classqcap) at startup: no growth allocations on the admit path, n²·cap resident frame slots")
 	flag.IntVar(&spec.Iterations, "iterations", 4, "iterations for the iterative schedulers")
 	flag.Uint64Var(&spec.Seed, "seed", 1, "scheduler RNG seed")
 	flag.IntVar(&spec.Flows, "flows", 0, "flow steering table capacity — enables the flow front tier and the /flows endpoint (0 disables; see DESIGN.md §14)")
 	flag.StringVar(&spec.FlowPolicy, "flow-policy", "", "flow steering policy: "+strings.Join(flowtable.Names(), ", ")+" (default hash; requires -flows)")
 	flag.StringVar(&spec.Classes, "classes", "", "service classes as name[:priority[:weight[:slo_slots]]],... — enables the PIFO ranking tier in front of the VOQs (empty disables)")
 	flag.StringVar(&spec.Rank, "rank", "", "class rank function: "+strings.Join(pifo.Names(), ", ")+" (default fifo; requires -classes)")
-	flag.IntVar(&spec.ClassQCap, "classqcap", 0, "per-(input,output) PIFO capacity bound (default -voqcap; requires -classes); PIFOs grow toward it on demand unless -prealloc")
+	flag.IntVar(&spec.ClassQCap, "classqcap", 0, "per-(input,output) PIFO capacity bound (default -voqcap; requires -classes); PIFOs grow toward it on demand")
 	var (
 		listen    = flag.String("listen", "127.0.0.1:9416", "TCP address for the data plane")
 		httpAddr  = flag.String("http", "127.0.0.1:9417", "HTTP address for the metrics endpoint (empty disables)")

@@ -19,19 +19,19 @@ import (
 	"time"
 
 	"repro/internal/clint"
-	"repro/internal/datapath"
 	"repro/internal/obs"
 	"repro/internal/pifo"
 	rt "repro/internal/runtime"
 	"repro/internal/sched"
 	"repro/internal/sched/registry"
+	"repro/internal/switchcore"
 )
 
 // newTestServer builds a lockstep daemon front-end (no ticker, no
 // listener) with a few slots of traffic already through it.
 func newTestServer(t *testing.T, ringCap int) *server {
 	t.Helper()
-	return newTestServerDP(t, ringCap, datapath.VOQ)
+	return newTestServerDP(t, ringCap, switchcore.DatapathVOQ)
 }
 
 // newTestServerDP is newTestServer with an explicit datapath, mirroring
@@ -40,7 +40,7 @@ func newTestServerDP(t *testing.T, ringCap int, dpName string) *server {
 	t.Helper()
 	const n = 4
 	var s sched.Scheduler
-	if dpName != datapath.CICQ {
+	if dpName != switchcore.DatapathCICQ {
 		var err error
 		s, err = registry.New("lcf_central_rr", n, sched.Options{Iterations: 4, Seed: 1})
 		if err != nil {
@@ -638,7 +638,7 @@ func TestMetricsDocumented(t *testing.T) {
 	// against the union over both organizations.
 	// ... and a flow-enabled engine adds the lcf_flow_* tier.
 	registered := newTestServer(t, 64).registry.Names()
-	registered = append(registered, newTestServerDP(t, 64, datapath.CICQ).registry.Names()...)
+	registered = append(registered, newTestServerDP(t, 64, switchcore.DatapathCICQ).registry.Names()...)
 	registered = append(registered, newTestServerFlows(t, 1024, "po2").registry.Names()...)
 	// ... and a class-enabled engine adds the lcf_class_* tier.
 	registered = append(registered, newTestServerClasses(t, "deadline").registry.Names()...)

@@ -61,17 +61,17 @@ type figure struct {
 // calls lcf.Sweep reads what the sweep harness reads, less what it fixes.
 const (
 	base  = "n seed warmup measure"
-	sweep = base + " iterations repeat workers speedup pattern loads schedulers datapath"
+	sweep = base + " iterations repeat workers speedup pattern loads schedulers"
 )
 
 var figures = map[string]figure{
 	"12a":        {sweep + " csv json plot", func(c lcf.SweepConfig, o options) { runDelay(c, o, false) }},
 	"12b":        {sweep + " csv json plot", func(c lcf.SweepConfig, o options) { runDelay(c, o, true) }},
-	"throughput": {base + " iterations repeat workers speedup pattern schedulers datapath csv", runThroughput},
-	"iters":      {base + " repeat workers speedup pattern loads schedulers datapath", runIterAblation},
+	"throughput": {base + " iterations repeat workers speedup pattern schedulers csv", runThroughput},
+	"iters":      {base + " repeat workers speedup pattern loads schedulers", runIterAblation},
 	"rrdensity":  {base + " iterations repeat workers speedup pattern loads csv", runRRDensity},
-	"fairness":   {base + " iterations speedup pattern loads schedulers datapath", runFairness},
-	"speedup":    {base + " iterations repeat workers pattern loads schedulers datapath", runSpeedupAblation},
+	"fairness":   {base + " iterations speedup pattern loads schedulers", runFairness},
+	"speedup":    {base + " iterations repeat workers pattern loads schedulers", runSpeedupAblation},
 	"hist":       {base + " iterations loads schedulers", runHistogram},
 	"mcast":      {base, runMulticast},
 	"pipeline":   {base + " iterations loads schedulers", runPipelineAblation},
@@ -80,7 +80,7 @@ var figures = map[string]figure{
 		c.Schedulers = []string{"rrm", "islip", "firm"}
 		runDelaySweep(c, o, false)
 	}},
-	"unbalanced": {base + " iterations repeat workers speedup schedulers datapath", runUnbalanced},
+	"unbalanced": {base + " iterations repeat workers speedup schedulers", runUnbalanced},
 	"crossover":  {sweep, runCrossovers},
 	"bursty":     patternSweep("bursty"),
 	"hotspot":    patternSweep("hotspot"),
@@ -91,7 +91,7 @@ var figures = map[string]figure{
 
 // patternSweep is Figure 12a's grid under the named traffic pattern.
 func patternSweep(pattern string) figure {
-	return figure{base + " iterations repeat workers speedup loads schedulers datapath csv json",
+	return figure{base + " iterations repeat workers speedup loads schedulers csv json",
 		func(c lcf.SweepConfig, o options) {
 			c.Pattern = pattern
 			runDelaySweep(c, o, false)
@@ -103,7 +103,6 @@ func main() {
 		figName    = flag.String("figure", "12a", "what to regenerate: "+strings.Join(figureNames(), ", "))
 		n          = flag.Int("n", 16, "switch port count")
 		schedulers = flag.String("schedulers", "", "comma-separated scheduler list (default: the Figure 12 set); the pseudo-schedulers outbuf and lcf_cicq select switch organizations; flows and classes take one (default lcf_central_rr)")
-		dp         = flag.String("datapath", lcf.DatapathVOQ, "switch datapath organization: "+strings.Join(lcf.DatapathNames(), " or ")+"; cicq sweeps the crosspoint-buffered switch (shorthand for -schedulers lcf_cicq)")
 		loads      = flag.String("loads", "", "comma-separated load list (default: the Figure 12 grid); flows and classes take one (default 0.7 and 0.92)")
 		iterations = flag.Int("iterations", 4, "iterations for the iterative schedulers")
 		seed       = flag.Uint64("seed", 1, "base RNG seed")
@@ -136,11 +135,8 @@ func main() {
 	// Validate flags up front with usage exit code 2: these used to be
 	// accepted silently (negative -workers ran serially, bad -pattern
 	// failed deep inside the sweep) instead of failing fast.
-	if err := checkFlags(*workers, *speedup, *n, *iterations, *repeats, *pattern, *dp); err != nil {
+	if err := checkFlags(*workers, *speedup, *n, *iterations, *repeats, *pattern); err != nil {
 		usage("%v", err)
-	}
-	if *dp == lcf.DatapathCICQ && *schedulers != "" {
-		usage("-datapath=cicq is shorthand for -schedulers %s; to compare organizations, list %s alongside the schedulers instead", lcf.CICQName, lcf.CICQName)
 	}
 
 	cfg := lcf.SweepConfig{
@@ -156,11 +152,6 @@ func main() {
 	}
 	if *schedulers != "" {
 		cfg.Schedulers = strings.Split(*schedulers, ",")
-	}
-	if *dp == lcf.DatapathCICQ {
-		// Sweep the CICQ organization against the reference switch, the
-		// same comparison shape as the default Figure 12 set.
-		cfg.Schedulers = []string{lcf.CICQName, lcf.OutbufName}
 	}
 	if *loads != "" {
 		for _, f := range strings.Split(*loads, ",") {
@@ -194,12 +185,9 @@ func fatal(format string, args ...any) {
 
 // checkFlags rejects flag combinations that would otherwise be accepted
 // silently or fail deep inside a run.
-func checkFlags(workers, speedup, n, iterations, repeats int, pattern, dp string) error {
+func checkFlags(workers, speedup, n, iterations, repeats int, pattern string) error {
 	if workers < 0 {
 		return fmt.Errorf("-workers must be ≥ 0 (0 = all CPUs), got %d", workers)
-	}
-	if known := lcf.DatapathNames(); !slices.Contains(known, dp) {
-		return fmt.Errorf("unknown -datapath %q (known: %s)", dp, strings.Join(known, ", "))
 	}
 	if speedup < 1 {
 		return fmt.Errorf("-speedup must be ≥ 1 (1 = no speedup), got %d", speedup)

@@ -239,24 +239,168 @@ func TestFlagsDocumented(t *testing.T) {
 			documented[m[1]] = true
 		}
 	}
-	dir := t.TempDir()
+	help := helpFlags{dir: t.TempDir()}
 	for _, cmd := range []string{"lcfd", "lcffab"} {
-		bin := filepath.Join(dir, cmd)
-		if out, err := exec.Command("go", "build", "-o", bin, "./cmd/"+cmd).CombinedOutput(); err != nil {
-			t.Fatalf("building %s: %v\n%s", cmd, err, out)
-		}
-		help, _ := exec.Command(bin, "-h").CombinedOutput() // the flag package's usage, on stderr
-		flags := helpFlag.FindAllStringSubmatch(string(help), -1)
-		if len(flags) == 0 {
-			t.Fatalf("%s -h lists no flags:\n%s", cmd, help)
-		}
-		for _, f := range flags {
-			if !documented[f[1]] {
-				t.Errorf("%s registers %s, which README.md does not name in backticks", cmd, f[1])
+		for f := range help.of(t, cmd) {
+			if !documented[f] {
+				t.Errorf("%s registers %s, which README.md does not name in backticks", cmd, f)
 			}
 		}
 	}
 }
+
+// flagDocs are the documents whose command lines a reader copies and
+// runs. DESIGN.md and EXPERIMENTS.md are history and may show a flag
+// that has since gone.
+var flagDocs = []string{
+	"README.md", "OBSERVABILITY.md",
+	filepath.Join("results", "README.md"),
+	filepath.Join(".claude", "skills", "verify", "SKILL.md"),
+}
+
+// TestDocumentedFlagsExist is TestFlagsDocumented's converse: every flag
+// a command line in flagDocs passes to one of the repository's binaries
+// — `lcfd -flows 8` in a code span, or a line of a fenced shell block,
+// including `go run ./cmd/<x> …` — must be one that binary's -h lists,
+// so a deleted or renamed flag takes its documented uses with it.
+func TestDocumentedFlagsExist(t *testing.T) {
+	entries, err := os.ReadDir("cmd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	binaries := map[string]bool{}
+	for _, e := range entries {
+		if e.IsDir() {
+			binaries[e.Name()] = true
+		}
+	}
+	help := helpFlags{dir: t.TempDir()}
+	checked := 0
+	for _, doc := range flagDocs {
+		raw, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range commandLines(string(raw)) {
+			for _, use := range flagUses(line, binaries) {
+				checked++
+				if use.flag != "-h" && use.flag != "-help" && !help.of(t, use.cmd)[use.flag] {
+					t.Errorf("%s runs %s %s, which %s -h does not list: %q", doc, use.cmd, use.flag, use.cmd, line)
+				}
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("found no documented command line passing a flag; is the extraction broken?")
+	}
+}
+
+// helpFlags builds binaries on demand and caches the flag set each one's
+// -h output lists.
+type helpFlags struct {
+	dir  string
+	seen map[string]map[string]bool
+}
+
+func (h *helpFlags) of(t *testing.T, cmd string) map[string]bool {
+	t.Helper()
+	if flags, ok := h.seen[cmd]; ok {
+		return flags
+	}
+	bin := filepath.Join(h.dir, cmd)
+	if out, err := exec.Command("go", "build", "-o", bin, "./cmd/"+cmd).CombinedOutput(); err != nil {
+		t.Fatalf("building %s: %v\n%s", cmd, err, out)
+	}
+	out, _ := exec.Command(bin, "-h").CombinedOutput() // the flag package's usage, on stderr
+	flags := map[string]bool{}
+	for _, m := range helpFlag.FindAllStringSubmatch(string(out), -1) {
+		flags[m[1]] = true
+	}
+	if len(flags) == 0 {
+		t.Fatalf("%s -h lists no flags:\n%s", cmd, out)
+	}
+	if h.seen == nil {
+		h.seen = map[string]map[string]bool{}
+	}
+	h.seen[cmd] = flags
+	return flags
+}
+
+// commandLines returns the text a reader may run from a markdown
+// document: every inline code span outside fenced blocks, and every
+// line of a fenced sh/bash/shell block with its continuations joined.
+func commandLines(doc string) []string {
+	var lines, prose []string
+	fence, shell, cont := false, false, ""
+	for _, line := range strings.Split(doc, "\n") {
+		trimmed := strings.TrimSpace(line)
+		if strings.HasPrefix(trimmed, "```") {
+			fence = !fence
+			info := strings.TrimPrefix(trimmed, "```")
+			shell = fence && (info == "sh" || info == "bash" || info == "shell")
+			continue
+		}
+		switch {
+		case !fence:
+			prose = append(prose, line)
+		case shell && strings.HasSuffix(trimmed, "\\"):
+			cont += strings.TrimSuffix(trimmed, "\\") + " "
+		case shell:
+			lines = append(lines, cont+trimmed)
+			cont = ""
+		}
+	}
+	for _, m := range proseSpan.FindAllStringSubmatch(strings.Join(prose, "\n"), -1) {
+		lines = append(lines, strings.ReplaceAll(m[1], "\n", " "))
+	}
+	return lines
+}
+
+// proseSpan is a code span that may wrap onto the next line of prose.
+var proseSpan = regexp.MustCompile("`([^`]+)`")
+
+// flagUse is one flag a documented command line passes to a binary.
+type flagUse struct{ cmd, flag string }
+
+// flagUses finds each invocation of a binary in line — a word naming a
+// cmd/ directory (optionally with a path: /tmp/v/lcfd), or go run
+// ./cmd/<x> — and the flags passed to it, up to the end of that shell
+// command (a pipe, list operator, redirect or comment). A "|" followed by
+// another flag is prose alternation (`lcfsim -workers -1 | -speedup 0`),
+// not a pipe.
+func flagUses(line string, binaries map[string]bool) []flagUse {
+	tok := strings.Fields(line)
+	var uses []flagUse
+	for k := 0; k < len(tok); k++ {
+		cmd := ""
+		switch name := tok[k][strings.LastIndex(tok[k], "/")+1:]; {
+		case k >= 2 && tok[k-2] == "go" && tok[k-1] == "run" && strings.HasPrefix(tok[k], "./cmd/"):
+			cmd = strings.TrimPrefix(tok[k], "./cmd/")
+		case !strings.Contains(tok[k], "cmd/") && binaries[name]:
+			cmd = name
+		}
+		if !binaries[cmd] {
+			continue
+		}
+		for k++; k < len(tok); k++ {
+			a := tok[k]
+			if a == "|" && k+1 < len(tok) && strings.HasPrefix(tok[k+1], "-") {
+				continue
+			}
+			if a == "|" || a == "||" || a == "&&" || a == ";" || a == "&" || strings.HasPrefix(a, "#") || strings.ContainsAny(a, "<>") {
+				break
+			}
+			if m := argFlag.FindStringSubmatch(a); m != nil {
+				uses = append(uses, flagUse{cmd, "-" + m[1]})
+			}
+		}
+	}
+	return uses
+}
+
+// argFlag matches a flag argument, -name, --name or -name=value; a
+// negative number is a value, not a flag.
+var argFlag = regexp.MustCompile(`^--?([a-z][a-z0-9-]*)(?:=.*)?$`)
 
 // linkTargets extracts link targets outside fenced code blocks (YAML and
 // shell examples legitimately contain [x](y)-shaped text).

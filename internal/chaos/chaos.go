@@ -35,7 +35,6 @@ import (
 	"fmt"
 
 	"repro/internal/conserve"
-	"repro/internal/datapath"
 	"repro/internal/flowtable"
 	"repro/internal/matching"
 	"repro/internal/pifo"
@@ -43,6 +42,7 @@ import (
 	rt "repro/internal/runtime"
 	"repro/internal/sched"
 	"repro/internal/simswitch"
+	"repro/internal/switchcore"
 	"repro/internal/traffic"
 )
 
@@ -124,7 +124,7 @@ func (c *Config) normalize() error {
 		return fmt.Errorf("chaos: n %d slots %d", c.N, c.Slots)
 	}
 	stormDefaults(&c.Spec, &c.Load)
-	if c.Datapath == datapath.CICQ {
+	if c.Datapath == switchcore.DatapathCICQ {
 		def(&c.XPCap, 4)
 	}
 	def(&c.FlapRate, 0.02)

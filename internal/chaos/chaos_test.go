@@ -8,8 +8,8 @@ import (
 	"testing"
 
 	cf "repro/internal/closfabric"
-	"repro/internal/datapath"
 	rt "repro/internal/runtime"
+	"repro/internal/switchcore"
 )
 
 // stormClasses is the three-tier class spec of the class storms: a tight
@@ -127,7 +127,7 @@ var acceptance10k = map[string]struct {
 	}},
 	// The crosspoint-buffered datapath: no central matching, grant
 	// isolation audited on the pull arbiters' per-output vector.
-	"cicq": {Config{Spec: rt.Spec{N: 8, Seed: 0xC1C0, Datapath: datapath.CICQ}, Slots: 10_000}, [2]Report{
+	"cicq": {Config{Spec: rt.Spec{N: 8, Seed: 0xC1C0, Datapath: switchcore.DatapathCICQ}, Slots: 10_000}, [2]Report{
 		{Slots: 10000, Admitted: 23701, Delivered: 23637, Consumed: 23637, Rejected: 24379, Backpressured: 50, Undrained: 64, MaxBacklog: 233, Flaps: 541, Stucks: 283, Kills: 147},
 		{Slots: 10000, Admitted: 23747, Delivered: 21105, Consumed: 21105, Dropped: 2642, Rejected: 24379, Backpressured: 4, MaxBacklog: 175, Flaps: 541, Stucks: 283, Kills: 147},
 	}},
@@ -181,7 +181,7 @@ var seedFans = map[string]struct {
 		{Slots: 2000, Admitted: 4332, Delivered: 3654, Consumed: 3654, Dropped: 599, Rejected: 5250, Backpressured: 35, Undrained: 79, MaxBacklog: 127, Flaps: 67, Stucks: 38, Kills: 25},
 		{Slots: 2000, Admitted: 4677, Delivered: 3678, Consumed: 3678, Dropped: 999, Rejected: 4922, Backpressured: 47, MaxBacklog: 151, Flaps: 77, Stucks: 47, Kills: 23},
 	}},
-	"cicq": {Config{Spec: rt.Spec{N: 6, FaultPolicy: rt.DropStranded, Datapath: datapath.CICQ, XPCap: 1}, Slots: 2_000, Load: 0.8}, [4]Report{
+	"cicq": {Config{Spec: rt.Spec{N: 6, FaultPolicy: rt.DropStranded, Datapath: switchcore.DatapathCICQ, XPCap: 1}, Slots: 2_000, Load: 0.8}, [4]Report{
 		{Slots: 2000, Admitted: 4511, Delivered: 3869, Consumed: 3869, Dropped: 642, Rejected: 4921, Backpressured: 59, MaxBacklog: 170, Flaps: 78, Stucks: 40, Kills: 19},
 		{Slots: 2000, Admitted: 4720, Delivered: 4033, Consumed: 4033, Dropped: 664, Rejected: 4860, Backpressured: 51, Undrained: 23, MaxBacklog: 131, Flaps: 91, Stucks: 42, Kills: 19},
 		{Slots: 2000, Admitted: 4331, Delivered: 3675, Consumed: 3675, Dropped: 576, Rejected: 5250, Backpressured: 36, Undrained: 80, MaxBacklog: 126, Flaps: 67, Stucks: 38, Kills: 25},
@@ -286,7 +286,7 @@ func TestChaosDeterminism(t *testing.T) {
 }
 
 func TestCICQChaosDeterminism(t *testing.T) {
-	replays(t, Config{Spec: rt.Spec{N: 5, Seed: 99, FaultPolicy: rt.DropStranded, Datapath: datapath.CICQ}, Slots: 1_500},
+	replays(t, Config{Spec: rt.Spec{N: 5, Seed: 99, FaultPolicy: rt.DropStranded, Datapath: switchcore.DatapathCICQ}, Slots: 1_500},
 		Report{Slots: 1500, Admitted: 2440, Delivered: 2175, Consumed: 2175, Dropped: 265, Rejected: 2129, Backpressured: 3, MaxBacklog: 76, Flaps: 61, Stucks: 28, Kills: 9})
 }
 
@@ -363,7 +363,7 @@ func TestSeedArtifactIsReplayable(t *testing.T) {
 	engine := Config{
 		Spec: rt.Spec{
 			N: 6, Seed: 0xBAD5EED, FaultPolicy: rt.DropStranded,
-			Datapath: datapath.CICQ, XPCap: 1,
+			Datapath: switchcore.DatapathCICQ, XPCap: 1,
 			Flows: 64, FlowShards: 1, FlowPolicy: "least",
 			Classes: "gold:0:3:8,lead:1:1", Rank: "wfq", ClassQCap: 5,
 		},

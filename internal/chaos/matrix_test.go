@@ -4,8 +4,8 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/datapath"
 	rt "repro/internal/runtime"
+	"repro/internal/switchcore"
 )
 
 // TestChaosMatrix is DESIGN.md §16's support matrix as a test: the cross
@@ -20,7 +20,7 @@ func TestChaosMatrix(t *testing.T) {
 	}
 	datapaths := []axis{
 		{"voq", func(c *Config) {}},
-		{"cicq", func(c *Config) { c.Datapath = datapath.CICQ }},
+		{"cicq", func(c *Config) { c.Datapath = switchcore.DatapathCICQ }},
 	}
 	flows := func(c *Config) { c.Flows = 256 }
 	classes := func(c *Config) { c.Classes, c.Mix = stormClasses, []float64{4, 2, 1} }

@@ -70,10 +70,10 @@ import (
 
 	"repro/internal/clos"
 	"repro/internal/conserve"
-	"repro/internal/datapath"
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	rt "repro/internal/runtime"
+	"repro/internal/switchcore"
 )
 
 // Fabric-level admission errors. ErrBackpressure and ErrBadPort are the
@@ -178,7 +178,7 @@ func (c *Config) normalize() error {
 	switch e := c.Engine; {
 	case e.N != 0:
 		return fmt.Errorf("%w: N %d (the fabric sizes each engine)", ErrNotComposed, e.N)
-	case e.Datapath == datapath.CICQ:
+	case e.Datapath == switchcore.DatapathCICQ:
 		return fmt.Errorf("%w: datapath %s", ErrNotComposed, e.Datapath)
 	case e.Flows != 0:
 		return fmt.Errorf("%w: Flows %d", ErrNotComposed, e.Flows)

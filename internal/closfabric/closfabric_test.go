@@ -5,9 +5,9 @@ import (
 	"testing"
 
 	cf "repro/internal/closfabric"
-	"repro/internal/datapath"
 	"repro/internal/rng"
 	rt "repro/internal/runtime"
+	"repro/internal/switchcore"
 )
 
 // tickOK advances the fabric one slot and fails the test on any
@@ -316,7 +316,7 @@ func TestFabricConfigValidation(t *testing.T) {
 		{cf.Config{M: 2, K: 2, R: 2, Select: MiddleSelect3}, false},                 // unknown selection
 		{cf.Config{M: 2, K: 2, R: 2, Engine: rt.Spec{Iterations: -1}}, false},       // negative iterations
 		{cf.Config{M: 2, K: 2, R: 2, Engine: rt.Spec{N: 4}}, true},                  // the fabric sizes its engines
-		{cf.Config{M: 2, K: 2, R: 2, Engine: rt.Spec{Datapath: datapath.CICQ}}, true},
+		{cf.Config{M: 2, K: 2, R: 2, Engine: rt.Spec{Datapath: switchcore.DatapathCICQ}}, true},
 		{cf.Config{M: 2, K: 2, R: 2, Engine: rt.Spec{Flows: 64}}, true},
 		{cf.Config{M: 2, K: 2, R: 2, Engine: rt.Spec{Classes: "rt:0,bulk:1"}}, true},
 	}

@@ -25,6 +25,7 @@ import (
 	"repro/internal/sched"
 	"repro/internal/sched/registry"
 	"repro/internal/simswitch"
+	"repro/internal/switchcore"
 	"repro/internal/traffic"
 )
 
@@ -36,7 +37,7 @@ const OutbufName = "outbuf"
 // (CICQ) switch: the least-choice rule applied by distributed dispatch
 // and pull arbiters instead of a central matching. Like OutbufName it
 // selects a switch organization, not a registry scheduler.
-const CICQName = "lcf_cicq"
+const CICQName = switchcore.CICQScheduler
 
 // Pattern names accepted by Config.Pattern.
 const (

@@ -26,10 +26,8 @@ type Bank[T any] struct {
 }
 
 // NewBank returns n×n empty PIFOs, each bounded at capacity entries.
-// With reserve false the heaps grow on demand, so the bank costs what
-// has been queued; with reserve true every heap is sized for capacity
-// up front (n²·capacity entries) and Push never allocates.
-func NewBank[T any](n, capacity int, reserve bool) *Bank[T] {
+// The heaps grow on demand, so the bank costs what has been queued.
+func NewBank[T any](n, capacity int) *Bank[T] {
 	if n <= 0 || capacity <= 0 {
 		panic(fmt.Sprintf("pifo: bank of %d ports, capacity %d", n, capacity))
 	}
@@ -41,9 +39,6 @@ func NewBank[T any](n, capacity int, reserve bool) *Bank[T] {
 	}
 	for k := range b.queues {
 		b.queues[k].cap = capacity
-		if reserve {
-			b.queues[k].resize(capacity)
-		}
 	}
 	return b
 }

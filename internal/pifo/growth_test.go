@@ -129,7 +129,7 @@ func FuzzQueueOrder(f *testing.F) {
 // that Ready is the occupied row minus the blocked set.
 func TestBankOccupancy(t *testing.T) {
 	const n, capacity = 5, 6
-	b := NewBank[int](n, capacity, false)
+	b := NewBank[int](n, capacity)
 	rnd := rand.New(rand.NewSource(5))
 	blocked := bitvec.New(n)
 	for step := 0; step < 5000; step++ {
@@ -162,20 +162,5 @@ func TestBankOccupancy(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestBankReserve pins the prealloc contract: a reserving bank holds
-// every queue's full backing array from the start, so Push never
-// allocates.
-func TestBankReserve(t *testing.T) {
-	b := NewBank[int](3, 100, true)
-	for k := range b.queues {
-		if c := cap(b.queues[k].heap); c != 100 {
-			t.Fatalf("queue %d: backing array %d in a reserving bank, want 100", k, c)
-		}
-	}
-	if allocs := testing.AllocsPerRun(90, func() { b.Push(1, 2, 1, 1) }); allocs != 0 {
-		t.Fatalf("%v allocs/op pushing into a reserved queue, want 0", allocs)
 	}
 }

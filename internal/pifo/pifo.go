@@ -16,9 +16,8 @@
 // head, so the rank decision is taken as late as possible. A queue's
 // heap grows on demand toward its capacity bound and never shrinks, so
 // n² queues cost memory in proportion to the frames they have held, not
-// to n²·capacity; once a queue is at its working size (or its Bank
-// reserved it up front) Push and Pop are allocation-free, and the
-// decision benchmark pins 0 allocs/op.
+// to n²·capacity; once a queue is at its working size Push and Pop are
+// allocation-free, and the decision benchmark pins 0 allocs/op.
 package pifo
 
 import "fmt"

@@ -275,44 +275,38 @@ func TestParseClasses(t *testing.T) {
 }
 
 // TestRankZeroAlloc pins the hot path: Push+Rank+Pop+OnPop never
-// allocate, for every registered ranker, on a queue at its working size
-// — warmed by traffic, or sized up front by a reserving Bank. The decision
-// benchmark measures the same property with -benchmem; this test
-// enforces it deterministically in the plain test run.
+// allocate, for every registered ranker, on a queue warmed by traffic to
+// its working size. The decision benchmark measures the same property
+// with -benchmem; this test enforces it deterministically in the plain
+// test run.
 func TestRankZeroAlloc(t *testing.T) {
 	classes := testClasses()
 	for _, name := range Names() {
-		for _, reserve := range []bool{false, true} {
-			rk, err := NewRanker(name, classes)
-			if err != nil {
-				t.Fatal(err)
+		rk, err := NewRanker(name, classes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q := NewQueue[uint64](256)
+		// The measured loop holds at most 129 entries: grow there (and
+		// past the last doubling below it) before measuring.
+		for q.Len() < 129 {
+			q.Push(0, rk.Rank(0, 10, 26))
+		}
+		for q.Len() > 0 {
+			_, rank, _ := q.Pop()
+			rk.OnPop(rank)
+		}
+		ci := 0
+		allocs := testing.AllocsPerRun(1000, func() {
+			ci = (ci + 1) % len(classes)
+			q.Push(uint64(ci), rk.Rank(ci, 10, 26))
+			if q.Len() > 128 {
+				_, rank, _ := q.Pop()
+				rk.OnPop(rank)
 			}
-			q := NewQueue[uint64](256)
-			if reserve {
-				q.resize(q.cap)
-			} else {
-				// The measured loop holds at most 129 entries: grow there
-				// (and past the last doubling below it) before measuring.
-				for q.Len() < 129 {
-					q.Push(0, rk.Rank(0, 10, 26))
-				}
-				for q.Len() > 0 {
-					_, rank, _ := q.Pop()
-					rk.OnPop(rank)
-				}
-			}
-			ci := 0
-			allocs := testing.AllocsPerRun(1000, func() {
-				ci = (ci + 1) % len(classes)
-				q.Push(uint64(ci), rk.Rank(ci, 10, 26))
-				if q.Len() > 128 {
-					_, rank, _ := q.Pop()
-					rk.OnPop(rank)
-				}
-			})
-			if allocs != 0 {
-				t.Errorf("ranker %s (reserve %v): %v allocs/op on the push/pop path, want 0", name, reserve, allocs)
-			}
+		})
+		if allocs != 0 {
+			t.Errorf("ranker %s: %v allocs/op on the push/pop path, want 0", name, allocs)
 		}
 	}
 }

@@ -38,9 +38,10 @@ func NewRing[T any](capLimit int) Ring[T] {
 }
 
 // NewRingFull returns a ring whose buffer is sized for capLimit up front,
-// so Push never grows (and therefore never allocates): the trade behind
-// the engine's PreallocVOQs option. capLimit must be positive — an
-// unbounded ring has no full size to allocate.
+// so Push never grows (and therefore never allocates): the CICQ's
+// crosspoint buffers, tiny by construction, are built this way.
+// capLimit must be positive — an unbounded ring has no full size to
+// allocate.
 func NewRingFull[T any](capLimit int) Ring[T] {
 	return Ring[T]{buf: make([]T, ceilPow2(capLimit)), capLimit: capLimit}
 }

@@ -3,13 +3,13 @@ package runtime_test
 import (
 	"testing"
 
-	"repro/internal/datapath"
 	"repro/internal/flowtable"
 	"repro/internal/obs"
 	"repro/internal/pifo"
 	rt "repro/internal/runtime"
 	"repro/internal/sched"
 	"repro/internal/sched/registry"
+	"repro/internal/switchcore"
 	"repro/internal/traffic"
 )
 
@@ -106,7 +106,7 @@ func BenchmarkEngineSlotLCFRRN1024(b *testing.B) {
 // datapath: no central scheduler — the slot's arbitration cost is the n
 // dispatch decisions plus the n pull decisions.
 func benchmarkSlotCICQ(b *testing.B, n int, load float64) {
-	e, err := rt.New(rt.Config{N: n, Datapath: datapath.CICQ, VOQCap: 256, OutCap: 256})
+	e, err := rt.New(rt.Config{N: n, Datapath: switchcore.DatapathCICQ, VOQCap: 256, OutCap: 256})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -244,11 +244,10 @@ func BenchmarkEngineSlotLCFRRN64TraceOn(b *testing.B) {
 // handed the k-th of n·n·voqCap distinct (input, output) visits; tiers
 // switches on the tiers the door needs). The engine is swapped out (off
 // the clock) whenever every queue is full, so the measured path is always
-// a successful bounded admit. With prealloc false the measurement
-// includes the rings' amortized doubling toward their working size; with
-// prealloc true the path must be strictly allocation-free (0 B/op), the
-// PreallocVOQs contract.
-func benchmarkAdmit(b *testing.B, prealloc bool, tiers rt.Config, offer func(e *rt.Engine, src, dst int, seq uint64) error) {
+// a successful bounded admit. The measurement includes the rings' (and
+// on a class engine the PIFO heaps') amortized doubling toward their
+// working size.
+func benchmarkAdmit(b *testing.B, tiers rt.Config, offer func(e *rt.Engine, src, dst int, seq uint64) error) {
 	const n, voqCap = 16, 256
 	newEngine := func() *rt.Engine {
 		s, err := registry.New("lcf_central_rr", n, sched.Options{})
@@ -256,7 +255,7 @@ func benchmarkAdmit(b *testing.B, prealloc bool, tiers rt.Config, offer func(e *
 			b.Fatal(err)
 		}
 		cfg := tiers
-		cfg.N, cfg.Scheduler, cfg.VOQCap, cfg.PreallocVOQs = n, s, voqCap, prealloc
+		cfg.N, cfg.Scheduler, cfg.VOQCap = n, s, voqCap
 		e, err := rt.New(cfg)
 		if err != nil {
 			b.Fatal(err)
@@ -284,24 +283,22 @@ func benchmarkAdmit(b *testing.B, prealloc bool, tiers rt.Config, offer func(e *
 
 func admitPlain(e *rt.Engine, src, dst int, seq uint64) error { return e.Admit(src, dst, seq, 0) }
 
-func BenchmarkAdmit(b *testing.B)         { benchmarkAdmit(b, false, rt.Config{}, admitPlain) }
-func BenchmarkAdmitPrealloc(b *testing.B) { benchmarkAdmit(b, true, rt.Config{}, admitPlain) }
+func BenchmarkAdmit(b *testing.B) { benchmarkAdmit(b, rt.Config{}, admitPlain) }
 
 // The class door and Offer's two steered shapes on the same harness, so a
-// change to the shared stages shows per door. Each runs preallocated and
-// must report 0 allocs/op. The steered shapes offer flow id = src under
+// change to the shared stages shows per door. The steered shapes offer flow id = src under
 // the "least" policy: the first n frames insert n flows onto n distinct
 // ports (each lands on a still-empty one), every later frame is a sticky
 // hit, and the queues fill evenly, full exactly when the harness swaps.
 
 func BenchmarkAdmitClass(b *testing.B) {
-	benchmarkAdmit(b, true, rt.Config{Classes: testClassList(), Rank: pifo.RankDeadline}, func(e *rt.Engine, src, dst int, seq uint64) error {
+	benchmarkAdmit(b, rt.Config{Classes: testClassList(), Rank: pifo.RankDeadline}, func(e *rt.Engine, src, dst int, seq uint64) error {
 		return e.AdmitClass(src, dst, src%3, seq, 0, 0)
 	})
 }
 
 func BenchmarkOfferSteered(b *testing.B) {
-	benchmarkAdmit(b, true, rt.Config{Flows: 64, FlowPolicy: flowtable.PolicyLeast}, func(e *rt.Engine, src, dst int, seq uint64) error {
+	benchmarkAdmit(b, rt.Config{Flows: 64, FlowPolicy: flowtable.PolicyLeast}, func(e *rt.Engine, src, dst int, seq uint64) error {
 		_, err := e.Offer(rt.Request{Dst: dst, Seq: seq, Flow: uint64(src), Steered: true})
 		return err
 	})
@@ -309,7 +306,7 @@ func BenchmarkOfferSteered(b *testing.B) {
 
 func BenchmarkOfferComposed(b *testing.B) {
 	tiers := rt.Config{Flows: 64, FlowPolicy: flowtable.PolicyLeast, Classes: testClassList(), Rank: pifo.RankDeadline}
-	benchmarkAdmit(b, true, tiers, func(e *rt.Engine, src, dst int, seq uint64) error {
+	benchmarkAdmit(b, tiers, func(e *rt.Engine, src, dst int, seq uint64) error {
 		_, err := e.Offer(rt.Request{Dst: dst, Seq: seq, Flow: uint64(src), Steered: true, Class: src % 3, Classed: true})
 		return err
 	})

@@ -4,9 +4,9 @@ import (
 	"fmt"
 	"testing"
 
-	"repro/internal/datapath"
 	rt "repro/internal/runtime"
 	"repro/internal/simswitch"
+	"repro/internal/switchcore"
 	"repro/internal/traffic"
 )
 
@@ -65,7 +65,7 @@ func cicqLockstepCompare(t *testing.T, n, slots int) {
 	var rtGrants [][]int
 	e, err := rt.New(rt.Config{
 		N:        n,
-		Datapath: datapath.CICQ,
+		Datapath: switchcore.DatapathCICQ,
 		VOQCap:   cap,
 		OutCap:   4,
 		XPCap:    xpCap,

@@ -28,8 +28,7 @@ var ErrBadClass = errors.New("runtime: class index out of range")
 // PIFO-in-front-of-the-scheduler arrangement).
 //
 // The tier's footprint follows what is queued, not n²·ClassQCap: the
-// PIFO heaps grow on demand (unless Config.PreallocVOQs sizes them up
-// front), and the per-slot phases find their work through the bank's
+// PIFO heaps grow on demand, and the per-slot phases find their work through the bank's
 // occupancy rows — n-bit rows of non-empty PIFOs, the paper's
 // request-row representation — instead of probing n² queue headers.
 type classTier struct {
@@ -68,7 +67,7 @@ func newClassTier(n int, cfg *Config) (*classTier, error) {
 	ct := &classTier{
 		classes:    cfg.Classes,
 		rank:       cfg.Rank,
-		queues:     pifo.NewBank[Frame](n, cfg.ClassQCap, cfg.PreallocVOQs),
+		queues:     pifo.NewBank[Frame](n, cfg.ClassQCap),
 		rankers:    make([]pifo.Ranker, n*n),
 		pending:    make([]metrics.Gauge, n),
 		admitted:   make([]metrics.Counter, len(cfg.Classes)),

@@ -6,11 +6,11 @@ import (
 	goruntime "runtime"
 	"testing"
 
-	"repro/internal/datapath"
 	"repro/internal/pifo"
 	"repro/internal/rng"
 	"repro/internal/sched"
 	"repro/internal/sched/registry"
+	"repro/internal/switchcore"
 )
 
 // classFillRef is the fill phase as it was before the occupancy rows:
@@ -129,7 +129,7 @@ func TestClassFillMatchesRef(t *testing.T) {
 	type shape struct{ n, slots int }
 	shapes := []shape{{10, 5000}, {67, 300}} // 67: rows span two words
 	for _, sh := range shapes {
-		for _, dp := range datapath.Names() {
+		for _, dp := range switchcore.Names() {
 			for _, fp := range []FaultPolicy{HoldStranded, DropStranded} {
 				for _, rank := range pifo.Names() {
 					name := fmt.Sprintf("n%d/%s/%s/%s", sh.n, dp, fp, rank)
@@ -149,7 +149,7 @@ func runClassFillDifferential(t *testing.T, n, slots int, dp string, fp FaultPol
 			N: n, Datapath: dp, VOQCap: 4, OutCap: 8,
 			Classes: classes, Rank: rank, ClassQCap: 12, FaultPolicy: fp,
 		}
-		if dp != datapath.CICQ {
+		if dp != switchcore.DatapathCICQ {
 			s, err := registry.New("lcf_central_rr", n, sched.Options{Seed: 7})
 			if err != nil {
 				t.Fatal(err)

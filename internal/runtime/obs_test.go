@@ -149,3 +149,55 @@ func TestEngineTracerDisabledCounts(t *testing.T) {
 		t.Fatalf("disabled tracer emitted %d events", tr.Emitted())
 	}
 }
+
+// TestPortBacklogCountsPIFOFrames holds the per-port backlog — the JSON
+// snapshot's Ports and the lcf_input_backlog_frames series — to the
+// engine backlog on a class engine, where admitted frames wait in PIFOs
+// before the class fill moves them into VOQ heads: the ports must sum to
+// the engine's figure both while every frame is in a PIFO and after
+// slots have moved some of them on.
+func TestPortBacklogCountsPIFOFrames(t *testing.T) {
+	const n, frames = 4, 10
+	e, err := rt.New(rt.Config{N: n, Scheduler: newScheduler(t, "lcf_central_rr", n), Classes: testClassList()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := obs.NewRegistry()
+	e.Register(r)
+	for k := 0; k < frames; k++ {
+		if err := e.AdmitClass(0, 1+k%(n-1), k%3, uint64(k), 0, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for slot := 0; slot < 3; slot++ {
+		snap := e.Snapshot()
+		if slot == 0 && (snap.Backlog != frames || snap.Ports[0].Backlog != frames) {
+			t.Fatalf("before any slot: backlog %d, port 0 backlog %d, want %d each", snap.Backlog, snap.Ports[0].Backlog, frames)
+		}
+		var buf bytes.Buffer
+		if err := r.WritePrometheus(&buf); err != nil {
+			t.Fatal(err)
+		}
+		s, err := obs.ParsePrometheus(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ports, series int64
+		for p := 0; p < n; p++ {
+			ports += snap.Ports[p].Backlog
+			v, ok := s.Value("lcf_input_backlog_frames{" + obs.Labels("input", string(rune('0'+p))) + "}")
+			if !ok {
+				t.Fatalf("scrape is missing lcf_input_backlog_frames for input %d", p)
+			}
+			if int64(v) != snap.Ports[p].Backlog {
+				t.Errorf("slot %d: lcf_input_backlog_frames{input=%d} = %g, snapshot port backlog %d", slot, p, v, snap.Ports[p].Backlog)
+			}
+			series += int64(v)
+		}
+		engine, _ := s.Value("lcf_engine_backlog_frames")
+		if ports != snap.Backlog || series != int64(engine) || int64(engine) != snap.Backlog {
+			t.Errorf("slot %d: ports sum to %d, input series to %d; engine backlog %d (gauge %g)", slot, ports, series, snap.Backlog, engine)
+		}
+		e.Tick()
+	}
+}

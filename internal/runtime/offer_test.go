@@ -6,12 +6,12 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/datapath"
 	"repro/internal/flowtable"
 	"repro/internal/metrics"
 	"repro/internal/pifo"
 	"repro/internal/rng"
 	rt "repro/internal/runtime"
+	"repro/internal/switchcore"
 )
 
 // TestOfferComposedFrame: a request that is both steered and classified
@@ -247,7 +247,7 @@ func b2i(b bool) int64 {
 // the same slots and the same Snapshot at the end: the doors are
 // compositions of the same stages, not look-alikes.
 func TestOfferMatchesLegacyDoors(t *testing.T) {
-	for _, dp := range datapath.Names() {
+	for _, dp := range switchcore.Names() {
 		for _, fp := range []rt.FaultPolicy{rt.HoldStranded, rt.DropStranded} {
 			t.Run(fmt.Sprintf("%s/%s", dp, fp), func(t *testing.T) {
 				const n, slots = 6, 5000

@@ -7,9 +7,9 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/datapath"
 	"repro/internal/obs"
 	rt "repro/internal/runtime"
+	"repro/internal/switchcore"
 )
 
 // parkTimeout bounds every wait in this file: a wake-up the arbiter
@@ -19,7 +19,7 @@ const parkTimeout = 2 * time.Second
 // startLive builds and starts a live engine; cfg carries the slot period.
 func startLive(t *testing.T, cfg rt.Config) *rt.Engine {
 	t.Helper()
-	if cfg.Datapath != datapath.CICQ {
+	if cfg.Datapath != switchcore.DatapathCICQ {
 		cfg.Scheduler = newScheduler(t, "lcf_central_rr", cfg.N)
 	}
 	e, err := rt.New(cfg)
@@ -128,7 +128,7 @@ func TestParkWakeStress(t *testing.T) {
 	}
 	legs := []struct{ producers, rounds int }{{n, 2000}, {1, 4000}}
 	for _, door := range doors {
-		for _, dp := range datapath.Names() {
+		for _, dp := range switchcore.Names() {
 			for _, leg := range legs {
 				producers, rounds := leg.producers, uint64(leg.rounds)
 				t.Run(fmt.Sprintf("%s/%s/producers=%d", door.name, dp, producers), func(t *testing.T) {

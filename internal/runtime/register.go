@@ -42,7 +42,7 @@ func (e *Engine) Register(r *obs.Registry) {
 	r.Counter("lcf_engine_wasted_grants_total", "Grants that could not dispatch (drained VOQ or full output channel).", m.WastedGrants.Value)
 	r.Counter("lcf_engine_masked_outputs_total", "Request bits suppressed because the output delivery channel was full.", m.MaskedOutputs.Value)
 
-	r.Gauge("lcf_engine_backlog_frames", "Frames currently queued across all VOQs.", func() float64 {
+	r.Gauge("lcf_engine_backlog_frames", "Frames admitted and not yet delivered or dropped, in VOQs, crosspoints and PIFOs.", func() float64 {
 		return float64(m.Backlog.Value())
 	})
 	r.Gauge("lcf_engine_occupied_voqs", "Non-empty VOQs at the last slot snapshot (before output masking).", func() float64 {
@@ -109,13 +109,10 @@ func (e *Engine) Register(r *obs.Registry) {
 		}
 		return s
 	})
-	r.GaugeVec("lcf_input_backlog_frames", "Frames currently queued, per input port.", func() []obs.Sample {
+	r.GaugeVec("lcf_input_backlog_frames", "Frames admitted at the input port and not yet delivered or dropped, in VOQs, crosspoints and PIFOs.", func() []obs.Sample {
 		s := make([]obs.Sample, n)
 		for p := 0; p < n; p++ {
-			e.inMu[p].Lock()
-			backlog := e.dp.InputBacklog(p)
-			e.inMu[p].Unlock()
-			s[p] = obs.Sample{Labels: inputLabels[p], Value: float64(backlog)}
+			s[p] = obs.Sample{Labels: inputLabels[p], Value: float64(m.PerInputBacklog[p].Value())}
 		}
 		return s
 	})

@@ -64,7 +64,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/datapath"
 	"repro/internal/flowtable"
 	"repro/internal/matching"
 	"repro/internal/metrics"
@@ -127,10 +126,10 @@ type Config struct {
 	// Datapath selects the switch organization: "voq" (default; VOQ core
 	// with one central matching per slot) or "cicq" (crosspoint-buffered,
 	// independent per-input dispatch and per-output pull arbiters). See
-	// internal/datapath.Names.
+	// switchcore.Names.
 	Datapath string
 	// XPCap bounds each crosspoint buffer ("cicq" only, an error on
-	// "voq"; 0 means datapath.DefaultXPCap).
+	// "voq"; 0 means switchcore.DefaultXPCap).
 	XPCap int
 
 	// VOQCap bounds each of the n² VOQs; Admit returns ErrBackpressure
@@ -141,21 +140,6 @@ type Config struct {
 	// the output's request column until the consumer catches up.
 	// Default 256.
 	OutCap int
-
-	// PreallocVOQs sizes every VOQ ring at its full VOQCap during
-	// construction instead of growing it on demand. The trade-off is
-	// memory for determinism: the default lazy rings amortize ~90 B per
-	// admitted frame while doubling toward their working size, whereas
-	// preallocated rings make Admit strictly allocation-free from the
-	// first frame — at the cost of n²·ceilPow2(VOQCap) resident frame
-	// slots up front (≈25 MB for n=64, VOQCap=256, 24-byte frames) that
-	// lazy deployments only pay for VOQs that actually fill. Enable it
-	// for latency-sensitive deployments where an allocation (and the GC
-	// pressure behind it) on the admit path is worse than the footprint.
-	// With Classes set it sizes the class tier's PIFOs the same way:
-	// n²·ClassQCap entries of 80 bytes up front (84 MB for n=64,
-	// ClassQCap=256; 1.3 GB at n=256) so AdmitClass never grows a heap.
-	PreallocVOQs bool
 
 	// Flows > 0 enables the flow-aware front tier (internal/flowtable):
 	// a consistent-hash table sized for this many concurrent flows that
@@ -190,8 +174,7 @@ type Config struct {
 	// not a reservation: a PIFO's heap starts empty and doubles toward
 	// the bound as frames queue (never shrinking), so the tier's memory
 	// follows the deepest backlog each pair has held — a few hundred
-	// bytes per active pair at sustainable load — unless PreallocVOQs
-	// asks for all of it up front.
+	// bytes per active pair at sustainable load.
 	ClassQCap int
 
 	// SlotPeriod > 0 selects live mode: Start runs the arbiter one slot
@@ -231,16 +214,16 @@ func (c *Config) normalize() error {
 	if c.N <= 0 {
 		return fmt.Errorf("runtime: port count %d", c.N)
 	}
-	if !datapath.Known(c.Datapath) {
-		return fmt.Errorf("runtime: -datapath must be one of %s (got %q)", strings.Join(datapath.Names(), ", "), c.Datapath)
+	if !switchcore.Known(c.Datapath) {
+		return fmt.Errorf("runtime: -datapath must be one of %s (got %q)", strings.Join(switchcore.Names(), ", "), c.Datapath)
 	}
-	if c.Scheduler == nil && c.Datapath != datapath.CICQ {
+	if c.Scheduler == nil && c.Datapath != switchcore.DatapathCICQ {
 		return fmt.Errorf("runtime: no scheduler")
 	}
 	if c.Scheduler != nil && c.Scheduler.N() != c.N {
 		return fmt.Errorf("runtime: scheduler for %d ports, engine has %d", c.Scheduler.N(), c.N)
 	}
-	if c.XPCap != 0 && c.Datapath != datapath.CICQ {
+	if c.XPCap != 0 && c.Datapath != switchcore.DatapathCICQ {
 		// Crosspoint tuning without crosspoint buffers is a
 		// misconfiguration, not a silent no-op.
 		return fmt.Errorf("runtime: -xpcap requires -datapath cicq (XPCap %d)", c.XPCap)
@@ -358,7 +341,7 @@ type Stats struct {
 	Matched       metrics.Counter // grants dispatched, summed over slots
 	WastedGrants  metrics.Counter // grants whose VOQ drained before dispatch
 	MaskedOutputs metrics.Counter // request bits suppressed by a full output channel
-	Backlog       metrics.Gauge   // frames currently queued in VOQs
+	Backlog       metrics.Gauge   // frames admitted, not yet delivered or dropped (VOQs, crosspoints, PIFOs)
 	OccupiedVOQs  metrics.Gauge   // non-empty VOQs at the last snapshot (pre-mask)
 	Parks         metrics.Counter // times the live arbiter blocked on an empty switch
 
@@ -385,13 +368,13 @@ type Stats struct {
 	PerInputBackpressured []metrics.Counter
 	PerOutputDelivered    []metrics.Counter
 
-	// PerInputBacklog mirrors each input's VOQ backlog as a lock-free
+	// PerInputBacklog is each input's share of Backlog as a lock-free
 	// gauge: +1 on admission, -1 on delivery, -k on a stranded-VOQ
 	// flush — exactly the three sites that move the global Backlog
-	// gauge. It exists for the flow tier's steering policies, which read
-	// per-port backlog on every new-flow decision and must not take
-	// input locks the way the scrape-path lcf_input_backlog_frames
-	// gauge does.
+	// gauge — so it counts PIFO-resident frames too. The flow tier's
+	// steering policies read it on every new-flow decision, and the
+	// scrape path (Snapshot's Ports, lcf_input_backlog_frames) reads it
+	// instead of taking input locks.
 	PerInputBacklog []metrics.Gauge
 
 	// VOQDepth samples every non-empty VOQ's length once per slot;
@@ -411,12 +394,7 @@ func New(cfg Config) (*Engine, error) {
 		return nil, err
 	}
 	n := cfg.N
-	dp, err := datapath.New[Frame](cfg.Datapath, datapath.Config{
-		N:        n,
-		VOQCap:   cfg.VOQCap,
-		XPCap:    cfg.XPCap,
-		Prealloc: cfg.PreallocVOQs,
-	})
+	dp, err := switchcore.NewDatapath[Frame](cfg.Datapath, n, cfg.VOQCap, cfg.XPCap)
 	if err != nil {
 		return nil, err
 	}
@@ -492,12 +470,12 @@ func depthBuckets(voqCap int) int {
 func (e *Engine) N() int { return e.n }
 
 // SchedulerName returns the wrapped scheduler's evaluation label — or
-// "lcf_cicq" on a CICQ engine running without a central scheduler (its
-// local arbiters are the scheduler). Safe concurrently: Name is a pure
-// getter on every registered scheduler.
+// switchcore.CICQScheduler on a CICQ engine running without a central
+// scheduler (its local arbiters are the scheduler). Safe concurrently:
+// Name is a pure getter on every registered scheduler.
 func (e *Engine) SchedulerName() string {
 	if e.cfg.Scheduler == nil {
-		return "lcf_cicq"
+		return switchcore.CICQScheduler
 	}
 	return e.cfg.Scheduler.Name()
 }
@@ -506,7 +484,7 @@ func (e *Engine) SchedulerName() string {
 // "cicq").
 func (e *Engine) DatapathName() string {
 	if e.cfg.Datapath == "" {
-		return datapath.VOQ
+		return switchcore.DatapathVOQ
 	}
 	return e.cfg.Datapath
 }

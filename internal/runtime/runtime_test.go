@@ -7,10 +7,10 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/datapath"
 	rt "repro/internal/runtime"
 	"repro/internal/sched"
 	"repro/internal/sched/registry"
+	"repro/internal/switchcore"
 )
 
 func newScheduler(t testing.TB, name string, n int) sched.Scheduler {
@@ -270,7 +270,7 @@ func TestCloseDrainsPastTheVOQ(t *testing.T) {
 		},
 		{
 			name: "cicq",
-			cfg:  rt.Config{N: n, Datapath: datapath.CICQ, VOQCap: 1},
+			cfg:  rt.Config{N: n, Datapath: switchcore.DatapathCICQ, VOQCap: 1},
 			admit: func(e *rt.Engine) (admitted int) {
 				for s := 0; s < 40; s++ {
 					for i := 0; i < n; i++ {
@@ -435,7 +435,7 @@ func TestLiveModeStartErrors(t *testing.T) {
 // same column counters, which is only safe on one goroutine.
 func TestLockstepEngineOwnsNoGoroutines(t *testing.T) {
 	const n = 256
-	for _, dp := range datapath.Names() {
+	for _, dp := range switchcore.Names() {
 		t.Run(dp, func(t *testing.T) {
 			base := goruntime.NumGoroutine()
 			// The cicq datapath arbitrates locally and ignores the scheduler.

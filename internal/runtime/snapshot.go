@@ -6,8 +6,9 @@ import (
 )
 
 // PortSnapshot is one port's cumulative counters plus its instantaneous
-// VOQ backlog (frames queued across the input's n VOQs, read from the
-// switchcore datapath).
+// backlog: every frame admitted at the input and not yet delivered or
+// dropped, wherever it waits (VOQ, crosspoint buffer or PIFO), so the
+// ports' backlogs sum to Snapshot.Backlog.
 type PortSnapshot struct {
 	Port          int   `json:"port"`
 	Admitted      int64 `json:"admitted"`
@@ -127,15 +128,12 @@ func (e *Engine) Snapshot() Snapshot {
 	s.SlotLatencyP99 = m.SlotLatency.Quantile(0.99)
 	s.Ports = make([]PortSnapshot, e.n)
 	for p := range s.Ports {
-		e.inMu[p].Lock()
-		backlog := e.dp.InputBacklog(p)
-		e.inMu[p].Unlock()
 		s.Ports[p] = PortSnapshot{
 			Port:          p,
 			Admitted:      m.PerInputAdmitted[p].Value(),
 			Backpressured: m.PerInputBackpressured[p].Value(),
 			Delivered:     m.PerOutputDelivered[p].Value(),
-			Backlog:       int64(backlog),
+			Backlog:       m.PerInputBacklog[p].Value(),
 		}
 	}
 	return s

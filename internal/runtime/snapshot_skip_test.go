@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/datapath"
 	"repro/internal/rng"
 	"repro/internal/sched"
 	"repro/internal/sched/registry"
@@ -61,7 +60,7 @@ func (e *Engine) tickFullWalk() {
 // empty between snapshots (the one extra SnapshotRow that clears them)
 // under every mask the snapshot applies.
 func TestSnapshotSkipMatchesFullWalk(t *testing.T) {
-	for _, dp := range datapath.Names() {
+	for _, dp := range switchcore.Names() {
 		for _, n := range []int{8, 67} {
 			t.Run(fmt.Sprintf("%s/n%d", dp, n), func(t *testing.T) {
 				runSnapshotSkipDifferential(t, dp, n, 3000)
@@ -74,7 +73,7 @@ func runSnapshotSkipDifferential(t *testing.T, dp string, n, slots int) {
 	views := [2][]slotView{}
 	build := func(side int) *Engine {
 		cfg := Config{N: n, Datapath: dp, VOQCap: 8, OutCap: 2}
-		if dp != datapath.CICQ {
+		if dp != switchcore.DatapathCICQ {
 			s, err := registry.New("lcf_central_rr", n, sched.Options{Seed: 3})
 			if err != nil {
 				t.Fatal(err)
@@ -180,7 +179,7 @@ func runSnapshotSkipDifferential(t *testing.T, dp string, n, slots int) {
 	// crosspoints fill instead), so only the VOQ core counts masks.
 	st := skip.Stats()
 	if skipped == 0 || emptied == 0 || st.Delivered.Value() == 0 || st.FaultMasked.Value() == 0 ||
-		dp != datapath.CICQ && st.MaskedOutputs.Value() == 0 {
+		dp != switchcore.DatapathCICQ && st.MaskedOutputs.Value() == 0 {
 		t.Fatalf("trace too gentle: %d rows skipped, %d emptied rows re-snapshotted, %d delivered, %d masked, %d fault-masked",
 			skipped, emptied, st.Delivered.Value(), st.MaskedOutputs.Value(), st.FaultMasked.Value())
 	}

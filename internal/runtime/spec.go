@@ -3,10 +3,10 @@ package runtime
 import (
 	"fmt"
 
-	"repro/internal/datapath"
 	"repro/internal/pifo"
 	"repro/internal/sched"
 	"repro/internal/sched/registry"
+	"repro/internal/switchcore"
 )
 
 // DefaultScheduler is the registry name a Spec with no Scheduler builds:
@@ -37,7 +37,6 @@ type Spec struct {
 	XPCap    int
 
 	VOQCap, OutCap int
-	PreallocVOQs   bool
 
 	FaultPolicy FaultPolicy
 
@@ -58,7 +57,7 @@ type Spec struct {
 func (s Spec) Build() (Config, error) {
 	c := Config{
 		N: s.N, Datapath: s.Datapath, XPCap: s.XPCap,
-		VOQCap: s.VOQCap, OutCap: s.OutCap, PreallocVOQs: s.PreallocVOQs,
+		VOQCap: s.VOQCap, OutCap: s.OutCap,
 		FaultPolicy: s.FaultPolicy,
 		Flows:       s.Flows, FlowPolicy: s.FlowPolicy, FlowShards: s.FlowShards, FlowSeed: s.FlowSeed,
 		Rank: s.Rank, ClassQCap: s.ClassQCap,
@@ -73,7 +72,7 @@ func (s Spec) Build() (Config, error) {
 		}
 	}
 	// normalize reports a bad port count before anything is sized by it.
-	if s.Datapath != datapath.CICQ && s.N > 0 {
+	if s.Datapath != switchcore.DatapathCICQ && s.N > 0 {
 		name := s.Scheduler
 		if name == "" {
 			name = DefaultScheduler

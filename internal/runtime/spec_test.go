@@ -5,9 +5,9 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/datapath"
 	"repro/internal/sched"
 	"repro/internal/sched/registry"
+	"repro/internal/switchcore"
 )
 
 // TestSpecBuild is the one table of Build's name resolution and of every
@@ -23,15 +23,15 @@ func TestSpecBuild(t *testing.T) {
 		{"default scheduler", Spec{N: 4}, "", DefaultScheduler},
 		{"named scheduler", Spec{N: 4, Scheduler: "pim", Seed: 3}, "", "pim"},
 		{"unknown scheduler", Spec{N: 4, Scheduler: "nope"}, `unknown scheduler "nope"`, ""},
-		{"cicq builds no scheduler", Spec{N: 4, Datapath: datapath.CICQ, Scheduler: "nope"}, "", ""},
+		{"cicq builds no scheduler", Spec{N: 4, Datapath: switchcore.DatapathCICQ, Scheduler: "nope"}, "", ""},
 		{"classes parse", Spec{N: 4, Classes: "rt:0:4:16,bulk:2:1", Rank: "deadline"}, "", DefaultScheduler},
 		{"bad classes", Spec{N: 4, Classes: "rt:x"}, "-classes:", ""},
 		{"negative iterations", Spec{N: 4, Iterations: -1}, "-iterations must be >= 0", ""},
 		{"no ports", Spec{}, "port count 0", ""},
 		{"unknown datapath", Spec{N: 4, Datapath: "bogus"}, "-datapath must be one of cicq, voq", ""},
 		{"xpcap without cicq", Spec{N: 4, XPCap: 4}, "-xpcap requires -datapath cicq", ""},
-		{"xpcap on cicq", Spec{N: 4, Datapath: datapath.CICQ, XPCap: 4}, "", ""},
-		{"negative xpcap", Spec{N: 4, Datapath: datapath.CICQ, XPCap: -1}, "negative crosspoint capacity", ""},
+		{"xpcap on cicq", Spec{N: 4, Datapath: switchcore.DatapathCICQ, XPCap: 4}, "", ""},
+		{"negative xpcap", Spec{N: 4, Datapath: switchcore.DatapathCICQ, XPCap: -1}, "negative crosspoint capacity", ""},
 		{"negative voqcap", Spec{N: 4, VOQCap: -1}, "negative capacity", ""},
 		{"unknown fault policy", Spec{N: 4, FaultPolicy: 7}, "unknown fault policy", ""},
 		{"negative flows", Spec{N: 4, Flows: -1}, "negative flow capacity", ""},
@@ -104,12 +104,12 @@ var callerOwned = map[string]bool{"SlotPeriod": true, "Tracer": true, "OnSlot": 
 func TestSpecCoversConfig(t *testing.T) {
 	full := Spec{
 		N: 4, Scheduler: "pim", Iterations: 2, Seed: 9,
-		VOQCap: 8, OutCap: 8, PreallocVOQs: true, FaultPolicy: DropStranded,
+		VOQCap: 8, OutCap: 8, FaultPolicy: DropStranded,
 		Flows: 16, FlowPolicy: "po2", FlowShards: 2, FlowSeed: 5,
 		Classes: "rt:0:4:16,bulk:2:1", Rank: "wfq", ClassQCap: 4,
 	}
 	cicq := full
-	cicq.Datapath, cicq.XPCap = datapath.CICQ, 3
+	cicq.Datapath, cicq.XPCap = switchcore.DatapathCICQ, 3
 	var built []reflect.Value
 	for _, s := range []Spec{full, cicq} {
 		c, err := s.Build()

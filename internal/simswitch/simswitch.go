@@ -39,7 +39,6 @@ import (
 	"math"
 
 	"repro/internal/bitvec"
-	"repro/internal/datapath"
 	"repro/internal/fabric"
 	"repro/internal/matching"
 	"repro/internal/metrics"
@@ -102,7 +101,7 @@ type Config struct {
 	PQCap     int
 	OutBufCap int
 	// XPCap bounds each crosspoint buffer (CICQ organization only; 0
-	// means datapath.DefaultXPCap).
+	// means switchcore.DefaultXPCap).
 	XPCap int
 
 	// WarmupSlots are simulated but not measured; statistics cover packets
@@ -327,11 +326,7 @@ func New(cfg Config) (*Sim, error) {
 	case VOQ:
 		s.core = switchcore.New[*packet.Packet](n, cfg.VOQCap)
 	case CICQ:
-		xp := cfg.XPCap
-		if xp <= 0 {
-			xp = datapath.DefaultXPCap
-		}
-		s.xq = switchcore.NewCICQ[*packet.Packet](n, cfg.VOQCap, xp, false)
+		s.xq = switchcore.NewCICQ[*packet.Packet](n, cfg.VOQCap, cfg.XPCap)
 	case FIFO:
 		s.ififo = rings(n, cfg.VOQCap)
 	case OutputBuffered:
@@ -361,7 +356,7 @@ func New(cfg Config) (*Sim, error) {
 	case cfg.Scheduler != nil:
 		s.res.SchedulerName = cfg.Scheduler.Name()
 	case cfg.Mode == CICQ:
-		s.res.SchedulerName = "lcf_cicq"
+		s.res.SchedulerName = switchcore.CICQScheduler
 	default:
 		s.res.SchedulerName = "outbuf"
 	}

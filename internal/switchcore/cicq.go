@@ -89,15 +89,18 @@ type cicqStats struct {
 }
 
 // NewCICQ returns a CICQ datapath whose n² VOQs hold at most voqCap
-// items (0 = unbounded; built at full size up front when prealloc is set,
-// as for NewPrealloc) and whose n² crosspoint buffers hold at most xpCap
-// each. Crosspoint rings are always built at full size — they are tiny by
-// construction. xpCap must be positive: an unbounded crosspoint buffer is
-// a contradiction — the whole organization rests on the buffers being
+// items (0 = unbounded, grown on demand as for New) and whose n²
+// crosspoint buffers hold at most xpCap each (0 = DefaultXPCap).
+// Crosspoint rings are always built at full size — they are tiny by
+// construction. A negative xpCap panics: an unbounded crosspoint buffer
+// is a contradiction — the whole organization rests on the buffers being
 // small and bounded.
-func NewCICQ[T any](n, voqCap, xpCap int, prealloc bool) *CICQ[T] {
-	store := newVOQStore[T](n, voqCap, prealloc)
-	if xpCap <= 0 {
+func NewCICQ[T any](n, voqCap, xpCap int) *CICQ[T] {
+	store := newVOQStore[T](n, voqCap)
+	if xpCap == 0 {
+		xpCap = DefaultXPCap
+	}
+	if xpCap < 0 {
 		panic(fmt.Sprintf("switchcore: crosspoint capacity %d (must be bounded and positive)", xpCap))
 	}
 	c := &CICQ[T]{

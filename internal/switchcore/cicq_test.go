@@ -36,7 +36,7 @@ func newDriver(t *testing.T, n, voqCap, xpCap int, seed uint64) *driver {
 	t.Helper()
 	return &driver{
 		t:       t,
-		c:       NewCICQ[frame](n, voqCap, xpCap, false),
+		c:       NewCICQ[frame](n, voqCap, xpCap),
 		rng:     rng.NewPCG32(seed, 0x21C0),
 		n:       n,
 		xpCap:   xpCap,
@@ -210,7 +210,7 @@ func TestCICQConservationWidths(t *testing.T) {
 // exist and dispatch must regularly find the column full.
 func TestCrosspointCapacityBound(t *testing.T) {
 	const n = 8
-	c := NewCICQ[frame](n, 64, 1, false)
+	c := NewCICQ[frame](n, 64, 1)
 	injected, delivered := 0, 0
 	for s := 0; s < 200; s++ {
 		for i := 0; i < n; i++ {
@@ -243,12 +243,26 @@ func TestCrosspointCapacityBound(t *testing.T) {
 	}
 }
 
+// TestCICQDefaultXPCap pins the one place the crosspoint default is
+// resolved: NewCICQ with xpCap 0 bounds each crosspoint at DefaultXPCap,
+// so a driver passes its configured XPCap through unchanged.
+func TestCICQDefaultXPCap(t *testing.T) {
+	c := NewCICQ[frame](2, 64, 0)
+	for s := 0; s < 2*DefaultXPCap; s++ {
+		c.Enqueue(0, 0, frame{seq: s})
+		c.SnapshotRow(0) // dispatches into crosspoint (0,0); nothing pulls
+	}
+	if got := c.CrosspointFrames(); got != DefaultXPCap {
+		t.Fatalf("crosspoint (0,0) holds %d frames, want DefaultXPCap = %d", got, DefaultXPCap)
+	}
+}
+
 // TestCICQUntakeRestores verifies Untake is Take's exact inverse: state
 // after Take+Untake equals state before, and the frame is re-pulled
 // first on the next slot (PushFront ordering).
 func TestCICQUntakeRestores(t *testing.T) {
 	const n = 4
-	c := NewCICQ[frame](n, 8, 2, false)
+	c := NewCICQ[frame](n, 8, 2)
 	c.Enqueue(1, 2, frame{src: 1, dst: 2, seq: 1})
 	c.Enqueue(1, 2, frame{src: 1, dst: 2, seq: 2})
 	for i := 0; i < n; i++ {
@@ -283,7 +297,7 @@ func TestCICQUntakeRestores(t *testing.T) {
 // its crosspoints; only the pull arbiter honors the mask.
 func TestDispatchIgnoresOutputMask(t *testing.T) {
 	const n = 4
-	c := NewCICQ[frame](n, 8, 2, false)
+	c := NewCICQ[frame](n, 8, 2)
 	c.Enqueue(0, 1, frame{src: 0, dst: 1, seq: 1})
 	c.ResetOutputMask()
 	c.MaskOutput(1)
@@ -313,7 +327,7 @@ func TestDispatchIgnoresOutputMask(t *testing.T) {
 // and an uncontested one, dispatch must pick the uncontested column.
 func TestLeastChoiceDispatch(t *testing.T) {
 	const n = 4
-	c := NewCICQ[frame](n, 8, 4, false)
+	c := NewCICQ[frame](n, 8, 4)
 	// Fill column 0 with frames from inputs 1..3 so colCnt[0] = 3.
 	for i := 1; i < n; i++ {
 		c.Enqueue(i, 0, frame{src: i, dst: 0, seq: i})
@@ -362,7 +376,7 @@ func FuzzCICQSlots(f *testing.F) {
 // occupancy, the CICQ counterpart of the scheduler-decision benchmarks.
 // The hot path must not allocate.
 func benchmarkCICQDecision(b *testing.B, n int) {
-	c := NewCICQ[int](n, 64, 4, true)
+	c := NewCICQ[int](n, 64, 4)
 	r := rng.NewPCG32(uint64(n), 0xBE)
 	// Prime to a steady working set.
 	for s := 0; s < 4*n; s++ {

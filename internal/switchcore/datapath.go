@@ -1,6 +1,8 @@
 package switchcore
 
 import (
+	"fmt"
+
 	"repro/internal/bitvec"
 	"repro/internal/matching"
 	"repro/internal/sched"
@@ -11,6 +13,50 @@ var (
 	_ Datapath[int] = (*Core[int])(nil)
 	_ Datapath[int] = (*CICQ[int])(nil)
 )
+
+// Datapath names: the values of lcfd -datapath, runtime.Config.Datapath
+// and lcf.SimConfig.Datapath. They are public API, pinned by a golden
+// test (testdata/names.golden) like the scheduler registry's names.
+const (
+	// DatapathVOQ is Core, the paper's organization.
+	DatapathVOQ = "voq"
+	// DatapathCICQ is the crosspoint-buffered CICQ.
+	DatapathCICQ = "cicq"
+)
+
+// CICQScheduler is the scheduler label of a CICQ datapath: its local
+// arbiters are the scheduler, so results, sweeps and the live engine
+// report this name where the VOQ core reports its sched.Scheduler's.
+const CICQScheduler = "lcf_cicq"
+
+// DefaultXPCap is the per-crosspoint buffer bound NewCICQ uses when
+// asked for 0. Crosspoint buffers are small by design — a handful of
+// frames per crosspoint is what the CICQ literature assumes — and 8
+// keeps the n² rings cheap while decoupling the arbiter banks.
+const DefaultXPCap = 8
+
+// Known reports whether name is a datapath name ("" counts as the
+// default, DatapathVOQ).
+func Known(name string) bool {
+	return name == "" || name == DatapathVOQ || name == DatapathCICQ
+}
+
+// Names returns the datapath names, sorted.
+func Names() []string { return []string{DatapathCICQ, DatapathVOQ} }
+
+// NewDatapath builds the named datapath for n ports with VOQs bounded at
+// voqCap and, on cicq, crosspoint buffers bounded at xpCap (0 takes
+// DefaultXPCap). The error lists the known names on a miss so CLI typos
+// are self-explanatory.
+func NewDatapath[T any](name string, n, voqCap, xpCap int) (Datapath[T], error) {
+	switch name {
+	case "", DatapathVOQ:
+		return New[T](n, voqCap), nil
+	case DatapathCICQ:
+		return NewCICQ[T](n, voqCap, xpCap), nil
+	}
+	return nil, fmt.Errorf("switchcore: unknown datapath %q (known: %v)", name, Names())
+}
 
 // Datapath is the switch-datapath contract shared by the drivers
 // (internal/simswitch, internal/runtime) and implemented by two

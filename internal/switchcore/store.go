@@ -37,19 +37,16 @@ type voqStore[T any] struct {
 }
 
 // newVOQStore validates the shape shared by both datapaths and builds the
-// store: n² rings bounded at voqCap (0 = unbounded), each built at full
-// size up front when prealloc is set. It panics on non-positive n,
-// negative voqCap, or prealloc without a bound: the drivers validate
-// their configs first, so a bad value here is a programming error.
-func newVOQStore[T any](n, voqCap int, prealloc bool) voqStore[T] {
+// store: n² rings bounded at voqCap (0 = unbounded), each grown on
+// demand. It panics on non-positive n or negative voqCap: the drivers
+// validate their configs first, so a bad value here is a programming
+// error.
+func newVOQStore[T any](n, voqCap int) voqStore[T] {
 	if n <= 0 {
 		panic(fmt.Sprintf("switchcore: port count %d", n))
 	}
 	if voqCap < 0 {
 		panic(fmt.Sprintf("switchcore: negative VOQ capacity %d", voqCap))
-	}
-	if prealloc && voqCap == 0 {
-		panic("switchcore: prealloc requires a bounded VOQ capacity")
 	}
 	s := voqStore[T]{
 		n:       n,
@@ -63,11 +60,7 @@ func newVOQStore[T any](n, voqCap int, prealloc bool) voqStore[T] {
 		downOut: bitvec.New(n),
 	}
 	for k := range s.voqs {
-		if prealloc {
-			s.voqs[k] = queue.NewRingFull[T](voqCap)
-		} else {
-			s.voqs[k] = queue.NewRing[T](voqCap)
-		}
+		s.voqs[k] = queue.NewRing[T](voqCap)
 	}
 	return s
 }

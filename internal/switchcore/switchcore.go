@@ -4,7 +4,9 @@
 // organization) and the crosspoint-buffered variant (CICQ, cicq.go). Both
 // implement Datapath and embed one VOQ store (store.go): the n² VOQ
 // rings, the per-pair residency ledger, the output mask and the link
-// masks. The two drivers run the same per-slot pipeline —
+// masks. This package also names them ("voq", "cicq") and builds one by
+// name (NewDatapath, datapath.go), so a driver never maps names itself.
+// The two drivers run the same per-slot pipeline —
 //
 //	enqueue → snapshot requests → schedule → dequeue grants
 //
@@ -85,25 +87,13 @@ type Core[T any] struct {
 }
 
 // New returns a core for an n-port switch whose n² VOQs each hold at most
-// voqCap items (0 = unbounded). It panics on non-positive n or negative
-// voqCap: both drivers validate their configs first, so a bad value here
-// is a programming error.
+// voqCap items (0 = unbounded). Each ring starts small and doubles on
+// demand up to voqCap, so the core costs what has been queued. It panics
+// on non-positive n or negative voqCap: both drivers validate their
+// configs first, so a bad value here is a programming error.
 func New[T any](n, voqCap int) *Core[T] {
-	return NewPrealloc[T](n, voqCap, false)
-}
-
-// NewPrealloc is New with an explicit ring-sizing policy. With prealloc
-// false the n² VOQ rings start at 16 slots and double on demand up to
-// voqCap — cheap construction, but each ring allocates O(log voqCap)
-// times on its way to its working size (the amortized ~90 B/op visible
-// in the engine's admit benchmark). With prealloc true every ring is
-// built at its full voqCap up front: n²·ceilPow2(voqCap) slots of T
-// resident from construction (e.g. 64²·256 frame slots at n=64) bought
-// once, in exchange for a strictly allocation-free admit path. Prealloc
-// requires a positive voqCap — an unbounded ring has no full size.
-func NewPrealloc[T any](n, voqCap int, prealloc bool) *Core[T] {
 	return &Core[T]{
-		voqStore: newVOQStore[T](n, voqCap, prealloc),
+		voqStore: newVOQStore[T](n, voqCap),
 		req:      bitvec.NewMatrix(n),
 		lensSnap: flatRows(n),
 		match:    matching.NewMatch(n),

@@ -31,12 +31,12 @@ import (
 
 	"repro/internal/bitvec"
 	"repro/internal/core"
-	"repro/internal/datapath"
 	"repro/internal/matching"
 	switchruntime "repro/internal/runtime"
 	"repro/internal/sched"
 	"repro/internal/sched/registry"
 	"repro/internal/simswitch"
+	"repro/internal/switchcore"
 	"repro/internal/traffic"
 )
 
@@ -74,15 +74,12 @@ func SchedulerNames() []string { return registry.Names() }
 const (
 	// DatapathVOQ is the paper's virtual-output-queued switch with a
 	// central per-slot matching.
-	DatapathVOQ = datapath.VOQ
+	DatapathVOQ = switchcore.DatapathVOQ
 	// DatapathCICQ is the crosspoint-buffered switch: bounded buffers at
 	// every (input, output) crosspoint, decoupled per-input dispatch and
 	// per-output pull arbiters applying the least-choice rule locally.
-	DatapathCICQ = datapath.CICQ
+	DatapathCICQ = switchcore.DatapathCICQ
 )
-
-// DatapathNames returns the known datapath organization names, sorted.
-func DatapathNames() []string { return datapath.Names() }
 
 // Figure12Schedulers returns the scheduler labels of the paper's Figure 12
 // in legend order (excluding the "outbuf" switch organization).
@@ -240,8 +237,8 @@ func Simulate(cfg SimConfig) (*SimResult, error) {
 		HistogramBuckets: cfg.HistogramBuckets,
 	}
 	switch {
-	case cfg.Datapath != "" && !datapath.Known(cfg.Datapath):
-		return nil, fmt.Errorf("lcf: unknown datapath %q (known: %v)", cfg.Datapath, datapath.Names())
+	case !switchcore.Known(cfg.Datapath):
+		return nil, fmt.Errorf("lcf: unknown datapath %q (known: %v)", cfg.Datapath, switchcore.Names())
 	case cfg.Datapath == DatapathCICQ:
 		if cfg.Scheduler != nil {
 			return nil, fmt.Errorf("lcf: the cicq datapath embeds the least-choice rule in its own arbiters; Scheduler must be nil")

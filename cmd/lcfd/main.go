@@ -36,9 +36,10 @@
 //     VOQ depth and match-size histograms, slot-loop compute latency) as
 //     JSON by default, or as Prometheus text exposition format 0.0.4 when
 //     the Accept header asks for text/plain.
-//   - GET /trace drains the in-memory slot-event ring (enabled with
-//     -trace, sized with -trace-ring) as JSONL; POST /trace?enabled=true
-//     toggles recording at runtime. cmd/lcftrace renders the JSONL.
+//   - GET /trace drains the in-memory slot-event ring (the last 4096
+//     events; recording from boot with -trace) as JSONL; POST
+//     /trace?enabled=true toggles recording at runtime. cmd/lcftrace
+//     renders the JSONL.
 //   - -debug-addr serves net/http/pprof profiles and /debug/trace
 //     runtime execution traces on a separate listener.
 //
@@ -105,7 +106,6 @@ func main() {
 		listen    = flag.String("listen", "127.0.0.1:9416", "TCP address for the data plane")
 		httpAddr  = flag.String("http", "127.0.0.1:9417", "HTTP address for the metrics endpoint (empty disables)")
 		slot      = flag.Duration("slot", 200*time.Microsecond, "slot period of the arbiter loop")
-		traceRing = flag.Int("trace-ring", 4096, "slot-event trace ring capacity (0 removes the tracer entirely)")
 		traceOn   = flag.Bool("trace", false, "start with slot-event tracing enabled (toggle later with POST /trace)")
 		debugAddr = flag.String("debug-addr", "", "HTTP address for pprof and runtime execution traces (empty disables)")
 		faultPol  = flag.String("fault-policy", "drop", "disposition of frames stranded behind a failed port: drop (flush and count) or hold (keep until recovery)")
@@ -141,16 +141,6 @@ func main() {
 			}
 		})
 	}
-	var tracer *obs.Tracer
-	switch {
-	case *traceRing < 0:
-		fatalUsage("-trace-ring must be >= 0 (got %d)", *traceRing)
-	case *traceRing > 0:
-		tracer = obs.NewTracer(n, *traceRing)
-		tracer.SetEnabled(*traceOn)
-	case *traceOn:
-		fatalUsage("-trace needs a ring: set -trace-ring > 0")
-	}
 	var err error
 	if spec.FaultPolicy, err = rt.ParseFaultPolicy(*faultPol); err != nil {
 		fatalUsage("%v", err)
@@ -159,15 +149,15 @@ func main() {
 	if err != nil {
 		fatalUsage("%v", err)
 	}
+	tracer := obs.NewTracer(n, traceRing)
+	tracer.SetEnabled(*traceOn)
 	cfg.SlotPeriod, cfg.Tracer = *slot, tracer
 	engine, err := rt.New(cfg)
 	if err != nil {
 		fatalUsage("%v", err)
 	}
 
-	srv := newServer(engine, n)
-	srv.tracer = tracer
-	srv.registry = srv.buildRegistry()
+	srv := newServer(engine, n, tracer)
 	ln, err := net.Listen("tcp", *listen)
 	if err != nil {
 		fatal("%v", err)
@@ -283,9 +273,16 @@ type client struct {
 
 func newClient(conn net.Conn) *client { return &client{conn: conn} }
 
+// writeStall bounds one write to a client. A client whose socket takes no
+// bytes for this long — it stopped reading, or its host went away without
+// closing — would otherwise hold its port's pump inside the write, and
+// with it the port, for good. A client that reads at all takes a batch
+// (at most maxWriteBatch frames, ~1.3 KB) in far less, so the bound only
+// fires on one that does not.
+const writeStall = 2 * time.Second
+
 // writeBatch encodes frames into c's buffer and puts them on the wire in
-// one write. A failed write closes the connection, which retires its read
-// loop; the caller accounts the batch.
+// one write; the caller accounts the batch.
 func (c *client) writeBatch(frames []rt.Frame) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
@@ -293,6 +290,15 @@ func (c *client) writeBatch(frames []rt.Frame) error {
 	for k, f := range frames {
 		clint.Data{Src: uint8(f.Src), Dst: uint8(f.Dst), Seq: f.Seq, Stamp: f.Stamp}.EncodeTo(buf[k*clint.DataLen:])
 	}
+	return c.write(buf)
+}
+
+// write puts buf on the wire within writeStall; the caller holds wmu. The
+// deadline is set on every write because it outlives the write that set
+// it. A failed write closes the connection, which retires its read loop
+// and so releases the port.
+func (c *client) write(buf []byte) error {
+	_ = c.conn.SetWriteDeadline(time.Now().Add(writeStall)) // fails only on a closed connection, which Write reports
 	_, err := c.conn.Write(buf)
 	if err != nil {
 		c.conn.Close()
@@ -303,7 +309,7 @@ func (c *client) writeBatch(frames []rt.Frame) error {
 type server struct {
 	engine   *rt.Engine
 	n        int
-	tracer   *obs.Tracer   // nil when -trace-ring 0
+	tracer   *obs.Tracer   // the engine's slot-event ring
 	registry *obs.Registry // the Prometheus view of /metrics
 
 	mu    sync.Mutex
@@ -321,8 +327,10 @@ type server struct {
 	started time.Time
 }
 
-func newServer(engine *rt.Engine, n int) *server {
-	return &server{engine: engine, n: n, ports: make([]*client, n), started: time.Now()}
+func newServer(engine *rt.Engine, n int, tracer *obs.Tracer) *server {
+	s := &server{engine: engine, n: n, tracer: tracer, ports: make([]*client, n), started: time.Now()}
+	s.registry = s.buildRegistry()
+	return s
 }
 
 // assign grabs the lowest free port for c, or -1. Taking ownership
@@ -541,7 +549,7 @@ func (s *server) nack(c *client, seq uint64) {
 	c.wmu.Lock()
 	buf := c.wbuf[:clint.NackLen]
 	clint.Nack{Seq: seq}.EncodeTo(buf)
-	_, err := c.conn.Write(buf)
+	err := c.write(buf)
 	c.wmu.Unlock()
 	if err == nil {
 		s.nacksSent.Inc()
@@ -585,38 +593,6 @@ func (s *server) payload() metricsPayload {
 	p.Server.DroppedNoClient = s.droppedNoClient.Value()
 	p.Server.ProtocolErrors = s.protocolErrors.Value()
 	return p
-}
-
-// handleMetrics serves the live counters, content-negotiated: JSON by
-// default (the format this endpoint has always spoken), Prometheus text
-// exposition 0.0.4 when the Accept header prefers text/plain. Only GET
-// (and HEAD) are meaningful on a read-only resource; anything else is
-// 405 with the Allow header set.
-func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet && r.Method != http.MethodHead {
-		w.Header().Set("Allow", "GET, HEAD")
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
-	switch obs.NegotiateMetricsFormat(r) {
-	case obs.FormatPrometheus:
-		w.Header().Set("Content-Type", obs.ContentTypePrometheus)
-		if r.Method == http.MethodHead {
-			return
-		}
-		if err := s.registry.WritePrometheus(w); err != nil {
-			// The writer is the socket; nothing sensible left to send.
-			return
-		}
-	default:
-		w.Header().Set("Content-Type", "application/json")
-		if r.Method == http.MethodHead {
-			return
-		}
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(s.payload())
-	}
 }
 
 // flowsPayload is the GET /flows document: the flow tier's counter

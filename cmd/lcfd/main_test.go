@@ -28,7 +28,8 @@ import (
 )
 
 // newTestServer builds a lockstep daemon front-end (no ticker, no
-// listener) with a few slots of traffic already through it.
+// listener) with a few slots of traffic already through it, recorded in a
+// ring of ringCap events.
 func newTestServer(t *testing.T, ringCap int) *server {
 	t.Helper()
 	return newTestServerDP(t, ringCap, switchcore.DatapathVOQ)
@@ -47,18 +48,13 @@ func newTestServerDP(t *testing.T, ringCap int, dpName string) *server {
 			t.Fatal(err)
 		}
 	}
-	var tracer *obs.Tracer
-	if ringCap > 0 {
-		tracer = obs.NewTracer(n, ringCap)
-		tracer.Enable()
-	}
+	tracer := obs.NewTracer(n, ringCap)
+	tracer.Enable()
 	engine, err := rt.New(rt.Config{N: n, Scheduler: s, Datapath: dpName, Tracer: tracer})
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := newServer(engine, n)
-	srv.tracer = tracer
-	srv.registry = srv.buildRegistry()
+	srv := newServer(engine, n, tracer)
 	for slot := 0; slot < 3; slot++ {
 		for i := 0; i < n; i++ {
 			if err := engine.Admit(i, (i+slot)%n, uint64(slot), 0); err != nil {
@@ -77,20 +73,19 @@ const idlePorts = 4
 // listener) on an idlePorts-wide engine that nothing has touched yet; cfg
 // carries what differs from the defaults — a tier, a capacity, or a
 // SlotPeriod, which makes the engine a live one for the caller to Start.
+// Its trace ring, like the daemon's without -trace, is not recording.
 func newIdleServer(t testing.TB, cfg rt.Config) *server {
 	t.Helper()
 	s, err := registry.New("lcf_central_rr", idlePorts, sched.Options{Iterations: 4, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.N, cfg.Scheduler = idlePorts, s
+	cfg.N, cfg.Scheduler, cfg.Tracer = idlePorts, s, obs.NewTracer(idlePorts, 64)
 	engine, err := rt.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := newServer(engine, idlePorts)
-	srv.registry = srv.buildRegistry()
-	return srv
+	return newServer(engine, idlePorts, cfg.Tracer)
 }
 
 // newTestServerFlows is an idle server with the flow front tier enabled,
@@ -221,15 +216,6 @@ func TestTraceEndpoint(t *testing.T) {
 	}
 }
 
-func TestTraceEndpointWithoutRing(t *testing.T) {
-	srv := newTestServer(t, 0)
-	rec := httptest.NewRecorder()
-	srv.handleTrace(rec, httptest.NewRequest(http.MethodGet, "/trace", nil))
-	if rec.Code != http.StatusNotFound {
-		t.Errorf("GET /trace without a ring = %d, want 404", rec.Code)
-	}
-}
-
 func TestDebugMux(t *testing.T) {
 	mux := debugMux()
 
@@ -258,7 +244,7 @@ func TestDebugMux(t *testing.T) {
 }
 
 func TestFaultEndpoint(t *testing.T) {
-	srv := newTestServer(t, 0)
+	srv := newTestServer(t, 64)
 
 	post := func(query string) *httptest.ResponseRecorder {
 		rec := httptest.NewRecorder()
@@ -357,7 +343,7 @@ func TestFlowsEndpoint(t *testing.T) {
 
 	// A flow-free daemon has no /flows resource.
 	rec = httptest.NewRecorder()
-	newTestServer(t, 0).handleFlows(rec, httptest.NewRequest(http.MethodGet, "/flows", nil))
+	newTestServer(t, 64).handleFlows(rec, httptest.NewRequest(http.MethodGet, "/flows", nil))
 	if rec.Code != http.StatusNotFound {
 		t.Errorf("GET /flows without -flows = %d, want 404", rec.Code)
 	}
@@ -400,7 +386,7 @@ func TestReadLoopFlowFrames(t *testing.T) {
 	}
 
 	// The same wire bytes against a flow-free daemon: protocol error.
-	plain := newTestServer(t, 0)
+	plain := newTestServer(t, 64)
 	host2, sw2 := net.Pipe()
 	defer host2.Close()
 	c2 := newClient(sw2)
@@ -485,7 +471,7 @@ func TestReadLoopClassFrames(t *testing.T) {
 	}
 
 	// The same wire bytes against a classless daemon: protocol error.
-	plain := newTestServer(t, 0)
+	plain := newTestServer(t, 64)
 	host3, sw3 := net.Pipe()
 	defer host3.Close()
 	c3 := newClient(sw3)
@@ -509,7 +495,7 @@ func TestReadLoopClassFrames(t *testing.T) {
 // grants on an unconsumed output, and a later assign on the same port
 // recovers them for the new owner.
 func TestPortReclaim(t *testing.T) {
-	srv := newTestServer(t, 0)
+	srv := newTestServer(t, 64)
 
 	a := &client{}
 	if p := srv.assign(a); p != 0 {
@@ -549,7 +535,7 @@ func TestPortReclaim(t *testing.T) {
 // drops and counts what the engine still delivers instead of blocking on
 // it, and retires when the engine closes.
 func TestWriteLoopBatches(t *testing.T) {
-	srv := newTestServer(t, 0)
+	srv := newTestServer(t, 64)
 	for j := 0; j < srv.n; j++ {
 		for len(srv.engine.Output(j)) > 0 { // newTestServer's own traffic
 			<-srv.engine.Output(j)
@@ -681,8 +667,10 @@ func TestMetricsDocumented(t *testing.T) {
 // TestUsageErrorsExitTwo pins the exit-code contract shared by every
 // command in this repo: an invalid flag combination exits 2 with a
 // message naming the flag, before the daemon listens on anything. The
-// two undefined-flag rows are knobs PR 18 removed (DESIGN.md §13): the
-// flag package's own exit 2 keeps a resurrected one from going unnoticed.
+// undefined-flag rows are knobs that were removed — -pipeline and -shards
+// (DESIGN.md §13), and -trace-ring, whose ring the daemon now always
+// builds: the flag package's own exit 2 keeps a resurrected one from
+// going unnoticed.
 func TestUsageErrorsExitTwo(t *testing.T) {
 	bin := filepath.Join(t.TempDir(), "lcfd")
 	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
@@ -694,6 +682,7 @@ func TestUsageErrorsExitTwo(t *testing.T) {
 	}{
 		{[]string{"-pipeline"}, "flag provided but not defined: -pipeline"},
 		{[]string{"-shards", "2"}, "flag provided but not defined: -shards"},
+		{[]string{"-trace-ring", "8"}, "flag provided but not defined: -trace-ring"},
 		{[]string{"-xpcap", "4"}, "-xpcap requires -datapath cicq"},
 		{[]string{"-n", "0"}, "-n is 0"},
 		{[]string{"-slot", "0s"}, "-slot must be positive"},
@@ -701,7 +690,6 @@ func TestUsageErrorsExitTwo(t *testing.T) {
 		{[]string{"-fault-policy", "bogus"}, "-fault-policy must be hold or drop"},
 		{[]string{"-flow-policy", "po2"}, "-flow-policy requires -flows"},
 		{[]string{"-rank", "deadline"}, "-rank requires -classes"},
-		{[]string{"-trace-ring", "-1"}, "-trace-ring must be >= 0"},
 		{[]string{"-sched", "nope"}, `unknown scheduler "nope"`},
 		{[]string{"-voqcap", "-1"}, "negative capacity"},
 		{[]string{"-iterations", "-1"}, "-iterations must be >= 0"},

@@ -1,7 +1,7 @@
 package main
 
 import (
-	"fmt"
+	"io"
 	"net/http"
 	"net/http/pprof"
 	rtrace "runtime/trace"
@@ -11,6 +11,11 @@ import (
 	"repro/internal/obs"
 )
 
+// traceRing is the capacity of the slot-event ring in events: with one
+// decision event per slot that ran, the last 4 096 slots, about 0.8 s of
+// a busy switch at the default 200 µs slot.
+const traceRing = 4096
+
 // buildRegistry assembles the daemon's Prometheus view: the engine's
 // lcf_engine_*/lcf_grants_*/histogram metrics, the tracer's lcf_trace_*
 // metrics, and the TCP front-end's own counters. Every name here must be
@@ -19,9 +24,7 @@ import (
 func (s *server) buildRegistry() *obs.Registry {
 	r := obs.NewRegistry()
 	s.engine.Register(r)
-	if s.tracer != nil {
-		s.tracer.Register(r)
-	}
+	s.tracer.Register(r)
 
 	r.Gauge("lcf_uptime_seconds", "Seconds since the daemon started.", func() float64 {
 		return time.Since(s.started).Seconds()
@@ -46,35 +49,18 @@ func (s *server) buildRegistry() *obs.Registry {
 	return r
 }
 
+// handleMetrics serves the live counters: the JSON document by default,
+// the registry's Prometheus exposition when the Accept header asks for
+// text/plain.
+func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	obs.ServeMetrics(w, r, s.registry, func() any { return s.payload() })
+}
+
 // handleTrace exposes the slot-event ring: GET drains the current window
-// as JSONL (one event per line, newest window, oldest first — the format
-// cmd/lcftrace reads), POST with ?enabled=true|false toggles recording at
-// runtime. Draining does not consume: two scrapes may overlap.
+// as JSONL (one event per line, newest window, oldest first), POST with
+// ?enabled=true|false toggles recording at runtime.
 func (s *server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	if s.tracer == nil {
-		http.Error(w, "tracing not built: restart with -trace-ring > 0", http.StatusNotFound)
-		return
-	}
-	switch r.Method {
-	case http.MethodGet:
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		if err := obs.WriteJSONL(w, s.tracer.Drain()); err != nil {
-			return
-		}
-	case http.MethodPost:
-		v := r.URL.Query().Get("enabled")
-		enabled, err := strconv.ParseBool(v)
-		if err != nil {
-			http.Error(w, "POST /trace needs ?enabled=true or ?enabled=false", http.StatusBadRequest)
-			return
-		}
-		s.tracer.SetEnabled(enabled)
-		fmt.Fprintf(w, "tracing enabled=%v (ring %d events, %d emitted)\n",
-			enabled, s.tracer.Capacity(), s.tracer.Emitted())
-	default:
-		w.Header().Set("Allow", "GET, POST")
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-	}
+	obs.ServeTrace(w, r, func(w io.Writer) error { return obs.WriteJSONL(w, s.tracer.Drain()) }, s.tracer)
 }
 
 // debugMux builds the -debug-addr handler: the standard pprof surface

@@ -566,3 +566,58 @@ func TestSlowReaderBackpressure(t *testing.T) {
 	ls.stopWithin(t, socketTimeout)
 	ls.checkLedger(t)
 }
+
+// TestHalfOpenClientLosesItsPort: a client that takes its hello and never
+// reads again — a host gone without closing its connection — holds its
+// port's pump in a write only for a bounded time. The write then fails,
+// the batch counts as dropped, the connection closes, and the port is
+// released with its links failed.
+func TestHalfOpenClientLosesItsPort(t *testing.T) {
+	srv := newIdleServer(t, rt.Config{})
+	host, sw := net.Pipe()
+	served := make(chan struct{})
+	go func() {
+		srv.serveConn(sw)
+		close(served)
+	}()
+	var hello [clint.GrantLen]byte
+	host.SetReadDeadline(time.Now().Add(pipeTimeout))
+	if _, err := io.ReadFull(host, hello[:]); err != nil {
+		t.Fatalf("reading the hello: %v", err)
+	}
+	g, err := clint.DecodeGrant(hello[:])
+	if err != nil || !g.GntVal {
+		t.Fatalf("hello %+v, %v", g, err)
+	}
+	port := int(g.NodeID)
+
+	// One frame to the client's own port, delivered to a pump whose write
+	// nobody on the host side will ever read.
+	if err := srv.engine.Admit(port, port, 1, 0); err != nil {
+		t.Fatal(err)
+	}
+	srv.engine.Tick()
+	srv.wg.Add(1)
+	go srv.outputPump(port)
+	defer func() {
+		host.Close() // frees a pump still stuck in the write
+		srv.engine.Close()
+		srv.wg.Wait()
+	}()
+
+	select {
+	case <-served:
+	case <-time.After(socketTimeout):
+		t.Fatalf("a client that does not read still holds port %d after %v", port, socketTimeout)
+	}
+	if d, w := srv.droppedNoClient.Value(), srv.framesWritten.Value(); d != 1 || w != 0 {
+		t.Errorf("dropped %d, written %d; want the one frame dropped", d, w)
+	}
+	if srv.lookup(port) != nil {
+		t.Errorf("port %d still has an owner", port)
+	}
+	srv.engine.Tick() // applies the release's link failure
+	if in, out := srv.engine.LinkDown(port); !in || !out {
+		t.Errorf("port %d links down = %v, %v; want both failed", port, in, out)
+	}
+}

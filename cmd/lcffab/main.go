@@ -32,9 +32,11 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"os/signal"
@@ -58,17 +60,16 @@ func main() {
 	flag.IntVar(&spec.VOQCap, "voqcap", 256, "per-VOQ capacity in every engine")
 	flag.IntVar(&spec.OutCap, "outcap", 256, "per-output delivery buffer in every engine")
 	var (
-		m         = flag.Int("m", 4, "middle-stage switches")
-		k         = flag.Int("k", 4, "external ports per ingress/egress switch")
-		r         = flag.Int("r", 4, "ingress (= egress) switches")
-		slot      = flag.Duration("slot", 200*time.Microsecond, "fabric slot period")
-		slots     = flag.Int64("slots", 0, "stop after this many slots (0 runs until SIGINT/SIGTERM)")
-		selName   = flag.String("select", "backlog", "middle-stage routing: rr (round-robin) or backlog (least-backlogged)")
-		faultPol  = flag.String("fault-policy", "hold", "disposition of frames stranded in a failed middle switch: hold or drop")
-		load      = flag.Float64("load", 0.7, "per-external-port Bernoulli offered load of the built-in generator (0 disables)")
-		httpAddr  = flag.String("http", "127.0.0.1:9427", "HTTP address for metrics and fault injection (empty disables)")
-		traceRing = flag.Int("trace-ring", 1024, "per-engine slot-event trace ring capacity (0 removes tracing)")
-		traceOn   = flag.Bool("trace", false, "start with slot-event tracing enabled")
+		m        = flag.Int("m", 4, "middle-stage switches")
+		k        = flag.Int("k", 4, "external ports per ingress/egress switch")
+		r        = flag.Int("r", 4, "ingress (= egress) switches")
+		slot     = flag.Duration("slot", 200*time.Microsecond, "fabric slot period")
+		slots    = flag.Int64("slots", 0, "stop after this many slots (0 runs until SIGINT/SIGTERM)")
+		selName  = flag.String("select", "backlog", "middle-stage routing: rr (round-robin) or backlog (least-backlogged)")
+		faultPol = flag.String("fault-policy", "hold", "disposition of frames stranded in a failed middle switch: hold or drop")
+		load     = flag.Float64("load", 0.7, "per-external-port Bernoulli offered load of the built-in generator (0 disables)")
+		httpAddr = flag.String("http", "127.0.0.1:9427", "HTTP address for metrics and fault injection (empty disables)")
+		traceOn  = flag.Bool("trace", false, "start with slot-event tracing enabled")
 	)
 	flag.Parse()
 
@@ -85,16 +86,10 @@ func main() {
 	if *load < 0 || *load > 1 {
 		fatalUsage("-load must be in [0,1] (got %g)", *load)
 	}
-	if *traceRing < 0 {
-		fatalUsage("-trace-ring must be >= 0 (got %d)", *traceRing)
-	}
-	if *traceOn && *traceRing == 0 {
-		fatalUsage("-trace needs a ring: set -trace-ring > 0")
-	}
 
 	// Every construction error — the spec, the topology — is a usage
 	// error: nothing has run yet.
-	d, err := newDaemon(cf.Config{M: *m, K: *k, R: *r, Engine: spec, Select: sel}, *load, *traceRing, *traceOn)
+	d, err := newDaemon(cf.Config{M: *m, K: *k, R: *r, Engine: spec, Select: sel}, *load, *traceOn)
 	if err != nil {
 		fatalUsage("%v", err)
 	}
@@ -112,8 +107,8 @@ func main() {
 		}()
 	}
 
-	stop := make(chan os.Signal, 1)
-	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
+	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer cancel()
 
 	fmt.Printf("lcffab: C(%d,%d,%d) — %d switches, %d external ports, %s/%s, slot %v",
 		*m, *k, *r, *m+2**r, d.fab.N(), d.fab.Engine(cf.StageIngress, 0).SchedulerName(), sel, *slot)
@@ -122,7 +117,7 @@ func main() {
 	}
 	fmt.Println()
 
-	if err := d.run(*slot, *slots, stop); err != nil {
+	if err := d.run(*slot, *slots, ctx.Done()); err != nil {
 		fatal("%v", err)
 	}
 	st := d.fab.Stats()
@@ -144,6 +139,9 @@ type enginePos struct {
 	idx   int
 }
 
+// traceRing is the capacity of every engine's slot-event ring in events.
+const traceRing = 1024
+
 // daemon owns the fabric, its registry and the tick loop plumbing.
 type daemon struct {
 	fab      *cf.Fabric
@@ -155,27 +153,26 @@ type daemon struct {
 	ops      chan faultOp
 	started  time.Time
 
-	tracerAt  map[enginePos]*obs.Tracer // empty map when -trace-ring 0
-	positions []enginePos               // stable trace/report order
+	// Every engine's ring, in build order (the order GET /trace drains
+	// them), and the position of the engine that owns each.
+	tracers   []*obs.Tracer
+	positions []enginePos
 }
 
-func newDaemon(cfg cf.Config, load float64, traceRing int, traceOn bool) (*daemon, error) {
+func newDaemon(cfg cf.Config, load float64, traceOn bool) (*daemon, error) {
 	d := &daemon{
-		cfg:      cfg,
-		load:     load,
-		gen:      rng.NewPCG32(cfg.Engine.Seed, 0x10AD),
-		ops:      make(chan faultOp, 16),
-		started:  time.Now(),
-		tracerAt: make(map[enginePos]*obs.Tracer),
+		cfg:     cfg,
+		load:    load,
+		gen:     rng.NewPCG32(cfg.Engine.Seed, 0x10AD),
+		ops:     make(chan faultOp, 16),
+		started: time.Now(),
 	}
-	if traceRing > 0 {
-		cfg.TracerFor = func(stage uint8, idx, ports int) *obs.Tracer {
-			tr := obs.NewTracer(ports, traceRing)
-			tr.SetEnabled(traceOn)
-			d.tracerAt[enginePos{stage, idx}] = tr
-			d.positions = append(d.positions, enginePos{stage, idx})
-			return tr
-		}
+	cfg.TracerFor = func(stage uint8, idx, ports int) *obs.Tracer {
+		tr := obs.NewTracer(ports, traceRing)
+		tr.SetEnabled(traceOn)
+		d.tracers = append(d.tracers, tr)
+		d.positions = append(d.positions, enginePos{stage, idx})
+		return tr
 	}
 	fab, err := cf.New(cfg)
 	if err != nil {
@@ -226,26 +223,22 @@ func (d *daemon) step() error {
 	return d.fab.Tick()
 }
 
-// run paces step on the slot ticker until the slot budget or a signal
-// stops it. A conservation violation aborts the daemon — a fabric that
-// lost track of a frame has no business staying up.
-func (d *daemon) run(period time.Duration, maxSlots int64, stop <-chan os.Signal) error {
-	ticker := time.NewTicker(period)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-stop:
-			fmt.Println("lcffab: shutting down")
-			return nil
-		case <-ticker.C:
-			if err := d.step(); err != nil {
-				return err
-			}
-			if maxSlots > 0 && d.fab.Slot() >= maxSlots {
-				return nil
-			}
+// run paces step on the runtime's slot clock until the slot budget or a
+// closed stop ends it. A conservation violation aborts the daemon — a
+// fabric that lost track of a frame has no business staying up.
+func (d *daemon) run(period time.Duration, maxSlots int64, stop <-chan struct{}) error {
+	clk := rt.NewSlotClock(period)
+	for clk.Wait(stop) {
+		if err := d.step(); err != nil {
+			return err
 		}
+		if maxSlots > 0 && d.fab.Slot() >= maxSlots {
+			return nil
+		}
+		clk.Advance(false)
 	}
+	fmt.Println("lcffab: shutting down")
+	return nil
 }
 
 // snapshot is the JSON document of GET /metrics.
@@ -290,29 +283,7 @@ func (d *daemon) snapshot() snapshot {
 }
 
 func (d *daemon) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet && r.Method != http.MethodHead {
-		w.Header().Set("Allow", "GET, HEAD")
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
-	switch obs.NegotiateMetricsFormat(r) {
-	case obs.FormatPrometheus:
-		w.Header().Set("Content-Type", obs.ContentTypePrometheus)
-		if r.Method == http.MethodHead {
-			return
-		}
-		if err := d.registry.WritePrometheus(w); err != nil {
-			return
-		}
-	default:
-		w.Header().Set("Content-Type", "application/json")
-		if r.Method == http.MethodHead {
-			return
-		}
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(d.snapshot())
-	}
+	obs.ServeMetrics(w, r, d.registry, func() any { return d.snapshot() })
 }
 
 // stageSummary is one switch engine's row in GET /fabric.
@@ -439,35 +410,20 @@ type stageEvent struct {
 // carrying the engine's stage and index; POST ?enabled=true|false toggles
 // recording on every tracer at once.
 func (d *daemon) handleTrace(w http.ResponseWriter, r *http.Request) {
-	if len(d.tracerAt) == 0 {
-		http.Error(w, "tracing not built: restart with -trace-ring > 0", http.StatusNotFound)
-		return
-	}
-	switch r.Method {
-	case http.MethodGet:
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		enc := json.NewEncoder(w)
-		for _, pos := range d.positions {
-			for _, ev := range d.tracerAt[pos].Drain() {
-				if err := enc.Encode(stageEvent{Stage: cf.StageName(pos.stage), Index: pos.idx, Event: ev}); err != nil {
-					return
-				}
+	obs.ServeTrace(w, r, d.writeTrace, d.tracers...)
+}
+
+func (d *daemon) writeTrace(w io.Writer) error {
+	enc := json.NewEncoder(w)
+	for i, tr := range d.tracers {
+		pos := d.positions[i]
+		for _, ev := range tr.Drain() {
+			if err := enc.Encode(stageEvent{Stage: cf.StageName(pos.stage), Index: pos.idx, Event: ev}); err != nil {
+				return err
 			}
 		}
-	case http.MethodPost:
-		enabled, err := strconv.ParseBool(r.URL.Query().Get("enabled"))
-		if err != nil {
-			http.Error(w, "POST /trace needs ?enabled=true or ?enabled=false", http.StatusBadRequest)
-			return
-		}
-		for _, tr := range d.tracerAt {
-			tr.SetEnabled(enabled)
-		}
-		fmt.Fprintf(w, "tracing enabled=%v on %d engines\n", enabled, len(d.tracerAt))
-	default:
-		w.Header().Set("Allow", "GET, POST")
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 	}
+	return nil
 }
 
 func fatal(format string, args ...any) {

@@ -20,19 +20,20 @@ import (
 	rt "repro/internal/runtime"
 )
 
-// newTestDaemon builds a lockstep fabric daemon (no ticker, no listener)
-// with a few slots of generated traffic already through it.
-func newTestDaemon(t *testing.T, ringCap int) *daemon {
+// newTestDaemon builds a lockstep fabric daemon (no slot clock, no
+// listener), tracing from the start, with slots slots of generated
+// traffic already through it.
+func newTestDaemon(t *testing.T, slots int) *daemon {
 	t.Helper()
 	d, err := newDaemon(cf.Config{
 		M: 2, K: 2, R: 2,
 		Engine: rt.Spec{Seed: 1, FaultPolicy: rt.HoldStranded},
 		Select: cf.SelectLeastBacklogged,
-	}, 0.6, ringCap, ringCap > 0)
+	}, 0.6, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for slot := 0; slot < 20; slot++ {
+	for slot := 0; slot < slots; slot++ {
 		if err := d.step(); err != nil {
 			t.Fatal(err)
 		}
@@ -127,7 +128,7 @@ func TestDaemonMetricsHandlers(t *testing.T) {
 	}
 }
 
-// TestDaemonEndToEnd runs the real slot loop on its ticker with the HTTP
+// TestDaemonEndToEnd runs the real slot loop on its clock with the HTTP
 // surface attached, kills a middle switch over the wire, watches traffic
 // reroute, revives it and shuts down — the full operational story,
 // in-process.
@@ -136,7 +137,7 @@ func TestDaemonEndToEnd(t *testing.T) {
 		M: 2, K: 2, R: 2,
 		Engine: rt.Spec{Seed: 7, FaultPolicy: rt.HoldStranded},
 		Select: cf.SelectRoundRobin,
-	}, 0.6, 64, true)
+	}, 0.6, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +149,7 @@ func TestDaemonEndToEnd(t *testing.T) {
 	ts := httptest.NewServer(mux)
 	defer ts.Close()
 
-	stop := make(chan os.Signal, 1)
+	stop := make(chan struct{})
 	runDone := make(chan error, 1)
 	go func() { runDone <- d.run(50*time.Microsecond, 0, stop) }()
 
@@ -227,7 +228,7 @@ func TestDaemonEndToEnd(t *testing.T) {
 		}
 	}
 
-	stop <- os.Interrupt
+	close(stop)
 	if err := <-runDone; err != nil {
 		t.Fatalf("run loop: %v", err)
 	}
@@ -237,6 +238,46 @@ func TestDaemonEndToEnd(t *testing.T) {
 	if st.Injected.Value() != st.Delivered.Value()+st.Dropped.Value()+d.fab.Resident() {
 		t.Fatalf("final accounting broken: injected %d, delivered %d, dropped %d, resident %d",
 			st.Injected.Value(), st.Delivered.Value(), st.Dropped.Value(), d.fab.Resident())
+	}
+}
+
+// TestDaemonClockHoldsPeriod: the fabric loop runs a slot every period at
+// lcffab's default 200 µs, at least 0.8 of the asked rate, with the
+// fabric's per-slot conservation audit running in every slot. On a
+// time.Ticker it ran near a fifth of that rate, because the netpoller
+// rounds a timer wait under 1 ms up to a millisecond. The best of three
+// runs counts: a clock that cannot keep the period misses it in every
+// run, while a busy host seldom stalls all three.
+func TestDaemonClockHoldsPeriod(t *testing.T) {
+	const period, slots = 200 * time.Microsecond, 1000
+	// A light load keeps a slot's work well under the period, the race
+	// detector's cost included, so what is timed is the clock.
+	d, err := newDaemon(cf.Config{
+		M: 2, K: 2, R: 2,
+		Engine: rt.Spec{Seed: 1, FaultPolicy: rt.HoldStranded},
+		Select: cf.SelectLeastBacklogged,
+	}, 0.1, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	asked, best := 1/period.Seconds(), 0.0
+	for try := 1; try <= 3 && best < 0.8*asked; try++ {
+		start := time.Now()
+		if err := d.run(period, int64(try*slots), nil); err != nil {
+			t.Fatal(err)
+		}
+		rate := slots / time.Since(start).Seconds()
+		if got := d.fab.Slot(); got != int64(try*slots) {
+			t.Fatalf("ran %d slots, want %d", got, try*slots)
+		}
+		t.Logf("run %d: %.0f slots/s at %v (asked %.0f)", try, rate, period, asked)
+		best = max(best, rate)
+	}
+	if d.fab.Stats().Injected.Value() == 0 {
+		t.Fatal("no traffic went through the fabric")
+	}
+	if best < 0.8*asked {
+		t.Errorf("best of three runs of %d slots: %.0f slots/s, asked %.0f", slots, best, asked)
 	}
 }
 
@@ -253,8 +294,8 @@ func TestUsageErrorsExitTwo(t *testing.T) {
 		args []string
 		want string // substring of stderr
 	}{
-		{[]string{"-trace", "-trace-ring", "0"}, "-trace needs a ring"},
-		{[]string{"-trace-ring", "-1"}, "-trace-ring must be >= 0"},
+		{[]string{"-trace", "-trace-ring", "0"}, "flag provided but not defined: -trace-ring"},
+		{[]string{"-trace-ring", "8"}, "flag provided but not defined: -trace-ring"},
 		{[]string{"-fault-policy", "x"}, "-fault-policy must be hold or drop"},
 		{[]string{"-select", "x"}, "-select"},
 		{[]string{"-slot", "0"}, "-slot must be positive"},

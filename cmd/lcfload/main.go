@@ -64,6 +64,7 @@ import (
 	"repro/internal/clint"
 	"repro/internal/metrics"
 	"repro/internal/obs"
+	rt "repro/internal/runtime"
 	"repro/internal/traffic"
 )
 
@@ -266,18 +267,19 @@ func main() {
 		}(c)
 	}
 
-	// The pacer: one goroutine ticks the generator clock and fans frames
-	// out over all connections. Retransmit timers and reconnects write
-	// too, so every touch of a connection's writer goes through its
-	// mutex. A write error here is not fatal — the receiver is already
-	// redialing — so the frame takes the retry path like a NACK.
+	// The pacer: one goroutine runs the generator's slots on the
+	// runtime's slot clock and fans frames out over all connections.
+	// Retransmit timers and reconnects write too, so every touch of a
+	// connection's writer goes through its mutex. A write error here is
+	// not fatal — the receiver is already redialing — so the frame takes
+	// the retry path like a NACK.
 	var sent int64
 	var seq uint64
 	var frame [maxDataLen]byte
 	start := time.Now()
-	ticker := time.NewTicker(*slot)
+	clk := rt.NewSlotClock(*slot)
 	for t := 0; t < *slots; t++ {
-		<-ticker.C
+		clk.Wait(nil)
 		for in := 0; in < *n; in++ {
 			dst := gen.Next(in)
 			if dst == traffic.NoPacket {
@@ -316,8 +318,8 @@ func main() {
 				writeErrs.Add(1)
 			}
 		}
+		clk.Advance(false)
 	}
-	ticker.Stop()
 	elapsed := time.Since(start)
 
 	// Closed loop: every sent frame ends as a delivery or an exhausted

@@ -12,11 +12,11 @@
 //   - Registry renders any set of registered counters, gauges and
 //     histograms (built over internal/metrics' atomic types) in the
 //     Prometheus text exposition format 0.0.4, so a live lcfd can be
-//     scraped by a stock Prometheus server. NegotiateMetricsFormat
-//     implements the /metrics content negotiation between that format
-//     and the pre-existing JSON document, and ParsePrometheus reads the
-//     exposition back (cmd/lcfload uses it to report switch-side
-//     counters next to its client-side measurements).
+//     scraped by a stock Prometheus server. ServeMetrics is every
+//     daemon's /metrics handler, negotiating (NegotiateMetricsFormat)
+//     between that format and the daemon's JSON document, and
+//     ParsePrometheus reads the exposition back (cmd/lcfload uses it to
+//     report switch-side counters next to its client-side measurements).
 //   - Tracer is a preallocated, lock-free ring of per-slot trace events:
 //     request-matrix cardinality and the slot's sched.GrantSet — for
 //     schedulers implementing sched.Explainer, i.e. the LCF variants,
@@ -24,9 +24,10 @@
 //     plus fault, flow and class events. Every emitter writes through one
 //     path with atomic stores only (zero heap allocations); a disabled
 //     tracer costs exactly one atomic load per event, so the hooks can
-//     stay compiled into the hot path permanently. cmd/lcftrace
-//     drains the ring (directly or over lcfd's /trace endpoint) into
-//     JSONL or a human-readable timeline.
+//     stay compiled into the hot path permanently. ServeTrace is every
+//     daemon's /trace handler, and cmd/lcftrace drains the ring
+//     (directly or over lcfd's /trace endpoint) into JSONL or a
+//     human-readable timeline.
 //
 // OBSERVABILITY.md documents every exported metric name, the trace event
 // schema, and the operational runbook; a test in cmd/lcfd fails if the

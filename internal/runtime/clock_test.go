@@ -14,14 +14,14 @@ func TestSlotClockAdvance(t *testing.T) {
 	const period = time.Hour
 	past := time.Now().Add(-3 * period)
 
-	c := slotClock{period: period, next: past}
-	c.advance(false)
+	c := SlotClock{period: period, next: past}
+	c.Advance(false)
 	if want := past.Add(period); !c.next.Equal(want) {
-		t.Fatalf("advance(false) moved the deadline to %v, want one period on (%v)", c.next, want)
+		t.Fatalf("Advance(false) moved the deadline to %v, want one period on (%v)", c.next, want)
 	}
 	start := time.Now()
-	if !c.wait(nil) {
-		t.Fatal("wait refused to run a slot")
+	if !c.Wait(nil) {
+		t.Fatal("Wait refused to run a slot")
 	}
 	if waited := time.Since(start); waited > time.Second {
 		t.Fatalf("an overdue slot waited %v", waited)
@@ -30,17 +30,17 @@ func TestSlotClockAdvance(t *testing.T) {
 		t.Fatalf("the overdue slot kept its stale deadline %v: the missed periods would be caught up", c.next)
 	}
 
-	c = slotClock{period: period, next: past}
+	c = SlotClock{period: period, next: past}
 	before := time.Now()
-	c.advance(true)
+	c.Advance(true)
 	if c.next.Before(before.Add(period)) {
 		t.Fatalf("a stalled slot left the next one due at %v, under a period from now (%v)", c.next, before)
 	}
 
 	// The same stalled slot after a sleep: the wake-up came late, and the
 	// next slot may make it up at once.
-	c = slotClock{period: period, next: past, slept: true}
-	c.advance(true)
+	c = SlotClock{period: period, next: past, slept: true}
+	c.Advance(true)
 	if want := past.Add(period); !c.next.Equal(want) {
 		t.Fatalf("a stalled slot that slept first moved the deadline to %v, want %v", c.next, want)
 	}
@@ -48,10 +48,10 @@ func TestSlotClockAdvance(t *testing.T) {
 	// A deadline still ahead is kept: the late wake-up of one wait is made
 	// up by the next, so the rate does not drift.
 	ahead := time.Now().Add(period)
-	c = slotClock{period: period, next: ahead}
-	c.advance(true)
+	c = SlotClock{period: period, next: ahead}
+	c.Advance(true)
 	if want := ahead.Add(period); !c.next.Equal(want) {
-		t.Fatalf("advance(true) on a future deadline gave %v, want %v", c.next, want)
+		t.Fatalf("Advance(true) on a future deadline gave %v, want %v", c.next, want)
 	}
 }
 
@@ -61,13 +61,13 @@ func TestSlotClockWaitSeesStop(t *testing.T) {
 	stop := make(chan struct{})
 	close(stop)
 	for _, next := range []time.Time{time.Now().Add(-time.Second), time.Now().Add(time.Hour)} {
-		c := slotClock{period: time.Hour, next: next}
+		c := SlotClock{period: time.Hour, next: next}
 		start := time.Now()
-		if c.wait(stop) {
-			t.Errorf("wait(next %v) ran a slot after stop", time.Until(next))
+		if c.Wait(stop) {
+			t.Errorf("Wait(next %v) ran a slot after stop", time.Until(next))
 		}
 		if waited := time.Since(start); waited > time.Second {
-			t.Errorf("wait(next %v) took %v to see stop", time.Until(next), waited)
+			t.Errorf("Wait(next %v) took %v to see stop", time.Until(next), waited)
 		}
 	}
 }

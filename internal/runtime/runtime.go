@@ -41,7 +41,7 @@
 //
 // Two clocking modes share all of that machinery. With Config.SlotPeriod >
 // 0, Start launches the arbiter on a deadline clock (the live mode
-// cmd/lcfd uses; see slotClock). With SlotPeriod == 0 the engine is in
+// cmd/lcfd uses; see SlotClock). With SlotPeriod == 0 the engine is in
 // lockstep mode: the caller advances slots one Tick at a time, which is
 // what makes the engine testable against the offline simulator slot for
 // slot (see TestRuntimeMatchesSimswitch).
@@ -693,16 +693,16 @@ func (e *Engine) Start() error {
 // out the rest of it otherwise, so slots are never closer together than
 // SlotPeriod across a park.
 func (e *Engine) run() {
-	clk := slotClock{period: e.cfg.SlotPeriod, next: time.Now().Add(e.cfg.SlotPeriod)}
-	for clk.wait(e.stop) {
+	clk := NewSlotClock(e.cfg.SlotPeriod)
+	for clk.Wait(e.stop) {
 		matched := e.tick()
 		idle := e.idle()
-		clk.advance(matched == 0 && !idle)
+		clk.Advance(matched == 0 && !idle)
 		if idle {
 			e.park()
 		}
 	}
-	e.drain(&clk)
+	e.drain(clk)
 	close(e.done)
 }
 
@@ -760,12 +760,12 @@ const stallFloor = 10 * time.Millisecond
 // arbiter's clock, exactly as run paces its slots; a lockstep drain ticks
 // at full speed and yields after a slot that moved nothing, so a consumer
 // sharing the processor gets to run.
-func (e *Engine) drain(clk *slotClock) {
+func (e *Engine) drain(clk *SlotClock) {
 	stalled, since := 0, time.Time{}
 	last := e.met.Backlog.Value()
 	for last > 0 {
 		if clk != nil {
-			clk.wait(nil)
+			clk.Wait(nil)
 		}
 		e.tick()
 		cur := e.met.Backlog.Value()
@@ -782,7 +782,7 @@ func (e *Engine) drain(clk *slotClock) {
 			}
 		}
 		if clk != nil {
-			clk.advance(!moved)
+			clk.Advance(!moved)
 		} else if !moved {
 			goruntime.Gosched()
 		}

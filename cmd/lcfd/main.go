@@ -85,6 +85,11 @@ import (
 	"repro/internal/switchcore"
 )
 
+// flowEpoch is the period of the flow table's idle-eviction clock: one
+// second, so that -flow-idle counts seconds, the unit an idle timeout is
+// set in, at the cost of one table sweep a second.
+const flowEpoch = time.Second
+
 func main() {
 	// The engine flags write into one spec; runtime resolves its names and
 	// checks its rules. The rest belong to the daemon.
@@ -93,7 +98,7 @@ func main() {
 	flag.StringVar(&spec.Datapath, "datapath", switchcore.DatapathVOQ, "switch datapath organization: "+strings.Join(switchcore.Names(), " or ")+" (cicq buffers frames at the crosspoints and embeds the least-choice rule in per-port arbiters)")
 	flag.IntVar(&spec.XPCap, "xpcap", 0, "per-crosspoint buffer capacity (-datapath=cicq only)")
 	flag.IntVar(&spec.N, "n", 16, "switch port count (max 16: the grant frame's NodeID field is 4 bits)")
-	flag.IntVar(&spec.VOQCap, "voqcap", 256, "per-VOQ capacity (admission backpressure threshold)")
+	flag.IntVar(&spec.VOQCap, "voqcap", 256, "per-VOQ capacity (admission backpressure threshold); with -classes it also bounds the PIFO in front of each VOQ")
 	flag.IntVar(&spec.OutCap, "outcap", 256, "per-output delivery buffer (frames)")
 	flag.IntVar(&spec.Iterations, "iterations", 4, "iterations for the iterative schedulers")
 	flag.Uint64Var(&spec.Seed, "seed", 1, "scheduler RNG seed")
@@ -101,7 +106,6 @@ func main() {
 	flag.StringVar(&spec.FlowPolicy, "flow-policy", "", "flow steering policy: "+strings.Join(flowtable.Names(), ", ")+" (default hash; requires -flows)")
 	flag.StringVar(&spec.Classes, "classes", "", "service classes as name[:priority[:weight[:slo_slots]]],... — enables the PIFO ranking tier in front of the VOQs (empty disables)")
 	flag.StringVar(&spec.Rank, "rank", "", "class rank function: "+strings.Join(pifo.Names(), ", ")+" (default fifo; requires -classes)")
-	flag.IntVar(&spec.ClassQCap, "classqcap", 0, "per-(input,output) PIFO capacity bound (default -voqcap; requires -classes); PIFOs grow toward it on demand")
 	var (
 		listen    = flag.String("listen", "127.0.0.1:9416", "TCP address for the data plane")
 		httpAddr  = flag.String("http", "127.0.0.1:9417", "HTTP address for the metrics endpoint (empty disables)")
@@ -109,8 +113,7 @@ func main() {
 		traceOn   = flag.Bool("trace", false, "start with slot-event tracing enabled (toggle later with POST /trace)")
 		debugAddr = flag.String("debug-addr", "", "HTTP address for pprof and runtime execution traces (empty disables)")
 		faultPol  = flag.String("fault-policy", "drop", "disposition of frames stranded behind a failed port: drop (flush and count) or hold (keep until recovery)")
-		flowEpoch = flag.Duration("flow-epoch", time.Second, "period of the flow idle-eviction epoch clock (requires -flows)")
-		flowIdle  = flag.Uint("flow-idle", 60, "epochs a flow may sit idle before eviction; 0 keeps flows forever (requires -flows)")
+		flowIdle  = flag.Uint("flow-idle", 60, "seconds a flow may sit idle before eviction; 0 keeps flows forever (requires -flows)")
 	)
 	flag.Parse()
 	n := spec.N
@@ -124,9 +127,6 @@ func main() {
 		fatalUsage("-slot must be positive (got %v)", *slot)
 	}
 	if spec.Flows > 0 {
-		if *flowEpoch <= 0 {
-			fatalUsage("-flow-epoch must be positive (got %v)", *flowEpoch)
-		}
 		if *flowIdle > math.MaxUint32 {
 			// The table counts idle epochs in 32 bits; a larger bound
 			// would wrap to a small one, evicting flows meant to stay.
@@ -135,9 +135,8 @@ func main() {
 	} else {
 		// The epoch clock is the daemon's, so its tuning is checked here.
 		flag.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "flow-epoch", "flow-idle":
-				fatalUsage("-%s requires -flows > 0", f.Name)
+			if f.Name == "flow-idle" {
+				fatalUsage("-flow-idle requires -flows > 0")
 			}
 		})
 	}
@@ -170,14 +169,14 @@ func main() {
 		go srv.outputPump(j)
 	}
 
-	// The flow-epoch clock: advance the table's epoch every -flow-epoch
-	// and sweep out flows idle longer than -flow-idle epochs. Steering
-	// state only — frames already queued are never touched by eviction.
+	// The eviction clock: advance the table's epoch every flowEpoch and
+	// sweep out flows idle longer than -flow-idle epochs. Steering state
+	// only — frames already queued are never touched by eviction.
 	var epochStop chan struct{}
 	if spec.Flows > 0 && *flowIdle > 0 {
 		epochStop = make(chan struct{})
 		go func() {
-			tick := time.NewTicker(*flowEpoch)
+			tick := time.NewTicker(flowEpoch)
 			defer tick.Stop()
 			for {
 				select {

@@ -668,9 +668,10 @@ func TestMetricsDocumented(t *testing.T) {
 // command in this repo: an invalid flag combination exits 2 with a
 // message naming the flag, before the daemon listens on anything. The
 // undefined-flag rows are knobs that were removed — -pipeline and -shards
-// (DESIGN.md §13), and -trace-ring, whose ring the daemon now always
-// builds: the flag package's own exit 2 keeps a resurrected one from
-// going unnoticed.
+// (DESIGN.md §13); -trace-ring, whose ring the daemon now always builds;
+// -classqcap, since -voqcap bounds a pair's PIFO as well as its VOQ; and
+// -flow-epoch, since the eviction clock ticks once a second: the flag
+// package's own exit 2 keeps a resurrected one from going unnoticed.
 func TestUsageErrorsExitTwo(t *testing.T) {
 	bin := filepath.Join(t.TempDir(), "lcfd")
 	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
@@ -683,6 +684,8 @@ func TestUsageErrorsExitTwo(t *testing.T) {
 		{[]string{"-pipeline"}, "flag provided but not defined: -pipeline"},
 		{[]string{"-shards", "2"}, "flag provided but not defined: -shards"},
 		{[]string{"-trace-ring", "8"}, "flag provided but not defined: -trace-ring"},
+		{[]string{"-classqcap", "8"}, "flag provided but not defined: -classqcap"},
+		{[]string{"-flows", "8", "-flow-epoch", "2s"}, "flag provided but not defined: -flow-epoch"},
 		{[]string{"-xpcap", "4"}, "-xpcap requires -datapath cicq"},
 		{[]string{"-n", "0"}, "-n is 0"},
 		{[]string{"-slot", "0s"}, "-slot must be positive"},
@@ -694,6 +697,7 @@ func TestUsageErrorsExitTwo(t *testing.T) {
 		{[]string{"-voqcap", "-1"}, "negative capacity"},
 		{[]string{"-iterations", "-1"}, "-iterations must be >= 0"},
 		{[]string{"-flows", "8", "-flow-idle", "4294967296"}, "-flow-idle must be <= 4294967295"},
+		{[]string{"-flow-idle", "30"}, "-flow-idle requires -flows > 0"},
 	} {
 		// A daemon that wrongly accepts its flags serves until killed.
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)

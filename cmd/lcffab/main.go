@@ -65,7 +65,7 @@ func main() {
 		r        = flag.Int("r", 4, "ingress (= egress) switches")
 		slot     = flag.Duration("slot", 200*time.Microsecond, "fabric slot period")
 		slots    = flag.Int64("slots", 0, "stop after this many slots (0 runs until SIGINT/SIGTERM)")
-		selName  = flag.String("select", "backlog", "middle-stage routing: rr (round-robin) or backlog (least-backlogged)")
+		selName  = flag.String("select", cf.SelectRoundRobin.String(), "middle-stage routing: rr (round-robin) or backlog (least-backlogged)")
 		faultPol = flag.String("fault-policy", "hold", "disposition of frames stranded in a failed middle switch: hold or drop")
 		load     = flag.Float64("load", 0.7, "per-external-port Bernoulli offered load of the built-in generator (0 disables)")
 		httpAddr = flag.String("http", "127.0.0.1:9427", "HTTP address for metrics and fault injection (empty disables)")

@@ -298,6 +298,8 @@ func TestUsageErrorsExitTwo(t *testing.T) {
 		{[]string{"-trace-ring", "8"}, "flag provided but not defined: -trace-ring"},
 		{[]string{"-fault-policy", "x"}, "-fault-policy must be hold or drop"},
 		{[]string{"-select", "x"}, "-select"},
+		{[]string{"-select", "round-robin"}, `unknown middle selection "round-robin"`},
+		{[]string{"-select", "least-backlogged"}, `unknown middle selection "least-backlogged"`},
 		{[]string{"-slot", "0"}, "-slot must be positive"},
 		{[]string{"-load", "2"}, "-load must be in [0,1]"},
 		{[]string{"-sched", "nope"}, `unknown scheduler "nope"`},

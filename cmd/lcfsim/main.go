@@ -12,7 +12,8 @@
 //	lcfsim -figure throughput         # saturation throughput per scheduler
 //	lcfsim -figure iters              # lcf_dist/pim/islip vs iteration count
 //	lcfsim -figure rrdensity          # Section 3 fairness/latency ablation
-//	lcfsim -figure bursty|hotspot|diagonal
+//	lcfsim -pattern bursty            # Figure 12a's grid under another pattern
+//	lcfsim -schedulers rrm,islip,firm -iterations 1   # pointer disciplines
 //	lcfsim -schedulers lcf_central,outbuf -loads 0.5,0.9,0.99
 //	lcfsim -figure flows -seed 42 -warmup 3000 -measure 10000      # E31
 //	lcfsim -figure classes -n 8 -seed 42 -loads 0.96 -measure 4000 # E32
@@ -76,26 +77,10 @@ var figures = map[string]figure{
 	"mcast":      {base, runMulticast},
 	"pipeline":   {base + " iterations loads schedulers", runPipelineAblation},
 	"choice":     {base + " loads", runChoiceHypothesis},
-	"pointer": {base + " iterations repeat workers speedup pattern loads csv json", func(c lcf.SweepConfig, o options) {
-		c.Schedulers = []string{"rrm", "islip", "firm"}
-		runDelaySweep(c, o, false)
-	}},
 	"unbalanced": {base + " iterations repeat workers speedup schedulers", runUnbalanced},
 	"crossover":  {sweep, runCrossovers},
-	"bursty":     patternSweep("bursty"),
-	"hotspot":    patternSweep("hotspot"),
-	"diagonal":   patternSweep("diagonal"),
 	"flows":      {base + " loads schedulers csv flows skew policies", runFlows},
 	"classes":    {"n seed measure loads schedulers csv ranks", runClasses},
-}
-
-// patternSweep is Figure 12a's grid under the named traffic pattern.
-func patternSweep(pattern string) figure {
-	return figure{base + " iterations repeat workers speedup loads schedulers csv json",
-		func(c lcf.SweepConfig, o options) {
-			c.Pattern = pattern
-			runDelaySweep(c, o, false)
-		}}
 }
 
 func main() {
@@ -114,7 +99,7 @@ func main() {
 		speedup    = flag.Int("speedup", 1, "fabric speedup (CIOQ extension)")
 		pattern    = flag.String("pattern", "", "traffic pattern: "+strings.Join(traffic.PatternNames(), ", "))
 		plot       = flag.Bool("plot", false, "render 12a/12b as an ASCII chart instead of a table")
-		jsonOut    = flag.Bool("json", false, "emit JSON for the delay sweeps (12a, 12b, pointer, pattern figures)")
+		jsonOut    = flag.Bool("json", false, "emit JSON for the delay sweeps (12a, 12b)")
 		flows      = flag.Int("flows", 100_000, "flows: flow-id population (steering table is sized 2x)")
 		skew       = flag.Float64("skew", 0.8, "flows: Zipf popularity exponent (0 = uniform)")
 		policies   = flag.String("policies", strings.Join(flowtable.Names(), ","), "flows: comma-separated steering policies to compare")
@@ -267,10 +252,6 @@ func runDelay(cfg lcf.SweepConfig, o options, relative bool) {
 		runDelayPlot(cfg, relative)
 		return
 	}
-	runDelaySweep(cfg, o, relative)
-}
-
-func runDelaySweep(cfg lcf.SweepConfig, o options, relative bool) {
 	res, err := lcf.Sweep(cfg)
 	if err != nil {
 		fatal("%v", err)

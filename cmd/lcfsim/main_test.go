@@ -170,12 +170,18 @@ func checkExitTwo(t *testing.T, cases ...[]string) {
 // TestUsageErrorsExitTwo covers the flags every figure parses. The
 // -datapath row is a flag that went: -datapath cicq was a second
 // spelling of -schedulers lcf_cicq,outbuf, and the flag package's own
-// exit 2 keeps it from coming back unnoticed.
+// exit 2 keeps it from coming back unnoticed. The bursty, hotspot,
+// diagonal and pointer rows are figures that went the same way: each was
+// -figure 12a under a -pattern or a -schedulers list.
 func TestUsageErrorsExitTwo(t *testing.T) {
 	checkExitTwo(t,
 		[]string{"-figure", "nonexistent"},
 		[]string{"-loads", "x"},
 		[]string{"-datapath", "cicq"},
+		[]string{"-figure", "bursty"},
+		[]string{"-figure", "hotspot"},
+		[]string{"-figure", "diagonal"},
+		[]string{"-figure", "pointer"},
 	)
 }
 
@@ -206,7 +212,6 @@ func TestClassUsageErrorsExitTwo(t *testing.T) {
 		[]string{"-figure", "classes", "-classes", "bad:x"},
 		[]string{"-figure", "classes", "-mix", "1,2"},
 		[]string{"-figure", "classes", "-fault-ports", "8"},
-		[]string{"-figure", "classes", "-classqcap", "-1"},
 	)
 }
 
@@ -224,7 +229,7 @@ func TestFiguresRejectUnreadFlags(t *testing.T) {
 		{[]string{"-figure", "iters", "-csv"}, "-csv"},
 		{[]string{"-figure", "mcast", "-loads", "0.5"}, "-loads"},
 		{[]string{"-figure", "rrdensity", "-schedulers", "islip"}, "-schedulers"},
-		{[]string{"-figure", "hotspot", "-pattern", "bursty"}, "-pattern"},
+		{[]string{"-figure", "hist", "-pattern", "bursty"}, "-pattern"},
 		{[]string{"-figure", "crossover", "-plot"}, "-plot"},
 		{[]string{"-figure", "flows", "-speedup", "2"}, "-speedup"},
 		{[]string{"-figure", "flows", "-ranks", "fifo"}, "-ranks"},

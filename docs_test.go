@@ -152,9 +152,13 @@ func TestPackageDocs(t *testing.T) {
 	}
 }
 
-// cmdRef matches a command path in prose, code spans or shell lines:
-// cmd/<x> or ./cmd/<x>, not a longer path that merely ends in one.
-var cmdRef = regexp.MustCompile(`(?:^|[^\w/.])(?:\./)?cmd/([a-z][a-z0-9_]*)`)
+// cmdRef and exampleRef match a command or example program path in
+// prose, code spans or shell lines: cmd/<x> or ./cmd/<x>, examples/<x> or
+// ./examples/<x>, not a longer path that merely ends in one.
+var (
+	cmdRef     = regexp.MustCompile(`(?:^|[^\w/.])(?:\./)?cmd/([a-z][a-z0-9_]*)`)
+	exampleRef = regexp.MustCompile(`(?:^|[^\w/.])(?:\./)?examples/([a-z][a-z0-9_]*)`)
+)
 
 // runDocs are the documents a reader follows to run or find something.
 // ROADMAP.md and CHANGES.md are history and may name what is gone.
@@ -165,25 +169,45 @@ var runDocs = []string{
 }
 
 // TestDocsNameLiveCommands fails when a document a reader follows to run
-// something names a cmd/<x> that has no directory — a binary deleted or
-// folded into another must take its mentions with it.
+// something names a cmd/<x> or an examples/<x> that has no directory — a
+// program deleted or folded into another must take its mentions with it.
+// It first checks that a planted mention of a deleted example is caught.
 func TestDocsNameLiveCommands(t *testing.T) {
+	if got := deadPrograms("run `go run ./examples/latencysweep` and cmd/lcfsim"); len(got) != 1 || got[0] != "examples/latencysweep" {
+		t.Fatalf("deadPrograms missed a planted stale example: %v", got)
+	}
 	for _, doc := range runDocs {
 		raw, err := os.ReadFile(doc)
 		if err != nil {
 			t.Fatal(err)
 		}
-		seen := map[string]bool{}
-		for _, m := range cmdRef.FindAllStringSubmatch(string(raw), -1) {
-			if seen[m[1]] {
+		for _, path := range deadPrograms(string(raw)) {
+			t.Errorf("%s names %s, which has no directory", doc, path)
+		}
+	}
+}
+
+// deadPrograms returns each cmd/<x> and examples/<x> that doc names and
+// that has no directory, once.
+func deadPrograms(doc string) []string {
+	var dead []string
+	seen := map[string]bool{}
+	for _, ref := range []struct {
+		dir string
+		re  *regexp.Regexp
+	}{{"cmd", cmdRef}, {"examples", exampleRef}} {
+		for _, m := range ref.re.FindAllStringSubmatch(doc, -1) {
+			path := ref.dir + "/" + m[1]
+			if seen[path] {
 				continue
 			}
-			seen[m[1]] = true
-			if fi, err := os.Stat(filepath.Join("cmd", m[1])); err != nil || !fi.IsDir() {
-				t.Errorf("%s names cmd/%s, which has no directory", doc, m[1])
+			seen[path] = true
+			if fi, err := os.Stat(filepath.FromSlash(path)); err != nil || !fi.IsDir() {
+				dead = append(dead, path)
 			}
 		}
 	}
+	return dead
 }
 
 // pkgRef matches a package path in prose, code spans or shell lines:
@@ -293,6 +317,62 @@ func TestDocumentedFlagsExist(t *testing.T) {
 	if checked == 0 {
 		t.Fatal("found no documented command line passing a flag; is the extraction broken?")
 	}
+}
+
+// figureArg matches a -figure value on a command line, including a
+// prose alternation such as `-figure flows|classes`.
+var figureArg = regexp.MustCompile(`(?:^|\s)--?figure[ =]([A-Za-z0-9_|]+)`)
+
+// figureList reads the figure names out of lcfsim's -figure usage:
+// "what to regenerate: 12a, 12b, … (default "12a")".
+var figureList = regexp.MustCompile(`what to regenerate: ([^(\n]+)`)
+
+// TestDocumentedFiguresExist fails when a command line in flagDocs asks
+// lcfsim for a -figure its usage does not list, so a figure deleted or
+// folded into another takes its documented runs with it. It first checks
+// that a planted run of a deleted figure is caught.
+func TestDocumentedFiguresExist(t *testing.T) {
+	bin := filepath.Join(t.TempDir(), "lcfsim")
+	if out, err := exec.Command("go", "build", "-o", bin, "./cmd/lcfsim").CombinedOutput(); err != nil {
+		t.Fatalf("building lcfsim: %v\n%s", err, out)
+	}
+	out, _ := exec.Command(bin, "-h").CombinedOutput()
+	m := figureList.FindStringSubmatch(string(out))
+	if m == nil {
+		t.Fatalf("lcfsim -h lists no figures:\n%s", out)
+	}
+	known := map[string]bool{}
+	for _, name := range strings.Split(m[1], ",") {
+		known[strings.TrimSpace(name)] = true
+	}
+	if got := unknownFigures("`go run ./cmd/lcfsim -figure bursty -seed 42`", known); len(got) != 1 || got[0] != "bursty" {
+		t.Fatalf("unknownFigures missed a planted stale figure: %v", got)
+	}
+	for _, doc := range flagDocs {
+		raw, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range unknownFigures(string(raw), known) {
+			t.Errorf("%s runs lcfsim -figure %s, which lcfsim's -figure usage does not list", doc, name)
+		}
+	}
+}
+
+// unknownFigures returns each -figure value a command line of doc passes
+// that is not in known.
+func unknownFigures(doc string, known map[string]bool) []string {
+	var unknown []string
+	for _, line := range commandLines(doc) {
+		for _, m := range figureArg.FindAllStringSubmatch(line, -1) {
+			for _, name := range strings.Split(m[1], "|") {
+				if !known[name] {
+					unknown = append(unknown, name)
+				}
+			}
+		}
+	}
+	return unknown
 }
 
 // helpFlags builds binaries on demand and caches the flag set each one's

@@ -365,7 +365,7 @@ func TestSeedArtifactIsReplayable(t *testing.T) {
 			N: 6, Seed: 0xBAD5EED, FaultPolicy: rt.DropStranded,
 			Datapath: switchcore.DatapathCICQ, XPCap: 1,
 			Flows: 64, FlowShards: 1, FlowPolicy: "least",
-			Classes: "gold:0:3:8,lead:1:1", Rank: "wfq", ClassQCap: 5,
+			Classes: "gold:0:3:8,lead:1:1", Rank: "wfq",
 		},
 		Slots: 500, Load: 0.75,
 		Population: 4096, Skew: 1.2, EpochEvery: 512, FlowIdle: 8,
@@ -393,7 +393,7 @@ func TestSeedArtifactIsReplayable(t *testing.T) {
 				"N:6", "Slots:500", "Seed:195911405", "Policy:drop", "Load:0.75",
 				"Datapath:cicq", "XPCap:1",
 				"Flows:64", "FlowShards:1", "Population:4096", "FlowPolicy:least", "Skew:1.2", "EpochEvery:512", "FlowIdle:8",
-				"Classes:gold:0:3:8,lead:1:1", "Rank:wfq", "ClassQCap:5", "Mix:[3 1 1]", "BudgetEvery:11",
+				"Classes:gold:0:3:8,lead:1:1", "Rank:wfq", "Mix:[3 1 1]", "BudgetEvery:11",
 				"ComposedOnly:true",
 			}},
 		{"fabric", fabric.Engine.Seed, fabric, func() error { _, err := RunFabric(fabric); return err },

@@ -50,6 +50,7 @@ type FabricReport struct {
 	Rejected      int64 // Admit refusals on dead paths
 	Backpressured int64 // Admit refusals on full ingress VOQs
 	LinkNacks     int64 // inter-switch link retries
+	Reordered     int64 // deliveries that overtook a later-admitted frame of their (src, dst) pair
 	Undrained     int64 // frames still resident when the final drain gave up
 	MaxResident   int64
 
@@ -157,6 +158,7 @@ func RunFabric(cfg FabricConfig) (*FabricReport, error) {
 	rep.Delivered = st.Delivered.Value()
 	rep.Dropped = st.Dropped.Value()
 	rep.LinkNacks = st.LinkNacks.Value()
+	rep.Reordered = st.Reordered.Value()
 	if rep.Injected != rep.Delivered+rep.Dropped+rep.Undrained {
 		return rep, fmt.Errorf("chaos: fabric shutdown accounting broken: injected %d != delivered %d + dropped %d + undrained %d (seed %d)",
 			rep.Injected, rep.Delivered, rep.Dropped, rep.Undrained, seed)

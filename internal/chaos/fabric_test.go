@@ -10,9 +10,10 @@ import (
 // pinnedFabric is pinned's fabric twin: run cfg, persist a replayable
 // artifact on any invariant violation, and compare the Report field for
 // field with want — captured at the commit before the fabric links
-// stopped round-tripping a wire codec, so a refactor that shifts every
-// run is caught, not only one that makes two runs disagree. Regenerate a
-// constant only for a change that means to move it.
+// stopped round-tripping a wire codec (Reordered, counted later, was
+// added to each row without moving any other field), so a refactor that
+// shifts every run is caught, not only one that makes two runs disagree.
+// Regenerate a constant only for a change that means to move it.
 func pinnedFabric(t *testing.T, cfg FabricConfig, want FabricReport) *FabricReport {
 	t.Helper()
 	rep, err := RunFabric(cfg)
@@ -32,12 +33,12 @@ var selects = [2]cf.MiddleSelect{cf.SelectRoundRobin, cf.SelectLeastBacklogged}
 // fabric10k is the acceptance table, indexed [select][policy].
 var fabric10k = [2][2]FabricReport{
 	{
-		{Slots: 10000, Injected: 47601, Delivered: 47601, Backpressured: 188, LinkNacks: 21118, MaxResident: 148, Kills: 79},
-		{Slots: 10000, Injected: 47601, Delivered: 47191, Dropped: 410, Backpressured: 188, LinkNacks: 144, MaxResident: 115, Kills: 79},
+		{Slots: 10000, Injected: 47601, Delivered: 47601, Backpressured: 188, LinkNacks: 21118, Reordered: 1995, MaxResident: 148, Kills: 79},
+		{Slots: 10000, Injected: 47601, Delivered: 47191, Dropped: 410, Backpressured: 188, LinkNacks: 144, Reordered: 1539, MaxResident: 115, Kills: 79},
 	},
 	{
-		{Slots: 10000, Injected: 47604, Delivered: 47604, Backpressured: 185, LinkNacks: 22231, MaxResident: 137, Kills: 79},
-		{Slots: 10000, Injected: 47604, Delivered: 47257, Dropped: 347, Backpressured: 185, LinkNacks: 126, MaxResident: 115, Kills: 79},
+		{Slots: 10000, Injected: 47604, Delivered: 47604, Backpressured: 185, LinkNacks: 22231, Reordered: 2199, MaxResident: 137, Kills: 79},
+		{Slots: 10000, Injected: 47604, Delivered: 47257, Dropped: 347, Backpressured: 185, LinkNacks: 126, Reordered: 1854, MaxResident: 115, Kills: 79},
 	},
 }
 
@@ -76,20 +77,20 @@ func TestFabricChaosMiddleKill10k(t *testing.T) {
 // fabricSeeds is the seed fan-out table, indexed [seed-1][select].
 var fabricSeeds = [4][2]FabricReport{
 	{
-		{Slots: 2000, Injected: 6996, Delivered: 6866, Dropped: 130, Backpressured: 125, LinkNacks: 46, MaxResident: 96, Kills: 25},
-		{Slots: 2000, Injected: 6986, Delivered: 6867, Dropped: 119, Backpressured: 135, LinkNacks: 41, MaxResident: 91, Kills: 25},
+		{Slots: 2000, Injected: 6996, Delivered: 6866, Dropped: 130, Backpressured: 125, LinkNacks: 46, Reordered: 485, MaxResident: 96, Kills: 25},
+		{Slots: 2000, Injected: 6986, Delivered: 6867, Dropped: 119, Backpressured: 135, LinkNacks: 41, Reordered: 443, MaxResident: 91, Kills: 25},
 	},
 	{
-		{Slots: 2000, Injected: 7138, Delivered: 7138, Backpressured: 24, LinkNacks: 2602, MaxResident: 90, Kills: 26},
-		{Slots: 2000, Injected: 7138, Delivered: 7138, Backpressured: 24, LinkNacks: 1854, MaxResident: 91, Kills: 26},
+		{Slots: 2000, Injected: 7138, Delivered: 7138, Backpressured: 24, LinkNacks: 2602, Reordered: 546, MaxResident: 90, Kills: 26},
+		{Slots: 2000, Injected: 7138, Delivered: 7138, Backpressured: 24, LinkNacks: 1854, Reordered: 506, MaxResident: 91, Kills: 26},
 	},
 	{
-		{Slots: 2000, Injected: 7143, Delivered: 7051, Dropped: 92, Backpressured: 16, LinkNacks: 42, MaxResident: 78, Kills: 29},
-		{Slots: 2000, Injected: 7143, Delivered: 7015, Dropped: 128, Backpressured: 16, LinkNacks: 52, MaxResident: 80, Kills: 29},
+		{Slots: 2000, Injected: 7143, Delivered: 7051, Dropped: 92, Backpressured: 16, LinkNacks: 42, Reordered: 287, MaxResident: 78, Kills: 29},
+		{Slots: 2000, Injected: 7143, Delivered: 7015, Dropped: 128, Backpressured: 16, LinkNacks: 52, Reordered: 321, MaxResident: 80, Kills: 29},
 	},
 	{
-		{Slots: 2000, Injected: 7060, Delivered: 7060, Backpressured: 71, LinkNacks: 3377, MaxResident: 137, Kills: 36},
-		{Slots: 2000, Injected: 7068, Delivered: 7068, Backpressured: 63, LinkNacks: 4029, MaxResident: 131, Kills: 36},
+		{Slots: 2000, Injected: 7060, Delivered: 7060, Backpressured: 71, LinkNacks: 3377, Reordered: 646, MaxResident: 137, Kills: 36},
+		{Slots: 2000, Injected: 7068, Delivered: 7068, Backpressured: 63, LinkNacks: 4029, Reordered: 556, MaxResident: 131, Kills: 36},
 	},
 }
 
@@ -114,9 +115,29 @@ func TestFabricChaosSeeds(t *testing.T) {
 // the property that makes a persisted failing seed replayable.
 func TestFabricChaosDeterminism(t *testing.T) {
 	cfg := FabricConfig{Config: cf.Config{M: 3, K: 2, R: 3, Engine: rt.Spec{Seed: 7}}, Slots: 3_000, KillRate: 0.02}
-	want := FabricReport{Slots: 3000, Injected: 10474, Delivered: 10474, Backpressured: 271, LinkNacks: 6662, MaxResident: 114, Kills: 29}
+	want := FabricReport{Slots: 3000, Injected: 10474, Delivered: 10474, Backpressured: 271, LinkNacks: 6662, Reordered: 1108, MaxResident: 114, Kills: 29}
 	pinnedFabric(t, cfg, want)
 	pinnedFabric(t, cfg, want)
+}
+
+// TestFabricChaosSinglePathKeepsOrder storms a C(1,1,4) fabric: with one
+// middle every (src, dst) pair has one path of FIFO queues and links, so
+// no frame can overtake another of its pair and Reordered must read 0
+// under either selector. The C(4,2,4) and C(3,2,3) rows above read
+// non-zero, which shows the count fires when paths differ. One middle
+// cannot be killed (a kill needs another live middle), so this is a
+// load storm.
+func TestFabricChaosSinglePathKeepsOrder(t *testing.T) {
+	want := FabricReport{Slots: 10000, Injected: 37924, Delivered: 37924, LinkNacks: 38, MaxResident: 75}
+	for _, sel := range selects {
+		t.Run(sel.String(), func(t *testing.T) {
+			pinnedFabric(t, FabricConfig{
+				Config: cf.Config{M: 1, K: 1, R: 4, Engine: rt.Spec{Seed: 0xFAB}, Select: sel},
+				Slots:  10_000,
+				Load:   0.95,
+			}, want)
+		})
+	}
 }
 
 // TestFabricConfigValidation checks RunFabric refuses nonsense.

@@ -1,10 +1,12 @@
-// Class framing for the PIFO service-class tier (internal/pifo, wired
-// through runtime.AdmitClass). A host that speaks classes labels every
-// frame with a class index from the switch's configured class list and
-// may stamp a per-frame deadline budget; the switch ranks the frame in
-// its (input, output) PIFO accordingly. Same Section 4.1 style as the
-// rest of the family: a type byte, big-endian fields in field order,
-// CRC-16/CCITT-FALSE over everything before the CRC field.
+// Class framing for the PIFO service-class tier (internal/pifo). lcfd
+// decodes each frame into a classed runtime.Request and admits it through
+// Engine.Offer, whose rank stage places it in the PIFO. A host that
+// speaks classes labels every frame with a class index from the switch's
+// configured class list and may stamp a per-frame deadline budget; the
+// switch ranks the frame in its (input, output) PIFO accordingly. Same
+// Section 4.1 style as the rest of the family: a type byte, big-endian
+// fields in field order, CRC-16/CCITT-FALSE over everything before the
+// CRC field.
 //
 //	class data (host → switch, one per frame):
 //	    {type=cls | class[7..0] | deadline[63..0] | dst[7..0] |

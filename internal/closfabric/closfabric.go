@@ -23,6 +23,13 @@
 //     backlog along its path (the middle engine's VOQ backlog gauge plus
 //     frames in flight on the ingress→middle links toward it).
 //
+// Round-robin and least-backlogged routing both spread one (src, dst)
+// pair's frames over several middles, whose queues differ, so a pair's
+// frames can leave the fabric out of admission order. The fabric counts
+// this rather than preventing it: every admitted frame takes a per-pair
+// ticket, and a delivery whose ticket is below one already delivered for
+// the same pair counts in Stats.Reordered.
+//
 // # Links and backpressure
 //
 // Each inter-switch link is a one-frame hold register on top of the
@@ -115,12 +122,13 @@ func (s MiddleSelect) String() string {
 	}
 }
 
-// ParseMiddleSelect maps the flag spellings used by cmd/lcffab.
+// ParseMiddleSelect is String's inverse: it accepts "rr" and "backlog",
+// the one spelling of each policy.
 func ParseMiddleSelect(s string) (MiddleSelect, error) {
 	switch s {
-	case "rr", "round-robin":
+	case "rr":
 		return SelectRoundRobin, nil
-	case "backlog", "least-backlogged":
+	case "backlog":
 		return SelectLeastBacklogged, nil
 	default:
 		return 0, fmt.Errorf("closfabric: unknown middle selection %q (want rr or backlog)", s)
@@ -221,6 +229,7 @@ type meta struct {
 	mid      int
 	seq      uint64
 	stamp    uint64
+	ticket   uint64 // the frame's admission order within its (src, dst) pair
 	admitted int64
 	inUse    bool
 }
@@ -242,6 +251,7 @@ type Stats struct {
 	Backpressured metrics.Counter        // Admit refusals: full ingress VOQ
 	Dropped       metrics.Counter        // frames dropped by fault policy, fabric-wide (engines + links)
 	LinkNacks     metrics.Counter        // inter-switch link admission refusals (downstream VOQ full or switch down)
+	Reordered     metrics.Counter        // deliveries that left after a later-admitted frame of the same (src, dst) pair
 	Routed        []metrics.Counter      // per middle switch: frames routed through it at admission
 	MiddleLive    []metrics.Gauge        // per middle switch: 1 up, 0 failed
 	Latency       *metrics.LiveHistogram // end-to-end delivery latency in fabric slots
@@ -271,6 +281,11 @@ type Fabric struct {
 
 	slab []meta
 	free []int
+
+	// Per (src, dst) pair, indexed src·n + dst: the next admission ticket,
+	// and one past the highest ticket delivered so far.
+	nextTicket []uint64
+	doneTicket []uint64
 
 	slot   atomic.Int64 // completed fabric slots; atomic only for scrapers
 	closed bool
@@ -303,6 +318,9 @@ func New(cfg Config) (*Fabric, error) {
 		rrNext:  make([]int, r),
 		imHold:  make([][]hold, r),
 		meHold:  make([][]hold, m),
+
+		nextTicket: make([]uint64, k*r*k*r),
+		doneTicket: make([]uint64, k*r*k*r),
 	}
 	for g := range f.imHold {
 		f.imHold[g] = make([]hold, m)
@@ -479,7 +497,8 @@ func (f *Fabric) Admit(src, dst int, seq, stamp uint64) error {
 		f.met.Rejected.Inc()
 		return err
 	}
-	idx := f.allocSlab(meta{src: src, dst: dst, mid: c, seq: seq, stamp: stamp, admitted: f.slot.Load()})
+	pair := src*f.n + dst
+	idx := f.allocSlab(meta{src: src, dst: dst, mid: c, seq: seq, stamp: stamp, ticket: f.nextTicket[pair], admitted: f.slot.Load()})
 	if err := f.ingress[gi].Admit(li, c, uint64(idx), stamp); err != nil {
 		f.freeSlab(idx)
 		if errors.Is(err, rt.ErrBackpressure) {
@@ -489,6 +508,7 @@ func (f *Fabric) Admit(src, dst int, seq, stamp uint64) error {
 		}
 		return err
 	}
+	f.nextTicket[pair]++
 	f.met.Injected.Inc()
 	f.met.Routed[c].Inc()
 	return nil
@@ -545,8 +565,9 @@ func (f *Fabric) moveLink(h *hold, up <-chan rt.Frame, admit func(fr rt.Frame, d
 }
 
 // collectDeliveries drains every external egress output completely,
-// restoring each frame's end-to-end identity from the slab and releasing
-// its entry.
+// restoring each frame's end-to-end identity from the slab, releasing its
+// entry and counting it in Reordered if its pair has already delivered a
+// later ticket.
 func (f *Fabric) collectDeliveries() {
 	for ge := 0; ge < f.r; ge++ {
 		for lo := 0; lo < f.k; lo++ {
@@ -559,6 +580,11 @@ func (f *Fabric) collectDeliveries() {
 				mt := f.slab[idx] // freeSlab panics below if idx is dead
 				f.freeSlab(idx)
 				f.met.Delivered.Inc()
+				if pair := mt.src*f.n + mt.dst; mt.ticket < f.doneTicket[pair] {
+					f.met.Reordered.Inc()
+				} else {
+					f.doneTicket[pair] = mt.ticket + 1
+				}
 				f.met.Latency.Observe(float64(f.slot.Load() - mt.admitted + 1))
 				if f.cfg.OnDeliver != nil {
 					f.cfg.OnDeliver(Delivery{

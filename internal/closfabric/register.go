@@ -41,6 +41,7 @@ func (f *Fabric) Register(r *obs.Registry) {
 	r.Counter("fab_backpressured_total", "Admit calls refused because the ingress VOQ was full.", m.Backpressured.Value)
 	r.Counter("fab_dropped_total", "Frames dropped fabric-wide by the fault policy (engine strand flushes plus link drops toward dead switches).", m.Dropped.Value)
 	r.Counter("fab_link_nacks_total", "Inter-switch link admissions refused by the downstream switch (full VOQ or switch down); the frame holds and retries.", m.LinkNacks.Value)
+	r.Counter("fab_reordered_total", "Frames delivered after a later-admitted frame of the same (src, dst) pair: the pair's frames crossed different middles and overtook each other.", m.Reordered.Value)
 	r.Gauge("fab_resident_frames", "Frames currently inside the fabric (admitted, not yet delivered or dropped).", func() float64 {
 		return float64(m.Injected.Value() - m.Delivered.Value() - m.Dropped.Value())
 	})

@@ -27,7 +27,7 @@ var ErrBadClass = errors.New("runtime: class index out of range")
 // order decides service as late as possible (arXiv:1602.06045's
 // PIFO-in-front-of-the-scheduler arrangement).
 //
-// The tier's footprint follows what is queued, not n²·ClassQCap: the
+// The tier's footprint follows what is queued, not n²·VOQCap: the
 // PIFO heaps grow on demand, and the per-slot phases find their work through the bank's
 // occupancy rows — n-bit rows of non-empty PIFOs, the paper's
 // request-row representation — instead of probing n² queue headers.
@@ -67,7 +67,7 @@ func newClassTier(n int, cfg *Config) (*classTier, error) {
 	ct := &classTier{
 		classes:    cfg.Classes,
 		rank:       cfg.Rank,
-		queues:     pifo.NewBank[Frame](n, cfg.ClassQCap),
+		queues:     pifo.NewBank[Frame](n, cfg.VOQCap),
 		rankers:    make([]pifo.Ranker, n*n),
 		pending:    make([]metrics.Gauge, n),
 		admitted:   make([]metrics.Counter, len(cfg.Classes)),
@@ -79,7 +79,7 @@ func newClassTier(n int, cfg *Config) (*classTier, error) {
 	}
 	for c := range ct.latency {
 		// Latency buckets 1, 2, 4, … slots; the top bucket comfortably
-		// exceeds any drainable backlog (ClassQCap + VOQ wait).
+		// exceeds any drainable backlog (VOQCap + VOQ wait).
 		ct.latency[c] = metrics.NewLiveHistogram(metrics.ExponentialBounds(1, 2, 16))
 	}
 	for k := range ct.rankers {
@@ -180,10 +180,10 @@ func (e *Engine) classFill() {
 	}
 }
 
-// classSweep disposes of PIFO-resident frames stranded behind failed
-// links, mirroring sweepStranded's treatment of the VOQs: DropStranded
-// drains and counts them, HoldStranded reports them in the stranded
-// total. Called by sweepStranded for each input under that input's
+// classSweepInput disposes of input i's PIFO-resident frames stranded
+// behind failed links, mirroring sweepStranded's treatment of the VOQs:
+// DropStranded drains and counts them, HoldStranded reports them in the
+// stranded total. Called by sweepStranded for each input under that input's
 // lock; the returned dropped count joins the VOQ flush count in the
 // caller's PerInputBacklog / Backlog / DroppedFault accounting.
 func (e *Engine) classSweepInput(i int, drop bool) (dropped, stranded int) {
@@ -240,8 +240,8 @@ func (e *Engine) classDrain(i, j int) int {
 }
 
 // observeClassDelivery records per-class latency and SLO outcome for a
-// frame crossing the fabric at slot now. Runs on the dispatch path
-// (possibly on pool workers — everything it touches is atomic), only
+// frame crossing the fabric at slot now. Runs on the arbiter's dispatch
+// path (everything it touches is atomic, so scrapers read it live), only
 // for frames that entered with a class.
 func (e *Engine) observeClassDelivery(f Frame, now int64) {
 	ct := e.classes

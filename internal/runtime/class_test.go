@@ -29,7 +29,6 @@ func newClassEngine(t *testing.T, n int, rank string, fp rt.FaultPolicy, tr *obs
 		OutCap:      64,
 		Classes:     testClassList(),
 		Rank:        rank,
-		ClassQCap:   128,
 		FaultPolicy: fp,
 		Tracer:      tr,
 	})
@@ -106,12 +105,9 @@ func TestAdmitClassDisabled(t *testing.T) {
 		t.Fatal("Snapshot.Classes non-nil on a classless engine")
 	}
 
-	// Rank / ClassQCap without Classes are config errors, not silent no-ops.
+	// Rank without Classes is a config error, not a silent no-op.
 	if _, err := rt.New(rt.Config{N: 4, Scheduler: newScheduler(t, "islip", 4), Rank: pifo.RankStrict}); err == nil {
 		t.Fatal("New accepted Rank without Classes")
-	}
-	if _, err := rt.New(rt.Config{N: 4, Scheduler: newScheduler(t, "islip", 4), ClassQCap: 8}); err == nil {
-		t.Fatal("New accepted ClassQCap without Classes")
 	}
 	if _, err := rt.New(rt.Config{N: 4, Scheduler: newScheduler(t, "islip", 4), Classes: testClassList(), Rank: "nope"}); err == nil {
 		t.Fatal("New accepted an unknown rank function")
@@ -186,7 +182,6 @@ func TestClassSLOViolationAccounting(t *testing.T) {
 		Scheduler: newScheduler(t, "lcf_central_rr", n),
 		Classes:   []pifo.Class{{Name: "rt", Priority: 0, Weight: 1, SLOSlots: 2}},
 		Rank:      pifo.RankDeadline,
-		ClassQCap: frames,
 		Tracer:    tr,
 	})
 	if err != nil {

@@ -146,8 +146,8 @@ func TestClassFillMatchesRef(t *testing.T) {
 func runClassFillDifferential(t *testing.T, n, slots int, dp string, fp FaultPolicy, rank string, classes []pifo.Class) {
 	build := func() *Engine {
 		cfg := Config{
-			N: n, Datapath: dp, VOQCap: 4, OutCap: 8,
-			Classes: classes, Rank: rank, ClassQCap: 12, FaultPolicy: fp,
+			N: n, Datapath: dp, VOQCap: 12, OutCap: 8,
+			Classes: classes, Rank: rank, FaultPolicy: fp,
 		}
 		if dp != switchcore.DatapathCICQ {
 			s, err := registry.New("lcf_central_rr", n, sched.Options{Seed: 7})
@@ -229,7 +229,7 @@ func runClassFillDifferential(t *testing.T, n, slots int, dp string, fp FaultPol
 }
 
 // TestClassTierFootprint pins the tier's construction cost to the
-// queue headers, not to n²·ClassQCap entries: at n=64 with 256-entry
+// queue headers, not to n²·VOQCap entries: at n=64 with 256-entry
 // PIFOs the tier used to zero 84 MB, and at n=256 1.3 GB.
 func TestClassTierFootprint(t *testing.T) {
 	classes := []pifo.Class{{Name: "rt", Priority: 0, Weight: 4, SLOSlots: 16}, {Name: "bulk", Priority: 1, Weight: 1}}
@@ -237,7 +237,7 @@ func TestClassTierFootprint(t *testing.T) {
 		n     int
 		limit uint64
 	}{{64, 4 << 20}, {256, 64 << 20}} {
-		cfg := Config{Classes: classes, Rank: pifo.RankDeadline, ClassQCap: 256}
+		cfg := Config{Classes: classes, Rank: pifo.RankDeadline, VOQCap: 256}
 		var before, after goruntime.MemStats
 		goruntime.GC()
 		goruntime.ReadMemStats(&before)

@@ -51,8 +51,8 @@ func (e *Engine) steer(id uint64) (port int, err error) {
 func (e *Engine) Flows() *flowtable.Table { return e.flows }
 
 // AdvanceFlowEpoch bumps the flow table's eviction epoch (no-op without
-// a flow tier). Drive it from a coarse clock — cmd/lcfd ticks it every
-// -flow-epoch interval.
+// a flow tier). Drive it from a coarse clock — cmd/lcfd ticks it once a
+// second.
 func (e *Engine) AdvanceFlowEpoch() {
 	if e.flows != nil {
 		e.flows.AdvanceEpoch()
@@ -149,7 +149,7 @@ func (e *Engine) registerFlow(r *obs.Registry) {
 	r.Counter("lcf_flow_rejected_total", "Steered requests refused by the steer stage because the steering table was full.", func() int64 {
 		return tbl.Stats().Rejected
 	})
-	r.Gauge("lcf_flow_epoch", "Current flow-eviction epoch (advanced on the daemon's flow-epoch clock).", func() float64 {
+	r.Gauge("lcf_flow_epoch", "Current flow-eviction epoch (advanced on the daemon's eviction clock, once a second in lcfd).", func() float64 {
 		return float64(tbl.Epoch())
 	})
 	r.Gauge("lcf_flow_backlog_imbalance", "Max/mean per-input VOQ backlog over up ports — the load spread the po2 policy minimizes (1 = perfectly even, 0 = idle).", func() float64 {

@@ -135,7 +135,7 @@ func TestAdmissionStageOrder(t *testing.T) {
 				}
 				cfg := rt.Config{N: n, Scheduler: newScheduler(t, "lcf_central_rr", n), VOQCap: 1}
 				if !has(tierOff) {
-					cfg.Flows, cfg.FlowShards, cfg.Classes, cfg.ClassQCap = 2, 1, testClassList(), 1
+					cfg.Flows, cfg.FlowShards, cfg.Classes = 2, 1, testClassList()
 				}
 				e, err := rt.New(cfg)
 				if err != nil {
@@ -257,7 +257,7 @@ func TestOfferMatchesLegacyDoors(t *testing.T) {
 					twins[k], err = rt.New(rt.Config{
 						N: n, Scheduler: newScheduler(t, "lcf_central_rr", n), Datapath: dp,
 						VOQCap: 8, OutCap: 4, FaultPolicy: fp,
-						Classes: testClassList(), Rank: pifo.RankWFQ, ClassQCap: 8,
+						Classes: testClassList(), Rank: pifo.RankWFQ,
 					})
 					if err != nil {
 						t.Fatal(err)

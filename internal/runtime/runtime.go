@@ -163,19 +163,17 @@ type Config struct {
 	// (input, output) pair in front of the VOQs, fed by classed requests
 	// (Offer, AdmitClass) and drained into the VOQ heads in rank order
 	// each tick. Empty (the default) disables the tier; a classed request
-	// then returns ErrNoClasses.
+	// then returns ErrNoClasses. Each PIFO is bounded by VOQCap, the
+	// pair's one queue bound: a PIFO reorders the pair's queue, it does
+	// not enlarge it, and a full one refuses with ErrBackpressure. The
+	// bound is not a reservation: a PIFO's heap starts empty and doubles
+	// toward it as frames queue (never shrinking), so the tier's memory
+	// follows the deepest backlog each pair has held.
 	Classes []pifo.Class
 	// Rank names the rank function programming the PIFOs — "fifo",
 	// "strict", "wfq" or "deadline" (see pifo.Names). "" means fifo.
 	// Setting it without Classes is a config error.
 	Rank string
-	// ClassQCap bounds each per-pair PIFO (0 means VOQCap). AdmitClass
-	// returns ErrBackpressure when the target PIFO is full. It is a bound,
-	// not a reservation: a PIFO's heap starts empty and doubles toward
-	// the bound as frames queue (never shrinking), so the tier's memory
-	// follows the deepest backlog each pair has held — a few hundred
-	// bytes per active pair at sustainable load.
-	ClassQCap int
 
 	// SlotPeriod > 0 selects live mode: Start runs the arbiter one slot
 	// per period. 0 selects lockstep mode: the caller drives slots via
@@ -260,24 +258,13 @@ func (c *Config) normalize() error {
 		if c.Rank != "" {
 			return fmt.Errorf("runtime: -rank requires -classes (Rank %q set without Classes)", c.Rank)
 		}
-		if c.ClassQCap != 0 {
-			return fmt.Errorf("runtime: -classqcap requires -classes (ClassQCap %d set without Classes)", c.ClassQCap)
-		}
-	} else {
-		if err := pifo.ValidateClasses(c.Classes); err != nil {
-			return err
-		}
-		if _, err := pifo.NewRanker(c.Rank, c.Classes); err != nil {
-			return err
-		}
-		if c.ClassQCap == 0 {
-			c.ClassQCap = c.VOQCap
-		}
-		if c.ClassQCap < 0 {
-			return fmt.Errorf("runtime: negative class queue capacity %d", c.ClassQCap)
-		}
+		return nil
 	}
-	return nil
+	if err := pifo.ValidateClasses(c.Classes); err != nil {
+		return err
+	}
+	_, err := pifo.NewRanker(c.Rank, c.Classes)
+	return err
 }
 
 // Engine is one live switch instance.

@@ -253,7 +253,7 @@ func TestCloseDrainsPastTheVOQ(t *testing.T) {
 		{
 			name: "voq/classes",
 			cfg: rt.Config{N: n, Scheduler: newScheduler(t, "lcf_central_rr", n),
-				VOQCap: 1, Classes: testClassList(), ClassQCap: 16},
+				VOQCap: 16, Classes: testClassList()},
 			admit: func(e *rt.Engine) (admitted int) {
 				for i := 0; i < n; i++ {
 					for j := 0; j < n; j++ {

@@ -46,9 +46,8 @@ type Spec struct {
 	FlowSeed   uint64
 
 	// Classes is a pifo.ParseClasses spec; "" leaves the class tier off.
-	Classes   string
-	Rank      string
-	ClassQCap int
+	Classes string
+	Rank    string
 }
 
 // Build resolves s into a Config that New accepts: it parses the class
@@ -60,7 +59,7 @@ func (s Spec) Build() (Config, error) {
 		VOQCap: s.VOQCap, OutCap: s.OutCap,
 		FaultPolicy: s.FaultPolicy,
 		Flows:       s.Flows, FlowPolicy: s.FlowPolicy, FlowShards: s.FlowShards, FlowSeed: s.FlowSeed,
-		Rank: s.Rank, ClassQCap: s.ClassQCap,
+		Rank: s.Rank,
 	}
 	if s.Iterations < 0 {
 		return Config{}, fmt.Errorf("runtime: -iterations must be >= 0 (got %d)", s.Iterations)

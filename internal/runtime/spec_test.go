@@ -38,7 +38,6 @@ func TestSpecBuild(t *testing.T) {
 		{"flow policy without flows", Spec{N: 4, FlowPolicy: "po2"}, "-flow-policy requires -flows", ""},
 		{"unknown flow policy", Spec{N: 4, Flows: 8, FlowPolicy: "nope"}, "nope", ""},
 		{"rank without classes", Spec{N: 4, Rank: "deadline"}, "-rank requires -classes", ""},
-		{"classqcap without classes", Spec{N: 4, ClassQCap: 8}, "-classqcap requires -classes", ""},
 		{"unknown rank", Spec{N: 4, Classes: "a:0", Rank: "nope"}, "nope", ""},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -106,7 +105,7 @@ func TestSpecCoversConfig(t *testing.T) {
 		N: 4, Scheduler: "pim", Iterations: 2, Seed: 9,
 		VOQCap: 8, OutCap: 8, FaultPolicy: DropStranded,
 		Flows: 16, FlowPolicy: "po2", FlowShards: 2, FlowSeed: 5,
-		Classes: "rt:0:4:16,bulk:2:1", Rank: "wfq", ClassQCap: 4,
+		Classes: "rt:0:4:16,bulk:2:1", Rank: "wfq",
 	}
 	cicq := full
 	cicq.Datapath, cicq.XPCap = switchcore.DatapathCICQ, 3

@@ -101,7 +101,7 @@ func lcfsimBin(t *testing.T) string {
 
 // recordedRow matches a results/README.md row whose regeneration command
 // is an lcfsim run: | `file` | what | `go run ./cmd/lcfsim args` |.
-var recordedRow = regexp.MustCompile("^\\| `([a-z_]+\\.txt)` \\|.*\\| `go run \\./cmd/lcfsim ([^`]*)` \\|$")
+var recordedRow = regexp.MustCompile("^\\| `([a-z0-9_]+\\.txt)` \\|.*\\| `go run \\./cmd/lcfsim ([^`]*)` \\|$")
 
 // checkRecorded reruns the commands results/README.md records for the
 // given files and compares stdout byte for byte with the committed
@@ -151,6 +151,17 @@ func TestFlowRecordedResults(t *testing.T) {
 // -figure classes command.
 func TestClassRecordedResults(t *testing.T) {
 	checkRecorded(t, "classes.txt")
+}
+
+// TestFigure12aRecordedResults pins results/figure12a.txt, the paper's
+// Figure 12a at every load and scheduler, to its recorded command. It
+// takes about 20 s on a 2-vCPU host, so it runs only with
+// LCF_RECORDED=1 (the nightly CI job).
+func TestFigure12aRecordedResults(t *testing.T) {
+	if os.Getenv("LCF_RECORDED") != "1" {
+		t.Skip("results/figure12a.txt regenerates with LCF_RECORDED=1")
+	}
+	checkRecorded(t, "figure12a.txt")
 }
 
 // checkExitTwo pins the exit-code contract shared by every command in

@@ -157,16 +157,32 @@ func (v *Vector) NextSet(from int) int {
 // from offset `from` (inclusive), wrapping around; -1 if the vector is
 // empty. This is the primitive behind rotating-priority (round-robin)
 // arbitration in iSLIP and the LCF tie-break chain.
+//
+// A `from` outside [0, Len) is reduced modulo Len first. The schedulers'
+// rotating pointers are always in range, and for them the scan skips the
+// two integer divisions of that reduction (DESIGN.md §10).
 func (v *Vector) FirstSetFrom(from int) int {
-	if v.n == 0 {
-		return -1
+	if uint(from) >= uint(v.n) {
+		if v.n == 0 {
+			return -1
+		}
+		from = ((from % v.n) + v.n) % v.n
 	}
-	from = ((from % v.n) + v.n) % v.n
-	if i := v.NextSet(from); i >= 0 {
-		return i
+	wi := from >> 6
+	if w := v.words[wi] >> uint(from&63); w != 0 {
+		return from + bits.TrailingZeros64(w)
 	}
-	if i := v.NextSet(0); i >= 0 && i < from {
-		return i
+	for k := wi + 1; k < len(v.words); k++ {
+		if w := v.words[k]; w != 0 {
+			return k<<6 + bits.TrailingZeros64(w)
+		}
+	}
+	// Wrap. Word wi holds no set bit at or after from, so the first set
+	// bit in words [0, wi] is the answer.
+	for k := 0; k <= wi; k++ {
+		if w := v.words[k]; w != 0 {
+			return k<<6 + bits.TrailingZeros64(w)
+		}
 	}
 	return -1
 }

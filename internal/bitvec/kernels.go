@@ -93,10 +93,12 @@ func (v *Vector) ForEachAnd(o *Vector, fn func(i int)) {
 // without materializing the intersection.
 func (v *Vector) FirstSetFromAnd(o *Vector, from int) int {
 	v.checkSame(o)
-	if v.n == 0 {
-		return -1
+	if uint(from) >= uint(v.n) {
+		if v.n == 0 {
+			return -1
+		}
+		from = ((from % v.n) + v.n) % v.n
 	}
-	from = ((from % v.n) + v.n) % v.n
 	wi := from >> 6
 	// Tail of the starting word, then whole words to the end.
 	if w := (v.words[wi] & o.words[wi]) >> uint(from&63); w != 0 {
@@ -107,15 +109,11 @@ func (v *Vector) FirstSetFromAnd(o *Vector, from int) int {
 			return k<<6 + bits.TrailingZeros64(w)
 		}
 	}
-	// Wrap: words before the starting word, then the starting word's head.
-	for k := 0; k < wi; k++ {
+	// Wrap. Word wi holds no common bit at or after from, so the first
+	// common bit in words [0, wi] is the answer.
+	for k := 0; k <= wi; k++ {
 		if w := v.words[k] & o.words[k]; w != 0 {
 			return k<<6 + bits.TrailingZeros64(w)
-		}
-	}
-	if w := v.words[wi] & o.words[wi]; w != 0 {
-		if i := wi<<6 + bits.TrailingZeros64(w); i < from {
-			return i
 		}
 	}
 	return -1
@@ -141,9 +139,9 @@ func (v *Vector) NthSet(k int) int {
 	return -1
 }
 
-// transposeScatterMax is the block population at or below which
-// TransposeInto moves a 64×64 block bit by bit instead of through the
-// butterfly. BenchmarkTransposeN64 is the table it is read off
+// transposeScatterMax is the population at or below which TransposeInto
+// moves a full 64×64 block bit by bit instead of through the butterfly.
+// BenchmarkTransposeN64 is the table it is read off
 // (results/bench_pr20.json, parent beside change): the butterfly costs
 // ~570 ns whatever the block holds; loading, clearing the destination
 // and scattering costs 130 ns at 2 bits, 300 at 96 and 390 at 192 —
@@ -152,18 +150,43 @@ func (v *Vector) NthSet(k int) int {
 // three bits per row: a block this sparse is scattered in at most 0.7 of
 // the butterfly's time on a host whose timings wander by 20 %, and a
 // 64-port request matrix under load (≈ 350 bits at load 0.9) stays on
-// the path it has always taken.
+// the path it has always taken. It is also one bit per word swap of that
+// butterfly (6 levels of 32 swaps), which is how scatterLimit scales it
+// to smaller blocks.
 const transposeScatterMax = 192
+
+// transposeMasks[l] selects the low half of every 2^(l+1)-column tile:
+// the bits a butterfly level of stride 2^l keeps in the low rows.
+var transposeMasks = [6]uint64{
+	0x5555555555555555,
+	0x3333333333333333,
+	0x0F0F0F0F0F0F0F0F,
+	0x00FF00FF00FF00FF,
+	0x0000FFFF0000FFFF,
+	0x00000000FFFFFFFF,
+}
+
+// scatterLimit returns the scatter threshold of a 2^lg × 2^lg block:
+// transposeScatterMax bits per 192 word swaps, and the block's butterfly
+// runs lg levels of 2^(lg−1) swaps.
+func scatterLimit(lg uint) int {
+	if lg == 0 {
+		return 0
+	}
+	return transposeScatterMax * (1 << (lg - 1)) * int(lg) / (wordBits / 2 * 6)
+}
 
 // TransposeInto writes mᵀ into dst: dst bit (j,i) = m bit (i,j). Both
 // matrices must have the same dimension and must not alias. The
 // transpose runs 64×64 blocks through a word-parallel butterfly network
-// (6·64 word swaps per block) instead of n² bit probes — it is how the
-// grant phases obtain the per-resource requester columns. A block
-// holding at most transposeScatterMax bits, counted while it is loaded,
-// skips the network: its destination words are cleared and each set bit
-// is written where it belongs, so a nearly empty request matrix costs
-// what it holds.
+// (6·32 word swaps per block) instead of n² bit probes — it is how the
+// grant phases obtain the per-resource requester columns. A block whose
+// rows and columns fit in 2^lg < 64 runs only the butterfly's lower lg
+// levels over its first 2^lg rows (a 16-port matrix costs 4·8 swaps, not
+// 6·32). A block holding at most scatterLimit(lg) bits, counted while it
+// is loaded, skips the network: its destination words are cleared and
+// each set bit is written where it belongs, so a nearly empty request
+// matrix costs what it holds.
 func (m *Matrix) TransposeInto(dst *Matrix) {
 	if m.n != dst.n {
 		panic("bitvec: transpose dimension mismatch")
@@ -171,15 +194,9 @@ func (m *Matrix) TransposeInto(dst *Matrix) {
 	nb := (m.n + wordBits - 1) / wordBits
 	var blk [wordBits]uint64
 	for bi := 0; bi < nb; bi++ {
-		rlim := m.n - bi<<6
-		if rlim > wordBits {
-			rlim = wordBits
-		}
+		rlim := min(m.n-bi<<6, wordBits)
 		for bj := 0; bj < nb; bj++ {
-			clim := m.n - bj<<6
-			if clim > wordBits {
-				clim = wordBits
-			}
+			clim := min(m.n-bj<<6, wordBits)
 			idx := bi<<6*m.w + bj
 			pop := 0
 			for k := 0; k < rlim; k++ {
@@ -187,8 +204,9 @@ func (m *Matrix) TransposeInto(dst *Matrix) {
 				pop += bits.OnesCount64(blk[k])
 				idx += m.w
 			}
+			lg := uint(bits.Len(uint(max(rlim, clim) - 1)))
 			out := bj<<6*dst.w + bi // dst word of the block's column 0
-			if pop <= transposeScatterMax {
+			if pop <= scatterLimit(lg) {
 				idx = out
 				for k := 0; k < clim; k++ {
 					dst.flat[idx] = 0
@@ -204,10 +222,10 @@ func (m *Matrix) TransposeInto(dst *Matrix) {
 				}
 				continue
 			}
-			for k := rlim; k < wordBits; k++ {
+			for k := rlim; k < 1<<lg; k++ {
 				blk[k] = 0
 			}
-			transpose64(&blk)
+			transposeBlock(&blk, lg)
 			idx = out
 			for k := 0; k < clim; k++ {
 				dst.flat[idx] = blk[k]
@@ -217,15 +235,18 @@ func (m *Matrix) TransposeInto(dst *Matrix) {
 	}
 }
 
-// transpose64 transposes a 64×64 bit block in place, LSB-first (bit c of
-// a[r] is column c): the recursive block-swap of Hacker's Delight §7-3,
-// adjusted for the LSB-first layout — at each level it exchanges the
-// high-column half of the low rows with the low-column half of the high
-// rows within every 2j×2j tile.
-func transpose64(a *[64]uint64) {
-	mask := uint64(0x00000000FFFFFFFF)
-	for j := uint(32); j != 0; j, mask = j>>1, mask^(mask<<(j>>1)) {
-		for k := uint(0); k < 64; k = (k + j + 1) &^ j {
+// transposeBlock transposes the 2^lg × 2^lg block in the first 2^lg
+// words of a in place, LSB-first (bit c of a[r] is column c): the
+// recursive block-swap of Hacker's Delight §7-3, adjusted for the
+// LSB-first layout — at each level it exchanges the high-column half of
+// the low rows with the low-column half of the high rows within every
+// 2j×2j tile. Bits at columns ≥ 2^lg must be zero; lg = 6 is the full
+// 64×64 network.
+func transposeBlock(a *[64]uint64, lg uint) {
+	size := uint(1) << lg
+	for l := int(lg) - 1; l >= 0; l-- {
+		j, mask := uint(1)<<uint(l), transposeMasks[l]
+		for k := uint(0); k < size; k = (k + j + 1) &^ j {
 			t := (a[k]>>j ^ a[k+j]) & mask
 			a[k] ^= t << j
 			a[k+j] ^= t
@@ -241,10 +262,15 @@ func transpose64(a *[64]uint64) {
 // updates. This is the representation behind the LCF rule: nrq (and the
 // distributed scheduler's ngt) live here, so "requester with the fewest
 // outstanding requests" is a plane-wise prune rather than a scan.
+//
+// The planes share one flat backing, plane p at words [p·w, (p+1)·w)
+// with w words per plane, so walking the planes of one word is a stride
+// through one slice instead of a pointer load per plane.
 type Counts struct {
 	n      int
-	planes []*Vector
-	z, z2  *Vector // min-select double buffer
+	w      int      // words per plane
+	np     int      // plane count
+	planes []uint64 // np planes of w words, back to back
 }
 
 // NewCounts returns n zeroed counters able to hold values in [0, max].
@@ -252,11 +278,9 @@ func NewCounts(n, max int) *Counts {
 	if max < 1 {
 		max = 1
 	}
-	c := &Counts{n: n, planes: make([]*Vector, bits.Len(uint(max))), z: New(n), z2: New(n)}
-	for p := range c.planes {
-		c.planes[p] = New(n)
-	}
-	return c
+	w := (n + wordBits - 1) / wordBits
+	np := bits.Len(uint(max))
+	return &Counts{n: n, w: w, np: np, planes: make([]uint64, np*w)}
 }
 
 // Len returns the number of counters.
@@ -264,36 +288,30 @@ func (c *Counts) Len() int { return c.n }
 
 // Set assigns counter i to v, which must fit the planes.
 func (c *Counts) Set(i, v int) {
-	if v < 0 || v >= 1<<uint(len(c.planes)) {
+	_ = c.planes[:c.w][i>>6] // a word past the plane faults here, not in the next plane
+	if v < 0 || v >= 1<<uint(c.np) {
 		panic("bitvec: count out of range")
 	}
-	wi, m := i>>6, uint64(1)<<uint(i&63)
-	_ = c.planes[0].words[wi] // one bounds check for the plane loop
-	for p, pl := range c.planes {
-		if v>>uint(p)&1 == 1 {
-			pl.words[wi] |= m
-		} else {
-			pl.words[wi] &^= m
-		}
+	m := uint64(1) << uint(i&63)
+	for k := i >> 6; k < len(c.planes); k += c.w {
+		c.planes[k] = c.planes[k]&^m | -uint64(v&1)&m
+		v >>= 1
 	}
 }
 
 // Get returns counter i.
 func (c *Counts) Get(i int) int {
-	wi, sh := i>>6, uint(i&63)
+	_ = c.planes[:c.w][i>>6] // a word past the plane faults here, not in the next plane
+	sh := uint(i & 63)
 	v := 0
-	for p, pl := range c.planes {
-		v |= int(pl.words[wi]>>sh&1) << uint(p)
+	for p, k := 0, i>>6; k < len(c.planes); p, k = p+1, k+c.w {
+		v |= int(c.planes[k]>>sh&1) << uint(p)
 	}
 	return v
 }
 
 // Reset zeroes every counter.
-func (c *Counts) Reset() {
-	for _, pl := range c.planes {
-		pl.Reset()
-	}
-}
+func (c *Counts) Reset() { clear(c.planes) }
 
 // IncMasked increments counter i for every set bit i of mask. The result
 // must fit the planes: a counter at the plane maximum would overflow
@@ -302,39 +320,36 @@ func (c *Counts) Reset() {
 // costs O(n · n/64) word operations — the bulk-initialization path for
 // "nrq[i] = number of requests of initiator i".
 func (c *Counts) IncMasked(mask *Vector) {
-	for k := range mask.words {
-		carry := mask.words[k]
-		if carry == 0 {
-			continue
-		}
-		for _, pl := range c.planes {
-			t := pl.words[k]
-			pl.words[k] = t ^ carry
+	for k, carry := range mask.words {
+		for idx := k; carry != 0 && idx < len(c.planes); idx += c.w {
+			t := c.planes[idx]
+			c.planes[idx] = t ^ carry
 			carry &= t
-			if carry == 0 {
-				break
-			}
 		}
 	}
 }
 
-// SumRows sets counter j to the number of rows of m whose bit j is set
-// (the column sums of m) — equivalent to Reset followed by IncMasked of
-// every row, but walking one word-column at a time with the plane words
-// held in registers, so the bulk initialization touches each plane word
-// exactly once. Sums beyond the plane capacity lose their carry exactly
-// as IncMasked would.
-func (c *Counts) SumRows(m *Matrix) {
-	if m.n != c.n {
+// SumRows sets counter j to the number of rows r of m whose bit j is set,
+// counting only the rows r set in rows (every row when rows is nil): the
+// column sums of m, or of the sub-matrix of the selected rows. It is
+// equivalent to Reset followed by IncMasked of every selected row, but
+// walks one word-column at a time with the plane words held in
+// registers, so the bulk initialization touches each plane word exactly
+// once. Sums beyond the plane capacity lose their carry exactly as
+// IncMasked would.
+func (c *Counts) SumRows(m *Matrix, rows *Vector) {
+	if m.n != c.n || rows != nil && rows.n != m.n {
 		panic("bitvec: counts/matrix dimension mismatch")
 	}
-	np := len(c.planes)
+	np := c.np
 	if np > 16 {
 		// Counters wider than 16 planes don't fit the register block;
 		// fall back to the amortized per-row path.
 		c.Reset()
-		for _, r := range m.rows {
-			c.IncMasked(r)
+		for r, row := range m.rows {
+			if rows == nil || rows.words[r>>6]>>uint(r&63)&1 == 1 {
+				c.IncMasked(row)
+			}
 		}
 		return
 	}
@@ -343,19 +358,57 @@ func (c *Counts) SumRows(m *Matrix) {
 		for p := 0; p < np; p++ {
 			pl[p] = 0
 		}
-		idx := k
-		for r := 0; r < m.n; r++ {
-			carry := m.flat[idx]
-			idx += m.w
-			for p := 0; carry != 0 && p < np; p++ {
-				t := pl[p]
-				pl[p] = t ^ carry
-				carry &= t
+		// Visit the selected rows word by word of the row mask; a nil
+		// mask selects every row of the word (the last one trimmed).
+		for rw := 0; rw < m.w; rw++ {
+			sel := ^uint64(0) >> uint(max(0, (rw+1)<<6-m.n))
+			if rows != nil {
+				sel = rows.words[rw]
+			}
+			for ; sel != 0; sel &= sel - 1 {
+				carry := m.flat[(rw<<6+bits.TrailingZeros64(sel))*m.w+k]
+				for p := 0; carry != 0 && p < np; p++ {
+					t := pl[p]
+					pl[p] = t ^ carry
+					carry &= t
+				}
 			}
 		}
-		for p := 0; p < np; p++ {
-			c.planes[p].words[k] = pl[p]
+		for p, idx := 0, k; p < np; p, idx = p+1, idx+c.w {
+			c.planes[idx] = pl[p]
 		}
+	}
+}
+
+// SumMasked returns the sum of the counters at the set bits of mask: one
+// masked popcount per plane word, weighted by the plane's bit.
+func (c *Counts) SumMasked(mask *Vector) int {
+	if mask.n != c.n {
+		panic("bitvec: counts/mask dimension mismatch")
+	}
+	sum := 0
+	for p, base := 0, 0; p < c.np; p, base = p+1, base+c.w {
+		pc := 0
+		for k, m := range mask.words {
+			pc += bits.OnesCount64(c.planes[base+k] & m)
+		}
+		sum += pc << uint(p)
+	}
+	return sum
+}
+
+// NonZeroInto sets dst to the set bits of mask whose counter is not zero
+// (the OR of the planes, under the mask). dst may alias mask.
+func (c *Counts) NonZeroInto(dst, mask *Vector) {
+	if mask.n != c.n || dst.n != c.n {
+		panic("bitvec: counts/mask dimension mismatch")
+	}
+	for k, m := range mask.words {
+		any := uint64(0)
+		for idx := k; idx < len(c.planes); idx += c.w {
+			any |= c.planes[idx]
+		}
+		dst.words[k] = m & any
 	}
 }
 
@@ -364,18 +417,11 @@ func (c *Counts) SumRows(m *Matrix) {
 // into the high planes (the kernels guarantee this — a requester in a
 // resource's candidate column holds at least that one request).
 func (c *Counts) DecMasked(mask *Vector) {
-	for k := range mask.words {
-		b := mask.words[k]
-		if b == 0 {
-			continue
-		}
-		for _, pl := range c.planes {
-			t := pl.words[k]
-			pl.words[k] = t ^ b
+	for k, b := range mask.words {
+		for idx := k; b != 0 && idx < len(c.planes); idx += c.w {
+			t := c.planes[idx]
+			c.planes[idx] = t ^ b
 			b &= ^t
-			if b == 0 {
-				break
-			}
 		}
 	}
 }
@@ -386,29 +432,36 @@ func (c *Counts) DecMasked(mask *Vector) {
 // dst comes back empty and the returned value is meaningless. Counters
 // of bits outside cand are ignored.
 func (c *Counts) MinSelectInto(dst, cand *Vector) int {
-	// Double-buffer the shrinking candidate set so each plane costs one
-	// masked AND pass, with a single copy out at the end.
-	cur, next := c.z.words, c.z2.words
-	copy(cur, cand.words)
+	// Walk the planes from the top. One read pass per plane finds
+	// whether the survivors disagree on bit p; only then does a second
+	// pass drop those with the bit set, the first such pass reading cand
+	// and writing dst, the later ones pruning dst in place. cand is read
+	// but never copied unless no plane prunes, when dst becomes cand.
+	src, out := cand.words, dst.words[:len(cand.words)]
+	pruned := false
 	min := 0
-	for p := len(c.planes) - 1; p >= 0; p-- {
-		pw := c.planes[p].words
-		any := uint64(0)
-		for k := range cur {
-			w := cur[k] &^ pw[k]
-			next[k] = w
-			any |= w
+	for p := c.np - 1; p >= 0; p-- {
+		pw := c.planes[p*c.w:][:len(src)]
+		clr, set := uint64(0), uint64(0)
+		for k, x := range src {
+			clr |= x &^ pw[k]
+			set |= x & pw[k]
 		}
-		if any != 0 {
-			// Some candidate has bit p clear: all bit-p-set candidates
-			// are strictly larger and leave the running.
-			cur, next = next, cur
-		} else {
-			// Every surviving candidate has bit p set, so it is set in
-			// the minimum too.
+		switch {
+		case clr == 0:
+			// Every survivor has bit p set, so the minimum has it too.
 			min |= 1 << uint(p)
+		case set != 0:
+			// Survivors with bit p set are strictly larger than those
+			// without: they leave the running.
+			for k, x := range src {
+				out[k] = x &^ pw[k]
+			}
+			src, pruned = out, true
 		}
 	}
-	copy(dst.words, cur)
+	if !pruned {
+		copy(out, src)
+	}
 	return min
 }

@@ -2,6 +2,7 @@ package bitvec
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"testing"
 )
@@ -66,6 +67,32 @@ func TestFirstSetFromAnd(t *testing.T) {
 			}
 			if got != want {
 				t.Fatalf("n=%d from=%d: got %d want %d\na=%v\nb=%v", n, from, got, want, a, b)
+			}
+		}
+	}
+}
+
+// TestFirstSetFromWordScan pins FirstSetFrom's word scan against a
+// circular bit probe at every offset of every kernel width, in range and
+// out of it, over sparse vectors whose only bits sit before, at or after
+// the offset's word.
+func TestFirstSetFromWordScan(t *testing.T) {
+	r := rand.New(rand.NewSource(12))
+	for _, n := range kernelWidths {
+		for trial := 0; trial < 8; trial++ {
+			v := randVec(r, n, []float64{0, 0.01, 0.05, 0.5}[trial%4])
+			for from := -n; from < 2*n; from++ {
+				want := -1
+				start := ((from % n) + n) % n
+				for k := 0; k < n; k++ {
+					if i := (start + k) % n; v.Get(i) {
+						want = i
+						break
+					}
+				}
+				if got := v.FirstSetFrom(from); got != want {
+					t.Fatalf("n=%d from=%d: got %d want %d\nv=%v", n, from, got, want, v)
+				}
 			}
 		}
 	}
@@ -182,13 +209,16 @@ func fillBlocks(m *Matrix, r *rand.Rand, pops func(bi, bj int) int) {
 // and the seam between them against a bit-probe transpose: every block
 // empty, holding one bit, one bit either side of the scatter crossover and
 // exactly at it, and full — and a mix, so a scattered block sits beside a
-// butterflied one — at widths on both sides of every word boundary, into
-// a destination that starts with every bit set (the scatter path has to
-// clear what it does not write).
+// butterflied one — at widths on both sides of every word boundary and of
+// every smaller butterfly size, into a destination that starts with every
+// bit set (the scatter path has to clear what it does not write). Below
+// 64 ports the crossover is the one scatterLimit gives the matrix's
+// single block.
 func TestTransposeIntoBlockPopulations(t *testing.T) {
-	pops := []int{0, 1, transposeScatterMax - 1, transposeScatterMax, transposeScatterMax + 1, wordBits * wordBits}
 	r := rand.New(rand.NewSource(20))
-	for _, n := range []int{1, 15, 16, 17, 63, 64, 65, 129, 256} {
+	for _, n := range []int{1, 2, 3, 5, 8, 9, 15, 16, 17, 32, 33, 63, 64, 65, 129, 256} {
+		seam := scatterLimit(uint(bits.Len(uint(min(n, wordBits) - 1))))
+		pops := []int{0, 1, max(seam-1, 0), seam, seam + 1, wordBits * wordBits}
 		for c := 0; c <= len(pops); c++ {
 			name := "mixed"
 			pick := func(bi, bj int) int { return pops[(bi*3+bj+1)%len(pops)] }
@@ -300,11 +330,63 @@ func TestSumRows(t *testing.T) {
 		}
 		c := NewCounts(n, n)
 		c.Set(0, n) // SumRows must overwrite stale state, not add to it
-		c.SumRows(m)
+		c.SumRows(m, nil)
 		for j := 0; j < n; j++ {
 			if got := c.Get(j); got != want[j] {
 				t.Fatalf("n=%d column %d: got %d want %d", n, j, got, want[j])
 			}
+		}
+		// A row mask sums only the selected rows.
+		rows := randVec(r, n, 0.4)
+		for j := range want {
+			want[j] = 0
+			for i := 0; i < n; i++ {
+				if rows.Get(i) && m.Get(i, j) {
+					want[j]++
+				}
+			}
+		}
+		c.SumRows(m, rows)
+		for j := 0; j < n; j++ {
+			if got := c.Get(j); got != want[j] {
+				t.Fatalf("n=%d masked column %d: got %d want %d", n, j, got, want[j])
+			}
+		}
+	}
+}
+
+func TestSumMaskedAndNonZeroInto(t *testing.T) {
+	r := rand.New(rand.NewSource(10))
+	for _, n := range kernelWidths {
+		c := NewCounts(n, n)
+		vals := make([]int, n)
+		for i := range vals {
+			if r.Intn(3) > 0 {
+				vals[i] = r.Intn(n + 1)
+			}
+			c.Set(i, vals[i])
+		}
+		mask := randVec(r, n, 0.5)
+		wantSum := 0
+		for i, v := range vals {
+			if mask.Get(i) {
+				wantSum += v
+			}
+		}
+		if got := c.SumMasked(mask); got != wantSum {
+			t.Fatalf("n=%d SumMasked = %d want %d", n, got, wantSum)
+		}
+		dst := New(n)
+		dst.SetAll() // NonZeroInto must overwrite, not OR into
+		c.NonZeroInto(dst, mask)
+		for i, v := range vals {
+			if want := mask.Get(i) && v != 0; dst.Get(i) != want {
+				t.Fatalf("n=%d NonZeroInto bit %d = %v want %v (val %d)", n, i, dst.Get(i), want, v)
+			}
+		}
+		c.NonZeroInto(mask, mask) // aliasing is allowed
+		if !mask.Equal(dst) {
+			t.Fatalf("n=%d aliased NonZeroInto differs", n)
 		}
 	}
 }
@@ -342,6 +424,24 @@ func TestMinSelectInto(t *testing.T) {
 				t.Fatalf("n=%d min-select of empty set non-empty", n)
 			}
 		}
+		// Candidates that all hold the same count, the top value among
+		// them (no plane prunes): dst is exactly cand, and cand is only
+		// read.
+		top := (1 << uint(bits.Len(uint(n)))) - 1
+		cand := randVec(r, n, 0.5)
+		for i := 0; i < n; i++ {
+			if cand.Get(i) {
+				c.Set(i, top)
+			}
+		}
+		keep := cand.Clone()
+		dst := FromIndices(n, 0)
+		if got := c.MinSelectInto(dst, cand); cand.Any() && got != top {
+			t.Fatalf("n=%d all-equal min %d want %d", n, got, top)
+		}
+		if !dst.Equal(cand) || !cand.Equal(keep) {
+			t.Fatalf("n=%d all-equal min-select: dst %v cand %v, want both %v", n, dst, cand, keep)
+		}
 	}
 }
 
@@ -353,6 +453,28 @@ func TestCountsSetRejectsOutOfRange(t *testing.T) {
 		}
 	}()
 	c.Set(0, 16)
+}
+
+// TestCountsRejectsIndexOutOfRange: in the flat backing a counter index
+// past the plane's words would land in the next plane, so Set and Get
+// fault on it.
+func TestCountsRejectsIndexOutOfRange(t *testing.T) {
+	c := NewCounts(8, 8)
+	for _, i := range []int{-1, 64, 200} {
+		for name, op := range map[string]func(){
+			"Set": func() { c.Set(i, 1) },
+			"Get": func() { c.Get(i) },
+		} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s(%d) on 8 counters did not panic", name, i)
+					}
+				}()
+				op()
+			}()
+		}
+	}
 }
 
 // load09Density is the share of request-matrix bits set in a lockstep

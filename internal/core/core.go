@@ -192,7 +192,7 @@ func (c *Central) Schedule(ctx *sched.Context, m *matching.Match) {
 	c.granted.Reset()
 	// nrq[i] = Σ R[i,*]: the column sums of the transposed matrix, bulk-
 	// loaded into the bit-sliced counters in one pass.
-	c.nrqBits.SumRows(c.cols)
+	c.nrqBits.SumRows(c.cols, nil)
 	for req := 0; req < n; req++ {
 		c.rules[req] = sched.RuleUnattributed
 		c.choices[req] = -1

@@ -148,12 +148,12 @@ func (d *Dist) SetPosition(i, j int) {
 // Schedule implements sched.Scheduler. It computes exactly the Section 5
 // protocol of scheduleRef (dist_ref_test.go), pinned bit-exact — including
 // pointer evolution and MessageStats — by the differential tests, but
-// runs the three steps word-parallel (DESIGN.md §10): choice counts are
-// masked popcounts over unmatched-target words, the per-target grant
-// candidates are one column AND against the requesting-initiator set,
-// and both "lowest count wins, ties round-robin" selections are a
-// bit-sliced min-select followed by a circular first-set scan from the
-// port's rotating pointer.
+// runs the three steps word-parallel (DESIGN.md §10): every initiator's
+// choice count is one bit-sliced column sum over the unmatched targets'
+// requester columns, the per-target grant candidates are one column AND
+// against the requesting-initiator set, and both "lowest count wins, ties
+// round-robin" selections are a bit-sliced min-select followed by a
+// circular first-set scan from the port's rotating pointer.
 func (d *Dist) Schedule(ctx *sched.Context, m *matching.Match) {
 	sched.CheckDims(d, ctx, m)
 	m.Reset()
@@ -175,29 +175,24 @@ func (d *Dist) Schedule(ctx *sched.Context, m *matching.Match) {
 
 	d.stats.Cycles++
 	for it := 0; it < d.iterations; it++ {
-		// Request step: recompute each unmatched initiator's choice count
-		// over unmatched targets. An initiator whose remaining requests
+		// Request step: each unmatched initiator's choice count over
+		// unmatched targets, for all initiators at once — the column sums
+		// of the unmatched targets' requester rows. The sums of matched
+		// initiators are formed too but never read: nrqPos keeps them out
+		// of every candidate set. An initiator whose remaining requests
 		// all point at matched targets sends nothing.
-		anyRequest := false
-		d.nrqPos.Reset()
-		for i := d.unmatchedIn.FirstSet(); i >= 0; i = d.unmatchedIn.NextSetAfter(i) {
-			nrq := req.Row(i).AndCount(d.unmatchedOut)
-			if nrq > 0 {
-				d.nrqBits.Set(i, nrq)
-				d.nrqPos.Set(i)
-				d.stats.Requests += int64(nrq)
-				anyRequest = true
-			}
-		}
-		if anyRequest {
+		d.nrqBits.SumRows(d.cols, d.unmatchedOut)
+		d.nrqBits.NonZeroInto(d.nrqPos, d.unmatchedIn)
+		if sent := d.nrqBits.SumMasked(d.nrqPos); sent > 0 {
+			d.stats.Requests += int64(sent)
 			d.stats.Iterations++
 		}
 
 		// Grant step: each unmatched target grants the requesting
 		// initiator with the lowest nrq; the rotating pointer breaks ties
 		// by deciding which equal-priority initiator is reached first.
-		d.grants.Reset()
-		d.grantedIn.Reset()
+		// d.grants is all zero here: the accept step below clears every
+		// row it reads, and only those rows are ever set.
 		anyGrant := false
 		for j := d.unmatchedOut.FirstSet(); j >= 0; j = d.unmatchedOut.NextSetAfter(j) {
 			// Candidates = requesters of j that are unmatched with nrq>0;
@@ -208,8 +203,7 @@ func (d *Dist) Schedule(ctx *sched.Context, m *matching.Match) {
 				continue
 			}
 			d.ngtBits.Set(j, ngt)
-			d.nrqBits.MinSelectInto(d.minSet, d.cand)
-			best := d.minSet.FirstSetFrom(d.grantPtr[j])
+			best := d.leastChoice(d.nrqBits, d.cand, ngt, d.grantPtr[j])
 			d.grants.Set(best, j)
 			d.grantedIn.Set(best)
 			anyGrant = true
@@ -224,20 +218,43 @@ func (d *Dist) Schedule(ctx *sched.Context, m *matching.Match) {
 		// pointer. Pointers advance past the chosen partner only when a
 		// match forms, the update rule that avoids pointer synchronization.
 		for i := d.grantedIn.FirstSet(); i >= 0; i = d.grantedIn.NextSetAfter(i) {
-			d.ngtBits.MinSelectInto(d.minSet, d.grants.Row(i))
-			best := d.minSet.FirstSetFrom(d.acceptPtr[i])
+			row := d.grants.Row(i)
+			best := d.leastChoice(d.ngtBits, row, row.PopCount(), d.acceptPtr[i])
+			row.Reset()
 			m.Pair(i, best)
 			d.unmatchedIn.Clear(i)
 			d.unmatchedOut.Clear(best)
 			d.stats.Accepts++
-			d.grantPtr[best] = (i + 1) % n
-			d.acceptPtr[i] = (best + 1) % n
+			d.grantPtr[best] = next(i, n)
+			d.acceptPtr[i] = next(best, n)
 		}
+		d.grantedIn.Reset()
 	}
 
 	// Advance the round-robin position for the next scheduling cycle.
-	d.i = (d.i + 1) % n
+	d.i = next(d.i, n)
 	if d.i == 0 {
-		d.j = (d.j + 1) % n
+		d.j = next(d.j, n)
 	}
+}
+
+// leastChoice returns the member of cand (which holds size ≥ 1 bits)
+// with the lowest count, ties going to the first at or after ptr
+// circularly: the grant and accept rule. A lone candidate wins without
+// the min-select and the priority scan, which would both pick it.
+func (d *Dist) leastChoice(counts *bitvec.Counts, cand *bitvec.Vector, size, ptr int) int {
+	if size == 1 {
+		return cand.FirstSet()
+	}
+	counts.MinSelectInto(d.minSet, cand)
+	return d.minSet.FirstSetFrom(ptr)
+}
+
+// next returns the port after p on an n-port ring, (p+1) mod n for p in
+// [0, n), without the division.
+func next(p, n int) int {
+	if p++; p == n {
+		return 0
+	}
+	return p
 }

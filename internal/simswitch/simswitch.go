@@ -283,8 +283,14 @@ type Sim struct {
 	xq *switchcore.CICQ[*packet.Packet]
 
 	req      *bitvec.Matrix  // FIFO organization's HOL request matrix
+	ctx      sched.Context   // FIFO organization's scheduler context, over req
 	match    *matching.Match // FIFO organization's match scratch
 	departed []DepartInfo    // per-slot scratch for Config.Trace
+
+	// occ is the VOQ organization's occupancy ledger for the per-slot
+	// statistics, kept where packets move instead of rescanning n²
+	// lengths every slot.
+	occ occupancy
 
 	// grants is the computed decision handed to Config.Trace (VOQ and
 	// FIFO organizations, only when Trace is set), attributed by ex.
@@ -318,6 +324,7 @@ func New(cfg Config) (*Sim, error) {
 		match: matching.NewMatch(n),
 		stale: matching.NewMatch(n),
 	}
+	s.ctx.Req = s.req
 	if cfg.Trace != nil {
 		s.grants = sched.NewGrantSet(n)
 		s.ex, _ = cfg.Scheduler.(sched.Explainer)
@@ -467,7 +474,9 @@ func (s *Sim) promote() {
 			var accepted bool
 			switch s.cfg.Mode {
 			case VOQ:
-				accepted = s.core.Enqueue(in, head.Dst, head)
+				if accepted = s.core.Enqueue(in, head.Dst, head); accepted {
+					s.occ.grew(in, head.Dst, s.core.Len(in, head.Dst))
+				}
 			case CICQ:
 				accepted = s.xq.Enqueue(in, head.Dst, head)
 			case FIFO:
@@ -534,12 +543,11 @@ func (s *Sim) scheduleAndTransfer() error {
 			}
 		}
 		req = s.req
-		ctx := &sched.Context{Req: s.req}
 		s.match.Reset()
-		s.cfg.Scheduler.Schedule(ctx, s.match)
+		s.cfg.Scheduler.Schedule(&s.ctx, s.match)
 		computed = s.match
 		if s.cfg.Validate {
-			if err := matching.Validate(s.match, ctx.Requests()); err != nil {
+			if err := matching.Validate(s.match, s.ctx.Requests()); err != nil {
 				return fmt.Errorf("scheduler %s produced invalid schedule: %w", s.cfg.Scheduler.Name(), err)
 			}
 		}
@@ -629,7 +637,10 @@ func (s *Sim) cicqTransfer() {
 func (s *Sim) pop(in, out int) *packet.Packet {
 	switch s.cfg.Mode {
 	case VOQ:
-		p, _ := s.core.Dequeue(in, out)
+		p, ok := s.core.Dequeue(in, out)
+		if ok {
+			s.occ.shrank(s.core.Len(in, out))
+		}
 		return p
 	case FIFO:
 		head, ok := s.ififo[in].Peek()
@@ -674,26 +685,23 @@ func (s *Sim) trackOccupancy() {
 	max := s.res.MaxVOQLen
 	switch s.cfg.Mode {
 	case VOQ:
-		occupied := 0
-		var sum, sumSq float64
-		for i := 0; i < s.cfg.N; i++ {
-			for _, l := range s.core.LenRow(i) {
-				if l > max {
-					max = l
-				}
-				if l > 0 {
-					occupied++
-				}
-				fl := float64(l)
-				sum += fl
-				sumSq += fl * fl
+		// Only a VOQ that grew this slot can exceed the running maximum:
+		// every other one is no longer than at the end of an earlier slot.
+		for _, p := range s.occ.grown {
+			if l := s.core.Len(p.in, p.out); l > max {
+				max = l
 			}
 		}
+		s.occ.grown = s.occ.grown[:0]
 		if s.warmed {
+			// The sums are integers, which float64 holds exactly below
+			// 2⁵³ (Σl² ≤ n²·VOQCap² is 2³⁶ at 1024 ports and the paper's
+			// VOQCap), so these are the values a float rescan of every
+			// length adds up to.
 			nq := float64(s.cfg.N * s.cfg.N)
-			s.res.Choice.Add(float64(occupied) / float64(s.cfg.N))
-			mean := sum / nq
-			variance := sumSq/nq - mean*mean
+			s.res.Choice.Add(float64(s.occ.occupied) / float64(s.cfg.N))
+			mean := float64(s.occ.sum) / nq
+			variance := float64(s.occ.sumSq)/nq - mean*mean
 			if variance < 0 {
 				variance = 0
 			}
@@ -729,6 +737,44 @@ func (s *Sim) trackOccupancy() {
 		}
 	}
 	s.res.MaxVOQLen = max
+}
+
+// occupancy is the VOQ organization's running occupancy ledger: Σl, Σl²
+// and the count of non-empty VOQs over the n² VOQ lengths l, updated by
+// one step per packet that enters or leaves a VOQ, plus the pairs that
+// grew this slot (the only candidates for a new MaxVOQLen). It lives
+// here rather than in switchcore so that the live engine, which shares
+// the VOQ store but reports none of these statistics, does not pay for
+// it on every Enqueue and Dequeue (DESIGN.md §8).
+type occupancy struct {
+	sum, sumSq int64
+	occupied   int
+	grown      []pair
+}
+
+// pair is one (input, output) VOQ.
+type pair struct{ in, out int }
+
+// grew records one packet entering VOQ (in, out), whose length is now l.
+func (o *occupancy) grew(in, out, l int) {
+	o.sum++
+	o.sumSq += int64(2*l - 1) // l² − (l−1)²
+	if l == 1 {
+		o.occupied++
+	}
+	// Promotion fills one VOQ several times in a row; one entry will do.
+	if k := len(o.grown); k == 0 || o.grown[k-1] != (pair{in, out}) {
+		o.grown = append(o.grown, pair{in, out})
+	}
+}
+
+// shrank records one packet leaving a VOQ whose length is now l.
+func (o *occupancy) shrank(l int) {
+	o.sum--
+	o.sumSq -= int64(2*l + 1) // (l+1)² − l²
+	if l == 0 {
+		o.occupied--
+	}
 }
 
 // Step advances the simulation by one slot outside Run — the hook

@@ -625,6 +625,151 @@ func TestPipelineReservationsPreventWaste(t *testing.T) {
 	}
 }
 
+// figure12Sim builds an n-port, load-0.9 uniform simulation of one
+// Figure 12 scheduler on its organization (fifo on input FIFOs, the rest
+// on VOQs), measured from the first slot.
+func figure12Sim(tb testing.TB, name string, n int) *Sim {
+	tb.Helper()
+	sc, err := registry.New(name, n, sched.Options{Iterations: 4, Seed: 1})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	mode := VOQ
+	if name == "fifo" {
+		mode = FIFO
+	}
+	s, err := New(Config{
+		N: n, Mode: mode, Scheduler: sc,
+		Gen:          traffic.NewBernoulli(n, 0.9, traffic.NewUniform(n), 1),
+		WarmupSlots:  0,
+		MeasureSlots: 1 << 62,
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return s
+}
+
+// stepN runs k slots the way Run does.
+func stepN(tb testing.TB, s *Sim, k int) {
+	for t := 0; t < k; t++ {
+		if err := s.step(); err != nil {
+			tb.Fatal(err)
+		}
+		s.now++
+	}
+}
+
+// TestStepAllocatesNothing pins the zero-allocation slot for every
+// Figure 12 scheduler once the queues have grown to their working size:
+// the FIFO organization's scheduler context and the VOQ organization's
+// occupancy ledger are held in Sim, not built per slot.
+func TestStepAllocatesNothing(t *testing.T) {
+	for _, name := range registry.Figure12Names() {
+		s := figure12Sim(t, name, 16)
+		stepN(t, s, 20000)
+		if a := testing.AllocsPerRun(2000, func() { stepN(t, s, 1) }); a != 0 {
+			t.Errorf("%s: %v allocations per slot after warm-up, want 0", name, a)
+		}
+	}
+}
+
+// rescanOccupancy recomputes the VOQ occupancy ledger from every VOQ
+// length, the way the simulator did before it kept the ledger.
+func rescanOccupancy(s *Sim) (sum, sumSq int64, occupied, max int) {
+	for i := 0; i < s.cfg.N; i++ {
+		for _, l := range s.core.LenRow(i) {
+			sum += int64(l)
+			sumSq += int64(l) * int64(l)
+			if l > 0 {
+				occupied++
+			}
+			if l > max {
+				max = l
+			}
+		}
+	}
+	return sum, sumSq, occupied, max
+}
+
+// TestOccupancyLedgerMatchesRescan steps VOQ simulations through random
+// link failures and recoveries and checks, every slot, the incremental
+// Σl, Σl² and occupied count against a full rescan of the n² lengths,
+// and MaxVOQLen against the largest length any rescan has seen. It covers
+// every Figure 12 VOQ scheduler, plain, pipelined (depth 4) and with
+// speedup 2, at a small VOQ bound so that full VOQs block their PQs. The
+// simulator has one fault policy — it holds stranded packets in their
+// VOQs — so a failure moves lengths only through the promote and pop
+// sites the ledger follows.
+func TestOccupancyLedgerMatchesRescan(t *testing.T) {
+	const n = 8
+	shapes := []struct {
+		name string
+		mut  func(*Config)
+	}{
+		{"plain", func(*Config) {}},
+		{"pipeline4", func(c *Config) { c.PipelineDepth = 4 }},
+		{"speedup2", func(c *Config) { c.Speedup = 2 }},
+	}
+	for _, name := range registry.Figure12Names() {
+		if name == "fifo" {
+			continue
+		}
+		for k, sh := range shapes {
+			sc, err := registry.New(name, n, sched.Options{Iterations: 4, Seed: 5})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := voqConfig(n, 0.95, uint64(11+k), sc)
+			cfg.VOQCap = 6
+			cfg.PQCap = 12
+			sh.mut(&cfg)
+			s, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := rand.New(rand.NewSource(int64(k)))
+			seenMax := 0
+			for slot := 0; slot < 3000; slot++ {
+				if r.Intn(20) == 0 {
+					port, down := r.Intn(n), r.Intn(3) > 0
+					var err error
+					switch {
+					case r.Intn(2) == 0 && down:
+						err = s.FailInput(port)
+					case r.Intn(2) == 0:
+						err = s.RecoverInput(port)
+					case down:
+						err = s.FailOutput(port)
+					default:
+						err = s.RecoverOutput(port)
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := s.Step(); err != nil {
+					t.Fatalf("%s/%s slot %d: %v", name, sh.name, slot, err)
+				}
+				sum, sumSq, occupied, max := rescanOccupancy(s)
+				if max > seenMax {
+					seenMax = max
+				}
+				if s.occ.sum != sum || s.occ.sumSq != sumSq || s.occ.occupied != occupied {
+					t.Fatalf("%s/%s slot %d: ledger Σl=%d Σl²=%d occupied=%d, rescan %d %d %d",
+						name, sh.name, slot, s.occ.sum, s.occ.sumSq, s.occ.occupied, sum, sumSq, occupied)
+				}
+				if s.res.MaxVOQLen != seenMax {
+					t.Fatalf("%s/%s slot %d: MaxVOQLen %d, rescans saw %d", name, sh.name, slot, s.res.MaxVOQLen, seenMax)
+				}
+			}
+			if seenMax != cfg.VOQCap {
+				t.Errorf("%s/%s: no VOQ filled to its bound %d (max %d); the storm is too mild", name, sh.name, cfg.VOQCap, seenMax)
+			}
+		}
+	}
+}
+
 func benchmarkSimSlot(b *testing.B, n int) {
 	s, err := New(Config{
 		N: n, Mode: VOQ, Scheduler: core.NewCentral(n, true),
@@ -637,14 +782,24 @@ func benchmarkSimSlot(b *testing.B, n int) {
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := s.step(); err != nil {
-			b.Fatal(err)
-		}
-		s.now++
-	}
+	stepN(b, s, b.N)
 }
 
 func BenchmarkSimSlotLCFCentral16Load09(b *testing.B)  { benchmarkSimSlot(b, 16) }
 func BenchmarkSimSlotLCFCentral64Load09(b *testing.B)  { benchmarkSimSlot(b, 64) }
 func BenchmarkSimSlotLCFCentral256Load09(b *testing.B) { benchmarkSimSlot(b, 256) }
+
+// BenchmarkSimSlotFigure12 times one simulated slot of the paper's
+// Figure 12a cell — n=16, load 0.9, uniform — per Figure 12 scheduler,
+// after a warm-up that grows the queues to their working size.
+func BenchmarkSimSlotFigure12(b *testing.B) {
+	for _, name := range registry.Figure12Names() {
+		b.Run(name, func(b *testing.B) {
+			s := figure12Sim(b, name, 16)
+			stepN(b, s, 5000)
+			b.ReportAllocs()
+			b.ResetTimer()
+			stepN(b, s, b.N)
+		})
+	}
+}

@@ -271,6 +271,7 @@ type Counts struct {
 	w      int      // words per plane
 	np     int      // plane count
 	planes []uint64 // np planes of w words, back to back
+	z      []uint64 // MinSelectInto's second buffer, w words
 }
 
 // NewCounts returns n zeroed counters able to hold values in [0, max].
@@ -280,7 +281,7 @@ func NewCounts(n, max int) *Counts {
 	}
 	w := (n + wordBits - 1) / wordBits
 	np := bits.Len(uint(max))
-	return &Counts{n: n, w: w, np: np, planes: make([]uint64, np*w)}
+	return &Counts{n: n, w: w, np: np, planes: make([]uint64, np*w), z: make([]uint64, w)}
 }
 
 // Len returns the number of counters.
@@ -432,36 +433,37 @@ func (c *Counts) DecMasked(mask *Vector) {
 // dst comes back empty and the returned value is meaningless. Counters
 // of bits outside cand are ignored.
 func (c *Counts) MinSelectInto(dst, cand *Vector) int {
-	// Walk the planes from the top. One read pass per plane finds
-	// whether the survivors disagree on bit p; only then does a second
-	// pass drop those with the bit set, the first such pass reading cand
-	// and writing dst, the later ones pruning dst in place. cand is read
-	// but never copied unless no plane prunes, when dst becomes cand.
-	src, out := cand.words, dst.words[:len(cand.words)]
-	pruned := false
+	// Walk the planes from the top. Each plane is one pass that writes
+	// the candidates with bit p clear into the free one of two buffers,
+	// dst and the scratch z. If any were written, they replace the
+	// candidates: every candidate with bit p set is strictly larger. If
+	// none were, every candidate has bit p set, and so does the minimum.
+	// The first pass reads cand itself, so cand is never copied in; the
+	// survivors are copied out only when they end in z or are still cand.
+	src := cand.words
+	free, spare := dst.words[:len(src)], c.z[:len(src)]
+	prunes := 0
 	min := 0
 	for p := c.np - 1; p >= 0; p-- {
 		pw := c.planes[p*c.w:][:len(src)]
-		clr, set := uint64(0), uint64(0)
+		any := uint64(0)
 		for k, x := range src {
-			clr |= x &^ pw[k]
-			set |= x & pw[k]
+			y := x &^ pw[k]
+			free[k] = y
+			any |= y
 		}
-		switch {
-		case clr == 0:
-			// Every survivor has bit p set, so the minimum has it too.
+		if any != 0 {
+			src, free, spare = free, spare, free
+			prunes++
+		} else {
 			min |= 1 << uint(p)
-		case set != 0:
-			// Survivors with bit p set are strictly larger than those
-			// without: they leave the running.
-			for k, x := range src {
-				out[k] = x &^ pw[k]
-			}
-			src, pruned = out, true
 		}
 	}
-	if !pruned {
-		copy(out, src)
+	if prunes%2 == 0 { // src is cand or z, not dst
+		out := dst.words[:len(src)]
+		for k, x := range src {
+			out[k] = x
+		}
 	}
 	return min
 }

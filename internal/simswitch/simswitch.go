@@ -288,8 +288,8 @@ type Sim struct {
 	departed []DepartInfo    // per-slot scratch for Config.Trace
 
 	// occ is the VOQ organization's occupancy ledger for the per-slot
-	// statistics, kept where packets move instead of rescanning n²
-	// lengths every slot.
+	// statistics, kept where packets move so that a slot costs what
+	// moved, not n² length reads.
 	occ occupancy
 
 	// grants is the computed decision handed to Config.Trace (VOQ and

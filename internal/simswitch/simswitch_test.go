@@ -674,8 +674,8 @@ func TestStepAllocatesNothing(t *testing.T) {
 	}
 }
 
-// rescanOccupancy recomputes the VOQ occupancy ledger from every VOQ
-// length, the way the simulator did before it kept the ledger.
+// rescanOccupancy recomputes the VOQ occupancy ledger, and the largest
+// length, from every one of the n² VOQ lengths.
 func rescanOccupancy(s *Sim) (sum, sumSq int64, occupied, max int) {
 	for i := 0; i < s.cfg.N; i++ {
 		for _, l := range s.core.LenRow(i) {

@@ -152,6 +152,7 @@ type daemon struct {
 	seq      uint64
 	ops      chan faultOp
 	started  time.Time
+	clock    rt.ClockStats // run's slot clock counts into it
 
 	// Every engine's ring, in build order (the order GET /trace drains
 	// them), and the position of the engine that owns each.
@@ -186,6 +187,7 @@ func newDaemon(cfg cf.Config, load float64, traceOn bool) (*daemon, error) {
 func (d *daemon) buildRegistry() *obs.Registry {
 	r := obs.NewRegistry()
 	d.fab.Register(r)
+	d.clock.Register(r, "fab")
 	r.Gauge("fab_uptime_seconds", "Seconds since the fabric daemon started.", func() float64 {
 		return time.Since(d.started).Seconds()
 	})
@@ -227,7 +229,7 @@ func (d *daemon) step() error {
 // closed stop ends it. A conservation violation aborts the daemon — a
 // fabric that lost track of a frame has no business staying up.
 func (d *daemon) run(period time.Duration, maxSlots int64, stop <-chan struct{}) error {
-	clk := rt.NewSlotClock(period)
+	clk := rt.NewSlotClock(period, &d.clock)
 	for clk.Wait(stop) {
 		if err := d.step(); err != nil {
 			return err

@@ -277,7 +277,7 @@ func main() {
 	var seq uint64
 	var frame [maxDataLen]byte
 	start := time.Now()
-	clk := rt.NewSlotClock(*slot)
+	clk := rt.NewSlotClock(*slot, nil)
 	for t := 0; t < *slots; t++ {
 		clk.Wait(nil)
 		for in := 0; in < *n; in++ {

@@ -1,7 +1,9 @@
 package runtime_test
 
 import (
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/flowtable"
 	"repro/internal/obs"
@@ -310,4 +312,55 @@ func BenchmarkOfferComposed(b *testing.B) {
 		_, err := e.Offer(rt.Request{Dst: dst, Seq: seq, Flow: uint64(src), Steered: true, Class: src % 3, Classed: true})
 		return err
 	})
+}
+
+// BenchmarkLiveSlotN16 runs a live 16-port engine at a 1 µs SlotPeriod,
+// fed the way the repository benchmark's wire_plain_w64 workload feeds
+// lcfd: two clients, each a closed loop that admits a 64-frame window
+// toward its own output and reads the whole window back before it sends
+// the next, so each window leaves its one VOQ a frame per slot. One op is
+// one frame. It reports frames/s and the slot clock's sleeps per slot
+// that ran; the waits between those slots are under a microsecond, so a
+// clock that sleeps them instead of spinning reads near one sleep a slot.
+func BenchmarkLiveSlotN16(b *testing.B) {
+	const n, clients, window = 16, 2, 64
+	e, err := rt.New(rt.Config{N: n, Scheduler: newScheduler(b, "lcf_central_rr", n), SlotPeriod: time.Microsecond})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := e.Start(); err != nil {
+		b.Fatal(err)
+	}
+	defer e.Close()
+	windows := (b.N + clients*window - 1) / (clients * window)
+	slots, sleeps := e.Slot(), e.Stats().Clock.Sleeps.Value()
+	b.ResetTimer()
+	start := time.Now()
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			var seq uint64
+			for w := 0; w < windows; w++ {
+				for k := 0; k < window; k++ {
+					seq++
+					if err := e.Admit(p, p, seq, 0); err != nil {
+						b.Error(err)
+						return
+					}
+				}
+				for k := 0; k < window; k++ {
+					<-e.Output(p)
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	elapsed := time.Since(start)
+	b.StopTimer()
+	slots = e.Slot() - slots
+	sleeps = e.Stats().Clock.Sleeps.Value() - sleeps
+	b.ReportMetric(float64(windows*clients*window)/elapsed.Seconds(), "frames/s")
+	b.ReportMetric(float64(sleeps)/float64(slots), "sleeps/slot")
 }

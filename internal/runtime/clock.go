@@ -1,6 +1,11 @@
 package runtime
 
-import "time"
+import (
+	"time"
+
+	"repro/internal/metrics"
+	"repro/internal/obs"
+)
 
 // SlotClock is the repository's one slot pacer: the live arbiter, lcffab's
 // fabric loop and lcfload's generator all run their slots on it. It is a
@@ -9,26 +14,61 @@ import "time"
 // ran, so a wake-up that comes late is made up by the next wait instead of
 // drifting the rate.
 //
-// It does not wait on Go timers below a millisecond: when nothing else is
-// runnable the netpoller rounds such a wait up to a whole millisecond,
-// which would hold a 200 µs period to ~1 000 slots a second and make the
-// first slot after a park wait ~1 ms whatever the period. Short waits
-// sleep in the OS instead (shortSleep), and an overdue slot runs without
-// sleeping at all.
+// How it waits depends on how long the wait is:
+//   - A slot already due runs at once.
+//   - A wait shorter than the OS's timer slack spins on the clock until
+//     its deadline, because a sleep that short comes back a whole slack
+//     late (see timerSlack). The one exception is the wait after a
+//     stalled slot, which sleeps: what a stalled slot waits for — a
+//     consumer, an output pump — needs the processor a spinning arbiter
+//     would keep.
+//   - Longer waits sleep. Waits under a millisecond sleep in the OS
+//     (shortSleep), not on a Go timer: when nothing else is runnable the
+//     netpoller rounds such a wait up to a whole millisecond, which would
+//     hold a 200 µs period to ~1 000 slots a second.
 //
 // A SlotClock belongs to the one goroutine that runs the slots: Wait
-// before each slot, Advance after it.
+// before each slot, Advance after it. Its ClockStats may be read from any
+// goroutine.
 type SlotClock struct {
 	period time.Duration
 	next   time.Time
-	// slept reports that the last wait slept before its slot ran.
-	slept bool
+	// slept reports that the last wait slept before its slot ran;
+	// stalled that the last slot moved nothing while frames were queued.
+	slept, stalled bool
+
+	src   timeSource
+	stats *ClockStats
+}
+
+// ClockStats counts a SlotClock's sleeps. A rate of slots below one per
+// period with Overshoot rising is the OS waking the clock late.
+type ClockStats struct {
+	Sleeps    metrics.Counter // waits that slept
+	Overshoot metrics.Counter // nanoseconds those sleeps ran past their deadlines
+}
+
+// Register publishes s into r as <prefix>_slot_clock_sleeps_total and
+// <prefix>_slot_clock_overshoot_seconds_total.
+func (s *ClockStats) Register(r *obs.Registry, prefix string) {
+	r.Counter(prefix+"_slot_clock_sleeps_total", "Waits of the slot clock that slept; waits shorter than the OS timer slack spin instead, except after a stalled slot.", s.Sleeps.Value)
+	r.CounterVec(prefix+"_slot_clock_overshoot_seconds_total", "Time the slot clock's sleeps ran past their deadlines, summed.", func() []obs.Sample {
+		return []obs.Sample{{Value: time.Duration(s.Overshoot.Value()).Seconds()}}
+	})
 }
 
 // NewSlotClock returns a clock whose first slot is due one period from
-// now.
-func NewSlotClock(period time.Duration) *SlotClock {
-	return &SlotClock{period: period, next: time.Now().Add(period)}
+// now. It counts into stats, or into counters of its own when stats is
+// nil.
+func NewSlotClock(period time.Duration, stats *ClockStats) *SlotClock {
+	return newSlotClock(period, &wallClock{}, stats)
+}
+
+func newSlotClock(period time.Duration, src timeSource, stats *ClockStats) *SlotClock {
+	if stats == nil {
+		stats = new(ClockStats)
+	}
+	return &SlotClock{period: period, next: src.now().Add(period), src: src, stats: stats}
 }
 
 // Wait blocks until the next slot is due and reports whether the slot
@@ -36,16 +76,27 @@ func NewSlotClock(period time.Duration) *SlotClock {
 // takes now as its deadline, which drops the periods it missed — an
 // overrun slot is followed back to back by the next one, never by a burst
 // catching up. The arbiter never yields here: a slot that keeps frames
-// moving keeps its processor.
+// moving keeps its processor, and a spin reads the clock and nothing
+// else, since a yield hands the processor to the output pump it wakes.
 func (c *SlotClock) Wait(stop <-chan struct{}) bool {
-	if now := time.Now(); now.Before(c.next) {
-		if !sleep(c.next.Sub(now), stop) {
-			return false
-		}
-		c.slept = true
-	} else {
+	now := c.src.now()
+	switch d := c.next.Sub(now); {
+	case d <= 0:
 		c.next = now
 		c.slept = false
+	case d < timerSlack && !c.stalled:
+		for c.src.now().Before(c.next) {
+		}
+		c.slept = false
+	default:
+		c.stats.Sleeps.Inc()
+		if !c.src.sleep(d, stop) {
+			return false
+		}
+		if late := c.src.now().Sub(c.next); late > 0 {
+			c.stats.Overshoot.Add(int64(late))
+		}
+		c.slept = true
 	}
 	select {
 	case <-stop:
@@ -59,34 +110,68 @@ func (c *SlotClock) Wait(stop <-chan struct{}) bool {
 // is a slot that moved nothing while frames are queued (every request
 // masked by a full output or a down link). When a stalled slot that did
 // not sleep before it ran finds the next deadline already passed, the
-// next slot is a whole period away instead of due at once, because
-// whatever a stalled slot waits for — a consumer, a pump — needs the
-// processor an overdue arbiter would keep. So at most two stalled slots
-// run between sleeps; the second makes up a wake-up that the OS's timer
-// slack delayed, at periods near that slack.
+// next slot is a whole period away instead of due at once, and the wait
+// for it sleeps however short it is, because whatever a stalled slot
+// waits for — a consumer, a pump — needs the processor an overdue or
+// spinning arbiter would keep. So at most two stalled slots run between
+// sleeps; the second makes up a wake-up that the OS's timer slack
+// delayed, at periods near that slack.
 func (c *SlotClock) Advance(stalled bool) {
 	c.next = c.next.Add(c.period)
+	c.stalled = stalled
 	if stalled && !c.slept {
-		if now := time.Now(); c.next.Before(now) {
+		if now := c.src.now(); c.next.Before(now) {
 			c.next = now.Add(c.period)
 		}
 	}
 }
 
-// sleep waits d and reports false if stop closed first. Waits under a
-// millisecond — the ones the netpoller would round up — go to shortSleep
-// and see stop only after it returns; longer ones use a timer.
-func sleep(d time.Duration, stop <-chan struct{}) bool {
+// timerSlack is how late the OS wakes a thread from a timed sleep at the
+// least: Linux's default timer_slack_ns, 50 µs. A wait shorter than that
+// is spun, since sleeping it would cost the slack on top. On a 2-vCPU
+// Linux VM at that default slack, nanosleep(100 ns) returned after
+// 56 µs, and lcfd -slot 1us, whose waits after a slot that finished
+// early are all under a microsecond, slept 2–77 k times in a 10–15 s
+// closed-loop run, as often as its slots finished inside their period:
+// up to 4.4 s of the run asleep (EXPERIMENTS.md E44).
+const timerSlack = 50 * time.Microsecond
+
+// timeSource is where a SlotClock reads and spends time: the wall clock
+// in the daemons, a fake one in the tests of the pacing rules.
+type timeSource interface {
+	now() time.Time
+	// sleep blocks for about d and reports false if stop closed first.
+	sleep(d time.Duration, stop <-chan struct{}) bool
+}
+
+// wallClock is the real timeSource. Its one timer is made on the first
+// wait of a millisecond or more and reset for every later one.
+type wallClock struct {
+	timer *time.Timer
+}
+
+func (*wallClock) now() time.Time { return time.Now() }
+
+// sleep waits d. Waits under a millisecond — the ones the netpoller
+// would round up — go to shortSleep and see stop only after it returns;
+// longer ones wait on the timer.
+func (w *wallClock) sleep(d time.Duration, stop <-chan struct{}) bool {
 	if d < time.Millisecond {
 		shortSleep(d)
 		return true
 	}
-	t := time.NewTimer(d)
-	defer t.Stop()
+	if w.timer == nil {
+		w.timer = time.NewTimer(d)
+	} else {
+		w.timer.Reset(d)
+	}
 	select {
-	case <-t.C:
+	case <-w.timer.C:
 		return true
 	case <-stop:
+		if !w.timer.Stop() {
+			<-w.timer.C // fired meanwhile: empty C before the next Reset
+		}
 		return false
 	}
 }

@@ -34,6 +34,7 @@ func (e *Engine) Register(r *obs.Registry) {
 
 	r.Counter("lcf_engine_slots_total", "Slots the arbiter ran; it stalls while the switch is empty.", e.slot.Load)
 	r.Counter("lcf_engine_parks_total", "Times the live arbiter stopped its slot clock because the switch was empty.", m.Parks.Value)
+	m.Clock.Register(r, "lcf")
 	r.Counter("lcf_engine_admitted_total", "Frames accepted by Admit.", m.Admitted.Value)
 	r.Counter("lcf_engine_backpressured_total", "Admit calls rejected because the target VOQ was full.", m.Backpressured.Value)
 	r.Counter("lcf_engine_delivered_total", "Frames handed to an output delivery channel.", m.Delivered.Value)

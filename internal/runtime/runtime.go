@@ -331,6 +331,7 @@ type Stats struct {
 	Backlog       metrics.Gauge   // frames admitted, not yet delivered or dropped (VOQs, crosspoints, PIFOs)
 	OccupiedVOQs  metrics.Gauge   // non-empty VOQs at the last snapshot (pre-mask)
 	Parks         metrics.Counter // times the live arbiter blocked on an empty switch
+	Clock         ClockStats      // the live arbiter's slot clock: its sleeps and how late they woke
 
 	// Fault accounting (see fault.go). RejectedPortDown counts Admit
 	// calls refused with ErrPortDown; FaultMasked counts request bits
@@ -680,7 +681,7 @@ func (e *Engine) Start() error {
 // out the rest of it otherwise, so slots are never closer together than
 // SlotPeriod across a park.
 func (e *Engine) run() {
-	clk := NewSlotClock(e.cfg.SlotPeriod)
+	clk := NewSlotClock(e.cfg.SlotPeriod, &e.met.Clock)
 	for clk.Wait(e.stop) {
 		matched := e.tick()
 		idle := e.idle()

@@ -52,6 +52,11 @@ func (g *Gauge) Value() int64 { return g.v.Load() }
 // buckets atomically (each bucket individually, so a snapshot taken during
 // heavy writing can be off by the handful of observations that landed
 // mid-read — fine for monitoring, not for exact accounting).
+//
+// Observe costs three atomic adds per observation. A single writer that
+// observes many values per period can gather them in a HistogramBatch
+// instead and publish the period's worth with one batched add: one atomic
+// add per non-empty bucket, plus one each for the total and the sum.
 type LiveHistogram struct {
 	bounds []float64 // ascending upper bounds; observations above the last land in overflow
 	counts []atomic.Int64
@@ -110,15 +115,25 @@ func LinearBounds(start, step float64, n int) []float64 {
 func (h *LiveHistogram) Observe(x float64) {
 	h.total.Add(1)
 	h.sum.Add(int64(x))
+	if k := h.Bucket(x); k < len(h.counts) {
+		h.counts[k].Add(1)
+	} else {
+		h.over.Add(1)
+	}
+}
+
+// Bucket returns the index of the bucket x lands in: the first k with
+// x <= bounds[k], or len(bounds) — one past the last bucket — for an
+// overflow observation.
+func (h *LiveHistogram) Bucket(x float64) int {
 	// Linear scan: bucket counts are small (tens) and the scan is
 	// branch-predictable; a binary search buys nothing at this size.
 	for k, b := range h.bounds {
 		if x <= b {
-			h.counts[k].Add(1)
-			return
+			return k
 		}
 	}
-	h.over.Add(1)
+	return len(h.bounds)
 }
 
 // Total returns the number of observations.
@@ -188,4 +203,64 @@ func (h *LiveHistogram) Snapshot() HistogramSnapshot {
 		s.Counts[k] = h.counts[k].Load()
 	}
 	return s
+}
+
+// HistogramBatch gathers observations for one LiveHistogram without
+// atomics and publishes them together: Flush adds each non-empty bucket,
+// the overflow, the total and the sum to the histogram with one atomic
+// add apiece, then empties the batch. A flushed batch is exactly the same
+// observations made one Observe at a time; readers see none of a batch
+// before its Flush. A batch belongs to one goroutine.
+type HistogramBatch struct {
+	h      *LiveHistogram
+	counts []int64 // per bucket of h, overflow last (Bucket's numbering)
+	total  int64
+	sum    int64
+}
+
+// NewHistogramBatch returns an empty batch for h.
+func NewHistogramBatch(h *LiveHistogram) *HistogramBatch {
+	return &HistogramBatch{h: h, counts: make([]int64, len(h.bounds)+1)}
+}
+
+// Observe adds one observation to the batch.
+func (b *HistogramBatch) Observe(x float64) {
+	b.counts[b.h.Bucket(x)]++
+	b.total++
+	b.sum += int64(x)
+}
+
+// AddCounts adds observations the caller has already bucketed: counts[k]
+// of them in bucket k, numbered as Bucket numbers them (overflow last),
+// whose values sum to sum.
+func (b *HistogramBatch) AddCounts(counts []int64, sum int64) {
+	for k, c := range counts[:len(b.counts)] {
+		b.counts[k] += c
+		b.total += c
+	}
+	b.sum += sum
+}
+
+// Flush publishes the batch into its histogram and empties it. The
+// buckets land before the total, so a concurrent Quantile never finds
+// fewer bucketed observations than the total it reads.
+func (b *HistogramBatch) Flush() {
+	if b.total == 0 {
+		return
+	}
+	h := b.h
+	for k, c := range b.counts {
+		if c == 0 {
+			continue
+		}
+		if k < len(h.counts) {
+			h.counts[k].Add(c)
+		} else {
+			h.over.Add(c)
+		}
+		b.counts[k] = 0
+	}
+	h.total.Add(b.total)
+	h.sum.Add(b.sum)
+	b.total, b.sum = 0, 0
 }

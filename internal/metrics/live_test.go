@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"math"
+	"reflect"
 	"sync"
 	"testing"
 )
@@ -185,5 +186,42 @@ func TestCounterMonotonic(t *testing.T) {
 	wg.Wait()
 	if c.Value()%4 != 0 {
 		t.Fatalf("counter %d not a multiple of 4 (each writer round adds 4)", c.Value())
+	}
+}
+
+// TestHistogramBatchMatchesObserve: observations gathered in a batch —
+// one at a time and pre-bucketed, flushed in several rounds — leave the
+// histogram exactly as the same observations made through Observe.
+func TestHistogramBatchMatchesObserve(t *testing.T) {
+	bounds := []float64{1, 2, 4, 8}
+	direct, batched := NewLiveHistogram(bounds), NewLiveHistogram(bounds)
+	b := NewHistogramBatch(batched)
+	xs := []float64{0, 1, 1.5, 2, 3, 4, 7, 8, 9, 100, 2.9}
+	for round := 0; round < 3; round++ {
+		for _, x := range xs {
+			direct.Observe(x)
+			b.Observe(x)
+		}
+		// Pre-bucketed: three 1s, two 3s, one 12 (overflow).
+		for _, x := range []float64{1, 1, 1, 3, 3, 12} {
+			direct.Observe(x)
+		}
+		b.AddCounts([]int64{3, 0, 2, 0, 1}, 3+6+12)
+		if round == 1 {
+			if got := batched.Total(); got != int64(len(xs)+6) {
+				t.Fatalf("before the second flush the histogram holds %d observations, want the first round's %d", got, len(xs)+6)
+			}
+		}
+		b.Flush()
+		b.Flush() // an empty flush publishes nothing
+		if got, want := batched.Snapshot(), direct.Snapshot(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("round %d: batched %+v, observed %+v", round, got, want)
+		}
+	}
+	for _, x := range []float64{-1, 0, 1, 1.01, 2, 2.5, 8, 8.5} {
+		k := direct.Bucket(x)
+		if k < len(bounds) && (x > bounds[k] || k > 0 && x <= bounds[k-1]) || k == len(bounds) && x <= bounds[len(bounds)-1] {
+			t.Errorf("Bucket(%g) = %d", x, k)
+		}
 	}
 }

@@ -58,6 +58,13 @@ type classTier struct {
 	violations []metrics.Counter
 	queued     []metrics.Gauge
 	latency    []*metrics.LiveHistogram // delivery latency in slots
+
+	// The slot's sums per class, arbiter-only, added to queued,
+	// delivered and latency by publish: frames classFill moved out of the
+	// PIFOs, and the frames delivered with their latencies.
+	slotFilled    []int64
+	slotDelivered []int64
+	slotLatency   []*metrics.HistogramBatch
 }
 
 // newClassTier builds the tier: n² (empty) queues and ranker instances.
@@ -76,11 +83,16 @@ func newClassTier(n int, cfg *Config) (*classTier, error) {
 		violations: make([]metrics.Counter, len(cfg.Classes)),
 		queued:     make([]metrics.Gauge, len(cfg.Classes)),
 		latency:    make([]*metrics.LiveHistogram, len(cfg.Classes)),
+
+		slotFilled:    make([]int64, len(cfg.Classes)),
+		slotDelivered: make([]int64, len(cfg.Classes)),
+		slotLatency:   make([]*metrics.HistogramBatch, len(cfg.Classes)),
 	}
 	for c := range ct.latency {
 		// Latency buckets 1, 2, 4, … slots; the top bucket comfortably
 		// exceeds any drainable backlog (VOQCap + VOQ wait).
 		ct.latency[c] = metrics.NewLiveHistogram(metrics.ExponentialBounds(1, 2, 16))
+		ct.slotLatency[c] = metrics.NewHistogramBatch(ct.latency[c])
 	}
 	for k := range ct.rankers {
 		rk, err := pifo.NewRanker(cfg.Rank, cfg.Classes)
@@ -147,7 +159,9 @@ func (ct *classTier) deadline(class int, budget, now int64) int64 {
 // order a 0..n-1 probe of every queue visits them in. Serving pair j
 // moves only bit j of either row, so the set fixed before the walk is
 // the set a per-pair re-check would find, and the work per slot is
-// proportional to the frames moved rather than to n².
+// proportional to the frames moved rather than to n². The counters move
+// once per input (pending, before the lock is released, because the next
+// phases skip by it) and once per class per slot (queued, in publish).
 func (e *Engine) classFill() {
 	ct := e.classes
 	if ct == nil {
@@ -165,6 +179,7 @@ func (e *Engine) classFill() {
 			continue
 		}
 		ready := ct.queues.Ready(i, e.dp.OccupiedRow(i))
+		moved := 0
 		for j := ready.FirstSet(); j >= 0; j = ready.NextSet(j + 1) {
 			if e.dp.OutputDown(j) {
 				continue
@@ -173,8 +188,12 @@ func (e *Engine) classFill() {
 			ct.rankers[i*n+j].OnPop(rank)
 			// Enqueue cannot refuse: the VOQ is empty and VOQCap ≥ 1.
 			e.dp.Enqueue(i, j, f)
-			ct.pending[i].Add(-1)
-			ct.queued[f.Class].Add(-1)
+			e.depth.move(i, 0, 1)
+			ct.slotFilled[f.Class]++
+			moved++
+		}
+		if moved > 0 {
+			ct.pending[i].Add(int64(-moved))
 		}
 		mu.Unlock()
 	}
@@ -241,16 +260,33 @@ func (e *Engine) classDrain(i, j int) int {
 
 // observeClassDelivery records per-class latency and SLO outcome for a
 // frame crossing the fabric at slot now. Runs on the arbiter's dispatch
-// path (everything it touches is atomic, so scrapers read it live), only
-// for frames that entered with a class.
+// path, only for frames that entered with a class. The latency and the
+// delivery land in the slot's sums (publish adds them); a violation is
+// counted and traced at once.
 func (e *Engine) observeClassDelivery(f Frame, now int64) {
 	ct := e.classes
 	lat := now - f.Admitted
-	ct.latency[f.Class].Observe(float64(lat))
-	ct.delivered[f.Class].Inc()
+	ct.slotLatency[f.Class].Observe(float64(lat))
+	ct.slotDelivered[f.Class]++
 	if f.Deadline >= 0 && now > f.Deadline {
 		ct.violations[f.Class].Inc()
 		e.cfg.Tracer.EmitClass(now, f.Class, f.Dst, lat)
+	}
+}
+
+// publish adds the slot's class sums to the counters: Engine.publish's
+// class part.
+func (ct *classTier) publish() {
+	for c := range ct.classes {
+		if k := ct.slotFilled[c]; k > 0 {
+			ct.queued[c].Add(-k)
+			ct.slotFilled[c] = 0
+		}
+		if k := ct.slotDelivered[c]; k > 0 {
+			ct.delivered[c].Add(k)
+			ct.slotDelivered[c] = 0
+			ct.slotLatency[c].Flush()
+		}
 	}
 }
 

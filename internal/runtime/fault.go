@@ -208,7 +208,7 @@ func (e *Engine) sweepStranded() {
 			if drop {
 				row := e.dp.OccupiedRow(i)
 				for j := row.FirstSet(); j >= 0; j = row.NextSet(j + 1) {
-					di += e.dp.FlushVOQ(i, j, hook)
+					di += e.flushVOQ(i, j, hook)
 				}
 			} else {
 				stranded += e.dp.InputBacklog(i)
@@ -219,7 +219,7 @@ func (e *Engine) sweepStranded() {
 					continue
 				}
 				if drop {
-					di += e.dp.FlushVOQ(i, j, hook)
+					di += e.flushVOQ(i, j, hook)
 				} else {
 					stranded += e.dp.Len(i, j)
 				}
@@ -244,4 +244,13 @@ func (e *Engine) sweepStranded() {
 		e.met.Backlog.Add(int64(-dropped))
 	}
 	e.met.Stranded.Set(int64(stranded))
+}
+
+// flushVOQ empties VOQ (i, j) through hook and takes it out of the depth
+// census; the count FlushVOQ returns is the length the VOQ had. Caller
+// holds inMu[i].
+func (e *Engine) flushVOQ(i, j int, hook func(Frame)) int {
+	k := e.dp.FlushVOQ(i, j, hook)
+	e.depth.move(i, k, 0)
+	return k
 }

@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/metrics"
@@ -210,6 +211,45 @@ func TestInstrumentStormPins(t *testing.T) {
 			if got := instrumentPin(e); got != want[c.String()] {
 				t.Errorf("instruments\n got %q\nwant %q", got, want[c.String()])
 			}
+		})
+	}
+}
+
+// TestVOQDepthCensusMatchesRescan: after every Tick of every storm cell,
+// each input's depth-census row equals a rescan of its VOQ lengths
+// bucketed by VOQDepth itself, and the census buckets every length as the
+// histogram does, overflow included, at several caps.
+func TestVOQDepthCensusMatchesRescan(t *testing.T) {
+	for _, voqCap := range []int{1, 3, 8, 256} {
+		e, err := New(Config{N: 2, Datapath: switchcore.DatapathCICQ, VOQCap: voqCap})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for l := 1; l <= 4*voqCap+8; l++ {
+			if got, want := e.depth.bucket(l), e.met.VOQDepth.Bucket(float64(l)); got != want {
+				t.Fatalf("VOQCap %d: census bucket of length %d is %d, histogram's %d", voqCap, l, got, want)
+			}
+		}
+		e.Close()
+	}
+	for _, c := range stormCells() {
+		t.Run(c.String(), func(t *testing.T) {
+			slot := 0
+			instrumentStorm(t, c, 1000, func(e *Engine) {
+				slot++
+				want := make([]int64, e.depth.stride)
+				for i := 0; i < e.n; i++ {
+					clear(want)
+					for j := 0; j < e.n; j++ {
+						if l := e.dp.Len(i, j); l > 0 {
+							want[e.met.VOQDepth.Bucket(float64(l))]++
+						}
+					}
+					if got := e.depth.row(i); !reflect.DeepEqual(got, want) {
+						t.Fatalf("slot %d input %d: census %v, rescan %v", slot, i, got, want)
+					}
+				}
+			})
 		})
 	}
 }

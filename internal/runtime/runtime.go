@@ -284,6 +284,16 @@ type Engine struct {
 	snapped []bool
 
 	outs []chan Frame
+	// outBound[j] bounds len(outs[j]) from above without reading it: +1
+	// per send, reset to the channel's length whenever maskFullOutputs
+	// reads it. Arbiter-only.
+	outBound []int
+
+	// depth is the VOQ-depth census (see depth.go); sums gathers what a
+	// slot adds to the instruments until publish. Both arbiter-side: the
+	// census under the input locks, sums arbiter-only.
+	depth depthCensus
+	sums  slotSums
 
 	slot    atomic.Int64
 	closed  atomic.Bool // admission gate
@@ -365,7 +375,9 @@ type Stats struct {
 	// instead of taking input locks.
 	PerInputBacklog []metrics.Gauge
 
-	// VOQDepth samples every non-empty VOQ's length once per slot;
+	// VOQDepth samples every non-empty VOQ's length once per slot (from
+	// the depth census, published once per slot, so it reads exactly as a
+	// per-slot rescan of every occupied VOQ would);
 	// MatchSize records the matching cardinality of every slot (the
 	// paper's match-size distribution, Figure 5 territory); SlotLatency
 	// records the arbiter's per-tick compute time in nanoseconds (how
@@ -387,20 +399,22 @@ func New(cfg Config) (*Engine, error) {
 		return nil, err
 	}
 	e := &Engine{
-		cfg:     cfg,
-		n:       n,
-		dp:      dp,
-		inMu:    make([]sync.Mutex, n),
-		snapped: make([]bool, n),
-		outs:    make([]chan Frame, n),
-		wake:    make(chan struct{}, 1),
-		stop:    make(chan struct{}),
-		done:    make(chan struct{}),
+		cfg:      cfg,
+		n:        n,
+		dp:       dp,
+		inMu:     make([]sync.Mutex, n),
+		snapped:  make([]bool, n),
+		outs:     make([]chan Frame, n),
+		outBound: make([]int, n),
+		wake:     make(chan struct{}, 1),
+		stop:     make(chan struct{}),
+		done:     make(chan struct{}),
 	}
 	e.fault.init(n)
 	for j := range e.outs {
 		e.outs[j] = make(chan Frame, cfg.OutCap)
 	}
+	depthBounds := metrics.ExponentialBounds(1, 2, depthBuckets(cfg.VOQCap))
 	e.met = Stats{
 		PerInputAdmitted:      make([]metrics.Counter, n),
 		PerInputBackpressured: make([]metrics.Counter, n),
@@ -409,10 +423,12 @@ func New(cfg Config) (*Engine, error) {
 		// Depth buckets 1,2,4,…,VOQCap; match-size buckets 0..n (one per
 		// possible cardinality); latency buckets 125ns…~4ms, fine enough
 		// at the low end to resolve a 1–2 µs slot.
-		VOQDepth:    metrics.NewLiveHistogram(metrics.ExponentialBounds(1, 2, depthBuckets(cfg.VOQCap))),
+		VOQDepth:    metrics.NewLiveHistogram(depthBounds),
 		MatchSize:   metrics.NewLiveHistogram(metrics.LinearBounds(0, 1, n+1)),
 		SlotLatency: metrics.NewLiveHistogram(metrics.ExponentialBounds(125, 2, 16)),
 	}
+	e.depth = newDepthCensus(n, len(depthBounds))
+	e.sums.depth = metrics.NewHistogramBatch(e.met.VOQDepth)
 	if cfg.Flows > 0 {
 		// Rehome follows the fault policy: under hold, stranded frames
 		// survive an outage in place, so the flow must stay with them
@@ -622,8 +638,9 @@ func (e *Engine) admit(src, dst int, seq, stamp uint64, class int, budget int64)
 	var ok bool
 	if class >= 0 {
 		ok = ct.queues.Push(src, dst, f, ct.rankers[src*e.n+dst].Rank(class, f.Admitted, f.Deadline))
-	} else {
-		ok = e.dp.Enqueue(src, dst, f)
+	} else if ok = e.dp.Enqueue(src, dst, f); ok {
+		l := e.dp.Len(src, dst)
+		e.depth.move(src, l-1, l)
 	}
 	if ok {
 		e.met.Backlog.Add(1)
@@ -817,7 +834,7 @@ func (e *Engine) Close() {
 }
 
 // tick is one slot of the arbiter: apply faults → sweep stranded → class
-// fill → mask full outputs → snapshot → arbitrate → dispatch →
+// fill → mask full outputs → snapshot → arbitrate → dispatch → publish →
 // metrics/trace/OnSlot (DESIGN.md §7). It returns the frames dispatched,
 // which the live clock reads.
 func (e *Engine) tick() (matched int) {
@@ -848,9 +865,8 @@ func (e *Engine) tick() (matched int) {
 	grants := e.dp.Arbitrate(e.cfg.Scheduler)
 
 	matched = e.dispatch(grants, now)
+	e.publish(requested, matched)
 
-	e.met.Requested.Add(int64(requested))
-	e.met.Matched.Add(int64(matched))
 	e.met.MatchSize.Observe(float64(grants.Size()))
 	e.met.SlotLatency.Observe(float64(time.Since(start).Nanoseconds()))
 
@@ -867,10 +883,23 @@ func (e *Engine) tick() (matched int) {
 // delivery channel: a backpressured output must not attract grants it
 // cannot accept. Only the arbiter sends on outs, so "not full here"
 // cannot become full before the grants dispatch.
+//
+// The same fact lets it skip reading the channels: consumers only take
+// frames out, so the arbiter's count of what it sent since it last read
+// a channel's length, outBound, is an upper bound on that length, and a
+// channel whose bound is under OutCap is not full. Only a channel whose
+// bound reaches OutCap is read (a load of a line the consumer writes),
+// and the read resets the bound, so the mask is exactly the one reading
+// every channel would give.
 func (e *Engine) maskFullOutputs() {
 	e.dp.ResetOutputMask()
-	for j := range e.outs {
-		if len(e.outs[j]) == cap(e.outs[j]) {
+	for j, b := range e.outBound {
+		if b < e.cfg.OutCap {
+			continue
+		}
+		l := len(e.outs[j])
+		e.outBound[j] = l
+		if l == e.cfg.OutCap {
 			e.dp.MaskOutput(j)
 		}
 	}
@@ -880,7 +909,9 @@ func (e *Engine) maskFullOutputs() {
 // summed requested/masked/faulted counts: each input's occupancy row and
 // queue lengths are copied into the datapath's slot scratch under that
 // input's lock, so the scheduler reads only the snapshot, never state a
-// concurrent Admit is writing.
+// concurrent Admit is writing. Under the same lock the input's depth
+// census row joins the slot's VOQDepth sample: one observation per
+// occupied VOQ, whose lengths sum to the input's backlog.
 //
 // An input whose PerInputBacklog reads 0 (one atomic load, no lock) and
 // whose row was already empty at its last snapshot is skipped: its
@@ -896,10 +927,7 @@ func (e *Engine) snapshot() (requested, masked, faulted int) {
 		}
 		mu := &e.inMu[i]
 		mu.Lock()
-		row := e.dp.OccupiedRow(i)
-		for j := row.FirstSet(); j >= 0; j = row.NextSet(j + 1) {
-			e.met.VOQDepth.Observe(float64(e.dp.Len(i, j)))
-		}
+		e.sums.depth.AddCounts(e.depth.row(i), int64(e.dp.InputBacklog(i)))
 		r, m, f := e.dp.SnapshotRow(i)
 		e.snapped[i] = r+m+f > 0
 		requested += r
@@ -930,6 +958,8 @@ func (e *Engine) recordSnapshot(requested, masked, faulted int) {
 // bits, grants imply requests, and the output mask guarantees channel
 // room) but must not lose a frame or its accounting under a buggy one:
 // each counts a WastedGrant, and a frame that cannot cross stays queued.
+// Grant attribution and the delivery counters are slot sums that publish
+// adds; the per-port counters move here, once per port per slot.
 func (e *Engine) dispatch(g *sched.GrantSet, now int64) (matched int) {
 	for j := 0; j < e.n; j++ {
 		i := g.Src[j]
@@ -939,7 +969,7 @@ func (e *Engine) dispatch(g *sched.GrantSet, now int64) (matched int) {
 		// Attribute the grant to its decision rule. This counts the
 		// arbiter's decision, not the dispatch outcome: a grant wasted
 		// on a drained VOQ or a full channel was still decided.
-		e.met.GrantsByRule[g.Rule[j]].Inc()
+		e.sums.rules[g.Rule[j]]++
 		// A failed port must never receive a grant, even under a buggy
 		// arbiter.
 		if e.dp.InputDown(i) || e.dp.OutputDown(j) {
@@ -949,6 +979,10 @@ func (e *Engine) dispatch(g *sched.GrantSet, now int64) (matched int) {
 		mu := &e.inMu[i]
 		mu.Lock()
 		f, ok := e.dp.Take(j)
+		if ok {
+			l := e.dp.Len(i, j)
+			e.depth.move(i, l+1, l)
+		}
 		mu.Unlock()
 		if !ok {
 			// Cannot happen: grants imply requests and only the arbiter
@@ -960,12 +994,11 @@ func (e *Engine) dispatch(g *sched.GrantSet, now int64) (matched int) {
 		select {
 		case e.outs[j] <- f:
 			matched++
+			e.outBound[j]++
 			if f.Class >= 0 && e.classes != nil {
 				e.observeClassDelivery(f, now)
 			}
-			e.met.Delivered.Inc()
 			e.met.PerOutputDelivered[j].Inc()
-			e.met.Backlog.Add(-1)
 			e.met.PerInputBacklog[i].Add(-1)
 		default:
 			// Unreachable while the output mask holds (consumers only
@@ -973,9 +1006,48 @@ func (e *Engine) dispatch(g *sched.GrantSet, now int64) (matched int) {
 			// room); keep the frame rather than lose it.
 			mu.Lock()
 			e.dp.Untake(j, f)
+			l := e.dp.Len(i, j)
+			e.depth.move(i, l-1, l)
 			mu.Unlock()
 			e.met.WastedGrants.Inc()
 		}
 	}
 	return matched
+}
+
+// slotSums is what one slot adds to the engine's instruments, gathered
+// without atomics by the arbiter as it works and added by publish.
+type slotSums struct {
+	depth *metrics.HistogramBatch // VOQDepth: the census rows the snapshot visited
+	rules [sched.NumGrantRules]int64
+}
+
+// publish adds the slot's sums to the instruments, one atomic add per
+// counter (or per non-empty bucket) per slot rather than per frame or
+// per VOQ, before OnSlot runs: a reader between slots sees exactly what
+// per-frame updates would have left (DESIGN.md §7). Delivered and the
+// Backlog decrement are the slot's matched count. What a reader needs
+// per frame stays per frame in dispatch: PerOutputDelivered and
+// PerInputBacklog, which the flow tier steers by, and the class tier's
+// SLO violations with their trace events.
+func (e *Engine) publish(requested, matched int) {
+	m := &e.met
+	if requested > 0 {
+		m.Requested.Add(int64(requested))
+	}
+	if matched > 0 {
+		m.Matched.Add(int64(matched))
+		m.Delivered.Add(int64(matched))
+		m.Backlog.Add(int64(-matched))
+	}
+	for r, k := range e.sums.rules {
+		if k > 0 {
+			m.GrantsByRule[r].Add(k)
+			e.sums.rules[r] = 0
+		}
+	}
+	e.sums.depth.Flush()
+	if e.classes != nil {
+		e.classes.publish()
+	}
 }

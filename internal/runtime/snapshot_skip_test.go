@@ -44,8 +44,7 @@ func (e *Engine) tickFullWalk() {
 	e.recordSnapshot(requested, masked, faulted)
 	grants := e.dp.Arbitrate(e.cfg.Scheduler)
 	matched := e.dispatch(grants, now)
-	e.met.Requested.Add(int64(requested))
-	e.met.Matched.Add(int64(matched))
+	e.publish(requested, matched)
 	e.cfg.OnSlot(SlotEvent{Slot: now, Grants: grants, Requested: requested, Matched: matched})
 	e.slot.Add(1)
 }

@@ -277,7 +277,8 @@ func TestDaemonClockHoldsPeriod(t *testing.T) {
 		t.Fatal("no traffic went through the fabric")
 	}
 	if best < 0.8*asked {
-		t.Errorf("best of three runs of %d slots: %.0f slots/s, asked %.0f", slots, best, asked)
+		t.Errorf("best of three runs of %d slots: %.0f slots/s, asked %.0f; a bare SlotClock held %.0f in this run",
+			slots, best, asked, rt.ClockRate(period, slots))
 	}
 }
 

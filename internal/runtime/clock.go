@@ -126,6 +126,21 @@ func (c *SlotClock) Advance(stalled bool) {
 	}
 }
 
+// ClockRate runs a bare SlotClock — nothing between its waits — for
+// slots periods and returns the slots per second it held. The tests
+// that hold a paced loop to a wall-clock rate report it beside a rate
+// they found too low, measured in the same run: a host that cannot hold
+// the period with empty slots says nothing about the loop under test.
+func ClockRate(period time.Duration, slots int) float64 {
+	c := NewSlotClock(period, nil)
+	start := time.Now()
+	for k := 0; k < slots; k++ {
+		c.Wait(nil)
+		c.Advance(false)
+	}
+	return float64(slots) / time.Since(start).Seconds()
+}
+
 // timerSlack is how late the OS wakes a thread from a timed sleep at the
 // least: Linux's default timer_slack_ns, 50 µs. A wait shorter than that
 // is spun, since sleeping it would cost the slack on top. On a 2-vCPU

@@ -1,7 +1,10 @@
 // Package queue provides the bounded FIFO of the simulation model (Figure
-// 11 of the paper): packet queues (PQ), virtual output queues (VOQ),
-// output buffers and crosspoint buffers are all bounded FIFOs, and every
-// one of them in the repository is a Ring.
+// 11 of the paper): the simulator's packet queues (PQ) and output
+// buffers, CICQ's crosspoint buffers and the Clint cluster's
+// per-destination queues are Rings. The switch datapaths' n² VOQs are
+// not: internal/switchcore links each input's VOQs through one frame
+// slab per input, the way a hardware input port carves its VOQs out of
+// one buffer memory.
 //
 // The hot path of a simulation is enqueue/dequeue at every slot on up to n²
 // queues, so the ring is a power-of-two buffer with no per-operation

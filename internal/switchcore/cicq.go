@@ -40,8 +40,8 @@
 // until the pull arbiter hands it to the driver. Concurrency contract is
 // the Core's: per-input methods under the driver's per-input lock,
 // everything touching crosspoint or arbiter state on the single arbiter
-// goroutine. A slot costs zero heap allocations once rings reach working
-// size.
+// goroutine. A slot costs zero heap allocations once the input slabs
+// reach working size.
 
 package switchcore
 
@@ -89,7 +89,7 @@ type cicqStats struct {
 }
 
 // NewCICQ returns a CICQ datapath whose n² VOQs hold at most voqCap
-// items (0 = unbounded, grown on demand as for New) and whose n²
+// items (0 = unbounded; slabs grown on demand as for New) and whose n²
 // crosspoint buffers hold at most xpCap each (0 = DefaultXPCap).
 // Crosspoint rings are always built at full size — they are tiny by
 // construction. A negative xpCap panics: an unbounded crosspoint buffer
@@ -125,11 +125,10 @@ func NewCICQ[T any](n, voqCap, xpCap int) *CICQ[T] {
 // occupancy is untouched — frames enter crosspoints only through the
 // dispatch arbiter.
 func (c *CICQ[T]) Enqueue(i, j int, v T) bool {
-	q := &c.voqs[i*c.n+j]
-	if !q.Push(v) {
+	if !c.push(i, j, v) {
 		return false
 	}
-	if q.Len() == 1 {
+	if c.slabs[i].len(j) == 1 {
 		c.voqOcc.Set(i, j)
 	}
 	c.added(i, j)
@@ -150,7 +149,7 @@ func (c *CICQ[T]) CrosspointsOccupied() int { return int(c.met.xpOccupied.Value(
 // drop policy. Called under input i's lock, on the arbiter goroutine
 // (it touches crosspoint state).
 func (c *CICQ[T]) FlushVOQ(i, j int, fn func(v T)) int {
-	flushed := drain(&c.voqs[i*c.n+j], fn)
+	flushed := c.slabs[i].drain(j, fn)
 	if flushed > 0 {
 		c.voqOcc.Clear(i, j)
 	}
@@ -162,6 +161,19 @@ func (c *CICQ[T]) FlushVOQ(i, j int, fn func(v T)) int {
 		c.removed(i, j, flushed)
 	}
 	return flushed
+}
+
+// drain pops crosspoint ring q empty, handing each item to fn (when
+// non-nil) in queue order, and returns how many it removed.
+func drain[T any](q *queue.Ring[T], fn func(v T)) int {
+	k := 0
+	for v, ok := q.Pop(); ok; v, ok = q.Pop() {
+		if fn != nil {
+			fn(v)
+		}
+		k++
+	}
+	return k
 }
 
 // xpFilled records crosspoint (i,j) going empty → occupied.
@@ -237,9 +249,9 @@ func (c *CICQ[T]) SnapshotRow(i int) (requested, masked, faulted int) {
 
 // dispatch moves the head of VOQ (i,j) into crosspoint (i,j).
 func (c *CICQ[T]) dispatch(i, j int) {
-	q := &c.voqs[i*c.n+j]
-	v, _ := q.Pop()
-	if q.Len() == 0 {
+	in := &c.slabs[i]
+	v, _ := in.pop(j)
+	if in.len(j) == 0 {
 		c.voqOcc.Clear(i, j)
 	}
 	x := &c.xps[i*c.n+j]

@@ -4,26 +4,27 @@ import (
 	"fmt"
 
 	"repro/internal/bitvec"
-	"repro/internal/queue"
 )
 
-// voqStore is the queueing state both datapaths embed: the n² VOQ rings,
-// the per-pair residency ledger (occupancy bits, lengths and per-input
-// backlogs), the per-slot output mask and the persistent link masks. For
-// the VOQ core an item is resident while it sits in its VOQ; for CICQ the
-// ledger also counts items dispatched into a crosspoint buffer and not
-// yet pulled, so every accessor below answers for the pair as a whole.
+// voqStore is the queueing state both datapaths embed: the n² VOQs, held
+// as FIFO lists in one frame slab per input (slab.go), the per-pair
+// residency ledger (occupancy bits, lengths and per-input backlogs), the
+// per-slot output mask and the persistent link masks. For the VOQ core an
+// item is resident while it sits in its VOQ; for CICQ the ledger also
+// counts items dispatched into a crosspoint buffer and not yet pulled, so
+// every accessor below answers for the pair as a whole.
 //
-// The rings and ledger are per-input state (row i under input i's lock
-// in a concurrent driver); the masks belong to the arbiter goroutine.
+// The slabs and ledger are per-input state (input i's slab and row i
+// under input i's lock in a concurrent driver); the masks belong to the
+// arbiter goroutine.
 type voqStore[T any] struct {
 	n      int
 	voqCap int
 
-	voqs    []queue.Ring[T] // flattened n×n, index i*n+j
-	occ     *bitvec.Matrix  // bit (i,j) ⇔ pair (i,j) holds any item
-	lens    [][]int         // live per-pair backlog, rows into one flat array
-	backlog []int           // per-input totals
+	slabs   []inputSlab[T] // per input: its n VOQs
+	occ     *bitvec.Matrix // bit (i,j) ⇔ pair (i,j) holds any item
+	lens    [][]int        // live per-pair backlog, rows into one flat array
+	backlog []int          // per-input totals
 
 	mask    *bitvec.Vector // output columns suppressed this slot
 	maskAny bool
@@ -37,10 +38,10 @@ type voqStore[T any] struct {
 }
 
 // newVOQStore validates the shape shared by both datapaths and builds the
-// store: n² rings bounded at voqCap (0 = unbounded), each grown on
-// demand. It panics on non-positive n or negative voqCap: the drivers
-// validate their configs first, so a bad value here is a programming
-// error.
+// store: n input slabs, each starting small and growing on demand, with
+// every VOQ bounded at voqCap (0 = unbounded). It panics on non-positive
+// n or negative voqCap: the drivers validate their configs first, so a
+// bad value here is a programming error.
 func newVOQStore[T any](n, voqCap int) voqStore[T] {
 	if n <= 0 {
 		panic(fmt.Sprintf("switchcore: port count %d", n))
@@ -51,7 +52,7 @@ func newVOQStore[T any](n, voqCap int) voqStore[T] {
 	s := voqStore[T]{
 		n:       n,
 		voqCap:  voqCap,
-		voqs:    make([]queue.Ring[T], n*n),
+		slabs:   make([]inputSlab[T], n),
 		occ:     bitvec.NewMatrix(n),
 		lens:    flatRows(n),
 		backlog: make([]int, n),
@@ -59,10 +60,21 @@ func newVOQStore[T any](n, voqCap int) voqStore[T] {
 		downIn:  bitvec.New(n),
 		downOut: bitvec.New(n),
 	}
-	for k := range s.voqs {
-		s.voqs[k] = queue.NewRing[T](voqCap)
+	for i := range s.slabs {
+		s.slabs[i] = newInputSlab[T](n)
 	}
 	return s
+}
+
+// push appends v to VOQ (i,j) and reports acceptance; a VOQ at voqCap
+// rejects. The ledger is the caller's.
+func (s *voqStore[T]) push(i, j int, v T) bool {
+	in := &s.slabs[i]
+	if s.voqCap > 0 && in.len(j) >= s.voqCap {
+		return false
+	}
+	in.push(j, v)
+	return true
 }
 
 // flatRows carves an n×n int matrix out of one allocation.
@@ -91,19 +103,6 @@ func (s *voqStore[T]) removed(i, j, k int) {
 	if s.lens[i][j] == 0 {
 		s.occ.Clear(i, j)
 	}
-}
-
-// drain pops q empty, handing each item to fn (when non-nil) in queue
-// order, and returns how many it removed.
-func drain[T any](q *queue.Ring[T], fn func(v T)) int {
-	k := 0
-	for v, ok := q.Pop(); ok; v, ok = q.Pop() {
-		if fn != nil {
-			fn(v)
-		}
-		k++
-	}
-	return k
 }
 
 // N returns the port count.

@@ -2,9 +2,9 @@
 // simulator (internal/simswitch) and the live engine (internal/runtime):
 // the VOQ core with one central matching per slot (Core, the paper's
 // organization) and the crosspoint-buffered variant (CICQ, cicq.go). Both
-// implement Datapath and embed one VOQ store (store.go): the n² VOQ
-// rings, the per-pair residency ledger, the output mask and the link
-// masks. This package also names them ("voq", "cicq") and builds one by
+// implement Datapath and embed one VOQ store (store.go): the n² VOQs,
+// linked lists in one frame slab per input (slab.go), the per-pair
+// residency ledger, the output mask and the link masks. This package also names them ("voq", "cicq") and builds one by
 // name (NewDatapath, datapath.go), so a driver never maps names itself.
 // The two drivers run the same per-slot pipeline —
 //
@@ -39,11 +39,12 @@
 // because only the live engine needs it. State is split so a driver can
 // shard locking per input:
 //
-//   - Per-input state (the VOQ rings of row i, occupancy row i, lens row
-//     i, backlog counter i) is touched only by Enqueue/Dequeue/Requeue/
-//     Len/InputBacklog on that input and by SnapshotRow(i). The live
-//     engine guards each input's calls with that input's mutex; the
-//     simulator is single-threaded and needs no locks.
+//   - Per-input state (input i's slab and VOQ lists, occupancy row i,
+//     lens row i, backlog counter i) is touched only by Enqueue/Dequeue/
+//     Requeue/FlushVOQ/Len/InputBacklog on that input and by
+//     SnapshotRow(i). The live engine guards each input's calls with
+//     that input's mutex; the simulator is single-threaded and needs no
+//     locks.
 //   - Slot scratch (the request snapshot, queue-length snapshot, output
 //     mask, match, context) is touched only by the snapshot/schedule/
 //     mask/validate methods, which must all run on one goroutine (the
@@ -51,8 +52,8 @@
 //     scheduler never reads state that a concurrent admission is writing.
 //
 // All scratch is allocated at construction: a slot costs zero heap
-// allocations regardless of n (VOQ rings amortize to zero once grown to
-// their working size, exactly like the queues they replaced).
+// allocations regardless of n (an input's slab grows only while its
+// backlog climbs to a new peak, then never allocates again).
 package switchcore
 
 import (
@@ -65,7 +66,7 @@ import (
 // item type: the simulator stores *packet.Packet, the live engine stores
 // its Frame by value.
 type Core[T any] struct {
-	// The VOQ store: rings and residency ledger are per-input state (see
+	// The VOQ store: slabs and residency ledger are per-input state (see
 	// the package comment's concurrency contract), the output and link
 	// masks arbiter-only. A down input suppresses its whole request row;
 	// a down output is AndNot'ed out of every row.
@@ -87,8 +88,8 @@ type Core[T any] struct {
 }
 
 // New returns a core for an n-port switch whose n² VOQs each hold at most
-// voqCap items (0 = unbounded). Each ring starts small and doubles on
-// demand up to voqCap, so the core costs what has been queued. It panics
+// voqCap items (0 = unbounded). Each input's slab starts small and
+// doubles on demand, so the core costs what has been queued. It panics
 // on non-positive n or negative voqCap: both drivers validate their
 // configs first, so a bad value here is a programming error.
 func New[T any](n, voqCap int) *Core[T] {
@@ -105,7 +106,7 @@ func New[T any](n, voqCap int) *Core[T] {
 // rejects (the driver decides whether that is a drop or backpressure).
 // The occupancy bit, queue length and input backlog update incrementally.
 func (c *Core[T]) Enqueue(i, j int, v T) bool {
-	if !c.voqs[i*c.n+j].Push(v) {
+	if !c.push(i, j, v) {
 		return false
 	}
 	c.added(i, j)
@@ -116,7 +117,7 @@ func (c *Core[T]) Enqueue(i, j int, v T) bool {
 // empty VOQ (a granted pair whose queue drained — the driver accounts it
 // as a wasted grant).
 func (c *Core[T]) Dequeue(i, j int) (v T, ok bool) {
-	v, ok = c.voqs[i*c.n+j].Pop()
+	v, ok = c.slabs[i].pop(j)
 	if ok {
 		c.removed(i, j, 1)
 	}
@@ -128,7 +129,7 @@ func (c *Core[T]) Dequeue(i, j int) (v T, ok bool) {
 // capacity bound: the item just vacated its slot, so the queue cannot
 // exceed the bound it satisfied before the Dequeue.
 func (c *Core[T]) Requeue(i, j int, v T) {
-	c.voqs[i*c.n+j].PushFront(v)
+	c.slabs[i].pushFront(j, v)
 	c.added(i, j)
 }
 
@@ -144,7 +145,7 @@ func (c *Core[T]) LenRow(i int) []int { return c.lens[i] }
 // after that many Dequeues. Concurrent drivers call it under input i's
 // lock.
 func (c *Core[T]) FlushVOQ(i, j int, fn func(v T)) int {
-	k := drain(&c.voqs[i*c.n+j], fn)
+	k := c.slabs[i].drain(j, fn)
 	if k > 0 {
 		c.removed(i, j, k)
 	}

@@ -9,10 +9,9 @@ import (
 	"repro/internal/sched"
 )
 
-// TestRingBasics checks the ring semantics a VOQ inherits from
-// queue.Ring: an empty VOQ yields nothing, a bounded one refuses the
-// item past its capacity, items leave in arrival order, and a requeued
-// item is the next to leave.
+// TestRingBasics checks the FIFO semantics of a VOQ: an empty VOQ yields
+// nothing, a bounded one refuses the item past its capacity, items leave
+// in arrival order, and a requeued item is the next to leave.
 func TestRingBasics(t *testing.T) {
 	c := New[int](2, 4)
 	if _, ok := c.Dequeue(0, 1); ok {
@@ -249,7 +248,7 @@ func TestTotalBacklog(t *testing.T) {
 }
 
 // TestSlotPathAllocFree pins the hot-path property the drivers rely on:
-// once the rings have grown to their working size, a full slot (snapshot
+// once the slabs have grown to their working size, a full slot (snapshot
 // + arbitrate + dequeue + re-enqueue) performs zero heap allocations —
 // with the trace emit point compiled in, whether the tracer is absent,
 // attached but disabled, or actively recording.

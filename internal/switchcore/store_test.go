@@ -69,7 +69,8 @@ func (g greedy) Schedule(ctx *sched.Context, m *matching.Match) {
 // holds each VOQ's items in order, xp each CICQ crosspoint's.
 type storeOracle struct {
 	t      *testing.T
-	n, cap int
+	n      int
+	voqCap int
 	core   *Core[int]
 	cicq   *CICQ[int]
 	store  *voqStore[int]
@@ -80,7 +81,7 @@ type storeOracle struct {
 }
 
 func newStoreOracle(t *testing.T, n, voqCap int, crosspoint bool) *storeOracle {
-	o := &storeOracle{t: t, n: n, cap: voqCap, voq: make([][][]int, n), xp: make([][][]int, n), next: 1}
+	o := &storeOracle{t: t, n: n, voqCap: voqCap, voq: make([][][]int, n), xp: make([][][]int, n), next: 1}
 	for i := range o.voq {
 		o.voq[i] = make([][]int, n)
 		o.xp[i] = make([][]int, n)
@@ -105,9 +106,9 @@ func (o *storeOracle) dp() Datapath[int] {
 func (o *storeOracle) enqueue(i, j int) {
 	v := o.next
 	o.next++
-	want := o.cap == 0 || len(o.voq[i][j]) < o.cap
+	want := o.voqCap == 0 || len(o.voq[i][j]) < o.voqCap
 	if got := o.dp().Enqueue(i, j, v); got != want {
-		o.t.Fatalf("Enqueue(%d,%d) accepted %v with %d queued, cap %d", i, j, got, len(o.voq[i][j]), o.cap)
+		o.t.Fatalf("Enqueue(%d,%d) accepted %v with %d queued, cap %d", i, j, got, len(o.voq[i][j]), o.voqCap)
 	}
 	if want {
 		o.voq[i][j] = append(o.voq[i][j], v)
@@ -260,18 +261,23 @@ func FuzzVOQStore(f *testing.F) {
 			if bi < 192 {
 				i = int(bi) % min(n, 3)
 			}
+			what := "enqueue"
 			switch op % 8 {
-			case 0, 1, 2:
+			case 0, 1, 2, 7:
 				o.enqueue(i, j)
 			case 3:
+				what = "dequeue"
 				if crosspoint {
+					what = "dispatch"
 					o.dispatch(i)
 				} else {
 					v, ok := o.core.Dequeue(i, j)
 					o.popRef("Dequeue", &o.voq[i][j], v, ok)
 				}
 			case 4:
+				what = "requeue"
 				if crosspoint {
+					what = "dispatch all"
 					for i := 0; i < n; i++ {
 						o.dispatch(i)
 					}
@@ -281,17 +287,17 @@ func FuzzVOQStore(f *testing.F) {
 					o.next++
 				}
 			case 5:
+				what = "slot"
 				o.slot(bi)
 			case 6:
 				if bj < 32 {
+					what = "flush"
 					o.flush(i, j)
 				} else {
 					o.enqueue(i, (j+1)%n)
 				}
-			case 7:
-				o.enqueue(i, j)
 			}
-			o.check([]string{"enqueue", "enqueue", "enqueue", "dequeue/dispatch", "requeue/dispatch all", "slot", "flush", "enqueue"}[op%8])
+			o.check(what)
 		}
 	})
 }

@@ -4,8 +4,9 @@
 // organization) and the crosspoint-buffered variant (CICQ, cicq.go). Both
 // implement Datapath and embed one VOQ store (store.go): the n² VOQs,
 // linked lists in one frame slab per input (slab.go), the per-pair
-// residency ledger, the output mask and the link masks. This package also names them ("voq", "cicq") and builds one by
-// name (NewDatapath, datapath.go), so a driver never maps names itself.
+// residency ledger, the output mask and the link masks. This package
+// also names them ("voq", "cicq") and builds one by name (NewDatapath,
+// datapath.go), so a driver never maps names itself.
 // The two drivers run the same per-slot pipeline —
 //
 //	enqueue → snapshot requests → schedule → dequeue grants

@@ -11,9 +11,12 @@
 // which is active.
 //
 // The runtime instantiates one Queue (in a Bank) plus one Ranker per
-// (input, output) pair, in front of the corresponding VOQ: frames wait
-// in rank order in the PIFO and trickle into the (depth-limited) VOQ
-// head, so the rank decision is taken as late as possible. A queue's
+// (input, output) pair, in front of the corresponding VOQ. As in the
+// PIFO design, a queue orders references, not packets: each frame is
+// written once into its input's frame buffer, the PIFO holds a small
+// reference to it in rank order, and the references trickle into the
+// (depth-limited) VOQ head, so the rank decision is taken as late as
+// possible. A queue's
 // heap grows on demand toward its capacity bound and never shrinks, so
 // n² queues cost memory in proportion to the frames they have held, not
 // to n²·capacity; once a queue is at its working size Push and Pop are
@@ -22,8 +25,10 @@ package pifo
 
 import "fmt"
 
-// entry is one queued item: the frame payload plus the rank assigned at
-// push time and the push sequence number used to break rank ties FIFO.
+// entry is one queued item: the caller's value (in the runtime, a
+// reference to a frame held in its input's slab) plus the rank assigned
+// at push time and the push sequence number used to break rank ties
+// FIFO.
 type entry[T any] struct {
 	rank uint64
 	seq  uint64

@@ -156,17 +156,23 @@ func BenchmarkEngineSlotCICQN256(b *testing.B) { benchmarkSlotCICQ(b, 256, 0.9) 
 // 1:2:5 rt:quick:bulk mix under the deadline ranker, so the slot also
 // pays the PIFO push, the fill phase and the per-class delivery
 // accounting. One lap of the arrival trace runs off the clock first:
-// the PIFO heaps and VOQ rings grow to their working size there, and
-// the timed loop must then report 0 allocs/op.
-func benchmarkSlotClass(b *testing.B, n int, load float64) {
-	s, err := registry.New("lcf_central_rr", n, sched.Options{Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	e, err := rt.New(rt.Config{
-		N: n, Scheduler: s, VOQCap: 256, OutCap: 256,
+// the PIFO heaps and the input slabs (where the classed frames live)
+// grow to their working size there, and the timed loop must then report
+// 0 allocs/op. datapath is a switchcore datapath name; the VOQ core runs
+// lcf_central_rr.
+func benchmarkSlotClass(b *testing.B, datapath string, n int, load float64) {
+	cfg := rt.Config{
+		N: n, Datapath: datapath, VOQCap: 256, OutCap: 256,
 		Classes: testClassList(), Rank: pifo.RankDeadline,
-	})
+	}
+	if datapath != switchcore.DatapathCICQ {
+		s, err := registry.New("lcf_central_rr", n, sched.Options{Seed: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		cfg.Scheduler = s
+	}
+	e, err := rt.New(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -206,8 +212,15 @@ func benchmarkSlotClass(b *testing.B, n int, load float64) {
 	e.Close()
 }
 
-func BenchmarkEngineSlotClassN64(b *testing.B)  { benchmarkSlotClass(b, 64, 0.9) }
-func BenchmarkEngineSlotClassN256(b *testing.B) { benchmarkSlotClass(b, 256, 0.9) }
+func BenchmarkEngineSlotClassN64(b *testing.B) {
+	benchmarkSlotClass(b, switchcore.DatapathVOQ, 64, 0.9)
+}
+func BenchmarkEngineSlotClassN256(b *testing.B) {
+	benchmarkSlotClass(b, switchcore.DatapathVOQ, 256, 0.9)
+}
+func BenchmarkEngineSlotClassCICQN64(b *testing.B) {
+	benchmarkSlotClass(b, switchcore.DatapathCICQ, 64, 0.9)
+}
 
 // BenchmarkClassTierConstruct measures building a class engine at n=64
 // with 256-entry PIFOs — the set-up cost and (B/op) the footprint the

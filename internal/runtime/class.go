@@ -20,24 +20,28 @@ var ErrBadClass = errors.New("runtime: class index out of range")
 // classTier is the programmable service-class layer in front of the
 // VOQs: one bounded PIFO queue plus one rank-function instance per
 // (input, output) pair, all guarded by the input's shard lock exactly
-// like the VOQ row behind them. Admission's enqueue stage pushes a classed
-// frame into the PIFO with a rank computed at admission; classFill (a tick
-// phase) moves the minimum-rank frame of each pair into the empty VOQ
-// head, so the VOQ degenerates to a depth-1 head register and the rank
-// order decides service as late as possible (arXiv:1602.06045's
-// PIFO-in-front-of-the-scheduler arrangement).
+// like the VOQ row behind them. A classed frame is written once, at
+// admission, into its input's frame slab as a staged slot
+// (Datapath.Stage); the PIFO orders an 8-byte classRef to that slot,
+// with a rank computed at admission. classFill (a tick phase) links the
+// minimum-rank slot of each pair into the empty VOQ without reading the
+// frame (Datapath.EnqueueStaged), so the VOQ degenerates to a depth-1
+// head register and the rank order decides service as late as possible
+// (arXiv:1602.06045's PIFO-in-front-of-the-scheduler arrangement, whose
+// PIFOs likewise order references into a shared packet buffer).
 //
 // The tier's footprint follows what is queued, not n²·VOQCap: the
-// PIFO heaps grow on demand, and the per-slot phases find their work through the bank's
-// occupancy rows — n-bit rows of non-empty PIFOs, the paper's
+// PIFO heaps (24-byte entries) and the slabs grow on demand, and the
+// per-slot phases find their work through the bank's occupancy rows — n-bit rows of non-empty PIFOs, the paper's
 // request-row representation — instead of probing n² queue headers.
 type classTier struct {
 	classes []pifo.Class
 	rank    string
-	// queues holds the n×n PIFOs and their occupancy rows; rankers is
-	// n×n in row-major (i*n+j) order. Entry (i, j) of either is guarded
-	// by inMu[i].
-	queues  *pifo.Bank[Frame]
+	// queues holds the n×n PIFOs of slot references and their occupancy
+	// rows; rankers is n×n in row-major (i*n+j) order. Entry (i, j) of
+	// either, and the staged slots queue (i, j) refers to, are guarded by
+	// inMu[i].
+	queues  *pifo.Bank[classRef]
 	rankers []pifo.Ranker
 
 	// dropHook is the per-frame callback the stranded sweep hands
@@ -67,6 +71,13 @@ type classTier struct {
 	slotLatency   []*metrics.HistogramBatch
 }
 
+// classRef is a PIFO entry's payload: the staged slab slot of a classed
+// frame in its input's slab, and the frame's class, which classFill
+// counts without reading the frame.
+type classRef struct {
+	slot, class int32
+}
+
 // newClassTier builds the tier: n² (empty) queues and ranker instances.
 // The ranker name was validated by Config.normalize, so NewRanker cannot
 // fail here except on a broken class list, which is a config error too.
@@ -74,7 +85,7 @@ func newClassTier(n int, cfg *Config) (*classTier, error) {
 	ct := &classTier{
 		classes:    cfg.Classes,
 		rank:       cfg.Rank,
-		queues:     pifo.NewBank[Frame](n, cfg.VOQCap),
+		queues:     pifo.NewBank[classRef](n, cfg.VOQCap),
 		rankers:    make([]pifo.Ranker, n*n),
 		pending:    make([]metrics.Gauge, n),
 		admitted:   make([]metrics.Counter, len(cfg.Classes)),
@@ -184,12 +195,12 @@ func (e *Engine) classFill() {
 			if e.dp.OutputDown(j) {
 				continue
 			}
-			f, rank, _ := ct.queues.Pop(i, j)
+			ref, rank, _ := ct.queues.Pop(i, j)
 			ct.rankers[i*n+j].OnPop(rank)
-			// Enqueue cannot refuse: the VOQ is empty and VOQCap ≥ 1.
-			e.dp.Enqueue(i, j, f)
+			// EnqueueStaged cannot refuse: the VOQ is empty and VOQCap ≥ 1.
+			e.dp.EnqueueStaged(i, j, ref.slot)
 			e.depth.move(i, 0, 1)
-			ct.slotFilled[f.Class]++
+			ct.slotFilled[ref.class]++
 			moved++
 		}
 		if moved > 0 {
@@ -243,11 +254,13 @@ func (ct *classTier) newDropHook(onDropped func(Frame)) func(Frame) {
 	}
 }
 
-// classDrain empties the non-empty PIFO (i,j), running per-class drop
-// accounting and the OnDropped hook per frame. Caller holds inMu[i].
+// classDrain empties the non-empty PIFO (i,j), freeing each frame's
+// staged slot and running per-class drop accounting and the OnDropped
+// hook per frame. Caller holds inMu[i].
 func (e *Engine) classDrain(i, j int) int {
 	ct := e.classes
-	drained := ct.queues.Drain(i, j, func(f Frame) {
+	drained := ct.queues.Drain(i, j, func(ref classRef) {
+		f := e.dp.Unstage(i, ref.slot)
 		ct.dropped[f.Class].Inc()
 		ct.queued[f.Class].Add(-1)
 		if e.cfg.OnDropped != nil {

@@ -7,6 +7,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/pifo"
 	rt "repro/internal/runtime"
+	"repro/internal/switchcore"
 )
 
 // testClassList is the three-class mix used throughout: a deadline-
@@ -273,5 +274,81 @@ func TestClassStrandedDropConservation(t *testing.T) {
 	}
 	if snap.Backlog != 0 {
 		t.Fatalf("engine backlog = %d after flush, want 0", snap.Backlog)
+	}
+}
+
+// TestClassSlotsReturned checks that the class tier frees every slab
+// slot it stages (a classed frame lives in its input's slab, and its
+// PIFO holds the slot): a frame a full PIFO refuses, and a frame flushed
+// from a PIFO behind a failed output under DropStranded. Each cycle
+// fills the PIFO of every input toward one output, offers two more
+// frames to each (refused), fails the output for one slot (the sweep
+// flushes the PIFOs) and recovers it, while one frame per input crosses
+// a healthy output. A slot leaked on either path would grow its input's
+// slab, which allocates, so 10⁴ cycles after a warm-up must allocate
+// nothing. They are measured as one AllocsPerRun run: AllocsPerRun
+// divides by the run count in integers, so 10⁴ runs of one cycle would
+// read 0 through the few doublings a leak causes.
+func TestClassSlotsReturned(t *testing.T) {
+	const n, voqCap, down, cycles = 8, 4, 1, 10000
+	for _, dp := range switchcore.Names() {
+		t.Run(dp, func(t *testing.T) {
+			cfg := rt.Config{
+				N: n, Datapath: dp, VOQCap: voqCap, OutCap: 64,
+				Classes: testClassList(), Rank: pifo.RankDeadline, FaultPolicy: rt.DropStranded,
+			}
+			if dp != switchcore.DatapathCICQ {
+				cfg.Scheduler = newScheduler(t, "lcf_central_rr", n)
+			}
+			e, err := rt.New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer e.Close()
+
+			seq, shift := uint64(0), 0
+			cycle := func() {
+				shift++
+				for src := 0; src < n; src++ {
+					for k := 0; k < voqCap+2; k++ {
+						seq++
+						err := e.AdmitClass(src, down, int(seq%3), seq, 0, 0)
+						if refused := k >= voqCap; refused != errors.Is(err, rt.ErrBackpressure) || !refused && err != nil {
+							t.Fatalf("frame %d of %d toward the full PIFO (%d,%d): %v", k+1, voqCap+2, src, down, err)
+						}
+					}
+					if dst := (src + shift) % n; dst != down {
+						seq++
+						if err := e.AdmitClass(src, dst, int(seq%3), seq, 0, 0); err != nil {
+							t.Fatalf("AdmitClass(%d,%d): %v", src, dst, err)
+						}
+					}
+				}
+				dropped := e.Stats().DroppedFault.Value()
+				if err := e.FailOutput(down); err != nil {
+					t.Fatal(err)
+				}
+				e.Tick()
+				if got := e.Stats().DroppedFault.Value() - dropped; got != n*voqCap {
+					t.Fatalf("the flush slot dropped %d frames, want the %d in the PIFOs toward output %d", got, n*voqCap, down)
+				}
+				if err := e.RecoverOutput(down); err != nil {
+					t.Fatal(err)
+				}
+				e.Tick()
+				drainOutputs(e)
+			}
+			for k := 0; k < 64; k++ {
+				cycle()
+			}
+			allocs := testing.AllocsPerRun(1, func() {
+				for k := 0; k < cycles; k++ {
+					cycle()
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("%v allocations in %d cycles of refused and flushed classed frames, want 0", allocs, cycles)
+			}
+		})
 	}
 }

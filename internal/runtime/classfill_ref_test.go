@@ -33,11 +33,11 @@ func (e *Engine) classFillRef() {
 			if ct.queues.Len(i, j) == 0 || e.dp.OutputDown(j) || e.dp.HasBacklog(i, j) {
 				continue
 			}
-			f, rank, _ := ct.queues.Pop(i, j)
+			ref, rank, _ := ct.queues.Pop(i, j)
 			ct.rankers[i*n+j].OnPop(rank)
-			e.dp.Enqueue(i, j, f)
+			e.dp.EnqueueStaged(i, j, ref.slot)
 			ct.pending[i].Add(-1)
-			ct.queued[f.Class].Add(-1)
+			ct.queued[ref.class].Add(-1)
 		}
 		mu.Unlock()
 	}

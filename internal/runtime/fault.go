@@ -77,6 +77,10 @@ type faultState struct {
 	anyDown atomic.Bool
 
 	applied uint64 // arbiter-only: last gen folded into the core masks
+	// spare is arbiter-only: the pending list applyFaults last folded,
+	// emptied, handed back to the setters at the next fold so a
+	// transition reuses a backing array instead of allocating one.
+	spare []faultTransition
 }
 
 func (fs *faultState) init(n int) {
@@ -166,7 +170,7 @@ func (e *Engine) applyFaults(now int64) {
 	fs.mu.Lock()
 	gen := fs.gen.Load()
 	pending := fs.pending
-	fs.pending = nil
+	fs.pending = fs.spare[:0]
 	fs.mu.Unlock()
 	for _, tr := range pending {
 		dir := obs.DirInput
@@ -178,6 +182,7 @@ func (e *Engine) applyFaults(now int64) {
 		}
 		e.cfg.Tracer.EmitFault(now, tr.port, dir, !tr.down)
 	}
+	fs.spare = pending
 	fs.applied = gen
 }
 

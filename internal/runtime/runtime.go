@@ -165,10 +165,12 @@ type Config struct {
 	// each tick. Empty (the default) disables the tier; a classed request
 	// then returns ErrNoClasses. Each PIFO is bounded by VOQCap, the
 	// pair's one queue bound: a PIFO reorders the pair's queue, it does
-	// not enlarge it, and a full one refuses with ErrBackpressure. The
-	// bound is not a reservation: a PIFO's heap starts empty and doubles
-	// toward it as frames queue (never shrinking), so the tier's memory
-	// follows the deepest backlog each pair has held.
+	// not enlarge it, and a full one refuses with ErrBackpressure. A
+	// classed frame lives in its input's frame slab, like a VOQ frame,
+	// and its PIFO holds a reference to it. The bound is not a
+	// reservation: a PIFO's heap starts empty and doubles toward it as
+	// frames queue (never shrinking), so the tier's memory follows the
+	// deepest backlog each pair has held.
 	Classes []pifo.Class
 	// Rank names the rank function programming the PIFOs — "fifo",
 	// "strict", "wfq" or "deadline" (see pifo.Names). "" means fifo.
@@ -620,8 +622,8 @@ func (e *Engine) admit(src, dst int, seq, stamp uint64, class int, budget int64)
 		f.Deadline = ct.deadline(class, budget, f.Admitted)
 	}
 
-	// Enqueue: into the pair's PIFO when the frame carries a class, into
-	// the VOQ otherwise. PIFO-resident frames count in the same backlog
+	// Enqueue: into the input's slab with a reference in the pair's PIFO
+	// when the frame carries a class, into the VOQ otherwise. PIFO-resident frames count in the same backlog
 	// gauges as VOQ frames: the drain, the conservation ledger and the
 	// flow tier's steering policies all see one consistent "queued in the
 	// switch" quantity.
@@ -637,7 +639,14 @@ func (e *Engine) admit(src, dst int, seq, stamp uint64, class int, budget int64)
 	}
 	var ok bool
 	if class >= 0 {
-		ok = ct.queues.Push(src, dst, f, ct.rankers[src*e.n+dst].Rank(class, f.Admitted, f.Deadline))
+		// Rank before the bound check: a ranker's state (WFQ's finish
+		// times) advances on every Rank, refused frame or not. The frame
+		// is written once, into a staged slab slot the PIFO refers to.
+		rank := ct.rankers[src*e.n+dst].Rank(class, f.Admitted, f.Deadline)
+		ref := classRef{slot: e.dp.Stage(src, f), class: int32(class)}
+		if ok = ct.queues.Push(src, dst, ref, rank); !ok {
+			e.dp.Unstage(src, ref.slot)
+		}
 	} else if ok = e.dp.Enqueue(src, dst, f); ok {
 		l := e.dp.Len(src, dst)
 		e.depth.move(src, l-1, l)

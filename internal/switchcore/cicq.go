@@ -128,11 +128,27 @@ func (c *CICQ[T]) Enqueue(i, j int, v T) bool {
 	if !c.push(i, j, v) {
 		return false
 	}
+	c.linked(i, j)
+	return true
+}
+
+// EnqueueStaged appends staged slot k (see Stage) to VOQ (i,j) under the
+// same bound and ledger as Enqueue; a refused slot stays staged.
+func (c *CICQ[T]) EnqueueStaged(i, j int, k int32) bool {
+	if !c.pushStaged(i, j, k) {
+		return false
+	}
+	c.linked(i, j)
+	return true
+}
+
+// linked records one more item in VOQ (i,j): its dispatch bit and the
+// pair's ledger.
+func (c *CICQ[T]) linked(i, j int) {
 	if c.slabs[i].len(j) == 1 {
 		c.voqOcc.Set(i, j)
 	}
 	c.added(i, j)
-	return true
 }
 
 // CrosspointFrames returns the frames currently resident in crosspoint

@@ -69,10 +69,11 @@ func NewDatapath[T any](name string, n, voqCap, xpCap int) (Datapath[T], error) 
 // observability hooks run unchanged against either datapath.
 //
 // The concurrency contract is the Core's, generalized: the admit-side
-// methods (Enqueue, Len, HasBacklog, OccupiedRow, InputBacklog, FlushVOQ,
-// SnapshotRow, Take, Untake) on input i are guarded by the driver's
-// per-input lock; everything else (the per-slot mask, fault state,
-// Arbitrate) belongs to the single arbiter goroutine. For
+// methods (Enqueue, Stage, EnqueueStaged, Unstage, Len, HasBacklog,
+// OccupiedRow, InputBacklog, FlushVOQ, SnapshotRow, Take, Untake) on
+// input i are guarded by the driver's per-input lock, and a staged slot
+// is input i's state like its VOQs; everything else (the per-slot mask,
+// fault state, Arbitrate) belongs to the single arbiter goroutine. For
 // a CICQ datapath the accessors cover crosspoint-resident frames too:
 // Len(i,j) is VOQ plus crosspoint backlog, OccupiedRow(i) is the union
 // occupancy, and FlushVOQ empties both — which is exactly what lets the
@@ -83,6 +84,18 @@ type Datapath[T any] interface {
 	// rejects (the driver decides whether that is a drop or
 	// backpressure).
 	Enqueue(i, j int, v T) bool
+	// Stage stores v in input i's slab outside every VOQ and returns its
+	// slot: no ledger, bound or occupancy bit sees it until EnqueueStaged
+	// links it. A driver that orders frames ahead of the VOQs (the
+	// runtime's class tier) writes each frame once this way and orders
+	// the slot.
+	Stage(i int, v T) int32
+	// EnqueueStaged links staged slot k into VOQ (i,j) under Enqueue's
+	// bound and ledger, without reading the item; a refused slot stays
+	// staged.
+	EnqueueStaged(i, j int, k int32) bool
+	// Unstage frees staged slot k of input i and returns its item.
+	Unstage(i int, k int32) T
 	// Len returns the backlog for pair (i,j), including any frames
 	// resident past the VOQ (crosspoint buffers).
 	Len(i, j int) int

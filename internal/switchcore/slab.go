@@ -8,6 +8,10 @@ import "fmt"
 // of one buffer memory the same way (the paper's Figure 11), so an input
 // costs what it has queued, not n rings' worth of slots.
 //
+// A slot may also be staged: allocated and holding an item, but on no
+// list until a later link puts it on one (or release frees it), so an
+// item can be written once and queued later.
+//
 // Free slots form a LIFO list, so the slot a departure just vacated takes
 // the next arrival while it is still in cache. The slab starts at
 // slabInitial slots, doubles when the free list runs dry and never
@@ -79,11 +83,10 @@ func (s *inputSlab[T]) alloc(v T) int32 {
 // len returns VOQ j's length.
 func (s *inputSlab[T]) len(j int) int { return int(s.voqs[j].length) }
 
-// push appends v to VOQ j. Bounds are the caller's: the slab never
-// refuses.
-func (s *inputSlab[T]) push(j int, v T) {
+// link appends slot k, already holding its item, to VOQ j. Bounds are
+// the caller's: the slab never refuses.
+func (s *inputSlab[T]) link(j int, k int32) {
 	q := &s.voqs[j]
-	k := s.alloc(v)
 	if q.length == 0 {
 		q.head = k
 	} else {
@@ -91,6 +94,15 @@ func (s *inputSlab[T]) push(j int, v T) {
 	}
 	q.tail = k
 	q.length++
+}
+
+// release zeroes slot k, so a pointer slab releases what it held, and
+// puts it at the front of the free list.
+func (s *inputSlab[T]) release(k int32) {
+	var zero T
+	s.items[k] = zero
+	s.next[k] = s.free
+	s.free = k
 }
 
 // pushFront prepends v to VOQ j, making it the next pop.
@@ -107,8 +119,7 @@ func (s *inputSlab[T]) pushFront(j int, v T) {
 }
 
 // pop removes and returns VOQ j's oldest item; ok is false on an empty
-// VOQ. The vacated slot is zeroed, so a pointer VOQ releases what it held,
-// and goes to the front of the free list.
+// VOQ. The vacated slot is released.
 func (s *inputSlab[T]) pop(j int) (v T, ok bool) {
 	q := &s.voqs[j]
 	if q.length == 0 {
@@ -116,12 +127,9 @@ func (s *inputSlab[T]) pop(j int) (v T, ok bool) {
 	}
 	k := q.head
 	v = s.items[k]
-	var zero T
-	s.items[k] = zero
 	q.head = s.next[k]
 	q.length--
-	s.next[k] = s.free
-	s.free = k
+	s.release(k)
 	return v, true
 }
 

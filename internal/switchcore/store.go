@@ -7,7 +7,8 @@ import (
 )
 
 // voqStore is the queueing state both datapaths embed: the n² VOQs, held
-// as FIFO lists in one frame slab per input (slab.go), the per-pair
+// as FIFO lists in one frame slab per input (slab.go), the slots staged
+// in those slabs outside every VOQ (Stage), the per-pair
 // residency ledger (occupancy bits, lengths and per-input backlogs), the
 // per-slot output mask and the persistent link masks. For the VOQ core an
 // item is resident while it sits in its VOQ; for CICQ the ledger also
@@ -70,11 +71,42 @@ func newVOQStore[T any](n, voqCap int) voqStore[T] {
 // rejects. The ledger is the caller's.
 func (s *voqStore[T]) push(i, j int, v T) bool {
 	in := &s.slabs[i]
-	if s.voqCap > 0 && in.len(j) >= s.voqCap {
+	if s.full(in, j) {
 		return false
 	}
-	in.push(j, v)
+	in.link(j, in.alloc(v))
 	return true
+}
+
+// pushStaged appends staged slot k to VOQ (i,j) and reports acceptance
+// under the same bound as push; a refused slot stays staged. The ledger
+// is the caller's.
+func (s *voqStore[T]) pushStaged(i, j int, k int32) bool {
+	in := &s.slabs[i]
+	if s.full(in, j) {
+		return false
+	}
+	in.link(j, k)
+	return true
+}
+
+// full reports whether VOQ j of input slab in is at voqCap.
+func (s *voqStore[T]) full(in *inputSlab[T], j int) bool {
+	return s.voqCap > 0 && in.len(j) >= s.voqCap
+}
+
+// Stage stores v in input i's slab outside every VOQ and returns its
+// slot, for a later EnqueueStaged or Unstage. A staged item is invisible
+// to the ledger, the VOQ bound and the occupancy bits: it is the
+// driver's to account for until it is linked.
+func (s *voqStore[T]) Stage(i int, v T) int32 { return s.slabs[i].alloc(v) }
+
+// Unstage frees staged slot k of input i and returns its item.
+func (s *voqStore[T]) Unstage(i int, k int32) T {
+	in := &s.slabs[i]
+	v := in.items[k]
+	in.release(k)
+	return v
 }
 
 // flatRows carves an n×n int matrix out of one allocation.

@@ -3,6 +3,7 @@ package switchcore
 import (
 	"math"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/bitvec"
@@ -23,14 +24,20 @@ func voqItems[T any](s *voqStore[T], i, j int) []T {
 	return out
 }
 
-// checkSlab checks input i's slab bookkeeping: every slot is either on
-// one VOQ's list or on the free list, and every free slot is zeroed.
-func checkSlab(t *testing.T, s *voqStore[int], i int, what string) {
+// checkSlab checks input i's slab bookkeeping: every slot is on one
+// VOQ's list, on the free list or staged, each staged slot (slot → item)
+// still holds its item, and every free slot is zeroed.
+func checkSlab(t *testing.T, s *voqStore[int], i int, staged map[int32]int, what string) {
 	t.Helper()
 	in := &s.slabs[i]
 	used := 0
 	for j := range in.voqs {
 		used += in.len(j)
+	}
+	for k, v := range staged {
+		if in.items[k] != v {
+			t.Fatalf("%s: input %d staged slot %d holds %d, want %d", what, i, k, in.items[k], v)
+		}
 	}
 	free := 0
 	for k := in.free; k != noSlot; k = in.next[k] {
@@ -42,8 +49,9 @@ func checkSlab(t *testing.T, s *voqStore[int], i int, what string) {
 			t.Fatalf("%s: input %d free list cycles", what, i)
 		}
 	}
-	if used+free != len(in.items) {
-		t.Fatalf("%s: input %d: %d queued + %d free slots, slab holds %d", what, i, used, free, len(in.items))
+	if used+free+len(staged) != len(in.items) {
+		t.Fatalf("%s: input %d: %d queued + %d free + %d staged slots, slab holds %d",
+			what, i, used, free, len(staged), len(in.items))
 	}
 }
 
@@ -66,7 +74,8 @@ func (g greedy) Schedule(ctx *sched.Context, m *matching.Match) {
 }
 
 // storeOracle drives one datapath beside a slice-per-VOQ reference: voq
-// holds each VOQ's items in order, xp each CICQ crosspoint's.
+// holds each VOQ's items in order, xp each CICQ crosspoint's, and staged
+// each input's staged slots with their items.
 type storeOracle struct {
 	t      *testing.T
 	n      int
@@ -76,15 +85,23 @@ type storeOracle struct {
 	store  *voqStore[int]
 	voq    [][][]int
 	xp     [][][]int
+	staged []map[int32]int
 	next   int // the next item value; 0 is reserved for a zeroed slot
 	peak   int // the largest slab seen
+	// stagedGrowth is the largest slab seen grown past slabInitial
+	// while some of its slots were staged.
+	stagedGrowth int
 }
 
 func newStoreOracle(t *testing.T, n, voqCap int, crosspoint bool) *storeOracle {
-	o := &storeOracle{t: t, n: n, voqCap: voqCap, voq: make([][][]int, n), xp: make([][][]int, n), next: 1}
+	o := &storeOracle{
+		t: t, n: n, voqCap: voqCap, next: 1,
+		voq: make([][][]int, n), xp: make([][][]int, n), staged: make([]map[int32]int, n),
+	}
 	for i := range o.voq {
 		o.voq[i] = make([][]int, n)
 		o.xp[i] = make([][]int, n)
+		o.staged[i] = map[int32]int{}
 	}
 	if crosspoint {
 		o.cicq = NewCICQ[int](n, voqCap, 0)
@@ -113,6 +130,59 @@ func (o *storeOracle) enqueue(i, j int) {
 	if want {
 		o.voq[i][j] = append(o.voq[i][j], v)
 	}
+}
+
+// stage stages a new item on input i.
+func (o *storeOracle) stage(i int) {
+	v := o.next
+	o.next++
+	k := o.dp().Stage(i, v)
+	if _, dup := o.staged[i][k]; dup {
+		o.t.Fatalf("Stage(%d) returned slot %d, already staged", i, k)
+	}
+	o.staged[i][k] = v
+}
+
+// pick returns input i's staged slot number pos (mod their count) in
+// ascending slot order; ok is false when none is staged.
+func (o *storeOracle) pick(i, pos int) (k int32, ok bool) {
+	if len(o.staged[i]) == 0 {
+		return 0, false
+	}
+	slots := make([]int32, 0, len(o.staged[i]))
+	for k := range o.staged[i] {
+		slots = append(slots, k)
+	}
+	slices.Sort(slots)
+	return slots[pos%len(slots)], true
+}
+
+// enqueueStaged links one of input i's staged slots into VOQ (i,j).
+func (o *storeOracle) enqueueStaged(i, j, pos int) {
+	k, ok := o.pick(i, pos)
+	if !ok {
+		return
+	}
+	want := o.voqCap == 0 || len(o.voq[i][j]) < o.voqCap
+	if got := o.dp().EnqueueStaged(i, j, k); got != want {
+		o.t.Fatalf("EnqueueStaged(%d,%d,%d) accepted %v with %d queued, cap %d", i, j, k, got, len(o.voq[i][j]), o.voqCap)
+	}
+	if want {
+		o.voq[i][j] = append(o.voq[i][j], o.staged[i][k])
+		delete(o.staged[i], k)
+	}
+}
+
+// unstage frees one of input i's staged slots.
+func (o *storeOracle) unstage(i, pos int) {
+	k, ok := o.pick(i, pos)
+	if !ok {
+		return
+	}
+	if v := o.dp().Unstage(i, k); v != o.staged[i][k] {
+		o.t.Fatalf("Unstage(%d,%d) = %d, staged %d", i, k, v, o.staged[i][k])
+	}
+	delete(o.staged[i], k)
 }
 
 // popRef checks v against the head of *q and removes it.
@@ -211,8 +281,12 @@ func (o *storeOracle) check(what string) {
 		if d.InputBacklog(i) != backlog {
 			o.t.Fatalf("%s: InputBacklog(%d) = %d, reference %d", what, i, d.InputBacklog(i), backlog)
 		}
-		checkSlab(o.t, o.store, i, what)
-		o.peak = max(o.peak, len(o.store.slabs[i].items))
+		checkSlab(o.t, o.store, i, o.staged[i], what)
+		size := len(o.store.slabs[i].items)
+		o.peak = max(o.peak, size)
+		if len(o.staged[i]) > 0 && size > slabInitial {
+			o.stagedGrowth = max(o.stagedGrowth, size)
+		}
 	}
 }
 
@@ -237,69 +311,145 @@ var (
 // reference. shape picks the width, the VOQ bound and the datapath; each
 // three bytes of script are one operation — Enqueue, Dequeue, Requeue
 // (past the bound), a slot of Take with some grants handed back by
-// Untake, FlushVOQ, and on CICQ a dispatch on one input or on all — and
-// every VOQ's items, Len, HasBacklog, OccupiedRow, InputBacklog and the
-// slab's free list are checked after each. Most operations land on
-// inputs 0–2, so their slabs double several times.
+// Untake, FlushVOQ, Stage, EnqueueStaged, Unstage, and on CICQ a
+// dispatch on one input or on all — and every VOQ's items, Len,
+// HasBacklog, OccupiedRow, InputBacklog, the staged items and the slab's
+// slot count are checked after each. Most operations land on inputs 0–2,
+// so their slabs double several times. Besides the random scripts, the
+// corpus holds stagingScript on every shape: it stages past a doubling.
 func FuzzVOQStore(f *testing.F) {
-	for shape := 0; shape < 2*len(oracleWidths)*len(oracleCaps); shape++ {
+	for shape := 0; shape < oracleShapes; shape++ {
 		r := rng.NewPCG32(uint64(shape), 0x51AB)
 		script := make([]byte, 2400)
 		for k := range script {
 			script[k] = byte(r.Next())
 		}
 		f.Add(uint8(shape), script)
+		f.Add(uint8(shape), stagingScript(shape))
 	}
 	f.Fuzz(func(t *testing.T, shape uint8, script []byte) {
-		n := oracleWidths[int(shape)%len(oracleWidths)]
-		voqCap := oracleCaps[int(shape)/len(oracleWidths)%len(oracleCaps)]
-		crosspoint := int(shape)/(len(oracleWidths)*len(oracleCaps))%2 == 1
-		o := newStoreOracle(t, n, voqCap, crosspoint)
-		for k := 0; k+2 < len(script); k += 3 {
-			op, bi, bj := script[k], script[k+1], script[k+2]
-			i, j := int(bi)%n, int(bj)%n
-			if bi < 192 {
-				i = int(bi) % min(n, 3)
-			}
-			what := "enqueue"
-			switch op % 8 {
-			case 0, 1, 2, 7:
-				o.enqueue(i, j)
-			case 3:
-				what = "dequeue"
-				if crosspoint {
-					what = "dispatch"
-					o.dispatch(i)
-				} else {
-					v, ok := o.core.Dequeue(i, j)
-					o.popRef("Dequeue", &o.voq[i][j], v, ok)
-				}
-			case 4:
-				what = "requeue"
-				if crosspoint {
-					what = "dispatch all"
-					for i := 0; i < n; i++ {
-						o.dispatch(i)
-					}
-				} else {
-					o.core.Requeue(i, j, o.next)
-					o.voq[i][j] = append([]int{o.next}, o.voq[i][j]...)
-					o.next++
-				}
-			case 5:
-				what = "slot"
-				o.slot(bi)
-			case 6:
-				if bj < 32 {
-					what = "flush"
-					o.flush(i, j)
-				} else {
-					o.enqueue(i, (j+1)%n)
-				}
-			}
-			o.check(what)
-		}
+		runStoreScript(t, shape, script)
 	})
+}
+
+// oracleShapes is the number of distinct FuzzVOQStore shapes: every
+// width and bound on both datapaths.
+var oracleShapes = 2 * len(oracleWidths) * len(oracleCaps)
+
+// Script operations: op%8 picks the family; opStaged's bits 3–4 pick
+// Stage (twice as likely), EnqueueStaged or Unstage, and bits 5–7 which
+// staged slot.
+const (
+	opDequeue = 3
+	opRequeue = 4
+	opSlot    = 5
+	opFlush   = 6
+	opStaged  = 7
+)
+
+// runStoreScript runs one FuzzVOQStore case and returns its oracle.
+func runStoreScript(t *testing.T, shape uint8, script []byte) *storeOracle {
+	n := oracleWidths[int(shape)%len(oracleWidths)]
+	voqCap := oracleCaps[int(shape)/len(oracleWidths)%len(oracleCaps)]
+	crosspoint := int(shape)/(len(oracleWidths)*len(oracleCaps))%2 == 1
+	o := newStoreOracle(t, n, voqCap, crosspoint)
+	for k := 0; k+2 < len(script); k += 3 {
+		op, bi, bj := script[k], script[k+1], script[k+2]
+		i, j := int(bi)%n, int(bj)%n
+		if bi < 192 {
+			i = int(bi) % min(n, 3)
+		}
+		what := "enqueue"
+		switch op % 8 {
+		case 0, 1, 2:
+			o.enqueue(i, j)
+		case opDequeue:
+			what = "dequeue"
+			if crosspoint {
+				what = "dispatch"
+				o.dispatch(i)
+			} else {
+				v, ok := o.core.Dequeue(i, j)
+				o.popRef("Dequeue", &o.voq[i][j], v, ok)
+			}
+		case opRequeue:
+			what = "requeue"
+			if crosspoint {
+				what = "dispatch all"
+				for i := 0; i < n; i++ {
+					o.dispatch(i)
+				}
+			} else {
+				o.core.Requeue(i, j, o.next)
+				o.voq[i][j] = append([]int{o.next}, o.voq[i][j]...)
+				o.next++
+			}
+		case opSlot:
+			what = "slot"
+			o.slot(bi)
+		case opFlush:
+			if bj < 32 {
+				what = "flush"
+				o.flush(i, j)
+			} else {
+				o.enqueue(i, (j+1)%n)
+			}
+		case opStaged:
+			pos := int(op >> 5)
+			switch op >> 3 & 3 {
+			case 0, 1:
+				what = "stage"
+				o.stage(i)
+			case 2:
+				what = "enqueue staged"
+				o.enqueueStaged(i, j, pos)
+			case 3:
+				what = "unstage"
+				o.unstage(i, pos)
+			}
+		}
+		o.check(what)
+	}
+	return o
+}
+
+// stagingScript is a FuzzVOQStore script that stages past a slab
+// doubling: input 0 stages 4·slabInitial items while enqueueing beside
+// them, links some of them into VOQs, unstages others, and serves slots
+// in between, so staged slots survive growth and are reused after it.
+func stagingScript(shape int) []byte {
+	var script []byte
+	op := func(code, bi, bj byte) { script = append(script, code, bi, bj) }
+	const (
+		stage         = opStaged
+		enqueueStaged = opStaged | 2<<3
+		unstage       = opStaged | 3<<3
+	)
+	for k := 0; k < 4*slabInitial; k++ {
+		op(stage, 0, byte(k))
+		if k%3 == 0 {
+			op(0, 0, byte(k+1))
+		}
+	}
+	for k := 0; k < 2*slabInitial; k++ {
+		op(enqueueStaged|byte(k%8)<<5, 0, byte(k))
+		op(unstage|byte(k%5)<<5, 0, byte(k))
+		op(opSlot, byte(shape+k), 0)
+		op(stage, 1, byte(k))
+	}
+	return script
+}
+
+// TestVOQStoreStagesPastGrowth checks that stagingScript reaches what
+// it is in the corpus for on every shape: a slab grown past its first
+// size while holding staged slots.
+func TestVOQStoreStagesPastGrowth(t *testing.T) {
+	for shape := 0; shape < oracleShapes; shape++ {
+		o := runStoreScript(t, uint8(shape), stagingScript(shape))
+		if o.stagedGrowth < 2*slabInitial {
+			t.Fatalf("shape %d: largest slab holding staged slots %d, want ≥ %d", shape, o.stagedGrowth, 2*slabInitial)
+		}
+	}
 }
 
 // TestVOQStoreOracleGrows checks that the seed corpus reaches what

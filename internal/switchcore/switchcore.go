@@ -40,10 +40,10 @@
 // because only the live engine needs it. State is split so a driver can
 // shard locking per input:
 //
-//   - Per-input state (input i's slab and VOQ lists, occupancy row i,
-//     lens row i, backlog counter i) is touched only by Enqueue/Dequeue/
-//     Requeue/FlushVOQ/Len/InputBacklog on that input and by
-//     SnapshotRow(i). The live engine guards each input's calls with
+//   - Per-input state (input i's slab, its VOQ lists and staged slots,
+//     occupancy row i, lens row i, backlog counter i) is touched only by
+//     Enqueue/Stage/EnqueueStaged/Unstage/Dequeue/Requeue/FlushVOQ/Len/
+//     InputBacklog on that input and by SnapshotRow(i). The live engine guards each input's calls with
 //     that input's mutex; the simulator is single-threaded and needs no
 //     locks.
 //   - Slot scratch (the request snapshot, queue-length snapshot, output
@@ -108,6 +108,17 @@ func New[T any](n, voqCap int) *Core[T] {
 // The occupancy bit, queue length and input backlog update incrementally.
 func (c *Core[T]) Enqueue(i, j int, v T) bool {
 	if !c.push(i, j, v) {
+		return false
+	}
+	c.added(i, j)
+	return true
+}
+
+// EnqueueStaged appends staged slot k (see Stage) to VOQ (i,j) under the
+// same bound and ledger as Enqueue; a refused slot stays staged. The item
+// is not read or copied.
+func (c *Core[T]) EnqueueStaged(i, j int, k int32) bool {
+	if !c.pushStaged(i, j, k) {
 		return false
 	}
 	c.added(i, j)

@@ -32,8 +32,9 @@ var ErrBadClass = errors.New("runtime: class index out of range")
 //
 // The tier's footprint follows what is queued, not n²·VOQCap: the
 // PIFO heaps (24-byte entries) and the slabs grow on demand, and the
-// per-slot phases find their work through the bank's occupancy rows — n-bit rows of non-empty PIFOs, the paper's
-// request-row representation — instead of probing n² queue headers.
+// per-slot phases find their work through the bank's occupancy rows —
+// n-bit rows of non-empty PIFOs, the paper's request-row
+// representation — instead of probing n² queue headers.
 type classTier struct {
 	classes []pifo.Class
 	rank    string

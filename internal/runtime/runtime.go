@@ -623,10 +623,11 @@ func (e *Engine) admit(src, dst int, seq, stamp uint64, class int, budget int64)
 	}
 
 	// Enqueue: into the input's slab with a reference in the pair's PIFO
-	// when the frame carries a class, into the VOQ otherwise. PIFO-resident frames count in the same backlog
-	// gauges as VOQ frames: the drain, the conservation ledger and the
-	// flow tier's steering policies all see one consistent "queued in the
-	// switch" quantity.
+	// when the frame carries a class, into the VOQ otherwise.
+	// PIFO-resident frames count in the same backlog gauges as VOQ
+	// frames: the drain, the conservation ledger and the flow tier's
+	// steering policies all see one consistent "queued in the switch"
+	// quantity.
 	mu := &e.inMu[src]
 	mu.Lock()
 	// Re-check under the lock: Close sets the flag and then takes each

@@ -25,13 +25,16 @@
 //     already admitted into VOQs are untouched, so eviction can never
 //     strand or lose an in-flight frame.
 //
-// The hot path (Steer: lookup-or-admit) is zero-allocation and
-// lock-striped: the table is split into power-of-two shards addressed by
-// hash bits, each an open-addressed linear-probe array under its own
-// mutex, so concurrent admissions on different shards never contend and
-// a lookup touches one lock plus (usually) one cache line. The
+// The hot path (Steer: lookup-or-admit) is lock-striped: the table is
+// split into power-of-two shards addressed by hash bits, each an
+// open-addressed linear-probe array under its own mutex, so concurrent
+// admissions on different shards never contend and a lookup touches one
+// lock plus (usually) one cache line. A shard's array holds only the
+// buckets its resident flows need: it starts at 16 buckets and doubles
+// when an admission would pass ½ load or the probe bound, up to the size
+// Capacity calls for. At steady residency Steer allocates nothing; the
 // benchmarks pin 0 allocs/op at 10^6 resident flows
-// (results/bench_pr9.json).
+// (results/bench_pr9.json, results/bench_pr45.json).
 package flowtable
 
 import (
@@ -95,9 +98,11 @@ type Config struct {
 	// Ports is the live port state policies steer by. Required.
 	Ports PortView
 	// Capacity is the expected concurrent (resident) flow population.
-	// The table sizes itself to the next power of two that keeps the
-	// load factor at or below ½ (minimum 16 buckets per shard), so
-	// probes stay short at full residency. Required, > 0.
+	// It sets each shard's full size: the next power of two that keeps
+	// the load factor at or below ½ at Capacity flows (minimum 16
+	// buckets per shard). Shards start at 16 buckets and grow toward
+	// that size as flows arrive; only a shard at full size refuses an
+	// admission. Required, > 0.
 	Capacity int
 	// Shards is the number of lock stripes, rounded up to a power of
 	// two. 0 defaults to 64 — enough that admission goroutines rarely
@@ -129,14 +134,14 @@ var (
 	ErrTableFull = fmt.Errorf("flowtable: table full")
 )
 
-// entry is one bucket: a resident flow's id, its cached hash (saves a
-// re-mix on probe-distance math during backward-shift deletion), the
-// port it is steered to (-1 marks an empty bucket), the epoch it was
-// last touched, and its cumulative service counter (frames steered —
-// the quantity the Jain/min-share fairness analysis runs over).
+// entry is one 24-byte bucket: a resident flow's id, the port it is
+// steered to (-1 marks an empty bucket), the epoch it was last touched,
+// and its cumulative service counter (frames steered — the quantity the
+// Jain/min-share fairness analysis runs over). The hash is not cached:
+// only backward-shift deletion and growth need a resident flow's home
+// bucket, and they recompute it from the id.
 type entry struct {
 	id     uint64
-	hash   uint64
 	port   int32
 	epoch  uint32
 	served uint64
@@ -145,7 +150,8 @@ type entry struct {
 const emptyPort = int32(-1)
 
 // shard is one lock stripe: an open-addressed linear-probe bucket
-// array. The per-shard counters (plain fields under mu, folded on
+// array whose length is a power of two, grown under mu. The per-shard
+// counters (plain fields under mu, folded on
 // scrape) keep the Steer hot path free of shared atomic read-modify-
 // writes — with table-level atomics every goroutine would bounce the
 // same counter cache line on every call.
@@ -178,6 +184,7 @@ type Stats struct {
 	Evicted    int64 // flows removed by eviction (idle sweeps + explicit)
 	Rebalanced int64 // existing flows re-steered off a down port
 	Rejected   int64 // Steer calls refused with ErrTableFull
+	Buckets    int64 // buckets allocated across shards (2·Resident at most)
 }
 
 // Table is the flow-steering table. Construct with New; all methods are
@@ -188,7 +195,7 @@ type Table struct {
 	ports     PortView
 	shards    []shard
 	shardMask uint64
-	slotMask  uint64 // per-shard bucket mask
+	full      int // buckets per shard at full size (Caps)
 	shardBits uint
 	seed      uint64
 	maxProbe  int
@@ -201,9 +208,9 @@ type Table struct {
 	rejected   atomic.Int64
 }
 
-// New builds a table. The bucket array is allocated up front (the hot
-// path never grows it), sized to the next power of two holding Capacity
-// at a load factor of at most ½.
+// New builds a table whose shards start at 16 buckets each. A shard
+// grows by doubling, up to the full size: the next power of two holding
+// its share of Capacity at a load factor of at most ½.
 func New(cfg Config) (*Table, error) {
 	if cfg.Ports == nil {
 		return nil, fmt.Errorf("flowtable: nil PortView")
@@ -231,11 +238,11 @@ func New(cfg Config) (*Table, error) {
 		return nil, err
 	}
 	nshards := 1 << uint(bits.Len(uint(cfg.Shards-1)))
-	// Total buckets: next power of two ≥ 2×Capacity, spread over the
-	// shards, with a 16-bucket floor per shard.
-	perShard := nextPow2(2*cfg.Capacity/nshards + 1)
-	if perShard < 16 {
-		perShard = 16
+	// Full size: next power of two ≥ 2×Capacity, spread over the
+	// shards, with a minBuckets floor per shard.
+	full := nextPow2(2*cfg.Capacity/nshards + 1)
+	if full < minBuckets {
+		full = minBuckets
 	}
 	t := &Table{
 		cfg:       cfg,
@@ -243,19 +250,26 @@ func New(cfg Config) (*Table, error) {
 		ports:     cfg.Ports,
 		shards:    make([]shard, nshards),
 		shardMask: uint64(nshards - 1),
-		slotMask:  uint64(perShard - 1),
+		full:      full,
 		shardBits: uint(bits.Len(uint(nshards - 1))),
 		seed:      cfg.Seed,
 		maxProbe:  cfg.MaxProbe,
 	}
 	for s := range t.shards {
-		ents := make([]entry, perShard)
-		for i := range ents {
-			ents[i].port = emptyPort
-		}
-		t.shards[s].ents = ents
+		t.shards[s].ents = emptyBuckets(minBuckets)
 	}
 	return t, nil
+}
+
+// minBuckets is a shard's starting size and the floor of its full size.
+const minBuckets = 16
+
+func emptyBuckets(n int) []entry {
+	ents := make([]entry, n)
+	for i := range ents {
+		ents[i].port = emptyPort
+	}
+	return ents
 }
 
 func nextPow2(v int) int {
@@ -279,9 +293,15 @@ func mix(x uint64) uint64 {
 
 func (t *Table) hash(id uint64) uint64 { return mix(id ^ t.seed) }
 
-// Caps returns the table geometry: shard count and buckets per shard.
+// home returns the bucket index bits of id's hash, before masking to a
+// shard's current size.
+func (t *Table) home(id uint64) uint64 { return t.hash(id) >> t.shardBits }
+
+// Caps returns the table's full-size geometry: shard count and the
+// buckets per shard at which a shard stops growing and starts refusing
+// (Stats.Buckets is what is allocated now).
 func (t *Table) Caps() (shards, bucketsPerShard int) {
-	return len(t.shards), int(t.slotMask) + 1
+	return len(t.shards), t.full
 }
 
 // PolicyName returns the steering policy's registered name.
@@ -301,6 +321,7 @@ func (t *Table) Stats() Stats {
 		st.Steered += int64(s.steered)
 		st.Inserted += int64(s.inserted)
 		st.Evicted += int64(s.evicted)
+		st.Buckets += int64(len(s.ents))
 		s.mu.Unlock()
 	}
 	return st
@@ -349,63 +370,98 @@ func (d Disposition) String() string {
 }
 
 // Steer resolves the input port for one frame of flow id, admitting the
-// flow if it is not resident. It is the hot path: one shard lock, a
-// short linear probe, zero heap allocations. The flow's service counter
-// and epoch are refreshed on every call.
+// flow if it is not resident. It is the hot path: one shard lock and a
+// short linear probe. The flow's service counter and epoch are
+// refreshed on every call. It allocates only when an admission grows
+// the flow's shard, so never at steady residency.
 //
-// The error is ErrTableFull when the flow is new and its shard has no
-// room; the port return is then -1 and the caller should backpressure
-// the frame.
+// The error is ErrTableFull when the flow is new and its shard, at full
+// size, has no room: it is at ½ load, or the flow's probe would reach
+// MaxProbe. The port return is then -1 and the caller should
+// backpressure the frame.
 func (t *Table) Steer(id uint64) (port int, disp Disposition, err error) {
 	h := t.hash(id)
 	s := &t.shards[h&t.shardMask]
+	home := h >> t.shardBits
 	epoch := t.epoch.Load()
 
 	s.mu.Lock()
-	i := (h >> t.shardBits) & t.slotMask
-	for probe := 0; ; probe++ {
+	i, dist, hit := s.find(id, home)
+	if hit {
+		// Sticky assignment, unless the port is down and the table
+		// rehomes.
+		e := &s.ents[i]
+		p := int(e.port)
+		disp = Sticky
+		if t.cfg.Rehome == RehomeOnDown && !t.ports.Up(p) {
+			p = t.policy.Pick(h, t.ports)
+			e.port = int32(p)
+			disp = Rebalanced
+		}
+		e.epoch = epoch
+		e.served++
+		s.steered++
+		s.mu.Unlock()
+		if disp == Rebalanced {
+			t.rebalanced.Add(1)
+		}
+		return p, disp, nil
+	}
+	// Miss: admit. The room check is ½ of the shard, matching the sizing
+	// contract, and the probe bound; a shard below full size grows
+	// instead of refusing.
+	for (s.used >= len(s.ents)/2 || dist >= t.maxProbe) && len(s.ents) < t.full {
+		s.grow(t)
+		i, dist, _ = s.find(id, home)
+	}
+	if s.used >= len(s.ents)/2 || dist >= t.maxProbe {
+		s.mu.Unlock()
+		t.rejected.Add(1)
+		return -1, Admitted, ErrTableFull
+	}
+	p := t.policy.Pick(h, t.ports)
+	s.ents[i] = entry{id: id, port: int32(p), epoch: epoch, served: 1}
+	s.used++
+	s.inserted++
+	s.steered++
+	s.mu.Unlock()
+	return p, Admitted, nil
+}
+
+// find probes for id from its home bits: it returns the bucket holding
+// id (hit), or else the first empty bucket of the probe and its distance
+// from the home bucket. A shard is never more than half full, so the
+// probe always ends. Caller holds s.mu.
+func (s *shard) find(id, home uint64) (i uint64, dist int, hit bool) {
+	mask := uint64(len(s.ents) - 1)
+	for i = home & mask; ; i = (i + 1) & mask {
 		e := &s.ents[i]
 		if e.port == emptyPort {
-			// Miss: admit. Capacity check first — ½ of the shard, matching
-			// the sizing contract, so clusters stay short.
-			if s.used >= len(s.ents)/2 || probe >= t.maxProbe {
-				s.mu.Unlock()
-				t.rejected.Add(1)
-				return -1, Admitted, ErrTableFull
-			}
-			p := t.policy.Pick(h, t.ports)
-			*e = entry{id: id, hash: h, port: int32(p), epoch: epoch, served: 1}
-			s.used++
-			s.inserted++
-			s.steered++
-			s.mu.Unlock()
-			return p, Admitted, nil
+			return i, dist, false
 		}
 		if e.id == id {
-			// Hit: sticky assignment, unless the port is down and the
-			// table rehomes.
-			p := int(e.port)
-			disp = Sticky
-			if t.cfg.Rehome == RehomeOnDown && !t.ports.Up(p) {
-				p = t.policy.Pick(h, t.ports)
-				e.port = int32(p)
-				disp = Rebalanced
-			}
-			e.epoch = epoch
-			e.served++
-			s.steered++
-			s.mu.Unlock()
-			if disp == Rebalanced {
-				t.rebalanced.Add(1)
-			}
-			return p, disp, nil
+			return i, dist, true
 		}
-		if probe >= t.maxProbe {
-			s.mu.Unlock()
-			t.rejected.Add(1)
-			return -1, Admitted, ErrTableFull
+		dist++
+	}
+}
+
+// grow doubles the shard's bucket array and reinserts every resident
+// flow. Which buckets a linear-probe table occupies depends only on the
+// set of keys it holds, and a bucket occupied at the larger size is
+// occupied at every smaller one, so an admission a smaller shard
+// refuses by probe length may fit after growing, and one that fits
+// before growing fits at full size too: refusals happen exactly where a
+// table built at full size would refuse. Caller holds s.mu.
+func (s *shard) grow(t *Table) {
+	old := s.ents
+	s.ents = emptyBuckets(2 * len(old))
+	for k := range old {
+		if old[k].port == emptyPort {
+			continue
 		}
-		i = (i + 1) & t.slotMask
+		i, _, _ := s.find(old[k].id, t.home(old[k].id))
+		s.ents[i] = old[k]
 	}
 }
 
@@ -416,18 +472,11 @@ func (t *Table) Lookup(id uint64) (port int, served uint64, ok bool) {
 	s := &t.shards[h&t.shardMask]
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	i := (h >> t.shardBits) & t.slotMask
-	for probe := 0; probe <= t.maxProbe; probe++ {
-		e := &s.ents[i]
-		if e.port == emptyPort {
-			return -1, 0, false
-		}
-		if e.id == id {
-			return int(e.port), e.served, true
-		}
-		i = (i + 1) & t.slotMask
+	i, _, hit := s.find(id, h>>t.shardBits)
+	if !hit {
+		return -1, 0, false
 	}
-	return -1, 0, false
+	return int(s.ents[i].port), s.ents[i].served, true
 }
 
 // AdvanceEpoch bumps the eviction epoch. Call it on a coarse clock (the
@@ -448,7 +497,7 @@ func (t *Table) EvictIdle(maxIdle uint32) int {
 	for si := range t.shards {
 		s := &t.shards[si]
 		s.mu.Lock()
-		for i := 0; i <= int(t.slotMask); {
+		for i := 0; i < len(s.ents); {
 			e := &s.ents[i]
 			if e.port == emptyPort {
 				i++
@@ -493,31 +542,23 @@ func (t *Table) Evict(id uint64) bool {
 	h := t.hash(id)
 	s := &t.shards[h&t.shardMask]
 	s.mu.Lock()
-	i := (h >> t.shardBits) & t.slotMask
-	for probe := 0; probe <= t.maxProbe; probe++ {
-		e := &s.ents[i]
-		if e.port == emptyPort {
-			s.mu.Unlock()
-			return false
-		}
-		if e.id == id {
-			s.deleteAt(i, t)
-			s.evicted++
-			s.mu.Unlock()
-			return true
-		}
-		i = (i + 1) & t.slotMask
+	defer s.mu.Unlock()
+	i, _, hit := s.find(id, h>>t.shardBits)
+	if !hit {
+		return false
 	}
-	s.mu.Unlock()
-	return false
+	s.deleteAt(i, t)
+	s.evicted++
+	return true
 }
 
 // deleteAt removes the entry at slot i with backward-shift deletion:
 // successors in the probe cluster whose home slot precedes the vacated
-// slot are shifted back, so lookups never need tombstones. Caller holds
-// s.mu.
+// slot are shifted back, so lookups never need tombstones. A
+// successor's home is recomputed from its id, the one hash this path
+// pays that a cached hash would save. Caller holds s.mu.
 func (s *shard) deleteAt(i uint64, t *Table) {
-	mask := t.slotMask
+	mask := uint64(len(s.ents) - 1)
 	s.used--
 	for {
 		s.ents[i].port = emptyPort
@@ -530,7 +571,7 @@ func (s *shard) deleteAt(i uint64, t *Table) {
 			}
 			// home is where e would probe first; if the hole lies
 			// cyclically between home and j, e may shift into it.
-			home := (e.hash >> t.shardBits) & mask
+			home := t.home(e.id) & mask
 			if ((j - home) & mask) >= ((j - i) & mask) {
 				s.ents[i] = *e
 				i = j
@@ -574,13 +615,16 @@ type Fairness struct {
 // Fairness computes the current service-distribution summary. It walks
 // the whole table (shard locks held briefly, one at a time) — a scrape
 // path, not a hot path.
-func (t *Table) Fairness() Fairness {
+func (t *Table) Fairness() Fairness { return fairness(t.ports.N(), t.Range) }
+
+// fairness summarizes the flows that each visits over n ports.
+func fairness(n int, each func(fn func(id uint64, port int, served uint64))) Fairness {
 	f := Fairness{
-		FlowsPerPort: make([]int64, t.ports.N()),
+		FlowsPerPort: make([]int64, n),
 		MinShare:     math.Inf(1),
 	}
 	var sum, sumSq float64
-	t.Range(func(_ uint64, port int, served uint64) {
+	each(func(_ uint64, port int, served uint64) {
 		x := float64(served)
 		sum += x
 		sumSq += x * x

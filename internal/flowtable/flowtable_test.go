@@ -490,12 +490,11 @@ func TestEvictIdleEpochSkew(t *testing.T) {
 	h := tbl.hash(id)
 	s := &tbl.shards[h&tbl.shardMask]
 	s.mu.Lock()
-	for i := (h >> tbl.shardBits) & tbl.slotMask; ; i = (i + 1) & tbl.slotMask {
-		if s.ents[i].id == id && s.ents[i].port != emptyPort {
-			s.ents[i].epoch = tbl.epoch.Load() + 1
-			break
-		}
+	i, _, hit := s.find(id, h>>tbl.shardBits)
+	if !hit {
+		t.Fatal("steered flow not found")
 	}
+	s.ents[i].epoch = tbl.epoch.Load() + 1
 	s.mu.Unlock()
 	if n := tbl.EvictIdle(3); n != 0 {
 		t.Fatalf("EvictIdle evicted %d flows; the future-stamped flow is the freshest in the table", n)

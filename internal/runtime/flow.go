@@ -134,6 +134,9 @@ func (e *Engine) registerFlow(r *obs.Registry) {
 	r.Gauge("lcf_flow_resident", "Flows currently resident in the steering table.", func() float64 {
 		return float64(tbl.Resident())
 	})
+	r.Gauge("lcf_flow_buckets", "Buckets the steering table holds now, across shards: a shard starts at 16 and doubles while its flows need it, up to the size -flows calls for.", func() float64 {
+		return float64(tbl.Stats().Buckets)
+	})
 	r.Counter("lcf_flow_steered_total", "Steer-stage resolutions: steered requests that reached the flow table (sticky hits plus new admissions).", func() int64 {
 		return tbl.Stats().Steered
 	})

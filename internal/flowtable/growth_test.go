@@ -6,6 +6,7 @@ import (
 	"math/bits"
 	"reflect"
 	"runtime"
+	"runtime/debug"
 	"testing"
 	"unsafe"
 
@@ -308,8 +309,11 @@ func TestTableFootprint(t *testing.T) {
 }
 
 // mallocs returns the heap objects fn allocates, read exactly from the
-// runtime's counters (testing.AllocsPerRun truncates an average).
+// runtime's counters (testing.AllocsPerRun truncates an average). The
+// collector is off while fn runs, so its own allocations, which a busy
+// host can schedule inside fn, are not counted.
 func mallocs(fn func()) uint64 {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	before := ms.Mallocs

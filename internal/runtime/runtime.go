@@ -142,11 +142,11 @@ type Config struct {
 	OutCap int
 
 	// Flows > 0 enables the flow-aware front tier (internal/flowtable):
-	// a consistent-hash table sized for this many concurrent flows that
-	// Offer's steer stage uses to steer 64-bit flow ids onto input ports,
-	// so millions of client flows can share the n-port device. 0 (the
-	// default) disables the tier; a steered request then returns
-	// ErrNoFlowTable.
+	// a consistent-hash table with room for this many concurrent flows,
+	// whose memory follows the flows resident, that Offer's steer stage
+	// uses to steer 64-bit flow ids onto input ports, so millions of
+	// client flows can share the n-port device. 0 (the default) disables
+	// the tier; a steered request then returns ErrNoFlowTable.
 	Flows int
 	// FlowPolicy names the steering policy for new flows — "hash",
 	// "least" or "po2" (see flowtable.Names). "" means hash. Setting it

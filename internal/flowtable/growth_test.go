@@ -286,6 +286,7 @@ func TestTableFootprint(t *testing.T) {
 	before := ms.TotalAlloc
 	tbl := newTestTable(t, Config{Ports: newFakePorts(64), Capacity: 200_000, Seed: 1})
 	runtime.ReadMemStats(&ms)
+	t.Logf("New(Capacity 200000): %d bytes", ms.TotalAlloc-before)
 	if got := ms.TotalAlloc - before; got > 64<<10 {
 		t.Errorf("New(Capacity 200000) allocated %d bytes, want at most 64 KB", got)
 	}

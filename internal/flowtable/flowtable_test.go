@@ -487,15 +487,7 @@ func TestEvictIdleEpochSkew(t *testing.T) {
 	}
 	// Stamp the resident entry one epoch ahead of the table clock —
 	// exactly what a Steer racing a mid-sweep AdvanceEpoch produces.
-	h := tbl.hash(id)
-	s := &tbl.shards[h&tbl.shardMask]
-	s.mu.Lock()
-	i, _, hit := s.find(id, h>>tbl.shardBits)
-	if !hit {
-		t.Fatal("steered flow not found")
-	}
-	s.ents[i].epoch = tbl.epoch.Load() + 1
-	s.mu.Unlock()
+	stampAhead(t, tbl, id, 1)
 	if n := tbl.EvictIdle(3); n != 0 {
 		t.Fatalf("EvictIdle evicted %d flows; the future-stamped flow is the freshest in the table", n)
 	}

@@ -187,51 +187,65 @@ func scatterLimit(lg uint) int {
 // is loaded, skips the network: its destination words are cleared and
 // each set bit is written where it belongs, so a nearly empty request
 // matrix costs what it holds.
-func (m *Matrix) TransposeInto(dst *Matrix) {
-	if m.n != dst.n {
+//
+// A non-nil cols receives the columns of m that hold a set bit — the
+// non-empty rows of dst, the resources somebody requests — from the
+// loads the transpose makes anyway: one OR per source word.
+func (m *Matrix) TransposeInto(dst *Matrix, cols *Vector) {
+	if m.n != dst.n || cols != nil && cols.n != m.n {
 		panic("bitvec: transpose dimension mismatch")
 	}
+	if cols != nil {
+		clear(cols.words)
+	}
 	nb := (m.n + wordBits - 1) / wordBits
-	var blk [wordBits]uint64
 	for bi := 0; bi < nb; bi++ {
 		rlim := min(m.n-bi<<6, wordBits)
 		for bj := 0; bj < nb; bj++ {
 			clim := min(m.n-bj<<6, wordBits)
-			idx := bi<<6*m.w + bj
+			src := bi<<6*m.w + bj // m word of the block's row 0
 			pop := 0
-			for k := 0; k < rlim; k++ {
-				blk[k] = m.flat[idx]
-				pop += bits.OnesCount64(blk[k])
-				idx += m.w
+			any := uint64(0)
+			for k, idx := 0, src; k < rlim; k, idx = k+1, idx+m.w {
+				pop += bits.OnesCount64(m.flat[idx])
+				any |= m.flat[idx]
+			}
+			if cols != nil {
+				cols.words[bj] |= any
 			}
 			lg := uint(bits.Len(uint(max(rlim, clim) - 1)))
 			out := bj<<6*dst.w + bi // dst word of the block's column 0
-			if pop <= scatterLimit(lg) {
-				idx = out
-				for k := 0; k < clim; k++ {
-					dst.flat[idx] = 0
-					idx += dst.w
-				}
-				// Source rows are trimmed, so every set bit's column is < clim.
-				// Stopping at the last set bit is a third of the cost at 2 bits.
-				for k := 0; pop > 0; k++ {
-					for w := blk[k]; w != 0; w &= w - 1 {
-						dst.flat[out+bits.TrailingZeros64(w)*dst.w] |= 1 << uint(k)
-						pop--
-					}
-				}
+			if pop > scatterLimit(lg) {
+				m.butterflyInto(dst, src, out, rlim, clim, lg)
 				continue
 			}
-			for k := rlim; k < 1<<lg; k++ {
-				blk[k] = 0
+			for k, idx := 0, out; k < clim; k, idx = k+1, idx+dst.w {
+				dst.flat[idx] = 0
 			}
-			transposeBlock(&blk, lg)
-			idx = out
-			for k := 0; k < clim; k++ {
-				dst.flat[idx] = blk[k]
-				idx += dst.w
+			// Source rows are trimmed, so every set bit's column is < clim.
+			// Stopping at the last set bit is a third of the cost at 2 bits.
+			for k, idx := 0, src; pop > 0; k, idx = k+1, idx+m.w {
+				for w := m.flat[idx]; w != 0; w &= w - 1 {
+					dst.flat[out+bits.TrailingZeros64(w)*dst.w] |= 1 << uint(k)
+					pop--
+				}
 			}
 		}
+	}
+}
+
+// butterflyInto transposes the rlim × clim block whose row 0 is m word
+// src into dst, whose column 0 is dst word out, through the 2^lg
+// butterfly. The block is staged in a local array, which only this path
+// pays to zero.
+func (m *Matrix) butterflyInto(dst *Matrix, src, out, rlim, clim int, lg uint) {
+	var blk [wordBits]uint64
+	for k, idx := 0, src; k < rlim; k, idx = k+1, idx+m.w {
+		blk[k] = m.flat[idx]
+	}
+	transposeBlock(&blk, lg)
+	for k, idx := 0, out; k < clim; k, idx = k+1, idx+dst.w {
+		dst.flat[idx] = blk[k]
 	}
 }
 

@@ -162,7 +162,7 @@ func TestTransposeInto(t *testing.T) {
 				}
 			}
 			tr := NewMatrix(n)
-			m.TransposeInto(tr)
+			m.TransposeInto(tr, nil)
 			for i := 0; i < n; i++ {
 				for j := 0; j < n; j++ {
 					if tr.Get(j, i) != m.Get(i, j) {
@@ -172,7 +172,7 @@ func TestTransposeInto(t *testing.T) {
 			}
 			// Double transpose is the identity.
 			back := NewMatrix(n)
-			tr.TransposeInto(back)
+			tr.TransposeInto(back, nil)
 			if !back.Equal(m) {
 				t.Fatalf("n=%d double transpose != identity", n)
 			}
@@ -213,7 +213,8 @@ func fillBlocks(m *Matrix, r *rand.Rand, pops func(bi, bj int) int) {
 // every smaller butterfly size, into a destination that starts with every
 // bit set (the scatter path has to clear what it does not write). Below
 // 64 ports the crossover is the one scatterLimit gives the matrix's
-// single block.
+// single block. The columns vector, also handed in full, must come back
+// holding exactly the non-empty columns.
 func TestTransposeIntoBlockPopulations(t *testing.T) {
 	r := rand.New(rand.NewSource(20))
 	for _, n := range []int{1, 2, 3, 5, 8, 9, 15, 16, 17, 32, 33, 63, 64, 65, 129, 256} {
@@ -229,22 +230,27 @@ func TestTransposeIntoBlockPopulations(t *testing.T) {
 			}
 			m := NewMatrix(n)
 			fillBlocks(m, r, pick)
-			want := NewMatrix(n)
+			want, wantCols := NewMatrix(n), New(n)
 			for i := 0; i < n; i++ {
 				for j := 0; j < n; j++ {
 					if m.Get(i, j) {
 						want.Set(j, i)
+						wantCols.Set(j)
 					}
 				}
 			}
-			got := NewMatrix(n)
+			got, cols := NewMatrix(n), New(n)
 			for i := 0; i < n; i++ {
 				got.Row(i).SetAll()
 			}
-			m.TransposeInto(got)
+			cols.SetAll()
+			m.TransposeInto(got, cols)
 			if !got.Equal(want) { // word equality: stray bits past the width fail too
 				t.Fatalf("n=%d blocks=%s (%d bits): transpose differs from the bit probe\ngot:\n%v\nwant:\n%v",
 					n, name, m.PopCount(), got, want)
+			}
+			if !cols.Equal(wantCols) {
+				t.Fatalf("n=%d blocks=%s (%d bits): columns %v, want %v", n, name, m.PopCount(), cols, wantCols)
 			}
 		}
 	}
@@ -525,7 +531,7 @@ func benchmarkTranspose(b *testing.B, n int) {
 			f.set(m, rand.New(rand.NewSource(9)))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				m.TransposeInto(dst)
+				m.TransposeInto(dst, nil)
 			}
 		})
 	}

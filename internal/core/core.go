@@ -81,7 +81,8 @@ type Central struct {
 	// Scratch for the word-parallel kernel (DESIGN.md §10), reused across
 	// slots to keep Schedule allocation-free.
 	cols    *bitvec.Matrix // ctx.Req transposed: row r = requesters of resource r
-	granted *bitvec.Vector // requesters matched so far this slot
+	wanted  *bitvec.Vector // resources somebody requests, consumed as they are decided
+	granted *bitvec.Vector // requesters matched so far this slot (until the next Schedule)
 	cand    *bitvec.Vector // candidate requesters of the resource in hand
 	minSet  *bitvec.Vector // candidates with the minimal request count
 	nrqBits *bitvec.Counts // bit-sliced outstanding request counts
@@ -121,7 +122,7 @@ func NewCentralRR(n int, mode RRMode) *Central {
 	if mode < RRNone || mode > RRPrescheduled {
 		panic("core: unknown RR mode")
 	}
-	return &Central{
+	c := &Central{
 		n:       n,
 		rrMode:  mode,
 		r:       bitvec.NewMatrix(n),
@@ -129,11 +130,16 @@ func NewCentralRR(n int, mode RRMode) *Central {
 		rules:   make([]sched.GrantRule, n),
 		choices: make([]int, n),
 		cols:    bitvec.NewMatrix(n),
+		wanted:  bitvec.New(n),
 		granted: bitvec.New(n),
 		cand:    bitvec.New(n),
 		minSet:  bitvec.New(n),
 		nrqBits: bitvec.NewCounts(n, n),
 	}
+	for req := range c.choices {
+		c.choices[req] = -1
+	}
+	return c
 }
 
 // Name implements sched.Scheduler.
@@ -168,35 +174,43 @@ func (c *Central) SetOffsets(i, j int) {
 // Schedule implements sched.Scheduler. It computes exactly the Figure 2
 // matching (the transcription survives as scheduleRef in central_ref_test.go,
 // pinned bit-exact by the differential tests) but runs the three hot
-// decisions word-parallel (DESIGN.md §10):
+// decisions word-parallel (DESIGN.md §10), and pays for the resources
+// somebody requests rather than for n:
 //
 //   - The candidate set for resource r is origColumn(r) ∧ ¬granted — the
 //     reference clears only the rows of granted requesters, so its
 //     surviving column is precisely the original column minus them. The
-//     columns come from one word-parallel transpose per slot.
+//     columns come from one word-parallel transpose per slot, which also
+//     yields the set of requested resources.
 //   - The reference's discounted nrq[req] always equals |origRow(req) ∩
 //     untaken resources| (each taken resource a requester wanted has
 //     decremented it exactly once), so nrq lives in bit-sliced counters:
 //     the per-grant discount is one DecMasked over the remaining
 //     candidates, and "fewest outstanding requests" is a plane-wise
-//     MinSelectInto instead of an n-wide scan.
+//     MinSelectInto instead of an n-wide scan. The counters are loaded
+//     from the requested columns only; the others hold no bit to count.
 //   - The reference scans candidates in the order (req+I+res) mod n with
 //     a strict <, so the winner is the first member of the argmin set at
 //     or after the round-robin position circularly: FirstSetFrom.
+//   - A resource nobody requests has an empty candidate set at every step
+//     of the reference, which then changes nothing. The resource loop
+//     therefore visits only the requested ones, in the reference's order
+//     (J+res) mod n, and only the requesters the last slot granted hold
+//     an attribution to clear.
 func (c *Central) Schedule(ctx *sched.Context, m *matching.Match) {
 	sched.CheckDims(c, ctx, m)
 	m.Reset()
 	n := c.n
 
-	ctx.Req.TransposeInto(c.cols)
-	c.granted.Reset()
-	// nrq[i] = Σ R[i,*]: the column sums of the transposed matrix, bulk-
-	// loaded into the bit-sliced counters in one pass.
-	c.nrqBits.SumRows(c.cols, nil)
-	for req := 0; req < n; req++ {
+	for req := c.granted.NextSet(0); req >= 0; req = c.granted.NextSet(req + 1) {
 		c.rules[req] = sched.RuleUnattributed
 		c.choices[req] = -1
 	}
+	c.granted.Reset()
+	ctx.Req.TransposeInto(c.cols, c.wanted)
+	// nrq[i] = Σ R[i,*]: the column sums of the transposed matrix over the
+	// requested resources, bulk-loaded into the bit-sliced counters.
+	c.nrqBits.SumRows(c.cols, c.wanted)
 
 	// RRPrescheduled: grant the entire rotating diagonal before the LCF
 	// pass, so no LCF decision can steal a protected position (the b/n
@@ -214,20 +228,27 @@ func (c *Central) Schedule(ctx *sched.Context, m *matching.Match) {
 		}
 	}
 
-	// Allocate resources one after the other. At step `res` the resource
-	// being scheduled is (J+res) mod n and the round-robin position for it
-	// is requester (I+res) mod n — together these trace the rotating
-	// diagonal of Figure 3.
-	for res := 0; res < n; res++ {
-		resource := (c.j + res) % n
-		rrPos := (c.i + res) % n
+	// Allocate the requested resources one after the other, circularly
+	// from J: the resource at step res is (J+res) mod n and the
+	// round-robin position for it is requester (I+res) mod n — together
+	// these trace the rotating diagonal of Figure 3. Each resource leaves
+	// wanted as it is decided, so the next is the first left at or after
+	// it.
+	for resource := c.wanted.FirstSetFrom(c.j); resource >= 0; resource = c.wanted.FirstSetFrom(resource) {
+		c.wanted.Clear(resource)
+		rrPos := c.i + resource - c.j
+		if rrPos < 0 {
+			rrPos += n
+		} else if rrPos >= n {
+			rrPos -= n
+		}
 		if m.OutputMatched(resource) {
 			continue // taken by the prescheduled diagonal
 		}
 		c.cand.AndNotInto(c.cols.Row(resource), c.granted)
 		if c.cand.None() {
-			// Nobody to grant: the min-select and the priority scan below
-			// would pick no one and change nothing, at full price.
+			// Everybody who wanted it is granted already: the min-select
+			// and the priority scan below would change nothing.
 			continue
 		}
 
@@ -238,6 +259,13 @@ func (c *Central) Schedule(ctx *sched.Context, m *matching.Match) {
 		// Least choice first: reduce the candidates to those with the
 		// minimal outstanding-request count, then take the first in the
 		// rotating priority chain anchored at the round-robin position.
+		// A lone candidate is both, as it is in most slots of a lightly
+		// loaded switch.
+		if c.cand.PopCount() == 1 {
+			gnt := c.cand.FirstSet()
+			c.grant(m, gnt, resource, sched.RuleLCF, c.nrqBits.Get(gnt))
+			continue
+		}
 		min := c.nrqBits.MinSelectInto(c.minSet, c.cand)
 		if gnt := c.minSet.FirstSetFrom(rrPos); gnt >= 0 {
 			c.grant(m, gnt, resource, sched.RuleLCF, min)

@@ -7,6 +7,7 @@ import (
 	"regexp"
 	"strconv"
 	"strings"
+	"sync"
 
 	"repro/internal/metrics"
 )
@@ -106,10 +107,13 @@ type metric struct {
 // Registry is an ordered set of metric families rendered on demand. It is
 // not safe for concurrent registration; register everything at startup,
 // then WritePrometheus may run concurrently with the hot path because the
-// collect closures only read atomic counters.
+// collect closures only read atomic counters (or what an OnScrape hook
+// gathered). Scrapes themselves run one at a time.
 type Registry struct {
 	metrics []metric
 	byName  map[string]struct{}
+	hooks   []func()
+	scrape  sync.Mutex // one WritePrometheus at a time, hooks included
 }
 
 // NewRegistry returns an empty registry.
@@ -127,6 +131,12 @@ func (r *Registry) add(m metric) {
 	r.byName[m.name] = struct{}{}
 	r.metrics = append(r.metrics, m)
 }
+
+// OnScrape registers fn to run at the start of every WritePrometheus,
+// before any family is collected and under the same one-at-a-time lock:
+// the place to gather, once per scrape, state that several families
+// read — a fold over locks that the hot path takes too.
+func (r *Registry) OnScrape(fn func()) { r.hooks = append(r.hooks, fn) }
 
 // Counter registers a monotonically increasing value. By Prometheus
 // convention the name should end in _total.
@@ -212,6 +222,11 @@ const ContentTypePrometheus = "text/plain; version=0.0.4; charset=utf-8"
 // WritePrometheus renders every registered family in the Prometheus text
 // exposition format 0.0.4, in registration order.
 func (r *Registry) WritePrometheus(w io.Writer) error {
+	r.scrape.Lock()
+	defer r.scrape.Unlock()
+	for _, fn := range r.hooks {
+		fn()
+	}
 	var b strings.Builder
 	for _, m := range r.metrics {
 		b.Reset()

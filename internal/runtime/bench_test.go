@@ -327,14 +327,54 @@ func BenchmarkOfferComposed(b *testing.B) {
 	})
 }
 
+// BenchmarkEngineSlotLoopbackN16 is the lockstep slot of the shape the
+// repository benchmark's wire_plain_w64 workload gives lcfd: a 16-port
+// engine on which two ports each loop to themselves with about 32 frames
+// queued, one frame in and one out per port and slot, so every slot
+// requests and grants two of the sixteen outputs. One op is one slot. It
+// is the arbiter's work per slot of BenchmarkLiveSlotN16 without the
+// clock, the clients or the channel wake-ups.
+func BenchmarkEngineSlotLoopbackN16(b *testing.B) {
+	const n, ports, queued = 16, 2, 32
+	e, err := rt.New(rt.Config{N: n, Scheduler: newScheduler(b, "lcf_central_rr", n)})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var seq uint64
+	admit := func() {
+		for p := 0; p < ports; p++ {
+			seq++
+			if err := e.Admit(p, p, seq, 0); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	for k := 0; k < queued; k++ {
+		admit()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for k := 0; k < b.N; k++ {
+		admit()
+		e.Tick()
+		for p := 0; p < ports; p++ {
+			<-e.Output(p)
+		}
+	}
+	b.StopTimer()
+	e.Close()
+}
+
 // BenchmarkLiveSlotN16 runs a live 16-port engine at a 1 µs SlotPeriod,
 // fed the way the repository benchmark's wire_plain_w64 workload feeds
 // lcfd: two clients, each a closed loop that admits a 64-frame window
 // toward its own output and reads the whole window back before it sends
 // the next, so each window leaves its one VOQ a frame per slot. One op is
-// one frame. It reports frames/s and the slot clock's sleeps per slot
-// that ran; the waits between those slots are under a microsecond, so a
-// clock that sleeps them instead of spinning reads near one sleep a slot.
+// one frame. It reports frames/s, the slots that ran per second, the
+// arbiter's mean compute time per slot (ns/slot, SlotLatency's mean over
+// the run) and the slot clock's sleeps per slot that ran; the waits
+// between those slots are under a microsecond, so a clock that sleeps
+// them instead of spinning reads near one sleep a slot.
 func BenchmarkLiveSlotN16(b *testing.B) {
 	const n, clients, window = 16, 2, 64
 	e, err := rt.New(rt.Config{N: n, Scheduler: newScheduler(b, "lcf_central_rr", n), SlotPeriod: time.Microsecond})
@@ -347,6 +387,7 @@ func BenchmarkLiveSlotN16(b *testing.B) {
 	defer e.Close()
 	windows := (b.N + clients*window - 1) / (clients * window)
 	slots, sleeps := e.Slot(), e.Stats().Clock.Sleeps.Value()
+	lat := e.Stats().SlotLatency.Snapshot()
 	b.ResetTimer()
 	start := time.Now()
 	var wg sync.WaitGroup
@@ -374,6 +415,9 @@ func BenchmarkLiveSlotN16(b *testing.B) {
 	b.StopTimer()
 	slots = e.Slot() - slots
 	sleeps = e.Stats().Clock.Sleeps.Value() - sleeps
+	end := e.Stats().SlotLatency.Snapshot()
 	b.ReportMetric(float64(windows*clients*window)/elapsed.Seconds(), "frames/s")
+	b.ReportMetric(float64(slots)/elapsed.Seconds(), "slots/s")
+	b.ReportMetric((end.Sum-lat.Sum)/float64(end.Total-lat.Total), "ns/slot")
 	b.ReportMetric(float64(sleeps)/float64(slots), "sleeps/slot")
 }

@@ -25,14 +25,26 @@ import (
 //   - Longer waits sleep. Waits under a millisecond sleep in the OS
 //     (shortSleep), not on a Go timer: when nothing else is runnable the
 //     netpoller rounds such a wait up to a whole millisecond, which would
-//     hold a 200 µs period to ~1 000 slots a second.
+//     hold a 200 µs period to ~1 000 slots a second. A sleep ends lead
+//     before the deadline, lead being how late the clock's sleeps have
+//     been waking (see learn), and the wait spins the rest; a wait no
+//     longer than lead spins whole. So neither the OS's slack nor a Go
+//     timer that wakes hundreds of microseconds late makes the slot run
+//     late.
 //
 // A SlotClock belongs to the one goroutine that runs the slots: Wait
-// before each slot, Advance after it. Its ClockStats may be read from any
-// goroutine.
+// before each slot, Advance (or AdvanceAt) after it. Its ClockStats may
+// be read from any goroutine.
 type SlotClock struct {
 	period time.Duration
 	next   time.Time
+	// now is the clock's last reading: the one Wait let its slot run at,
+	// or the one AdvanceAt handed in, which held marks as still current
+	// for the next Wait.
+	now  time.Time
+	held bool
+	// lead is how long before a deadline a sleep ends (see learn).
+	lead time.Duration
 	// slept reports that the last wait slept before its slot ran;
 	// stalled that the last slot moved nothing while frames were queued.
 	slept, stalled bool
@@ -61,7 +73,7 @@ func (s *ClockStats) Register(r *obs.Registry, prefix string) {
 // now. It counts into stats, or into counters of its own when stats is
 // nil.
 func NewSlotClock(period time.Duration, stats *ClockStats) *SlotClock {
-	return newSlotClock(period, &wallClock{}, stats)
+	return newSlotClock(period, newWallClock(), stats)
 }
 
 func newSlotClock(period time.Duration, src timeSource, stats *ClockStats) *SlotClock {
@@ -78,26 +90,37 @@ func newSlotClock(period time.Duration, src timeSource, stats *ClockStats) *Slot
 // catching up. The arbiter never yields here: a slot that keeps frames
 // moving keeps its processor, and a spin reads the clock and nothing
 // else, since a yield hands the processor to the output pump it wakes.
+// The time it lets the slot run at is Now.
 func (c *SlotClock) Wait(stop <-chan struct{}) bool {
-	now := c.src.now()
+	now := c.reading()
+	c.held = false
 	switch d := c.next.Sub(now); {
 	case d <= 0:
 		c.next = now
 		c.slept = false
-	case d < timerSlack && !c.stalled:
-		for c.src.now().Before(c.next) {
-		}
+	case d < max(timerSlack, c.lead) && !c.stalled:
+		now = c.spin(now)
 		c.slept = false
 	default:
 		c.stats.Sleeps.Inc()
-		if !c.src.sleep(d, stop) {
+		// The wait after a stalled slot sleeps to its deadline: it is
+		// there to give the processor up, not to be punctual.
+		sleep := d
+		if !c.stalled {
+			sleep -= c.lead
+		}
+		if !c.src.sleep(sleep, stop) {
 			return false
 		}
-		if late := c.src.now().Sub(c.next); late > 0 {
+		woke := c.src.now()
+		c.learn(woke.Sub(now) - sleep)
+		now = c.spin(woke)
+		if late := now.Sub(c.next); late > 0 {
 			c.stats.Overshoot.Add(int64(late))
 		}
 		c.slept = true
 	}
+	c.now = now
 	select {
 	case <-stop:
 		return false
@@ -105,6 +128,35 @@ func (c *SlotClock) Wait(stop <-chan struct{}) bool {
 		return true
 	}
 }
+
+// spin reads the clock from now until the deadline and returns the
+// reading that reached it.
+func (c *SlotClock) spin(now time.Time) time.Time {
+	for now.Before(c.next) {
+		now = c.src.now()
+	}
+	return now
+}
+
+// learn folds how late a sleep woke into lead, moving it halfway there:
+// a source that wakes steadily late is learnt in a few sleeps, and one
+// late wake-up is forgotten as fast. lead stays within half a period, so
+// a wait of more than half a period still sleeps and keeps it current.
+func (c *SlotClock) learn(late time.Duration) {
+	c.lead = min(max(c.lead+(late-c.lead)/2, 0), c.period/2)
+}
+
+// reading is the held reading if there is one, else a fresh one.
+func (c *SlotClock) reading() time.Time {
+	if c.held {
+		return c.now
+	}
+	return c.src.now()
+}
+
+// Now returns the time the last Wait let its slot run at: the slot's
+// start.
+func (c *SlotClock) Now() time.Time { return c.now }
 
 // Advance makes the next slot due one period after this one was. stalled
 // is a slot that moved nothing while frames are queued (every request
@@ -117,10 +169,25 @@ func (c *SlotClock) Wait(stop <-chan struct{}) bool {
 // sleeps; the second makes up a wake-up that the OS's timer slack
 // delayed, at periods near that slack.
 func (c *SlotClock) Advance(stalled bool) {
+	c.held = false
+	c.advance(stalled)
+}
+
+// AdvanceAt is Advance for a loop that has just read the clock, at now
+// (the end of its slot), and will not block before the next Wait: this
+// Advance and that Wait take now as the current time instead of reading
+// the clock again, so a slot that runs back to back with the next costs
+// one clock read.
+func (c *SlotClock) AdvanceAt(stalled bool, now time.Time) {
+	c.now, c.held = now, true
+	c.advance(stalled)
+}
+
+func (c *SlotClock) advance(stalled bool) {
 	c.next = c.next.Add(c.period)
 	c.stalled = stalled
 	if stalled && !c.slept {
-		if now := c.src.now(); c.next.Before(now) {
+		if now := c.reading(); c.next.Before(now) {
 			c.next = now.Add(c.period)
 		}
 	}
@@ -159,13 +226,19 @@ type timeSource interface {
 	sleep(d time.Duration, stop <-chan struct{}) bool
 }
 
-// wallClock is the real timeSource. Its one timer is made on the first
-// wait of a millisecond or more and reset for every later one.
+// wallClock is the real timeSource. It reads the monotonic clock alone:
+// a reading is its epoch, a time.Now taken when it was made, plus
+// time.Since(epoch), one read of the monotonic clock where time.Now also
+// reads the wall clock. Its one timer is made on the first wait of a
+// millisecond or more and reset for every later one.
 type wallClock struct {
+	epoch time.Time
 	timer *time.Timer
 }
 
-func (*wallClock) now() time.Time { return time.Now() }
+func newWallClock() *wallClock { return &wallClock{epoch: time.Now()} }
+
+func (w *wallClock) now() time.Time { return w.epoch.Add(time.Since(w.epoch)) }
 
 // sleep waits d. Waits under a millisecond — the ones the netpoller
 // would round up — go to shortSleep and see stop only after it returns;

@@ -129,6 +129,37 @@ func TestSlotClockSleepsAfterStalledSlot(t *testing.T) {
 	}
 }
 
+// TestSlotClockHoldsPeriodPastLateSleeps: on a source whose every sleep
+// wakes 300 µs late — how late a Go timer woke for a 1 ms period on a
+// 2-vCPU host — a 1 ms clock learns to end its sleeps that much early and
+// spin the rest. After its first few sleeps every slot runs within a
+// microsecond of its deadline and none drops a period, whether the slot
+// costs nothing, half the period or most of it (the wait then left is
+// shorter than the lateness, and spins whole).
+func TestSlotClockHoldsPeriodPastLateSleeps(t *testing.T) {
+	const period, late, slots, learnt = time.Millisecond, 300 * time.Microsecond, 200, 10
+	for _, cost := range []time.Duration{0, period / 2, 800 * time.Microsecond} {
+		c, f := fakeClock(period)
+		f.late = late
+		for k := 0; k < slots; k++ {
+			due := c.next
+			if !c.Wait(nil) {
+				t.Fatal("Wait refused to run a slot")
+			}
+			if k >= learnt {
+				if !c.next.Equal(due) {
+					t.Fatalf("slot cost %v: slot %d dropped the periods up to %v", cost, k, c.next)
+				}
+				if lag := f.t.Sub(due); lag < 0 || lag > time.Microsecond {
+					t.Fatalf("slot cost %v: slot %d ran %v after its deadline, want [0, 1µs]", cost, k, lag)
+				}
+			}
+			f.t = f.t.Add(cost)
+			c.Advance(false)
+		}
+	}
+}
+
 // TestSlotClockAdvance pins the clock's rules on a deadline that has
 // already passed: a slot that moved frames is followed at once (the
 // missed periods are dropped, not caught up), a slot that moved nothing

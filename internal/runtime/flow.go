@@ -111,16 +111,24 @@ func (e *Engine) flowSnapshot() *FlowSnapshot {
 	}
 }
 
+// flowStats folds the flow table's per-shard counters, taking each shard
+// lock once. A variable so a test can count the folds a scrape makes.
+var flowStats = (*flowtable.Table).Stats
+
 // registerFlow publishes the lcf_flow_* metrics; no-op when the flow
 // tier is disabled so a flow-free engine's scrape is unchanged. Called
-// by Register. The counter callbacks fold the table's per-shard
-// counters at scrape time (brief per-shard locks — scrape path, not
-// slot path).
+// by Register. The table's per-shard counters are folded once per
+// scrape, before the families are collected (brief per-shard locks —
+// scrape path, not slot path — each taken once, so a scrape contends
+// with Steer once per shard), and the seven families that read them
+// share the fold.
 func (e *Engine) registerFlow(r *obs.Registry) {
 	if e.flows == nil {
 		return
 	}
 	tbl := e.flows
+	var st flowtable.Stats // written by the hook, read by the families, all under the scrape lock
+	r.OnScrape(func() { st = flowStats(tbl) })
 	r.GaugeVec("lcf_flow_info", "Static flow-tier info; value is always 1. Labels carry the steering policy, capacity and rehome disposition.", func() []obs.Sample {
 		rehome := flowtable.KeepOnDown
 		if e.cfg.FaultPolicy == DropStranded {
@@ -132,25 +140,25 @@ func (e *Engine) registerFlow(r *obs.Registry) {
 		}}
 	})
 	r.Gauge("lcf_flow_resident", "Flows currently resident in the steering table.", func() float64 {
-		return float64(tbl.Resident())
+		return float64(st.Resident)
 	})
 	r.Gauge("lcf_flow_buckets", "Buckets the steering table holds now, across shards: a shard starts at 16 and doubles while its flows need it, up to the size -flows calls for.", func() float64 {
-		return float64(tbl.Stats().Buckets)
+		return float64(st.Buckets)
 	})
 	r.Counter("lcf_flow_steered_total", "Steer-stage resolutions: steered requests that reached the flow table (sticky hits plus new admissions).", func() int64 {
-		return tbl.Stats().Steered
+		return st.Steered
 	})
 	r.Counter("lcf_flow_admitted_total", "New flows admitted to the table (steering decisions made by the policy).", func() int64 {
-		return tbl.Stats().Inserted
+		return st.Inserted
 	})
 	r.Counter("lcf_flow_evicted_total", "Flows removed from the table (idle-epoch sweeps plus explicit evictions).", func() int64 {
-		return tbl.Stats().Evicted
+		return st.Evicted
 	})
 	r.Counter("lcf_flow_rebalanced_total", "Resident flows re-steered off a down port (RehomeOnDown pairing only).", func() int64 {
-		return tbl.Stats().Rebalanced
+		return st.Rebalanced
 	})
 	r.Counter("lcf_flow_rejected_total", "Steered requests refused by the steer stage because the steering table was full.", func() int64 {
-		return tbl.Stats().Rejected
+		return st.Rejected
 	})
 	r.Gauge("lcf_flow_epoch", "Current flow-eviction epoch (advanced on the daemon's eviction clock, once a second in lcfd).", func() float64 {
 		return float64(tbl.Epoch())

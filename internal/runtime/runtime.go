@@ -65,7 +65,6 @@ import (
 	"time"
 
 	"repro/internal/flowtable"
-	"repro/internal/matching"
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/pifo"
@@ -318,6 +317,10 @@ type Engine struct {
 
 	met Stats
 
+	// wall is the arbiter's time source: the live slot clock's, and the
+	// one a lockstep tick reads for SlotLatency.
+	wall *wallClock
+
 	// parked and wake are the live arbiter's idle protocol (see park): the
 	// arbiter sets parked before it blocks on an empty switch, and whoever
 	// gives it work — an admission, a link transition — sends wake one
@@ -408,6 +411,7 @@ func New(cfg Config) (*Engine, error) {
 		snapped:  make([]bool, n),
 		outs:     make([]chan Frame, n),
 		outBound: make([]int, n),
+		wall:     newWallClock(),
 		wake:     make(chan struct{}, 1),
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
@@ -706,15 +710,18 @@ func (e *Engine) Start() error {
 // first slot is due one period after Start; the first after a park runs
 // at once if a period has passed since the last one started, and waits
 // out the rest of it otherwise, so slots are never closer together than
-// SlotPeriod across a park.
+// SlotPeriod across a park. A slot that does not park reads the clock
+// once, at its end: that reading starts the next wait, and a slot due at
+// once starts at it.
 func (e *Engine) run() {
-	clk := NewSlotClock(e.cfg.SlotPeriod, &e.met.Clock)
+	clk := newSlotClock(e.cfg.SlotPeriod, e.wall, &e.met.Clock)
 	for clk.Wait(e.stop) {
-		matched := e.tick()
-		idle := e.idle()
-		clk.Advance(matched == 0 && !idle)
-		if idle {
+		matched, end := e.tickFrom(clk.Now())
+		if e.idle() {
+			clk.Advance(false)
 			e.park()
+		} else {
+			clk.AdvanceAt(matched == 0, end)
 		}
 	}
 	e.drain(clk)
@@ -779,10 +786,12 @@ func (e *Engine) drain(clk *SlotClock) {
 	stalled, since := 0, time.Time{}
 	last := e.met.Backlog.Value()
 	for last > 0 {
+		start := e.wall.now()
 		if clk != nil {
 			clk.Wait(nil)
+			start = clk.Now()
 		}
-		e.tick()
+		_, end := e.tickFrom(start)
 		cur := e.met.Backlog.Value()
 		moved := cur < last
 		last = cur
@@ -797,7 +806,7 @@ func (e *Engine) drain(clk *SlotClock) {
 			}
 		}
 		if clk != nil {
-			clk.Advance(!moved)
+			clk.AdvanceAt(!moved, end)
 		} else if !moved {
 			goruntime.Gosched()
 		}
@@ -843,12 +852,19 @@ func (e *Engine) Close() {
 	<-e.done
 }
 
-// tick is one slot of the arbiter: apply faults → sweep stranded → class
-// fill → mask full outputs → snapshot → arbitrate → dispatch → publish →
-// metrics/trace/OnSlot (DESIGN.md §7). It returns the frames dispatched,
-// which the live clock reads.
+// tick is one slot timed from now: a lockstep Tick's.
 func (e *Engine) tick() (matched int) {
-	start := time.Now()
+	matched, _ = e.tickFrom(e.wall.now())
+	return matched
+}
+
+// tickFrom is one slot of the arbiter: apply faults → sweep stranded →
+// class fill → mask full outputs → snapshot → arbitrate → dispatch →
+// publish → metrics/trace/OnSlot (DESIGN.md §7). start is a reading of
+// e.wall taken when the slot began. It returns the frames dispatched,
+// which the live clock reads, and the reading SlotLatency ends at, which
+// the live loop hands back to its clock.
+func (e *Engine) tickFrom(start time.Time) (matched int, end time.Time) {
 	now := e.slot.Load()
 
 	// Fold pending link-state transitions into the core's fault masks and
@@ -878,7 +894,8 @@ func (e *Engine) tick() (matched int) {
 	e.publish(requested, matched)
 
 	e.met.MatchSize.Observe(float64(grants.Size()))
-	e.met.SlotLatency.Observe(float64(time.Since(start).Nanoseconds()))
+	end = e.wall.now()
+	e.met.SlotLatency.Observe(float64(end.Sub(start).Nanoseconds()))
 
 	e.cfg.Tracer.EmitGrants(now, requested, grants)
 
@@ -886,7 +903,7 @@ func (e *Engine) tick() (matched int) {
 		e.cfg.OnSlot(SlotEvent{Slot: now, Grants: grants, Requested: requested, Matched: matched})
 	}
 	e.slot.Add(1)
-	return matched
+	return matched, end
 }
 
 // maskFullOutputs resets the per-slot output mask and masks every full
@@ -963,7 +980,7 @@ func (e *Engine) recordSnapshot(requested, masked, faulted int) {
 }
 
 // dispatch pops and delivers the slot's granted frames, one input lock at
-// a time, and returns how many crossed. The three failure legs are
+// a time, walking the granted outputs only, and returns how many crossed. The three failure legs are
 // unreachable with a correct arbiter (fault masking removes the request
 // bits, grants imply requests, and the output mask guarantees channel
 // room) but must not lose a frame or its accounting under a buggy one:
@@ -971,18 +988,17 @@ func (e *Engine) recordSnapshot(requested, masked, faulted int) {
 // Grant attribution and the delivery counters are slot sums that publish
 // adds; the per-port counters move here, once per port per slot.
 func (e *Engine) dispatch(g *sched.GrantSet, now int64) (matched int) {
-	for j := 0; j < e.n; j++ {
+	down := e.dp.AnyLinkDown()
+	outs := g.Granted()
+	for j := outs.NextSet(0); j >= 0; j = outs.NextSet(j + 1) {
 		i := g.Src[j]
-		if i == matching.Unmatched {
-			continue
-		}
 		// Attribute the grant to its decision rule. This counts the
 		// arbiter's decision, not the dispatch outcome: a grant wasted
 		// on a drained VOQ or a full channel was still decided.
 		e.sums.rules[g.Rule[j]]++
 		// A failed port must never receive a grant, even under a buggy
 		// arbiter.
-		if e.dp.InputDown(i) || e.dp.OutputDown(j) {
+		if down && (e.dp.InputDown(i) || e.dp.OutputDown(j)) {
 			e.met.WastedGrants.Inc()
 			continue
 		}

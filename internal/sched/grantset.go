@@ -1,6 +1,9 @@
 package sched
 
-import "repro/internal/matching"
+import (
+	"repro/internal/bitvec"
+	"repro/internal/matching"
+)
 
 // GrantSet is the per-output view of one slot's scheduling decision: for
 // every output j, the input granted to it this slot (or
@@ -11,6 +14,11 @@ import "repro/internal/matching"
 // directly — its per-output pull arbiters are not constrained to a
 // permutation (two outputs may pull frames buffered from the same input
 // in one slot), which matching.Match cannot represent.
+//
+// The set also keeps the outputs that hold a grant (Granted), so Reset
+// clears only those and a driver walks the grants rather than n outputs:
+// a slot pays for what it granted. Write it only through Reset, Set and
+// FromMatch.
 //
 // All storage is preallocated at construction; Reset and FromMatch stay
 // allocation-free so the GrantSet can live on the drivers' slot paths.
@@ -23,6 +31,8 @@ type GrantSet struct {
 	// Choices[j] is the LCF priority level behind output j's grant — how
 	// many alternatives the decision weighed — or -1 when unattributed.
 	Choices []int
+
+	granted *bitvec.Vector // outputs j with Src[j] != Unmatched
 }
 
 // NewGrantSet returns an empty grant set for an n-port switch.
@@ -31,58 +41,59 @@ func NewGrantSet(n int) *GrantSet {
 		Src:     make([]int, n),
 		Rule:    make([]GrantRule, n),
 		Choices: make([]int, n),
+		granted: bitvec.New(n),
 	}
-	g.Reset()
+	for j := range g.Src {
+		g.Src[j] = matching.Unmatched
+		g.Choices[j] = -1
+	}
 	return g
 }
 
 // N returns the port count.
 func (g *GrantSet) N() int { return len(g.Src) }
 
-// Reset clears every grant.
+// Reset clears every grant, visiting only the outputs that hold one.
 func (g *GrantSet) Reset() {
-	for j := range g.Src {
+	for j := g.granted.NextSet(0); j >= 0; j = g.granted.NextSet(j + 1) {
 		g.Src[j] = matching.Unmatched
 		g.Rule[j] = RuleUnattributed
 		g.Choices[j] = -1
 	}
+	g.granted.Reset()
 }
 
-// Set records the grant input i → output j.
+// Set records the grant input i → output j; i must be an input, not
+// matching.Unmatched.
 func (g *GrantSet) Set(j, i int, rule GrantRule, choices int) {
 	g.Src[j] = i
 	g.Rule[j] = rule
 	g.Choices[j] = choices
+	g.granted.Set(j)
 }
 
+// Granted returns the outputs holding a grant, for walking them in
+// ascending order with NextSet. The vector is the set's own state:
+// read-only, valid until the next Reset, Set or FromMatch.
+func (g *GrantSet) Granted() *bitvec.Vector { return g.granted }
+
 // Size returns the number of granted outputs.
-func (g *GrantSet) Size() int {
-	s := 0
-	for _, i := range g.Src {
-		if i != matching.Unmatched {
-			s++
-		}
-	}
-	return s
-}
+func (g *GrantSet) Size() int { return g.granted.PopCount() }
 
 // FromMatch fills g from a central matching, attributing each grant via
 // ex when non-nil. This is the bridge the VOQ core uses so both datapaths
-// hand their drivers the same decision type.
+// hand their drivers the same decision type. It writes only the outputs
+// granted before and after.
 func (g *GrantSet) FromMatch(m *matching.Match, ex Explainer) {
+	g.Reset()
 	for j, i := range m.OutToIn {
 		if i == matching.Unmatched {
-			g.Src[j] = matching.Unmatched
-			g.Rule[j] = RuleUnattributed
-			g.Choices[j] = -1
 			continue
 		}
 		rule, choices := RuleUnattributed, -1
 		if ex != nil {
 			rule, choices = ex.Explain(i)
 		}
-		g.Src[j] = i
-		g.Rule[j] = rule
-		g.Choices[j] = choices
+		g.Set(j, i, rule, choices)
 	}
 }

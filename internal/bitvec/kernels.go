@@ -191,62 +191,102 @@ func scatterLimit(lg uint) int {
 // A non-nil cols receives the columns of m that hold a set bit — the
 // non-empty rows of dst, the resources somebody requests — from the
 // loads the transpose makes anyway: one OR per source word.
-func (m *Matrix) TransposeInto(dst *Matrix, cols *Vector) {
-	if m.n != dst.n || cols != nil && cols.n != m.n {
+//
+// A non-nil rows names a superset of m's non-empty rows, the inputs that
+// request anything. When those rows hold no more bits than one block
+// would scatter, the transpose reads them alone (transposeRows), so a
+// nearly idle switch pays for its requesting inputs rather than for n
+// rows; otherwise rows is ignored.
+func (m *Matrix) TransposeInto(dst *Matrix, rows, cols *Vector) {
+	if m.n != dst.n || cols != nil && cols.n != m.n || rows != nil && rows.n != m.n {
 		panic("bitvec: transpose dimension mismatch")
 	}
 	if cols != nil {
 		clear(cols.words)
 	}
+	if rows != nil && m.transposeRows(dst, rows, cols) {
+		return
+	}
 	nb := (m.n + wordBits - 1) / wordBits
+	var blk [wordBits]uint64
 	for bi := 0; bi < nb; bi++ {
 		rlim := min(m.n-bi<<6, wordBits)
 		for bj := 0; bj < nb; bj++ {
 			clim := min(m.n-bj<<6, wordBits)
-			src := bi<<6*m.w + bj // m word of the block's row 0
+			idx := bi<<6*m.w + bj
 			pop := 0
-			any := uint64(0)
-			for k, idx := 0, src; k < rlim; k, idx = k+1, idx+m.w {
-				pop += bits.OnesCount64(m.flat[idx])
-				any |= m.flat[idx]
+			for k := 0; k < rlim; k++ {
+				blk[k] = m.flat[idx]
+				pop += bits.OnesCount64(blk[k])
+				idx += m.w
 			}
 			if cols != nil {
-				cols.words[bj] |= any
+				for _, w := range blk[:rlim] {
+					cols.words[bj] |= w
+				}
 			}
 			lg := uint(bits.Len(uint(max(rlim, clim) - 1)))
 			out := bj<<6*dst.w + bi // dst word of the block's column 0
-			if pop > scatterLimit(lg) {
-				m.butterflyInto(dst, src, out, rlim, clim, lg)
+			if pop <= scatterLimit(lg) {
+				idx = out
+				for k := 0; k < clim; k++ {
+					dst.flat[idx] = 0
+					idx += dst.w
+				}
+				// Source rows are trimmed, so every set bit's column is < clim.
+				// Stopping at the last set bit is a third of the cost at 2 bits.
+				for k := 0; pop > 0; k++ {
+					for w := blk[k]; w != 0; w &= w - 1 {
+						dst.flat[out+bits.TrailingZeros64(w)*dst.w] |= 1 << uint(k)
+						pop--
+					}
+				}
 				continue
 			}
-			for k, idx := 0, out; k < clim; k, idx = k+1, idx+dst.w {
-				dst.flat[idx] = 0
+			for k := rlim; k < 1<<lg; k++ {
+				blk[k] = 0
 			}
-			// Source rows are trimmed, so every set bit's column is < clim.
-			// Stopping at the last set bit is a third of the cost at 2 bits.
-			for k, idx := 0, src; pop > 0; k, idx = k+1, idx+m.w {
-				for w := m.flat[idx]; w != 0; w &= w - 1 {
-					dst.flat[out+bits.TrailingZeros64(w)*dst.w] |= 1 << uint(k)
-					pop--
-				}
+			transposeBlock(&blk, lg)
+			idx = out
+			for k := 0; k < clim; k++ {
+				dst.flat[idx] = blk[k]
+				idx += dst.w
 			}
 		}
 	}
 }
 
-// butterflyInto transposes the rlim × clim block whose row 0 is m word
-// src into dst, whose column 0 is dst word out, through the 2^lg
-// butterfly. The block is staged in a local array, which only this path
-// pays to zero.
-func (m *Matrix) butterflyInto(dst *Matrix, src, out, rlim, clim int, lg uint) {
-	var blk [wordBits]uint64
-	for k, idx := 0, src; k < rlim; k, idx = k+1, idx+m.w {
-		blk[k] = m.flat[idx]
+// transposeRows is TransposeInto's path for a matrix whose non-empty rows
+// are all in rows and hold at most the bits that one block of m's size
+// scatters (scatterLimit): it clears dst, then writes each set bit of
+// those rows where it belongs, and reports true. Past that population it
+// writes nothing and reports false, having counted no further than the
+// row that crossed it, so a dense matrix pays a few rows' loads for
+// asking.
+func (m *Matrix) transposeRows(dst *Matrix, rows, cols *Vector) bool {
+	limit := scatterLimit(uint(bits.Len(uint(min(m.n, wordBits) - 1))))
+	pop := 0
+	for i := rows.NextSet(0); i >= 0; i = rows.NextSet(i + 1) {
+		for _, w := range m.flat[i*m.w : (i+1)*m.w] {
+			pop += bits.OnesCount64(w)
+		}
+		if pop > limit {
+			return false
+		}
 	}
-	transposeBlock(&blk, lg)
-	for k, idx := 0, out; k < clim; k, idx = k+1, idx+dst.w {
-		dst.flat[idx] = blk[k]
+	clear(dst.flat)
+	for i := rows.NextSet(0); i >= 0; i = rows.NextSet(i + 1) {
+		bit, word := uint64(1)<<uint(i&63), i>>6
+		for k, w := range m.flat[i*m.w : (i+1)*m.w] {
+			if cols != nil {
+				cols.words[k] |= w
+			}
+			for ; w != 0; w &= w - 1 {
+				dst.flat[(k<<6+bits.TrailingZeros64(w))*dst.w+word] |= bit
+			}
+		}
 	}
+	return true
 }
 
 // transposeBlock transposes the 2^lg × 2^lg block in the first 2^lg

@@ -17,6 +17,8 @@
 package core
 
 import (
+	"math/bits"
+
 	"repro/internal/bitvec"
 	"repro/internal/matching"
 	"repro/internal/sched"
@@ -81,7 +83,7 @@ type Central struct {
 	// Scratch for the word-parallel kernel (DESIGN.md §10), reused across
 	// slots to keep Schedule allocation-free.
 	cols    *bitvec.Matrix // ctx.Req transposed: row r = requesters of resource r
-	wanted  *bitvec.Vector // resources somebody requests, consumed as they are decided
+	wanted  *bitvec.Vector // resources somebody requests
 	granted *bitvec.Vector // requesters matched so far this slot (until the next Schedule)
 	cand    *bitvec.Vector // candidate requesters of the resource in hand
 	minSet  *bitvec.Vector // candidates with the minimal request count
@@ -196,18 +198,22 @@ func (c *Central) SetOffsets(i, j int) {
 //     of the reference, which then changes nothing. The resource loop
 //     therefore visits only the requested ones, in the reference's order
 //     (J+res) mod n, and only the requesters the last slot granted hold
-//     an attribution to clear.
+//     an attribution to clear. With ctx.Rows the transpose reads only
+//     the requesting inputs' rows too (bitvec's TransposeInto).
 func (c *Central) Schedule(ctx *sched.Context, m *matching.Match) {
 	sched.CheckDims(c, ctx, m)
 	m.Reset()
 	n := c.n
 
-	for req := c.granted.NextSet(0); req >= 0; req = c.granted.NextSet(req + 1) {
-		c.rules[req] = sched.RuleUnattributed
-		c.choices[req] = -1
+	for k, w := range c.granted.Words() {
+		for ; w != 0; w &= w - 1 {
+			req := k<<6 + bits.TrailingZeros64(w)
+			c.rules[req] = sched.RuleUnattributed
+			c.choices[req] = -1
+		}
 	}
 	c.granted.Reset()
-	ctx.Req.TransposeInto(c.cols, c.wanted)
+	ctx.Req.TransposeInto(c.cols, ctx.Rows, c.wanted)
 	// nrq[i] = Σ R[i,*]: the column sums of the transposed matrix over the
 	// requested resources, bulk-loaded into the bit-sliced counters.
 	c.nrqBits.SumRows(c.cols, c.wanted)
@@ -229,46 +235,24 @@ func (c *Central) Schedule(ctx *sched.Context, m *matching.Match) {
 	}
 
 	// Allocate the requested resources one after the other, circularly
-	// from J: the resource at step res is (J+res) mod n and the
-	// round-robin position for it is requester (I+res) mod n — together
-	// these trace the rotating diagonal of Figure 3. Each resource leaves
-	// wanted as it is decided, so the next is the first left at or after
-	// it.
-	for resource := c.wanted.FirstSetFrom(c.j); resource >= 0; resource = c.wanted.FirstSetFrom(resource) {
-		c.wanted.Clear(resource)
-		rrPos := c.i + resource - c.j
-		if rrPos < 0 {
-			rrPos += n
-		} else if rrPos >= n {
-			rrPos -= n
+	// from J — the set bits of wanted at or after J, word by word, then
+	// those before it — so the resource at step res is (J+res) mod n.
+	words := c.wanted.Words()
+	jw, jb := c.j>>6, uint(c.j&63)
+	for k := 0; k <= len(words); k++ {
+		wi := jw + k
+		if wi >= len(words) {
+			wi -= len(words)
 		}
-		if m.OutputMatched(resource) {
-			continue // taken by the prescheduled diagonal
+		w := words[wi]
+		switch k {
+		case 0:
+			w &= ^uint64(0) << jb
+		case len(words):
+			w &= 1<<jb - 1
 		}
-		c.cand.AndNotInto(c.cols.Row(resource), c.granted)
-		if c.cand.None() {
-			// Everybody who wanted it is granted already: the min-select
-			// and the priority scan below would change nothing.
-			continue
-		}
-
-		if c.rrMode == RRInterleaved && c.cand.Get(rrPos) {
-			c.grant(m, rrPos, resource, sched.RuleDiagonal, c.nrqBits.Get(rrPos))
-			continue
-		}
-		// Least choice first: reduce the candidates to those with the
-		// minimal outstanding-request count, then take the first in the
-		// rotating priority chain anchored at the round-robin position.
-		// A lone candidate is both, as it is in most slots of a lightly
-		// loaded switch.
-		if c.cand.PopCount() == 1 {
-			gnt := c.cand.FirstSet()
-			c.grant(m, gnt, resource, sched.RuleLCF, c.nrqBits.Get(gnt))
-			continue
-		}
-		min := c.nrqBits.MinSelectInto(c.minSet, c.cand)
-		if gnt := c.minSet.FirstSetFrom(rrPos); gnt >= 0 {
-			c.grant(m, gnt, resource, sched.RuleLCF, min)
+		for ; w != 0; w &= w - 1 {
+			c.decide(m, wi<<6+bits.TrailingZeros64(w))
 		}
 	}
 
@@ -277,6 +261,47 @@ func (c *Central) Schedule(ctx *sched.Context, m *matching.Match) {
 	c.i = (c.i + 1) % n
 	if c.i == 0 {
 		c.j = (c.j + 1) % n
+	}
+}
+
+// decide is Figure 2's step for one requested resource: the round-robin
+// position for it is requester (I+res) mod n, res being the resource's
+// distance from J — together these trace the rotating diagonal of
+// Figure 3.
+func (c *Central) decide(m *matching.Match, resource int) {
+	rrPos := c.i + resource - c.j
+	if rrPos < 0 {
+		rrPos += c.n
+	} else if rrPos >= c.n {
+		rrPos -= c.n
+	}
+	if m.OutputMatched(resource) {
+		return // taken by the prescheduled diagonal
+	}
+	c.cand.AndNotInto(c.cols.Row(resource), c.granted)
+	if c.cand.None() {
+		// Everybody who wanted it is granted already: the min-select and
+		// the priority scan below would change nothing.
+		return
+	}
+
+	if c.rrMode == RRInterleaved && c.cand.Get(rrPos) {
+		c.grant(m, rrPos, resource, sched.RuleDiagonal, c.nrqBits.Get(rrPos))
+		return
+	}
+	// Least choice first: reduce the candidates to those with the minimal
+	// outstanding-request count, then take the first in the rotating
+	// priority chain anchored at the round-robin position. A lone
+	// candidate is both, as it is in most slots of a lightly loaded
+	// switch.
+	if c.cand.PopCount() == 1 {
+		gnt := c.cand.FirstSet()
+		c.grant(m, gnt, resource, sched.RuleLCF, c.nrqBits.Get(gnt))
+		return
+	}
+	min := c.nrqBits.MinSelectInto(c.minSet, c.cand)
+	if gnt := c.minSet.FirstSetFrom(rrPos); gnt >= 0 {
+		c.grant(m, gnt, resource, sched.RuleLCF, min)
 	}
 }
 

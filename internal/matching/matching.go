@@ -32,7 +32,9 @@ func (m *Match) N() int { return len(m.InToOut) }
 func (m *Match) Reset() {
 	for i := range m.InToOut {
 		m.InToOut[i] = Unmatched
-		m.OutToIn[i] = Unmatched
+	}
+	for j := range m.OutToIn {
+		m.OutToIn[j] = Unmatched
 	}
 }
 

@@ -976,7 +976,11 @@ func (e *Engine) recordSnapshot(requested, masked, faulted int) {
 	if faulted > 0 {
 		e.met.FaultMasked.Add(int64(faulted))
 	}
-	e.met.OccupiedVOQs.Set(int64(requested + masked + faulted))
+	// Only the arbiter writes the gauge: a slot that leaves it as it was
+	// skips the store.
+	if occ := int64(requested + masked + faulted); e.met.OccupiedVOQs.Value() != occ {
+		e.met.OccupiedVOQs.Set(occ)
+	}
 }
 
 // dispatch pops and delivers the slot's granted frames, one input lock at

@@ -75,6 +75,7 @@ type Core[T any] struct {
 
 	// Slot scratch (arbiter-only).
 	req      *bitvec.Matrix // request snapshot handed to the scheduler
+	reqRows  *bitvec.Vector // inputs whose snapshot row requests anything (sched.Context.Rows)
 	lensSnap [][]int        // queue-length snapshot handed to the scheduler
 	match    *matching.Match
 	ctx      sched.Context
@@ -97,6 +98,7 @@ func New[T any](n, voqCap int) *Core[T] {
 	return &Core[T]{
 		voqStore: newVOQStore[T](n, voqCap),
 		req:      bitvec.NewMatrix(n),
+		reqRows:  bitvec.New(n),
 		lensSnap: flatRows(n),
 		match:    matching.NewMatch(n),
 		grants:   sched.NewGrantSet(n),
@@ -172,6 +174,12 @@ func (c *Core[T]) FlushVOQ(i, j int, fn func(v T)) int {
 // columns). A concurrent driver calls it under input i's lock; after it
 // returns, the scheduler reads only the snapshot, never live state.
 func (c *Core[T]) SnapshotRow(i int) (requested, masked, faulted int) {
+	requested, masked, faulted = c.snapshotRow(i)
+	c.reqRows.SetTo(i, requested > 0)
+	return requested, masked, faulted
+}
+
+func (c *Core[T]) snapshotRow(i int) (requested, masked, faulted int) {
 	row := c.req.Row(i)
 	copy(c.lensSnap[i], c.lens[i])
 	if c.anyDownIn && c.downIn.Get(i) {
@@ -227,6 +235,7 @@ func (c *Core[T]) QueueLens() [][]int { return c.lensSnap }
 // weight-aware schedulers see real backlogs in every driver.
 func (c *Core[T]) Schedule(s sched.Scheduler) *matching.Match {
 	c.ctx.Req = c.req
+	c.ctx.Rows = c.reqRows
 	c.ctx.QueueLens = c.lensSnap
 	c.match.Reset()
 	s.Schedule(&c.ctx, c.match)

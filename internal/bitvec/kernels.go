@@ -266,23 +266,29 @@ func (m *Matrix) TransposeInto(dst *Matrix, rows, cols *Vector) {
 func (m *Matrix) transposeRows(dst *Matrix, rows, cols *Vector) bool {
 	limit := scatterLimit(uint(bits.Len(uint(min(m.n, wordBits) - 1))))
 	pop := 0
-	for i := rows.NextSet(0); i >= 0; i = rows.NextSet(i + 1) {
-		for _, w := range m.flat[i*m.w : (i+1)*m.w] {
-			pop += bits.OnesCount64(w)
-		}
-		if pop > limit {
-			return false
+	for rw, sel := range rows.words {
+		for ; sel != 0; sel &= sel - 1 {
+			i := rw<<6 + bits.TrailingZeros64(sel)
+			for _, w := range m.flat[i*m.w : (i+1)*m.w] {
+				pop += bits.OnesCount64(w)
+			}
+			if pop > limit {
+				return false
+			}
 		}
 	}
 	clear(dst.flat)
-	for i := rows.NextSet(0); i >= 0; i = rows.NextSet(i + 1) {
-		bit, word := uint64(1)<<uint(i&63), i>>6
-		for k, w := range m.flat[i*m.w : (i+1)*m.w] {
-			if cols != nil {
-				cols.words[k] |= w
-			}
-			for ; w != 0; w &= w - 1 {
-				dst.flat[(k<<6+bits.TrailingZeros64(w))*dst.w+word] |= bit
+	for rw, sel := range rows.words {
+		for ; sel != 0; sel &= sel - 1 {
+			i := rw<<6 + bits.TrailingZeros64(sel)
+			bit := uint64(1) << uint(i&63)
+			for k, w := range m.flat[i*m.w : (i+1)*m.w] {
+				if cols != nil {
+					cols.words[k] |= w
+				}
+				for ; w != 0; w &= w - 1 {
+					dst.flat[(k<<6+bits.TrailingZeros64(w))*dst.w+rw] |= bit
+				}
 			}
 		}
 	}

@@ -3,7 +3,9 @@ package runtime
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/flowtable"
@@ -15,7 +17,9 @@ import (
 // TestScrapeFoldsFlowTableOnce: a Prometheus scrape of an engine with the
 // flow tier folds the steering table once, so it takes each shard lock
 // once — where the seven families that read the table used to fold it
-// once each — and every family reads that one fold.
+// once each — and every family reads that one fold. Scrapes racing each
+// other and Offer still fold once each (the fold is shared under the
+// registry's scrape lock; -race checks the sharing).
 func TestScrapeFoldsFlowTableOnce(t *testing.T) {
 	folds := 0
 	defer func(f func(*flowtable.Table) flowtable.Stats) { flowStats = f }(flowStats)
@@ -65,5 +69,28 @@ func TestScrapeFoldsFlowTableOnce(t *testing.T) {
 				t.Errorf("scrape %d lacks %q", scrape, strings.TrimSpace(line))
 			}
 		}
+	}
+
+	const scrapers, each = 4, 25
+	var wg sync.WaitGroup
+	for k := 0; k < scrapers; k++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for s := 0; s < each; s++ {
+				if err := r.WritePrometheus(io.Discard); err != nil {
+					t.Error(err)
+				}
+			}
+		}()
+	}
+	for f := flows; f < 2*flows; f++ {
+		if _, err := e.Offer(Request{Dst: f % n, Flow: uint64(f), Steered: true}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wg.Wait()
+	if want := 3 + scrapers*each; folds != want {
+		t.Fatalf("%d concurrent scrapes after 3: %d folds, want %d", scrapers*each, folds, want)
 	}
 }

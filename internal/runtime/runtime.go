@@ -786,10 +786,12 @@ func (e *Engine) drain(clk *SlotClock) {
 	stalled, since := 0, time.Time{}
 	last := e.met.Backlog.Value()
 	for last > 0 {
-		start := e.wall.now()
+		var start time.Time
 		if clk != nil {
 			clk.Wait(nil)
 			start = clk.Now()
+		} else {
+			start = e.wall.now()
 		}
 		_, end := e.tickFrom(start)
 		cur := e.met.Backlog.Value()
@@ -984,7 +986,8 @@ func (e *Engine) recordSnapshot(requested, masked, faulted int) {
 }
 
 // dispatch pops and delivers the slot's granted frames, one input lock at
-// a time, walking the granted outputs only, and returns how many crossed. The three failure legs are
+// a time, walking the granted outputs only, and returns how many
+// crossed. The three failure legs are
 // unreachable with a correct arbiter (fault masking removes the request
 // bits, grants imply requests, and the output mask guarantees channel
 // room) but must not lose a frame or its accounting under a buggy one:

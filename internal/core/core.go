@@ -236,7 +236,9 @@ func (c *Central) Schedule(ctx *sched.Context, m *matching.Match) {
 
 	// Allocate the requested resources one after the other, circularly
 	// from J — the set bits of wanted at or after J, word by word, then
-	// those before it — so the resource at step res is (J+res) mod n.
+	// those before it — so the resource at step res is (J+res) mod n, and
+	// the round-robin position for it is requester (I+res) mod n: together
+	// these trace the rotating diagonal of Figure 3.
 	words := c.wanted.Words()
 	jw, jb := c.j>>6, uint(c.j&63)
 	for k := 0; k <= len(words); k++ {
@@ -252,7 +254,42 @@ func (c *Central) Schedule(ctx *sched.Context, m *matching.Match) {
 			w &= 1<<jb - 1
 		}
 		for ; w != 0; w &= w - 1 {
-			c.decide(m, wi<<6+bits.TrailingZeros64(w))
+			resource := wi<<6 + bits.TrailingZeros64(w)
+			rrPos := c.i + resource - c.j
+			if rrPos < 0 {
+				rrPos += n
+			} else if rrPos >= n {
+				rrPos -= n
+			}
+			if m.OutputMatched(resource) {
+				continue // taken by the prescheduled diagonal
+			}
+			c.cand.AndNotInto(c.cols.Row(resource), c.granted)
+			if c.cand.None() {
+				// Everybody who wanted it is granted already: the
+				// min-select and the priority scan below would change
+				// nothing.
+				continue
+			}
+
+			if c.rrMode == RRInterleaved && c.cand.Get(rrPos) {
+				c.grant(m, rrPos, resource, sched.RuleDiagonal, c.nrqBits.Get(rrPos))
+				continue
+			}
+			// Least choice first: reduce the candidates to those with the
+			// minimal outstanding-request count, then take the first in
+			// the rotating priority chain anchored at the round-robin
+			// position. A lone candidate is both, as it is in most slots
+			// of a lightly loaded switch.
+			if c.cand.PopCount() == 1 {
+				gnt := c.cand.FirstSet()
+				c.grant(m, gnt, resource, sched.RuleLCF, c.nrqBits.Get(gnt))
+				continue
+			}
+			min := c.nrqBits.MinSelectInto(c.minSet, c.cand)
+			if gnt := c.minSet.FirstSetFrom(rrPos); gnt >= 0 {
+				c.grant(m, gnt, resource, sched.RuleLCF, min)
+			}
 		}
 	}
 
@@ -261,47 +298,6 @@ func (c *Central) Schedule(ctx *sched.Context, m *matching.Match) {
 	c.i = (c.i + 1) % n
 	if c.i == 0 {
 		c.j = (c.j + 1) % n
-	}
-}
-
-// decide is Figure 2's step for one requested resource: the round-robin
-// position for it is requester (I+res) mod n, res being the resource's
-// distance from J — together these trace the rotating diagonal of
-// Figure 3.
-func (c *Central) decide(m *matching.Match, resource int) {
-	rrPos := c.i + resource - c.j
-	if rrPos < 0 {
-		rrPos += c.n
-	} else if rrPos >= c.n {
-		rrPos -= c.n
-	}
-	if m.OutputMatched(resource) {
-		return // taken by the prescheduled diagonal
-	}
-	c.cand.AndNotInto(c.cols.Row(resource), c.granted)
-	if c.cand.None() {
-		// Everybody who wanted it is granted already: the min-select and
-		// the priority scan below would change nothing.
-		return
-	}
-
-	if c.rrMode == RRInterleaved && c.cand.Get(rrPos) {
-		c.grant(m, rrPos, resource, sched.RuleDiagonal, c.nrqBits.Get(rrPos))
-		return
-	}
-	// Least choice first: reduce the candidates to those with the minimal
-	// outstanding-request count, then take the first in the rotating
-	// priority chain anchored at the round-robin position. A lone
-	// candidate is both, as it is in most slots of a lightly loaded
-	// switch.
-	if c.cand.PopCount() == 1 {
-		gnt := c.cand.FirstSet()
-		c.grant(m, gnt, resource, sched.RuleLCF, c.nrqBits.Get(gnt))
-		return
-	}
-	min := c.nrqBits.MinSelectInto(c.minSet, c.cand)
-	if gnt := c.minSet.FirstSetFrom(rrPos); gnt >= 0 {
-		c.grant(m, gnt, resource, sched.RuleLCF, min)
 	}
 }
 

@@ -32,9 +32,7 @@ func (m *Match) N() int { return len(m.InToOut) }
 func (m *Match) Reset() {
 	for i := range m.InToOut {
 		m.InToOut[i] = Unmatched
-	}
-	for j := range m.OutToIn {
-		m.OutToIn[j] = Unmatched
+		m.OutToIn[i] = Unmatched
 	}
 }
 

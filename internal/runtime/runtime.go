@@ -58,6 +58,7 @@ package runtime
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	goruntime "runtime"
 	"strings"
 	"sync"
@@ -996,53 +997,55 @@ func (e *Engine) recordSnapshot(requested, masked, faulted int) {
 // adds; the per-port counters move here, once per port per slot.
 func (e *Engine) dispatch(g *sched.GrantSet, now int64) (matched int) {
 	down := e.dp.AnyLinkDown()
-	outs := g.Granted()
-	for j := outs.NextSet(0); j >= 0; j = outs.NextSet(j + 1) {
-		i := g.Src[j]
-		// Attribute the grant to its decision rule. This counts the
-		// arbiter's decision, not the dispatch outcome: a grant wasted
-		// on a drained VOQ or a full channel was still decided.
-		e.sums.rules[g.Rule[j]]++
-		// A failed port must never receive a grant, even under a buggy
-		// arbiter.
-		if down && (e.dp.InputDown(i) || e.dp.OutputDown(j)) {
-			e.met.WastedGrants.Inc()
-			continue
-		}
-		mu := &e.inMu[i]
-		mu.Lock()
-		f, ok := e.dp.Take(j)
-		if ok {
-			l := e.dp.Len(i, j)
-			e.depth.move(i, l+1, l)
-		}
-		mu.Unlock()
-		if !ok {
-			// Cannot happen: grants imply requests and only the arbiter
-			// pops.
-			e.met.WastedGrants.Inc()
-			continue
-		}
-		f.Departed = now
-		select {
-		case e.outs[j] <- f:
-			matched++
-			e.outBound[j]++
-			if f.Class >= 0 && e.classes != nil {
-				e.observeClassDelivery(f, now)
+	for k, w := range g.Granted().Words() {
+		for ; w != 0; w &= w - 1 {
+			j := k<<6 + bits.TrailingZeros64(w)
+			i := g.Src[j]
+			// Attribute the grant to its decision rule. This counts the
+			// arbiter's decision, not the dispatch outcome: a grant wasted
+			// on a drained VOQ or a full channel was still decided.
+			e.sums.rules[g.Rule[j]]++
+			// A failed port must never receive a grant, even under a buggy
+			// arbiter.
+			if down && (e.dp.InputDown(i) || e.dp.OutputDown(j)) {
+				e.met.WastedGrants.Inc()
+				continue
 			}
-			e.met.PerOutputDelivered[j].Inc()
-			e.met.PerInputBacklog[i].Add(-1)
-		default:
-			// Unreachable while the output mask holds (consumers only
-			// drain, so a channel with room at snapshot time still has
-			// room); keep the frame rather than lose it.
+			mu := &e.inMu[i]
 			mu.Lock()
-			e.dp.Untake(j, f)
-			l := e.dp.Len(i, j)
-			e.depth.move(i, l-1, l)
+			f, ok := e.dp.Take(j)
+			if ok {
+				l := e.dp.Len(i, j)
+				e.depth.move(i, l+1, l)
+			}
 			mu.Unlock()
-			e.met.WastedGrants.Inc()
+			if !ok {
+				// Cannot happen: grants imply requests and only the arbiter
+				// pops.
+				e.met.WastedGrants.Inc()
+				continue
+			}
+			f.Departed = now
+			select {
+			case e.outs[j] <- f:
+				matched++
+				e.outBound[j]++
+				if f.Class >= 0 && e.classes != nil {
+					e.observeClassDelivery(f, now)
+				}
+				e.met.PerOutputDelivered[j].Inc()
+				e.met.PerInputBacklog[i].Add(-1)
+			default:
+				// Unreachable while the output mask holds (consumers only
+				// drain, so a channel with room at snapshot time still has
+				// room); keep the frame rather than lose it.
+				mu.Lock()
+				e.dp.Untake(j, f)
+				l := e.dp.Len(i, j)
+				e.depth.move(i, l-1, l)
+				mu.Unlock()
+				e.met.WastedGrants.Inc()
+			}
 		}
 	}
 	return matched

@@ -1,6 +1,8 @@
 package sched
 
 import (
+	"math/bits"
+
 	"repro/internal/bitvec"
 	"repro/internal/matching"
 )
@@ -55,12 +57,18 @@ func (g *GrantSet) N() int { return len(g.Src) }
 
 // Reset clears every grant, visiting only the outputs that hold one.
 func (g *GrantSet) Reset() {
-	for j := g.granted.NextSet(0); j >= 0; j = g.granted.NextSet(j + 1) {
-		g.Src[j] = matching.Unmatched
-		g.Rule[j] = RuleUnattributed
-		g.Choices[j] = -1
+	for k, w := range g.granted.Words() {
+		for ; w != 0; w &= w - 1 {
+			g.clear(k<<6 + bits.TrailingZeros64(w))
+		}
 	}
 	g.granted.Reset()
+}
+
+func (g *GrantSet) clear(j int) {
+	g.Src[j] = matching.Unmatched
+	g.Rule[j] = RuleUnattributed
+	g.Choices[j] = -1
 }
 
 // Set records the grant input i → output j; i must be an input, not
@@ -73,8 +81,8 @@ func (g *GrantSet) Set(j, i int, rule GrantRule, choices int) {
 }
 
 // Granted returns the outputs holding a grant, for walking them in
-// ascending order with NextSet. The vector is the set's own state:
-// read-only, valid until the next Reset, Set or FromMatch.
+// ascending order. The vector is the set's own state: read-only, valid
+// until the next Reset, Set or FromMatch.
 func (g *GrantSet) Granted() *bitvec.Vector { return g.granted }
 
 // Size returns the number of granted outputs.
@@ -82,18 +90,28 @@ func (g *GrantSet) Size() int { return g.granted.PopCount() }
 
 // FromMatch fills g from a central matching, attributing each grant via
 // ex when non-nil. This is the bridge the VOQ core uses so both datapaths
-// hand their drivers the same decision type. It writes only the outputs
-// granted before and after.
+// hand their drivers the same decision type. It reads every output of m
+// but writes only the outputs granted before or now, and rebuilds the
+// granted set a word at a time.
 func (g *GrantSet) FromMatch(m *matching.Match, ex Explainer) {
-	g.Reset()
+	words := g.granted.Words()
 	for j, i := range m.OutToIn {
+		if j&63 == 0 {
+			words[j>>6] = 0
+		}
 		if i == matching.Unmatched {
+			if g.Src[j] != matching.Unmatched {
+				g.clear(j)
+			}
 			continue
 		}
 		rule, choices := RuleUnattributed, -1
 		if ex != nil {
 			rule, choices = ex.Explain(i)
 		}
-		g.Set(j, i, rule, choices)
+		g.Src[j] = i
+		g.Rule[j] = rule
+		g.Choices[j] = choices
+		words[j>>6] |= 1 << uint(j&63)
 	}
 }

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/bitvec"
@@ -62,5 +63,44 @@ func TestOptionsEffectiveIterations(t *testing.T) {
 	}
 	if got := (Options{Iterations: -1}).EffectiveIterations(); got != 4 {
 		t.Fatalf("negative iterations = %d, want default", got)
+	}
+}
+
+// TestGrantSetFromMatch: a GrantSet refilled from a run of matchings —
+// sparse after dense, empty, full — reads, output by output, what a fresh
+// set filled from the same matching reads, and Granted and Size name
+// exactly its granted outputs.
+func TestGrantSetFromMatch(t *testing.T) {
+	for _, n := range []int{1, 16, 63, 64, 65, 130} {
+		r := rand.New(rand.NewSource(int64(n)))
+		g := NewGrantSet(n)
+		for step := 0; step < 60; step++ {
+			m := matching.NewMatch(n)
+			density := [...]float64{0, 1, 0.05, 0.5}[step%4]
+			for j, i := range r.Perm(n) {
+				if r.Float64() < density {
+					m.Pair(i, j)
+				}
+			}
+			g.FromMatch(m, nil)
+			want := NewGrantSet(n)
+			for j, i := range m.OutToIn {
+				if i != matching.Unmatched {
+					want.Src[j], want.Choices[j] = i, -1
+				}
+			}
+			for j := 0; j < n; j++ {
+				if g.Src[j] != want.Src[j] || g.Rule[j] != want.Rule[j] || g.Choices[j] != want.Choices[j] {
+					t.Fatalf("n=%d step %d output %d: (%d,%v,%d), want (%d,%v,%d)", n, step, j,
+						g.Src[j], g.Rule[j], g.Choices[j], want.Src[j], want.Rule[j], want.Choices[j])
+				}
+				if g.Granted().Get(j) != (m.OutToIn[j] != matching.Unmatched) {
+					t.Fatalf("n=%d step %d: Granted()[%d] = %v", n, step, j, g.Granted().Get(j))
+				}
+			}
+			if g.Size() != m.Size() {
+				t.Fatalf("n=%d step %d: Size %d, want %d", n, step, g.Size(), m.Size())
+			}
+		}
 	}
 }

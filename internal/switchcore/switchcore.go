@@ -174,17 +174,12 @@ func (c *Core[T]) FlushVOQ(i, j int, fn func(v T)) int {
 // columns). A concurrent driver calls it under input i's lock; after it
 // returns, the scheduler reads only the snapshot, never live state.
 func (c *Core[T]) SnapshotRow(i int) (requested, masked, faulted int) {
-	requested, masked, faulted = c.snapshotRow(i)
-	c.reqRows.SetTo(i, requested > 0)
-	return requested, masked, faulted
-}
-
-func (c *Core[T]) snapshotRow(i int) (requested, masked, faulted int) {
 	row := c.req.Row(i)
 	copy(c.lensSnap[i], c.lens[i])
 	if c.anyDownIn && c.downIn.Get(i) {
 		occupied := c.occ.Row(i).PopCount()
 		row.Reset()
+		c.reqRows.Words()[i>>6] &^= 1 << uint(i&63)
 		return 0, 0, occupied
 	}
 	row.Copy(c.occ.Row(i))
@@ -201,6 +196,11 @@ func (c *Core[T]) snapshotRow(i int) (requested, masked, faulted int) {
 		masked = live - requested
 	} else {
 		requested = live
+	}
+	if w, bit := c.reqRows.Words(), uint64(1)<<uint(i&63); requested > 0 {
+		w[i>>6] |= bit
+	} else {
+		w[i>>6] &^= bit
 	}
 	return requested, masked, faulted
 }

@@ -193,10 +193,12 @@ func scatterLimit(lg uint) int {
 // loads the transpose makes anyway: one OR per source word.
 //
 // A non-nil rows names a superset of m's non-empty rows, the inputs that
-// request anything. When those rows hold no more bits than one block
-// would scatter, the transpose reads them alone (transposeRows), so a
-// nearly idle switch pays for its requesting inputs rather than for n
-// rows; otherwise rows is ignored.
+// request anything. When they are at most a quarter of the rows and hold
+// no more bits than one block would scatter, the transpose reads them
+// alone (transposeRows), so a nearly idle switch pays for its requesting
+// inputs rather than for n rows; otherwise rows is ignored, and a busy
+// switch, whose rows the blocks load anyway, pays one popcount of rows
+// for asking.
 func (m *Matrix) TransposeInto(dst *Matrix, rows, cols *Vector) {
 	if m.n != dst.n || cols != nil && cols.n != m.n || rows != nil && rows.n != m.n {
 		panic("bitvec: transpose dimension mismatch")
@@ -204,7 +206,7 @@ func (m *Matrix) TransposeInto(dst *Matrix, rows, cols *Vector) {
 	if cols != nil {
 		clear(cols.words)
 	}
-	if rows != nil && m.transposeRows(dst, rows, cols) {
+	if rows != nil && 4*rows.PopCount() <= m.n && m.transposeRows(dst, rows, cols) {
 		return
 	}
 	nb := (m.n + wordBits - 1) / wordBits
@@ -261,8 +263,7 @@ func (m *Matrix) TransposeInto(dst *Matrix, rows, cols *Vector) {
 // scatters (scatterLimit): it clears dst, then writes each set bit of
 // those rows where it belongs, and reports true. Past that population it
 // writes nothing and reports false, having counted no further than the
-// row that crossed it, so a dense matrix pays a few rows' loads for
-// asking.
+// row that crossed it.
 func (m *Matrix) transposeRows(dst *Matrix, rows, cols *Vector) bool {
 	limit := scatterLimit(uint(bits.Len(uint(min(m.n, wordBits) - 1))))
 	pop := 0

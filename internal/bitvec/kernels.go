@@ -191,23 +191,12 @@ func scatterLimit(lg uint) int {
 // A non-nil cols receives the columns of m that hold a set bit — the
 // non-empty rows of dst, the resources somebody requests — from the
 // loads the transpose makes anyway: one OR per source word.
-//
-// A non-nil rows names a superset of m's non-empty rows, the inputs that
-// request anything. When they are at most a quarter of the rows and hold
-// no more bits than one block would scatter, the transpose reads them
-// alone (transposeRows), so a nearly idle switch pays for its requesting
-// inputs rather than for n rows; otherwise rows is ignored, and a busy
-// switch, whose rows the blocks load anyway, pays one popcount of rows
-// for asking.
-func (m *Matrix) TransposeInto(dst *Matrix, rows, cols *Vector) {
-	if m.n != dst.n || cols != nil && cols.n != m.n || rows != nil && rows.n != m.n {
+func (m *Matrix) TransposeInto(dst *Matrix, cols *Vector) {
+	if m.n != dst.n || cols != nil && cols.n != m.n {
 		panic("bitvec: transpose dimension mismatch")
 	}
 	if cols != nil {
 		clear(cols.words)
-	}
-	if rows != nil && 4*rows.PopCount() <= m.n && m.transposeRows(dst, rows, cols) {
-		return
 	}
 	nb := (m.n + wordBits - 1) / wordBits
 	var blk [wordBits]uint64
@@ -216,16 +205,15 @@ func (m *Matrix) TransposeInto(dst *Matrix, rows, cols *Vector) {
 		for bj := 0; bj < nb; bj++ {
 			clim := min(m.n-bj<<6, wordBits)
 			idx := bi<<6*m.w + bj
-			pop := 0
+			pop, any := 0, uint64(0)
 			for k := 0; k < rlim; k++ {
 				blk[k] = m.flat[idx]
 				pop += bits.OnesCount64(blk[k])
+				any |= blk[k]
 				idx += m.w
 			}
 			if cols != nil {
-				for _, w := range blk[:rlim] {
-					cols.words[bj] |= w
-				}
+				cols.words[bj] |= any
 			}
 			lg := uint(bits.Len(uint(max(rlim, clim) - 1)))
 			out := bj<<6*dst.w + bi // dst word of the block's column 0
@@ -256,44 +244,6 @@ func (m *Matrix) TransposeInto(dst *Matrix, rows, cols *Vector) {
 			}
 		}
 	}
-}
-
-// transposeRows is TransposeInto's path for a matrix whose non-empty rows
-// are all in rows and hold at most the bits that one block of m's size
-// scatters (scatterLimit): it clears dst, then writes each set bit of
-// those rows where it belongs, and reports true. Past that population it
-// writes nothing and reports false, having counted no further than the
-// row that crossed it.
-func (m *Matrix) transposeRows(dst *Matrix, rows, cols *Vector) bool {
-	limit := scatterLimit(uint(bits.Len(uint(min(m.n, wordBits) - 1))))
-	pop := 0
-	for rw, sel := range rows.words {
-		for ; sel != 0; sel &= sel - 1 {
-			i := rw<<6 + bits.TrailingZeros64(sel)
-			for _, w := range m.flat[i*m.w : (i+1)*m.w] {
-				pop += bits.OnesCount64(w)
-			}
-			if pop > limit {
-				return false
-			}
-		}
-	}
-	clear(dst.flat)
-	for rw, sel := range rows.words {
-		for ; sel != 0; sel &= sel - 1 {
-			i := rw<<6 + bits.TrailingZeros64(sel)
-			bit := uint64(1) << uint(i&63)
-			for k, w := range m.flat[i*m.w : (i+1)*m.w] {
-				if cols != nil {
-					cols.words[k] |= w
-				}
-				for ; w != 0; w &= w - 1 {
-					dst.flat[(k<<6+bits.TrailingZeros64(w))*dst.w+rw] |= bit
-				}
-			}
-		}
-	}
-	return true
 }
 
 // transposeBlock transposes the 2^lg × 2^lg block in the first 2^lg

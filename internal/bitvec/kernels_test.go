@@ -162,7 +162,7 @@ func TestTransposeInto(t *testing.T) {
 				}
 			}
 			tr := NewMatrix(n)
-			m.TransposeInto(tr, nil, nil)
+			m.TransposeInto(tr, nil)
 			for i := 0; i < n; i++ {
 				for j := 0; j < n; j++ {
 					if tr.Get(j, i) != m.Get(i, j) {
@@ -172,7 +172,7 @@ func TestTransposeInto(t *testing.T) {
 			}
 			// Double transpose is the identity.
 			back := NewMatrix(n)
-			tr.TransposeInto(back, nil, nil)
+			tr.TransposeInto(back, nil)
 			if !back.Equal(m) {
 				t.Fatalf("n=%d double transpose != identity", n)
 			}
@@ -213,11 +213,9 @@ func fillBlocks(m *Matrix, r *rand.Rand, pops func(bi, bj int) int) {
 // every smaller butterfly size, into a destination that starts with every
 // bit set (the scatter path has to clear what it does not write). Below
 // 64 ports the crossover is the one scatterLimit gives the matrix's
-// single block. The columns vector, also handed in full, must come back
-// holding exactly the non-empty columns. Each matrix is transposed three
-// ways: over every row, from its non-empty rows alone, and from a row set
-// naming every row (the row path takes the sparse cases and hands the
-// dense ones to the blocks).
+// single block. Each matrix is transposed once without a columns vector
+// and once with one, handed in full, which must come back holding
+// exactly the non-empty columns.
 func TestTransposeIntoBlockPopulations(t *testing.T) {
 	r := rand.New(rand.NewSource(20))
 	for _, n := range []int{1, 2, 3, 5, 8, 9, 15, 16, 17, 32, 33, 63, 64, 65, 129, 256} {
@@ -242,24 +240,23 @@ func TestTransposeIntoBlockPopulations(t *testing.T) {
 					}
 				}
 			}
-			nonEmpty, every := New(n), New(n)
-			every.SetAll()
-			for i := 0; i < n; i++ {
-				nonEmpty.SetTo(i, m.Row(i).Any())
-			}
-			for _, rows := range []*Vector{nil, nonEmpty, every} {
-				got, cols := NewMatrix(n), New(n)
+			for _, withCols := range []bool{false, true} {
+				got := NewMatrix(n)
 				for i := 0; i < n; i++ {
 					got.Row(i).SetAll()
 				}
-				cols.SetAll()
-				m.TransposeInto(got, rows, cols)
-				if !got.Equal(want) { // word equality: stray bits past the width fail too
-					t.Fatalf("n=%d blocks=%s (%d bits) rows=%v: transpose differs from the bit probe\ngot:\n%v\nwant:\n%v",
-						n, name, m.PopCount(), rows, got, want)
+				var cols *Vector
+				if withCols {
+					cols = New(n)
+					cols.SetAll()
 				}
-				if !cols.Equal(wantCols) {
-					t.Fatalf("n=%d blocks=%s (%d bits) rows=%v: columns %v, want %v", n, name, m.PopCount(), rows, cols, wantCols)
+				m.TransposeInto(got, cols)
+				if !got.Equal(want) { // word equality: stray bits past the width fail too
+					t.Fatalf("n=%d blocks=%s (%d bits) cols=%v: transpose differs from the bit probe\ngot:\n%v\nwant:\n%v",
+						n, name, m.PopCount(), withCols, got, want)
+				}
+				if withCols && !cols.Equal(wantCols) {
+					t.Fatalf("n=%d blocks=%s (%d bits): columns %v, want %v", n, name, m.PopCount(), cols, wantCols)
 				}
 			}
 		}
@@ -541,7 +538,7 @@ func benchmarkTranspose(b *testing.B, n int) {
 			f.set(m, rand.New(rand.NewSource(9)))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				m.TransposeInto(dst, nil, nil)
+				m.TransposeInto(dst, nil)
 			}
 		})
 	}

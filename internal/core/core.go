@@ -198,8 +198,7 @@ func (c *Central) SetOffsets(i, j int) {
 //     of the reference, which then changes nothing. The resource loop
 //     therefore visits only the requested ones, in the reference's order
 //     (J+res) mod n, and only the requesters the last slot granted hold
-//     an attribution to clear. With ctx.Rows the transpose reads only
-//     the requesting inputs' rows too (bitvec's TransposeInto).
+//     an attribution to clear.
 func (c *Central) Schedule(ctx *sched.Context, m *matching.Match) {
 	sched.CheckDims(c, ctx, m)
 	m.Reset()
@@ -213,7 +212,7 @@ func (c *Central) Schedule(ctx *sched.Context, m *matching.Match) {
 		}
 	}
 	c.granted.Reset()
-	ctx.Req.TransposeInto(c.cols, ctx.Rows, c.wanted)
+	ctx.Req.TransposeInto(c.cols, c.wanted)
 	// nrq[i] = Σ R[i,*]: the column sums of the transposed matrix over the
 	// requested resources, bulk-loaded into the bit-sliced counters.
 	c.nrqBits.SumRows(c.cols, c.wanted)

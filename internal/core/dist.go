@@ -171,7 +171,7 @@ func (d *Dist) Schedule(ctx *sched.Context, m *matching.Match) {
 		d.unmatchedOut.Clear(d.j)
 	}
 
-	req.TransposeInto(d.cols, ctx.Rows, nil)
+	req.TransposeInto(d.cols, nil)
 
 	d.stats.Cycles++
 	for it := 0; it < d.iterations; it++ {

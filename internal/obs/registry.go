@@ -220,8 +220,17 @@ func formatValue(v float64) string {
 const ContentTypePrometheus = "text/plain; version=0.0.4; charset=utf-8"
 
 // WritePrometheus renders every registered family in the Prometheus text
-// exposition format 0.0.4, in registration order.
+// exposition format 0.0.4, in registration order. The hooks run and the
+// families are rendered under the scrape lock; the text is written to w
+// after it is released, so a slow reader of w holds up no other scrape.
 func (r *Registry) WritePrometheus(w io.Writer) error {
+	_, err := io.WriteString(w, r.render())
+	return err
+}
+
+// render runs the OnScrape hooks and renders every family, one scrape at
+// a time.
+func (r *Registry) render() string {
 	r.scrape.Lock()
 	defer r.scrape.Unlock()
 	for _, fn := range r.hooks {
@@ -229,7 +238,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	}
 	var b strings.Builder
 	for _, m := range r.metrics {
-		b.Reset()
 		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s %s\n", m.name, escapeHelp(m.help), m.name, m.typ)
 		if m.histogramVec != nil {
 			for _, hs := range m.histogramVec() {
@@ -246,11 +254,8 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 				}
 			}
 		}
-		if _, err := io.WriteString(w, b.String()); err != nil {
-			return err
-		}
 	}
-	return nil
+	return b.String()
 }
 
 // writeHistogram renders one histogram family. LiveHistogram buckets are

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/metrics"
 )
@@ -136,5 +137,50 @@ func TestHelpEscaping(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), `# HELP lcf_x_total line one\nline two \\ backslash`) {
 		t.Errorf("help not escaped:\n%s", buf.String())
+	}
+}
+
+// blockingWriter accepts nothing until release is closed, like the socket
+// of a client that stopped reading; entered is closed on the first write.
+type blockingWriter struct {
+	entered, release chan struct{}
+}
+
+func (w *blockingWriter) Write(p []byte) (int, error) {
+	close(w.entered)
+	<-w.release
+	return len(p), nil
+}
+
+// TestScrapeNotHeldByBlockedWriter: a scrape whose writer blocks holds
+// no lock, so a second scrape runs its hooks and completes meanwhile.
+func TestScrapeNotHeldByBlockedWriter(t *testing.T) {
+	r := testRegistry()
+	hooks := 0
+	r.OnScrape(func() { hooks++ })
+	stuck := &blockingWriter{entered: make(chan struct{}), release: make(chan struct{})}
+	done := make(chan error)
+	go func() { done <- r.WritePrometheus(stuck) }()
+	<-stuck.entered
+	var second bytes.Buffer
+	finished := make(chan error)
+	go func() { finished <- r.WritePrometheus(&second) }()
+	select {
+	case err := <-finished:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("a scrape waited on another scrape's blocked writer")
+	}
+	close(stuck.release)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if hooks != 2 {
+		t.Fatalf("hooks ran %d times for two scrapes", hooks)
+	}
+	if !strings.Contains(second.String(), "lcf_test_admitted_total 12345") {
+		t.Fatalf("second scrape rendered:\n%s", second.String())
 	}
 }

@@ -25,12 +25,12 @@ import (
 //   - Longer waits sleep. Waits under a millisecond sleep in the OS
 //     (shortSleep), not on a Go timer: when nothing else is runnable the
 //     netpoller rounds such a wait up to a whole millisecond, which would
-//     hold a 200 µs period to ~1 000 slots a second. A sleep ends lead
-//     before the deadline, lead being how late the clock's sleeps have
-//     been waking (see learn), and the wait spins the rest; a wait no
-//     longer than lead spins whole. So neither the OS's slack nor a Go
-//     timer that wakes hundreds of microseconds late makes the slot run
-//     late.
+//     hold a 200 µs period to ~1 000 slots a second. Such a sleep runs
+//     a timer slack late at most, which the next wait makes up.
+//   - Waits of timerWait or more sleep on a Go timer, which can wake
+//     hundreds of microseconds late. Such a sleep ends lead before the
+//     deadline, lead being how late the timer has been waking (see
+//     learn), though never under timerWait, and the wait spins the rest.
 //
 // A SlotClock belongs to the one goroutine that runs the slots: Wait
 // before each slot, Advance (or AdvanceAt) after it. Its ClockStats may
@@ -43,7 +43,8 @@ type SlotClock struct {
 	// for the next Wait.
 	now  time.Time
 	held bool
-	// lead is how long before a deadline a sleep ends (see learn).
+	// lead is how long before its deadline a timer sleep ends (see
+	// learn).
 	lead time.Duration
 	// slept reports that the last wait slept before its slot ran;
 	// stalled that the last slot moved nothing while frames were queued.
@@ -98,7 +99,7 @@ func (c *SlotClock) Wait(stop <-chan struct{}) bool {
 	case d <= 0:
 		c.next = now
 		c.slept = false
-	case d < max(timerSlack, c.lead) && !c.stalled:
+	case d < timerSlack && !c.stalled:
 		now = c.spin(now)
 		c.slept = false
 	default:
@@ -106,14 +107,16 @@ func (c *SlotClock) Wait(stop <-chan struct{}) bool {
 		// The wait after a stalled slot sleeps to its deadline: it is
 		// there to give the processor up, not to be punctual.
 		sleep := d
-		if !c.stalled {
-			sleep -= c.lead
+		if d >= timerWait && !c.stalled {
+			sleep = max(d-c.lead, timerWait)
 		}
 		if !c.src.sleep(sleep, stop) {
 			return false
 		}
 		woke := c.src.now()
-		c.learn(woke.Sub(now) - sleep)
+		if sleep >= timerWait {
+			c.learn(woke.Sub(now) - sleep)
+		}
 		now = c.spin(woke)
 		if late := now.Sub(c.next); late > 0 {
 			c.stats.Overshoot.Add(int64(late))
@@ -138,10 +141,10 @@ func (c *SlotClock) spin(now time.Time) time.Time {
 	return now
 }
 
-// learn folds how late a sleep woke into lead, moving it halfway there:
-// a source that wakes steadily late is learnt in a few sleeps, and one
-// late wake-up is forgotten as fast. lead stays within half a period, so
-// a wait of more than half a period still sleeps and keeps it current.
+// learn folds how late a timer sleep woke into lead, moving it halfway
+// there: a timer that wakes steadily late is learnt in a few sleeps, and
+// one late wake-up is forgotten as fast. lead stays within half a
+// period, so at most half of a wait is spun.
 func (c *SlotClock) learn(late time.Duration) {
 	c.lead = min(max(c.lead+(late-c.lead)/2, 0), c.period/2)
 }
@@ -218,6 +221,10 @@ func ClockRate(period time.Duration, slots int) float64 {
 // up to 4.4 s of the run asleep (EXPERIMENTS.md E44).
 const timerSlack = 50 * time.Microsecond
 
+// timerWait is the shortest wait the wall clock hands to a Go timer;
+// shorter ones sleep in the OS (shortSleep).
+const timerWait = time.Millisecond
+
 // timeSource is where a SlotClock reads and spends time: the wall clock
 // in the daemons, a fake one in the tests of the pacing rules.
 type timeSource interface {
@@ -244,7 +251,7 @@ func (w *wallClock) now() time.Time { return w.epoch.Add(time.Since(w.epoch)) }
 // would round up — go to shortSleep and see stop only after it returns;
 // longer ones wait on the timer.
 func (w *wallClock) sleep(d time.Duration, stop <-chan struct{}) bool {
-	if d < time.Millisecond {
+	if d < timerWait {
 		shortSleep(d)
 		return true
 	}

@@ -9,14 +9,16 @@ import (
 
 // fakeTime is a timeSource that moves only when the clock uses it: each
 // read advances it by step, as the wall clock moves under a spinning
-// loop, and each sleep by the wait asked for plus late, the OS's
-// overshoot. It keeps counts, not lists, so a spin allocates nothing.
+// loop, and each sleep by the wait asked for plus the OS's overshoot:
+// late for a sleep under timerWait, timerLate for one the wall clock
+// would hand to a Go timer. It keeps counts, not lists, so a spin
+// allocates nothing.
 type fakeTime struct {
-	t          time.Time
-	step, late time.Duration
-	reads      int
-	sleeps     int
-	lastSleep  time.Duration
+	t                     time.Time
+	step, late, timerLate time.Duration
+	reads                 int
+	sleeps                int
+	lastSleep             time.Duration
 }
 
 func (f *fakeTime) now() time.Time {
@@ -33,7 +35,11 @@ func (f *fakeTime) sleep(d time.Duration, stop <-chan struct{}) bool {
 		return false
 	default:
 	}
-	f.t = f.t.Add(d + f.late)
+	if d >= timerWait {
+		f.t = f.t.Add(d + f.timerLate)
+	} else {
+		f.t = f.t.Add(d + f.late)
+	}
 	return true
 }
 
@@ -129,33 +135,52 @@ func TestSlotClockSleepsAfterStalledSlot(t *testing.T) {
 	}
 }
 
-// TestSlotClockHoldsPeriodPastLateSleeps: on a source whose every sleep
-// wakes 300 µs late — how late a Go timer woke for a 1 ms period on a
-// 2-vCPU host — a 1 ms clock learns to end its sleeps that much early and
-// spin the rest. After its first few sleeps every slot runs within a
-// microsecond of its deadline and none drops a period, whether the slot
-// costs nothing, half the period or most of it (the wait then left is
-// shorter than the lateness, and spins whole).
+// TestSlotClockHoldsPeriodPastLateSleeps: on a source whose timer sleeps
+// wake 300 µs late and whose OS sleeps wake 56 µs late — a 2-vCPU host's
+// Go timer and nanosleep slack — a clock whose waits reach the timer
+// learns to end those sleeps that much early and spin the rest: after its
+// first few sleeps every slot runs within a microsecond of its deadline
+// and none drops a period. A clock whose waits are all under timerWait
+// (a 1 ms or 200 µs period) learns no lead and spins nothing: each wait
+// is one OS sleep, as late as the OS makes it, which the next wait makes
+// up, so no period drops either.
 func TestSlotClockHoldsPeriodPastLateSleeps(t *testing.T) {
-	const period, late, slots, learnt = time.Millisecond, 300 * time.Microsecond, 200, 10
-	for _, cost := range []time.Duration{0, period / 2, 800 * time.Microsecond} {
-		c, f := fakeClock(period)
-		f.late = late
+	const timerLate, osLate, slots, learnt = 300 * time.Microsecond, 56 * time.Microsecond, 200, 10
+	for _, tc := range []struct {
+		period, cost time.Duration
+		maxLag       time.Duration
+	}{
+		{2 * time.Millisecond, 0, time.Microsecond},
+		{2 * time.Millisecond, 500 * time.Microsecond, time.Microsecond},
+		{5 * time.Millisecond, 3 * time.Millisecond, time.Microsecond},
+		{time.Millisecond, 0, osLate + time.Microsecond},
+		{time.Millisecond, 800 * time.Microsecond, osLate + time.Microsecond},
+		{200 * time.Microsecond, 0, osLate + time.Microsecond},
+	} {
+		c, f := fakeClock(tc.period)
+		f.late, f.timerLate = osLate, timerLate
 		for k := 0; k < slots; k++ {
 			due := c.next
+			reads := f.reads
 			if !c.Wait(nil) {
 				t.Fatal("Wait refused to run a slot")
 			}
 			if k >= learnt {
 				if !c.next.Equal(due) {
-					t.Fatalf("slot cost %v: slot %d dropped the periods up to %v", cost, k, c.next)
+					t.Fatalf("period %v cost %v: slot %d dropped the periods up to %v", tc.period, tc.cost, k, c.next)
 				}
-				if lag := f.t.Sub(due); lag < 0 || lag > time.Microsecond {
-					t.Fatalf("slot cost %v: slot %d ran %v after its deadline, want [0, 1µs]", cost, k, lag)
+				if lag := f.t.Sub(due); lag < 0 || lag > tc.maxLag {
+					t.Fatalf("period %v cost %v: slot %d ran %v after its deadline, want [0, %v]", tc.period, tc.cost, k, lag, tc.maxLag)
+				}
+				if tc.period-tc.cost < timerWait && f.reads-reads > 2 {
+					t.Fatalf("period %v cost %v: slot %d's wait read the clock %d times: it spun", tc.period, tc.cost, k, f.reads-reads)
 				}
 			}
-			f.t = f.t.Add(cost)
+			f.t = f.t.Add(tc.cost)
 			c.Advance(false)
+		}
+		if tc.period-tc.cost < timerWait && c.lead != 0 {
+			t.Fatalf("period %v cost %v: learnt a lead of %v from OS sleeps", tc.period, tc.cost, c.lead)
 		}
 	}
 }

@@ -103,7 +103,7 @@ func (s *ISLIP) Schedule(ctx *sched.Context, m *matching.Match) {
 	m.Reset()
 	req := ctx.Req
 
-	req.TransposeInto(s.cols, ctx.Rows, nil)
+	req.TransposeInto(s.cols, nil)
 	s.unmatchedIn.SetAll()
 	s.unmatchedOut.SetAll()
 

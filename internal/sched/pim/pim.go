@@ -73,7 +73,7 @@ func (p *PIM) Schedule(ctx *sched.Context, m *matching.Match) {
 	m.Reset()
 	req := ctx.Req
 
-	req.TransposeInto(p.cols, ctx.Rows, nil)
+	req.TransposeInto(p.cols, nil)
 	p.unmatchedIn.SetAll()
 	p.unmatchedOut.SetAll()
 

@@ -75,7 +75,7 @@ func (s *RRM) Schedule(ctx *sched.Context, m *matching.Match) {
 	n := s.n
 	req := ctx.Req
 
-	req.TransposeInto(s.cols, ctx.Rows, nil)
+	req.TransposeInto(s.cols, nil)
 	s.unmatchedIn.SetAll()
 	s.unmatchedOut.SetAll()
 

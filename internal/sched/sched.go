@@ -23,11 +23,6 @@ type Context struct {
 	// least one packet queued for output j. Schedulers must treat it as
 	// read-only; mutators copy it into scratch state first.
 	Req *bitvec.Matrix
-	// Rows, when non-nil, holds every input whose row of Req has a bit
-	// set, and may hold empty rows too: a hint that lets a scheduler's
-	// work follow the inputs that request rather than n. nil means any
-	// row may be non-empty.
-	Rows *bitvec.Vector
 	// QueueLens, when non-nil, gives the VOQ backlog behind each request
 	// (QueueLens[i][j]). Only weight-aware schedulers (LQF) read it; the
 	// pure occupancy-based schedulers of the paper ignore it.

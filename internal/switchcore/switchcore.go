@@ -75,7 +75,6 @@ type Core[T any] struct {
 
 	// Slot scratch (arbiter-only).
 	req      *bitvec.Matrix // request snapshot handed to the scheduler
-	reqRows  *bitvec.Vector // inputs whose snapshot row requests anything (sched.Context.Rows)
 	lensSnap [][]int        // queue-length snapshot handed to the scheduler
 	match    *matching.Match
 	ctx      sched.Context
@@ -98,7 +97,6 @@ func New[T any](n, voqCap int) *Core[T] {
 	return &Core[T]{
 		voqStore: newVOQStore[T](n, voqCap),
 		req:      bitvec.NewMatrix(n),
-		reqRows:  bitvec.New(n),
 		lensSnap: flatRows(n),
 		match:    matching.NewMatch(n),
 		grants:   sched.NewGrantSet(n),
@@ -179,7 +177,6 @@ func (c *Core[T]) SnapshotRow(i int) (requested, masked, faulted int) {
 	if c.anyDownIn && c.downIn.Get(i) {
 		occupied := c.occ.Row(i).PopCount()
 		row.Reset()
-		c.reqRows.Words()[i>>6] &^= 1 << uint(i&63)
 		return 0, 0, occupied
 	}
 	row.Copy(c.occ.Row(i))
@@ -196,11 +193,6 @@ func (c *Core[T]) SnapshotRow(i int) (requested, masked, faulted int) {
 		masked = live - requested
 	} else {
 		requested = live
-	}
-	if w, bit := c.reqRows.Words(), uint64(1)<<uint(i&63); requested > 0 {
-		w[i>>6] |= bit
-	} else {
-		w[i>>6] &^= bit
 	}
 	return requested, masked, faulted
 }
@@ -235,7 +227,6 @@ func (c *Core[T]) QueueLens() [][]int { return c.lensSnap }
 // weight-aware schedulers see real backlogs in every driver.
 func (c *Core[T]) Schedule(s sched.Scheduler) *matching.Match {
 	c.ctx.Req = c.req
-	c.ctx.Rows = c.reqRows
 	c.ctx.QueueLens = c.lensSnap
 	c.match.Reset()
 	s.Schedule(&c.ctx, c.match)

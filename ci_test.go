@@ -1,9 +1,11 @@
 package lcf_test
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -15,37 +17,14 @@ import (
 // -bench and -fuzz pattern of a go test command in the workflow, and the
 // regex column of the bench job's table, is split into its top-level
 // alternatives; each must match, by go test's unanchored rule, a
-// Test/Benchmark/Fuzz function declared in the _test.go files of that
-// command's packages. '^$' (run nothing) is exempt.
+// Test/Benchmark/Fuzz/Example function declared in the _test.go files of
+// that command's packages. '^$' (run nothing) is exempt.
 func TestCIPatternsMatchTests(t *testing.T) {
 	raw, err := os.ReadFile(filepath.Join(".github", "workflows", "ci.yml"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	checked := 0
-	check := func(what, pattern string, pkgs []string) {
-		t.Helper()
-		names := declaredTests(t, pkgs)
-		for _, alt := range topLevelAlternatives(pattern) {
-			alt = strings.SplitN(alt, "/", 2)[0] // a subtest path selects by its top level
-			re, err := regexp.Compile(alt)
-			if err != nil {
-				t.Errorf("%s: pattern %q does not compile: %v", what, alt, err)
-				continue
-			}
-			checked++
-			found := false
-			for _, name := range names {
-				if re.MatchString(name) {
-					found = true
-					break
-				}
-			}
-			if !found {
-				t.Errorf("%s: %q matches no test, benchmark or fuzz target in %v", what, alt, pkgs)
-			}
-		}
-	}
 	inTable := false
 	for _, line := range strings.Split(string(raw), "\n") {
 		trimmed := strings.TrimSpace(line)
@@ -62,41 +41,94 @@ func TestCIPatternsMatchTests(t *testing.T) {
 				t.Errorf("bench table row %q: want name;packages;regex;benchtime;note", trimmed)
 				continue
 			}
-			check("bench table row "+cols[0], strings.ReplaceAll(cols[2], `\$`, "$"), strings.Fields(cols[1]))
+			n, misses := patternMisses(t, "bench table row "+cols[0], strings.ReplaceAll(cols[2], `\$`, "$"), strings.Fields(cols[1]))
+			checked += n
+			for _, miss := range misses {
+				t.Error(miss)
+			}
 		default:
-			cmd, dir := goTestCommand(line)
-			if cmd == nil {
-				continue
-			}
-			var pkgs []string
-			var patterns [][2]string
-			for k := 0; k < len(cmd); k++ {
-				arg := cmd[k]
-				if strings.HasPrefix(arg, ".") {
-					pkgs = append(pkgs, filepath.Join(dir, arg))
-					continue
-				}
-				name, value, hasValue := strings.Cut(strings.TrimLeft(arg, "-"), "=")
-				if !strings.HasPrefix(arg, "-") || (name != "run" && name != "skip" && name != "bench" && name != "fuzz") {
-					continue
-				}
-				if !hasValue && k+1 < len(cmd) {
-					k++
-					value = cmd[k]
-				}
-				patterns = append(patterns, [2]string{name, value})
-			}
-			for _, p := range patterns {
-				if p[1] == "^$" || shellVar.MatchString(p[1]) {
-					continue
-				}
-				check("go test -"+p[0]+" in "+strings.TrimSpace(line), p[1], pkgs)
+			n, misses := goTestMisses(t, line, "run", "skip", "bench", "fuzz")
+			checked += n
+			for _, miss := range misses {
+				t.Error(miss)
 			}
 		}
 	}
 	if checked == 0 {
 		t.Fatal("found no test-selecting pattern in the CI workflow; is the parser broken?")
 	}
+}
+
+// goTestMisses checks each pattern the go test command on line, if it has
+// one, passes to one of the selector flags (run, skip, bench, fuzz)
+// against the tests of that command's packages. It returns how many
+// alternatives it checked and a message for each that matches nothing.
+func goTestMisses(t *testing.T, line string, selectors ...string) (checked int, misses []string) {
+	t.Helper()
+	cmd, dir := goTestCommand(line)
+	if cmd == nil {
+		return 0, nil
+	}
+	var pkgs []string
+	var patterns [][2]string
+	for k := 0; k < len(cmd); k++ {
+		arg := cmd[k]
+		if strings.HasPrefix(arg, ".") {
+			pkgs = append(pkgs, filepath.Join(dir, arg))
+			continue
+		}
+		name, value, hasValue := strings.Cut(strings.TrimLeft(arg, "-"), "=")
+		if !strings.HasPrefix(arg, "-") || !slices.Contains(selectors, name) {
+			continue
+		}
+		if !hasValue && k+1 < len(cmd) {
+			k++
+			value = cmd[k]
+		}
+		patterns = append(patterns, [2]string{name, value})
+	}
+	if len(pkgs) == 0 {
+		pkgs = []string{dir} // go test with no package tests the one in its directory
+	}
+	for _, p := range patterns {
+		if p[1] == "^$" || shellVar.MatchString(p[1]) {
+			continue
+		}
+		n, m := patternMisses(t, "go test -"+p[0]+" in "+strings.TrimSpace(line), p[1], pkgs)
+		checked += n
+		misses = append(misses, m...)
+	}
+	return checked, misses
+}
+
+// patternMisses splits a test-selecting pattern into its top-level
+// alternatives and returns how many it checked and a message for each
+// that does not compile or matches, by go test's unanchored rule, no
+// Test/Benchmark/Fuzz/Example function declared in the _test.go files
+// of pkgs.
+func patternMisses(t *testing.T, what, pattern string, pkgs []string) (checked int, misses []string) {
+	t.Helper()
+	names := declaredTests(t, pkgs)
+	for _, alt := range topLevelAlternatives(pattern) {
+		alt = strings.SplitN(alt, "/", 2)[0] // a subtest path selects by its top level
+		re, err := regexp.Compile(alt)
+		if err != nil {
+			misses = append(misses, fmt.Sprintf("%s: pattern %q does not compile: %v", what, alt, err))
+			continue
+		}
+		checked++
+		found := false
+		for _, name := range names {
+			if re.MatchString(name) {
+				found = true
+				break
+			}
+		}
+		if !found {
+			misses = append(misses, fmt.Sprintf("%s: %q matches no test, benchmark, fuzz target or example in %v", what, alt, pkgs))
+		}
+	}
+	return checked, misses
 }
 
 // shellVar matches a pattern the shell fills in ("$regex"): the bench
@@ -187,12 +219,12 @@ func topLevelAlternatives(pattern string) []string {
 	return append(alts, pattern[start:])
 }
 
-// testFunc matches a top-level Test, Benchmark or Fuzz function.
-var testFunc = regexp.MustCompile(`(?m)^func ((?:Test|Benchmark|Fuzz)\w*)\(`)
+// testFunc matches a top-level Test, Benchmark, Fuzz or Example function.
+var testFunc = regexp.MustCompile(`(?m)^func ((?:Test|Benchmark|Fuzz|Example)\w*)\(`)
 
-// declaredTests returns the Test, Benchmark and Fuzz functions declared
-// in the _test.go files of the given go test package patterns (./x,
-// ./x/..., .), leaving out nested modules the way go test does.
+// declaredTests returns the Test, Benchmark, Fuzz and Example functions
+// declared in the _test.go files of the given go test package patterns
+// (./x, ./x/..., .), leaving out nested modules the way go test does.
 func declaredTests(t *testing.T, pkgs []string) []string {
 	t.Helper()
 	var names []string

@@ -239,6 +239,38 @@ func TestDocsNameLivePackages(t *testing.T) {
 	}
 }
 
+// TestDocsPatternsMatchTests is TestCIPatternsMatchTests for the
+// documents a reader runs commands from: every -run pattern of a go test
+// command in a code span or a fenced shell line must match a test of
+// that command's packages, so a test renamed, moved or deleted takes its
+// documented runs with it. (-bench patterns are exempt: EXPERIMENTS.md
+// and results/README.md keep the commands that made recorded results,
+// some of whose benchmarks are gone.) It first checks that a planted
+// stale pattern is caught.
+func TestDocsPatternsMatchTests(t *testing.T) {
+	if _, misses := goTestMisses(t, "go test -run 'TestFigure7|TestFigure5Pipeline' ./internal/clint", "run"); len(misses) != 1 {
+		t.Fatalf("goTestMisses missed a planted stale pattern: %v", misses)
+	}
+	checked := 0
+	for _, doc := range runDocs {
+		raw, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range commandLines(string(raw)) {
+			line = strings.ReplaceAll(line, `\|`, "|") // a | escaped in a table cell
+			n, misses := goTestMisses(t, line, "run")
+			checked += n
+			for _, miss := range misses {
+				t.Errorf("%s: %s", doc, miss)
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("found no documented go test pattern; is the extraction broken?")
+	}
+}
+
 // helpFlag matches one flag of a command's -h listing: "  -name type".
 var helpFlag = regexp.MustCompile(`(?m)^  (-[a-z][a-z0-9-]*)`)
 

@@ -1,4 +1,4 @@
-package distsched
+package core_test
 
 import (
 	"math/rand"
@@ -24,7 +24,7 @@ func randomMatrix(r *rand.Rand, n int, density float64) *bitvec.Matrix {
 	return m
 }
 
-// TestEquivalenceWithAlgorithmicModel is the package's reason to exist:
+// TestEquivalenceWithAlgorithmicModel is the harness's reason to exist:
 // the message-passing agents, each with strictly local knowledge plus the
 // protocol's Busy notifications, must compute exactly the schedule of the
 // global-knowledge formulation in core.Dist, slot after slot (pointer
@@ -56,7 +56,7 @@ func TestEquivalenceWithAlgorithmicModel(t *testing.T) {
 }
 
 func TestFigure9ThroughMessages(t *testing.T) {
-	// The Figure 9 instance (see core's dist_test) must complete in two
+	// The Figure 9 instance (see dist_test.go) must complete in two
 	// iterations through the message protocol too.
 	req := bitvec.MatrixFromRows([][]int{
 		{0, 0, 1, 0},

@@ -1,8 +1,10 @@
-// Package distsched models the distributed LCF scheduler of Section 5 as
+package core_test
+
+// The harness below models the distributed LCF scheduler of Section 5 as
 // it would actually be deployed: one initiator agent and one target agent
 // per port, each owning only its local state, communicating exclusively
 // through typed messages over a wiring harness (the mesh of Figure 10b).
-// No agent ever reads another agent's fields — the package is the
+// No agent ever reads another agent's fields — the harness is the
 // executable form of the paper's claim that the distributed scheduler
 // "operates without global knowledge of the requests and grants".
 //
@@ -25,9 +27,9 @@
 // With the Busy notifications delivered before the next request phase,
 // the locally-computed priorities coincide with the global-knowledge
 // formulation, and the harness is property-tested equivalent to
-// core.Dist. The harness also meters every message, giving the measured
-// signalling volume that Section 6.2's worst-case formula bounds.
-package distsched
+// core.Dist (dist_agents_check_test.go). The harness also meters every
+// message, giving the measured signalling volume that Section 6.2's
+// worst-case formula bounds.
 
 import (
 	"fmt"
@@ -127,7 +129,7 @@ type Harness struct {
 // New returns a harness for an n-port switch.
 func New(n int) *Harness {
 	if n <= 0 {
-		panic(fmt.Sprintf("distsched: non-positive port count %d", n))
+		panic(fmt.Sprintf("harness: non-positive port count %d", n))
 	}
 	h := &Harness{n: n}
 	for i := 0; i < n; i++ {
@@ -145,10 +147,10 @@ func (h *Harness) N() int { return h.n }
 // calls, mirroring core.Dist.
 func (h *Harness) Schedule(req *bitvec.Matrix, iterations int, m *matching.Match) {
 	if req.N() != h.n || m.N() != h.n {
-		panic("distsched: dimension mismatch")
+		panic("harness: dimension mismatch")
 	}
 	if iterations <= 0 {
-		panic("distsched: non-positive iterations")
+		panic("harness: non-positive iterations")
 	}
 	m.Reset()
 

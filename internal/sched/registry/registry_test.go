@@ -1,8 +1,11 @@
 package registry
 
 import (
+	"math/rand"
 	"testing"
 
+	"repro/internal/bitvec"
+	"repro/internal/matching"
 	"repro/internal/sched"
 )
 
@@ -53,6 +56,50 @@ func TestDefaultIterations(t *testing.T) {
 	for _, name := range []string{"lcf_dist", "lcf_dist_rr", "pim", "islip"} {
 		if _, err := New(name, 8, sched.Options{}); err != nil {
 			t.Fatalf("New(%q) with default options: %v", name, err)
+		}
+	}
+}
+
+// TestSchedulersResetTheirMatch holds the sched.Scheduler contract that
+// the scheduler, not its caller, resets m. Each scheduler runs twice on
+// one seeded request sequence: one twin gets a fresh match every slot,
+// the other a reused match filled with a stale full matching first. The
+// two must agree on every slot.
+func TestSchedulersResetTheirMatch(t *testing.T) {
+	const n, slots = 16, 50
+	for _, name := range Names() {
+		opt := sched.Options{Iterations: 4, Seed: 1}
+		fresh, _ := New(name, n, opt)
+		stale, _ := New(name, n, opt)
+		r := rand.New(rand.NewSource(7))
+		req := bitvec.NewMatrix(n)
+		lens := make([][]int, n)
+		for i := range lens {
+			lens[i] = make([]int, n)
+		}
+		ctx := &sched.Context{Req: req, QueueLens: lens}
+		reused := matching.NewMatch(n)
+		for slot := 0; slot < slots; slot++ {
+			req.Reset()
+			for i := 0; i < n; i++ {
+				for j := 0; j < n; j++ {
+					lens[i][j] = 0
+					if r.Float64() < 0.3 && (name != "fifo" || req.Row(i).PopCount() == 0) {
+						req.Set(i, j) // fifo sees one head-of-line request per input
+						lens[i][j] = 1 + r.Intn(8)
+					}
+				}
+			}
+			want := matching.NewMatch(n)
+			fresh.Schedule(ctx, want)
+			reused.Reset()
+			for i := 0; i < n; i++ {
+				reused.Pair(i, (i+slot+1)%n)
+			}
+			stale.Schedule(ctx, reused)
+			if !reused.Equal(want) {
+				t.Fatalf("%s slot %d: on a stale match %v, on a fresh one %v", name, slot, reused.InToOut, want.InToOut)
+			}
 		}
 	}
 }

@@ -43,10 +43,11 @@ func AsRequests(m *bitvec.Matrix) matching.Requests { return matrixRequests{m} }
 
 // Scheduler computes one matching per slot.
 //
-// Schedule must populate m (already Reset by the caller, or reset by the
-// scheduler) with a conflict-free matching that grants only requested
-// pairs. Schedulers carry slot-to-slot state (round-robin pointers, RNG);
-// Schedule is invoked exactly once per slot in simulated-time order.
+// Schedule must reset m, which callers reuse and which may still hold an
+// earlier slot's matching, then populate it with a conflict-free matching
+// that grants only requested pairs. Schedulers carry slot-to-slot state
+// (round-robin pointers, RNG); Schedule is invoked exactly once per slot
+// in simulated-time order.
 type Scheduler interface {
 	// Name returns the evaluation label used in the paper's Figure 12
 	// (e.g. "lcf_central_rr").

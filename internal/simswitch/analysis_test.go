@@ -1,4 +1,4 @@
-package analysis
+package simswitch_test
 
 import (
 	"math"

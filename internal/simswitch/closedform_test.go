@@ -1,11 +1,13 @@
-// Package analysis collects the closed-form queueing results the switch
-// literature uses to sanity-check simulators — most importantly the
-// output-queued switch delay of Karol, Hluchyj and Morgan ("Input versus
-// Output Queueing on a Space-Division Packet Switch", IEEE Trans. Comm.
-// 1987 — the paper's reference [8]). The simulator's `outbuf` curve of
-// Figure 12a must match these formulas, which gives the reproduction an
-// anchor that does not depend on the paper's (unpublished) simulator.
-package analysis
+package simswitch_test
+
+// The closed-form queueing results below are what the switch literature
+// uses to sanity-check simulators — most importantly the output-queued
+// switch delay of Karol, Hluchyj and Morgan ("Input versus Output
+// Queueing on a Space-Division Packet Switch", IEEE Trans. Comm. 1987 —
+// the paper's reference [8]). The simulator's `outbuf` curve of Figure
+// 12a must match these formulas (analysis_test.go), which gives the
+// reproduction an anchor that does not depend on the paper's
+// (unpublished) simulator.
 
 import (
 	"fmt"
@@ -23,10 +25,10 @@ import (
 // the finite-switch (binomial-arrival) correction. p must be in [0,1).
 func OutputQueueWait(n int, p float64) float64 {
 	if n <= 0 {
-		panic(fmt.Sprintf("analysis: non-positive port count %d", n))
+		panic(fmt.Sprintf("closed form: non-positive port count %d", n))
 	}
 	if p < 0 || p >= 1 {
-		panic(fmt.Sprintf("analysis: load %g outside [0,1)", p))
+		panic(fmt.Sprintf("closed form: load %g outside [0,1)", p))
 	}
 	return float64(n-1) / float64(n) * p / (2 * (1 - p))
 }
@@ -46,7 +48,7 @@ func OutputQueueDelay(n int, p float64) float64 {
 // values for smaller N.
 func FIFOSaturationThroughput(n int) float64 {
 	if n <= 0 {
-		panic(fmt.Sprintf("analysis: non-positive port count %d", n))
+		panic(fmt.Sprintf("closed form: non-positive port count %d", n))
 	}
 	// Karol et al., Table I.
 	exact := map[int]float64{1: 1.0, 2: 0.75, 3: 0.6825, 4: 0.6553, 5: 0.6399, 6: 0.6302, 7: 0.6234}
@@ -62,7 +64,7 @@ func FIFOSaturationThroughput(n int) float64 {
 // scheduler's time complexity with the central scheduler's O(n).
 func PIMExpectedIterations(n int) float64 {
 	if n <= 0 {
-		panic(fmt.Sprintf("analysis: non-positive port count %d", n))
+		panic(fmt.Sprintf("closed form: non-positive port count %d", n))
 	}
 	return math.Log2(float64(n)) + 4.0/3.0
 }
@@ -73,7 +75,7 @@ func PIMExpectedIterations(n int) float64 {
 // interleaved Figure 2 diagonal, 1/n for the prescheduled diagonal.
 func LCFFairnessBound(n int, discipline string) (float64, error) {
 	if n <= 0 {
-		return 0, fmt.Errorf("analysis: non-positive port count %d", n)
+		return 0, fmt.Errorf("closed form: non-positive port count %d", n)
 	}
 	switch discipline {
 	case "none":
@@ -83,6 +85,6 @@ func LCFFairnessBound(n int, discipline string) (float64, error) {
 	case "prescheduled":
 		return 1 / float64(n), nil
 	default:
-		return 0, fmt.Errorf("analysis: unknown round-robin discipline %q", discipline)
+		return 0, fmt.Errorf("closed form: unknown round-robin discipline %q", discipline)
 	}
 }

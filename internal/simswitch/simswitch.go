@@ -543,7 +543,6 @@ func (s *Sim) scheduleAndTransfer() error {
 			}
 		}
 		req = s.req
-		s.match.Reset()
 		s.cfg.Scheduler.Schedule(&s.ctx, s.match)
 		computed = s.match
 		if s.cfg.Validate {

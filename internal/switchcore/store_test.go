@@ -62,6 +62,7 @@ type greedy struct{ n int }
 func (g greedy) Name() string { return "greedy" }
 func (g greedy) N() int       { return g.n }
 func (g greedy) Schedule(ctx *sched.Context, m *matching.Match) {
+	m.Reset()
 	for i := 0; i < g.n; i++ {
 		row := ctx.Req.Row(i)
 		for j := row.FirstSet(); j >= 0; j = row.NextSet(j + 1) {

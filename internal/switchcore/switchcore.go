@@ -228,7 +228,6 @@ func (c *Core[T]) QueueLens() [][]int { return c.lensSnap }
 func (c *Core[T]) Schedule(s sched.Scheduler) *matching.Match {
 	c.ctx.Req = c.req
 	c.ctx.QueueLens = c.lensSnap
-	c.match.Reset()
 	s.Schedule(&c.ctx, c.match)
 	return c.match
 }

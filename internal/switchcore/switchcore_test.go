@@ -183,6 +183,7 @@ func (s *lensRecorder) N() int       { return s.n }
 func (s *lensRecorder) Schedule(ctx *sched.Context, m *matching.Match) {
 	s.sawLens = ctx.QueueLens
 	s.sawReq = ctx.Req.PopCount()
+	m.Reset()
 	if s.schedule != nil {
 		s.schedule(ctx, m)
 	}

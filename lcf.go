@@ -21,8 +21,9 @@
 //	})
 //	fmt.Printf("mean queuing delay: %.2f slots\n", res.Delay.Mean())
 //
-// See examples/ for runnable programs and EXPERIMENTS.md for the mapping
-// from the paper's tables and figures to this repository's harnesses.
+// See the package Examples for runnable walk-throughs, cmd/ for the
+// programs and EXPERIMENTS.md for the mapping from the paper's tables and
+// figures to this repository's harnesses.
 package lcf
 
 import (
@@ -99,7 +100,7 @@ var ctxPool = sync.Pool{New: func() any { return new(sched.Context) }}
 
 // Schedule runs one scheduling decision outside a simulation: it fills m
 // with scheduler s's matching for the request matrix req. Use this to
-// drive a scheduler step by step (see examples/quickstart). It does not
+// drive a scheduler step by step (see ExampleSchedule). It does not
 // allocate.
 func Schedule(s Scheduler, req *RequestMatrix, m *Match) {
 	ctx := ctxPool.Get().(*sched.Context)
